@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from . import gen as genmod
 from .cutsparse import build_cut_sparsifier, build_cut_sparsifier_unit
-from .errors import BudgetExceeded, InputError, VspError
+from .errors import BudgetExceeded, VspError
 from .flowsparse import FlowParams, build_flow_sparsifier, build_flow_sparsifier_unit
 from .graph import read_graph, write_graph
-from .routing import read_demands
 from .serialize import load_sparsifier, save_sparsifier
 from .sparsecut import DEFAULT_ENUM_BUDGET
 from .verify import (
@@ -51,11 +50,6 @@ def _add_common(p: argparse.ArgumentParser):
         help="terminal-count budget for exhaustive cut verification",
     )
     p.add_argument("--delta", type=float, default=float(_env_default("delta", 1e-6)))
-    p.add_argument(
-        "--workers", type=int,
-        default=int(_env_default("workers", os.cpu_count() or 1)),
-        help="worker cap for verification fan-out (currently single-process)",
-    )
 
 
 def _params(args) -> FlowParams:
@@ -72,7 +66,7 @@ def _params(args) -> FlowParams:
 def _header(args, params: FlowParams | None = None) -> str:
     bits = [f"profile={getattr(args, 'profile', '-')}", f"seed={args.seed}",
             f"budget_exp={args.budget_exp}", f"budget_enum={args.budget_enum}",
-            f"delta={args.delta}", f"workers={args.workers}"]
+            f"delta={args.delta}"]
     if params is not None:
         bits.append(f"eta_star={params.eta_star}")
         bits.append(f"c_beta={params.c_beta}")

@@ -17,7 +17,6 @@ Every split is recorded so certification can re-derive the claims.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -27,7 +26,6 @@ from .graph import CapGraph, make_cluster, out_edges, subdivide_boundary
 from .params import weak_threshold
 from .sparsecut import (
     DEFAULT_ENUM_BUDGET,
-    SparsestCut,
     sparsest_cut_exact,
     sparsest_cut_heuristic,
 )
@@ -299,16 +297,3 @@ def certify_decomposition(g: CapGraph, dec: Decomposition) -> dict:
     add("events", ok_ev, f"{len(dec.events)} splits below threshold {dec.threshold}")
 
     return {"ok": all(ok for _n, ok, _d in checks), "checks": checks}
-
-
-def dump_decomposition(dec: Decomposition) -> str:
-    lines = [
-        f"# kind={dec.kind} z={dec.z} clusters={len(dec.clusters)} "
-        f"tally={dec.boundary_tally} threshold={dec.threshold}"
-    ]
-    for c in dec.clusters:
-        alpha = "inf" if c.alpha is None else str(c.alpha)
-        lvl = -1 if c.level is None else c.level
-        verts = " ".join(str(v) for v in sorted(c.members))
-        lines.append(f"c {lvl} {alpha} {verts}")
-    return "\n".join(lines) + "\n"

@@ -3,6 +3,11 @@
 All capacities are rationals; internally every instance is scaled by the
 common denominator so Dinic runs on integers and both the flow value and
 the cut certificate are exact.
+
+This module alone wires flow networks: it names the super-source and the
+super-sink, encodes arc keys (including the halves of a split edge), filters
+auxiliary nodes out of cut sides and decodes unit paths back to edge ids.
+Callers state only the arcs of their own construction.
 """
 
 from __future__ import annotations
@@ -14,15 +19,20 @@ from math import lcm
 from typing import Hashable, Iterable, Mapping
 
 from .errors import InputError
-from .graph import CapGraph, Edge
+from .graph import CapGraph
 
 
 class Net:
     """A directed flow network over arbitrary hashable node names.
 
-    Undirected edges become arc pairs sharing residual capacity.  Arcs can
-    carry a caller key so flows and paths can be mapped back to graph edges.
+    Graph vertices are ints; auxiliary nodes, namely the super-terminals
+    `source` and `sink` that every network has and the midpoints of split
+    edges, are tuples.  Undirected edges become arc pairs sharing residual
+    capacity and carry a caller key, so flows and paths map back to edges.
     """
+
+    source = ("S",)
+    sink = ("T",)
 
     def __init__(self):
         self._nodes: dict[Hashable, int] = {}
@@ -34,6 +44,8 @@ class Net:
         self._key: list[Hashable] = []
         self._den = 1  # common capacity denominator
         self._flowed = False
+        self._node(self.source)
+        self._node(self.sink)
 
     def _node(self, name: Hashable) -> int:
         idx = self._nodes.get(name)
@@ -43,9 +55,6 @@ class Net:
             self._names.append(name)
             self._head.append(-1)
         return idx
-
-    def ensure_node(self, name: Hashable) -> None:
-        self._node(name)
 
     def _push_arc(self, u: int, v: int, cap: int, key: Hashable):
         self._to.append(v)
@@ -61,23 +70,36 @@ class Net:
         self._cap = [c * g for c in self._cap]
         self._den = den
 
-    def arc(self, u: Hashable, v: Hashable, cap: Fraction | int, key: Hashable = None):
-        """Directed arc u->v; the implicit reverse residual has capacity 0."""
+    def _scaled(self, cap: Fraction | int) -> int:
         cap = Fraction(cap)
         self._rescale(lcm(self._den, cap.denominator))
+        return int(cap * self._den)
+
+    def arc(self, u: Hashable, v: Hashable, cap: Fraction | int):
+        """Directed arc u->v without a key; the implicit reverse residual has
+        capacity 0."""
+        c = self._scaled(cap)
         ui, vi = self._node(u), self._node(v)
-        c = int(cap * self._den)
-        self._push_arc(ui, vi, c, key)
+        self._push_arc(ui, vi, c, None)
         self._push_arc(vi, ui, 0, None)
 
     def undirected(self, u: Hashable, v: Hashable, cap: Fraction | int, key: Hashable = None):
-        """Undirected edge: arc pair, each side with the full capacity."""
-        cap = Fraction(cap)
-        self._rescale(lcm(self._den, cap.denominator))
+        """Undirected edge: arc pair, each side with the full capacity, both
+        carrying `key`."""
+        c = self._scaled(cap)
         ui, vi = self._node(u), self._node(v)
-        c = int(cap * self._den)
-        self._push_arc(ui, vi, c, (key, 0) if key is not None else None)
-        self._push_arc(vi, ui, c, (key, 1) if key is not None else None)
+        self._push_arc(ui, vi, c, key)
+        self._push_arc(vi, ui, c, key)
+
+    def split_edge(self, u: Hashable, v: Hashable, cap: Fraction | int, key: Hashable,
+                   sink_cap: Fraction | int):
+        """Edge `key` split at a midpoint node: undirected halves u-mid and
+        mid-v of capacity `cap`, both carrying `key`, and an arc mid->sink of
+        capacity `sink_cap`, so a path may end on the edge."""
+        mid = ("mid", key)
+        self.undirected(u, mid, cap, key)
+        self.undirected(mid, v, cap, key)
+        self.arc(mid, self.sink, sink_cap)
 
     def max_flow(self, s: Hashable, t: Hashable) -> Fraction:
         if s not in self._nodes or t not in self._nodes:
@@ -145,9 +167,11 @@ class Net:
                 path.append(a)
                 nodes.append(self._to[a])
 
-    def min_cut_source_side(self) -> set[Hashable]:
-        """Nodes reachable from the source in the residual graph (call after
-        max_flow); the arcs leaving this set form a minimum cut."""
+    def cut_side(self) -> frozenset:
+        """The graph vertices (auxiliary nodes left out) reachable from the
+        source in the residual graph; call after max_flow.  The arcs leaving
+        this side form a minimum cut, and every maximum flow gives the same
+        side."""
         assert self._flowed
         si, _ = self._last
         seen = {si}
@@ -161,11 +185,13 @@ class Net:
                     seen.add(v)
                     dq.append(v)
                 a = self._next[a]
-        return {self._names[i] for i in seen}
+        return frozenset(
+            name for name in (self._names[i] for i in seen) if not isinstance(name, tuple)
+        )
 
     def flow_by_key(self) -> dict[Hashable, Fraction]:
-        """Net flow per caller key.  Undirected keys (key, 0)/(key, 1) are
-        combined into a signed net on `key` (positive = the (key,0) direction)."""
+        """Signed net flow per caller key, positive in the u->v direction of
+        the `undirected(u, v, ...)` call that added the edge."""
         assert self._flowed
         out: dict[Hashable, Fraction] = {}
         for a in range(0, len(self._to), 2):
@@ -173,12 +199,7 @@ class Net:
             if key is None:
                 continue
             pushed = Fraction(self._orig_cap[a] - self._cap[a], self._den)
-            if isinstance(key, tuple) and len(key) == 2 and key[1] in (0, 1):
-                base, side = key
-                sign = 1 if side == 0 else -1
-                out[base] = out.get(base, Fraction(0)) + sign * pushed
-            else:
-                out[key] = out.get(key, Fraction(0)) + pushed
+            out[key] = out.get(key, Fraction(0)) + pushed
         return out
 
     def decompose_paths(
@@ -238,6 +259,22 @@ class Net:
             )
         return paths
 
+    def unit_edge_paths(self) -> list[tuple[Hashable, list[Hashable]]]:
+        """The source-to-sink flow as unit paths, each (first node after the
+        source, [keys of the edges traversed]); call after max_flow(source,
+        sink) on a network whose flow decomposes into unit paths.  Unkeyed
+        arcs are skipped, and consecutive arcs with one key (the halves of a
+        split edge) count as one traversal."""
+        out = []
+        for amt, nodes, keys in self.decompose_paths(self.source, self.sink):
+            assert amt == 1
+            path: list[Hashable] = []
+            for key in keys:
+                if key is not None and (not path or path[-1] != key):
+                    path.append(key)
+            out.append((nodes[0], path))
+        return out
+
 
 @dataclass(frozen=True)
 class CutCertificate:
@@ -280,21 +317,12 @@ class FlowSolution:
         return worst
 
 
-def _graph_net(g: CapGraph) -> Net:
-    net = Net()
-    for e in g.edges:
-        if e.u != e.v:
-            net.undirected(e.u, e.v, e.cap, key=e.eid)
-    for v in g.vertices:
-        net.ensure_node(v)
-    return net
-
-
-def max_flow(
+def _terminal_net(
     g: CapGraph, sources: Iterable[int], sinks: Iterable[int]
-) -> tuple[Fraction, FlowSolution, CutCertificate]:
-    """Exact max flow between vertex sets (merged via a super source/sink).
-    Returns value, a flow attaining it, and a minimum cut of equal value."""
+) -> tuple[Net, Fraction, CutCertificate]:
+    """G's network, its sources fed by the super-source and its sinks
+    drained into the super-sink through arcs above any cut value, solved;
+    returns the solved network, the flow value and the minimum cut."""
     src = sorted(set(sources))
     snk = sorted(set(sinks))
     if not src or not snk:
@@ -304,30 +332,40 @@ def max_flow(
     for v in src + snk:
         if not g.has_vertex(v):
             raise InputError(f"unknown vertex id {v}")
-    net = _graph_net(g)
+    net = Net()
+    for e in g.edges:
+        if e.u != e.v:
+            net.undirected(e.u, e.v, e.cap, key=e.eid)
     big = sum((e.cap for e in g.edges), Fraction(0)) + 1
     for v in src:
-        net.arc(("S",), v, big)
+        net.arc(net.source, v, big)
     for v in snk:
-        net.arc(v, ("T",), big)
-    value = net.max_flow(("S",), ("T",))
-    side = net.min_cut_source_side()
-    side_a = frozenset(v for v in g.vertices if v in side)
-    side_b = frozenset(g.vertices) - side_a
+        net.arc(v, net.sink, big)
+    value = net.max_flow(net.source, net.sink)
+    side_a = net.cut_side()
+    return net, value, CutCertificate(side_a, frozenset(g.vertices) - side_a, value)
+
+
+def max_flow(
+    g: CapGraph, sources: Iterable[int], sinks: Iterable[int]
+) -> tuple[Fraction, FlowSolution, CutCertificate]:
+    """Exact max flow between vertex sets (merged via a super source/sink).
+    Returns value, a flow attaining it, and a minimum cut of equal value."""
+    net, value, cert = _terminal_net(g, sources, sinks)
     flows = net.flow_by_key()
     sol = FlowSolution({eid: abs(f) for eid, f in flows.items() if f != 0})
-    cert = CutCertificate(side_a, side_b, value)
     return value, sol, cert
 
 
 def min_cut_between(
     g: CapGraph, term_a: Iterable[int], term_b: Iterable[int]
 ) -> tuple[Fraction, CutCertificate]:
-    """Capacity of the minimum cut separating two disjoint terminal sets."""
-    ta, tb = sorted(set(term_a)), sorted(set(term_b))
-    if set(ta) & set(tb):
+    """Capacity of the minimum cut separating two disjoint terminal sets;
+    no flow is extracted."""
+    ta, tb = set(term_a), set(term_b)
+    if ta & tb:
         raise InputError("terminal sides overlap")
-    value, _, cert = max_flow(g, ta, tb)
+    _net, value, cert = _terminal_net(g, ta, tb)
     return value, cert
 
 

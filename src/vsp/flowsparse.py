@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from .decompose import Decomposition, strong_decompose, weak_decompose
 from .errors import BudgetExceeded, InputError, ParamError
-from .flow import FlowSolution, Net
+from .flow import Net
 from .graph import (
     CapGraph,
     ContractionMap,
@@ -35,17 +35,15 @@ from .graph import (
     merge_vertices,
     out_edges,
     subdivide_boundary,
-    unit_expand,
 )
 from .params import alpha_weak, beta_fcg, rational_log2
 from .routing import (
     INFEASIBLE,
     DemandSet,
-    RoutingResult,
     min_congestion_routing,
     uniform_router_check,
 )
-from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked, sparsest_cut, sparsest_cut_exact
+from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked, sparsest_cut
 
 ETA_STAR = Fraction(34)
 ONE_THIRD = Fraction(1, 3)
@@ -180,16 +178,10 @@ class RouterSparsifier:
     def steiner_count(self) -> int:
         return self.graph.n - self.graph.k
 
-    def certificate_for(self, members: frozenset[int]) -> RouterCertificate:
-        for c in self.certificates:
-            if c.members == members:
-                return c
-        raise KeyError("no certificate for cluster")
-
 
 def _instance_to_parent_arcs(inst, arcs: Mapping[tuple[int, int], Fraction]) -> dict:
     """Translate instance-level arc flows to parent edge ids.  Pendant edges
-    map to their原 boundary edge; the inside->t_e direction is direction 0."""
+    map to their boundary edge; the inside->t_e direction is direction 0."""
     out: dict[tuple[int, int], Fraction] = {}
     pend_eid = {inst.pendant_edge(t).eid: inst.pendant_of[t] for t in inst.terminals}
     for (ieid, d), v in arcs.items():
@@ -339,23 +331,6 @@ def verify_witness2(gp: CapGraph, w: Witness2, k: int, params: FlowParams) -> li
 # witness -> router flow (constructive)
 
 
-def _keys_to_edge_path(keys: Iterable) -> list[int]:
-    """Net arc keys -> edge id path.  Undirected arcs carry (key, side) and
-    split target edges carry ((eid, half), side); consecutive repeats of one
-    edge id (the two halves of a split edge) collapse to one traversal."""
-    path: list[int] = []
-    for k in keys:
-        if k is None:
-            continue
-        base = k[0] if isinstance(k, tuple) else k
-        if isinstance(base, tuple):  # ((eid, half)) from a split edge
-            base = base[0]
-        if path and path[-1] == base:
-            continue
-        path.append(base)
-    return path
-
-
 def _path_transfer(
     g: CapGraph,
     sources: list[int],
@@ -372,21 +347,14 @@ def _path_transfer(
         if e.u == e.v:
             continue
         if e.eid in targets:
-            net.undirected(e.u, ("mid", e.eid), 1, key=(e.eid, "a"))
-            net.undirected(("mid", e.eid), e.v, 1, key=(e.eid, "b"))
-            net.arc(("mid", e.eid), ("T",), 1)
+            net.split_edge(e.u, e.v, 1, e.eid, 1)
         else:
             net.undirected(e.u, e.v, eta_cap * e.cap, key=e.eid)
     for s in sources:
-        net.arc(("S",), s, 1)
-    val = net.max_flow(("S",), ("T",))
-    if val < len(sources):
+        net.arc(net.source, s, 1)
+    if net.max_flow(net.source, net.sink) < len(sources):
         return None
-    out = []
-    for amt, nodes, keys in net.decompose_paths(("S",), ("T",)):
-        assert amt == 1
-        out.append((nodes[0], _keys_to_edge_path(keys)))
-    return out
+    return net.unit_edge_paths()
 
 
 # --------------------------------------------------------------------------
@@ -414,29 +382,19 @@ def _terminals_to_edges(
     for e in gp.edges:
         if e.u == e.v:
             continue
-        u = ("S",) if e.u in tset else e.u
-        v = ("S",) if e.v in tset else e.v
+        u = net.source if e.u in tset else e.u
+        v = net.source if e.v in tset else e.v
         if u == v:
             continue
         if e.eid in targets_set:
-            net.undirected(u, ("mid", e.eid), e.cap, key=(e.eid, "a"))
-            net.undirected(("mid", e.eid), v, e.cap, key=(e.eid, "b"))
-            net.arc(("mid", e.eid), ("T",), per_edge_cap)
+            net.split_edge(u, v, e.cap, e.eid, per_edge_cap)
         else:
             net.undirected(u, v, e.cap, key=e.eid)
-    net.ensure_node(("S",))
-    net.ensure_node(("T",))
     need = (gp.k + 1) // 2
-    val = net.max_flow(("S",), ("T",))
-    if val < need:
-        side = frozenset(
-            v for v in net.min_cut_source_side() if not isinstance(v, tuple)
-        )
-        return None, side
+    if net.max_flow(net.source, net.sink) < need:
+        return None, net.cut_side()
     paths = []
-    for amt, _nodes, keys in net.decompose_paths(("S",), ("T",)):
-        assert amt == 1
-        epath = _keys_to_edge_path(keys)
+    for _first, epath in net.unit_edge_paths():
         # the first edge identifies the terminal (terminals have degree 1)
         first = gp.edges[epath[0]]
         term = first.u if first.u in tset else first.v
@@ -511,7 +469,7 @@ def balanced_cut_refine(
 ) -> RefineOutcome:
     """One run of the refinement lemma on S: ends with a balanced partition
     with at most rk crossing edges, a verified type-2 witness, or a
-    contractible set.  Crossing size strictly decreases每 iteration."""
+    contractible set.  Crossing size strictly decreases each iteration."""
     k = gp.k
     notes = []
     if not (len(s_members) > 512 * f_half):
@@ -651,20 +609,14 @@ def _group_transfer(gp, x, gamma1, gamma_j):
     for eid in gamma1:
         e = gp.edges[eid]
         inside = e.u if e.u in xset else e.v
-        net.undirected(("S",), inside, 1, key=eid)
+        net.undirected(net.source, inside, 1, key=eid)
     for eid in gamma_j:
         e = gp.edges[eid]
         inside = e.u if e.u in xset else e.v
-        net.undirected(inside, ("T",), 1, key=eid)
-    val = net.max_flow(("S",), ("T",))
-    if val < len(gamma1):
-        side = frozenset(v for v in net.min_cut_source_side() if not isinstance(v, tuple))
-        return frozenset(side & xset)
-    out = []
-    for amt, _nodes, keys in net.decompose_paths(("S",), ("T",)):
-        assert amt == 1
-        out.append(_keys_to_edge_path(keys))
-    return out
+        net.undirected(inside, net.sink, 1, key=eid)
+    if net.max_flow(net.source, net.sink) < len(gamma1):
+        return net.cut_side() & xset
+    return [path for _first, path in net.unit_edge_paths()]
 
 
 def _concat_systems(p1, p2_paths):
@@ -803,20 +755,15 @@ def _route_terminals_to_cluster(gp: CapGraph, members: frozenset[int], need: int
     for e in gp.edges:
         if e.u == e.v:
             continue
-        u = ("S",) if e.u in tset else ("T",) if e.u in members else e.u
-        v = ("S",) if e.v in tset else ("T",) if e.v in members else e.v
+        u = net.source if e.u in tset else net.sink if e.u in members else e.u
+        v = net.source if e.v in tset else net.sink if e.v in members else e.v
         if u == v:
             continue
         net.undirected(u, v, e.cap, key=e.eid)
-    net.ensure_node(("S",))
-    net.ensure_node(("T",))
-    val = net.max_flow(("S",), ("T",))
-    if val < need:
-        return frozenset(v for v in net.min_cut_source_side() if not isinstance(v, tuple))
+    if net.max_flow(net.source, net.sink) < need:
+        return net.cut_side()
     paths = []
-    for amt, _nodes, keys in net.decompose_paths(("S",), ("T",)):
-        assert amt == 1
-        epath = _keys_to_edge_path(keys)
+    for _first, epath in net.unit_edge_paths():
         first = gp.edges[epath[0]]
         term = first.u if first.u in tset else first.v
         paths.append((term, epath))
@@ -826,13 +773,6 @@ def _route_terminals_to_cluster(gp: CapGraph, members: frozenset[int], need: int
 
 # --------------------------------------------------------------------------
 # witness -> flow (Witness theorems, constructive)
-
-
-def _translate_witness_paths(cmap: ContractionMap | None, paths):
-    if cmap is None:
-        return paths
-    emap = cmap.edge_map
-    return [(t, [emap[eid] for eid in p]) for t, p in paths]
 
 
 def _route_loads(routes: Iterable[tuple[Fraction, list[int]]]) -> dict[int, Fraction]:

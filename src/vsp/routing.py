@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import InputError
-from .flow import FlowSolution
+from .flow import FlowSolution, Net
 from .graph import CapGraph, SubdividedInstance, subdivide_boundary
 from .ratlp import solve_lp
 
@@ -90,14 +90,6 @@ def write_demands(dem: DemandSet, path) -> None:
     with open(path, "w") as fh:
         for (a, b), v in dem.pairs:
             fh.write(f"d {a} {b} {v}\n")
-
-
-def write_flow(sol: FlowSolution, path) -> None:
-    with open(path, "w") as fh:
-        for eid in sorted(sol.edge_flow):
-            fh.write(f"f {eid} {sol.edge_flow[eid]}\n")
-        if sol.eta is not None:
-            fh.write(f"eta {sol.eta}\n")
 
 
 @dataclass
@@ -491,36 +483,23 @@ def boundary_path_system(
     """An integral 1:1 path system between equal-size boundary edge subsets,
     contained in the cluster, with inner-edge congestion at most the given
     bound; found by integral max flow, None if no such system exists."""
-    from .flow import Net
-
     if len(e1) != len(e2):
         raise InputError("path system endpoints must have equal size")
     ms = frozenset(members)
     net = Net()
-    e1s, e2s = set(e1), set(e2)
     for e in g.edges:
         if e.u in ms and e.v in ms and e.u != e.v:
             net.undirected(e.u, e.v, congestion * e.cap, key=e.eid)
-    for eid in sorted(e1s):
+    for eid in sorted(set(e1)):
         e = g.edges[eid]
         inside = e.u if e.u in ms else e.v
-        net.arc(("S",), ("in", eid), 1)
+        net.arc(net.source, ("in", eid), 1)
         net.undirected(("in", eid), inside, 1, key=eid)
-    for eid in sorted(e2s):
+    for eid in sorted(set(e2)):
         e = g.edges[eid]
         inside = e.u if e.u in ms else e.v
         net.undirected(inside, ("out", eid), 1, key=eid)
-        net.arc(("out", eid), ("T",), 1)
-    val = net.max_flow(("S",), ("T",))
-    if val < len(e1):
+        net.arc(("out", eid), net.sink, 1)
+    if net.max_flow(net.source, net.sink) < len(e1):
         return None
-    paths = []
-    for amt, _nodes, keys in net.decompose_paths(("S",), ("T",)):
-        assert amt == 1
-        epath = [k[0] if isinstance(k, tuple) else k for k in keys if k is not None]
-        dedup = [epath[0]]
-        for eid in epath[1:]:
-            if eid != dedup[-1]:
-                dedup.append(eid)
-        paths.append(dedup)
-    return paths
+    return [path for _first, path in net.unit_edge_paths()]

@@ -17,9 +17,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExceeded, InputError
-from .flow import CutCertificate, Net
-from .graph import CapGraph, Cluster, SubdividedInstance, make_cluster, subdivide_boundary
+from .errors import BudgetExceeded
+from .flow import CutCertificate, min_cut_between
+from .graph import CapGraph, Cluster, SubdividedInstance, subdivide_boundary
 
 DEFAULT_ENUM_BUDGET = 22
 
@@ -44,25 +44,6 @@ class SparsestCut:
 
 def _bundle_terms(inst: SubdividedInstance) -> list[tuple[int, Fraction]]:
     return [(t, inst.weight(t)) for t in inst.terminals]
-
-
-def _min_cut_for_split(
-    inst: SubdividedInstance, side1: list[int], side2: list[int]
-) -> tuple[Fraction, frozenset[int]]:
-    g = inst.graph
-    net = Net()
-    for e in g.edges:
-        net.undirected(e.u, e.v, e.cap, key=e.eid)
-    for v in g.vertices:
-        net.ensure_node(v)
-    big = sum((e.cap for e in g.edges), Fraction(0)) + 1
-    for t in side1:
-        net.arc(("S",), t, big)
-    for t in side2:
-        net.arc(t, ("T",), big)
-    value = net.max_flow(("S",), ("T",))
-    side = frozenset(v for v in net.min_cut_source_side() if not isinstance(v, tuple))
-    return value, side
 
 
 def _certificate(inst, side_a: frozenset[int], value: Fraction) -> CutCertificate:
@@ -110,8 +91,8 @@ def sparsest_cut_exact(
             side2 = [t for t in rest if t not in side1]
             if not side2:
                 continue
-            value, reach = _min_cut_for_split(inst, side1, side2)
-            cert = _certificate(inst, reach, value)
+            value, cut = min_cut_between(inst.graph, side1, side2)
+            cert = _certificate(inst, cut.side_a, value)
             key = (cert.sparsity, value, tuple(sorted(side1)))
             if best is None or key < best[:3]:
                 best = (*key, cert)

@@ -12,11 +12,10 @@ cluster routers, whose congestion is evaluated exactly.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
 from .errors import BudgetExceeded, InputError
@@ -64,29 +63,31 @@ class QualityReport:
 
 
 def _bipartitions(terms: list[int], budget: int, seed: int) -> tuple[list[tuple], bool]:
+    """Terminal bipartitions (side a, side b) with both sides nonempty, and
+    whether they are all of them.  Mask m puts terms[0] and terms[i + 1] for
+    every set bit i on side a; the masks 0 .. total - 1 give every split
+    exactly once (mask `total` would leave side b empty).  Beyond the budget
+    a seeded sample of 2 budget^2 distinct masks is drawn, unless that many
+    cover every split anyway."""
     k = len(terms)
     total = (1 << (k - 1)) - 1
-    if k <= budget:
-        out = []
-        for mask in range(0, total + 1):
-            a = [terms[0]] + [terms[i + 1] for i in range(k - 1) if mask >> i & 1]
-            # mask enumerates the side containing terms[0]'s companions;
-            # complement once to cover every split exactly once
-            b = [t for t in terms if t not in a]
-            if b:
-                out.append((tuple(a), tuple(b)))
-        return out, True
+    want = 2 * budget * budget
+
+    def split(mask: int) -> tuple:
+        a = [terms[0]] + [terms[i + 1] for i in range(k - 1) if mask >> i & 1]
+        return tuple(a), tuple(t for t in terms if t not in a)
+
+    if k <= budget or want >= total:
+        return [split(mask) for mask in range(total)], True
     rng = random.Random(seed)
     seen = set()
     out = []
-    while len(out) < 2 * budget * budget:
-        mask = rng.randint(1, total)
+    while len(out) < want:
+        mask = rng.randrange(total)
         if mask in seen:
             continue
         seen.add(mask)
-        a = [terms[0]] + [terms[i + 1] for i in range(k - 1) if mask >> i & 1]
-        b = [t for t in terms if t not in a]
-        out.append((tuple(a), tuple(b)))
+        out.append(split(mask))
     return out, False
 
 
@@ -214,40 +215,6 @@ def demand_strategies(
     else:
         raise InputError(f"unknown demand strategy {strategy!r}")
     return out
-
-
-def adversarial_demands(
-    g: CapGraph,
-    h: CapGraph,
-    rounds: int,
-    seed: int,
-    exact_max_vars: int = 200,
-) -> tuple[DemandSet, Fraction]:
-    """Local search over the demand simplex for the worst eta(G)/eta(H)
-    ratio; returns the best demand set found and its ratio."""
-    terms = sorted(g.terminals)
-    rng = random.Random(seed)
-    pairs = [(a, b) for i, a in enumerate(terms) for b in terms[i + 1:]]
-    weights = {p: Fraction(1) for p in pairs}
-
-    def ratio_of(ws) -> Fraction | None:
-        dem = DemandSet.from_map(dict(ws))
-        rg = min_congestion_routing(g, dem, exact_max_vars=exact_max_vars)
-        rh = min_congestion_routing(h, dem, exact_max_vars=exact_max_vars)
-        if rg.eta == INFEASIBLE or rh.eta == INFEASIBLE or rh.eta == 0:
-            return None
-        return rg.eta / rh.eta
-
-    best = ratio_of(weights) or Fraction(1)
-    best_w = dict(weights)
-    for _ in range(rounds):
-        trial = dict(best_w)
-        p = rng.choice(pairs)
-        trial[p] = trial[p] * Fraction(rng.choice([2, 3, 1]), rng.choice([1, 2]))
-        r = ratio_of(trial)
-        if r is not None and r > best:
-            best, best_w = r, trial
-    return DemandSet.from_map(best_w), best
 
 
 def verify_flow_quality(

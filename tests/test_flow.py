@@ -92,3 +92,38 @@ def test_net_path_decomposition():
     for _, nodes, keys in paths:
         assert nodes[-1] == "c"
         assert all(k is not None for k in keys)
+
+
+def test_cut_side_excludes_auxiliary_nodes():
+    # edge 1-2 split at a midpoint that drains one unit to the sink: the
+    # residual source side is {source, 1, midpoint, 2}
+    net = Net()
+    net.arc(net.source, 1, 5)
+    net.split_edge(1, 2, 5, "e12", 1)
+    assert net.max_flow(net.source, net.sink) == 1
+    assert net.cut_side() == frozenset({1, 2})
+
+
+def test_split_target_edge_decodes_to_one_traversal():
+    # one path ends on split edge "b", the other crosses both of its halves
+    net = Net()
+    net.arc(net.source, 1, 2)
+    net.undirected(1, 2, 2, key="a")
+    net.split_edge(2, 3, 2, "b", 1)
+    net.undirected(3, 4, 1, key="c")
+    net.arc(4, net.sink, 1)
+    assert net.max_flow(net.source, net.sink) == 2
+    paths = sorted(net.unit_edge_paths(), key=lambda p: len(p[1]))
+    assert paths == [(1, ["a", "b"]), (1, ["a", "b", "c"])]
+
+def test_min_cut_between_matches_max_flow():
+    rng = random.Random(41)
+    for _ in range(20):
+        g = random_unit_graph(rng, n=10, m=16)
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        ta, tb = verts[:3], verts[3:5]
+        val, cert = min_cut_between(g, ta, tb)
+        fval, _sol, fcert = max_flow(g, ta, tb)
+        assert val == fval
+        assert cert.side_a == fcert.side_a and cert.side_b == fcert.side_b

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from vsp.cutsparse import build_cut_sparsifier_unit
 from vsp.flowsparse import (
@@ -15,6 +18,7 @@ from vsp.flowsparse import (
 from vsp.graph import CapGraph
 from vsp.routing import DemandSet, min_congestion_routing
 from vsp.verify import (
+    _bipartitions,
     recheck_router_certificates,
     reroute_through_clusters,
     verify_cut_quality,
@@ -50,6 +54,63 @@ def test_identity_sparsifier_q_one():
     assert rep.ok and rep.q_observed == 1
     assert rep.flags["exhaustive"]
     assert rep.flags["tests"] == 2 ** (g.k - 1) - 1
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging (SIGALRM, main thread)."""
+    def expire(_sig, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(
+    k=st.integers(2, 9),
+    budget=st.integers(0, 10),
+    seed=st.integers(0, 10**6),
+)
+@example(k=4, budget=3, seed=0)  # 18 samples wanted, 7 splits exist
+# no shrink phase: every shrink step of a hanging example would cost the deadline
+@settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_bipartitions_property(k, budget, seed):
+    terms = list(range(100, 100 + k))
+    with _deadline(1):
+        splits, exhaustive = _bipartitions(terms, budget, seed)
+    total = 2 ** (k - 1) - 1
+    assert len(splits) == (total if exhaustive else 2 * budget * budget)
+    assert exhaustive == (k <= budget or 2 * budget * budget >= total)
+    assert len(set(splits)) == len(splits)
+    for a, b in splits:
+        assert a and b and a[0] == terms[0]
+        assert sorted(a + b) == terms
+
+
+def test_bipartitions_sample_has_no_empty_side_and_reaches_mask_zero():
+    terms = list(range(1, 11))
+    isolated_first = 0
+    for seed in range(200):
+        splits, exhaustive = _bipartitions(terms, 9, seed)
+        assert not exhaustive
+        assert all(a and b for a, b in splits), seed
+        isolated_first += any(a == (1,) for a, _b in splits)
+    assert isolated_first > 0
+
+
+def test_cut_quality_with_small_enum_budget_terminates():
+    g = random_unit_graph(random.Random(7), n=8, m=14, k=4)
+    with _deadline(20):
+        rep = verify_cut_quality(g, g, enum_budget=3)
+    assert rep.ok and rep.flags["exhaustive"] and rep.flags["tests"] == 7
+    with _deadline(20):
+        rep = verify_cut_quality(g, g, enum_budget=1, seed=3)
+    assert rep.ok and rep.flags["non_exhaustive"] and rep.flags["tests"] == 2
 
 
 def test_flow_identity_ratios_one():
