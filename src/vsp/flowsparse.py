@@ -38,6 +38,7 @@ from .graph import (
 )
 from .params import alpha_weak, beta_fcg, rational_log2
 from .routing import (
+    EXACT_LP_MAX_VARS,
     INFEASIBLE,
     DemandSet,
     min_congestion_routing,
@@ -61,7 +62,7 @@ class FlowParams:
     c_f: int = 4  # aggressive F growth factor per halving
     r_override: int | None = None  # aggressive default r
     enum_budget: int = DEFAULT_ENUM_BUDGET
-    exact_lp_max_vars: int = 200
+    exact_lp_max_vars: int = EXACT_LP_MAX_VARS
     # with False the well-linked builder skips the up-front router check and
     # enters the contraction loop even on router interiors (witnesses then
     # surface and are cross-checked), which is the aggressive profile's job

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 

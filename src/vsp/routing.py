@@ -168,50 +168,59 @@ def min_congestion_routing(
     return res
 
 
-def _conservation_rows(g, com, arcs):
-    """Yield (commodity index, vertex, {arc index: +-1}, rhs) equality rows.
-    Inflow minus outflow at v equals the demand absorbed at v."""
-    sources = list(com)
-    for ci, src in enumerate(sources):
-        sinks = com[src]
+def _lp_rows(g, com, arcs, base):
+    """The routing LP as sparse rows [(column, coefficient), ...] with their
+    right-hand sides.  Column ci * len(arcs) + ai is commodity ci's flow on
+    arc ai, and the last column is the congestion eta.
+
+    Equalities, one per (commodity, vertex other than its source) in that
+    order: inflow minus outflow at v equals the demand absorbed at v.
+    Inequalities, one per non-loop edge: the flow of every commodity on both
+    arcs of e, minus cap_e * eta, is at most -base_e.  Entries of a row are
+    in increasing column order.
+    """
+    nA = len(arcs)
+    eta_col = len(com) * nA
+    incidence: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    edge_arcs: dict[int, list[int]] = defaultdict(list)
+    for ai, (eid, d) in enumerate(arcs):
+        u, w = _arc_ends(g, eid, d)
+        incidence[u].append((ai, -1))
+        incidence[w].append((ai, 1))
+        edge_arcs[eid].append(ai)
+    eq_rows, eq_rhs = [], []
+    for ci, (src, sinks) in enumerate(com.items()):
+        off = ci * nA
         for v in g.vertices:
-            if v == src:
-                continue
-            coeff = {}
-            for ai, (eid, d) in enumerate(arcs):
-                u, w = _arc_ends(g, eid, d)
-                if w == v:
-                    coeff[ai] = coeff.get(ai, 0) + 1
-                if u == v:
-                    coeff[ai] = coeff.get(ai, 0) - 1
-            rhs = sinks.get(v, Fraction(0))
-            yield ci, v, coeff, rhs
+            if v != src:
+                eq_rows.append([(off + ai, s) for ai, s in incidence[v]])
+                eq_rhs.append(sinks.get(v, Fraction(0)))
+    ub_rows, ub_rhs = [], []
+    for e in g.edges:
+        if e.u != e.v:
+            row = [(ci * nA + ai, 1) for ci in range(len(com)) for ai in edge_arcs[e.eid]]
+            row.append((eta_col, -e.cap))
+            ub_rows.append(row)
+            ub_rhs.append(-base.get(e.eid, Fraction(0)))
+    return eq_rows, eq_rhs, ub_rows, ub_rhs
 
 
 def _solve_exact(g, com, arcs, base) -> RoutingResult:
     nC, nA = len(com), len(arcs)
     nvars = nC * nA + 1
-    a_eq, b_eq = [], []
-    for ci, _v, coeff, rhs in _conservation_rows(g, com, arcs):
-        row = [Fraction(0)] * nvars
-        for ai, s in coeff.items():
-            row[ci * nA + ai] = Fraction(s)
-        a_eq.append(row)
-        b_eq.append(rhs)
-    a_ub, b_ub = [], []
-    for e in g.edges:
-        if e.u == e.v:
-            continue
-        row = [Fraction(0)] * nvars
-        for ci in range(nC):
-            for ai, (eid, _d) in enumerate(arcs):
-                if eid == e.eid:
-                    row[ci * nA + ai] = Fraction(1)
-        row[-1] = -e.cap
-        a_ub.append(row)
-        b_ub.append(-base.get(e.eid, Fraction(0)))
-    c = [Fraction(0)] * (nvars - 1) + [Fraction(1)]
-    lp = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    eq_rows, b_eq, ub_rows, b_ub = _lp_rows(g, com, arcs, base)
+
+    def dense(sparse_rows):
+        out = []
+        for entries in sparse_rows:
+            row = [0] * nvars
+            for j, v in entries:
+                row[j] = v
+            out.append(row)
+        return out
+
+    c = [0] * (nvars - 1) + [1]
+    lp = solve_lp(c, dense(ub_rows), b_ub, dense(eq_rows), b_eq)
     if lp.status != "optimal":
         return RoutingResult(INFEASIBLE, None)
     flows = {
@@ -224,36 +233,21 @@ def _solve_exact(g, com, arcs, base) -> RoutingResult:
 def _solve_float(g, com, arcs, base) -> RoutingResult:
     nC, nA = len(com), len(arcs)
     nvars = nC * nA + 1
-    rows, cols, vals, b_eq = [], [], [], []
-    r = 0
-    for ci, _v, coeff, rhs in _conservation_rows(g, com, arcs):
-        for ai, s in coeff.items():
-            rows.append(r)
-            cols.append(ci * nA + ai)
-            vals.append(float(s))
-        b_eq.append(float(rhs))
-        r += 1
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(r, nvars))
-    rows, cols, vals, b_ub = [], [], [], []
-    r = 0
-    for e in g.edges:
-        if e.u == e.v:
-            continue
-        for ci in range(nC):
-            for ai, (eid, _d) in enumerate(arcs):
-                if eid == e.eid:
-                    rows.append(r)
-                    cols.append(ci * nA + ai)
-                    vals.append(1.0)
-        rows.append(r)
-        cols.append(nvars - 1)
-        vals.append(-float(e.cap))
-        b_ub.append(-float(base.get(e.eid, Fraction(0))))
-        r += 1
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(r, nvars))
+    eq_rows, b_eq, ub_rows, b_ub = _lp_rows(g, com, arcs, base)
+
+    def csr(sparse_rows):
+        rows, cols, vals = [], [], []
+        for r, entries in enumerate(sparse_rows):
+            for j, v in entries:
+                rows.append(r)
+                cols.append(j)
+                vals.append(float(v))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(len(sparse_rows), nvars))
+
     c = np.zeros(nvars)
     c[-1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.array(b_ub), A_eq=a_eq, b_eq=np.array(b_eq),
+    res = linprog(c, A_ub=csr(ub_rows), b_ub=np.array([float(b) for b in b_ub]),
+                  A_eq=csr(eq_rows), b_eq=np.array([float(b) for b in b_eq]),
                   bounds=(0, None), method="highs")
     if not res.success:
         return RoutingResult(INFEASIBLE, None)

@@ -16,7 +16,7 @@ import tempfile
 from fractions import Fraction
 
 from .cutsparse import CutSparsifier
-from .errors import InputError, ParseError
+from .errors import InputError
 from .flowsparse import (
     FlowParams,
     RouterCertificate,
@@ -30,7 +30,6 @@ from .graph import (
     read_graph,
     unit_expand,
     _format_cap,
-    _parse_cap,
 )
 
 

@@ -22,7 +22,7 @@ from .errors import BudgetExceeded, InputError
 from .flow import flow_conserves, min_cut_between
 from .flowsparse import RouterCertificate, RouterSparsifier
 from .graph import CapGraph, out_edges, subdivide_boundary
-from .routing import INFEASIBLE, DemandSet, min_congestion_routing
+from .routing import EXACT_LP_MAX_VARS, INFEASIBLE, DemandSet, min_congestion_routing
 from .sparsecut import is_well_linked
 
 DEFAULT_CUT_ENUM_BUDGET = 16
@@ -225,7 +225,7 @@ def verify_flow_quality(
     seed: int = 0,
     delta: Fraction = DEFAULT_DELTA,
     quality_bound: Fraction | None = None,
-    exact_max_vars: int = 200,
+    exact_max_vars: int = EXACT_LP_MAX_VARS,
     sparsifier: RouterSparsifier | None = None,
 ) -> QualityReport:
     """Sampled flow-quality report.  q_observed is a lower bound on the true

@@ -40,6 +40,7 @@ from vsp.verify import (
 )
 
 from fixtures import chamber_instance, witness1_fixture, witness2_fixture
+from util import flow_router_graph as _flow_instance
 
 F = Fraction
 DELTA = F(1, 10**6)
@@ -102,22 +103,6 @@ def cut_built():
         sp = build_cut_sparsifier_unit(g)
         built.append((g, sp))
     return built
-
-
-def _flow_instance(seed):
-    rng = random.Random(seed)
-    n = rng.randint(7, 10)
-    edges = [(i, i + 1, 1) for i in range(1, n)]
-    for _ in range(n):
-        u, v = rng.sample(range(1, n + 1), 2)
-        edges.append((u, v, 1))
-    k = rng.randint(4, 5)
-    terms = []
-    for i, h in enumerate(rng.sample(range(1, n + 1), k)):
-        t = 500 + i
-        terms.append(t)
-        edges.append((h, t, 1))
-    return CapGraph(list(range(1, n + 1)) + terms, edges, terms)
 
 
 @pytest.fixture(scope="module")

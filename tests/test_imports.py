@@ -1,0 +1,42 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+import ast
+from pathlib import Path
+
+import vsp
+
+SRC = Path(vsp.__file__).resolve().parent
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        # names re-exported through __all__ count as used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_package_has_no_unused_imports():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} imports {name}" for line, name in _unused_imports(tree)]
+    assert not found, found
+
+
+def test_scan_flags_an_unused_import():
+    tree = ast.parse("import os\nfrom math import gcd, lcm\nprint(gcd(2, 4))\n")
+    assert _unused_imports(tree) == [(1, "os"), (2, "lcm")]

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+import vsp.routing as routing
+from vsp.gen import gen_capacitated
 from vsp.ratlp import solve_lp
+
+from util import flow_router_graph, fraction_simplex
 
 F = Fraction
 
@@ -102,3 +107,92 @@ def test_matches_scipy_on_random_instances():
             assert ref.status == 3
         else:
             assert ref.status == 2
+
+
+# --------------------------------------------------------------------------
+# differential tests against the Fraction-tableau oracle in tests/util.py:
+# the integer-row tableau must take the same pivots, so status, point and
+# objective are identical, not merely equally optimal
+
+
+def _same_as_oracle(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    assert (res.status, res.x, res.objective) == fraction_simplex(c, a_ub, b_ub, a_eq, b_eq)
+    return res
+
+
+_coef = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 7]))
+
+
+@st.composite
+def _lps(draw):
+    n = draw(st.integers(1, 6))
+    mu = draw(st.integers(0, 4))
+    me = draw(st.integers(0, 3))
+    row = st.lists(_coef, min_size=n, max_size=n)
+    c = draw(row)
+    a_ub = draw(st.lists(row, min_size=mu, max_size=mu))
+    b_ub = draw(st.lists(_coef, min_size=mu, max_size=mu))
+    a_eq = draw(st.lists(row, min_size=me, max_size=me))
+    b_eq = draw(st.lists(_coef, min_size=me, max_size=me))
+    if me and draw(st.booleans()):
+        # a redundant equality: a rational multiple of the first one
+        k = draw(_coef.filter(bool))
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lps())
+@example((  # Beale-style degeneracy
+    [F(-3, 4), F(150), F(-1, 50), F(6)],
+    [[F(1, 4), F(-60), F(-1, 25), F(9)], [F(1, 2), F(-90), F(-1, 50), F(3)], [F(0), F(0), F(1), F(0)]],
+    [F(0), F(0), F(1)], [], [],
+))
+@example(([F(1)], [], [], [[F(1)]], [F(-2)]))  # infeasible
+@example(([F(-1)], [[F(-1)]], [F(0)], [], []))  # unbounded
+@example(([F(1), F(1)], [], [], [[F(1), F(1)], [F(2), F(2)]], [F(2), F(4)]))  # redundant
+@example((  # fractional coefficients, a negative right-hand side
+    [F(1, 3), F(-2)], [[F(-1), F(1, 2)]], [F(-5, 2)], [[F(1, 2), F(1)]], [F(7, 3)],
+))
+@example((  # a ratio tie whose break decides which optimal vertex is returned
+    [F(-1), F(1), F(1), F(0), F(-1)],
+    [[F(0), F(1), F(-2), F(-1), F(3)], [F(0), F(2), F(-2), F(-2), F(2)], [F(1), F(0), F(0), F(3), F(-2)]],
+    [F(2), F(1), F(1)],
+    [[F(2), F(0), F(0), F(-1, 2), F(2)], [F(3), F(1), F(-1), F(2), F(-2)]],
+    [F(2), F(0)],
+))
+@example((  # the column chosen to drive an artificial out decides the vertex
+    [F(-1), F(-1), F(-1)],
+    [[F(1), F(1, 2), F(1)], [F(0), F(-1), F(-2)]],
+    [F(1), F(2)],
+    [[F(-1), F(2), F(-1)], [F(1), F(-2), F(1)]],
+    [F(0), F(0)],
+))
+def test_identical_to_fraction_oracle(lp):
+    _same_as_oracle(*lp)
+
+
+def _router_lps_match_oracle(monkeypatch, g):
+    calls = []
+
+    def checked(*args):
+        calls.append(len(args[0]))
+        return _same_as_oracle(*args)
+
+    monkeypatch.setattr(routing, "solve_lp", checked)
+    members = [v for v in g.vertices if v not in g.terminals]
+    ok, res, _inst = routing.uniform_router_check(g, members)
+    assert ok and res.exact_lp
+    return calls
+
+
+def test_router_lp_identical_flow_router_graph(monkeypatch):
+    calls = _router_lps_match_oracle(monkeypatch, flow_router_graph(3))
+    assert calls == [153]
+
+
+def test_router_lp_identical_capacitated_graph(monkeypatch):
+    calls = _router_lps_match_oracle(monkeypatch, gen_capacitated(n=8, k=3, seed=0))
+    assert calls == [89]

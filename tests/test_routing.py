@@ -9,12 +9,17 @@ from vsp.flow import flow_conserves
 from vsp.graph import CapGraph, subdivide_boundary
 from vsp.routing import (
     DemandSet,
+    _arc_list,
+    _commodities,
+    _lp_rows,
     min_congestion_routing,
     read_demands,
     uniform_exchange_demands,
     uniform_router_check,
     write_demands,
 )
+
+from util import random_unit_graph, reference_lp_rows
 
 F = Fraction
 
@@ -168,3 +173,22 @@ def test_uniform_exchange_demand_bookkeeping():
     # bundle weights 2 and 1: cross demand 2*2*1/3, hairpin 2*2*1/3 on the pair bundle
     assert list(dem.pairs)[0][1] == F(4, 3)
     assert list(base.values()) == [F(4, 3)]
+
+
+def test_lp_rows_equal_direct_scan():
+    # the incidence-based assembly emits the rows of the direct arc scans,
+    # in the same order and with the same coefficients; parallel edges, a
+    # self-loop, rational capacities and a base load included
+    rng = random.Random(7)
+    graphs = [random_unit_graph(rng, n, n + 4, k=3) for n in (4, 6, 9)]
+    graphs.append(CapGraph([1, 2, 3, 4], [(1, 2, F(3, 2)), (2, 2, 1), (2, 3, 2), (1, 2, 1),
+                                          (3, 4, F(1, 3))], [1, 3, 4]))
+    for g in graphs:
+        terms = list(g.terminals)
+        dem = DemandSet.from_map({(a, b): F(i + 1, 2) for i, (a, b) in
+                                  enumerate(zip(terms, terms[1:] + terms[:1]))})
+        base = {g.edges[0].eid: F(2, 3)}
+        for split in (False, True):
+            com = _commodities(dem, split)
+            arcs = _arc_list(g)
+            assert _lp_rows(g, com, arcs, base) == reference_lp_rows(g, com, arcs, base)

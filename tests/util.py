@@ -31,6 +31,24 @@ def random_unit_graph(rng: random.Random, n: int, m: int, k: int = 0) -> CapGrap
     return CapGraph(verts, edges, terms)
 
 
+def flow_router_graph(seed: int) -> CapGraph:
+    """The acceptance suite's flow-router recipe: a unit path on n = 7..10
+    vertices plus n random chords, and k = 4..5 pendant terminals."""
+    rng = random.Random(seed)
+    n = rng.randint(7, 10)
+    edges = [(i, i + 1, 1) for i in range(1, n)]
+    for _ in range(n):
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.append((u, v, 1))
+    k = rng.randint(4, 5)
+    terms = []
+    for i, h in enumerate(rng.sample(range(1, n + 1), k)):
+        t = 500 + i
+        terms.append(t)
+        edges.append((h, t, 1))
+    return CapGraph(list(range(1, n + 1)) + terms, edges, terms)
+
+
 def brute_force_out(g: CapGraph, members) -> list[int]:
     ms = set(members)
     return [e.eid for e in g.edges if (e.u in ms) != (e.v in ms)]
@@ -80,3 +98,176 @@ def brute_force_sparsest(g_s: CapGraph) -> Fraction | None:
         if best is None or sp < best:
             best = sp
     return best
+
+
+# --------------------------------------------------------------------------
+# Fraction-tableau Bland simplex: the differential oracle for vsp.ratlp.
+# Same algorithm, column layout, ratio-test tie-break and drive-out of
+# artificials, with every entry a Fraction.
+
+
+def _frac_pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    inv = 1 / piv
+    tab[row] = [v * inv for v in tab[row]]
+    prow = tab[row]
+    for r, trow in enumerate(tab):
+        if r == row:
+            continue
+        factor = trow[col]
+        if factor == 0:
+            continue
+        tab[r] = [a - factor * b for a, b in zip(trow, prow)]
+    basis[row] = col
+
+
+def _frac_run_simplex(tab, basis, ncols):
+    obj = len(tab) - 1
+    while True:
+        col = -1
+        for j in range(ncols):
+            if tab[obj][j] < 0:
+                col = j
+                break
+        if col == -1:
+            return "optimal"
+        row = -1
+        best = None
+        for r in range(len(tab) - 1):
+            a = tab[r][col]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
+                    best = ratio
+                    row = r
+        if row == -1:
+            return "unbounded"
+        _frac_pivot(tab, basis, row, col)
+
+
+def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """Minimize c.x s.t. a_ub x <= b_ub, a_eq x == b_eq, x >= 0 on a Fraction
+    tableau.  Returns (status, x, objective) as vsp.ratlp.solve_lp does."""
+    zero, one = Fraction(0), Fraction(1)
+    n = len(c)
+    rows, rhs, kinds = [], [], []
+    for row, b in zip(a_ub, b_ub):
+        rows.append([Fraction(v) for v in row])
+        rhs.append(Fraction(b))
+        kinds.append("ub")
+    for row, b in zip(a_eq, b_eq):
+        rows.append([Fraction(v) for v in row])
+        rhs.append(Fraction(b))
+        kinds.append("eq")
+    m = len(rows)
+    nslack = kinds.count("ub")
+    slack_idx = {i: n + i for i, k in enumerate(kinds) if k == "ub"}
+    tab, basis, art_cols = [], [], []
+    next_col = n + nslack
+    for i in range(m):
+        row = rows[i] + [zero] * nslack
+        if i in slack_idx:
+            row[slack_idx[i]] = one
+        b = rhs[i]
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        if i in slack_idx and row[slack_idx[i]] == one:
+            basis.append(slack_idx[i])
+        else:
+            art_cols.append(next_col)
+            basis.append(next_col)
+            next_col += 1
+        tab.append(row + [b])
+    total_cols = next_col
+    for i, trow in enumerate(tab):
+        need = total_cols - (len(trow) - 1)
+        b = trow.pop()
+        trow.extend([zero] * need)
+        if basis[i] >= n + nslack:
+            trow[basis[i]] = one
+        trow.append(b)
+    if art_cols:
+        obj = [zero] * total_cols + [zero]
+        for j in art_cols:
+            obj[j] = one
+        tab.append(obj)
+        for r in range(m):
+            if basis[r] in art_cols:
+                tab[-1] = [a - b for a, b in zip(tab[-1], tab[r])]
+        status = _frac_run_simplex(tab, basis, total_cols)
+        if status != "optimal" or tab[-1][-1] != 0:
+            return "infeasible", [], None
+        tab.pop()
+        redundant = []
+        for r in range(m):
+            if basis[r] in art_cols:
+                for j in range(n + nslack):
+                    if tab[r][j] != 0:
+                        _frac_pivot(tab, basis, r, j)
+                        break
+                else:
+                    redundant.append(r)
+        for r in reversed(redundant):
+            del tab[r]
+            del basis[r]
+        m = len(tab)
+        keep = n + nslack
+        for r in range(m):
+            b = tab[r].pop()
+            del tab[r][keep:]
+            tab[r].append(b)
+        total_cols = keep
+    obj = [Fraction(v) for v in c] + [zero] * (total_cols - n) + [zero]
+    tab.append(obj)
+    for r in range(m):
+        if basis[r] < n and tab[-1][basis[r]] != 0:
+            factor = tab[-1][basis[r]]
+            tab[-1] = [a - factor * b for a, b in zip(tab[-1], tab[r])]
+    status = _frac_run_simplex(tab, basis, total_cols)
+    if status == "unbounded":
+        return "unbounded", [], None
+    x = [zero] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = tab[r][-1]
+    return "optimal", x, sum((ci * xi for ci, xi in zip(c, x)), zero)
+
+
+def reference_lp_rows(g, com, arcs, base):
+    """The routing LP rows by direct scans of the arc list: for each
+    (commodity, non-source vertex) every arc, and for each non-loop edge
+    every column.  Same output format as vsp.routing._lp_rows."""
+    nC, nA = len(com), len(arcs)
+
+    def ends(eid, d):
+        e = g.edges[eid]
+        return (e.u, e.v) if d == 0 else (e.v, e.u)
+
+    eq_rows, eq_rhs = [], []
+    for ci, (src, sinks) in enumerate(com.items()):
+        for v in g.vertices:
+            if v == src:
+                continue
+            coeff = {}
+            for ai, (eid, d) in enumerate(arcs):
+                u, w = ends(eid, d)
+                if w == v:
+                    coeff[ai] = coeff.get(ai, 0) + 1
+                if u == v:
+                    coeff[ai] = coeff.get(ai, 0) - 1
+            eq_rows.append([(ci * nA + ai, s) for ai, s in coeff.items()])
+            eq_rhs.append(sinks.get(v, Fraction(0)))
+    ub_rows, ub_rhs = [], []
+    for e in g.edges:
+        if e.u == e.v:
+            continue
+        row = []
+        for ci in range(nC):
+            for ai, (eid, _d) in enumerate(arcs):
+                if eid == e.eid:
+                    row.append((ci * nA + ai, 1))
+        row.append((nC * nA, -e.cap))
+        ub_rows.append(row)
+        ub_rhs.append(-base.get(e.eid, Fraction(0)))
+    return eq_rows, eq_rhs, ub_rows, ub_rhs
