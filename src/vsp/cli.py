@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import gen as genmod
 from .cutsparse import build_cut_sparsifier, build_cut_sparsifier_unit
 from .errors import BudgetExceeded, VspError
-from .flowsparse import FlowParams, build_flow_sparsifier, build_flow_sparsifier_unit
+from .flowsparse import ETA_STAR, FlowParams, build_flow_sparsifier, build_flow_sparsifier_unit
 from .graph import read_graph, write_graph
 from .serialize import load_sparsifier, save_sparsifier
 from .sparsecut import DEFAULT_ENUM_BUDGET
@@ -68,7 +68,7 @@ def _header(args, params: FlowParams | None = None) -> str:
             f"budget_exp={args.budget_exp}", f"budget_enum={args.budget_enum}",
             f"delta={args.delta}"]
     if params is not None:
-        bits.append(f"eta_star={params.eta_star}")
+        bits.append(f"eta_star={ETA_STAR}")
         bits.append(f"c_beta={params.c_beta}")
         if params.profile == "aggressive":
             bits.append(f"r={params.r(8)} c_f={params.c_f}")

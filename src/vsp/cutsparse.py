@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .decompose import Decomposition, strong_decompose
+from .decompose import Decomposition, interior_decompositions
 from .errors import InputError, ParamError
 from .graph import CapGraph, ContractionMap, UnitExpansion, contract, out_edges, unit_expand
 from .sparsecut import DEFAULT_ENUM_BUDGET
@@ -47,19 +47,8 @@ def build_cut_sparsifier_unit(
     decomposed per connected piece and every piece's clusters contracted."""
     if not g.is_unit:
         raise InputError("unit builder requires integer (multiplicity) capacities")
-    tset = set(g.terminals)
-    decs: list[Decomposition] = []
-    clusters: list[frozenset[int]] = []
-    for comp in g.components():
-        interior = [v for v in comp if v not in tset]
-        if not interior:
-            continue
-        for piece in g.components(within=interior):
-            dec = strong_decompose(g, piece, budget=budget)
-            decs.append(dec)
-            clusters.extend(c.members for c in dec.clusters)
-    h, cmap = contract(g, clusters)
-    return CutSparsifier(h, cmap, Fraction(3), g, decs)
+    decs = interior_decompositions(g, budget)
+    return assemble_cut_sparsifier(g, _clusters(decs), None, decs)
 
 
 def build_cut_sparsifier(
@@ -67,25 +56,40 @@ def build_cut_sparsifier(
 ) -> CutSparsifier:
     """Quality-(3+eps) sparsifier for capacities c_e >= 1."""
     eps_input = Fraction(eps_input)
+    ug, _prov = _unit_reduction(g, eps_input)
+    decs = interior_decompositions(ug, budget)
+    return assemble_cut_sparsifier(g, _clusters(decs), eps_input, decs)
+
+
+def _clusters(decs: list[Decomposition]) -> list[frozenset[int]]:
+    return [c.members for dec in decs for c in dec.clusters]
+
+
+def _unit_reduction(g: CapGraph, eps_input: Fraction) -> tuple[CapGraph, UnitExpansion]:
     if not (0 < eps_input <= 1):
         raise ParamError(f"eps must be in (0,1], got {eps_input}")
+    return unit_expand(g, eps_input / 3)
+
+
+def assemble_cut_sparsifier(
+    g: CapGraph,
+    clusters: Iterable[Iterable[int]],
+    eps_input: Fraction | None,
+    decompositions: Iterable[Decomposition] = (),
+) -> CutSparsifier:
+    """The cut sparsifier of G that contracts `clusters`.  Without eps_input
+    G is the unit graph and the claimed quality is 3.  With it, the clusters
+    live on G's unit expansion at eps_input/3, H's capacities are scaled
+    back by eps_input/3 and the claimed quality is 3 + eps_input."""
+    if eps_input is None:
+        h, cmap = contract(g, clusters)
+        return CutSparsifier(h, cmap, Fraction(3), g, list(decompositions))
+    ug, prov = _unit_reduction(g, eps_input)
+    hu, cmap = contract(ug, clusters)
     eps = eps_input / 3
-    ug, prov = unit_expand(g, eps)
-    unit_sp = build_cut_sparsifier_unit(ug, budget=budget)
-    hu = unit_sp.graph
-    h = CapGraph(
-        hu.vertices,
-        [(e.u, e.v, e.cap * eps) for e in hu.edges],
-        hu.terminals,
-    )
+    h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * eps) for e in hu.edges], hu.terminals)
     return CutSparsifier(
-        h,
-        unit_sp.cmap,
-        Fraction(3) + eps_input,
-        ug,
-        unit_sp.decompositions,
-        eps_input=eps_input,
-        expansion=prov,
+        h, cmap, 3 + eps_input, ug, list(decompositions), eps_input=eps_input, expansion=prov
     )
 
 

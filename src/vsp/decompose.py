@@ -19,16 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, InputError
 from .graph import CapGraph, make_cluster, out_edges, subdivide_boundary
 from .params import weak_threshold
-from .sparsecut import (
-    DEFAULT_ENUM_BUDGET,
-    sparsest_cut_exact,
-    sparsest_cut_heuristic,
-)
+from .sparsecut import DEFAULT_ENUM_BUDGET, SparsestCut, sparsest_cut, sparsest_cut_exact
 
 ONE_THIRD = Fraction(1, 3)
 
@@ -129,6 +125,44 @@ def _record_split(
     return a, b
 
 
+def _split_until_linked(
+    g: CapGraph,
+    ms: frozenset[int],
+    threshold: Fraction,
+    solver: Callable[..., SparsestCut],
+    level: Callable[[Fraction], int | None],
+    budget: int,
+) -> tuple[list[ClusterCert], list[SplitEvent]]:
+    """Split the components of `ms` along disconnections and along cuts
+    sparser than `threshold`, largest boundary first, until no cluster has
+    one.  A final cluster's source is "exact" or "heuristic" by the solver
+    that cleared it and its level is `level` of its boundary."""
+    events: list[SplitEvent] = []
+    final: list[ClusterCert] = []
+    work = [make_cluster(g, c) for c in g.components(within=ms)]
+    while work:
+        cl = work.pop(max(range(len(work)), key=lambda i: (work[i].z, -min(work[i].members))))
+        cur = cl.members
+        first = _component_split(g, cur)
+        if first is not None:
+            split = _record_split(g, events, cur, cl.z, Fraction(0), first, cur - first)
+            work += [make_cluster(g, c) for c in split]
+            continue
+        res = solver(subdivide_boundary(g, cur), budget=budget, stop_below=threshold)
+        if res.trivially_well_linked:
+            final.append(ClusterCert(cur, cl.boundary, cl.z, None, "trivial", level(cl.z)))
+            continue
+        if res.sparsity < threshold and res.pendant_split_edge is None:
+            a, b = _split_sides(g, cur, res.cut.side_a)
+            split = _record_split(g, events, cur, cl.z, res.sparsity, a, b)
+            work += [make_cluster(g, c) for c in split]
+            continue
+        source = "exact" if res.exact else "heuristic"
+        final.append(ClusterCert(cur, cl.boundary, cl.z, threshold, source, level(cl.z)))
+    final.sort(key=lambda c: min(c.members))
+    return final, events
+
+
 def weak_decompose(
     g: CapGraph,
     members: Iterable[int],
@@ -138,38 +172,11 @@ def weak_decompose(
     budget the heuristic solver drives the splitting, and surviving clusters
     are tagged source="heuristic"."""
     ms = frozenset(members)
-    parent = make_cluster(g, ms)
-    z = parent.z
+    z = make_cluster(g, ms).z
     threshold = weak_threshold(z) if z > 0 else Fraction(1, 128)
-    events: list[SplitEvent] = []
-    final: list[ClusterCert] = []
-    work = [frozenset(c) for c in g.components(within=ms)]
-    while work:
-        work.sort(key=lambda c: (sum((e.cap for e in out_edges(g, c)), Fraction(0)), -min(c)))
-        cur = work.pop()  # largest boundary first
-        cl = make_cluster(g, cur)
-        first = _component_split(g, cur)
-        if first is not None:
-            a, b = _record_split(g, events, cur, cl.z, Fraction(0), first, cur - first)
-            work.extend([a, b])
-            continue
-        inst = subdivide_boundary(g, cur)
-        try:
-            res = sparsest_cut_exact(inst, budget=budget, stop_below=threshold)
-            source = "exact"
-        except BudgetExceeded:
-            res = sparsest_cut_heuristic(inst)
-            source = "heuristic"
-        if res.trivially_well_linked:
-            final.append(ClusterCert(cur, cl.boundary, cl.z, None, "trivial"))
-            continue
-        if res.sparsity < threshold and res.pendant_split_edge is None:
-            a, b = _split_sides(g, cur, res.cut.side_a)
-            a, b = _record_split(g, events, cur, cl.z, res.sparsity, a, b)
-            work.extend([a, b])
-            continue
-        final.append(ClusterCert(cur, cl.boundary, cl.z, threshold, source))
-    final.sort(key=lambda c: min(c.members))
+    final, events = _split_until_linked(
+        g, ms, threshold, sparsest_cut, lambda _zc: None, budget
+    )
     return Decomposition("weak", ms, z, threshold, final, events, budget)
 
 
@@ -186,39 +193,26 @@ def strong_decompose(
         raise InputError("empty vertex set")
     if not g.is_connected_subset(ms):
         raise InputError("strong decomposition requires a connected induced subgraph")
-    parent = make_cluster(g, ms)
-    z = parent.z
-    events: list[SplitEvent] = []
-    final: list[ClusterCert] = []
-    work = [ms]
-    while work:
-        work.sort(key=lambda c: (sum((e.cap for e in out_edges(g, c)), Fraction(0)), -min(c)))
-        cur = work.pop()
-        cl = make_cluster(g, cur)
-        first = _component_split(g, cur)
-        if first is not None:
-            a, b = _record_split(g, events, cur, cl.z, Fraction(0), first, cur - first)
-            work.extend([a, b])
-            continue
-        inst = subdivide_boundary(g, cur)
-        res = sparsest_cut_exact(inst, budget=budget, stop_below=ONE_THIRD)
-        if res.trivially_well_linked:
-            final.append(
-                ClusterCert(cur, cl.boundary, cl.z, None, "trivial", _level_of(z, cl.z))
-            )
-            continue
-        if res.sparsity < ONE_THIRD and res.pendant_split_edge is None:
-            a, b = _split_sides(g, cur, res.cut.side_a)
-            a, b = _record_split(g, events, cur, cl.z, res.sparsity, a, b)
-            work.extend([a, b])
-            continue
-        final.append(
-            ClusterCert(cur, cl.boundary, cl.z, ONE_THIRD, "exact", _level_of(z, cl.z))
-        )
-    final.sort(key=lambda c: min(c.members))
+    z = make_cluster(g, ms).z
+    final, events = _split_until_linked(
+        g, ms, ONE_THIRD, sparsest_cut_exact, lambda zc: _level_of(z, zc), budget
+    )
     dec = Decomposition("strong", ms, z, ONE_THIRD, final, events, budget)
     _check_strong_bounds(dec)
     return dec
+
+
+def interior_decompositions(
+    g: CapGraph, budget: int = DEFAULT_ENUM_BUDGET
+) -> list[Decomposition]:
+    """Strong decompositions of the terminal-free part of g: one per
+    connected piece of each component's non-terminals, components in order."""
+    tset = set(g.terminals)
+    return [
+        strong_decompose(g, piece, budget=budget)
+        for comp in g.components()
+        for piece in g.components(within=[v for v in comp if v not in tset])
+    ]
 
 
 def _check_strong_bounds(dec: Decomposition) -> None:

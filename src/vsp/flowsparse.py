@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .decompose import Decomposition, strong_decompose, weak_decompose
+from .decompose import Decomposition, interior_decompositions, strong_decompose, weak_decompose
 from .errors import BudgetExceeded, InputError, ParamError
 from .flow import Net
 from .graph import (
@@ -38,7 +38,6 @@ from .graph import (
 )
 from .params import alpha_weak, beta_fcg, rational_log2
 from .routing import (
-    EXACT_LP_MAX_VARS,
     INFEASIBLE,
     DemandSet,
     min_congestion_routing,
@@ -57,12 +56,10 @@ ONE_THIRD = Fraction(1, 3)
 @dataclass
 class FlowParams:
     profile: str = "theoretical"  # "theoretical" | "aggressive"
-    eta_star: Fraction = ETA_STAR
     c_beta: Fraction = Fraction(1)
     c_f: int = 4  # aggressive F growth factor per halving
     r_override: int | None = None  # aggressive default r
     enum_budget: int = DEFAULT_ENUM_BUDGET
-    exact_lp_max_vars: int = EXACT_LP_MAX_VARS
     # with False the well-linked builder skips the up-front router check and
     # enters the contraction loop even on router interiors (witnesses then
     # surface and are cross-checked), which is the aggressive profile's job
@@ -119,7 +116,7 @@ class FlowParams:
     def describe(self) -> dict:
         return {
             "profile": self.profile,
-            "eta_star": str(self.eta_star),
+            "eta_star": str(ETA_STAR),
             "c_beta": str(self.c_beta),
             "c_f": self.c_f,
             "r_override": self.r_override,
@@ -180,17 +177,12 @@ class RouterSparsifier:
         return self.graph.n - self.graph.k
 
 
-def _instance_to_parent_arcs(inst, arcs: Mapping[tuple[int, int], Fraction]) -> dict:
-    """Translate instance-level arc flows to parent edge ids.  Pendant edges
-    map to their boundary edge; the inside->t_e direction is direction 0."""
-    out: dict[tuple[int, int], Fraction] = {}
-    pend_eid = {inst.pendant_edge(t).eid: inst.pendant_of[t] for t in inst.terminals}
-    for (ieid, d), v in arcs.items():
-        geid = inst.inner_edge_of.get(ieid)
-        if geid is None:
-            geid = pend_eid[ieid]
-        key = (geid, d)
-        out[key] = out.get(key, Fraction(0)) + v
+def _instance_edge_to_parent(inst) -> dict[int, int]:
+    """Instance edge id -> parent edge id; a pendant edge maps to the
+    boundary edge it subdivides."""
+    out = dict(inst.inner_edge_of)
+    for t in inst.terminals:
+        out[inst.pendant_edge(t).eid] = inst.pendant_of[t]
     return out
 
 
@@ -210,15 +202,16 @@ def is_good_router(
         return False, None
     if not ok_wl:
         return False, None
-    ok_rt, res, inst = uniform_router_check(
-        g, ms, eta_bound=params.eta_star, exact_max_vars=params.exact_lp_max_vars
-    )
+    ok_rt, res, inst = uniform_router_check(g, ms, eta_bound=ETA_STAR)
     if not ok_rt:
         return False, None
     cl = make_cluster(g, ms)
-    commodity = {}
-    for src_t, arcs in (res.commodity_arcs or {}).items():
-        commodity[inst.pendant_of[src_t]] = _instance_to_parent_arcs(inst, arcs)
+    # the map is one-to-one, and a pendant's inside->t_e direction stays 0
+    emap = _instance_edge_to_parent(inst)
+    commodity = {
+        inst.pendant_of[src_t]: {(emap[e], d): v for (e, d), v in arcs.items()}
+        for src_t, arcs in (res.commodity_arcs or {}).items()
+    }
     hairpin = {}
     if res.flow is not None:
         for t in inst.terminals:
@@ -394,14 +387,19 @@ def _terminals_to_edges(
     need = (gp.k + 1) // 2
     if net.max_flow(net.source, net.sink) < need:
         return None, net.cut_side()
+    return _terminal_paths(gp, net, tset), frozenset()
+
+
+def _terminal_paths(gp: CapGraph, net: Net, tset: set[int]) -> list[tuple[int, list[int]]]:
+    """The unit paths of a flow out of the merged terminals as (terminal,
+    edge path) pairs sorted by terminal; terminals have degree 1, so the
+    first edge names the terminal."""
     paths = []
     for _first, epath in net.unit_edge_paths():
-        # the first edge identifies the terminal (terminals have degree 1)
         first = gp.edges[epath[0]]
-        term = first.u if first.u in tset else first.v
-        paths.append((term, epath))
+        paths.append((first.u if first.u in tset else first.v, epath))
     paths.sort(key=lambda tp: tp[0])
-    return paths, frozenset()
+    return paths
 
 
 def _prune_distinct_ends(
@@ -420,35 +418,6 @@ def _prune_distinct_ends(
         if len(chosen) == want:
             return chosen
     return None
-
-
-def _subset_welllinked_instance(
-    gp: CapGraph, members: frozenset[int], edge_subset: list[int]
-):
-    """Sparsest-cut instance for well-linkedness of `members` restricted to a
-    subset of its boundary edges: subdivide only those edges and induce."""
-    next_v = max(gp.vertices) + 1
-    verts = sorted(members)
-    edges = []
-    inner_of = {}
-    for e in gp.edges:
-        if e.u in members and e.v in members:
-            inner_of[len(edges)] = e.eid
-            edges.append((e.u, e.v, e.cap))
-    terms = []
-    pend = {}
-    for eid in sorted(edge_subset):
-        e = gp.edges[eid]
-        inside = e.u if e.u in members else e.v
-        te = next_v
-        next_v += 1
-        pend[te] = eid
-        terms.append(te)
-        edges.append((inside, te, e.cap))
-    from .graph import SubdividedInstance
-
-    g2 = CapGraph(verts + terms, edges, terms)
-    return SubdividedInstance(g2, tuple(terms), pend, inner_of, gp.gid)
 
 
 @dataclass
@@ -532,7 +501,7 @@ def balanced_cut_refine(
 
         # step 3: is X well-linked for the union of the groups?
         flat = [eid for grp in groups for eid in grp]
-        inst = _subset_welllinked_instance(gp, x, flat)
+        inst = subdivide_boundary(gp, x, flat)
         res = sparsest_cut(inst, budget=params.enum_budget, stop_below=Fraction(1))
         a_side = frozenset() if res.cut is None else frozenset(res.cut.side_a) & x
         b_side = x - a_side
@@ -560,7 +529,7 @@ def _step1_cut_case(gp, s_members, x, y, a, half_k, f_half, notes):
     """After a failed terminal routing, either extract a contractible
     component of the far side or signal the partition rebuild."""
     b = (frozenset(gp.vertices) - frozenset(gp.terminals)) - a
-    cross = sum((e.cap for e in _edge_ids_between_caps(gp, a, b)), Fraction(0))
+    cross = sum((gp.edges[eid].cap for eid in _edge_ids_between(gp, a, b)), Fraction(0))
     if cross >= half_k:
         notes.append("step-1 cut not below k/2; continuing with rebuild")
     xa = x & a
@@ -576,10 +545,6 @@ def _step1_cut_case(gp, s_members, x, y, a, half_k, f_half, notes):
                     notes=notes,
                 )
     return None
-
-
-def _edge_ids_between_caps(gp, a, b):
-    return [e for e in gp.edges if (e.u in a and e.v in b) or (e.u in b and e.v in a)]
 
 
 def _step1_new_partition(gp, s_members, x, y, a):
@@ -763,13 +728,7 @@ def _route_terminals_to_cluster(gp: CapGraph, members: frozenset[int], need: int
         net.undirected(u, v, e.cap, key=e.eid)
     if net.max_flow(net.source, net.sink) < need:
         return net.cut_side()
-    paths = []
-    for _first, epath in net.unit_edge_paths():
-        first = gp.edges[epath[0]]
-        term = first.u if first.u in tset else first.v
-        paths.append((term, epath))
-    paths.sort(key=lambda tp: tp[0])
-    return paths[:need]
+    return _terminal_paths(gp, net, tset)[:need]
 
 
 # --------------------------------------------------------------------------
@@ -820,9 +779,7 @@ def _mix_inside(
     dem = _mixing_demands(inst, masses)
     if not dem:
         return {}, Fraction(0)
-    res = min_congestion_routing(
-        inst.graph, dem, exact_max_vars=params.exact_lp_max_vars
-    )
+    res = min_congestion_routing(inst.graph, dem)
     if res.eta == INFEASIBLE:
         raise InputError("mixing demands are unroutable inside the witness set")
     loads: dict[int, Fraction] = {}
@@ -966,13 +923,6 @@ def _witness2_flow(g, w: Witness2, params, cmap) -> WitnessFlow:
 # Contract(G', S) and the builders
 
 
-def _instance_edge_to_parent(inst) -> dict[int, int]:
-    out = dict(inst.inner_edge_of)
-    for t in inst.terminals:
-        out[inst.pendant_edge(t).eid] = inst.pendant_of[t]
-    return out
-
-
 def _translate_certificate(cert: RouterCertificate, emap: Mapping[int, int]) -> RouterCertificate:
     return RouterCertificate(
         cert.members,
@@ -1089,24 +1039,16 @@ def build_flow_sparsifier_well_linked(
     else:
         interior = _validate_well_linked_input(g, params)
     if not interior:
-        h, cm = contract(g, [])
-        return RouterSparsifier(h, cm, [], 2 * params.eta_star, params, decs, log, unit_graph=g)
+        return assemble_flow_sparsifier(g, None, [], params, decs, log)
     if params.precheck_router or k_eff <= 4:
         ok, cert = is_good_router(g, interior, params)
         if ok:
             log.append(f"interior is a good router (eta {cert.eta}); single contraction")
-            h, cm = contract(g, [interior])
-            return RouterSparsifier(
-                h, cm, [cert], 2 * params.eta_star, params, decs, log, unit_graph=g
-            )
+            return assemble_flow_sparsifier(g, None, [cert], params, decs, log)
         if k_eff <= 4:
             # the premises promise a router here; record the violation honestly
             log.append("k <= 4 interior failed the router check; returning uncontracted")
-            h, cm = contract(g, [])
-            sp = RouterSparsifier(h, cm, [], 2 * params.eta_star, params, decs, log)
-            sp.size_bound_met = False
-            sp.unit_graph = g
-            return sp
+            return assemble_flow_sparsifier(g, None, [], params, decs, log, size_bound_met=False)
     certs: list[RouterCertificate] = []
     gp, cmap = contract(g, [])
     f_k = params.f_size(k_eff)
@@ -1132,14 +1074,12 @@ def build_flow_sparsifier_well_linked(
         log.append(f"{outcome.kind} found; witness flow congestion {wf.eta}")
         ok, cert = is_good_router(g, interior, params)
         if ok:
-            h, cm = contract(g, [interior])
-            return RouterSparsifier(h, cm, [cert], 2 * params.eta_star, params, decs, log, unit_graph=g)
+            return assemble_flow_sparsifier(g, None, [cert], params, decs, log)
         log.append("witness found but the interior fails the router check; stopping")
         break
-    sp = RouterSparsifier(gp, cmap, certs, 2 * params.eta_star, params, decs, log)
-    sp.size_bound_met = gp.n - k <= f_k
-    sp.unit_graph = g
-    return sp
+    return assemble_flow_sparsifier(
+        g, None, certs, params, decs, log, size_bound_met=gp.n - k <= f_k
+    )
 
 
 def build_flow_sparsifier_unit(
@@ -1158,44 +1098,39 @@ def build_flow_sparsifier_unit(
     decs: list[Decomposition] = []
     certs: list[RouterCertificate] = []
     size_ok = True
-    tset = set(g.terminals)
-    for comp in g.components():
-        interior = [v for v in comp if v not in tset]
-        if not interior:
-            continue
-        for piece in g.components(within=interior):
-            dec = strong_decompose(g, piece, budget=params.enum_budget)
-            decs.append(dec)
-            for zc in dec.clusters:
-                inst = subdivide_boundary(g, zc.members)
-                sub = build_flow_sparsifier_well_linked(inst.graph, params, _validated=True)
-                emap = _instance_edge_to_parent(inst)
-                certs.extend(_translate_certificate(c, emap) for c in sub.certificates)
-                decs.extend(sub.decompositions)
-                log.extend(sub.log)
-                size_ok = size_ok and sub.size_bound_met
+    for dec in interior_decompositions(g, params.enum_budget):
+        decs.append(dec)
+        for zc in dec.clusters:
+            inst = subdivide_boundary(g, zc.members)
+            sub = build_flow_sparsifier_well_linked(inst.graph, params, _validated=True)
+            emap = _instance_edge_to_parent(inst)
+            certs.extend(_translate_certificate(c, emap) for c in sub.certificates)
+            decs.extend(sub.decompositions)
+            log.extend(sub.log)
+            size_ok = size_ok and sub.size_bound_met
     certs.sort(key=lambda c: min(c.members))
-    h, cmap = contract(g, [c.members for c in certs])
-    sp = RouterSparsifier(h, cmap, certs, 2 * params.eta_star, params, decs, log)
-    sp.size_bound_met = size_ok
-    sp.unit_graph = g
-    return sp
+    return assemble_flow_sparsifier(g, None, certs, params, decs, log, size_bound_met=size_ok)
 
 
 def capacitated_unit_reduction(
-    g: CapGraph, eps: Fraction, eta_star: Fraction
+    g: CapGraph, eps: Fraction
 ) -> tuple[CapGraph, dict[int, list[int]]]:
     """Deterministic capacitated-to-unit reduction: cap at C, rescale every
     capacity to ceil(2 eta* c / eps), and split each terminal into degree-1
     pendant bundle vertices.  Returns the bundle graph and, per original
     terminal, its bundle vertex list."""
+    if not (0 < eps < 1):
+        raise ParamError(f"eps must be in (0,1), got {eps}")
+    for e in g.edges:
+        if e.cap < 1:
+            raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
     cap_bound = g.terminal_capacity()
-    scale = 2 * eta_star / eps
+    scale = 2 * ETA_STAR / eps
     scaled = []
     for e in g.edges:
         c = min(e.cap, cap_bound)
         c2 = math.ceil(c * scale)
-        if not scale * c <= c2 <= (2 * eta_star + eps) / eps * c:
+        if not scale * c <= c2 <= (2 * ETA_STAR + eps) / eps * c:
             raise AssertionError("capacity rescaling left its bracket")
         scaled.append((e.u, e.v, Fraction(c2)))
     g2 = CapGraph(g.vertices, scaled, g.terminals)
@@ -1238,36 +1173,45 @@ def build_flow_sparsifier(
     re-unify the terminals and scale capacities back."""
     params = params or FlowParams()
     eps = Fraction(eps)
-    if not (0 < eps < 1):
-        raise ParamError(f"eps must be in (0,1), got {eps}")
-    for e in g.edges:
-        if e.cap < 1:
-            raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
-    gunit, bundles = capacitated_unit_reduction(g, eps, params.eta_star)
+    gunit, _bundles = capacitated_unit_reduction(g, eps)
     sub = build_flow_sparsifier_unit(gunit, params)
-    hu = sub.graph
-    h1 = merge_vertices(
-        hu,
-        [bundles[t] for t in g.terminals],
-        list(g.terminals),
-        as_terminals=True,
+    sp = assemble_flow_sparsifier(
+        g, eps, sub.certificates, params, sub.decompositions, sub.log, sub.size_bound_met
     )
-    back = eps / (2 * params.eta_star)
-    h = CapGraph(h1.vertices, [(e.u, e.v, e.cap * back) for e in h1.edges], g.terminals)
-    sp = RouterSparsifier(
-        h,
-        sub.cmap,
-        sub.certificates,
-        2 * params.eta_star + eps,
-        params,
-        sub.decompositions,
-        sub.log,
-        eps_input=eps,
-        capacity_scale=back,
-    )
-    sp.size_bound_met = sub.size_bound_met
     sp.log.append(
-        f"capacitated reduction: scale {2 * params.eta_star / eps}, bundle graph n={gunit.n}"
+        f"capacitated reduction: scale {2 * ETA_STAR / eps}, bundle graph n={gunit.n}"
     )
-    sp.unit_graph = gunit
     return sp
+
+
+def assemble_flow_sparsifier(
+    g: CapGraph,
+    eps: Fraction | None,
+    certificates: list[RouterCertificate],
+    params: FlowParams,
+    decompositions: Iterable[Decomposition] = (),
+    log: Iterable[str] = (),
+    size_bound_met: bool = True,
+) -> RouterSparsifier:
+    """The flow sparsifier of G that contracts every certificate's cluster.
+    Without eps G is the unit graph and the claimed quality is 2 eta*.  With
+    it, the clusters live on G's capacitated unit reduction, the terminal
+    bundles are merged back into G's terminals, H's capacities are scaled
+    back by eps / (2 eta*) and the claimed quality is 2 eta* + eps."""
+    clusters = [c.members for c in certificates]
+    if eps is None:
+        h, cmap = contract(g, clusters)
+        gunit, quality, back = g, 2 * ETA_STAR, None
+    else:
+        gunit, bundles = capacitated_unit_reduction(g, eps)
+        hu, cmap = contract(gunit, clusters)
+        h1 = merge_vertices(
+            hu, [bundles[t] for t in g.terminals], list(g.terminals), as_terminals=True
+        )
+        back = eps / (2 * ETA_STAR)
+        h = CapGraph(h1.vertices, [(e.u, e.v, e.cap * back) for e in h1.edges], g.terminals)
+        quality = 2 * ETA_STAR + eps
+    return RouterSparsifier(
+        h, cmap, certificates, quality, params, list(decompositions), list(log),
+        eps_input=eps, capacity_scale=back, size_bound_met=size_bound_met, unit_graph=gunit,
+    )

@@ -19,7 +19,7 @@ import math
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ContractError, InputError, ParamError, ParseError
 
@@ -219,13 +219,16 @@ class SubdividedInstance:
         return e
 
 
-def subdivide_boundary(g: CapGraph, members: Iterable[int]) -> SubdividedInstance:
-    """Build G_S for S = members: subdivide every boundary edge by a new
-    degree-1 vertex and induce on S plus the new vertices."""
+def subdivide_boundary(
+    g: CapGraph, members: Iterable[int], edge_ids: Collection[int] | None = None
+) -> SubdividedInstance:
+    """Build G_S for S = members: subdivide every boundary edge (only those
+    whose ids are in `edge_ids`, when given) by a new degree-1 vertex and
+    induce on S plus the new vertices."""
     ms = frozenset(members)
     if not ms:
         raise InputError("empty vertex set")
-    boundary = out_edges(g, ms)
+    boundary = [e for e in out_edges(g, ms) if edge_ids is None or e.eid in edge_ids]
     next_v = (max(g.vertices) + 1) if g.vertices else 1
     pendant_of = {}
     edges = []
@@ -378,7 +381,7 @@ def _format_cap(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _parse_cap(tok: str, lineno: int) -> Fraction:
+def _parse_cap(tok: str, lineno: int | None = None) -> Fraction:
     try:
         if "/" in tok:
             num, den = tok.split("/")
@@ -388,15 +391,21 @@ def _parse_cap(tok: str, lineno: int) -> Fraction:
         raise ParseError(f"bad capacity {tok!r}", lineno) from exc
 
 
-def write_graph(g: CapGraph, path) -> None:
+def graph_lines(g: CapGraph) -> list[str]:
+    """The text-format lines of g (header, edges, terminals), vertex v
+    written as its 1-based position in g.vertices."""
     lines = [f"p vsp {g.n} {g.m} {g.k}"]
     ids = {v: i + 1 for i, v in enumerate(g.vertices)}
     for e in g.edges:
         lines.append(f"e {ids[e.u]} {ids[e.v]} {_format_cap(e.cap)}")
     for t in g.terminals:
         lines.append(f"t {ids[t]}")
+    return lines
+
+
+def write_graph(g: CapGraph, path) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(graph_lines(g)) + "\n")
 
 
 def read_graph(path, require_min_capacity: bool = True) -> CapGraph:

@@ -20,9 +20,9 @@ from typing import Iterable
 from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
 from .errors import BudgetExceeded, InputError
 from .flow import flow_conserves, min_cut_between
-from .flowsparse import RouterCertificate, RouterSparsifier
+from .flowsparse import ETA_STAR, RouterCertificate, RouterSparsifier
 from .graph import CapGraph, out_edges, subdivide_boundary
-from .routing import EXACT_LP_MAX_VARS, INFEASIBLE, DemandSet, min_congestion_routing
+from .routing import INFEASIBLE, DemandSet, min_congestion_routing
 from .sparsecut import is_well_linked
 
 DEFAULT_CUT_ENUM_BUDGET = 16
@@ -225,7 +225,6 @@ def verify_flow_quality(
     seed: int = 0,
     delta: Fraction = DEFAULT_DELTA,
     quality_bound: Fraction | None = None,
-    exact_max_vars: int = EXACT_LP_MAX_VARS,
     sparsifier: RouterSparsifier | None = None,
 ) -> QualityReport:
     """Sampled flow-quality report.  q_observed is a lower bound on the true
@@ -244,8 +243,8 @@ def verify_flow_quality(
         for dem in demand_strategies(g, strat, samples, seed + tid):
             if not dem:
                 continue
-            rg = min_congestion_routing(g, dem, exact_max_vars=exact_max_vars)
-            rh = min_congestion_routing(h, dem, exact_max_vars=exact_max_vars)
+            rg = min_congestion_routing(g, dem)
+            rh = min_congestion_routing(h, dem)
             rec = {"id": tid, "strategy": strat, "pairs": len(dem.pairs)}
             tid += 1
             if rg.eta == INFEASIBLE or rh.eta == INFEASIBLE:
@@ -272,7 +271,7 @@ def verify_flow_quality(
             if sparsifier is not None and rh.flow is not None and rh.eta > 0:
                 composed = reroute_through_clusters(sparsifier, rh)
                 rec["composed"] = composed
-                bound = 2 * sparsifier.params.eta_star * rh.eta * tol
+                bound = 2 * ETA_STAR * rh.eta * tol
                 if composed > bound:
                     rep.violations.append(
                         f"test {rec['id']}: composed congestion {float(composed):.3f} "
@@ -404,7 +403,7 @@ def recheck_router_certificates(sp: RouterSparsifier) -> dict:
 
     ok_flow, detail = True, []
     for ci, cert in enumerate(sp.certificates):
-        err = _recheck_one_router(g, cert, sp.params.eta_star)
+        err = _recheck_one_router(g, cert)
         if err:
             ok_flow = False
             detail.append(f"cluster {ci}: {err}")
@@ -427,7 +426,7 @@ def recheck_router_certificates(sp: RouterSparsifier) -> dict:
     return {"ok": all(ok for _n, ok, _d in checks), "checks": checks}
 
 
-def _recheck_one_router(g: CapGraph, cert: RouterCertificate, eta_star: Fraction) -> str:
+def _recheck_one_router(g: CapGraph, cert: RouterCertificate) -> str:
     inst = subdivide_boundary(g, cert.members)
     z = inst.z
     if z <= 1:
@@ -476,8 +475,8 @@ def _recheck_one_router(g: CapGraph, cert: RouterCertificate, eta_star: Fraction
     worst = Fraction(0)
     for eid, v in load.items():
         worst = max(worst, v / caps[eid])
-    if worst > eta_star:
-        return f"congestion {worst} exceeds eta* {eta_star}"
+    if worst > ETA_STAR:
+        return f"congestion {worst} exceeds eta* {ETA_STAR}"
     if worst > cert.eta:
         return f"recomputed congestion {worst} above the stored {cert.eta}"
     return ""

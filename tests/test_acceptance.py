@@ -40,7 +40,7 @@ from vsp.verify import (
 )
 
 from fixtures import chamber_instance, witness1_fixture, witness2_fixture
-from util import flow_router_graph as _flow_instance
+from util import flow_router_graph as _flow_instance, rewire_to_terminal, shift_map_line
 
 F = Fraction
 DELTA = F(1, 10**6)
@@ -380,7 +380,10 @@ def _corruptions(tmpdir, g, sp_prefix):
     def edit_json(fn):
         payload = _json.load(open(jpath))
         fn(payload)
-        _json.dump(payload, open(jpath, "w"), indent=1, sort_keys=True)
+        # save_sparsifier's layout, so only the edited content differs
+        with open(jpath, "w") as fh:
+            _json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
     def drop_edge(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("e "))
@@ -410,10 +413,16 @@ def _corruptions(tmpdir, g, sp_prefix):
                 return
         payload["clusters"][0].append(max(g.vertices) + 999)
 
+    def raise_quality(payload):
+        payload["quality"] = str(Fraction(payload["quality"]) + 1)
+
     yield "drop-edge", lambda: edit_graph(drop_edge)
     yield "double-capacity", lambda: edit_graph(double_capacity)
     yield "add-edge", lambda: edit_graph(add_edge)
     yield "move-cluster-vertex", lambda: edit_json(move_cluster_vertex)
+    yield "rewire-to-terminal", lambda: edit_graph(rewire_to_terminal)
+    yield "raise-quality", lambda: edit_json(raise_quality)
+    yield "edit-map-line", lambda: edit_graph(shift_map_line)
 
 
 def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):

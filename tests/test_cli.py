@@ -10,6 +10,8 @@ from vsp.graph import read_graph
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
 
+from util import rewire_to_terminal
+
 
 def run(args, capsys):
     code = main(args)
@@ -86,6 +88,19 @@ def test_verify_sabotaged_exits_one(tmp_path, capsys):
     hfile.write_text("\n".join(lines) + "\n")
     code, _, err = run(["verify", str(g), str(tmp_path / "h"), "--mode", "cut"], capsys)
     assert code in (1, 2)  # caught as mismatch or as a quality violation
+
+
+def test_verify_rewired_sparsifier_exits_two(tmp_path, capsys):
+    g = tmp_path / "g.vsp"
+    run(["gen", "grid", "--rows", "5", "--cols", "5", "--k", "6", "--out", str(g)], capsys)
+    assert run(["build", str(g), "--mode", "cut", "--out", str(tmp_path / "h")], capsys)[0] == 0
+    hfile = tmp_path / "h.vsp"
+    lines = hfile.read_text().splitlines()
+    rewire_to_terminal(lines)
+    hfile.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["verify", str(g), str(tmp_path / "h"), "--mode", "cut"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

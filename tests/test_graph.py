@@ -77,6 +77,40 @@ def test_subdivide_counts_random():
         assert inst.graph.n == len(members) + len(out_edges(g, members))
 
 
+def _instance_fields(inst):
+    h = inst.graph
+    return (
+        h.vertices, [(e.u, e.v, e.cap) for e in h.edges], h.terminals, inst.terminals,
+        dict(inst.pendant_of), dict(inst.inner_edge_of), inst.parent_gid,
+    )
+
+
+def test_subdivide_edge_subset():
+    rng = random.Random(12)
+    for _ in range(15):
+        g = random_unit_graph(rng, n=10, m=18)
+        members = set(rng.sample(list(g.vertices), rng.randint(1, 9)))
+        boundary = [e.eid for e in out_edges(g, members)]
+        full = subdivide_boundary(g, members)
+        chosen = sorted(rng.sample(boundary, rng.randint(0, len(boundary))))
+        sub = subdivide_boundary(g, members, chosen[::-1])
+        # the chosen pendants in edge-id order, numbered after max(V)
+        assert [sub.pendant_of[t] for t in sub.terminals] == chosen
+        first = max(g.vertices) + 1
+        assert sub.terminals == tuple(range(first, first + len(chosen)))
+        assert sub.graph.vertices == tuple(sorted(members)) + sub.terminals
+        # the same inner edges, in the same instance positions
+        ninner = len(full.inner_edge_of)
+        assert sub.inner_edge_of == full.inner_edge_of
+        assert [(e.u, e.v, e.cap) for e in sub.graph.edges[:ninner]] == [
+            (e.u, e.v, e.cap) for e in full.graph.edges[:ninner]
+        ]
+        assert sub.graph.m == ninner + len(chosen)
+        assert _instance_fields(subdivide_boundary(g, members, boundary)) == (
+            _instance_fields(full)
+        )
+
+
 def test_contract_two_vertex_cluster():
     # cluster {1,2} with inner edge and one boundary edge at each vertex
     g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (1, 3, 1), (2, 4, 1)], [3, 4])

@@ -271,3 +271,22 @@ def reference_lp_rows(g, com, arcs, base):
         ub_rows.append(row)
         ub_rhs.append(-base.get(e.eid, Fraction(0)))
     return eq_rows, eq_rhs, ub_rows, ub_rhs
+
+
+def rewire_to_terminal(lines: list[str]) -> None:
+    """Sabotage the edge lines of a saved `.vsp` in place: every edge moves
+    onto the first terminal (its other end kept), capacities unchanged."""
+    t = next(l.split()[1] for l in lines if l.startswith("t "))
+    for i, l in enumerate(lines):
+        if l.startswith("e "):
+            _e, u, v, cap = l.split()
+            lines[i] = f"e {t} {u if v == t else v} {cap}"
+
+
+def shift_map_line(lines: list[str]) -> None:
+    """Sabotage a saved `.vsp` in place: the first `map` line names the
+    next vertex id as its supernode."""
+    i = next(i for i, l in enumerate(lines) if l.startswith("map "))
+    toks = lines[i].split()
+    toks[1] = str(int(toks[1]) + 1)
+    lines[i] = " ".join(toks)
