@@ -86,6 +86,8 @@ def cmd_build(args) -> int:
         g = read_graph(args.input)
     except VspError as exc:
         return _fail(EXIT_INPUT, "parse", str(exc))
+    except OSError as exc:
+        return _fail(EXIT_INPUT, "input", str(exc))
     params = _params(args)
     print(_header(args, params))
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
@@ -129,7 +131,7 @@ def cmd_verify(args) -> int:
     try:
         g = read_graph(args.input)
         sp = load_sparsifier(g, args.sparsifier)
-    except VspError as exc:
+    except (VspError, OSError) as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
     print(_header(args))
     delta = Fraction(str(args.delta))

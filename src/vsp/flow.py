@@ -4,6 +4,14 @@ All capacities are rationals; internally every instance is scaled by the
 common denominator so Dinic runs on integers and both the flow value and
 the cut certificate are exact.
 
+Terminal cuts are compiled once per graph: `TerminalCuts` turns G into
+integer arc arrays with a zero-capacity source arc and sink arc per
+terminal.  Each split copies the base capacities, raises its own terminals'
+arcs above any cut value and reruns Dinic on the same arrays, so the
+bipartition sweeps of the sparsest cut and of cut verification pay for the
+`Fraction` arithmetic once, not once per split.  `min_cut_between` and
+`max_flow` are one-shot uses.
+
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
 auxiliary nodes out of cut sides and decodes unit paths back to edge ids.
@@ -317,33 +325,57 @@ class FlowSolution:
         return worst
 
 
-def _terminal_net(
-    g: CapGraph, sources: Iterable[int], sinks: Iterable[int]
-) -> tuple[Net, Fraction, CutCertificate]:
-    """G's network, its sources fed by the super-source and its sinks
-    drained into the super-sink through arcs above any cut value, solved;
-    returns the solved network, the flow value and the minimum cut."""
-    src = sorted(set(sources))
-    snk = sorted(set(sinks))
-    if not src or not snk:
-        raise InputError("empty source or sink set")
-    if set(src) & set(snk):
-        raise InputError("sources and sinks overlap")
-    for v in src + snk:
-        if not g.has_vertex(v):
-            raise InputError(f"unknown vertex id {v}")
-    net = Net()
-    for e in g.edges:
-        if e.u != e.v:
-            net.undirected(e.u, e.v, e.cap, key=e.eid)
-    big = sum((e.cap for e in g.edges), Fraction(0)) + 1
-    for v in src:
-        net.arc(net.source, v, big)
-    for v in snk:
-        net.arc(v, net.sink, big)
-    value = net.max_flow(net.source, net.sink)
-    side_a = net.cut_side()
-    return net, value, CutCertificate(side_a, frozenset(g.vertices) - side_a, value)
+class TerminalCuts:
+    """G's flow network compiled once, for any number of minimum cuts between
+    disjoint groups of the given terminals.  Source and sink arcs are added
+    in sorted terminal order at capacity 0, and Dinic never traverses an arc
+    of capacity 0, so every solve visits the arcs a network wired for that
+    split alone would visit, in the same order."""
+
+    def __init__(self, g: CapGraph, terminals: Iterable[int]):
+        terms = sorted(set(terminals))
+        for v in terms:
+            if not g.has_vertex(v):
+                raise InputError(f"unknown vertex id {v}")
+        net = Net()
+        for e in g.edges:
+            if e.u != e.v:
+                net.undirected(e.u, e.v, e.cap, key=e.eid)
+        self._big = net._scaled(sum((e.cap for e in g.edges), Fraction(0)) + 1)
+        self._source_arc: dict[int, int] = {}
+        for v in terms:
+            self._source_arc[v] = len(net._to)
+            net.arc(net.source, v, 0)
+        self._sink_arc: dict[int, int] = {}
+        for v in terms:
+            self._sink_arc[v] = len(net._to)
+            net.arc(v, net.sink, 0)
+        self.net = net
+        self._base = tuple(net._cap)
+        self._vertices = frozenset(g.vertices)
+
+    def min_cut(
+        self, term_a: Iterable[int], term_b: Iterable[int]
+    ) -> tuple[Fraction, CutCertificate]:
+        """Capacity of the minimum cut separating term_a from term_b, with
+        its minimal source side; `net` holds the flow until the next cut."""
+        ta, tb = set(term_a), set(term_b)
+        if not ta or not tb:
+            raise InputError("empty source or sink set")
+        if ta & tb:
+            raise InputError("terminal sides overlap")
+        cap = list(self._base)
+        for side, arcs in ((ta, self._source_arc), (tb, self._sink_arc)):
+            for v in side:
+                a = arcs.get(v)
+                if a is None:
+                    raise InputError(f"vertex {v} is not a compiled terminal")
+                cap[a] = self._big
+        net = self.net
+        net._cap = cap
+        value = net.max_flow(net.source, net.sink)
+        side_a = net.cut_side()
+        return value, CutCertificate(side_a, self._vertices - side_a, value)
 
 
 def max_flow(
@@ -351,8 +383,10 @@ def max_flow(
 ) -> tuple[Fraction, FlowSolution, CutCertificate]:
     """Exact max flow between vertex sets (merged via a super source/sink).
     Returns value, a flow attaining it, and a minimum cut of equal value."""
-    net, value, cert = _terminal_net(g, sources, sinks)
-    flows = net.flow_by_key()
+    src, snk = set(sources), set(sinks)
+    cuts = TerminalCuts(g, src | snk)
+    value, cert = cuts.min_cut(src, snk)
+    flows = cuts.net.flow_by_key()
     sol = FlowSolution({eid: abs(f) for eid, f in flows.items() if f != 0})
     return value, sol, cert
 
@@ -361,12 +395,10 @@ def min_cut_between(
     g: CapGraph, term_a: Iterable[int], term_b: Iterable[int]
 ) -> tuple[Fraction, CutCertificate]:
     """Capacity of the minimum cut separating two disjoint terminal sets;
-    no flow is extracted."""
+    no flow is extracted.  For many cuts on one graph, compile a
+    TerminalCuts once instead."""
     ta, tb = set(term_a), set(term_b)
-    if ta & tb:
-        raise InputError("terminal sides overlap")
-    _net, value, cert = _terminal_net(g, ta, tb)
-    return value, cert
+    return TerminalCuts(g, ta | tb).min_cut(ta, tb)
 
 
 def flow_conserves(

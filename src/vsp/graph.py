@@ -259,9 +259,6 @@ class ContractionMap:
     edge_map: Mapping[int, int]  # contracted edge id -> original edge id
     dropped: tuple[int, ...]  # self-loop original edge ids removed
 
-    def cluster_of_supernode(self, s: int) -> frozenset[int]:
-        return self.clusters[self.supernode.index(s)]
-
     def preimage(self, contracted_vertices: Iterable[int]) -> set[int]:
         """Expand supernodes back to original vertices."""
         by_super = dict(zip(self.supernode, self.clusters))

@@ -48,9 +48,6 @@ class DemandSet:
         items = tuple(sorted((k, v) for k, v in norm.items() if v > 0))
         return DemandSet(items)
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.pairs)
-
     def total_at(self, t: int) -> Fraction:
         return sum((v for (a, b), v in self.pairs if t in (a, b)), Fraction(0))
 

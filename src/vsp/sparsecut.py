@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .flow import CutCertificate, min_cut_between
+from .flow import CutCertificate, TerminalCuts
 from .graph import CapGraph, Cluster, SubdividedInstance, subdivide_boundary
 
 DEFAULT_ENUM_BUDGET = 22
@@ -83,21 +84,35 @@ def sparsest_cut_exact(
             "use sparsest_cut_heuristic"
         )
     best: tuple | None = None  # (sparsity, value, side_tuple, cert)
-    if len(terms) >= 2:
+    if nb >= 2:
+        cuts = TerminalCuts(inst.graph, [t for t, _ in terms])
+        # bundle weights as ints over one denominator
+        den = lcm(*(w.denominator for _, w in terms))
+        wint = [w.numerator * (den // w.denominator) for _, w in terms]
+        zint = sum(wint)
         fixed = terms[0][0]
         rest = [t for t, _ in terms[1:]]
+        rest_set = frozenset(rest)
         for mask in range(1 << (nb - 1)):
-            side1 = [fixed] + [rest[i] for i in range(nb - 1) if mask >> i & 1]
-            side2 = [t for t in rest if t not in side1]
-            if not side2:
+            side1, wa = [fixed], wint[0]
+            for i in range(nb - 1):
+                if mask >> i & 1:
+                    side1.append(rest[i])
+                    wa += wint[i + 1]
+            if len(side1) == nb:
                 continue
-            value, cut = min_cut_between(inst.graph, side1, side2)
-            cert = _certificate(inst, cut.side_a, value)
-            key = (cert.sparsity, value, tuple(sorted(side1)))
+            value, cut = cuts.min_cut(side1, rest_set.difference(side1))
+            sparsity = value / Fraction(min(wa, zint - wa), den)
+            key = (sparsity, value, tuple(sorted(side1)))
             if best is None or key < best[:3]:
+                cert = CutCertificate(
+                    cut.side_a, cut.side_b, value,
+                    term_a=Fraction(wa, den), term_b=Fraction(zint - wa, den),
+                    sparsity=sparsity,
+                )
                 best = (*key, cert)
-                if stop_below is not None and cert.sparsity < stop_below:
-                    return SparsestCut(cert.sparsity, cert, True)
+                if stop_below is not None and sparsity < stop_below:
+                    return SparsestCut(sparsity, cert, True)
     if best is not None and best[0] <= 1:
         return SparsestCut(best[0], best[3], True)
     # every bundle-level split is worse than cutting a single pendant unit

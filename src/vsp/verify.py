@@ -19,9 +19,9 @@ from typing import Iterable
 
 from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
 from .errors import BudgetExceeded, InputError
-from .flow import flow_conserves, min_cut_between
-from .flowsparse import ETA_STAR, RouterCertificate, RouterSparsifier
-from .graph import CapGraph, out_edges, subdivide_boundary
+from .flow import TerminalCuts, flow_conserves
+from .flowsparse import ETA_STAR, ONE_THIRD, RouterCertificate, RouterSparsifier
+from .graph import CapGraph, make_cluster, out_edges, subdivide_boundary
 from .routing import INFEASIBLE, DemandSet, min_congestion_routing
 from .sparsecut import is_well_linked
 
@@ -112,10 +112,11 @@ def verify_cut_quality(
     if not exhaustive:
         rep.flags["non_exhaustive"] = True
     rep.flags["tests"] = len(splits)
+    cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
     worst = Fraction(1)
     for i, (ta, tb) in enumerate(splits):
-        vg, _ = min_cut_between(g, ta, tb)
-        vh, _ = min_cut_between(h, ta, tb)
+        vg, _ = cuts_g.min_cut(ta, tb)
+        vh, _ = cuts_h.min_cut(ta, tb)
         if vg == 0 and vh == 0:
             ratio = Fraction(1)
         elif vg == 0:
@@ -149,15 +150,16 @@ def verify_cut_projection(g_unit: CapGraph, sp: CutSparsifier, seed: int = 0,
     splits, exhaustive = _bipartitions(terms, enum_budget, seed)
     rep.flags["exhaustive"] = exhaustive
     clusters = sp.cluster_sets()
+    cuts_g, cuts_h = TerminalCuts(g_unit, terms), TerminalCuts(sp.graph, terms)
     worst = Fraction(1)
     for i, (ta, tb) in enumerate(splits):
-        vg, cert = min_cut_between(g_unit, ta, tb)
+        vg, cert = cuts_g.min_cut(ta, tb)
         lifted_side, _steps = lift_cut(g_unit, clusters, cert.side_a)
         lifted_val = cut_value(g_unit, lifted_side)
         if vg > 0 and lifted_val > 3 * vg:
             rep.violations.append(f"test {i}: lift {lifted_val} > 3 x {vg}")
         # projection: H's min cut expands to a G-cut of identical value
-        vh, hcert = min_cut_between(sp.graph, ta, tb)
+        vh, hcert = cuts_h.min_cut(ta, tb)
         back = project_cut(g_unit, sp.cmap, hcert.side_a)
         if cut_value(sp.graph, hcert.side_a) != cut_value(g_unit, back):
             rep.violations.append(f"test {i}: projection changed the cut value")
@@ -374,6 +376,10 @@ def recheck_router_certificates(sp: RouterSparsifier) -> dict:
     at most eta* including hairpin loads, and 1/3-well-linkedness where the
     budget allows.  Failures are report entries.
 
+    The well-linkedness claim is derived, not read: every cluster with
+    boundary capacity z > 1 is tested at alpha = 1/3, and a stored wl_alpha
+    other than 1/3 (None when z <= 1) fails the well-linked check.
+
     A certificate with z > 1 must be complete: it carries one fan-out flow
     for every boundary edge e with bundle weight w_e < z (a lone bundle with
     w_e = z exchanges nothing), and its hairpin map is exactly
@@ -411,10 +417,15 @@ def recheck_router_certificates(sp: RouterSparsifier) -> dict:
 
     ok_wl, detail = True, []
     for ci, cert in enumerate(sp.certificates):
-        if cert.wl_alpha is None:
+        alpha = ONE_THIRD if make_cluster(g, cert.members).z > 1 else None
+        if cert.wl_alpha != alpha:
+            ok_wl = False
+            detail.append(f"cluster {ci}: wl_alpha {cert.wl_alpha}, expected {alpha}")
+            continue
+        if alpha is None:
             continue
         try:
-            ok, viol = is_well_linked(g, cert.members, cert.wl_alpha, budget=sp.params.enum_budget)
+            ok, viol = is_well_linked(g, cert.members, alpha, budget=sp.params.enum_budget)
         except BudgetExceeded:
             detail.append(f"cluster {ci}: skipped (budget)")
             continue

@@ -19,6 +19,7 @@ from vsp.flow import max_flow
 from vsp.flowsparse import (
     FlowParams,
     RouterCertificate,
+    RouterSparsifier,
     balanced_cut_refine,
     build_flow_sparsifier_unit,
     build_flow_sparsifier_well_linked,
@@ -365,8 +366,9 @@ def test_criterion_9_size_bounds(cut_built, flow_built):
     )
 
 
-def _corruptions(tmpdir, g, sp_prefix):
-    """Yield (name, apply) single-edit corruptions of a serialized sparsifier."""
+def _corruptions(tmpdir, g, sp_prefix, sp):
+    """Yield (name, apply) single-edit corruptions of a serialized sparsifier
+    `sp`; the certificate edit only where `sp` has a certificate to edit."""
     import json as _json
 
     gpath = f"{sp_prefix}.vsp"
@@ -416,6 +418,10 @@ def _corruptions(tmpdir, g, sp_prefix):
     def raise_quality(payload):
         payload["quality"] = str(Fraction(payload["quality"]) + 1)
 
+    def null_wl_alpha(payload):
+        cert = next(c for c in payload["certificates"] if c["wl_alpha"] is not None)
+        cert["wl_alpha"] = None
+
     yield "drop-edge", lambda: edit_graph(drop_edge)
     yield "double-capacity", lambda: edit_graph(double_capacity)
     yield "add-edge", lambda: edit_graph(add_edge)
@@ -423,6 +429,8 @@ def _corruptions(tmpdir, g, sp_prefix):
     yield "rewire-to-terminal", lambda: edit_graph(rewire_to_terminal)
     yield "raise-quality", lambda: edit_json(raise_quality)
     yield "edit-map-line", lambda: edit_graph(shift_map_line)
+    if any(c.wl_alpha is not None for c in getattr(sp, "certificates", ())):
+        yield "null-wl-alpha", lambda: edit_json(null_wl_alpha)
 
 
 def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):
@@ -430,7 +438,7 @@ def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):
     total = 0
     # file-level corruption of serialized sparsifiers
     for i, (g, sp) in enumerate(cut_built[:4] + [fb for fb in flow_built[:4]]):
-        for name, apply in _corruptions(tmp_path, g, str(tmp_path / f"s{i}")):
+        for name, apply in _corruptions(tmp_path, g, str(tmp_path / f"s{i}"), sp):
             save_sparsifier(sp, str(tmp_path / f"s{i}"))
             apply()
             total += 1
@@ -441,6 +449,9 @@ def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):
                 continue
             rep = verify_cut_quality(g, sp2.graph)
             if not rep.ok or rep.q_observed > sp2.quality:
+                detected += 1
+            elif isinstance(sp2, RouterSparsifier) and not recheck_router_certificates(sp2)["ok"]:
+                # what `vsp verify --mode flow` adds for a flow sparsifier
                 detected += 1
     # certificate-level corruption of flow sparsifiers
     rng = random.Random(0)

@@ -111,6 +111,22 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "capacity" in err
 
 
+def test_build_missing_input_exits_two(tmp_path, capsys):
+    code, out, err = run(["build", str(tmp_path / "missing.vsp"), "--mode", "cut"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_verify_missing_sparsifier_exits_two(tmp_path, capsys):
+    g = tmp_path / "g.vsp"
+    run(["gen", "regular", "--n", "8", "--k", "3", "--seed", "5", "--out", str(g)], capsys)
+    code, _, err = run(["verify", str(g), str(tmp_path / "nonexistent"), "--mode", "cut"],
+                       capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
+
+
 def test_missing_terminals_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.vsp"
     bad.write_text("p vsp 2 1 2\ne 1 2 1\n")

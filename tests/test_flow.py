@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsp.errors import InputError
-from vsp.flow import Net, max_flow, min_cut_between
+from vsp.flow import Net, TerminalCuts, max_flow, min_cut_between
+from vsp.gen import gen_grid
 from vsp.graph import CapGraph
 
-from util import brute_force_min_cut, path_graph, random_unit_graph
+from util import brute_force_min_cut, brute_force_min_cut_side, path_graph, random_unit_graph
 
 
 def test_unit_path():
@@ -127,3 +129,83 @@ def test_min_cut_between_matches_max_flow():
         fval, _sol, fcert = max_flow(g, ta, tb)
         assert val == fval
         assert cert.side_a == fcert.side_a and cert.side_b == fcert.side_b
+
+
+@given(seed=st.integers(0, 10**6), fractional=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
+    # one compiled network answers a shuffled sequence of splits, repeats
+    # included, exactly as a fresh network and the brute force do
+    rng = random.Random(seed)
+    caps = (Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2) if fractional else (1,)
+    n = rng.randint(2, 8)
+    verts = list(range(1, n + 2))  # vertex n + 1 stays isolated
+    edges = [(*rng.sample(verts[:-1], 2), rng.choice(caps)) for _ in range(rng.randint(0, 2 * n))]
+    if rng.random() < 0.3:
+        edges.append((1, 1, rng.choice(caps)))  # a self-loop carries no flow
+    g = CapGraph(verts, edges)
+    terms = rng.sample(verts, rng.randint(2, min(5, len(verts))))
+    cuts = TerminalCuts(g, terms)
+    splits = []
+    for _ in range(rng.randint(1, 6)):
+        placed = [rng.randrange(3) for _ in terms]  # side a, side b or neither
+        placed[0], placed[1] = 0, 1
+        rng.shuffle(placed)
+        splits.append(([t for t, p in zip(terms, placed) if p == 0],
+                       [t for t, p in zip(terms, placed) if p == 1]))
+    splits += rng.choices(splits, k=len(splits))
+    rng.shuffle(splits)
+    for ta, tb in splits:
+        value, cert = cuts.min_cut(ta, tb)
+        fresh_value, fresh = min_cut_between(g, ta, tb)
+        assert (value, cert.side_a) == (fresh_value, fresh.side_a)
+        assert (value, cert.side_a) == brute_force_min_cut_side(g, ta, tb)
+        assert cert.side_b == frozenset(g.vertices) - cert.side_a
+        assert cert.recheck_value(g) == value
+
+
+def test_terminal_cuts_isolated_terminal():
+    g = CapGraph([1, 2, 3, 4], [(1, 2, Fraction(1, 2)), (2, 3, Fraction(2, 3))], [1, 3, 4])
+    cuts = TerminalCuts(g, g.terminals)
+    value, cert = cuts.min_cut([4], [1, 3])
+    assert value == 0 and cert.side_a == {4}
+    value, cert = cuts.min_cut([1], [3, 4])
+    assert value == Fraction(1, 2) and cert.side_a == {1}
+    value, cert = cuts.min_cut([3, 4], [1])
+    assert value == Fraction(1, 2) and cert.side_a == {2, 3, 4}
+
+
+def test_terminal_cuts_input_errors():
+    g = path_graph(3)
+    with pytest.raises(InputError, match="unknown vertex"):
+        TerminalCuts(g, [1, 9])
+    cuts = TerminalCuts(g, [1, 3])
+    for ta, tb, msg in (([], [3], "empty"), ([1], [], "empty"),
+                        ([1], [1, 3], "overlap"), ([1], [2], "not a compiled terminal")):
+        with pytest.raises(InputError, match=msg):
+            cuts.min_cut(ta, tb)
+    # a refused split leaves the compiled network intact
+    value, cert = cuts.min_cut([1], [3])
+    assert value == 1 and cert.side_a == {1}
+
+
+def test_terminal_cuts_match_networkx_on_grid():
+    import networkx as nx
+
+    g = gen_grid(8, 8, k=8)
+    base = nx.DiGraph()
+    for e in g.edges:
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            cap = base.edges[u, v]["capacity"] if base.has_edge(u, v) else 0
+            base.add_edge(u, v, capacity=cap + int(e.cap))
+    terms = list(g.terminals)
+    cuts = TerminalCuts(g, terms)
+    for mask in range((1 << (len(terms) - 1)) - 1):
+        ta = [terms[0]] + [t for i, t in enumerate(terms[1:]) if mask >> i & 1]
+        tb = [t for t in terms if t not in ta]
+        net = base.copy()
+        net.add_edges_from(("S", t) for t in ta)  # no capacity: unbounded
+        net.add_edges_from((t, "T") for t in tb)
+        value, cert = cuts.min_cut(ta, tb)
+        assert value == nx.minimum_cut_value(net, "S", "T")
+        assert cert.recheck_value(g) == value

@@ -11,7 +11,7 @@ from vsp.sparsecut import (
     sparsest_cut_heuristic,
 )
 
-from util import brute_force_sparsest, random_unit_graph
+from util import brute_force_bundle_sweep, brute_force_sparsest, random_unit_graph
 
 F = Fraction
 
@@ -70,6 +70,41 @@ def test_exact_matches_vertex_bipartition_oracle():
             assert res.sparsity == min(oracle, 1)
             checked += 1
     assert checked >= 10
+
+
+def test_exact_matches_oracles_on_fractional_bundles():
+    # non-integer bundle weights exercise the integer weight sums: the
+    # optimum is the weighted brute force capped at 1, and the certificate
+    # (with and without an early exit) is the brute-force sweep's
+    rng = random.Random(53)
+    caps = (F(1, 2), F(2, 3), F(3, 4), F(1), F(3, 2))
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(4, 7)
+        edges = [(rng.randint(1, i - 1), i, rng.choice(caps)) for i in range(2, n + 1)]
+        edges += [(*rng.sample(range(1, n + 1), 2), rng.choice(caps)) for _ in range(n)]
+        g = CapGraph(range(1, n + 1), edges)
+        inst = subdivide_boundary(g, set(rng.sample(range(1, n + 1), rng.randint(2, n - 2))))
+        weights = {t: inst.weight(t) for t in inst.terminals}
+        if (inst.graph.n > 11 or len(weights) < 2 or inst.z <= 1
+                or all(w.denominator == 1 for w in weights.values())):
+            continue
+        res = sparsest_cut_exact(inst)
+        assert res.sparsity == min(brute_force_sparsest(inst.graph, weights), 1)
+        for stop in (None, F(1, 2), F(1)):
+            res = sparsest_cut_exact(inst, stop_below=stop)
+            (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
+            if sparsity <= 1 or (stop is not None and sparsity < stop):
+                cut = res.cut
+                assert (res.sparsity, cut.value, cut.side_a) == (sparsity, value, side_a)
+                assert cut.term_a == sum(w for t, w in weights.items() if t in side_a)
+                assert cut.term_a + cut.term_b == inst.z
+                assert cut.sparsity == value / min(cut.term_a, cut.term_b)
+                assert res.pendant_split_edge is None
+            else:
+                assert res.sparsity == 1 and res.pendant_split_edge is not None
+        checked += 1
+    assert checked >= 15
 
 
 def test_exact_budget_refusal():

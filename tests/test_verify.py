@@ -165,6 +165,20 @@ def _router_flows_failed(sp, cert):
     )
 
 
+@pytest.mark.parametrize("alpha", [None, F(1, 4), F(1, 2)])
+def test_router_recheck_derives_wl_alpha(alpha):
+    # the claim is fixed at 1/3 for z > 1: a certificate that claims less
+    # (or nothing, which used to skip the test) fails the well-linked check
+    g = _flow_instance(5)
+    sp = build_flow_sparsifier_unit(g, AGG)
+    cert = sp.certificates[0]
+    assert cert.z > 1 and cert.wl_alpha == F(1, 3)
+    sp.certificates[0] = dataclasses.replace(cert, wl_alpha=alpha)
+    rep = recheck_router_certificates(sp)
+    assert not rep["ok"]
+    assert [name for name, ok, _ in rep["checks"] if not ok] == ["well-linked"]
+
+
 def test_router_recheck_detects_dropped_commodity():
     g = _flow_instance(5)
     sp = build_flow_sparsifier_unit(g, AGG)

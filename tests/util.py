@@ -57,28 +57,37 @@ def brute_force_out(g: CapGraph, members) -> list[int]:
 def brute_force_min_cut(g: CapGraph, term_a, term_b) -> Fraction:
     """Minimum over all vertex bipartitions separating term_a from term_b of
     the crossing capacity.  Exponential; for n <= ~14 only."""
+    return brute_force_min_cut_side(g, term_a, term_b)[0]
+
+
+def brute_force_min_cut_side(g: CapGraph, term_a, term_b) -> tuple[Fraction, frozenset]:
+    """brute_force_min_cut's value with the minimal term_a side of a minimum
+    cut: the intersection of the term_a sides of all minimum cuts (itself a
+    minimum cut)."""
     ta, tb = set(term_a), set(term_b)
     free = [v for v in g.vertices if v not in ta and v not in tb]
-    best = None
+    best, side = None, None
     for bits in itertools.product((0, 1), repeat=len(free)):
-        side_a = set(ta)
-        for v, b in zip(free, bits):
-            if b == 0:
-                side_a.add(v)
+        side_a = ta | {v for v, b in zip(free, bits) if b == 0}
         val = sum(
             (e.cap for e in g.edges if (e.u in side_a) != (e.v in side_a)),
             Fraction(0),
         )
         if best is None or val < best:
-            best = val
-    return best
+            best, side = val, side_a
+        elif val == best:
+            side = side & side_a
+    return best, frozenset(side)
 
 
-def brute_force_sparsest(g_s: CapGraph) -> Fraction | None:
+def brute_force_sparsest(g_s: CapGraph, weights=None) -> Fraction | None:
     """Sparsest cut of a subdivided instance by enumerating every vertex
-    bipartition.  Terminal weight = 1 per terminal vertex.  None when no
-    bipartition splits the terminals."""
+    bipartition.  Terminal weight = weights[t], 1 per terminal vertex when
+    no weights are given.  None when no bipartition splits the terminals."""
     terms = set(g_s.terminals)
+    if weights is None:
+        weights = dict.fromkeys(terms, 1)
+    z = sum(weights[t] for t in terms)
     verts = list(g_s.vertices)
     best = None
     for bits in itertools.product((0, 1), repeat=len(verts) - 1):
@@ -86,8 +95,8 @@ def brute_force_sparsest(g_s: CapGraph) -> Fraction | None:
         for v, b in zip(verts[1:], bits):
             if b == 0:
                 side_a.add(v)
-        wa = len(terms & side_a)
-        wb = len(terms) - wa
+        wa = sum(weights[t] for t in terms & side_a)
+        wb = z - wa
         if wa == 0 or wb == 0:
             continue
         val = sum(
@@ -97,6 +106,30 @@ def brute_force_sparsest(g_s: CapGraph) -> Fraction | None:
         sp = val / min(wa, wb)
         if best is None or sp < best:
             best = sp
+    return best
+
+
+def brute_force_bundle_sweep(inst, stop_below=None):
+    """sparsest_cut_exact's sweep re-derived by brute force: the bundle
+    bipartitions in mask order (mask bit i puts terminals[i + 1] with
+    terminals[0]), each priced by brute_force_min_cut_side, the best kept
+    under the (sparsity, value, sorted side) order, stopping at the first
+    split below stop_below.  Returns ((sparsity, value, side), minimal cut
+    side), or None with fewer than two bundles."""
+    terms = list(inst.terminals)
+    weights = {t: inst.weight(t) for t in terms}
+    best = None
+    for mask in range((1 << (len(terms) - 1)) - 1):
+        side1 = [terms[0]] + [t for i, t in enumerate(terms[1:]) if mask >> i & 1]
+        side2 = [t for t in terms if t not in side1]
+        value, side_a = brute_force_min_cut_side(inst.graph, side1, side2)
+        wa = sum(weights[t] for t in side1)
+        sparsity = value / min(wa, inst.z - wa)
+        key = (sparsity, value, tuple(sorted(side1)))
+        if best is None or key < best[0]:
+            best = (key, side_a)
+            if stop_below is not None and sparsity < stop_below:
+                break
     return best
 
 
