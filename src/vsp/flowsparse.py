@@ -31,7 +31,6 @@ from .graph import (
     CapGraph,
     ContractionMap,
     contract,
-    make_cluster,
     merge_vertices,
     out_edges,
     subdivide_boundary,
@@ -113,16 +112,6 @@ class FlowParams:
             power //= 2
         return val
 
-    def describe(self) -> dict:
-        return {
-            "profile": self.profile,
-            "eta_star": str(ETA_STAR),
-            "c_beta": str(self.c_beta),
-            "c_f": self.c_f,
-            "r_override": self.r_override,
-            "enum_budget": self.enum_budget,
-        }
-
 
 # --------------------------------------------------------------------------
 # certificates and the sparsifier object
@@ -130,46 +119,34 @@ class FlowParams:
 
 @dataclass
 class RouterCertificate:
-    """A good-router certificate for one cluster: the exact well-linkedness
-    claim plus a feasible uniform-exchange flow with exact congestion."""
+    """A good-router certificate for one cluster, holding only the witness:
+    the cluster's members, the congestion eta its exchange flow attains, and
+    the flow itself.  Everything else is a function of G and the members and
+    is derived wherever it is needed (`subdivide_boundary(g, members)`): the
+    boundary edges and their bundle weights w_e, their total z, the
+    well-linkedness claim (alpha = 1/3 when z > 1, nothing to claim when
+    z <= 1), and the fixed hairpin load 2 w_e (w_e - 1) / z on every bundle
+    with w_e > 1."""
 
     members: frozenset[int]
-    boundary: tuple[int, ...]  # parent-graph edge ids
-    z: Fraction
     eta: Fraction
-    wl_alpha: Fraction | None  # None: no nontrivial bipartition exists
-    wl_source: str  # "exact" | "trivial"
     # per-source fan-out arc flows on the cluster instance, keyed by the
     # source boundary edge id; arcs are (parent edge id, direction).  When
     # z > 1 there is one entry for every boundary edge e with w_e < z; a lone
     # bundle (w_e = z) exchanges nothing and has none.
     commodity_arcs: dict[int, dict[tuple[int, int], Fraction]]
-    # fixed pendant bundle loads, parent edge ids: exactly one entry
-    # 2 w_e (w_e - 1) / z for every bundle with w_e > 1, and no other
-    hairpin: dict[int, Fraction]
-
-    def inner_load(self, src_eid: int) -> dict[int, Fraction]:
-        """Edge loads of one boundary edge's fan-out, inner edges only."""
-        bset = set(self.boundary)
-        out: dict[int, Fraction] = {}
-        for (eid, _d), v in self.commodity_arcs.get(src_eid, {}).items():
-            if eid not in bset:
-                out[eid] = out.get(eid, Fraction(0)) + v
-        return out
 
 
 @dataclass
 class RouterSparsifier:
     graph: CapGraph  # H, a legal contracted graph
     cmap: ContractionMap
-    certificates: list[RouterCertificate]
+    certificates: list[RouterCertificate]  # one per cmap cluster, same order
     quality: Fraction  # claimed q = 2 eta* (+eps in capacitated mode)
-    params: FlowParams
     decompositions: list[Decomposition] = field(default_factory=list)
     log: list[str] = field(default_factory=list)
     eps_input: Fraction | None = None
-    capacity_scale: Fraction | None = None  # applied to H capacities at the end
-    size_bound_met: bool = True
+    size_bound_met: bool | None = None  # a build result; None once loaded
     unit_graph: CapGraph | None = None  # the working graph certificates live on
 
     @property
@@ -205,25 +182,13 @@ def is_good_router(
     ok_rt, res, inst = uniform_router_check(g, ms, eta_bound=ETA_STAR)
     if not ok_rt:
         return False, None
-    cl = make_cluster(g, ms)
     # the map is one-to-one, and a pendant's inside->t_e direction stays 0
     emap = _instance_edge_to_parent(inst)
     commodity = {
         inst.pendant_of[src_t]: {(emap[e], d): v for (e, d), v in arcs.items()}
         for src_t, arcs in (res.commodity_arcs or {}).items()
     }
-    hairpin = {}
-    if res.flow is not None:
-        for t in inst.terminals:
-            w = inst.weight(t)
-            if w > 1 and inst.z > 0:
-                hairpin[inst.pendant_of[t]] = 2 * w * (w - 1) / inst.z
-    wl_alpha = ONE_THIRD if cl.z > 1 else None
-    cert = RouterCertificate(
-        ms, cl.boundary, cl.z, res.eta, wl_alpha,
-        "exact" if cl.z > 1 else "trivial", commodity, hairpin,
-    )
-    return True, cert
+    return True, RouterCertificate(ms, res.eta, commodity)
 
 
 # --------------------------------------------------------------------------
@@ -926,16 +891,11 @@ def _witness2_flow(g, w: Witness2, params, cmap) -> WitnessFlow:
 def _translate_certificate(cert: RouterCertificate, emap: Mapping[int, int]) -> RouterCertificate:
     return RouterCertificate(
         cert.members,
-        tuple(sorted(emap[e] for e in cert.boundary)),
-        cert.z,
         cert.eta,
-        cert.wl_alpha,
-        cert.wl_source,
         {
             emap[src]: {(emap[e], d): v for (e, d), v in arcs.items()}
             for src, arcs in cert.commodity_arcs.items()
         },
-        {emap[e]: v for e, v in cert.hairpin.items()},
     )
 
 
@@ -1039,16 +999,16 @@ def build_flow_sparsifier_well_linked(
     else:
         interior = _validate_well_linked_input(g, params)
     if not interior:
-        return assemble_flow_sparsifier(g, None, [], params, decs, log)
+        return assemble_flow_sparsifier(g, None, [], decs, log, size_bound_met=True)
     if params.precheck_router or k_eff <= 4:
         ok, cert = is_good_router(g, interior, params)
         if ok:
             log.append(f"interior is a good router (eta {cert.eta}); single contraction")
-            return assemble_flow_sparsifier(g, None, [cert], params, decs, log)
+            return assemble_flow_sparsifier(g, None, [cert], decs, log, size_bound_met=True)
         if k_eff <= 4:
             # the premises promise a router here; record the violation honestly
             log.append("k <= 4 interior failed the router check; returning uncontracted")
-            return assemble_flow_sparsifier(g, None, [], params, decs, log, size_bound_met=False)
+            return assemble_flow_sparsifier(g, None, [], decs, log, size_bound_met=False)
     certs: list[RouterCertificate] = []
     gp, cmap = contract(g, [])
     f_k = params.f_size(k_eff)
@@ -1074,12 +1034,10 @@ def build_flow_sparsifier_well_linked(
         log.append(f"{outcome.kind} found; witness flow congestion {wf.eta}")
         ok, cert = is_good_router(g, interior, params)
         if ok:
-            return assemble_flow_sparsifier(g, None, [cert], params, decs, log)
+            return assemble_flow_sparsifier(g, None, [cert], decs, log, size_bound_met=True)
         log.append("witness found but the interior fails the router check; stopping")
         break
-    return assemble_flow_sparsifier(
-        g, None, certs, params, decs, log, size_bound_met=gp.n - k <= f_k
-    )
+    return assemble_flow_sparsifier(g, None, certs, decs, log, size_bound_met=gp.n - k <= f_k)
 
 
 def build_flow_sparsifier_unit(
@@ -1109,7 +1067,7 @@ def build_flow_sparsifier_unit(
             log.extend(sub.log)
             size_ok = size_ok and sub.size_bound_met
     certs.sort(key=lambda c: min(c.members))
-    return assemble_flow_sparsifier(g, None, certs, params, decs, log, size_bound_met=size_ok)
+    return assemble_flow_sparsifier(g, None, certs, decs, log, size_bound_met=size_ok)
 
 
 def capacitated_unit_reduction(
@@ -1176,7 +1134,7 @@ def build_flow_sparsifier(
     gunit, _bundles = capacitated_unit_reduction(g, eps)
     sub = build_flow_sparsifier_unit(gunit, params)
     sp = assemble_flow_sparsifier(
-        g, eps, sub.certificates, params, sub.decompositions, sub.log, sub.size_bound_met
+        g, eps, sub.certificates, sub.decompositions, sub.log, sub.size_bound_met
     )
     sp.log.append(
         f"capacitated reduction: scale {2 * ETA_STAR / eps}, bundle graph n={gunit.n}"
@@ -1188,10 +1146,9 @@ def assemble_flow_sparsifier(
     g: CapGraph,
     eps: Fraction | None,
     certificates: list[RouterCertificate],
-    params: FlowParams,
     decompositions: Iterable[Decomposition] = (),
     log: Iterable[str] = (),
-    size_bound_met: bool = True,
+    size_bound_met: bool | None = None,
 ) -> RouterSparsifier:
     """The flow sparsifier of G that contracts every certificate's cluster.
     Without eps G is the unit graph and the claimed quality is 2 eta*.  With
@@ -1201,7 +1158,7 @@ def assemble_flow_sparsifier(
     clusters = [c.members for c in certificates]
     if eps is None:
         h, cmap = contract(g, clusters)
-        gunit, quality, back = g, 2 * ETA_STAR, None
+        gunit, quality = g, 2 * ETA_STAR
     else:
         gunit, bundles = capacitated_unit_reduction(g, eps)
         hu, cmap = contract(gunit, clusters)
@@ -1212,6 +1169,6 @@ def assemble_flow_sparsifier(
         h = CapGraph(h1.vertices, [(e.u, e.v, e.cap * back) for e in h1.edges], g.terminals)
         quality = 2 * ETA_STAR + eps
     return RouterSparsifier(
-        h, cmap, certificates, quality, params, list(decompositions), list(log),
-        eps_input=eps, capacity_scale=back, size_bound_met=size_bound_met, unit_graph=gunit,
+        h, cmap, certificates, quality, list(decompositions), list(log),
+        eps_input=eps, size_bound_met=size_bound_met, unit_graph=gunit,
     )

@@ -67,28 +67,6 @@ class DemandSet:
         return bool(self.pairs)
 
 
-def read_demands(path) -> DemandSet:
-    d: dict[tuple[int, int], Fraction] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if toks[0] != "d" or len(toks) != 4:
-                raise InputError(f"line {lineno}: demand lines are 'd <t1> <t2> <value>'")
-            a, b = int(toks[1]), int(toks[2])
-            v = Fraction(toks[3]) if "/" not in toks[3] else Fraction(*map(int, toks[3].split("/")))
-            d[(a, b)] = d.get((a, b), Fraction(0)) + v
-    return DemandSet.from_map(d)
-
-
-def write_demands(dem: DemandSet, path) -> None:
-    with open(path, "w") as fh:
-        for (a, b), v in dem.pairs:
-            fh.write(f"d {a} {b} {v}\n")
-
-
 @dataclass
 class RoutingResult:
     eta: Fraction | float  # exact congestion of `flow`; math.inf if unroutable

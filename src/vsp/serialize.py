@@ -2,8 +2,25 @@
 
 The main file is the graph text format followed by `map <supernode>
 <original vertices>` lines and, for flow sparsifiers, `cert <supernode> eta
-<value>` summary lines.  Full certificates (per-commodity flows) go into a
-JSON sidecar so the verifier can re-check them without rebuilding.
+<value>` summary lines.  The JSON sidecar holds only what the source graph
+G cannot supply:
+
+- `kind` ("cut" or "flow") picks the assembly.
+- `quality` is the claim the assembly derives for that kind and eps; it is
+  kept so the file states its claim, and a different value is rejected.
+- `eps_input` (null in unit mode) is the builder's input, not a function of G.
+- `clusters` are the contracted vertex sets, which the builder chose.
+- `certificates` (flow only): entry i is the router witness of clusters[i],
+  its `eta` and its per-source fan-out flows, `commodities`
+  (`{source edge: {"edge:direction": flow}}`).  The flows are the search's
+  result, and eta is rechecked against them.
+
+Nothing that G and the clusters determine is stored: a cluster's boundary,
+its bundle weights and z, its well-linkedness claim and its hairpin loads
+are derived by the verifier.  Nor are the build parameters and whether the
+size bound was met: they describe how the clusters were found, not what the
+files claim, so `vsp build` reports them and a loaded sparsifier has
+`size_bound_met` None.
 
 A pair of files is accepted only if it is byte for byte what
 `save_sparsifier` writes for the sparsifier it describes.  Loading parses
@@ -11,7 +28,8 @@ the sidecar, rebuilds H from the source graph through the builders' own
 assembly (`assemble_cut_sparsifier`, `assemble_flow_sparsifier`), renders
 the rebuilt sparsifier and compares the result with both files.  The
 claimed quality is derived, never read, so a changed claim, edge, capacity,
-terminal, map or cert line is rejected before anything is verified.
+terminal, map or cert line, or an extra sidecar key, is rejected before
+anything is verified.
 """
 
 from __future__ import annotations
@@ -20,12 +38,7 @@ import json
 
 from .cutsparse import assemble_cut_sparsifier
 from .errors import InputError
-from .flowsparse import (
-    FlowParams,
-    RouterCertificate,
-    RouterSparsifier,
-    assemble_flow_sparsifier,
-)
+from .flowsparse import RouterCertificate, RouterSparsifier, assemble_flow_sparsifier
 from .graph import CapGraph, _format_cap, _parse_cap, graph_lines
 
 
@@ -40,11 +53,8 @@ def _render(sp) -> tuple[str, str]:
         sid = ids.get(snode, 0)  # capacitated flow mode renames supernodes away
         lines.append(f"map {sid} {verts}")
     if flow:
-        by_members = {c.members: c for c in sp.certificates}
-        for cset, snode in zip(sp.cmap.clusters, sp.cmap.supernode):
-            cert = by_members.get(frozenset(cset))
-            if cert is not None:
-                lines.append(f"cert {ids.get(snode, 0)} eta {_format_cap(cert.eta)}")
+        for snode, cert in zip(sp.cmap.supernode, sp.certificates):
+            lines.append(f"cert {ids.get(snode, 0)} eta {_format_cap(cert.eta)}")
     payload = {
         "kind": "flow" if flow else "cut",
         "quality": _format_cap(sp.quality),
@@ -52,17 +62,9 @@ def _render(sp) -> tuple[str, str]:
         "clusters": [sorted(c) for c in sp.cmap.clusters],
     }
     if flow:
-        payload["params"] = sp.params.describe()
-        payload["size_bound_met"] = sp.size_bound_met
         payload["certificates"] = [
             {
-                "members": sorted(c.members),
-                "boundary": list(c.boundary),
-                "z": _format_cap(c.z),
                 "eta": _format_cap(c.eta),
-                "wl_alpha": None if c.wl_alpha is None else _format_cap(c.wl_alpha),
-                "wl_source": c.wl_source,
-                "hairpin": {str(k): _format_cap(v) for k, v in sorted(c.hairpin.items())},
                 "commodities": {
                     str(src): {
                         f"{eid}:{d}": _format_cap(v) for (eid, d), v in sorted(arcs.items())
@@ -89,44 +91,27 @@ def save_sparsifier(sp, path_prefix: str) -> tuple[str, str]:
     return paths
 
 
-def _certificate(c: dict) -> RouterCertificate:
+def _certificate(members: frozenset[int], c: dict) -> RouterCertificate:
     arcs = {}
     for src, d in c["commodities"].items():
         flows = arcs[int(src)] = {}
         for key, v in d.items():
             eid, direction = key.split(":")
             flows[(int(eid), int(direction))] = _parse_cap(v)
-    return RouterCertificate(
-        frozenset(map(int, c["members"])),
-        tuple(map(int, c["boundary"])),
-        _parse_cap(c["z"]),
-        _parse_cap(c["eta"]),
-        None if c["wl_alpha"] is None else _parse_cap(c["wl_alpha"]),
-        c["wl_source"],
-        arcs,
-        {int(k): _parse_cap(v) for k, v in c["hairpin"].items()},
-    )
+    return RouterCertificate(members, _parse_cap(c["eta"]), arcs)
 
 
 def _rebuild(g: CapGraph, payload: dict):
     eps = None if payload["eps_input"] is None else _parse_cap(payload["eps_input"])
+    clusters = [frozenset(map(int, c)) for c in payload["clusters"]]
     if payload["kind"] == "cut":
-        clusters = [frozenset(map(int, c)) for c in payload["clusters"]]
         return assemble_cut_sparsifier(g, clusters, eps)
     if payload["kind"] != "flow":
         raise InputError(f"unknown sparsifier kind {payload['kind']!r}")
-    p = payload["params"]
-    params = FlowParams(
-        profile=p["profile"],
-        c_beta=_parse_cap(p["c_beta"]),
-        c_f=int(p["c_f"]),
-        r_override=None if p["r_override"] is None else int(p["r_override"]),
-        enum_budget=int(p["enum_budget"]),
-    )
-    certs = [_certificate(c) for c in payload["certificates"]]
-    return assemble_flow_sparsifier(
-        g, eps, certs, params, size_bound_met=bool(payload["size_bound_met"])
-    )
+    certs = [
+        _certificate(ms, c) for ms, c in zip(clusters, payload["certificates"], strict=True)
+    ]
+    return assemble_flow_sparsifier(g, eps, certs)
 
 
 def load_sparsifier(g: CapGraph, path_prefix: str):

@@ -1,8 +1,7 @@
-"""Hand-built layered instances: witness fixtures and loop-driving graphs."""
+"""Hand-built layered instances for the witness checks."""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from vsp.graph import CapGraph
@@ -97,31 +96,3 @@ def witness2_fixture():
         r=2,
     )
     return g, w
-
-
-def chamber_instance(seed=5, body_n=24, chamber_n=140, k=6, attach=2):
-    """A well-linked random body carrying the terminals plus a large blob
-    reachable over `attach` edges only: the blob is contractible once the
-    loop machinery looks for it."""
-    rng = random.Random(seed)
-    body = list(range(1, body_n + 1))
-    edges = []
-    for i in range(2, body_n + 1):
-        edges.append((rng.randint(1, i - 1), i, 1))
-    for _ in range(2 * body_n):
-        u, v = rng.sample(body, 2)
-        edges.append((u, v, 1))
-    terms = []
-    for i in range(k):
-        t = 500 + i
-        terms.append(t)
-        edges.append((rng.choice(body[: body_n // 2]), t, 1))
-    chamber = list(range(100, 100 + chamber_n))
-    for i in range(1, chamber_n):
-        edges.append((chamber[rng.randint(0, i - 1)], chamber[i], 1))
-    for _ in range(chamber_n // 2):
-        u, v = rng.sample(chamber, 2)
-        edges.append((u, v, 1))
-    for j in range(attach):
-        edges.append((body[-1 - j], chamber[j], 1))
-    return CapGraph(body + chamber + terms, edges, terms)

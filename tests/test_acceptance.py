@@ -27,7 +27,9 @@ from vsp.flowsparse import (
     find_contractible_or_witness,
     witness_to_flow,
 )
-from vsp.gen import gen_dumbbell, gen_grid, gen_random_unit, gen_regular, gen_welllinked
+from vsp.gen import (
+    gen_chamber, gen_dumbbell, gen_grid, gen_random_unit, gen_regular, gen_welllinked,
+)
 from vsp.graph import CapGraph, contract, out_edges, subdivide_boundary
 from vsp.params import weak_threshold
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
@@ -40,8 +42,13 @@ from vsp.verify import (
     verify_flow_quality,
 )
 
-from fixtures import chamber_instance, witness1_fixture, witness2_fixture
-from util import flow_router_graph as _flow_instance, rewire_to_terminal, shift_map_line
+from fixtures import witness1_fixture, witness2_fixture
+from util import (
+    derived_router_fields,
+    flow_router_graph as _flow_instance,
+    rewire_to_terminal,
+    shift_map_line,
+)
 
 F = Fraction
 DELTA = F(1, 10**6)
@@ -311,7 +318,7 @@ def test_criterion_8_progress_and_ledgers():
     contractions = 0
     refinements = 0
     for seed, chamber_n in ((5, 140), (6, 150), (7, 135)):
-        g = chamber_instance(seed=seed, chamber_n=chamber_n)
+        g = gen_chamber(seed=seed, chamber_n=chamber_n)
         gp, cmap = contract(g, [])
         out = find_contractible_or_witness(gp, AGG)
         assert out.kind == "contractible"
@@ -418,9 +425,18 @@ def _corruptions(tmpdir, g, sp_prefix, sp):
     def raise_quality(payload):
         payload["quality"] = str(Fraction(payload["quality"]) + 1)
 
-    def null_wl_alpha(payload):
-        cert = next(c for c in payload["certificates"] if c["wl_alpha"] is not None)
-        cert["wl_alpha"] = None
+    # the fields a certificate used to store next to its witness: each one
+    # is now derived from G and the cluster, so putting a wrong value back
+    # into the sidecar must be rejected
+    def readd_wl_alpha(payload):
+        payload["certificates"][0]["wl_alpha"] = None
+
+    def readd_hairpin(payload):
+        boundary = derived_router_fields(sp.unit_graph, sp.certificates[0].members)["boundary"]
+        payload["certificates"][0]["hairpin"] = {str(boundary[0]): "1"}
+
+    def readd_size_bound_met(payload):
+        payload["size_bound_met"] = not sp.size_bound_met
 
     yield "drop-edge", lambda: edit_graph(drop_edge)
     yield "double-capacity", lambda: edit_graph(double_capacity)
@@ -429,8 +445,11 @@ def _corruptions(tmpdir, g, sp_prefix, sp):
     yield "rewire-to-terminal", lambda: edit_graph(rewire_to_terminal)
     yield "raise-quality", lambda: edit_json(raise_quality)
     yield "edit-map-line", lambda: edit_graph(shift_map_line)
-    if any(c.wl_alpha is not None for c in getattr(sp, "certificates", ())):
-        yield "null-wl-alpha", lambda: edit_json(null_wl_alpha)
+    if isinstance(sp, RouterSparsifier):
+        yield "readd-size-bound-met", lambda: edit_json(readd_size_bound_met)
+        if sp.certificates:
+            yield "readd-wl-alpha", lambda: edit_json(readd_wl_alpha)
+            yield "readd-hairpin", lambda: edit_json(readd_hairpin)
 
 
 def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):
@@ -463,25 +482,16 @@ def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):
             arcs = dict(cert.commodity_arcs[src])
             key = next(iter(arcs))
             arcs[key] = arcs[key] + 1
-            variants.append(("flow+1", {**cert.commodity_arcs, src: arcs}, cert.hairpin, cert.members))
+            variants.append(("flow+1", {**cert.commodity_arcs, src: arcs}, cert.members))
             arcs2 = dict(cert.commodity_arcs)
             del arcs2[src]
-            variants.append(("drop-commodity", arcs2, cert.hairpin, cert.members))
-        if cert.hairpin:
-            hp = dict(cert.hairpin)
-            k0 = next(iter(hp))
-            hp[k0] = hp[k0] + 1
-            variants.append(("hairpin+1", cert.commodity_arcs, hp, cert.members))
+            variants.append(("drop-commodity", arcs2, cert.members))
         if len(cert.members) > 1:
             variants.append(
-                ("drop-member", cert.commodity_arcs, cert.hairpin,
-                 frozenset(sorted(cert.members)[1:]))
+                ("drop-member", cert.commodity_arcs, frozenset(sorted(cert.members)[1:]))
             )
-        for name, arcs, hp, members in variants:
-            bad = RouterCertificate(
-                members, cert.boundary, cert.z, cert.eta, cert.wl_alpha,
-                cert.wl_source, arcs, hp,
-            )
+        for name, arcs, members in variants:
+            bad = RouterCertificate(members, cert.eta, arcs)
             old = sp.certificates[0]
             sp.certificates[0] = bad
             total += 1

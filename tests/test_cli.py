@@ -10,7 +10,7 @@ from vsp.graph import read_graph
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
 
-from util import rewire_to_terminal
+from util import edit_sidecar, rewire_to_terminal
 
 
 def run(args, capsys):
@@ -88,6 +88,24 @@ def test_verify_sabotaged_exits_one(tmp_path, capsys):
     hfile.write_text("\n".join(lines) + "\n")
     code, _, err = run(["verify", str(g), str(tmp_path / "h"), "--mode", "cut"], capsys)
     assert code in (1, 2)  # caught as mismatch or as a quality violation
+
+
+def test_verify_fan_out_on_unknown_edge_exits_one(tmp_path, capsys):
+    # the recheck reports the stray arc; the sampled rerouting must not
+    # follow it into G
+    g = tmp_path / "g.vsp"
+    run(["gen", "grid", "--rows", "4", "--cols", "4", "--k", "4", "--seed", "1",
+         "--out", str(g)], capsys)
+    assert run(["build", str(g), "--mode", "flow", "--out", str(tmp_path / "h")], capsys)[0] == 0
+
+    def move_arc(payload):
+        fan_out = next(iter(payload["certificates"][0]["commodities"].values()))
+        fan_out["999:0"] = fan_out.pop(min(fan_out))
+
+    edit_sidecar(str(tmp_path / "h"), move_arc)
+    code, out, _ = run(["verify", str(g), str(tmp_path / "h"), "--mode", "flow"], capsys)
+    assert code == 1
+    assert "outside the cluster" in out
 
 
 def test_verify_rewired_sparsifier_exits_two(tmp_path, capsys):

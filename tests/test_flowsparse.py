@@ -14,6 +14,7 @@ from vsp.flowsparse import (
     find_contractible_or_witness,
     is_good_router,
 )
+from vsp.gen import gen_chamber
 from vsp.graph import CapGraph, contract, out_edges
 from vsp.routing import DemandSet, min_congestion_routing
 from vsp.verify import (
@@ -22,8 +23,6 @@ from vsp.verify import (
     reroute_through_clusters,
     verify_flow_quality,
 )
-
-from fixtures import chamber_instance
 
 F = Fraction
 AGG = FlowParams(profile="aggressive")
@@ -129,7 +128,7 @@ def test_unit_builder_certificates_and_quality():
 
 
 def test_contraction_loop_on_chamber():
-    g = chamber_instance()
+    g = gen_chamber(seed=5)
     params = FlowParams(profile="aggressive", precheck_router=False)
     sp = build_flow_sparsifier_well_linked(g, params)
     assert sp.size_bound_met
@@ -140,7 +139,7 @@ def test_contraction_loop_on_chamber():
 
 
 def test_find_contractible_on_chamber():
-    g = chamber_instance()
+    g = gen_chamber(seed=5)
     gp, cmap = contract(g, [])
     out = find_contractible_or_witness(gp, AGG)
     assert out.kind == "contractible"
@@ -158,7 +157,7 @@ def test_find_contractible_on_chamber():
 
 
 def test_balanced_cut_refinement_properties():
-    g = chamber_instance(seed=9, body_n=30, chamber_n=80, k=6)
+    g = gen_chamber(seed=9, body_n=30, chamber_n=80, k=6)
     gp, _ = contract(g, [])
     interior = frozenset(v for v in gp.vertices if not gp.is_terminal(v))
     r = AGG.r(gp.k)

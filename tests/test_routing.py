@@ -13,10 +13,8 @@ from vsp.routing import (
     _commodities,
     _lp_rows,
     min_congestion_routing,
-    read_demands,
     uniform_exchange_demands,
     uniform_router_check,
-    write_demands,
 )
 
 from util import random_unit_graph, reference_lp_rows
@@ -114,13 +112,6 @@ def test_gamma_restriction_metadata():
     dem = DemandSet.from_map({(1, 2): 1, (1, 3): F(1, 2), (2, 3): F(1, 4)})
     assert dem.gamma == F(3, 2)
     assert dem.total_at(3) == F(3, 4)
-
-
-def test_demand_roundtrip(tmp_path):
-    dem = DemandSet.from_map({(1, 2): F(3, 2), (2, 5): 1})
-    p = tmp_path / "d.txt"
-    write_demands(dem, p)
-    assert read_demands(p).pairs == dem.pairs
 
 
 def test_router_check_star():

@@ -3,14 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from vsp import cli
 from vsp.cutsparse import build_cut_sparsifier, build_cut_sparsifier_unit
 from vsp.errors import InputError
-from vsp.flowsparse import FlowParams, build_flow_sparsifier, build_flow_sparsifier_unit
+from vsp.flowsparse import (
+    FlowParams,
+    RouterSparsifier,
+    build_flow_sparsifier,
+    build_flow_sparsifier_unit,
+)
 from vsp.gen import gen_dumbbell, gen_grid
-from vsp.graph import CapGraph
+from vsp.graph import CapGraph, write_graph
 from vsp.serialize import load_sparsifier, save_sparsifier
 
-from util import rewire_to_terminal, shift_map_line
+from util import derived_router_fields, edit_sidecar, rewire_to_terminal, shift_map_line
 
 F = Fraction
 AGG = FlowParams(profile="aggressive")
@@ -49,6 +55,8 @@ def test_roundtrip_rebuilds_the_saved_sparsifier(tmp_path, built):
         assert sp2.graph.terminals == sp.graph.terminals
         assert sp2.cmap.clusters == sp.cmap.clusters
         assert sp2.quality == sp.quality and sp2.eps_input == sp.eps_input
+        if isinstance(sp, RouterSparsifier):
+            assert sp.size_bound_met is not None and sp2.size_bound_met is None
         save_sparsifier(sp2, prefix)
         assert [open(p, "rb").read() for p in paths] == before
 
@@ -92,3 +100,89 @@ def test_load_rejects_corrupted_files(tmp_path, built, corruption):
         path.write_text(edit(path.read_text()))
         with pytest.raises(InputError):
             load_sparsifier(g, prefix)
+
+
+def _schema_leaves(node, path=(), at=(), collapse=False):
+    """(schema path, concrete path, value) of every scalar in a sidecar.
+    The schema path collapses list indices to "[]" and, below
+    `commodities`, every key to "*"."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _schema_leaves(
+                child, path + ("*" if collapse else key,), at + (key,),
+                collapse or key == "commodities",
+            )
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _schema_leaves(child, path + ("[]",), at + (i,), collapse)
+    else:
+        yield path, at, node
+
+
+def _mutated(value):
+    if isinstance(value, bool):
+        return not value
+    if value is None:
+        return "1"
+    if isinstance(value, int):
+        return value + 1
+    try:
+        return str(F(value) + 1)
+    except ValueError:
+        return value + "-edited"
+
+
+def _set(payload, at, value):
+    for step in at[:-1]:
+        payload = payload[step]
+    payload[at[-1]] = value
+
+
+def _verify_exit(tmp_path, name, g, sp, edit):
+    """Save `sp`, apply `edit` to its parsed sidecar and return the exit code
+    of `vsp verify` on the pair."""
+    gpath, prefix = str(tmp_path / f"{name}.vsp"), str(tmp_path / f"{name}.sp")
+    write_graph(g, gpath)
+    save_sparsifier(sp, prefix)
+    edit_sidecar(prefix, edit)
+    mode = "flow" if isinstance(sp, RouterSparsifier) else "cut"
+    return cli.main(["verify", gpath, prefix, "--mode", mode, "--samples", "1"])
+
+
+def test_verify_rejects_every_schema_path_edit(tmp_path, built, capsys):
+    # one type-directed edit at the first occurrence of every schema path;
+    # a field added to the sidecar later is covered without a new case
+    for name, g, sp in built:
+        save_sparsifier(sp, str(tmp_path / "probe"))
+        payload = json.loads((tmp_path / "probe.cert.json").read_text())
+        first = {}
+        for path, at, value in _schema_leaves(payload):
+            first.setdefault(path, (at, value))
+        assert ("quality",) in first and ("clusters", "[]", "[]") in first
+        if isinstance(sp, RouterSparsifier):
+            assert ("certificates", "[]", "commodities", "*", "*") in first
+        for path, (at, value) in sorted(first.items()):
+            code = _verify_exit(tmp_path, name, g, sp, lambda p: _set(p, at, _mutated(value)))
+            assert code in (cli.EXIT_VERIFY_FAIL, cli.EXIT_INPUT), (name, path)
+    capsys.readouterr()
+
+
+REMOVED_TOP_KEYS = {"params": {"profile": "aggressive"}, "size_bound_met": True}
+
+
+def test_load_rejects_readded_keys(tmp_path, built, capsys):
+    # fields the sidecar no longer holds are not accepted back, not even
+    # with the values G and the clusters give them
+    for name, g, sp in built:
+        for key, value in REMOVED_TOP_KEYS.items():
+            code = _verify_exit(tmp_path, name, g, sp, lambda p: p.update({key: value}))
+            assert code == cli.EXIT_INPUT, (name, key)
+        if not isinstance(sp, RouterSparsifier):
+            continue
+        fields = derived_router_fields(sp.unit_graph, sp.certificates[0].members)
+        for key, value in fields.items():
+            code = _verify_exit(
+                tmp_path, name, g, sp, lambda p: p["certificates"][0].update({key: value})
+            )
+            assert code == cli.EXIT_INPUT, (name, key)
+    capsys.readouterr()

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from vsp.cutsparse import build_cut_sparsifier_unit
+from vsp.errors import InputError
 from vsp.flowsparse import (
     FlowParams,
     RouterCertificate,
+    assemble_flow_sparsifier,
     build_flow_sparsifier,
     build_flow_sparsifier_unit,
 )
-from vsp.graph import CapGraph
-from vsp.routing import DemandSet, min_congestion_routing
+from vsp.graph import CapGraph, subdivide_boundary
+from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
+from vsp.serialize import load_sparsifier, save_sparsifier
 from vsp.verify import (
     _bipartitions,
     recheck_router_certificates,
@@ -25,7 +28,7 @@ from vsp.verify import (
     verify_flow_quality,
 )
 
-from util import random_unit_graph
+from util import derived_router_fields, edit_sidecar, random_unit_graph
 
 F = Fraction
 AGG = FlowParams(profile="aggressive")
@@ -147,11 +150,9 @@ def test_router_recheck_detects_flow_perturbation():
     arcs = dict(cert.commodity_arcs[src])
     key = next(iter(arcs))
     arcs[key] = arcs[key] + 1  # one flow value nudged up
-    bad = RouterCertificate(
-        cert.members, cert.boundary, cert.z, cert.eta, cert.wl_alpha,
-        cert.wl_source, {**cert.commodity_arcs, src: arcs}, cert.hairpin,
+    sp.certificates[0] = dataclasses.replace(
+        cert, commodity_arcs={**cert.commodity_arcs, src: arcs}
     )
-    sp.certificates[0] = bad
     rep = recheck_router_certificates(sp)
     assert not rep["ok"]
     assert any("router-flows" == name and not ok for name, ok, _ in rep["checks"])
@@ -165,18 +166,63 @@ def _router_flows_failed(sp, cert):
     )
 
 
+def _readd(tmp_path, sp, **fields):
+    """Save `sp`, put stored fields back into its first sidecar certificate
+    and return the prefix."""
+    prefix = str(tmp_path / "sp")
+    save_sparsifier(sp, prefix)
+    edit_sidecar(prefix, lambda p: p["certificates"][0].update(fields))
+    return prefix
+
+
 @pytest.mark.parametrize("alpha", [None, F(1, 4), F(1, 2)])
-def test_router_recheck_derives_wl_alpha(alpha):
-    # the claim is fixed at 1/3 for z > 1: a certificate that claims less
-    # (or nothing, which used to skip the test) fails the well-linked check
+def test_router_recheck_derives_wl_alpha(tmp_path, alpha):
+    # the claim is fixed at 1/3 for z > 1 and derived by the recheck, so a
+    # sidecar that states an alpha (or null, which used to skip the test) is
+    # not a file save_sparsifier writes
     g = _flow_instance(5)
     sp = build_flow_sparsifier_unit(g, AGG)
-    cert = sp.certificates[0]
-    assert cert.z > 1 and cert.wl_alpha == F(1, 3)
-    sp.certificates[0] = dataclasses.replace(cert, wl_alpha=alpha)
+    assert subdivide_boundary(g, sp.certificates[0].members).z > 1
+    assert ("well-linked", True, "all clusters 1/3-well-linked") in (
+        recheck_router_certificates(sp)["checks"]
+    )
+    prefix = _readd(tmp_path, sp, wl_alpha=None if alpha is None else str(alpha))
+    with pytest.raises(InputError):
+        load_sparsifier(g, prefix)
+
+
+def test_router_recheck_tests_well_linkedness():
+    # a path with a pendant on every vertex routes the uniform exchange at
+    # congestion 4, but its middle edge cuts 1 against 4 boundary edges: the
+    # flows recheck and the derived 1/3 well-linkedness test fails
+    n = 8
+    g = CapGraph(
+        list(range(1, n + 1)) + [100 + v for v in range(1, n + 1)],
+        [(v, v + 1, 1) for v in range(1, n)] + [(v, 100 + v, 1) for v in range(1, n + 1)],
+        [100 + v for v in range(1, n + 1)],
+    )
+    members = frozenset(range(1, n + 1))
+    ok, res, inst = uniform_router_check(g, members)
+    assert ok
+    emap = dict(inst.inner_edge_of)
+    emap.update({inst.pendant_edge(t).eid: inst.pendant_of[t] for t in inst.terminals})
+    arcs = {
+        inst.pendant_of[t]: {(emap[e], d): v for (e, d), v in flows.items()}
+        for t, flows in res.commodity_arcs.items()
+    }
+    sp = assemble_flow_sparsifier(g, None, [RouterCertificate(members, res.eta, arcs)])
     rep = recheck_router_certificates(sp)
-    assert not rep["ok"]
     assert [name for name, ok, _ in rep["checks"] if not ok] == ["well-linked"]
+
+
+def test_recheck_budget_reaches_the_well_linked_test():
+    g = _flow_instance(5)
+    sp = build_flow_sparsifier_unit(g, AGG)
+    assert subdivide_boundary(g, sp.certificates[0].members).z > 1
+    wl = {name: detail for name, _ok, detail in recheck_router_certificates(sp, budget=1)["checks"]}
+    assert "cluster 0: skipped (budget)" in wl["well-linked"]
+    wl = {name: detail for name, _ok, detail in recheck_router_certificates(sp)["checks"]}
+    assert "skipped" not in wl["well-linked"]
 
 
 def test_router_recheck_detects_dropped_commodity():
@@ -188,29 +234,51 @@ def test_router_recheck_detects_dropped_commodity():
     assert _router_flows_failed(sp, dataclasses.replace(cert, commodity_arcs=arcs))
 
 
+def test_router_recheck_requires_the_exact_eta():
+    # eta is the congestion the stored flows attain, not just a bound on it
+    g = _flow_instance(5)
+    sp = build_flow_sparsifier_unit(g, AGG)
+    cert = sp.certificates[0]
+    assert _router_flows_failed(sp, dataclasses.replace(cert, eta=cert.eta + 1))
+    # a cluster with z <= 1 exchanges nothing: eta 0 and no flows
+    leaf = CapGraph([1, 2, 10, 11], [(1, 2, 1), (1, 10, 1), (1, 11, 1)], [10, 11])
+    for stored in (RouterCertificate(frozenset({2}), F(0), {}),
+                   RouterCertificate(frozenset({2}), F(1), {}),
+                   RouterCertificate(frozenset({2}), F(0), {0: {(0, 0): F(1)}})):
+        rep = recheck_router_certificates(assemble_flow_sparsifier(leaf, None, [stored]))
+        assert rep["ok"] == (stored.eta == 0 and not stored.commodity_arcs)
+
+
 def _capacitated_router():
     core = [(u, v, 2) for u in range(1, 5) for v in range(u + 1, 5)]
     core += [(1, 10, 1), (2, 11, 1), (3, 12, 2)]
     g = CapGraph(list(range(1, 5)) + [10, 11, 12], core, [10, 11, 12])
     sp = build_flow_sparsifier(g, F(1, 2), AGG)
     assert recheck_router_certificates(sp)["ok"]
-    cert = sp.certificates[0]
-    assert cert.z > 1 and len(cert.hairpin) > 1
-    return sp, cert
+    hairpin = derived_router_fields(sp.unit_graph, sp.certificates[0].members)["hairpin"]
+    assert len(hairpin) > 1
+    return g, sp, hairpin
 
 
-def test_router_recheck_detects_dropped_hairpin():
-    sp, cert = _capacitated_router()
-    drop = min(cert.hairpin)
-    hp = {e: v for e, v in cert.hairpin.items() if e != drop}
-    assert _router_flows_failed(sp, dataclasses.replace(cert, hairpin=hp))
+def test_router_recheck_detects_dropped_hairpin(tmp_path):
+    # hairpin loads are derived from the bundle weights; a sidecar that
+    # stores a map, here one missing an entry, is rejected
+    g, sp, hairpin = _capacitated_router()
+    drop = min(hairpin)
+    hp = {e: v for e, v in hairpin.items() if e != drop}
+    with pytest.raises(InputError):
+        load_sparsifier(g, _readd(tmp_path, sp, hairpin=hp))
 
 
-def test_router_recheck_reports_stray_hairpin():
-    sp, cert = _capacitated_router()
-    inner = next(e.eid for e in sp.unit_graph.edges if e.eid not in cert.boundary)
-    hp = {**cert.hairpin, inner: F(1)}
-    assert _router_flows_failed(sp, dataclasses.replace(cert, hairpin=hp))
+def test_router_recheck_reports_stray_hairpin(tmp_path):
+    g, sp, hairpin = _capacitated_router()
+    inner = next(
+        e.eid for e in sp.unit_graph.edges
+        if e.u in sp.certificates[0].members and e.v in sp.certificates[0].members
+    )
+    hp = {**hairpin, str(inner): "1"}
+    with pytest.raises(InputError):
+        load_sparsifier(g, _readd(tmp_path, sp, hairpin=hp))
 
 
 def test_router_recheck_detects_membership_corruption():
@@ -221,11 +289,7 @@ def test_router_recheck_detects_membership_corruption():
     moved.discard(min(moved))
     if not moved:
         pytest.skip("single-vertex cluster")
-    bad = RouterCertificate(
-        frozenset(moved), cert.boundary, cert.z, cert.eta, cert.wl_alpha,
-        cert.wl_source, cert.commodity_arcs, cert.hairpin,
-    )
-    sp.certificates[0] = bad
+    sp.certificates[0] = dataclasses.replace(cert, members=frozenset(moved))
     rep = recheck_router_certificates(sp)
     assert not rep["ok"]
 

@@ -4,6 +4,7 @@ oracles kept deliberately independent of the library's solvers."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -323,3 +324,35 @@ def shift_map_line(lines: list[str]) -> None:
     toks = lines[i].split()
     toks[1] = str(int(toks[1]) + 1)
     lines[i] = " ".join(toks)
+
+
+def edit_sidecar(prefix: str, edit) -> None:
+    """Apply `edit` to the parsed JSON sidecar saved under `prefix` and write
+    it back in save_sparsifier's layout (indent 1, sorted keys, trailing
+    newline), so only the edited content differs."""
+    path = f"{prefix}.cert.json"
+    with open(path) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+def derived_router_fields(g: CapGraph, members) -> dict:
+    """The per-certificate fields that G and the cluster determine, in the
+    sidecar encoding older files stored them in: members, boundary edge ids,
+    boundary capacity z, the 1/3 well-linkedness claim and its source, and
+    the hairpin load 2 w (w - 1) / z of every boundary edge with w > 1."""
+    boundary = brute_force_out(g, members)
+    caps = {e.eid: e.cap for e in g.edges}
+    z = sum((caps[e] for e in boundary), Fraction(0))
+    return {
+        "members": sorted(members),
+        "boundary": boundary,
+        "z": str(z),
+        "wl_alpha": "1/3" if z > 1 else None,
+        "wl_source": "exact" if z > 1 else "trivial",
+        "hairpin": {
+            str(e): str(2 * caps[e] * (caps[e] - 1) / z) for e in boundary if caps[e] > 1
+        },
+    }
