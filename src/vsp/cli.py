@@ -1,8 +1,8 @@
 """Command-line front end: build, verify, gen, inspect.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
-3 budget refusal.  Every flag can be overridden by an environment variable
-with the VSP_ prefix (VSP_MODE, VSP_EPS, ...).
+3 budget refusal.  `vsp verify` checks the sparsifier as the file's `kind`
+says it was built; `--mode` only asserts that kind, and a mismatch exits 2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,15 @@ from fractions import Fraction
 from . import gen as genmod
 from .cutsparse import build_cut_sparsifier, build_cut_sparsifier_unit
 from .errors import BudgetExceeded, VspError
-from .flowsparse import ETA_STAR, FlowParams, build_flow_sparsifier, build_flow_sparsifier_unit
+from .flowsparse import (
+    AGGRESSIVE_F_GROWTH,
+    AGGRESSIVE_R,
+    ETA_STAR,
+    FlowParams,
+    RouterSparsifier,
+    build_flow_sparsifier,
+    build_flow_sparsifier_unit,
+)
 from .graph import read_graph, write_graph
 from .serialize import load_sparsifier, save_sparsifier
 from .sparsecut import DEFAULT_ENUM_BUDGET
@@ -33,49 +41,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _env_default(name: str, default):
-    return os.environ.get(f"VSP_{name.upper().replace('-', '_')}", default)
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
-    p.add_argument("--out", default=_env_default("out", None))
-    p.add_argument(
-        "--budget-exp", type=int, default=int(_env_default("budget_exp", DEFAULT_ENUM_BUDGET)),
-        help="boundary-bundle budget for exact exponential procedures",
-    )
-    p.add_argument(
-        "--budget-enum", type=int,
-        default=int(_env_default("budget_enum", DEFAULT_CUT_ENUM_BUDGET)),
-        help="terminal-count budget for exhaustive cut verification",
-    )
-    p.add_argument("--delta", type=float, default=float(_env_default("delta", 1e-6)))
-
-
-def _params(args) -> FlowParams:
-    return FlowParams(
-        profile=args.profile,
-        c_beta=Fraction(str(args.c_beta)),
-        c_f=args.c_f,
-        r_override=args.r,
-        enum_budget=args.budget_exp,
-        precheck_router=not getattr(args, "no_precheck", False),
-    )
-
-
-def _header(args, params: FlowParams | None = None) -> str:
-    bits = [f"profile={getattr(args, 'profile', '-')}", f"seed={args.seed}",
-            f"budget_exp={args.budget_exp}", f"budget_enum={args.budget_enum}",
-            f"delta={args.delta}"]
-    if params is not None:
-        bits.append(f"eta_star={ETA_STAR}")
-        bits.append(f"c_beta={params.c_beta}")
-        if params.profile == "aggressive":
-            bits.append(f"r={params.r(8)} c_f={params.c_f}")
-        bits.append("beta_rule=max(1,c_beta*log2 k)")
-    return "# vsp " + " ".join(bits)
-
-
 def _fail(code: int, kind: str, message: str) -> int:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return code
@@ -88,8 +53,12 @@ def cmd_build(args) -> int:
         return _fail(EXIT_INPUT, "parse", str(exc))
     except OSError as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
-    params = _params(args)
-    print(_header(args, params))
+    params = FlowParams(profile=args.profile, enum_budget=args.budget_exp,
+                        precheck_router=not args.no_precheck)
+    bits = [f"profile={args.profile}", f"budget_exp={args.budget_exp}", f"eta_star={ETA_STAR}"]
+    if args.profile == "aggressive":
+        bits.append(f"r={AGGRESSIVE_R} f_growth={AGGRESSIVE_F_GROWTH}")
+    print("# vsp " + " ".join(bits + ["beta_rule=max(1,log2 k)"]))
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
     try:
         if args.mode == "cut":
@@ -133,9 +102,14 @@ def cmd_verify(args) -> int:
         sp = load_sparsifier(g, args.sparsifier)
     except (VspError, OSError) as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
-    print(_header(args))
+    kind = "flow" if isinstance(sp, RouterSparsifier) else "cut"
+    if args.mode is not None and args.mode != kind:
+        return _fail(EXIT_INPUT, "input",
+                     f"--mode {args.mode} given for a sparsifier of kind {kind!r}")
+    print(f"# vsp mode={kind} seed={args.seed} budget_exp={args.budget_exp} "
+          f"budget_enum={args.budget_enum} delta={args.delta}")
     delta = Fraction(str(args.delta))
-    if args.mode == "cut":
+    if kind == "cut":
         rep = verify_cut_quality(g, sp.graph, enum_budget=args.budget_enum, seed=args.seed)
         ok = rep.ok and rep.q_observed <= sp.quality
         if rep.q_observed > sp.quality:
@@ -171,12 +145,12 @@ def cmd_gen(args) -> int:
         v = getattr(args, field, None)
         if v is not None:
             kw[field] = v
+    out = args.out or f"{args.family}-{args.seed}.vsp"
     try:
         g = genmod.generate(args.family, seed=args.seed, **kw)
-    except VspError as exc:
+        write_graph(g, out)
+    except (VspError, OSError) as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
-    out = args.out or f"{args.family}-{args.seed}.vsp"
-    write_graph(g, out)
     print(json.dumps({"family": args.family, "n": g.n, "m": g.m, "k": g.k, "file": out}))
     return EXIT_OK
 
@@ -186,6 +160,8 @@ def cmd_inspect(args) -> int:
         g = read_graph(args.input, require_min_capacity=False)
     except VspError as exc:
         return _fail(EXIT_INPUT, "parse", str(exc))
+    except OSError as exc:
+        return _fail(EXIT_INPUT, "input", str(exc))
     info = {
         "n": g.n,
         "m": g.m,
@@ -199,46 +175,51 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _add_budget_exp(p: argparse.ArgumentParser):
+    p.add_argument("--budget-exp", type=int, default=DEFAULT_ENUM_BUDGET,
+                   help="boundary-bundle budget for exact exponential procedures")
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vsp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a sparsifier")
     b.add_argument("input")
-    b.add_argument("--mode", choices=("cut", "flow"), default=_env_default("mode", "cut"))
-    b.add_argument("--eps", default=_env_default("eps", None))
-    b.add_argument("--profile", choices=("theoretical", "aggressive"),
-                   default=_env_default("profile", "theoretical"))
-    b.add_argument("--c-beta", default=_env_default("c_beta", "1"))
-    b.add_argument("--c-f", type=int, default=int(_env_default("c_f", 4)))
-    b.add_argument("--r", type=int, default=None)
+    b.add_argument("--mode", choices=("cut", "flow"), default="cut")
+    b.add_argument("--eps", default=None)
+    b.add_argument("--profile", choices=("theoretical", "aggressive"), default="theoretical")
     b.add_argument("--no-precheck", action="store_true",
                    help="skip the up-front router check (forces the loop)")
-    _add_common(b)
+    b.add_argument("--out", default=None)
+    _add_budget_exp(b)
     b.set_defaults(fn=cmd_build)
 
     v = sub.add_parser("verify", help="verify a sparsifier against its source graph")
     v.add_argument("input")
     v.add_argument("sparsifier", help="path prefix written by build")
-    v.add_argument("--mode", choices=("cut", "flow"), default=_env_default("mode", "cut"))
-    v.add_argument("--samples", type=int, default=int(_env_default("samples", 3)))
-    _add_common(v)
+    v.add_argument("--mode", choices=("cut", "flow"), default=None,
+                   help="the kind the sparsifier must have (it is read from the file)")
+    v.add_argument("--samples", type=int, default=3)
+    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--out", default=None)
+    _add_budget_exp(v)
+    v.add_argument("--budget-enum", type=int, default=DEFAULT_CUT_ENUM_BUDGET,
+                   help="terminal-count budget for exhaustive cut verification")
+    v.add_argument("--delta", type=float, default=1e-6)
     v.set_defaults(fn=cmd_verify)
 
     gn = sub.add_parser("gen", help="generate a seeded instance")
     gn.add_argument("family", choices=genmod.FAMILIES)
-    for field, typ in (
-        ("n", int), ("m", int), ("k", int), ("rows", int), ("cols", int),
-        ("side", int), ("d", int), ("cap-max", int), ("body-n", int),
-        ("chamber-n", int), ("attach", int), ("extra", int),
-    ):
-        gn.add_argument(f"--{field}", type=typ, default=None)
-    _add_common(gn)
+    for field in ("n", "m", "k", "rows", "cols", "side", "d", "cap-max", "body-n",
+                  "chamber-n", "attach", "extra"):
+        gn.add_argument(f"--{field}", type=int, default=None)
+    gn.add_argument("--seed", type=int, default=0)
+    gn.add_argument("--out", default=None)
     gn.set_defaults(fn=cmd_gen)
 
     i = sub.add_parser("inspect", help="print instance statistics")
     i.add_argument("input")
-    _add_common(i)
     i.set_defaults(fn=cmd_inspect)
     return ap
 

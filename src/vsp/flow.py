@@ -20,11 +20,12 @@ Callers state only the arcs of their own construction.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .graph import CapGraph
@@ -376,6 +377,41 @@ class TerminalCuts:
         value = net.max_flow(net.source, net.sink)
         side_a = net.cut_side()
         return value, CutCertificate(side_a, self._vertices - side_a, value)
+
+
+def bipartitions(
+    terms: Sequence[int], budget: int, seed: int = 0
+) -> tuple[Iterator[tuple[tuple[int, ...], tuple[int, ...]]], bool]:
+    """Terminal bipartitions (side a, side b) with both sides nonempty, as a
+    lazy iterator, and whether they are all of them.  Mask m puts terms[0]
+    and terms[i + 1] for every set bit i on side a; the masks 0 .. total - 1
+    give every split exactly once (mask `total` would leave side b empty).
+    Beyond the budget a seeded sample of 2 budget^2 distinct masks is drawn,
+    unless that many cover every split anyway."""
+    k = len(terms)
+    total = (1 << (k - 1)) - 1
+    want = 2 * budget * budget
+    first, rest = terms[0], terms[1:]
+
+    def split(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        a, b = [first], []
+        for i, t in enumerate(rest):
+            (a if mask >> i & 1 else b).append(t)
+        return tuple(a), tuple(b)
+
+    if k <= budget or want >= total:
+        return map(split, range(total)), True
+
+    def sample():
+        rng = random.Random(seed)
+        seen: set[int] = set()
+        while len(seen) < want:
+            mask = rng.randrange(total)
+            if mask not in seen:
+                seen.add(mask)
+                yield split(mask)
+
+    return sample(), False
 
 
 def max_flow(

@@ -10,11 +10,13 @@ boundary, size above 128 F(boundary)) and re-decomposing them; when instead
 a witness turns up, the whole interior is certified a good router and
 contracted in one step.
 
-Two parameter profiles: "theoretical" uses the published constants (the
-fixpoint r and F growing by 2^16 r^3 log r per halving), under which F(k)
-exceeds any desk-scale n and the builder exits at the decomposition stage;
-"aggressive" shrinks F and r so the contraction loop, witness search and
-recursion actually execute, with quality certified empirically per output.
+Both parameter profiles take the flow-cut gap beta(k) = max(1, log2 k).
+"theoretical" uses the published constants (the fixpoint r and F growing by
+2^16 r^3 log r per halving), under which F(k) exceeds any desk-scale n and the
+builder exits at the decomposition stage; "aggressive" fixes r = 3
+(AGGRESSIVE_R) and lets F grow x4 per halving (AGGRESSIVE_F_GROWTH), so the
+contraction loop, witness search and recursion actually execute, with
+quality certified empirically per output.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .graph import (
     merge_vertices,
     out_edges,
     subdivide_boundary,
+    unit_expand,
 )
-from .params import alpha_weak, beta_fcg, rational_log2
+from .params import beta_fcg, rational_log2, weak_threshold
 from .routing import (
     INFEASIBLE,
     DemandSet,
@@ -46,6 +49,8 @@ from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked, sparsest_cut
 
 ETA_STAR = Fraction(34)
 ONE_THIRD = Fraction(1, 3)
+AGGRESSIVE_R = 3
+AGGRESSIVE_F_GROWTH = 4  # per halving of k
 
 
 # --------------------------------------------------------------------------
@@ -55,9 +60,6 @@ ONE_THIRD = Fraction(1, 3)
 @dataclass
 class FlowParams:
     profile: str = "theoretical"  # "theoretical" | "aggressive"
-    c_beta: Fraction = Fraction(1)
-    c_f: int = 4  # aggressive F growth factor per halving
-    r_override: int | None = None  # aggressive default r
     enum_budget: int = DEFAULT_ENUM_BUDGET
     # with False the well-linked builder skips the up-front router check and
     # enters the contraction loop even on router interiors (witnesses then
@@ -65,23 +67,18 @@ class FlowParams:
     precheck_router: bool = True
     _r_cache: dict[int, int] = field(default_factory=dict)
 
-    def beta(self, k) -> Fraction:
-        return beta_fcg(k, self.c_beta)
-
-    def alpha_w(self, z) -> Fraction:
-        return alpha_weak(z)
-
     def r(self, k: int) -> int:
         """Smallest integer r with r > 24 beta(k*) / alpha_w(k*) for
-        k* = 2 k r log r, found by fixpoint iteration."""
+        k* = 2 k r log r (alpha_w = weak_threshold), found by fixpoint
+        iteration."""
         if self.profile == "aggressive":
-            return self.r_override if self.r_override is not None else 3
+            return AGGRESSIVE_R
         if k in self._r_cache:
             return self._r_cache[k]
         r = 2
         while True:
             kstar = self.k_star(k, r)
-            need = 24 * self.beta(kstar) / self.alpha_w(kstar)
+            need = 24 * beta_fcg(kstar) / weak_threshold(kstar)
             if r > need:
                 break
             r = max(r + 1, int(math.ceil(float(need))))
@@ -94,7 +91,7 @@ class FlowParams:
 
     def growth(self, r: int) -> Fraction:
         if self.profile == "aggressive":
-            return Fraction(self.c_f)
+            return Fraction(AGGRESSIVE_F_GROWTH)
         return Fraction(1 << 16) * r**3 * rational_log2(Fraction(max(2, r)))
 
     def f_size(self, k, r: int | None = None) -> Fraction:
@@ -477,7 +474,7 @@ def balanced_cut_refine(
             or not a_side
             or not b_side
         ):
-            alpha = params.alpha_w(r * quarter_k)
+            alpha = weak_threshold(r * quarter_k)
             w2 = Witness2(
                 frozenset(x), groups, term_star, systems, alpha,
                 "exact" if res.exact else "heuristic", r,
@@ -661,7 +658,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
         witness_families.append(
             {
                 "members": big.members,
-                "alpha": params.alpha_w(kstar),
+                "alpha": weak_threshold(kstar),
                 "alpha_source": "exact" if all(
                     c.source in ("exact", "trivial") for c in dec.clusters
                 ) else "heuristic",
@@ -1079,19 +1076,12 @@ def capacitated_unit_reduction(
     terminal, its bundle vertex list."""
     if not (0 < eps < 1):
         raise ParamError(f"eps must be in (0,1), got {eps}")
-    for e in g.edges:
-        if e.cap < 1:
-            raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
-    cap_bound = g.terminal_capacity()
     scale = 2 * ETA_STAR / eps
-    scaled = []
-    for e in g.edges:
-        c = min(e.cap, cap_bound)
-        c2 = math.ceil(c * scale)
+    g2, expansion = unit_expand(g, 1 / scale)
+    for e, c2 in zip(g.edges, expansion.multiplicity):
+        c = min(e.cap, expansion.cap_bound)
         if not scale * c <= c2 <= (2 * ETA_STAR + eps) / eps * c:
             raise AssertionError("capacity rescaling left its bracket")
-        scaled.append((e.u, e.v, Fraction(c2)))
-    g2 = CapGraph(g.vertices, scaled, g.terminals)
     tset = set(g2.terminals)
     next_v = max(g2.vertices) + 1
     verts = [v for v in g2.vertices if v not in tset]
@@ -1162,9 +1152,7 @@ def assemble_flow_sparsifier(
     else:
         gunit, bundles = capacitated_unit_reduction(g, eps)
         hu, cmap = contract(gunit, clusters)
-        h1 = merge_vertices(
-            hu, [bundles[t] for t in g.terminals], list(g.terminals), as_terminals=True
-        )
+        h1 = merge_vertices(hu, [bundles[t] for t in g.terminals], list(g.terminals))
         back = eps / (2 * ETA_STAR)
         h = CapGraph(h1.vertices, [(e.u, e.v, e.cap * back) for e in h1.edges], g.terminals)
         quality = 2 * ETA_STAR + eps

@@ -124,17 +124,15 @@ def gen_chamber(
 
 
 def gen_capacitated(
-    n: int = 8, k: int = 3, seed: int = 0, cap_max: int = 4, halves: bool = True
+    n: int = 8, k: int = 3, seed: int = 0, cap_max: int = 4
 ) -> CapGraph:
-    """Connected graph with rational capacities in [1, cap_max] and terminals
-    of arbitrary degree."""
+    """Connected graph with capacities in half-units of [1, cap_max] and
+    terminals of arbitrary degree."""
     rng = random.Random(seed)
     verts = list(range(1, n + 1))
 
     def cap():
-        if halves:
-            return Fraction(rng.randint(2, 2 * cap_max), 2)
-        return Fraction(rng.randint(1, cap_max))
+        return Fraction(rng.randint(2, 2 * cap_max), 2)
 
     edges = []
     for i in range(2, n + 1):

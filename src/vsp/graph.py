@@ -347,10 +347,10 @@ def unit_expand(g: CapGraph, eps: Fraction | int | str) -> tuple[CapGraph, UnitE
     return ug, UnitExpansion(eps, cap_bound, tuple(mult))
 
 
-def merge_vertices(g: CapGraph, groups: Sequence[Iterable[int]], names: Sequence[int],
-                   as_terminals: bool = False) -> CapGraph:
-    """Identify each vertex group into a single vertex with the given name.
-    Self-loops created by the merge are dropped; edge order is preserved."""
+def merge_vertices(g: CapGraph, groups: Sequence[Iterable[int]], names: Sequence[int]) -> CapGraph:
+    """Identify each vertex group into a single vertex with the given name;
+    the names are the terminals of the result.  Self-loops created by the
+    merge are dropped; edge order is preserved."""
     vmap: dict[int, int] = {}
     for grp, name in zip(groups, names):
         for v in grp:
@@ -364,11 +364,7 @@ def merge_vertices(g: CapGraph, groups: Sequence[Iterable[int]], names: Sequence
         nu, nv = vmap[e.u], vmap[e.v]
         if nu != nv:
             edges.append((nu, nv, e.cap))
-    if as_terminals:
-        terms = list(dict.fromkeys(names))
-    else:
-        terms = list(dict.fromkeys(vmap[t] for t in g.terminals))
-    return CapGraph(sorted(set(vmap.values())), edges, terms)
+    return CapGraph(sorted(set(vmap.values())), edges, list(dict.fromkeys(names)))
 
 
 # -- text format ------------------------------------------------------------

@@ -23,18 +23,12 @@ def rational_log2(x: Fraction | int) -> Fraction:
     return Fraction(round(math.log2(xf) * _LOG_DEN), _LOG_DEN)
 
 
-def beta_fcg(k: Fraction | int, c_beta: Fraction = Fraction(1)) -> Fraction:
-    """Flow-cut gap rule: max(1, c_beta * log2 k)."""
-    return max(Fraction(1), c_beta * rational_log2(k))
+def beta_fcg(k: Fraction | int) -> Fraction:
+    """Flow-cut gap rule: max(1, log2 k)."""
+    return rational_log2(k)
 
 
 def weak_threshold(z: Fraction | int) -> Fraction:
-    """Sparse-cut threshold for the weak decomposition: 1/(128 log z)."""
+    """Sparse-cut threshold for the weak decomposition: 1/(128 log z).  It is
+    also the well-linkedness level alpha_w that decomposition certifies."""
     return Fraction(1, 128) / rational_log2(z)
-
-
-def alpha_weak(z: Fraction | int, solver_ratio: Fraction = Fraction(1)) -> Fraction:
-    """Well-linkedness level the weak decomposition certifies: the sparse-cut
-    threshold divided by the cut solver's approximation guarantee (1 when the
-    exact solver was used)."""
-    return weak_threshold(z) / solver_ratio

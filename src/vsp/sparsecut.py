@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BudgetExceeded
-from .flow import CutCertificate, TerminalCuts
+from .flow import CutCertificate, TerminalCuts, bipartitions
 from .graph import CapGraph, Cluster, SubdividedInstance, subdivide_boundary
 
 DEFAULT_ENUM_BUDGET = 22
@@ -90,18 +90,11 @@ def sparsest_cut_exact(
         den = lcm(*(w.denominator for _, w in terms))
         wint = [w.numerator * (den // w.denominator) for _, w in terms]
         zint = sum(wint)
-        fixed = terms[0][0]
-        rest = [t for t, _ in terms[1:]]
-        rest_set = frozenset(rest)
-        for mask in range(1 << (nb - 1)):
-            side1, wa = [fixed], wint[0]
-            for i in range(nb - 1):
-                if mask >> i & 1:
-                    side1.append(rest[i])
-                    wa += wint[i + 1]
-            if len(side1) == nb:
-                continue
-            value, cut = cuts.min_cut(side1, rest_set.difference(side1))
+        weight = {t: w for (t, _), w in zip(terms, wint)}
+        splits, _ = bipartitions([t for t, _ in terms], budget)  # exhaustive: nb <= budget
+        for side1, side2 in splits:
+            wa = sum(weight[t] for t in side1)
+            value, cut = cuts.min_cut(side1, side2)
             sparsity = value / Fraction(min(wa, zint - wa), den)
             key = (sparsity, value, tuple(sorted(side1)))
             if best is None or key < best[:3]:
@@ -177,9 +170,10 @@ def _eval_side(inst: SubdividedInstance, side_a: set[int]) -> Fraction | None:
     return value / min(wa, wb)
 
 
-def sparsest_cut_heuristic(inst: SubdividedInstance, local_rounds: int = 4) -> SparsestCut:
-    """Spectral sweep plus greedy single-vertex moves.  The returned cut's
-    sparsity is evaluated exactly; optimality is not guaranteed."""
+def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
+    """Spectral sweep plus up to four rounds of greedy single-vertex moves.
+    The returned cut's sparsity is evaluated exactly; optimality is not
+    guaranteed."""
     terms = _bundle_terms(inst)
     z = inst.z
     if len(terms) == 0 or z <= 1:
@@ -212,7 +206,7 @@ def sparsest_cut_heuristic(inst: SubdividedInstance, local_rounds: int = 4) -> S
         best_side = {terms[0][0]}
         best_sp = _eval_side(inst, best_side)
     # greedy local moves
-    for _ in range(local_rounds):
+    for _ in range(4):
         improved = False
         for v in g.vertices:
             trial = set(best_side)

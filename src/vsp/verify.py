@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
 from .errors import BudgetExceeded, InputError
-from .flow import TerminalCuts, flow_conserves
+from .flow import TerminalCuts, bipartitions, flow_conserves
 from .flowsparse import ETA_STAR, ONE_THIRD, RouterCertificate, RouterSparsifier
 from .graph import CapGraph, make_cluster, subdivide_boundary
 from .routing import INFEASIBLE, DemandSet, min_congestion_routing
@@ -62,35 +62,6 @@ class QualityReport:
         return json.dumps(payload, indent=1)
 
 
-def _bipartitions(terms: list[int], budget: int, seed: int) -> tuple[list[tuple], bool]:
-    """Terminal bipartitions (side a, side b) with both sides nonempty, and
-    whether they are all of them.  Mask m puts terms[0] and terms[i + 1] for
-    every set bit i on side a; the masks 0 .. total - 1 give every split
-    exactly once (mask `total` would leave side b empty).  Beyond the budget
-    a seeded sample of 2 budget^2 distinct masks is drawn, unless that many
-    cover every split anyway."""
-    k = len(terms)
-    total = (1 << (k - 1)) - 1
-    want = 2 * budget * budget
-
-    def split(mask: int) -> tuple:
-        a = [terms[0]] + [terms[i + 1] for i in range(k - 1) if mask >> i & 1]
-        return tuple(a), tuple(t for t in terms if t not in a)
-
-    if k <= budget or want >= total:
-        return [split(mask) for mask in range(total)], True
-    rng = random.Random(seed)
-    seen = set()
-    out = []
-    while len(out) < want:
-        mask = rng.randrange(total)
-        if mask in seen:
-            continue
-        seen.add(mask)
-        out.append(split(mask))
-    return out, False
-
-
 def verify_cut_quality(
     g: CapGraph,
     h: CapGraph,
@@ -107,11 +78,10 @@ def verify_cut_quality(
         rep.q_observed = Fraction(1)
         rep.flags["exhaustive"] = True
         return rep
-    splits, exhaustive = _bipartitions(terms, enum_budget, seed)
+    splits, exhaustive = bipartitions(terms, enum_budget, seed)
     rep.flags["exhaustive"] = exhaustive
     if not exhaustive:
         rep.flags["non_exhaustive"] = True
-    rep.flags["tests"] = len(splits)
     cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
     worst = Fraction(1)
     for i, (ta, tb) in enumerate(splits):
@@ -133,6 +103,7 @@ def verify_cut_quality(
         )
         if ratio is not None:
             worst = max(worst, ratio)
+    rep.flags["tests"] = len(rep.records)
     rep.q_observed = worst
     return rep
 
@@ -147,7 +118,7 @@ def verify_cut_projection(g_unit: CapGraph, sp: CutSparsifier, seed: int = 0,
     if len(terms) < 2:
         rep.q_observed = Fraction(1)
         return rep
-    splits, exhaustive = _bipartitions(terms, enum_budget, seed)
+    splits, exhaustive = bipartitions(terms, enum_budget, seed)
     rep.flags["exhaustive"] = exhaustive
     clusters = sp.cluster_sets()
     cuts_g, cuts_h = TerminalCuts(g_unit, terms), TerminalCuts(sp.graph, terms)

@@ -1,5 +1,6 @@
+import contextlib
+import io
 import json
-import os
 import subprocess
 import sys
 
@@ -162,16 +163,6 @@ def test_budget_refusal_exit_three(tmp_path, capsys):
     assert code == 3
 
 
-def test_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VSP_SEED", "17")
-    g1 = tmp_path / "a.vsp"
-    run(["gen", "regular", "--n", "8", "--k", "3", "--out", str(g1)], capsys)
-    monkeypatch.delenv("VSP_SEED")
-    g2 = tmp_path / "b.vsp"
-    run(["gen", "regular", "--n", "8", "--k", "3", "--seed", "17", "--out", str(g2)], capsys)
-    assert g1.read_bytes() == g2.read_bytes()
-
-
 def test_build_byte_identical(tmp_path, capsys):
     g = tmp_path / "g.vsp"
     run(["gen", "grid", "--rows", "3", "--cols", "3", "--k", "4", "--seed", "4",
@@ -190,3 +181,60 @@ def test_console_entrypoint():
         [sys.executable, "-m", "vsp.cli", "gen", "--help"], capture_output=True, text=True
     )
     assert out.returncode == 0
+
+
+@pytest.fixture(scope="module")
+def grid_builds(tmp_path_factory):
+    """The 4x4 grid with 4 terminals, built once in each mode."""
+    d = tmp_path_factory.mktemp("grid")
+    g = str(d / "g.vsp")
+    argvs = [
+        ["gen", "grid", "--rows", "4", "--cols", "4", "--k", "4", "--seed", "1", "--out", g],
+        ["build", g, "--mode", "cut", "--out", str(d / "cut")],
+        ["build", g, "--mode", "flow", "--out", str(d / "flow")],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [main(a) for a in argvs] == [0, 0, 0]
+    return g, str(d / "cut"), str(d / "flow")
+
+
+@pytest.mark.parametrize("built,mode", [("cut", "flow"), ("flow", "cut")])
+def test_verify_mode_mismatch_exits_two(grid_builds, capsys, built, mode):
+    g, cut, flow = grid_builds
+    code, out, err = run(["verify", g, {"cut": cut, "flow": flow}[built], "--mode", mode],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+    assert repr(built) in json.loads(err)["message"]
+
+
+def test_verify_flow_file_without_mode_rechecks_certificates(grid_builds, capsys):
+    g, _cut, flow = grid_builds
+    code, out, _ = run(["verify", g, flow], capsys)
+    assert code == 0
+    header, report = out.split("\n", 1)
+    assert header.startswith("# vsp mode=flow ")
+    assert json.loads(report)["budget_flags"]["certificates"] == "ok"
+
+
+def test_verify_ignores_vsp_environment(grid_builds, capsys, monkeypatch):
+    monkeypatch.setenv("VSP_MODE", "flow")
+    g, cut, _flow = grid_builds
+    code, out, _ = run(["verify", g, cut], capsys)
+    assert code == 0
+    assert json.loads(out.split("\n", 1)[1])["mode"] == "cut"
+
+
+def test_inspect_missing_input_exits_two(tmp_path, capsys):
+    code, out, err = run(["inspect", str(tmp_path / "missing.vsp")], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_gen_into_missing_directory_exits_two(tmp_path, capsys):
+    code, out, err = run(["gen", "grid", "--out", str(tmp_path / "no" / "g.vsp")], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"

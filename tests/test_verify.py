@@ -10,6 +10,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from vsp.cutsparse import build_cut_sparsifier_unit
 from vsp.errors import InputError
+from vsp.flow import bipartitions
 from vsp.flowsparse import (
     FlowParams,
     RouterCertificate,
@@ -21,7 +22,6 @@ from vsp.graph import CapGraph, subdivide_boundary
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.serialize import load_sparsifier, save_sparsifier
 from vsp.verify import (
-    _bipartitions,
     recheck_router_certificates,
     reroute_through_clusters,
     verify_cut_quality,
@@ -85,7 +85,8 @@ def _deadline(seconds):
 def test_bipartitions_property(k, budget, seed):
     terms = list(range(100, 100 + k))
     with _deadline(1):
-        splits, exhaustive = _bipartitions(terms, budget, seed)
+        splits, exhaustive = bipartitions(terms, budget, seed)
+        splits = list(splits)
     total = 2 ** (k - 1) - 1
     assert len(splits) == (total if exhaustive else 2 * budget * budget)
     assert exhaustive == (k <= budget or 2 * budget * budget >= total)
@@ -99,7 +100,8 @@ def test_bipartitions_sample_has_no_empty_side_and_reaches_mask_zero():
     terms = list(range(1, 11))
     isolated_first = 0
     for seed in range(200):
-        splits, exhaustive = _bipartitions(terms, 9, seed)
+        splits, exhaustive = bipartitions(terms, 9, seed)
+        splits = list(splits)
         assert not exhaustive
         assert all(a and b for a, b in splits), seed
         isolated_first += any(a == (1,) for a, _b in splits)
