@@ -1,5 +1,9 @@
 """Command-line front end: build, verify, gen, inspect.
 
+`vsp build` makes one choice, eps: none for a unit graph (in flow mode one
+whose terminals also have degree 1) unless `--eps` is given, else `--eps`
+or 1/2.  It then calls the one builder of its mode, which contracts G once.
+
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 budget refusal.  `vsp verify` checks the sparsifier as the file's `kind`
 says it was built; `--mode` only asserts that kind, and a mismatch exits 2.
@@ -14,18 +18,17 @@ import sys
 from fractions import Fraction
 
 from . import gen as genmod
-from .cutsparse import build_cut_sparsifier, build_cut_sparsifier_unit
+from .cutsparse import build_cut_sparsifier
 from .errors import BudgetExceeded, VspError
 from .flowsparse import (
     AGGRESSIVE_F_GROWTH,
     AGGRESSIVE_R,
-    ETA_STAR,
     FlowParams,
     RouterSparsifier,
     build_flow_sparsifier,
-    build_flow_sparsifier_unit,
 )
 from .graph import read_graph, write_graph
+from .params import ETA_STAR
 from .serialize import load_sparsifier, save_sparsifier
 from .sparsecut import DEFAULT_ENUM_BUDGET
 from .verify import (
@@ -60,26 +63,24 @@ def cmd_build(args) -> int:
         bits.append(f"r={AGGRESSIVE_R} f_growth={AGGRESSIVE_F_GROWTH}")
     print("# vsp " + " ".join(bits + ["beta_rule=max(1,log2 k)"]))
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
+    unit = g.is_unit and (args.mode == "cut" or all(len(g.incident(t)) == 1 for t in g.terminals))
+    if args.eps is None and unit:
+        eps = None
+    else:
+        eps = Fraction(args.eps if args.eps is not None else "0.5")
     try:
         if args.mode == "cut":
-            if args.eps is None and g.is_unit:
-                sp = build_cut_sparsifier_unit(g, budget=args.budget_exp)
-            else:
-                eps = Fraction(str(args.eps if args.eps is not None else "0.5"))
-                sp = build_cut_sparsifier(g, eps, budget=args.budget_exp)
+            sp = build_cut_sparsifier(g, eps, budget=args.budget_exp)
         else:
-            if args.eps is None and g.is_unit and all(
-                len(g.incident(t)) == 1 for t in g.terminals
-            ):
-                sp = build_flow_sparsifier_unit(g, params)
-            else:
-                eps = Fraction(str(args.eps if args.eps is not None else "0.5"))
-                sp = build_flow_sparsifier(g, eps, params)
+            sp = build_flow_sparsifier(g, eps, params)
     except BudgetExceeded as exc:
         return _fail(EXIT_BUDGET, "budget", str(exc))
     except VspError as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
-    gpath, jpath = save_sparsifier(sp, out)
+    try:
+        gpath, jpath = save_sparsifier(sp, out)
+    except OSError as exc:
+        return _fail(EXIT_INPUT, "input", str(exc))
     summary = {
         "mode": args.mode,
         "n": sp.graph.n,
@@ -132,8 +133,11 @@ def cmd_verify(args) -> int:
         ok = rep.ok
     text = rep.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _fail(EXIT_INPUT, "input", str(exc))
     print(text)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

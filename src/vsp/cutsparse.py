@@ -6,6 +6,10 @@ quality-3 cut sparsifier.  General capacities reduce to unit mode by capping
 at the terminal-incident total C, expanding edges into ceil(c/eps) unit
 parallels with eps = eps_input/3, and scaling the result back by eps, for
 quality 3 + eps_input.
+
+There is one builder, `build_cut_sparsifier(g, eps_input=None)`.  It finds
+only the clusters, and H is contracted once by `assemble_cut_sparsifier`, as
+`load_sparsifier` does.
 """
 
 from __future__ import annotations
@@ -38,25 +42,22 @@ class CutSparsifier:
         return list(self.cmap.clusters)
 
 
-def build_cut_sparsifier_unit(
-    g: CapGraph, budget: int = DEFAULT_ENUM_BUDGET
-) -> CutSparsifier:
-    """Quality-3 sparsifier for a unit multigraph (integer capacities are
-    parallel-edge multiplicities).  Connected components are handled
-    independently; within each, the terminal-free region is strongly
-    decomposed per connected piece and every piece's clusters contracted."""
-    if not g.is_unit:
-        raise InputError("unit builder requires integer (multiplicity) capacities")
-    decs = interior_decompositions(g, budget)
-    return assemble_cut_sparsifier(g, _clusters(decs), None, decs)
-
-
 def build_cut_sparsifier(
-    g: CapGraph, eps_input: Fraction | int | str, budget: int = DEFAULT_ENUM_BUDGET
+    g: CapGraph, eps_input: Fraction | int | str | None = None, budget: int = DEFAULT_ENUM_BUDGET
 ) -> CutSparsifier:
-    """Quality-(3+eps) sparsifier for capacities c_e >= 1."""
-    eps_input = Fraction(eps_input)
-    ug, _prov = _unit_reduction(g, eps_input)
+    """The cut sparsifier of G.  Without eps_input G must be a unit multigraph
+    (integer capacities are parallel-edge multiplicities) and the quality is
+    3; with it the clusters are found on G's unit expansion at eps_input/3 and
+    the quality is 3 + eps_input.  The terminal-free region is strongly
+    decomposed per connected piece, and `assemble_cut_sparsifier` contracts
+    every cluster once."""
+    if eps_input is None:
+        if not g.is_unit:
+            raise InputError("unit mode (no eps) requires integer (multiplicity) capacities")
+        ug = g
+    else:
+        eps_input = Fraction(eps_input)
+        ug, _prov = _unit_reduction(g, eps_input)
     decs = interior_decompositions(ug, budget)
     return assemble_cut_sparsifier(g, _clusters(decs), eps_input, decs)
 

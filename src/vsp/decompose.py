@@ -23,10 +23,8 @@ from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, InputError
 from .graph import CapGraph, make_cluster, out_edges, subdivide_boundary
-from .params import weak_threshold
+from .params import ONE_THIRD, weak_threshold
 from .sparsecut import DEFAULT_ENUM_BUDGET, SparsestCut, sparsest_cut, sparsest_cut_exact
-
-ONE_THIRD = Fraction(1, 3)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ boundary, size above 128 F(boundary)) and re-decomposing them; when instead
 a witness turns up, the whole interior is certified a good router and
 contracted in one step.
 
+There is one builder, `build_flow_sparsifier(g, eps=None)`.  Its search,
+recursion included, returns router certificates only, and H is contracted
+once by `assemble_flow_sparsifier`, as `load_sparsifier` does.
+
 Both parameter profiles take the flow-cut gap beta(k) = max(1, log2 k).
 "theoretical" uses the published constants (the fixpoint r and F growing by
 2^16 r^3 log r per halving), under which F(k) exceeds any desk-scale n and the
@@ -38,7 +42,7 @@ from .graph import (
     subdivide_boundary,
     unit_expand,
 )
-from .params import beta_fcg, rational_log2, weak_threshold
+from .params import ETA_STAR, ONE_THIRD, beta_fcg, rational_log2, weak_threshold
 from .routing import (
     INFEASIBLE,
     DemandSet,
@@ -47,8 +51,6 @@ from .routing import (
 )
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked, sparsest_cut
 
-ETA_STAR = Fraction(34)
-ONE_THIRD = Fraction(1, 3)
 AGGRESSIVE_R = 3
 AGGRESSIVE_F_GROWTH = 4  # per halving of k
 
@@ -228,7 +230,7 @@ def path_congestion(paths: Iterable[list[int]]) -> dict[int, int]:
     return load
 
 
-def verify_witness1(gp: CapGraph, w: Witness1, k: int, params: FlowParams) -> list[str]:
+def verify_witness1(gp: CapGraph, w: Witness1, k: int) -> list[str]:
     """Re-check a type-1 witness by direct counting; returns failure strings."""
     fails = []
     need = (k + 1) // 2
@@ -256,7 +258,7 @@ def verify_witness1(gp: CapGraph, w: Witness1, k: int, params: FlowParams) -> li
     return fails
 
 
-def verify_witness2(gp: CapGraph, w: Witness2, k: int, params: FlowParams) -> list[str]:
+def verify_witness2(gp: CapGraph, w: Witness2, k: int) -> list[str]:
     fails = []
     need = (k + 3) // 4
     if len(w.term_star) != need:
@@ -429,7 +431,7 @@ def balanced_cut_refine(
         paths, cut_side = _terminals_to_edges(gp, gamma, per_edge_cap=2)
         if paths is None:
             a = cut_side & (frozenset(gp.vertices) - frozenset(gp.terminals))
-            outcome = _step1_cut_case(gp, s_members, x, y, a, half_k, f_half, notes)
+            outcome = _step1_cut_case(gp, x, a, half_k, f_half, notes)
             if outcome is not None:
                 return outcome
             x, y = _step1_new_partition(gp, s_members, x, y, a)
@@ -487,7 +489,7 @@ def balanced_cut_refine(
     raise BudgetExceeded("balanced-cut refinement exceeded its iteration bound")
 
 
-def _step1_cut_case(gp, s_members, x, y, a, half_k, f_half, notes):
+def _step1_cut_case(gp, x, a, half_k, f_half, notes):
     """After a failed terminal routing, either extract a contractible
     component of the far side or signal the partition rebuild."""
     b = (frozenset(gp.vertices) - frozenset(gp.terminals)) - a
@@ -733,14 +735,14 @@ def _mixing_demands(
 
 
 def _mix_inside(
-    g: CapGraph, members: frozenset[int], masses: Mapping[int, Fraction], params: FlowParams
-) -> tuple[dict[int, Fraction], Fraction]:
+    g: CapGraph, members: frozenset[int], masses: Mapping[int, Fraction]
+) -> dict[int, Fraction]:
     """Route the even-spread demands inside the cluster; returns inner-edge
-    loads (pendant handoff loads dropped) and the attained inner congestion."""
+    loads (pendant handoff loads dropped)."""
     inst = subdivide_boundary(g, members)
     dem = _mixing_demands(inst, masses)
     if not dem:
-        return {}, Fraction(0)
+        return {}
     res = min_congestion_routing(inst.graph, dem)
     if res.eta == INFEASIBLE:
         raise InputError("mixing demands are unroutable inside the witness set")
@@ -749,10 +751,7 @@ def _mix_inside(
         geid = inst.inner_edge_of.get(ieid)
         if geid is not None and f != 0:
             loads[geid] = loads.get(geid, Fraction(0)) + f
-    inner_eta = Fraction(0)
-    for geid, f in loads.items():
-        inner_eta = max(inner_eta, f / g.edges[geid].cap)
-    return loads, inner_eta
+    return loads
 
 
 @dataclass
@@ -763,28 +762,25 @@ class WitnessFlow:
     edge_flow: dict[int, Fraction]
     eta: Fraction
     rate: Fraction  # per ordered terminal pair
-    detail: dict
 
 
 def witness_to_flow(
     g: CapGraph,
     witness: Witness1 | Witness2,
-    params: FlowParams,
     cmap: ContractionMap | None = None,
 ) -> WitnessFlow:
     if isinstance(witness, Witness1):
-        return _witness1_flow(g, witness, params, cmap)
-    return _witness2_flow(g, witness, params, cmap)
+        return _witness1_flow(g, witness, cmap)
+    return _witness2_flow(g, witness, cmap)
 
 
-def _witness1_flow(g, w: Witness1, params, cmap) -> WitnessFlow:
+def _witness1_flow(g, w: Witness1, cmap) -> WitnessFlow:
     k = g.k
     r = w.r
     terms = list(g.terminals)
     rho = Fraction(1, k * r)  # per ordered pair, per family
     unit = 2 * (k - 1) * rho  # a terminal's in+out mass within one family
     load: dict[int, Fraction] = {}
-    detail = {"families": []}
     for fam in w.families:
         members = cmap.preimage(fam["members"]) if cmap else set(fam["members"])
         members = frozenset(members)
@@ -823,19 +819,15 @@ def _witness1_flow(g, w: Witness1, params, cmap) -> WitnessFlow:
             masses[p_j_by_term[owner][-1]] += unit / 2
         for eid, amt in _route_loads(routes).items():
             load[eid] = load.get(eid, Fraction(0)) + amt
-        mix_loads, mix_eta = _mix_inside(g, members, masses, params)
-        for eid, amt in mix_loads.items():
+        for eid, amt in _mix_inside(g, members, masses).items():
             load[eid] = load.get(eid, Fraction(0)) + amt
-        detail["families"].append(
-            {"members": members, "mix_eta": mix_eta, "masses": masses}
-        )
     eta = Fraction(0)
     for eid, f in load.items():
         eta = max(eta, f / g.edges[eid].cap)
-    return WitnessFlow(load, eta, r * rho, detail)
+    return WitnessFlow(load, eta, r * rho)
 
 
-def _witness2_flow(g, w: Witness2, params, cmap) -> WitnessFlow:
+def _witness2_flow(g, w: Witness2, cmap) -> WitnessFlow:
     k = g.k
     r = w.r
     terms = list(g.terminals)
@@ -872,13 +864,12 @@ def _witness2_flow(g, w: Witness2, params, cmap) -> WitnessFlow:
             routes.append((unit / r, route))
             masses[p_j_by_term[q_of[t]][-1]] += unit / (2 * r)
     load = _route_loads(routes)
-    mix_loads, mix_eta = _mix_inside(g, members, masses, params)
-    for eid, amt in mix_loads.items():
+    for eid, amt in _mix_inside(g, members, masses).items():
         load[eid] = load.get(eid, Fraction(0)) + amt
     eta = Fraction(0)
     for eid, f in load.items():
         eta = max(eta, f / g.edges[eid].cap)
-    return WitnessFlow(load, eta, rho, {"mix_eta": mix_eta, "masses": masses})
+    return WitnessFlow(load, eta, rho)
 
 
 # --------------------------------------------------------------------------
@@ -917,8 +908,8 @@ def contract_procedure(
     decs: list[Decomposition],
 ) -> tuple[list[RouterCertificate], CapGraph, ContractionMap, ContractionInfo]:
     """Un-contract the routers inside the contractible set, strongly
-    decompose the result, rebuild a sparsifier for every piece recursively,
-    and re-contract.  The vertex count must strictly drop (Claim-level
+    decompose the result, find the routers of every piece recursively, and
+    re-contract.  The vertex count must strictly drop (Claim-level
     bookkeeping is recorded and asserted)."""
     k = gp.k
     r = params.r(k)
@@ -931,19 +922,12 @@ def contract_procedure(
     by_super = dict(zip(cmap.supernode, cmap.clusters))
     dropped = {by_super[v] for v in s_members if v in by_super}
     kept = [c for c in certs if c.members not in dropped]
-    pieces = []
-    lhs = Fraction(0)
-    for zc in dec.clusters:
-        inst = subdivide_boundary(g, zc.members)
-        sub = build_flow_sparsifier_well_linked(inst.graph, params, _validated=True)
-        emap = _instance_edge_to_parent(inst)
-        kept.extend(_translate_certificate(c, emap) for c in sub.certificates)
-        decs.extend(sub.decompositions)
-        pieces.append((zc.z, len(zc.members)))
-        lhs += params.f_size(zc.z, r)
-        if not sub.size_bound_met:
-            log.append("recursive build missed its size bound")
-    kept.sort(key=lambda c: min(c.members))
+    found, size_ok = _cluster_routers(g, dec.clusters, params, log, decs)
+    if not size_ok:
+        log.append("recursive build missed its size bound")
+    kept = sorted(kept + found, key=lambda c: min(c.members))
+    pieces = [(zc.z, len(zc.members)) for zc in dec.clusters]
+    lhs = sum((params.f_size(zc.z, r) for zc in dec.clusters), Fraction(0))
     gp2, cmap2 = contract(g, [c.members for c in kept])
     kpow = Fraction(1 << max(2, math.ceil(math.log2(max(1.0, float(kp))))))
     info = ContractionInfo(
@@ -960,52 +944,54 @@ def contract_procedure(
     return kept, gp2, cmap2, info
 
 
-def _validate_well_linked_input(g: CapGraph, params: FlowParams) -> frozenset[int]:
+def _cluster_routers(
+    g: CapGraph, clusters, params: FlowParams, log: list[str], decs: list[Decomposition]
+) -> tuple[list[RouterCertificate], bool]:
+    """The router certificates of every 1/3-well-linked cluster of G, on G's
+    edge ids: each cluster's boundary is subdivided into degree-1 terminals
+    and the instance searched by `_well_linked_routers`.  Also returns
+    whether every search met its size bound."""
+    certs: list[RouterCertificate] = []
+    size_ok = True
+    for zc in clusters:
+        inst = subdivide_boundary(g, zc.members)
+        found, ok = _well_linked_routers(inst.graph, params, log, decs)
+        emap = _instance_edge_to_parent(inst)
+        certs.extend(_translate_certificate(c, emap) for c in found)
+        size_ok = size_ok and ok
+    return certs, size_ok
+
+
+def _require_pendant_terminals(g: CapGraph) -> None:
     for t in g.terminals:
         if len(g.incident(t)) != 1:
             raise InputError(f"terminal {t} must have a single pendant edge")
-    interior = frozenset(v for v in g.vertices if not g.is_terminal(v))
-    if interior:
-        try:
-            ok, _ = is_well_linked(g, interior, ONE_THIRD, budget=params.enum_budget)
-            if not ok:
-                raise InputError("interior is not 1/3-well-linked")
-        except BudgetExceeded:
-            pass  # premise unverifiable at this size; trusted from the caller
-    return interior
 
 
-def build_flow_sparsifier_well_linked(
-    g: CapGraph, params: FlowParams | None = None, _validated: bool = False
-) -> RouterSparsifier:
-    """Sparsifier for a unit graph whose degree-1 terminals leave a
-    1/3-well-linked interior: contract the interior outright when it is a
-    good router (always for k <= 4), otherwise shrink a legal contracted
-    graph below F(k) via contractible sets; witnesses certify the interior
-    as a router and end the loop."""
-    params = params or FlowParams()
-    log: list[str] = []
-    decs: list[Decomposition] = []
+def _well_linked_routers(
+    g: CapGraph, params: FlowParams, log: list[str], decs: list[Decomposition]
+) -> tuple[list[RouterCertificate], bool]:
+    """The routers to contract in a unit graph whose degree-1 terminals leave
+    a 1/3-well-linked interior, and whether contracting them meets the size
+    bound F(k).  The interior is one router when it passes the router check
+    (always for k <= 4); otherwise a legal contracted graph is shrunk below
+    F(k) via contractible sets, and a witness certifies the interior as a
+    router and ends the loop.  Log lines and decompositions are appended to
+    `log` and `decs`."""
     k = g.k
     k_eff = g.total_terminal_degree()  # equals k on true unit graphs
-    if _validated:
-        for t in g.terminals:
-            if len(g.incident(t)) != 1:
-                raise InputError(f"terminal {t} must have a single pendant edge")
-        interior = frozenset(v for v in g.vertices if not g.is_terminal(v))
-    else:
-        interior = _validate_well_linked_input(g, params)
+    interior = frozenset(v for v in g.vertices if not g.is_terminal(v))
     if not interior:
-        return assemble_flow_sparsifier(g, None, [], decs, log, size_bound_met=True)
+        return [], True
     if params.precheck_router or k_eff <= 4:
         ok, cert = is_good_router(g, interior, params)
         if ok:
             log.append(f"interior is a good router (eta {cert.eta}); single contraction")
-            return assemble_flow_sparsifier(g, None, [cert], decs, log, size_bound_met=True)
+            return [cert], True
         if k_eff <= 4:
             # the premises promise a router here; record the violation honestly
             log.append("k <= 4 interior failed the router check; returning uncontracted")
-            return assemble_flow_sparsifier(g, None, [], decs, log, size_bound_met=False)
+            return [], False
     certs: list[RouterCertificate] = []
     gp, cmap = contract(g, [])
     f_k = params.f_size(k_eff)
@@ -1021,50 +1007,42 @@ def build_flow_sparsifier_well_linked(
             break
         log.extend(outcome.notes)
         if outcome.kind == "contractible":
-            certs, gp, cmap, info = contract_procedure(
+            certs, gp, cmap, _info = contract_procedure(
                 g, certs, gp, cmap, outcome.contractible.members, params, log, decs
             )
             continue
         # witness: the interior must already be a router (the up-front check
         # makes this branch a cross-check); certify it and stop
-        wf = witness_to_flow(g, outcome.witness, params, cmap if cmap.clusters else None)
+        wf = witness_to_flow(g, outcome.witness, cmap if cmap.clusters else None)
         log.append(f"{outcome.kind} found; witness flow congestion {wf.eta}")
         ok, cert = is_good_router(g, interior, params)
         if ok:
-            return assemble_flow_sparsifier(g, None, [cert], decs, log, size_bound_met=True)
+            return [cert], True
         log.append("witness found but the interior fails the router check; stopping")
         break
-    return assemble_flow_sparsifier(g, None, certs, decs, log, size_bound_met=gp.n - k <= f_k)
+    return certs, gp.n - k <= f_k
 
 
-def build_flow_sparsifier_unit(
+def build_flow_sparsifier_well_linked(
     g: CapGraph, params: FlowParams | None = None
 ) -> RouterSparsifier:
-    """Sparsifier for an arbitrary unit multigraph with degree-1 terminals:
-    strong well-linked decomposition of the interior, then the well-linked
-    builder per cluster, then one contraction of all resulting routers."""
+    """Sparsifier for a unit graph whose degree-1 terminals leave a
+    1/3-well-linked interior: the premises are checked, the routers found by
+    `_well_linked_routers` and contracted in one assembly."""
     params = params or FlowParams()
-    if not g.is_unit:
-        raise InputError("unit builder requires integer (multiplicity) capacities")
-    for t in g.terminals:
-        if len(g.incident(t)) != 1:
-            raise InputError(f"terminal {t} must have a single pendant edge")
+    _require_pendant_terminals(g)
+    interior = frozenset(v for v in g.vertices if not g.is_terminal(v))
+    if interior:
+        try:
+            ok, _ = is_well_linked(g, interior, ONE_THIRD, budget=params.enum_budget)
+            if not ok:
+                raise InputError("interior is not 1/3-well-linked")
+        except BudgetExceeded:
+            pass  # premise unverifiable at this size; trusted from the caller
     log: list[str] = []
     decs: list[Decomposition] = []
-    certs: list[RouterCertificate] = []
-    size_ok = True
-    for dec in interior_decompositions(g, params.enum_budget):
-        decs.append(dec)
-        for zc in dec.clusters:
-            inst = subdivide_boundary(g, zc.members)
-            sub = build_flow_sparsifier_well_linked(inst.graph, params, _validated=True)
-            emap = _instance_edge_to_parent(inst)
-            certs.extend(_translate_certificate(c, emap) for c in sub.certificates)
-            decs.extend(sub.decompositions)
-            log.extend(sub.log)
-            size_ok = size_ok and sub.size_bound_met
-    certs.sort(key=lambda c: min(c.members))
-    return assemble_flow_sparsifier(g, None, certs, decs, log, size_bound_met=size_ok)
+    certs, size_ok = _well_linked_routers(g, params, log, decs)
+    return assemble_flow_sparsifier(g, None, certs, decs, log, size_ok)
 
 
 def capacitated_unit_reduction(
@@ -1114,22 +1092,34 @@ def capacitated_unit_reduction(
 
 
 def build_flow_sparsifier(
-    g: CapGraph, eps: Fraction | int | str, params: FlowParams | None = None
+    g: CapGraph, eps: Fraction | int | str | None = None, params: FlowParams | None = None
 ) -> RouterSparsifier:
-    """Capacitated flow sparsifier: cap at C, rescale by 2 eta* / eps, expand
-    to units, split terminals to degree-1 bundles, run the unit builder,
-    re-unify the terminals and scale capacities back."""
+    """The flow sparsifier of G.  The routers are searched on G, which must
+    then be a unit multigraph with degree-1 terminals, or with eps on G's
+    capacitated unit reduction (cap at C, rescale by 2 eta* / eps, expand to
+    units, split terminals into degree-1 bundles).  The interior is strongly
+    decomposed, every cluster searched, and the routers contracted once."""
     params = params or FlowParams()
-    eps = Fraction(eps)
-    gunit, _bundles = capacitated_unit_reduction(g, eps)
-    sub = build_flow_sparsifier_unit(gunit, params)
-    sp = assemble_flow_sparsifier(
-        g, eps, sub.certificates, sub.decompositions, sub.log, sub.size_bound_met
-    )
-    sp.log.append(
-        f"capacitated reduction: scale {2 * ETA_STAR / eps}, bundle graph n={gunit.n}"
-    )
-    return sp
+    log: list[str] = []
+    if eps is None:
+        if not g.is_unit:
+            raise InputError("unit mode (no eps) requires integer (multiplicity) capacities")
+        _require_pendant_terminals(g)
+        gunit = g
+    else:
+        eps = Fraction(eps)
+        gunit, _bundles = capacitated_unit_reduction(g, eps)
+        log.append(f"capacitated reduction: scale {2 * ETA_STAR / eps}, bundle graph n={gunit.n}")
+    decs: list[Decomposition] = []
+    certs: list[RouterCertificate] = []
+    size_ok = True
+    for dec in interior_decompositions(gunit, params.enum_budget):
+        decs.append(dec)
+        found, ok = _cluster_routers(gunit, dec.clusters, params, log, decs)
+        certs += found
+        size_ok = size_ok and ok
+    certs.sort(key=lambda c: min(c.members))
+    return assemble_flow_sparsifier(g, eps, certs, decs, log, size_ok)
 
 
 def assemble_flow_sparsifier(
@@ -1144,7 +1134,12 @@ def assemble_flow_sparsifier(
     Without eps G is the unit graph and the claimed quality is 2 eta*.  With
     it, the clusters live on G's capacitated unit reduction, the terminal
     bundles are merged back into G's terminals, H's capacities are scaled
-    back by eps / (2 eta*) and the claimed quality is 2 eta* + eps."""
+    back by eps / (2 eta*) and the claimed quality is 2 eta* + eps.
+
+    This is the one assembly of a build and of `load_sparsifier`.  Load has
+    only G and the sidecar, so the reduction is derived here from G, and an
+    eps build, which searched the same reduction, computes it a second time:
+    an O(n+m) cost per build, kept so that both paths share this code."""
     clusters = [c.members for c in certificates]
     if eps is None:
         h, cmap = contract(g, clusters)

@@ -16,14 +16,11 @@ Conventions
 from __future__ import annotations
 
 import math
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ContractError, InputError, ParamError, ParseError
-
-_gid_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ class Edge:
 class CapGraph:
     """Immutable capacitated multigraph with an ordered terminal subset."""
 
-    __slots__ = ("gid", "vertices", "edges", "terminals", "_adj", "_vset", "_tset")
+    __slots__ = ("vertices", "edges", "terminals", "_adj", "_vset", "_tset")
 
     def __init__(
         self,
@@ -72,7 +69,6 @@ class CapGraph:
         for e in es:
             if e.u not in vset or e.v not in vset:
                 raise InputError(f"edge {e.eid} endpoint not a vertex")
-        self.gid = next(_gid_counter)
         self.vertices = vs
         self.edges = tuple(es)
         self.terminals = ts
@@ -169,7 +165,6 @@ class CapGraph:
 class Cluster:
     """A vertex subset of a parent graph with its precomputed boundary."""
 
-    graph_gid: int
     members: frozenset[int]
     boundary: tuple[int, ...]  # edge ids of out(members), sorted
     z: Fraction  # total boundary capacity
@@ -191,7 +186,7 @@ def make_cluster(g: CapGraph, members: Iterable[int]) -> Cluster:
     ms = frozenset(members)
     boundary = out_edges(g, ms)
     z = sum((e.cap for e in boundary), Fraction(0))
-    return Cluster(g.gid, ms, tuple(e.eid for e in boundary), z)
+    return Cluster(ms, tuple(e.eid for e in boundary), z)
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,6 @@ class SubdividedInstance:
     terminals: tuple[int, ...]  # t_e vertices, ordered by original edge id
     pendant_of: Mapping[int, int]  # t_e vertex -> original boundary edge id
     inner_edge_of: Mapping[int, int]  # instance edge id -> original edge id
-    parent_gid: int
 
     @property
     def z(self) -> Fraction:
@@ -246,7 +240,7 @@ def subdivide_boundary(
         terminals.append(te)
         edges.append((inside, te, e.cap))
     gs = CapGraph(sorted(ms) + terminals, edges, terminals)
-    return SubdividedInstance(gs, tuple(terminals), pendant_of, inner_edge_of, g.gid)
+    return SubdividedInstance(gs, tuple(terminals), pendant_of, inner_edge_of)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Shared numeric conventions: rational logarithms and the flow-cut-gap /
-well-linkedness parameter rules.
+"""Shared numeric conventions: the paper's constants eta* and 1/3, rational
+logarithms and the flow-cut-gap / well-linkedness parameter rules.
 
 Thresholds must be exact rationals so certificates never depend on float
 rounding; log2 is therefore evaluated once per argument and frozen to a
@@ -13,6 +13,9 @@ import math
 from fractions import Fraction
 
 _LOG_DEN = 1 << 20
+
+ETA_STAR = Fraction(34)  # the router congestion bound eta*; flow quality is 2 eta*
+ONE_THIRD = Fraction(1, 3)  # the well-linkedness of contracted clusters and routers
 
 
 def rational_log2(x: Fraction | int) -> Fraction:

@@ -23,6 +23,7 @@ from scipy.optimize import linprog
 from .errors import InputError
 from .flow import FlowSolution, Net
 from .graph import CapGraph, SubdividedInstance, subdivide_boundary
+from .params import ETA_STAR
 from .ratlp import solve_lp
 
 INFEASIBLE = math.inf
@@ -412,7 +413,7 @@ def uniform_exchange_demands(inst: SubdividedInstance) -> tuple[DemandSet, dict[
 def uniform_router_check(
     g: CapGraph,
     members: Iterable[int],
-    eta_bound: Fraction = Fraction(34),
+    eta_bound: Fraction = ETA_STAR,
     exact_max_vars: int = EXACT_LP_MAX_VARS,
 ) -> tuple[bool, RoutingResult, SubdividedInstance]:
     """Can every pair of boundary edges exchange 1/z flow each way inside the

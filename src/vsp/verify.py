@@ -20,8 +20,9 @@ from typing import Iterable
 from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
 from .errors import BudgetExceeded, InputError
 from .flow import TerminalCuts, bipartitions, flow_conserves
-from .flowsparse import ETA_STAR, ONE_THIRD, RouterCertificate, RouterSparsifier
+from .flowsparse import RouterCertificate, RouterSparsifier
 from .graph import CapGraph, make_cluster, subdivide_boundary
+from .params import ETA_STAR, ONE_THIRD
 from .routing import INFEASIBLE, DemandSet, min_congestion_routing
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked
 
@@ -177,14 +178,6 @@ def demand_strategies(
             for b in terms[i + 1:]:
                 d[(a, b)] = degs[a] * degs[b] / total
         out.append(DemandSet.from_map(d))
-    elif strategy == "random":
-        for _ in range(samples):
-            d = {}
-            npairs = rng.randint(1, max(1, k))
-            for _ in range(npairs):
-                a, b = rng.sample(terms, 2)
-                d[(min(a, b), max(a, b))] = Fraction(rng.randint(1, 8), 4)
-            out.append(DemandSet.from_map(d))
     else:
         raise InputError(f"unknown demand strategy {strategy!r}")
     return out

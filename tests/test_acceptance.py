@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsp.cutsparse import build_cut_sparsifier, build_cut_sparsifier_unit
+from vsp.cutsparse import build_cut_sparsifier
 from vsp.decompose import certify_decomposition, strong_decompose, weak_decompose
 from vsp.flow import max_flow
 from vsp.flowsparse import (
@@ -21,7 +21,7 @@ from vsp.flowsparse import (
     RouterCertificate,
     RouterSparsifier,
     balanced_cut_refine,
-    build_flow_sparsifier_unit,
+    build_flow_sparsifier,
     build_flow_sparsifier_well_linked,
     contract_procedure,
     find_contractible_or_witness,
@@ -108,7 +108,7 @@ def cut_built():
     assert len(corpus) >= 200, f"corpus holds only {len(corpus)} instances"
     built = []
     for g in corpus:
-        sp = build_cut_sparsifier_unit(g)
+        sp = build_cut_sparsifier(g)
         built.append((g, sp))
     return built
 
@@ -118,7 +118,7 @@ def flow_built():
     built = []
     for seed in range(30):
         g = _flow_instance(seed)
-        sp = build_flow_sparsifier_unit(g, AGG)
+        sp = build_flow_sparsifier(g, params=AGG)
         built.append((g, sp))
     return built
 
@@ -294,14 +294,14 @@ def test_criterion_6_flow_quality(flow_built):
 
 def test_criterion_7_witness_flows():
     g1, w1 = witness1_fixture()
-    wf1 = witness_to_flow(g1, w1, AGG)
+    wf1 = witness_to_flow(g1, w1)
     assert wf1.eta <= 10
     assert wf1.rate == F(1, g1.k)
     for t in g1.terminals:
         (pend,) = g1.incident(t)
         assert wf1.edge_flow[pend.eid] == 2 * F(g1.k - 1, g1.k)
     g2, w2 = witness2_fixture()
-    wf2 = witness_to_flow(g2, w2, AGG)
+    wf2 = witness_to_flow(g2, w2)
     assert wf2.eta <= 34
     assert wf2.rate == F(1, g2.k)
     for t in g2.terminals:

@@ -238,3 +238,17 @@ def test_gen_into_missing_directory_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "input"
+
+
+def test_build_into_missing_directory_exits_two(grid_builds, tmp_path, capsys):
+    g, _cut, _flow = grid_builds
+    code, _, err = run(["build", g, "--out", str(tmp_path / "no" / "h")], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
+
+
+def test_verify_report_into_missing_directory_exits_two(grid_builds, tmp_path, capsys):
+    g, cut, _flow = grid_builds
+    code, _, err = run(["verify", g, cut, "--out", str(tmp_path / "no" / "r.json")], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "input"

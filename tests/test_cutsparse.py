@@ -6,7 +6,6 @@ import pytest
 
 from vsp.cutsparse import (
     build_cut_sparsifier,
-    build_cut_sparsifier_unit,
     cut_value,
     lift_cut,
     project_cut,
@@ -33,7 +32,7 @@ def _dumbbell_terminals():
 
 def test_all_vertices_terminals():
     g = CapGraph([1, 2, 3], [(1, 2, 1), (2, 3, 1)], [1, 2, 3])
-    sp = build_cut_sparsifier_unit(g)
+    sp = build_cut_sparsifier(g)
     assert sp.graph.n == g.n and sp.graph.m == g.m
     rep = verify_cut_quality(g, sp.graph)
     assert rep.ok and rep.q_observed == 1
@@ -46,14 +45,14 @@ def test_star_center_single_cluster():
         [(1, 10 + i, 1) for i in range(k)],
         [10 + i for i in range(k)],
     )
-    sp = build_cut_sparsifier_unit(g)
+    sp = build_cut_sparsifier(g)
     assert sp.steiner_count == 1
     assert sp.graph.m == g.m
 
 
 def test_dumbbell_quality_in_range():
     g = _dumbbell_terminals()
-    sp = build_cut_sparsifier_unit(g)
+    sp = build_cut_sparsifier(g)
     rep = verify_cut_quality(g, sp.graph)
     assert rep.ok, rep.violations
     assert 1 <= rep.q_observed <= 3
@@ -62,7 +61,7 @@ def test_dumbbell_quality_in_range():
 def test_unit_requires_integer_caps():
     g = CapGraph([1, 2], [(1, 2, F(3, 2))], [1, 2])
     with pytest.raises(InputError):
-        build_cut_sparsifier_unit(g)
+        build_cut_sparsifier(g)
 
 
 def test_random_unit_instances_quality_and_size():
@@ -73,7 +72,7 @@ def test_random_unit_instances_quality_and_size():
         ktot = g.total_terminal_degree()
         if ktot > 10:
             continue
-        sp = build_cut_sparsifier_unit(g)
+        sp = build_cut_sparsifier(g)
         rep = verify_cut_quality(g, sp.graph)
         assert rep.ok, rep.violations
         assert 1 <= rep.q_observed <= 3
@@ -86,7 +85,7 @@ def test_projection_and_lift_bound():
         g = random_unit_graph(rng, n=10, m=18, k=3)
         if g.total_terminal_degree() > 9:
             continue
-        sp = build_cut_sparsifier_unit(g)
+        sp = build_cut_sparsifier(g)
         rep = verify_cut_projection(sp.unit_graph, sp)
         assert rep.ok, rep.violations
         assert rep.q_observed <= 3
@@ -103,7 +102,7 @@ def test_lift_processes_ties_to_y():
 def test_capacitated_reduction_consistency():
     # a unit-capacity input goes through the same supernode structure
     g = _dumbbell_terminals()
-    spu = build_cut_sparsifier_unit(g)
+    spu = build_cut_sparsifier(g)
     spc = build_cut_sparsifier(g, F(3, 10))
     assert sorted(map(sorted, spu.cluster_sets())) == sorted(map(sorted, spc.cluster_sets()))
     # expanded capacities: every bundle is multiplicity x eps
@@ -163,7 +162,7 @@ def test_capacitated_bad_eps():
 
 def test_verify_detects_sabotage():
     g = _dumbbell_terminals()
-    sp = build_cut_sparsifier_unit(g)
+    sp = build_cut_sparsifier(g)
     h = sp.graph
     # delete one edge of H: some cut gets cheaper in H than in G
     broken = CapGraph(h.vertices, [e.ends() + (e.cap,) for e in h.edges[1:]], h.terminals)

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from vsp import flowsparse
 from vsp.errors import InputError
 from vsp.flowsparse import (
     FlowParams,
     balanced_cut_refine,
     build_flow_sparsifier,
-    build_flow_sparsifier_unit,
     build_flow_sparsifier_well_linked,
     contract_procedure,
     find_contractible_or_witness,
     is_good_router,
 )
-from vsp.gen import gen_chamber
+from vsp.gen import gen_capacitated, gen_chamber, gen_grid
 from vsp.graph import CapGraph, contract, out_edges
 from vsp.routing import DemandSet, min_congestion_routing
 from vsp.verify import (
@@ -97,7 +97,7 @@ def test_builder_rejects_high_degree_terminal():
 
 def test_unit_builder_all_terminals():
     g = CapGraph([1, 2], [(1, 2, 1)], [1, 2])
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     assert sp.graph.n == 2 and sp.graph.m == 1
 
 
@@ -112,7 +112,7 @@ def test_unit_builder_certificates_and_quality():
             core.append((u, v, 1))
         k = rng.randint(3, 5)
         g = _pendant_terminals(core, range(1, n + 1), rng.sample(range(1, n + 1), k))
-        sp = build_flow_sparsifier_unit(g, AGG)
+        sp = build_flow_sparsifier(g, params=AGG)
         rep = recheck_router_certificates(sp)
         assert rep["ok"], rep["checks"]
         for cert in sp.certificates:
@@ -195,9 +195,33 @@ def test_capacitated_flow_sparsifier():
 def test_reroute_composition_bound():
     core = [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)]
     g = _pendant_terminals(core, range(1, 6), [1, 2, 3, 4])
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     dem = DemandSet.from_map({(500, 501): 1, (502, 503): F(1, 2)})
     rh = min_congestion_routing(sp.graph, dem)
     composed = reroute_through_clusters(sp, rh)
     assert composed <= 2 * F(34) * rh.eta
     assert cluster_demand_restriction(sp, rh) <= rh.eta
+
+
+@pytest.mark.parametrize(
+    "make_graph, eps, params",
+    [
+        (lambda: gen_chamber(seed=5), None,
+         FlowParams(profile="aggressive", precheck_router=False)),
+        (lambda: gen_grid(10, 10, k=8), None, None),
+        (lambda: gen_capacitated(n=8, k=3, seed=0), F(1, 2), None),
+    ],
+    ids=["chamber5-loop", "grid10-unit", "capacitated0-eps"],
+)
+def test_one_assembly_per_build(monkeypatch, make_graph, eps, params):
+    # the search returns router certificates only; H is contracted once
+    calls = []
+    assemble = flowsparse.assemble_flow_sparsifier
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(flowsparse, "assemble_flow_sparsifier", counting)
+    build_flow_sparsifier(make_graph(), eps, params)
+    assert calls == [eps]

@@ -81,7 +81,7 @@ def _instance_fields(inst):
     h = inst.graph
     return (
         h.vertices, [(e.u, e.v, e.cap) for e in h.edges], h.terminals, inst.terminals,
-        dict(inst.pendant_of), dict(inst.inner_edge_of), inst.parent_gid,
+        dict(inst.pendant_of), dict(inst.inner_edge_of),
     )
 
 

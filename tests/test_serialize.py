@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from vsp import cli
-from vsp.cutsparse import build_cut_sparsifier, build_cut_sparsifier_unit
+from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
 from vsp.flowsparse import (
     FlowParams,
     RouterSparsifier,
     build_flow_sparsifier,
-    build_flow_sparsifier_unit,
 )
 from vsp.gen import gen_dumbbell, gen_grid
 from vsp.graph import CapGraph, write_graph
@@ -34,9 +33,9 @@ def built():
     dumbbell = gen_dumbbell(k=6, seed=2)
     capacitated = _capacitated_router_graph()
     return [
-        ("cut-unit", grid, build_cut_sparsifier_unit(grid)),
+        ("cut-unit", grid, build_cut_sparsifier(grid)),
         ("cut-eps", grid, build_cut_sparsifier(grid, F(1, 2))),
-        ("flow-unit", dumbbell, build_flow_sparsifier_unit(dumbbell, AGG)),
+        ("flow-unit", dumbbell, build_flow_sparsifier(dumbbell, params=AGG)),
         ("flow-eps", capacitated, build_flow_sparsifier(capacitated, F(1, 2), AGG)),
     ]
 

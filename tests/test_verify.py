@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from vsp.cutsparse import build_cut_sparsifier_unit
+from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
 from vsp.flow import bipartitions
 from vsp.flowsparse import (
@@ -16,7 +16,6 @@ from vsp.flowsparse import (
     RouterCertificate,
     assemble_flow_sparsifier,
     build_flow_sparsifier,
-    build_flow_sparsifier_unit,
 )
 from vsp.graph import CapGraph, subdivide_boundary
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
@@ -136,7 +135,7 @@ def test_report_json_shape():
 
 def test_flow_report_labels_sampling():
     g = _flow_instance(4)
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     rep = verify_flow_quality(g, sp.graph, samples=2, quality_bound=F(68), sparsifier=sp)
     assert rep.ok, rep.violations
     assert rep.flags["sampled"] is True
@@ -145,7 +144,7 @@ def test_flow_report_labels_sampling():
 
 def test_router_recheck_detects_flow_perturbation():
     g = _flow_instance(5)
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     assert recheck_router_certificates(sp)["ok"]
     cert = sp.certificates[0]
     src = next(iter(cert.commodity_arcs))
@@ -183,7 +182,7 @@ def test_router_recheck_derives_wl_alpha(tmp_path, alpha):
     # sidecar that states an alpha (or null, which used to skip the test) is
     # not a file save_sparsifier writes
     g = _flow_instance(5)
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     assert subdivide_boundary(g, sp.certificates[0].members).z > 1
     assert ("well-linked", True, "all clusters 1/3-well-linked") in (
         recheck_router_certificates(sp)["checks"]
@@ -219,7 +218,7 @@ def test_router_recheck_tests_well_linkedness():
 
 def test_recheck_budget_reaches_the_well_linked_test():
     g = _flow_instance(5)
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     assert subdivide_boundary(g, sp.certificates[0].members).z > 1
     wl = {name: detail for name, _ok, detail in recheck_router_certificates(sp, budget=1)["checks"]}
     assert "cluster 0: skipped (budget)" in wl["well-linked"]
@@ -229,7 +228,7 @@ def test_recheck_budget_reaches_the_well_linked_test():
 
 def test_router_recheck_detects_dropped_commodity():
     g = _flow_instance(5)
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     cert = sp.certificates[0]
     src = next(iter(cert.commodity_arcs))
     arcs = {s: a for s, a in cert.commodity_arcs.items() if s != src}
@@ -239,7 +238,7 @@ def test_router_recheck_detects_dropped_commodity():
 def test_router_recheck_requires_the_exact_eta():
     # eta is the congestion the stored flows attain, not just a bound on it
     g = _flow_instance(5)
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     cert = sp.certificates[0]
     assert _router_flows_failed(sp, dataclasses.replace(cert, eta=cert.eta + 1))
     # a cluster with z <= 1 exchanges nothing: eta 0 and no flows
@@ -285,7 +284,7 @@ def test_router_recheck_reports_stray_hairpin(tmp_path):
 
 def test_router_recheck_detects_membership_corruption():
     g = _flow_instance(6)
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     cert = sp.certificates[0]
     moved = set(cert.members)
     moved.discard(min(moved))
@@ -303,7 +302,7 @@ def test_star_supernode_recheck_low_congestion():
         [(1, 10 + i, 1) for i in range(k)],
         [10 + i for i in range(k)],
     )
-    sp = build_flow_sparsifier_unit(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     assert recheck_router_certificates(sp)["ok"]
     assert all(c.eta < 2 for c in sp.certificates)
 
@@ -311,7 +310,7 @@ def test_star_supernode_recheck_low_congestion():
 def test_lower_side_violation_detected():
     # deleting an edge from H lets some cut drop below G's
     g = _flow_instance(8)
-    sp = build_cut_sparsifier_unit(g)
+    sp = build_cut_sparsifier(g)
     h = sp.graph
     if h.m < 2:
         pytest.skip("degenerate")
@@ -324,7 +323,7 @@ def test_composed_flow_bound_random():
     rng = random.Random(12)
     for seed in range(3):
         g = _flow_instance(20 + seed)
-        sp = build_flow_sparsifier_unit(g, AGG)
+        sp = build_flow_sparsifier(g, params=AGG)
         terms = sorted(g.terminals)
         d = {}
         for _ in range(3):

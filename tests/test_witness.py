@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from vsp.flowsparse import (
-    FlowParams,
     verify_witness1,
     verify_witness2,
     witness_to_flow,
@@ -11,12 +10,11 @@ from vsp.sparsecut import is_well_linked
 from fixtures import witness1_fixture, witness2_fixture
 
 F = Fraction
-AGG = FlowParams(profile="aggressive")
 
 
 def test_witness1_fixture_verifies():
     g, w = witness1_fixture()
-    assert verify_witness1(g, w, g.k, AGG) == []
+    assert verify_witness1(g, w, g.k) == []
     # the families really are well-linked at their claimed level
     for fam in w.families:
         ok, _ = is_well_linked(g, fam["members"], fam["alpha"])
@@ -25,7 +23,7 @@ def test_witness1_fixture_verifies():
 
 def test_witness1_flow_congestion_and_exchange():
     g, w = witness1_fixture()
-    wf = witness_to_flow(g, w, AGG)
+    wf = witness_to_flow(g, w)
     assert wf.eta <= 10
     assert wf.rate == F(1, g.k)
     # every terminal's pendant carries exactly its in+out mass
@@ -36,14 +34,14 @@ def test_witness1_flow_congestion_and_exchange():
 
 def test_witness2_fixture_verifies():
     g, w = witness2_fixture()
-    assert verify_witness2(g, w, g.k, AGG) == []
+    assert verify_witness2(g, w, g.k) == []
     ok, _ = is_well_linked(g, w.members, w.alpha)
     assert ok
 
 
 def test_witness2_flow_congestion_and_exchange():
     g, w = witness2_fixture()
-    wf = witness_to_flow(g, w, AGG)
+    wf = witness_to_flow(g, w)
     assert wf.eta <= 34
     assert wf.rate == F(1, g.k)
     for t in g.terminals:
@@ -56,4 +54,4 @@ def test_witness1_detects_corruption():
     # repeat a terminal in one family's path system
     bad = w.families[0]["paths"][0]
     w.families[0]["paths"][1] = bad
-    assert verify_witness1(g, w, g.k, AGG) != []
+    assert verify_witness1(g, w, g.k) != []
