@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -56,6 +57,14 @@ def cmd_build(args) -> int:
         return _fail(EXIT_INPUT, "parse", str(exc))
     except OSError as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
+    unit = g.is_unit and (args.mode == "cut" or all(len(g.incident(t)) == 1 for t in g.terminals))
+    if args.eps is None and unit:
+        eps = None
+    else:
+        try:
+            eps = Fraction(args.eps if args.eps is not None else "0.5")
+        except (ValueError, ZeroDivisionError):
+            return _fail(EXIT_INPUT, "input", f"--eps {args.eps!r} is not a rational number")
     params = FlowParams(profile=args.profile, enum_budget=args.budget_exp,
                         precheck_router=not args.no_precheck)
     bits = [f"profile={args.profile}", f"budget_exp={args.budget_exp}", f"eta_star={ETA_STAR}"]
@@ -63,11 +72,6 @@ def cmd_build(args) -> int:
         bits.append(f"r={AGGRESSIVE_R} f_growth={AGGRESSIVE_F_GROWTH}")
     print("# vsp " + " ".join(bits + ["beta_rule=max(1,log2 k)"]))
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
-    unit = g.is_unit and (args.mode == "cut" or all(len(g.incident(t)) == 1 for t in g.terminals))
-    if args.eps is None and unit:
-        eps = None
-    else:
-        eps = Fraction(args.eps if args.eps is not None else "0.5")
     try:
         if args.mode == "cut":
             sp = build_cut_sparsifier(g, eps, budget=args.budget_exp)
@@ -98,6 +102,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.delta) and args.delta >= 0):
+        return _fail(EXIT_INPUT, "input", f"--delta must be finite and >= 0, got {args.delta}")
     try:
         g = read_graph(args.input)
         sp = load_sparsifier(g, args.sparsifier)

@@ -36,6 +36,7 @@ from .flow import Net
 from .graph import (
     CapGraph,
     ContractionMap,
+    SubdividedInstance,
     contract,
     merge_vertices,
     out_edges,
@@ -63,7 +64,7 @@ AGGRESSIVE_F_GROWTH = 4  # per halving of k
 class FlowParams:
     profile: str = "theoretical"  # "theoretical" | "aggressive"
     enum_budget: int = DEFAULT_ENUM_BUDGET
-    # with False the well-linked builder skips the up-front router check and
+    # with False the router search skips the up-front router check and
     # enters the contraction loop even on router interiors (witnesses then
     # surface and are cross-checked), which is the aggressive profile's job
     precheck_router: bool = True
@@ -120,19 +121,19 @@ class FlowParams:
 class RouterCertificate:
     """A good-router certificate for one cluster, holding only the witness:
     the cluster's members, the congestion eta its exchange flow attains, and
-    the flow itself.  Everything else is a function of G and the members and
-    is derived wherever it is needed (`subdivide_boundary(g, members)`): the
-    boundary edges and their bundle weights w_e, their total z, the
-    well-linkedness claim (alpha = 1/3 when z > 1, nothing to claim when
-    z <= 1), and the fixed hairpin load 2 w_e (w_e - 1) / z on every bundle
-    with w_e > 1."""
+    the flow itself.  Everything else is a function of the cluster's
+    instance G_S = `subdivide_boundary(g, members)` and is derived from it
+    wherever it is needed: the boundary edges and their bundle weights w_e,
+    their total z, the well-linkedness claim (alpha = 1/3 when z > 1,
+    nothing to claim when z <= 1), and the fixed hairpin load
+    2 w_e (w_e - 1) / z on every bundle with w_e > 1."""
 
     members: frozenset[int]
     eta: Fraction
-    # per-source fan-out arc flows on the cluster instance, keyed by the
-    # source boundary edge id; arcs are (parent edge id, direction).  When
-    # z > 1 there is one entry for every boundary edge e with w_e < z; a lone
-    # bundle (w_e = z) exchanges nothing and has none.
+    # per-source fan-out arc flows on G_S, keyed by the source boundary edge
+    # id; arcs are (parent edge id of the instance edge, direction on the
+    # instance edge).  When z > 1 there is one entry for every boundary edge
+    # e with w_e < z; a lone bundle (w_e = z) exchanges nothing and has none.
     commodity_arcs: dict[int, dict[tuple[int, int], Fraction]]
 
 
@@ -153,41 +154,30 @@ class RouterSparsifier:
         return self.graph.n - self.graph.k
 
 
-def _instance_edge_to_parent(inst) -> dict[int, int]:
-    """Instance edge id -> parent edge id; a pendant edge maps to the
-    boundary edge it subdivides."""
-    out = dict(inst.inner_edge_of)
-    for t in inst.terminals:
-        out[inst.pendant_edge(t).eid] = inst.pendant_of[t]
-    return out
-
-
 def is_good_router(
-    g: CapGraph, members: Iterable[int], params: FlowParams
+    inst: SubdividedInstance, params: FlowParams
 ) -> tuple[bool, RouterCertificate | None]:
     """Conjunction of exact 1/3-well-linkedness and the uniform exchange
-    check at eta*.  Budget refusals on the well-linkedness side surface as
-    'unknown', which is treated as not-a-router (can only inflate size)."""
-    ms = frozenset(members)
-    for v in ms:
-        if g.is_terminal(v):
-            raise InputError("router clusters must be terminal-free")
+    check at eta*, both on the cluster's instance G_S; the certificate names
+    the edges of the graph G_S was cut from.  Budget refusals on the
+    well-linkedness side surface as 'unknown', which is treated as
+    not-a-router (can only inflate size)."""
     try:
-        ok_wl, _viol = is_well_linked(g, ms, ONE_THIRD, budget=params.enum_budget)
+        ok_wl, _viol = is_well_linked(inst, ONE_THIRD, budget=params.enum_budget)
     except BudgetExceeded:
         return False, None
     if not ok_wl:
         return False, None
-    ok_rt, res, inst = uniform_router_check(g, ms, eta_bound=ETA_STAR)
+    ok_rt, res = uniform_router_check(inst, eta_bound=ETA_STAR)
     if not ok_rt:
         return False, None
     # the map is one-to-one, and a pendant's inside->t_e direction stays 0
-    emap = _instance_edge_to_parent(inst)
+    emap = inst.parent_edge
     commodity = {
         inst.pendant_of[src_t]: {(emap[e], d): v for (e, d), v in arcs.items()}
         for src_t, arcs in (res.commodity_arcs or {}).items()
     }
-    return True, RouterCertificate(ms, res.eta, commodity)
+    return True, RouterCertificate(inst.members, res.eta, commodity)
 
 
 # --------------------------------------------------------------------------
@@ -948,16 +938,14 @@ def _cluster_routers(
     g: CapGraph, clusters, params: FlowParams, log: list[str], decs: list[Decomposition]
 ) -> tuple[list[RouterCertificate], bool]:
     """The router certificates of every 1/3-well-linked cluster of G, on G's
-    edge ids: each cluster's boundary is subdivided into degree-1 terminals
-    and the instance searched by `_well_linked_routers`.  Also returns
-    whether every search met its size bound."""
+    edge ids: each cluster is subdivided once into its instance G_S, which
+    `_well_linked_routers` searches.  Also returns whether every search met
+    its size bound."""
     certs: list[RouterCertificate] = []
     size_ok = True
     for zc in clusters:
-        inst = subdivide_boundary(g, zc.members)
-        found, ok = _well_linked_routers(inst.graph, params, log, decs)
-        emap = _instance_edge_to_parent(inst)
-        certs.extend(_translate_certificate(c, emap) for c in found)
+        found, ok = _well_linked_routers(subdivide_boundary(g, zc.members), params, log, decs)
+        certs += found
         size_ok = size_ok and ok
     return certs, size_ok
 
@@ -969,22 +957,21 @@ def _require_pendant_terminals(g: CapGraph) -> None:
 
 
 def _well_linked_routers(
-    g: CapGraph, params: FlowParams, log: list[str], decs: list[Decomposition]
+    inst: SubdividedInstance, params: FlowParams, log: list[str], decs: list[Decomposition]
 ) -> tuple[list[RouterCertificate], bool]:
-    """The routers to contract in a unit graph whose degree-1 terminals leave
-    a 1/3-well-linked interior, and whether contracting them meets the size
-    bound F(k).  The interior is one router when it passes the router check
-    (always for k <= 4); otherwise a legal contracted graph is shrunk below
-    F(k) via contractible sets, and a witness certifies the interior as a
-    router and ends the loop.  Log lines and decompositions are appended to
-    `log` and `decs`."""
+    """The routers to contract in a cluster's instance G_S, whose degree-1
+    terminals leave the 1/3-well-linked interior S, on the edge ids of the
+    graph G_S was cut from; and whether contracting them meets the size
+    bound F(k).  S is one router when it passes the router check (always for
+    k <= 4); otherwise a legal contracted graph of G_S is shrunk below F(k)
+    via contractible sets, and a witness certifies S as a router and ends
+    the loop.  Log lines and decompositions are appended to `log` and
+    `decs`."""
+    g = inst.graph
     k = g.k
     k_eff = g.total_terminal_degree()  # equals k on true unit graphs
-    interior = frozenset(v for v in g.vertices if not g.is_terminal(v))
-    if not interior:
-        return [], True
     if params.precheck_router or k_eff <= 4:
-        ok, cert = is_good_router(g, interior, params)
+        ok, cert = is_good_router(inst, params)
         if ok:
             log.append(f"interior is a good router (eta {cert.eta}); single contraction")
             return [cert], True
@@ -1015,34 +1002,13 @@ def _well_linked_routers(
         # makes this branch a cross-check); certify it and stop
         wf = witness_to_flow(g, outcome.witness, cmap if cmap.clusters else None)
         log.append(f"{outcome.kind} found; witness flow congestion {wf.eta}")
-        ok, cert = is_good_router(g, interior, params)
+        ok, cert = is_good_router(inst, params)
         if ok:
             return [cert], True
         log.append("witness found but the interior fails the router check; stopping")
         break
+    certs = [_translate_certificate(c, inst.parent_edge) for c in certs]
     return certs, gp.n - k <= f_k
-
-
-def build_flow_sparsifier_well_linked(
-    g: CapGraph, params: FlowParams | None = None
-) -> RouterSparsifier:
-    """Sparsifier for a unit graph whose degree-1 terminals leave a
-    1/3-well-linked interior: the premises are checked, the routers found by
-    `_well_linked_routers` and contracted in one assembly."""
-    params = params or FlowParams()
-    _require_pendant_terminals(g)
-    interior = frozenset(v for v in g.vertices if not g.is_terminal(v))
-    if interior:
-        try:
-            ok, _ = is_well_linked(g, interior, ONE_THIRD, budget=params.enum_budget)
-            if not ok:
-                raise InputError("interior is not 1/3-well-linked")
-        except BudgetExceeded:
-            pass  # premise unverifiable at this size; trusted from the caller
-    log: list[str] = []
-    decs: list[Decomposition] = []
-    certs, size_ok = _well_linked_routers(g, params, log, decs)
-    return assemble_flow_sparsifier(g, None, certs, decs, log, size_ok)
 
 
 def capacitated_unit_reduction(

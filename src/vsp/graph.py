@@ -191,13 +191,18 @@ def make_cluster(g: CapGraph, members: Iterable[int]) -> Cluster:
 
 @dataclass(frozen=True)
 class SubdividedInstance:
-    """The sparsest-cut instance of a cluster: G[S] plus one degree-1
-    boundary terminal per boundary edge (per bundle in bucketed form)."""
+    """G_S, the instance of a cluster S on which its well-linkedness and its
+    router property are defined: G[S] plus one degree-1 boundary terminal
+    per boundary edge (per bundle in bucketed form)."""
 
     graph: CapGraph
+    members: frozenset[int]  # S, vertices of the parent graph
     terminals: tuple[int, ...]  # t_e vertices, ordered by original edge id
     pendant_of: Mapping[int, int]  # t_e vertex -> original boundary edge id
-    inner_edge_of: Mapping[int, int]  # instance edge id -> original edge id
+    inner_edge_of: Mapping[int, int]  # inner instance edge id -> original edge id
+    # every instance edge id -> original edge id; a pendant edge maps to the
+    # boundary edge it subdivides
+    parent_edge: Mapping[int, int]
 
     @property
     def z(self) -> Fraction:
@@ -231,6 +236,7 @@ def subdivide_boundary(
         if e.u in ms and e.v in ms:
             inner_edge_of[len(edges)] = e.eid
             edges.append((e.u, e.v, e.cap))
+    parent_edge = dict(inner_edge_of)
     terminals = []
     for e in boundary:
         te = next_v
@@ -238,9 +244,10 @@ def subdivide_boundary(
         inside = e.u if e.u in ms else e.v
         pendant_of[te] = e.eid
         terminals.append(te)
+        parent_edge[len(edges)] = e.eid
         edges.append((inside, te, e.cap))
     gs = CapGraph(sorted(ms) + terminals, edges, terminals)
-    return SubdividedInstance(gs, tuple(terminals), pendant_of, inner_edge_of)
+    return SubdividedInstance(gs, ms, tuple(terminals), pendant_of, inner_edge_of, parent_edge)
 
 
 @dataclass(frozen=True)

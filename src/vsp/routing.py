@@ -14,7 +14,7 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 
 from .errors import InputError
 from .flow import FlowSolution, Net
-from .graph import CapGraph, SubdividedInstance, subdivide_boundary
+from .graph import CapGraph, SubdividedInstance
 from .params import ETA_STAR
 from .ratlp import solve_lp
 
@@ -411,36 +411,30 @@ def uniform_exchange_demands(inst: SubdividedInstance) -> tuple[DemandSet, dict[
 
 
 def uniform_router_check(
-    g: CapGraph,
-    members: Iterable[int],
-    eta_bound: Fraction = ETA_STAR,
-    exact_max_vars: int = EXACT_LP_MAX_VARS,
-) -> tuple[bool, RoutingResult, SubdividedInstance]:
-    """Can every pair of boundary edges exchange 1/z flow each way inside the
-    cluster with congestion at most eta_bound?  The returned flow is an
+    inst: SubdividedInstance, eta_bound: Fraction = ETA_STAR
+) -> tuple[bool, RoutingResult]:
+    """On the cluster's instance G_S: can every pair of boundary edges
+    exchange 1/z flow each way inside the cluster with congestion at most
+    eta_bound?  The returned flow lives on the instance's edges and is an
     exactly verifiable certificate when the answer is yes."""
-    inst = subdivide_boundary(g, members)
     z = inst.z
     if z <= 1:
-        empty = RoutingResult(Fraction(0), FlowSolution({}, eta=Fraction(0)), {}, None, True)
-        return True, empty, inst
+        return True, RoutingResult(Fraction(0), FlowSolution({}, eta=Fraction(0)), {}, None, True)
     dem, base = uniform_exchange_demands(inst)
-    res = min_congestion_routing(
-        inst.graph, dem, base_load=base, split_pairs=True, exact_max_vars=exact_max_vars
-    )
+    res = min_congestion_routing(inst.graph, dem, base_load=base, split_pairs=True)
     if res.eta == INFEASIBLE:
-        return False, res, inst
+        return False, res
     ok = res.eta <= eta_bound
     if not ok and not res.exact_lp and res.lp_eta is not None and res.lp_eta < float(eta_bound):
         # repair overshot a feasible optimum; one retry on the exact path if
         # remotely affordable, else stay conservative
         nvars = len(_commodities(dem, True)) * 2 * inst.graph.m + 1
-        if nvars <= 4 * exact_max_vars:
+        if nvars <= 4 * EXACT_LP_MAX_VARS:
             res = min_congestion_routing(
                 inst.graph, dem, base_load=base, split_pairs=True, force_exact=True
             )
             ok = res.eta <= eta_bound
-    return ok, res, inst
+    return ok, res
 
 
 def boundary_path_system(

@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
-
 import numpy as np
 
 from .errors import BudgetExceeded
 from .flow import CutCertificate, TerminalCuts, bipartitions
-from .graph import CapGraph, Cluster, SubdividedInstance, subdivide_boundary
+from .graph import SubdividedInstance
 
 DEFAULT_ENUM_BUDGET = 22
 
@@ -241,18 +239,14 @@ def sparsest_cut(
 
 
 def is_well_linked(
-    g: CapGraph,
-    cluster: Cluster | Iterable[int],
+    inst: SubdividedInstance,
     alpha: Fraction,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> tuple[bool, CutCertificate | None]:
-    """Exact test: does every bipartition of the cluster cut at least alpha
-    times the smaller boundary side?  Returns a violating cut on failure.
-    Raises BudgetExceeded when the exact enumeration is out of reach."""
-    members = cluster.members if isinstance(cluster, Cluster) else frozenset(cluster)
-    if not members:
-        return True, None
-    inst = subdivide_boundary(g, members)
+    """Exact test on the cluster's instance G_S: does every bipartition of S
+    cut at least alpha times the smaller boundary side?  Returns a violating
+    cut (on the instance's vertices) on failure.  Raises BudgetExceeded when
+    the exact enumeration is out of reach."""
     res = sparsest_cut_exact(inst, budget=budget, stop_below=alpha)
     if res.trivially_well_linked or res.sparsity >= alpha:
         return True, None

@@ -21,7 +21,7 @@ from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
 from .errors import BudgetExceeded, InputError
 from .flow import TerminalCuts, bipartitions, flow_conserves
 from .flowsparse import RouterCertificate, RouterSparsifier
-from .graph import CapGraph, make_cluster, subdivide_boundary
+from .graph import CapGraph, SubdividedInstance, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
 from .routing import INFEASIBLE, DemandSet, min_congestion_routing
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked
@@ -343,11 +343,13 @@ def recheck_router_certificates(sp: RouterSparsifier, budget: int = DEFAULT_ENUM
 
     A certificate holds only its witness: the cluster's members, the
     congestion eta and the fan-out flows.  Everything else is derived here
-    from G and the members: the boundary edges and their bundle weights w_e,
-    their total z, the alpha = 1/3 well-linkedness claim for every cluster
-    with z > 1 (a cluster with z <= 1 has no nontrivial bipartition to claim
-    anything about), and the hairpin load 2 w_e (w_e - 1) / z that every
-    bundle with w_e > 1 puts on its own pendant edge.
+    from the cluster's instance G_S, built once per certificate from G and
+    the members and used by every check: the boundary edges and their
+    bundle weights w_e, their total z, the alpha = 1/3 well-linkedness claim
+    for every cluster with z > 1 (a cluster with z <= 1 has no nontrivial
+    bipartition to claim anything about), and the hairpin load
+    2 w_e (w_e - 1) / z that every bundle with w_e > 1 puts on its own
+    pendant edge.
 
     The checks: the clusters are disjoint, terminal-free and connected;
     every fan-out conserves flow and delivers w_i w_j / z to every other
@@ -376,20 +378,21 @@ def recheck_router_certificates(sp: RouterSparsifier, budget: int = DEFAULT_ENUM
             ok_struct = False
     add("structure", ok_struct, f"{len(sp.certificates)} clusters disjoint, terminal-free, connected")
 
+    insts = [subdivide_boundary(g, cert.members) for cert in sp.certificates]
     ok_flow, detail = True, []
-    for ci, cert in enumerate(sp.certificates):
-        err = _recheck_one_router(g, cert)
+    for ci, (cert, inst) in enumerate(zip(sp.certificates, insts)):
+        err = _recheck_one_router(inst, cert)
         if err:
             ok_flow = False
             detail.append(f"cluster {ci}: {err}")
     add("router-flows", ok_flow, "; ".join(detail) or "conservation, delivery, congestion <= eta*")
 
     ok_wl, detail = True, []
-    for ci, cert in enumerate(sp.certificates):
-        if make_cluster(g, cert.members).z <= 1:
+    for ci, inst in enumerate(insts):
+        if inst.z <= 1:
             continue
         try:
-            ok, viol = is_well_linked(g, cert.members, ONE_THIRD, budget=budget)
+            ok, viol = is_well_linked(inst, ONE_THIRD, budget=budget)
         except BudgetExceeded:
             detail.append(f"cluster {ci}: skipped (budget)")
             continue
@@ -401,21 +404,15 @@ def recheck_router_certificates(sp: RouterSparsifier, budget: int = DEFAULT_ENUM
     return {"ok": all(ok for _n, ok, _d in checks), "checks": checks}
 
 
-def _recheck_one_router(g: CapGraph, cert: RouterCertificate) -> str:
-    inst = subdivide_boundary(g, cert.members)
+def _recheck_one_router(inst: SubdividedInstance, cert: RouterCertificate) -> str:
     z = inst.z
     if z <= 1:
         if cert.eta != 0 or cert.commodity_arcs:
             return f"boundary capacity {z} exchanges nothing, yet flows are stored"
         return ""
-    to_inst: dict[int, int] = {}
-    for ieid, geid in inst.inner_edge_of.items():
-        to_inst[geid] = ieid
-    pend_term: dict[int, int] = {}
-    for t in inst.terminals:
-        to_inst[inst.pendant_of[t]] = inst.pendant_edge(t).eid
-        pend_term[inst.pendant_of[t]] = t
-    weights = {inst.pendant_of[t]: inst.weight(t) for t in inst.terminals}
+    to_inst = {geid: ieid for ieid, geid in inst.parent_edge.items()}
+    pend_term = {inst.pendant_of[t]: t for t in inst.terminals}
+    weights = {e: inst.weight(t) for e, t in pend_term.items()}
     # completeness: every bundle that exchanges with another one needs its
     # fan-out
     missing = sorted(e for e, w in weights.items() if w < z and e not in cert.commodity_arcs)
@@ -443,7 +440,7 @@ def _recheck_one_router(g: CapGraph, cert: RouterCertificate) -> str:
                 sources[pend_term[o]] = -(wi * wo / z)
         if not flow_conserves(inst.graph, inst_arcs, sources):
             return f"conservation or delivery fails for source {src_eid}"
-    caps = {e.eid: e.cap for e in g.edges}
+    caps = {geid: inst.graph.edges[ieid].cap for geid, ieid in to_inst.items()}
     worst = Fraction(0)
     for eid, v in load.items():
         worst = max(worst, v / caps[eid])

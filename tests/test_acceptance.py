@@ -22,7 +22,6 @@ from vsp.flowsparse import (
     RouterSparsifier,
     balanced_cut_refine,
     build_flow_sparsifier,
-    build_flow_sparsifier_well_linked,
     contract_procedure,
     find_contractible_or_witness,
     witness_to_flow,
@@ -232,10 +231,10 @@ def test_criterion_5_router_constant(flow_built):
     star = CapGraph(
         [1, 11, 12, 13, 14], [(1, 10 + i, 1) for i in range(1, 5)], [11, 12, 13, 14]
     )
-    ok, res, _ = uniform_router_check(star, {1})
+    ok, res = uniform_router_check(subdivide_boundary(star, {1}))
     assert ok and res.eta < 2
     twop = CapGraph([1, 2, 3, 4], [(1, 2, 1), (1, 3, 1), (2, 4, 1)], [3, 4])
-    ok, res, _ = uniform_router_check(twop, {1, 2})
+    ok, res = uniform_router_check(subdivide_boundary(twop, {1, 2}))
     assert ok and res.eta == 1
     print(
         f"criterion 5 (eta* = 34): PASS - {checked} cluster certificates at "
@@ -345,8 +344,8 @@ def test_criterion_8_progress_and_ledgers():
             )
             assert crossing <= r * gp.k
         # the full loop with the pre-check disabled drives the same machinery
-        sp = build_flow_sparsifier_well_linked(
-            g, FlowParams(profile="aggressive", precheck_router=False)
+        sp = build_flow_sparsifier(
+            g, params=FlowParams(profile="aggressive", precheck_router=False)
         )
         assert sp.size_bound_met
         assert any("contract:" in line for line in sp.log)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from vsp.cli import main
-from vsp.graph import read_graph
+from vsp.graph import read_graph, subdivide_boundary
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
 
@@ -40,7 +40,7 @@ def test_gen_welllinked_certified(tmp_path, capsys):
     run(["gen", "welllinked", "--n", "8", "--k", "4", "--seed", "2", "--out", str(p)], capsys)
     g = read_graph(p)
     interior = [v for v in g.vertices if not g.is_terminal(v)]
-    ok, _ = is_well_linked(g, interior, Fraction(1, 3))
+    ok, _ = is_well_linked(subdivide_boundary(g, interior), Fraction(1, 3))
     assert ok
 
 
@@ -151,6 +151,25 @@ def test_missing_terminals_parse_error(tmp_path, capsys):
     bad.write_text("p vsp 2 1 2\ne 1 2 1\n")
     code, _, err = run(["build", str(bad), "--mode", "cut"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("eps", ["abc", "1/0"])
+def test_build_malformed_eps_exits_two(tmp_path, capsys, eps):
+    g = tmp_path / "g.vsp"
+    run(["gen", "grid", "--rows", "3", "--cols", "3", "--k", "4", "--out", str(g)], capsys)
+    code, out, err = run(["build", str(g), "--eps", eps, "--out", str(tmp_path / "h")], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+def test_verify_bad_delta_exits_two(grid_builds, capsys, delta):
+    g, cut, _flow = grid_builds
+    code, out, err = run(["verify", g, cut, "--delta", delta], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
 
 
 def test_budget_refusal_exit_three(tmp_path, capsys):

@@ -1,21 +1,21 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from vsp import flowsparse
+from vsp import flowsparse, graph
 from vsp.errors import InputError
 from vsp.flowsparse import (
     FlowParams,
     balanced_cut_refine,
     build_flow_sparsifier,
-    build_flow_sparsifier_well_linked,
     contract_procedure,
     find_contractible_or_witness,
     is_good_router,
 )
 from vsp.gen import gen_capacitated, gen_chamber, gen_grid
-from vsp.graph import CapGraph, contract, out_edges
+from vsp.graph import CapGraph, contract, out_edges, subdivide_boundary
 from vsp.routing import DemandSet, min_congestion_routing
 from vsp.verify import (
     cluster_demand_restriction,
@@ -39,7 +39,7 @@ def _pendant_terminals(core_edges, core_verts, attach, start=500):
 
 def test_good_router_single_vertex():
     g = _pendant_terminals([], [1], [1, 1, 1])
-    ok, cert = is_good_router(g, {1}, AGG)
+    ok, cert = is_good_router(subdivide_boundary(g, {1}), AGG)
     assert ok
     assert cert.eta == F(2 * 2, 3)
 
@@ -51,7 +51,7 @@ def test_good_router_dumbbell_decided_by_lp():
         (3, 4, 1),
     ]
     g = _pendant_terminals(core, range(1, 7), [1, 2, 5, 6])
-    ok, cert = is_good_router(g, set(range(1, 7)), AGG)
+    ok, cert = is_good_router(subdivide_boundary(g, set(range(1, 7))), AGG)
     # the bridge makes the cluster exactly 1/2-well-linked (cut 1 vs 2+2);
     # uniform exchange loads the bridge with 2*2*2/4 = 2 <= 34
     assert ok
@@ -66,14 +66,14 @@ def test_not_good_router_long_pendant_path():
     n = 16
     core = [(i, i + 1, 1) for i in range(1, n)]
     g = _pendant_terminals(core, range(1, n + 1), list(range(1, n + 1)))
-    ok, cert = is_good_router(g, set(range(1, n + 1)), AGG)
+    ok, cert = is_good_router(subdivide_boundary(g, set(range(1, n + 1))), AGG)
     # fails 1/3-well-linkedness long before the congestion bound
     assert not ok
 
 
 def test_builder_k4_star():
     g = _pendant_terminals([], [1], [1, 1, 1, 1])
-    sp = build_flow_sparsifier_well_linked(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     assert sp.steiner_count == 1
     assert sp.certificates[0].eta == F(2 * 3, 4)
     assert recheck_router_certificates(sp)["ok"]
@@ -82,7 +82,7 @@ def test_builder_k4_star():
 def test_builder_good_router_base_case():
     core = [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)]
     g = _pendant_terminals(core, range(1, 6), [1, 2, 3, 4, 5])
-    sp = build_flow_sparsifier_well_linked(g, AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
     assert sp.steiner_count == 1
     assert sp.certificates[0].eta <= 34
     rep = recheck_router_certificates(sp)
@@ -92,7 +92,7 @@ def test_builder_good_router_base_case():
 def test_builder_rejects_high_degree_terminal():
     g = CapGraph([1, 2, 3], [(1, 2, 1), (1, 3, 1), (2, 3, 1)], [1])
     with pytest.raises(InputError):
-        build_flow_sparsifier_well_linked(g, AGG)
+        build_flow_sparsifier(g, params=AGG)
 
 
 def test_unit_builder_all_terminals():
@@ -130,7 +130,7 @@ def test_unit_builder_certificates_and_quality():
 def test_contraction_loop_on_chamber():
     g = gen_chamber(seed=5)
     params = FlowParams(profile="aggressive", precheck_router=False)
-    sp = build_flow_sparsifier_well_linked(g, params)
+    sp = build_flow_sparsifier(g, params=params)
     assert sp.size_bound_met
     assert sp.steiner_count <= params.f_size(g.k)
     assert any("contract:" in line for line in sp.log)
@@ -225,3 +225,39 @@ def test_one_assembly_per_build(monkeypatch, make_graph, eps, params):
     monkeypatch.setattr(flowsparse, "assemble_flow_sparsifier", counting)
     build_flow_sparsifier(make_graph(), eps, params)
     assert calls == [eps]
+
+
+def test_router_checks_subdivide_each_cluster_once(monkeypatch):
+    # both router checks take the cluster's instance G_S: a build subdivides
+    # each router cluster once, and the recheck each certificate once
+    original = graph.subdivide_boundary
+    calls, clusters, depth = [], [], [0]
+
+    def counted(g, members, *rest):
+        if depth[0]:
+            calls.append(frozenset(members))
+        return original(g, members, *rest)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "vsp" or name.startswith("vsp.")) and vars(mod).get(
+            "subdivide_boundary"
+        ) is original:
+            monkeypatch.setattr(mod, "subdivide_boundary", counted)
+    cluster_routers = flowsparse._cluster_routers
+
+    def scoped(g, zcs, *rest):
+        zcs = list(zcs)
+        clusters.extend(zc.members for zc in zcs)
+        depth[0] += 1
+        try:
+            return cluster_routers(g, zcs, *rest)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(flowsparse, "_cluster_routers", scoped)
+    sp = build_flow_sparsifier(gen_grid(4, 4, k=4))
+    assert clusters and calls == clusters
+    calls.clear()
+    depth[0] = 1
+    assert recheck_router_certificates(sp)["ok"]
+    assert calls == [c.members for c in sp.certificates]

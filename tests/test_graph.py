@@ -75,6 +75,18 @@ def test_subdivide_counts_random():
         members = set(rng.sample(list(g.vertices), rng.randint(1, 9)))
         inst = subdivide_boundary(g, members)
         assert inst.graph.n == len(members) + len(out_edges(g, members))
+        assert inst.members == frozenset(members)
+        # every instance edge has a parent edge of the same capacity, one to
+        # one; inner edges keep their map and a pendant maps to the boundary
+        # edge it subdivides
+        assert sorted(inst.parent_edge) == [e.eid for e in inst.graph.edges]
+        assert len(set(inst.parent_edge.values())) == inst.graph.m
+        for e in inst.graph.edges:
+            assert g.edges[inst.parent_edge[e.eid]].cap == e.cap
+        for ieid, geid in inst.inner_edge_of.items():
+            assert inst.parent_edge[ieid] == geid
+        for t in inst.terminals:
+            assert inst.parent_edge[inst.pendant_edge(t).eid] == inst.pendant_of[t]
 
 
 def _instance_fields(inst):

@@ -1,6 +1,8 @@
 """Source hygiene: every module-level import in the package is used."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import vsp
@@ -40,3 +42,23 @@ def test_package_has_no_unused_imports():
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import gcd, lcm\nprint(gcd(2, 4))\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "lcm")]
+
+
+def test_bench_targets_resolve():
+    # the benchmark's tracer wraps these by name, so a rename in vsp must
+    # show up here rather than as a failed traced run
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import layers
+    finally:
+        sys.path.remove(str(bench))
+    assert layers.TARGETS
+    missing = []
+    for target in layers.TARGETS:
+        owner = importlib.import_module(target.module)
+        for part in target.attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{target.name}: {target.module}.{target.attr}")
+    assert not missing, missing

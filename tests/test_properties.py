@@ -106,7 +106,7 @@ def test_wl_transfer_alpha_over_three():
         members = frozenset(g.components(within=set(rng.sample(list(g.vertices), 3)))[0])
         if len(members) < 2:
             continue
-        ok, cert = is_good_router(g, members, AGG)
+        ok, cert = is_good_router(subdivide_boundary(g, members), AGG)
         if not ok:
             continue
         gp, cmap = contract(g, [members])
@@ -139,7 +139,7 @@ def test_path_transfer_three_eta():
         members = frozenset(g.components(within=set(rng.sample(interior, 3)))[0])
         if any(g.is_terminal(v) for v in members):
             continue
-        ok, _ = is_good_router(g, members, AGG)
+        ok, _ = is_good_router(subdivide_boundary(g, members), AGG)
         if not ok:
             continue
         gp, cmap = contract(g, [members])

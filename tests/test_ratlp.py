@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import vsp.routing as routing
+from vsp.graph import subdivide_boundary
 from vsp.gen import gen_capacitated
 from vsp.ratlp import solve_lp
 
@@ -183,7 +184,7 @@ def _router_lps_match_oracle(monkeypatch, g):
 
     monkeypatch.setattr(routing, "solve_lp", checked)
     members = [v for v in g.vertices if v not in g.terminals]
-    ok, res, _inst = routing.uniform_router_check(g, members)
+    ok, res = routing.uniform_router_check(subdivide_boundary(g, members))
     assert ok and res.exact_lp
     return calls
 

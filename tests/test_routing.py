@@ -120,7 +120,7 @@ def test_router_check_star():
     verts = [1] + [10 + i for i in range(z)]
     edges = [(1, 10 + i, 1) for i in range(z)]
     g = CapGraph(verts, edges)
-    ok, res, inst = uniform_router_check(g, {1})
+    ok, res = uniform_router_check(subdivide_boundary(g, {1}))
     assert ok
     assert res.eta == F(2 * (z - 1), z)
 
@@ -128,7 +128,7 @@ def test_router_check_star():
 def test_router_check_two_vertex_path():
     # cluster {1,2}, one boundary edge at each end: congestion exactly 1
     g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (1, 3, 1), (2, 4, 1)])
-    ok, res, _ = uniform_router_check(g, {1, 2})
+    ok, res = uniform_router_check(subdivide_boundary(g, {1, 2}))
     assert ok
     assert res.eta == 1
 
@@ -139,10 +139,11 @@ def test_router_check_long_path_fails():
     edges = [(i, i + 1, 1) for i in range(1, n)]
     edges += [(i, 100 + i, 1) for i in range(1, n + 1)]
     g = CapGraph(list(range(1, n + 1)) + list(range(101, 101 + n)), edges)
-    ok, res, _ = uniform_router_check(g, set(range(1, n + 1)), eta_bound=F(34))
+    inst = subdivide_boundary(g, set(range(1, n + 1)))
+    ok, res = uniform_router_check(inst, eta_bound=F(34))
     # z = 20; the middle edge must carry about z/2 units: congestion ~ 10 < 34
     # so lengthen the bound check instead: with eta_bound=2 it must fail
-    ok2, res2, _ = uniform_router_check(g, set(range(1, n + 1)), eta_bound=F(2))
+    ok2, res2 = uniform_router_check(inst, eta_bound=F(2))
     assert not ok2
     assert res2.eta > 2
 
@@ -150,7 +151,7 @@ def test_router_check_long_path_fails():
 def test_router_check_bucketed_star():
     # one bundle of 3 parallel boundary edges plus two singles
     g = CapGraph([1, 2, 3, 4], [(1, 2, 3), (1, 3, 1), (1, 4, 1)])
-    ok, res, inst = uniform_router_check(g, {1})
+    ok, res = uniform_router_check(subdivide_boundary(g, {1}))
     assert ok
     z = F(5)
     assert res.eta == F(2 * 4, 5)  # each pendant unit carries 2(z-1)/z

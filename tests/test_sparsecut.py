@@ -147,7 +147,7 @@ def test_well_linked_k4_with_pendants():
     edges = [(u, v, 1) for u in range(1, 5) for v in range(u + 1, 5)]
     edges += [(i, i + 4, 1) for i in range(1, 5)]
     g = CapGraph(range(1, 9), edges)
-    ok, cert = is_well_linked(g, {1, 2, 3, 4}, F(1, 3))
+    ok, cert = is_well_linked(subdivide_boundary(g, {1, 2, 3, 4}), F(1, 3))
     assert ok and cert is None
 
 
@@ -155,24 +155,24 @@ def test_well_linked_path_cases():
     # path of 6 with a boundary edge at each end: 1-well-linked
     edges = [(i, i + 1, 1) for i in range(1, 6)] + [(1, 7, 1), (6, 8, 1)]
     g = CapGraph(range(1, 9), edges)
-    ok, _ = is_well_linked(g, set(range(1, 7)), F(1, 3))
+    ok, _ = is_well_linked(subdivide_boundary(g, set(range(1, 7))), F(1, 3))
     assert ok
     # a pendant on every vertex: at length 6 the middle cut hits 1/3 exactly
     # (so the predicate still holds); at length 8 it drops to 1/4 and fails
     edges = [(i, i + 1, 1) for i in range(1, 6)] + [(i, i + 10, 1) for i in range(1, 7)]
     g = CapGraph(list(range(1, 7)) + list(range(11, 17)), edges)
-    ok, _ = is_well_linked(g, set(range(1, 7)), F(1, 3))
+    ok, _ = is_well_linked(subdivide_boundary(g, set(range(1, 7))), F(1, 3))
     assert ok
     edges = [(i, i + 1, 1) for i in range(1, 8)] + [(i, i + 10, 1) for i in range(1, 9)]
     g = CapGraph(list(range(1, 9)) + list(range(11, 19)), edges)
-    ok, cert = is_well_linked(g, set(range(1, 9)), F(1, 3))
+    ok, cert = is_well_linked(subdivide_boundary(g, set(range(1, 9))), F(1, 3))
     assert not ok
     assert cert is not None and cert.sparsity < F(1, 3)
 
 
 def test_well_linked_single_vertex_cluster():
     g = CapGraph([1, 2, 3], [(1, 2, 1), (1, 3, 1)])
-    ok, _ = is_well_linked(g, {1}, F(1))
+    ok, _ = is_well_linked(subdivide_boundary(g, {1}), F(1))
     assert ok
 
 

@@ -203,12 +203,11 @@ def test_router_recheck_tests_well_linkedness():
         [100 + v for v in range(1, n + 1)],
     )
     members = frozenset(range(1, n + 1))
-    ok, res, inst = uniform_router_check(g, members)
+    inst = subdivide_boundary(g, members)
+    ok, res = uniform_router_check(inst)
     assert ok
-    emap = dict(inst.inner_edge_of)
-    emap.update({inst.pendant_edge(t).eid: inst.pendant_of[t] for t in inst.terminals})
     arcs = {
-        inst.pendant_of[t]: {(emap[e], d): v for (e, d), v in flows.items()}
+        inst.pendant_of[t]: {(inst.parent_edge[e], d): v for (e, d), v in flows.items()}
         for t, flows in res.commodity_arcs.items()
     }
     sp = assemble_flow_sparsifier(g, None, [RouterCertificate(members, res.eta, arcs)])

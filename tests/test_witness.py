@@ -5,6 +5,7 @@ from vsp.flowsparse import (
     verify_witness2,
     witness_to_flow,
 )
+from vsp.graph import subdivide_boundary
 from vsp.sparsecut import is_well_linked
 
 from fixtures import witness1_fixture, witness2_fixture
@@ -17,7 +18,7 @@ def test_witness1_fixture_verifies():
     assert verify_witness1(g, w, g.k) == []
     # the families really are well-linked at their claimed level
     for fam in w.families:
-        ok, _ = is_well_linked(g, fam["members"], fam["alpha"])
+        ok, _ = is_well_linked(subdivide_boundary(g, fam["members"]), fam["alpha"])
         assert ok
 
 
@@ -35,7 +36,7 @@ def test_witness1_flow_congestion_and_exchange():
 def test_witness2_fixture_verifies():
     g, w = witness2_fixture()
     assert verify_witness2(g, w, g.k) == []
-    ok, _ = is_well_linked(g, w.members, w.alpha)
+    ok, _ = is_well_linked(subdivide_boundary(g, w.members), w.alpha)
     assert ok
 
 
