@@ -1,16 +1,14 @@
 """Vertex cut and flow sparsifiers with Steiner nodes."""
 
-from .graph import CapGraph, Cluster, ContractionMap, SubdividedInstance
-from .graph import contract, make_cluster, out_edges, read_graph, subdivide_boundary
+from .graph import CapGraph, ContractionMap, SubdividedInstance
+from .graph import contract, out_edges, read_graph, subdivide_boundary
 from .graph import unit_expand, write_graph
 
 __all__ = [
     "CapGraph",
-    "Cluster",
     "ContractionMap",
     "SubdividedInstance",
     "contract",
-    "make_cluster",
     "out_edges",
     "read_graph",
     "subdivide_boundary",

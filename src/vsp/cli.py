@@ -5,8 +5,10 @@ whose terminals also have degree 1) unless `--eps` is given, else `--eps`
 or 1/2.  It then calls the one builder of its mode, which contracts G once.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
-3 budget refusal.  `vsp verify` checks the sparsifier as the file's `kind`
-says it was built; `--mode` only asserts that kind, and a mismatch exits 2.
+3 budget refusal, which `vsp verify` also returns when it found no violation
+but skipped work: a sampled cut sweep or a router's well-linked recheck.  It
+checks the sparsifier as the file's `kind` says it was built; `--mode` only
+asserts that kind, and a mismatch exits 2.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+GEN_SIZES = ("n", "m", "k", "rows", "cols", "side", "d", "cap_max", "body_n", "chamber_n",
+             "attach", "extra")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -136,6 +140,8 @@ def cmd_verify(args) -> int:
                 if not okc:
                     rep.violations.append(f"certificate check {name}: {detail}")
         rep.flags["certificates"] = "ok" if cert["ok"] else "failed"
+        if cert["skipped"]:
+            rep.flags["well_linked_skipped"] = cert["skipped"]
         ok = rep.ok
     text = rep.to_json()
     if args.out:
@@ -145,16 +151,12 @@ def cmd_verify(args) -> int:
         except OSError as exc:
             return _fail(EXIT_INPUT, "input", str(exc))
     print(text)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    skipped = rep.flags.get("non_exhaustive") or rep.flags.get("well_linked_skipped")
+    return EXIT_VERIFY_FAIL if not ok else EXIT_BUDGET if skipped else EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    kw = {}
-    for field in ("n", "m", "k", "rows", "cols", "side", "d", "cap_max",
-                  "body_n", "chamber_n", "attach", "extra"):
-        v = getattr(args, field, None)
-        if v is not None:
-            kw[field] = v
+    kw = {f: getattr(args, f) for f in GEN_SIZES if getattr(args, f) is not None}
     out = args.out or f"{args.family}-{args.seed}.vsp"
     try:
         g = genmod.generate(args.family, seed=args.seed, **kw)
@@ -221,9 +223,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     gn = sub.add_parser("gen", help="generate a seeded instance")
     gn.add_argument("family", choices=genmod.FAMILIES)
-    for field in ("n", "m", "k", "rows", "cols", "side", "d", "cap-max", "body-n",
-                  "chamber-n", "attach", "extra"):
-        gn.add_argument(f"--{field}", type=int, default=None)
+    for field in GEN_SIZES:
+        gn.add_argument(f"--{field.replace('_', '-')}", type=int, default=None)
     gn.add_argument("--seed", type=int, default=0)
     gn.add_argument("--out", default=None)
     gn.set_defaults(fn=cmd_gen)

@@ -12,29 +12,43 @@ the bounds they guarantee:
   final cluster is 1/3-well-linked, the boundary tally is at most 3 z^3 and
   level i holds at most 2^(3i+3) clusters.
 
-Every split is recorded so certification can re-derive the claims.
+Every split is recorded so certification can re-derive the claims.  A final
+cluster keeps the instance G_S its solver cleared (`ClusterCert`), which the
+flow builder's router search reuses together with the verdict.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, InputError
-from .graph import CapGraph, make_cluster, out_edges, subdivide_boundary
+from .graph import CapGraph, SubdividedInstance, out_capacity, out_edges, subdivide_boundary
 from .params import ONE_THIRD, weak_threshold
 from .sparsecut import DEFAULT_ENUM_BUDGET, SparsestCut, sparsest_cut, sparsest_cut_exact
 
 
 @dataclass(frozen=True)
 class ClusterCert:
-    members: frozenset[int]
-    boundary: tuple[int, ...]
-    z: Fraction
+    """A final cluster S, its members and boundary z read off the instance
+    G_S that the solver cleared.  A strong decomposition's alpha is an exact
+    verdict on G_S, which the flow builder takes as the well-linked half of
+    the router property and `vsp verify` rechecks."""
+
+    inst: SubdividedInstance
     alpha: Fraction | None  # claimed well-linkedness level; None = every alpha
     source: str  # "exact" | "heuristic" | "trivial"
     level: int | None = None  # strong decomposition level index
+
+    @property
+    def members(self) -> frozenset[int]:
+        return self.inst.members
+
+    @property
+    def z(self) -> Fraction:
+        return self.inst.z
 
 
 @dataclass(frozen=True)
@@ -63,11 +77,7 @@ class Decomposition:
         return sum((c.z for c in self.clusters), Fraction(0))
 
     def level_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.clusters:
-            if c.level is not None:
-                counts[c.level] = counts.get(c.level, 0) + 1
-        return counts
+        return dict(Counter(c.level for c in self.clusters if c.level is not None))
 
 
 def _level_of(z: Fraction, out_r: Fraction) -> int | None:
@@ -80,23 +90,6 @@ def _level_of(z: Fraction, out_r: Fraction) -> int | None:
     return i
 
 
-def _component_split(g: CapGraph, members: frozenset[int]) -> frozenset[int] | None:
-    comps = g.components(within=members)
-    if len(comps) <= 1:
-        return None
-    return frozenset(comps[0])
-
-
-def _split_sides(
-    g: CapGraph, members: frozenset[int], cut_side: frozenset[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    a = frozenset(cut_side & members)
-    b = members - a
-    if not a or not b:
-        raise AssertionError("sparse cut did not split the cluster members")
-    return a, b
-
-
 def _record_split(
     g: CapGraph,
     events: list[SplitEvent],
@@ -105,22 +98,17 @@ def _record_split(
     sparsity: Fraction,
     a: frozenset[int],
     b: frozenset[int],
-) -> tuple[frozenset[int], frozenset[int]]:
+) -> list[tuple[Fraction, frozenset[int]]]:
     """Append the event with a = the side carrying fewer parent-boundary
-    terminals, and return (a, b) in that order."""
-    out_a = sum((e.cap for e in out_edges(g, a)), Fraction(0))
-    out_b = sum((e.cap for e in out_edges(g, b)), Fraction(0))
-    crossing = sum(
-        (e.cap for e in g.edges if (e.u in a and e.v in b) or (e.u in b and e.v in a)),
-        Fraction(0),
-    )
-    ta = out_a - crossing  # parent-boundary capacity on a's side
-    tb = out_b - crossing
-    if tb < ta:
-        a, b = b, a
-        out_a, out_b = out_b, out_a
+    terminals, and return [(out(a), a), (out(b), b)] in that order."""
+    out_a, out_b = out_capacity(g, a), out_capacity(g, b)
+    # out(a) + out(b) = z_cluster + 2 crossing, so a side's share of the
+    # parent boundary, out(side) - crossing, orders the sides as out(side)
+    if out_b < out_a:
+        a, b, out_a, out_b = b, a, out_b, out_a
+    crossing = (out_a + out_b - z_cluster) / 2
     events.append(SplitEvent(members, z_cluster, sparsity, a, out_a, out_b, crossing))
-    return a, b
+    return [(out_a, a), (out_b, b)]
 
 
 def _split_until_linked(
@@ -133,30 +121,32 @@ def _split_until_linked(
 ) -> tuple[list[ClusterCert], list[SplitEvent]]:
     """Split the components of `ms` along disconnections and along cuts
     sparser than `threshold`, largest boundary first, until no cluster has
-    one.  A final cluster's source is "exact" or "heuristic" by the solver
-    that cleared it and its level is `level` of its boundary."""
+    one.  A work item is (boundary capacity, members).  A final cluster
+    keeps the instance its solver cleared; its source is "exact" or
+    "heuristic" by that solver and its level is `level` of its boundary."""
     events: list[SplitEvent] = []
     final: list[ClusterCert] = []
-    work = [make_cluster(g, c) for c in g.components(within=ms)]
+    work = [(out_capacity(g, c), frozenset(c)) for c in g.components(within=ms)]
     while work:
-        cl = work.pop(max(range(len(work)), key=lambda i: (work[i].z, -min(work[i].members))))
-        cur = cl.members
-        first = _component_split(g, cur)
-        if first is not None:
-            split = _record_split(g, events, cur, cl.z, Fraction(0), first, cur - first)
-            work += [make_cluster(g, c) for c in split]
+        z, cur = work.pop(max(range(len(work)), key=lambda i: (work[i][0], -min(work[i][1]))))
+        comps = g.components(within=cur)
+        if len(comps) > 1:
+            first = frozenset(comps[0])
+            work += _record_split(g, events, cur, z, Fraction(0), first, cur - first)
             continue
-        res = solver(subdivide_boundary(g, cur), budget=budget, stop_below=threshold)
+        inst = subdivide_boundary(g, cur)
+        res = solver(inst, budget=budget, stop_below=threshold)
         if res.trivially_well_linked:
-            final.append(ClusterCert(cur, cl.boundary, cl.z, None, "trivial", level(cl.z)))
+            final.append(ClusterCert(inst, None, "trivial", level(z)))
             continue
         if res.sparsity < threshold and res.pendant_split_edge is None:
-            a, b = _split_sides(g, cur, res.cut.side_a)
-            split = _record_split(g, events, cur, cl.z, res.sparsity, a, b)
-            work += [make_cluster(g, c) for c in split]
+            a = res.cut.side_a & cur
+            if not a or a == cur:
+                raise AssertionError("sparse cut did not split the cluster members")
+            work += _record_split(g, events, cur, z, res.sparsity, a, cur - a)
             continue
         source = "exact" if res.exact else "heuristic"
-        final.append(ClusterCert(cur, cl.boundary, cl.z, threshold, source, level(cl.z)))
+        final.append(ClusterCert(inst, threshold, source, level(z)))
     final.sort(key=lambda c: min(c.members))
     return final, events
 
@@ -170,7 +160,7 @@ def weak_decompose(
     budget the heuristic solver drives the splitting, and surviving clusters
     are tagged source="heuristic"."""
     ms = frozenset(members)
-    z = make_cluster(g, ms).z
+    z = out_capacity(g, ms)
     threshold = weak_threshold(z) if z > 0 else Fraction(1, 128)
     final, events = _split_until_linked(
         g, ms, threshold, sparsest_cut, lambda _zc: None, budget
@@ -184,14 +174,15 @@ def strong_decompose(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Decomposition:
     """Strong well-linked decomposition: every final cluster exactly
-    certified 1/3-well-linked.  Exact solver only; raises BudgetExceeded
-    rather than silently degrading."""
+    certified 1/3-well-linked on its instance, which the cluster keeps.
+    Exact solver only; raises BudgetExceeded rather than silently
+    degrading."""
     ms = frozenset(members)
     if not ms:
         raise InputError("empty vertex set")
     if not g.is_connected_subset(ms):
         raise InputError("strong decomposition requires a connected induced subgraph")
-    z = make_cluster(g, ms).z
+    z = out_capacity(g, ms)
     final, events = _split_until_linked(
         g, ms, ONE_THIRD, sparsest_cut_exact, lambda zc: _level_of(z, zc), budget
     )
@@ -240,9 +231,9 @@ def certify_decomposition(g: CapGraph, dec: Decomposition) -> dict:
     z = dec.z
     ok_b = True
     for c in dec.clusters:
-        real = out_edges(g, c.members)
-        real_z = sum((e.cap for e in real), Fraction(0))
-        if tuple(e.eid for e in real) != c.boundary or real_z != c.z:
+        real = [e.eid for e in out_edges(g, c.members)]
+        real_z = out_capacity(g, c.members)
+        if real != [c.inst.pendant_of[t] for t in c.inst.terminals] or real_z != c.z:
             ok_b = False
         if real_z > z:
             ok_b = False

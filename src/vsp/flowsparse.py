@@ -12,7 +12,10 @@ contracted in one step.
 
 There is one builder, `build_flow_sparsifier(g, eps=None)`.  Its search,
 recursion included, returns router certificates only, and H is contracted
-once by `assemble_flow_sparsifier`, as `load_sparsifier` does.
+once by `assemble_flow_sparsifier`, as `load_sparsifier` does.  It searches
+each strong-decomposition cluster on the instance G_S the cluster keeps and
+relies on its exact 1/3 verdict, so a build solves only the exchange LP;
+`vsp verify` rechecks well-linkedness.
 
 Both parameter profiles take the flow-cut gap beta(k) = max(1, log2 k).
 "theoretical" uses the published constants (the fixpoint r and F growing by
@@ -39,6 +42,7 @@ from .graph import (
     SubdividedInstance,
     contract,
     merge_vertices,
+    out_capacity,
     out_edges,
     subdivide_boundary,
     unit_expand,
@@ -161,23 +165,30 @@ def is_good_router(
     check at eta*, both on the cluster's instance G_S; the certificate names
     the edges of the graph G_S was cut from.  Budget refusals on the
     well-linkedness side surface as 'unknown', which is treated as
-    not-a-router (can only inflate size)."""
+    not-a-router (can only inflate size).  A build calls only the second
+    conjunct: its strong decomposition decided the first."""
     try:
-        ok_wl, _viol = is_well_linked(inst, ONE_THIRD, budget=params.enum_budget)
+        if not is_well_linked(inst, ONE_THIRD, budget=params.enum_budget)[0]:
+            return False, None
     except BudgetExceeded:
         return False, None
-    if not ok_wl:
-        return False, None
-    ok_rt, res = uniform_router_check(inst, eta_bound=ETA_STAR)
-    if not ok_rt:
-        return False, None
+    cert = _router_certificate(inst)
+    return cert is not None, cert
+
+
+def _router_certificate(inst: SubdividedInstance) -> RouterCertificate | None:
+    """The exchange half of the router check: the certificate of G_S's
+    uniform exchange at eta* on the parent's edge ids, or None."""
+    ok, res = uniform_router_check(inst, eta_bound=ETA_STAR)
+    if not ok:
+        return None
     # the map is one-to-one, and a pendant's inside->t_e direction stays 0
     emap = inst.parent_edge
     commodity = {
         inst.pendant_of[src_t]: {(emap[e], d): v for (e, d), v in arcs.items()}
         for src_t, arcs in (res.commodity_arcs or {}).items()
     }
-    return True, RouterCertificate(inst.members, res.eta, commodity)
+    return RouterCertificate(inst.members, res.eta, commodity)
 
 
 # --------------------------------------------------------------------------
@@ -491,7 +502,7 @@ def _step1_cut_case(gp, x, a, half_k, f_half, notes):
     if len(xb) >= len(xa):
         for comp in gp.components(within=b):
             cs = frozenset(comp)
-            boundary = sum((e.cap for e in out_edges(gp, cs)), Fraction(0))
+            boundary = out_capacity(gp, cs)
             if len(cs) > 128 * f_half and boundary <= half_k:
                 return RefineOutcome(
                     "contractible",
@@ -607,7 +618,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
     chosen = families[:r]
     witness_families = []
     for j, s_j in enumerate(chosen):
-        zj = sum((e.cap for e in out_edges(gp, s_j)), Fraction(0))
+        zj = out_capacity(gp, s_j)
         if zj > kstar:
             notes.append(f"family {j}: boundary {zj} exceeds k* = {kstar}")
         dec = weak_decompose(gp, s_j, budget=params.enum_budget)
@@ -633,7 +644,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
             for comp in gp.components(within=b0):
                 if big.members <= frozenset(comp):
                     cs = frozenset(comp)
-                    bound = sum((e.cap for e in out_edges(gp, cs)), Fraction(0))
+                    bound = out_capacity(gp, cs)
                     budget = 128 * params.f_size(bound, r)
                     if len(cs) > budget and bound <= half_k:
                         return SearchOutcome(
@@ -903,16 +914,15 @@ def contract_procedure(
     bookkeeping is recorded and asserted)."""
     k = gp.k
     r = params.r(k)
-    kp = sum((e.cap for e in out_edges(gp, s_members)), Fraction(0))
+    kp = out_capacity(gp, s_members)
     if kp > (k + 1) // 2:
         raise InputError(f"contractible set has boundary {kp} > ceil(k/2)")
     s_orig = frozenset(cmap.preimage(s_members))
     dec = strong_decompose(g, s_orig, budget=params.enum_budget)
-    decs.append(dec)
     by_super = dict(zip(cmap.supernode, cmap.clusters))
     dropped = {by_super[v] for v in s_members if v in by_super}
     kept = [c for c in certs if c.members not in dropped]
-    found, size_ok = _cluster_routers(g, dec.clusters, params, log, decs)
+    found, size_ok = _cluster_routers(dec, params, log, decs)
     if not size_ok:
         log.append("recursive build missed its size bound")
     kept = sorted(kept + found, key=lambda c: min(c.members))
@@ -935,44 +945,39 @@ def contract_procedure(
 
 
 def _cluster_routers(
-    g: CapGraph, clusters, params: FlowParams, log: list[str], decs: list[Decomposition]
+    dec: Decomposition, params: FlowParams, log: list[str], decs: list[Decomposition]
 ) -> tuple[list[RouterCertificate], bool]:
-    """The router certificates of every 1/3-well-linked cluster of G, on G's
-    edge ids: each cluster is subdivided once into its instance G_S, which
-    `_well_linked_routers` searches.  Also returns whether every search met
-    its size bound."""
+    """Append `dec`, a strong decomposition of G, to `decs` and return the
+    router certificates of its clusters on G's edge ids, found in the
+    instance each cluster keeps, and whether every search met its size bound."""
+    decs.append(dec)
     certs: list[RouterCertificate] = []
     size_ok = True
-    for zc in clusters:
-        found, ok = _well_linked_routers(subdivide_boundary(g, zc.members), params, log, decs)
+    for zc in dec.clusters:
+        found, ok = _well_linked_routers(zc.inst, params, log, decs)
         certs += found
         size_ok = size_ok and ok
     return certs, size_ok
-
-
-def _require_pendant_terminals(g: CapGraph) -> None:
-    for t in g.terminals:
-        if len(g.incident(t)) != 1:
-            raise InputError(f"terminal {t} must have a single pendant edge")
 
 
 def _well_linked_routers(
     inst: SubdividedInstance, params: FlowParams, log: list[str], decs: list[Decomposition]
 ) -> tuple[list[RouterCertificate], bool]:
     """The routers to contract in a cluster's instance G_S, whose degree-1
-    terminals leave the 1/3-well-linked interior S, on the edge ids of the
-    graph G_S was cut from; and whether contracting them meets the size
-    bound F(k).  S is one router when it passes the router check (always for
-    k <= 4); otherwise a legal contracted graph of G_S is shrunk below F(k)
-    via contractible sets, and a witness certifies S as a router and ends
-    the loop.  Log lines and decompositions are appended to `log` and
-    `decs`."""
+    terminals leave the interior S, on the edge ids of the graph G_S was cut
+    from; and whether contracting them meets the size bound F(k).  A strong
+    decomposition certified S 1/3-well-linked on G_S, so both router checks
+    solve only the exchange LP.  S is one router when it passes the check
+    (always for k <= 4); otherwise a legal contracted graph of G_S is shrunk
+    below F(k) via contractible sets, and a witness certifies S as a router
+    and ends the loop.  Log lines and decompositions are appended to `log`
+    and `decs`."""
     g = inst.graph
     k = g.k
     k_eff = g.total_terminal_degree()  # equals k on true unit graphs
     if params.precheck_router or k_eff <= 4:
-        ok, cert = is_good_router(inst, params)
-        if ok:
+        cert = _router_certificate(inst)
+        if cert is not None:
             log.append(f"interior is a good router (eta {cert.eta}); single contraction")
             return [cert], True
         if k_eff <= 4:
@@ -1002,8 +1007,8 @@ def _well_linked_routers(
         # makes this branch a cross-check); certify it and stop
         wf = witness_to_flow(g, outcome.witness, cmap if cmap.clusters else None)
         log.append(f"{outcome.kind} found; witness flow congestion {wf.eta}")
-        ok, cert = is_good_router(inst, params)
-        if ok:
+        cert = _router_certificate(inst)
+        if cert is not None:
             return [cert], True
         log.append("witness found but the interior fails the router check; stopping")
         break
@@ -1070,7 +1075,9 @@ def build_flow_sparsifier(
     if eps is None:
         if not g.is_unit:
             raise InputError("unit mode (no eps) requires integer (multiplicity) capacities")
-        _require_pendant_terminals(g)
+        for t in g.terminals:
+            if len(g.incident(t)) != 1:
+                raise InputError(f"terminal {t} must have a single pendant edge")
         gunit = g
     else:
         eps = Fraction(eps)
@@ -1080,8 +1087,7 @@ def build_flow_sparsifier(
     certs: list[RouterCertificate] = []
     size_ok = True
     for dec in interior_decompositions(gunit, params.enum_budget):
-        decs.append(dec)
-        found, ok = _cluster_routers(gunit, dec.clusters, params, log, decs)
+        found, ok = _cluster_routers(dec, params, log, decs)
         certs += found
         size_ok = size_ok and ok
     certs.sort(key=lambda c: min(c.members))

@@ -1,7 +1,8 @@
 """Seeded instance families.
 
 Every family is a pure function of its parameters and seed, so identical
-configurations yield byte-identical files.
+configurations yield byte-identical files.  Sizes outside a family's domain
+raise `InputError` before any random draw.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from .graph import CapGraph
 FAMILIES = ("dumbbell", "grid", "regular", "welllinked", "chamber", "capacitated", "random")
 
 
+def _need(ok: bool, rule: str) -> None:
+    if not ok:
+        raise InputError(f"out-of-range size: {rule}")
+
+
 def _attach_pendants(rng, edges, hosts, k, start=1000):
     terms = []
     for i in range(k):
@@ -26,6 +32,7 @@ def _attach_pendants(rng, edges, hosts, k, start=1000):
 
 def gen_dumbbell(k: int = 6, side: int = 5, seed: int = 0) -> CapGraph:
     """Two cliques joined by one bridge; k degree-1 terminals split evenly."""
+    _need(side >= 1 and k >= 0, "dumbbell needs side >= 1 and k >= 0")
     rng = random.Random(seed)
     left = list(range(1, side + 1))
     right = list(range(side + 1, 2 * side + 1))
@@ -45,6 +52,7 @@ def gen_dumbbell(k: int = 6, side: int = 5, seed: int = 0) -> CapGraph:
 
 
 def gen_grid(rows: int = 4, cols: int = 4, k: int = 4, seed: int = 0) -> CapGraph:
+    _need(rows >= 1 and cols >= 1 and k >= 0, "grid needs rows, cols >= 1 and k >= 0")
     rng = random.Random(seed)
     vid = lambda r, c: r * cols + c + 1
     edges = []
@@ -64,6 +72,7 @@ def gen_grid(rows: int = 4, cols: int = 4, k: int = 4, seed: int = 0) -> CapGrap
 
 def gen_regular(n: int = 12, d: int = 3, k: int = 4, seed: int = 0) -> CapGraph:
     """Random d-regular-ish connected core with k degree-1 terminals."""
+    _need(n >= 2 and k >= 0, "regular needs n >= 2 and k >= 0")
     rng = random.Random(seed)
     core = list(range(1, n + 1))
     edges = [(core[i - 1], core[i], 1) for i in range(1, n)]
@@ -86,6 +95,7 @@ def gen_regular(n: int = 12, d: int = 3, k: int = 4, seed: int = 0) -> CapGraph:
 def gen_welllinked(n: int = 10, k: int = 5, seed: int = 0, extra: int = 3) -> CapGraph:
     """Dense core (cycle plus chords plus a hub) built to pass the exact
     1/3-well-linkedness check for desk sizes."""
+    _need(n >= 2 and k >= 0, "welllinked needs n >= 2 and k >= 0")
     rng = random.Random(seed)
     core = list(range(1, n + 1))
     edges = [(core[i], core[(i + 1) % n], 1) for i in range(n)]
@@ -103,6 +113,8 @@ def gen_chamber(
 ) -> CapGraph:
     """A well-linked body with terminals plus a large blob hanging off a thin
     attachment: the blob is a contractible set for the flow machinery."""
+    _need(body_n >= 2 and k >= 0 and 0 <= attach <= min(body_n, chamber_n),
+          "chamber needs body_n >= 2, k >= 0 and 0 <= attach <= body_n, chamber_n")
     rng = random.Random(seed)
     body = list(range(1, body_n + 1))
     edges = []
@@ -128,6 +140,8 @@ def gen_capacitated(
 ) -> CapGraph:
     """Connected graph with capacities in half-units of [1, cap_max] and
     terminals of arbitrary degree."""
+    _need(n >= 2 and 0 <= k <= n and cap_max >= 1,
+          "capacitated needs n >= 2, 0 <= k <= n and cap_max >= 1")
     rng = random.Random(seed)
     verts = list(range(1, n + 1))
 
@@ -147,6 +161,7 @@ def gen_capacitated(
 def gen_random_unit(n: int = 12, m: int = 20, k: int = 4, seed: int = 0) -> CapGraph:
     """Connected random unit multigraph; terminals are core vertices of
     arbitrary degree."""
+    _need(n >= 2 and 0 <= k <= n, "random needs n >= 2 and 0 <= k <= n")
     rng = random.Random(seed)
     verts = list(range(1, n + 1))
     edges = []

@@ -161,18 +161,6 @@ class CapGraph:
         return f"CapGraph(n={self.n}, m={self.m}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """A vertex subset of a parent graph with its precomputed boundary."""
-
-    members: frozenset[int]
-    boundary: tuple[int, ...]  # edge ids of out(members), sorted
-    z: Fraction  # total boundary capacity
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
-
 def out_edges(g: CapGraph, members: Iterable[int]) -> list[Edge]:
     """Edges with exactly one endpoint in `members`, in edge-id order."""
     ms = frozenset(members)
@@ -182,11 +170,9 @@ def out_edges(g: CapGraph, members: Iterable[int]) -> list[Edge]:
     return [e for e in g.edges if (e.u in ms) != (e.v in ms)]
 
 
-def make_cluster(g: CapGraph, members: Iterable[int]) -> Cluster:
-    ms = frozenset(members)
-    boundary = out_edges(g, ms)
-    z = sum((e.cap for e in boundary), Fraction(0))
-    return Cluster(ms, tuple(e.eid for e in boundary), z)
+def out_capacity(g: CapGraph, members: Iterable[int]) -> Fraction:
+    """Total capacity of out(members), the boundary edges of the set."""
+    return sum((e.cap for e in out_edges(g, members)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -359,7 +359,8 @@ def recheck_router_certificates(sp: RouterSparsifier, budget: int = DEFAULT_ENUM
     eta, which is at most eta* (a cluster with z <= 1 stores eta 0 and no
     flows); and every z > 1 cluster is 1/3-well-linked.  The
     well-linked test enumerates at most `budget` boundary bundles; a cluster
-    beyond it is reported "skipped (budget)"."""
+    beyond it is reported "skipped (budget)" and its index listed under
+    "skipped": work not done, not passed."""
     g = sp.unit_graph
     checks: list[tuple[str, bool, str]] = []
 
@@ -387,7 +388,7 @@ def recheck_router_certificates(sp: RouterSparsifier, budget: int = DEFAULT_ENUM
             detail.append(f"cluster {ci}: {err}")
     add("router-flows", ok_flow, "; ".join(detail) or "conservation, delivery, congestion <= eta*")
 
-    ok_wl, detail = True, []
+    ok_wl, detail, skipped = True, [], []
     for ci, inst in enumerate(insts):
         if inst.z <= 1:
             continue
@@ -395,13 +396,14 @@ def recheck_router_certificates(sp: RouterSparsifier, budget: int = DEFAULT_ENUM
             ok, viol = is_well_linked(inst, ONE_THIRD, budget=budget)
         except BudgetExceeded:
             detail.append(f"cluster {ci}: skipped (budget)")
+            skipped.append(ci)
             continue
         if not ok:
             ok_wl = False
             detail.append(f"cluster {ci}: sparsity {viol.sparsity}")
     add("well-linked", ok_wl, "; ".join(detail) or "all clusters 1/3-well-linked")
 
-    return {"ok": all(ok for _n, ok, _d in checks), "checks": checks}
+    return {"ok": all(ok for _n, ok, _d in checks), "checks": checks, "skipped": skipped}
 
 
 def _recheck_one_router(inst: SubdividedInstance, cert: RouterCertificate) -> str:

@@ -44,6 +44,30 @@ def test_gen_welllinked_certified(tmp_path, capsys):
     assert ok
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--rows", "-2"],
+        ["grid", "--rows", "0"],
+        ["grid", "--k", "-1"],
+        ["dumbbell", "--side", "0"],
+        ["capacitated", "--n", "8", "--k", "20"],
+        ["random", "--n", "1"],
+        ["welllinked", "--n", "1"],
+        ["chamber", "--body-n", "1"],
+        ["regular", "--n", "1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_gen_out_of_range_size_exits_two(tmp_path, capsys, argv):
+    out_path = tmp_path / "g.vsp"
+    code, out, err = run(["gen", *argv, "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+    assert not out_path.exists()
+
+
 def test_build_and_verify_roundtrip(tmp_path, capsys):
     g = tmp_path / "g.vsp"
     run(["gen", "regular", "--n", "8", "--k", "4", "--seed", "1", "--out", str(g)], capsys)
@@ -235,6 +259,26 @@ def test_verify_flow_file_without_mode_rechecks_certificates(grid_builds, capsys
     header, report = out.split("\n", 1)
     assert header.startswith("# vsp mode=flow ")
     assert json.loads(report)["budget_flags"]["certificates"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "built, flags, skipped",
+    [
+        ("cut", ["--budget-enum", "1"], ("non_exhaustive", True)),
+        ("flow", ["--budget-exp", "1"], ("well_linked_skipped", [0])),
+    ],
+    ids=["cut-sampled", "flow-well-linked"],
+)
+def test_verify_with_skipped_work_exits_three(grid_builds, capsys, built, flags, skipped):
+    # a check skipped for budget is not a pass: the report is printed, its
+    # budget flags name the skipped work, and the exit code is 3
+    g, cut, flow = grid_builds
+    code, out, _ = run(["verify", g, {"cut": cut, "flow": flow}[built], *flags], capsys)
+    assert code == 3
+    report = json.loads(out.split("\n", 1)[1])
+    assert report["violations"] == []
+    key, value = skipped
+    assert report["budget_flags"][key] == value
 
 
 def test_verify_ignores_vsp_environment(grid_builds, capsys, monkeypatch):

@@ -154,7 +154,7 @@ def test_certify_catches_corruption():
     # move a vertex out of its cluster
     c0 = dec.clusters[0]
     bad = ClusterCert(
-        c0.members - {min(c0.members)}, c0.boundary, c0.z, c0.alpha, c0.source, c0.level
+        subdivide_boundary(g, c0.members - {min(c0.members)}), c0.alpha, c0.source, c0.level
     )
     dec.clusters[0] = bad
     rep = certify_decomposition(g, dec)

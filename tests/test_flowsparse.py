@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsp import flowsparse, graph
+from vsp import flowsparse, graph, sparsecut
 from vsp.errors import InputError
 from vsp.flowsparse import (
     FlowParams,
@@ -227,37 +227,58 @@ def test_one_assembly_per_build(monkeypatch, make_graph, eps, params):
     assert calls == [eps]
 
 
-def test_router_checks_subdivide_each_cluster_once(monkeypatch):
-    # both router checks take the cluster's instance G_S: a build subdivides
-    # each router cluster once, and the recheck each certificate once
-    original = graph.subdivide_boundary
-    calls, clusters, depth = [], [], [0]
+def _layer_caller(frame) -> str | None:
+    """The module of the first frame outside the graph and sparse-cut layers
+    (and this test's wrappers): the code that asked for the call."""
+    skip = {"vsp.graph", "vsp.sparsecut", __name__}
+    while frame is not None and frame.f_globals.get("__name__") in skip:
+        frame = frame.f_back
+    return None if frame is None else frame.f_globals.get("__name__")
 
-    def counted(g, members, *rest):
-        if depth[0]:
-            calls.append(frozenset(members))
-        return original(g, members, *rest)
 
-    for name, mod in list(sys.modules.items()):
-        if (name == "vsp" or name.startswith("vsp.")) and vars(mod).get(
-            "subdivide_boundary"
-        ) is original:
-            monkeypatch.setattr(mod, "subdivide_boundary", counted)
-    cluster_routers = flowsparse._cluster_routers
+@pytest.mark.parametrize(
+    "make_graph, eps",
+    [(lambda: gen_grid(4, 4, k=4), None), (lambda: gen_capacitated(n=8, k=3, seed=0), F(1, 2))],
+    ids=["grid4-unit", "capacitated0-eps"],
+)
+def test_router_search_reuses_the_decomposition_instance(monkeypatch, make_graph, eps):
+    # a build searches the instance G_S that each strong-decomposition
+    # cluster keeps and takes its exact well-linked verdict: vsp.flowsparse
+    # neither subdivides a cluster again nor reruns the sparsest cut.  The
+    # recheck still builds one instance per certificate.
+    originals = {
+        "subdivide_boundary": graph.subdivide_boundary,
+        "sparsest_cut_exact": sparsecut.sparsest_cut_exact,
+    }
+    calls = []
 
-    def scoped(g, zcs, *rest):
-        zcs = list(zcs)
-        clusters.extend(zc.members for zc in zcs)
-        depth[0] += 1
-        try:
-            return cluster_routers(g, zcs, *rest)
-        finally:
-            depth[0] -= 1
+    def watch(name, fn):
+        def watched(*args, **kwargs):
+            calls.append((name, _layer_caller(sys._getframe(1)), args))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(flowsparse, "_cluster_routers", scoped)
-    sp = build_flow_sparsifier(gen_grid(4, 4, k=4))
-    assert clusters and calls == clusters
+        return watched
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "vsp" or modname.startswith("vsp."):
+            for name, fn in originals.items():
+                if vars(mod).get(name) is fn:
+                    monkeypatch.setattr(mod, name, watch(name, fn))
+    searched = []
+    well_linked_routers = flowsparse._well_linked_routers
+
+    def recording(inst, *rest):
+        searched.append(inst)
+        return well_linked_routers(inst, *rest)
+
+    monkeypatch.setattr(flowsparse, "_well_linked_routers", recording)
+    sp = build_flow_sparsifier(make_graph(), eps)
+    # the watch is live: the decomposition's own calls are seen
+    assert {n for n, c, _a in calls if c == "vsp.decompose"} == set(originals)
+    assert [(n, c) for n, c, _a in calls if c == "vsp.flowsparse"] == []
+    kept = [c.inst for dec in sp.decompositions for c in dec.clusters]
+    assert searched and sorted(map(id, searched)) == sorted(map(id, kept))
     calls.clear()
-    depth[0] = 1
     assert recheck_router_certificates(sp)["ok"]
-    assert calls == [c.members for c in sp.certificates]
+    subdivided = [a[1] for n, _c, a in calls if n == "subdivide_boundary"]
+    assert subdivided == [c.members for c in sp.certificates]

@@ -7,7 +7,7 @@ from vsp.errors import ContractError, InputError, ParamError, ParseError
 from vsp.graph import (
     CapGraph,
     contract,
-    make_cluster,
+    out_capacity,
     out_edges,
     read_graph,
     subdivide_boundary,
@@ -248,6 +248,5 @@ def test_read_rational_capacity(tmp_path):
 
 def test_cluster_boundary():
     g = CapGraph([1, 2, 3, 4], [(1, 2, 2), (2, 3, 1), (3, 4, 1)])
-    c = make_cluster(g, {2, 3})
-    assert c.boundary == (0, 2)
-    assert c.z == 3
+    assert tuple(e.eid for e in out_edges(g, {2, 3})) == (0, 2)
+    assert out_capacity(g, {2, 3}) == 3

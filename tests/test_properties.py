@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from vsp.flow import max_flow, min_cut_between
 from vsp.flowsparse import FlowParams, _path_transfer, is_good_router
-from vsp.graph import CapGraph, contract, make_cluster, out_edges, subdivide_boundary
+from vsp.graph import CapGraph, contract, out_edges, subdivide_boundary
 from vsp.params import beta_fcg
 from vsp.routing import (
     DemandSet,

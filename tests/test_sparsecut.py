@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vsp.errors import BudgetExceeded
-from vsp.graph import CapGraph, make_cluster, subdivide_boundary
+from vsp.graph import CapGraph, subdivide_boundary
 from vsp.sparsecut import (
     is_well_linked,
     sparsest_cut_exact,
