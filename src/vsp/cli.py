@@ -108,6 +108,8 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.delta) and args.delta >= 0):
         return _fail(EXIT_INPUT, "input", f"--delta must be finite and >= 0, got {args.delta}")
+    if args.samples < 0:
+        return _fail(EXIT_INPUT, "input", f"--samples must be >= 0, got {args.samples}")
     try:
         g = read_graph(args.input)
         sp = load_sparsifier(g, args.sparsifier)

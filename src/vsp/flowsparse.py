@@ -747,10 +747,11 @@ def _mix_inside(
     res = min_congestion_routing(inst.graph, dem)
     if res.eta == INFEASIBLE:
         raise InputError("mixing demands are unroutable inside the witness set")
+    pendants = set(inst.pendant_of.values())
     loads: dict[int, Fraction] = {}
     for ieid, f in res.flow.edge_flow.items():
-        geid = inst.inner_edge_of.get(ieid)
-        if geid is not None and f != 0:
+        geid = inst.parent_edge[ieid]
+        if geid not in pendants and f != 0:
             loads[geid] = loads.get(geid, Fraction(0)) + f
     return loads
 

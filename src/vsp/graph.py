@@ -185,7 +185,6 @@ class SubdividedInstance:
     members: frozenset[int]  # S, vertices of the parent graph
     terminals: tuple[int, ...]  # t_e vertices, ordered by original edge id
     pendant_of: Mapping[int, int]  # t_e vertex -> original boundary edge id
-    inner_edge_of: Mapping[int, int]  # inner instance edge id -> original edge id
     # every instance edge id -> original edge id; a pendant edge maps to the
     # boundary edge it subdivides
     parent_edge: Mapping[int, int]
@@ -217,12 +216,11 @@ def subdivide_boundary(
     next_v = (max(g.vertices) + 1) if g.vertices else 1
     pendant_of = {}
     edges = []
-    inner_edge_of = {}
+    parent_edge = {}
     for e in g.edges:
         if e.u in ms and e.v in ms:
-            inner_edge_of[len(edges)] = e.eid
+            parent_edge[len(edges)] = e.eid
             edges.append((e.u, e.v, e.cap))
-    parent_edge = dict(inner_edge_of)
     terminals = []
     for e in boundary:
         te = next_v
@@ -233,7 +231,7 @@ def subdivide_boundary(
         parent_edge[len(edges)] = e.eid
         edges.append((inside, te, e.cap))
     gs = CapGraph(sorted(ms) + terminals, edges, terminals)
-    return SubdividedInstance(gs, ms, tuple(terminals), pendant_of, inner_edge_of, parent_edge)
+    return SubdividedInstance(gs, ms, tuple(terminals), pendant_of, parent_edge)
 
 
 @dataclass(frozen=True)

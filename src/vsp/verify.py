@@ -23,7 +23,7 @@ from .flow import TerminalCuts, bipartitions, flow_conserves
 from .flowsparse import RouterCertificate, RouterSparsifier
 from .graph import CapGraph, SubdividedInstance, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
-from .routing import INFEASIBLE, DemandSet, min_congestion_routing
+from .routing import INFEASIBLE, DemandSet, RoutingResult, min_congestion_routing
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked
 
 DEFAULT_CUT_ENUM_BUDGET = 16
@@ -197,7 +197,12 @@ def verify_flow_quality(
     flow quality (sampling cannot prove an upper bound); the upper bound is
     certified separately through the router certificates.  When a sparsifier
     is supplied, every sampled H-flow is also re-routed through the cluster
-    routers and the composed congestion compared against 2 eta* eta(H,D)."""
+    routers and the composed congestion compared against 2 eta* eta(H,D).
+
+    A demand set that repeats within the call (gravity equals uniform when
+    every terminal has degree 1, and matching samples repeat among few
+    terminals) is routed once in each graph; every record of it reuses
+    those two routings, so it still gets its own id and entry."""
     if sorted(g.terminals) != sorted(h.terminals):
         raise InputError("graphs disagree on the terminal set")
     rep = QualityReport("flow", None, delta=delta)
@@ -205,12 +210,14 @@ def verify_flow_quality(
     tol = 1 + 2 * delta
     worst = Fraction(1)
     tid = 0
+    routed: dict[DemandSet, tuple[RoutingResult, RoutingResult]] = {}
     for strat in strategies:
         for dem in demand_strategies(g, strat, samples, seed + tid):
             if not dem:
                 continue
-            rg = min_congestion_routing(g, dem)
-            rh = min_congestion_routing(h, dem)
+            if dem not in routed:
+                routed[dem] = (min_congestion_routing(g, dem), min_congestion_routing(h, dem))
+            rg, rh = routed[dem]
             rec = {"id": tid, "strategy": strat, "pairs": len(dem.pairs)}
             tid += 1
             if rg.eta == INFEASIBLE or rh.eta == INFEASIBLE:

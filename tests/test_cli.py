@@ -196,6 +196,15 @@ def test_verify_bad_delta_exits_two(grid_builds, capsys, delta):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("samples", ["-1", "-5"])
+def test_verify_negative_samples_exits_two(grid_builds, capsys, samples):
+    g, _cut, flow = grid_builds
+    code, out, err = run(["verify", g, flow, "--samples", samples], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_budget_refusal_exit_three(tmp_path, capsys):
     g = tmp_path / "g.vsp"
     run(["gen", "random", "--n", "24", "--m", "60", "--k", "8", "--seed", "9",

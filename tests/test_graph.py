@@ -68,6 +68,13 @@ def test_subdivide_no_boundary():
     assert inst.graph.m == 3
 
 
+def _inner_parent_edge(inst):
+    """parent_edge restricted to the inner edges, those not subdividing a
+    boundary edge."""
+    pendants = set(inst.pendant_of.values())
+    return {ieid: geid for ieid, geid in inst.parent_edge.items() if geid not in pendants}
+
+
 def test_subdivide_counts_random():
     rng = random.Random(11)
     for _ in range(15):
@@ -83,8 +90,15 @@ def test_subdivide_counts_random():
         assert len(set(inst.parent_edge.values())) == inst.graph.m
         for e in inst.graph.edges:
             assert g.edges[inst.parent_edge[e.eid]].cap == e.cap
-        for ieid, geid in inst.inner_edge_of.items():
-            assert inst.parent_edge[ieid] == geid
+        # restricted to the inner edges, it maps each to the edge of G[S] with
+        # the same ends
+        inner = _inner_parent_edge(inst)
+        assert sorted(inner) == [
+            e.eid for e in inst.graph.edges if e.u in members and e.v in members
+        ]
+        for ieid, geid in inner.items():
+            e, pe = inst.graph.edges[ieid], g.edges[geid]
+            assert (e.u, e.v) == (pe.u, pe.v)
         for t in inst.terminals:
             assert inst.parent_edge[inst.pendant_edge(t).eid] == inst.pendant_of[t]
 
@@ -93,7 +107,7 @@ def _instance_fields(inst):
     h = inst.graph
     return (
         h.vertices, [(e.u, e.v, e.cap) for e in h.edges], h.terminals, inst.terminals,
-        dict(inst.pendant_of), dict(inst.inner_edge_of),
+        dict(inst.pendant_of), _inner_parent_edge(inst),
     )
 
 
@@ -112,8 +126,8 @@ def test_subdivide_edge_subset():
         assert sub.terminals == tuple(range(first, first + len(chosen)))
         assert sub.graph.vertices == tuple(sorted(members)) + sub.terminals
         # the same inner edges, in the same instance positions
-        ninner = len(full.inner_edge_of)
-        assert sub.inner_edge_of == full.inner_edge_of
+        ninner = len(_inner_parent_edge(full))
+        assert _inner_parent_edge(sub) == _inner_parent_edge(full)
         assert [(e.u, e.v, e.cap) for e in sub.graph.edges[:ninner]] == [
             (e.u, e.v, e.cap) for e in full.graph.edges[:ninner]
         ]

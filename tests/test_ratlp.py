@@ -175,6 +175,40 @@ def test_identical_to_fraction_oracle(lp):
     _same_as_oracle(*lp)
 
 
+# wider, mostly-zero LPs: about 70% of the coefficients are zero, and some
+# rows are empty or repeat an earlier row up to a factor, so entries cancel
+# to zero and phase 1 leaves redundant rows to delete
+_sparse_coef = st.tuples(st.integers(0, 9), _coef).map(lambda p: p[1] if p[0] < 3 else F(0))
+
+
+@st.composite
+def _sparse_lps(draw):
+    n = draw(st.integers(1, 12))
+    row = st.lists(_sparse_coef, min_size=n, max_size=n)
+    c = draw(row)
+    rows = []  # (is_equality, coefficients, right-hand side)
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["fresh", "fresh", "empty", "repeat"]))
+        if shape == "empty":
+            vals, b = [F(0)] * n, draw(st.sampled_from([F(0), F(0), F(0), F(1), F(-1)]))
+        elif shape == "repeat" and rows:
+            _, vals, b = draw(st.sampled_from(rows))
+            k = draw(_coef.filter(bool))
+            vals, b = [k * v for v in vals], k * b
+        else:
+            vals, b = draw(row), draw(_sparse_coef)
+        rows.append((draw(st.booleans()), vals, b))
+    ub = [(vals, b) for is_eq, vals, b in rows if not is_eq]
+    eq = [(vals, b) for is_eq, vals, b in rows if is_eq]
+    return c, [v for v, _ in ub], [b for _, b in ub], [v for v, _ in eq], [b for _, b in eq]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_lps())
+def test_sparse_identical_to_fraction_oracle(lp):
+    _same_as_oracle(*lp)
+
+
 def _router_lps_match_oracle(monkeypatch, g):
     calls = []
 

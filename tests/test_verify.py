@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -20,14 +21,16 @@ from vsp.flowsparse import (
 from vsp.graph import CapGraph, subdivide_boundary
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.serialize import load_sparsifier, save_sparsifier
+import vsp.verify as verify
 from vsp.verify import (
+    demand_strategies,
     recheck_router_certificates,
     reroute_through_clusters,
     verify_cut_quality,
     verify_flow_quality,
 )
 
-from util import derived_router_fields, edit_sidecar, random_unit_graph
+from util import derived_router_fields, edit_sidecar, flow_router_graph, random_unit_graph
 
 F = Fraction
 AGG = FlowParams(profile="aggressive")
@@ -140,6 +143,35 @@ def test_flow_report_labels_sampling():
     assert rep.ok, rep.violations
     assert rep.flags["sampled"] is True
     assert rep.q_observed >= 1
+
+
+def test_flow_quality_routes_each_demand_set_once(monkeypatch):
+    # four degree-1 terminals: gravity equals uniform, and the three matching
+    # samples repeat one of the three possible matchings
+    g = flow_router_graph(3)
+    sp = build_flow_sparsifier(g)
+    drawn, routed = [], Counter()
+
+    def recorded(*args):
+        out = demand_strategies(*args)
+        drawn.extend(out)
+        return out
+
+    def counted(graph, dem, **kw):
+        routed[dem] += 1
+        return min_congestion_routing(graph, dem, **kw)
+
+    monkeypatch.setattr(verify, "demand_strategies", recorded)
+    monkeypatch.setattr(verify, "min_congestion_routing", counted)
+    rep = verify_flow_quality(g, sp.graph, samples=3, sparsifier=sp)
+    assert rep.ok, rep.violations
+    assert len(rep.records) == len(drawn) == 5
+    assert len(set(drawn)) < 5
+    assert routed == {dem: 2 for dem in drawn}
+    for rec, dem in zip(rep.records, drawn):
+        rh = min_congestion_routing(sp.graph, dem)
+        assert (rec["g"], rec["h"]) == (min_congestion_routing(g, dem).eta, rh.eta)
+        assert rec["composed"] == reroute_through_clusters(sp, rh)
 
 
 def test_router_recheck_detects_flow_perturbation():
