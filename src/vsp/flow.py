@@ -4,13 +4,19 @@ All capacities are rationals; internally every instance is scaled by the
 common denominator so Dinic runs on integers and both the flow value and
 the cut certificate are exact.
 
-Terminal cuts are compiled once per graph: `TerminalCuts` turns G into
-integer arc arrays with a zero-capacity source arc and sink arc per
-terminal.  Each split copies the base capacities, raises its own terminals'
-arcs above any cut value and reruns Dinic on the same arrays, so the
-bipartition sweeps of the sparsest cut and of cut verification pay for the
-`Fraction` arithmetic once, not once per split.  `min_cut_between` and
-`max_flow` are one-shot uses.
+`Net` is the pure-Python Dinic network.  It returns flows, paths and the
+minimal source side of a minimum cut.  `max_flow` and `min_cut_between`
+serve one split each and wire a `Net` for it directly.
+
+`TerminalCuts` serves the bipartition sweeps of the sparsest cut and of cut
+verification, many splits of one graph's terminals.  It scales G's arcs
+once.  `values` prices a whole sweep with SciPy's compiled Dinic, one call
+per chunk of splits on a block-diagonal stack of copies of G, and `min_cut`
+runs `Net` for the one split whose certificate a caller needs.  SciPy holds
+capacities in int32 and silently truncates wider ones, so a graph whose
+scaled total capacity reaches 2^31 never goes to SciPy: its splits are
+priced one by one in Python.  So are sweeps of fewer than `_FEW_SPLITS`
+splits, for which one SciPy call costs more than the Python solves.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -24,11 +30,25 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
+
 from .errors import InputError
 from .graph import CapGraph
+
+# SciPy's maximum_flow holds capacities as int32
+_INT32_LIMIT = 1 << 31
+# nodes plus arcs of one stacked network: bounds the memory of a solve
+_CHUNK_SIZE = 1 << 16
+# sweeps have 2^(k-1) - 1 splits; measured on the cluster graphs of the
+# benchmark workloads, sweeps of 1, 3 and 7 splits run faster in pure
+# Python and sweeps of 15 or more in one SciPy call
+_FEW_SPLITS = 8
 
 
 class Net:
@@ -327,52 +347,153 @@ class FlowSolution:
 
 
 class TerminalCuts:
-    """G's flow network compiled once, for any number of minimum cuts between
-    disjoint groups of the given terminals.  Source and sink arcs are added
-    in sorted terminal order at capacity 0, and Dinic never traverses an arc
-    of capacity 0, so every solve visits the arcs a network wired for that
-    split alone would visit, in the same order."""
+    """Minimum cuts between disjoint groups of the given terminals of one
+    graph G, for any number of splits.
+
+    G's capacities are scaled once to integers over their common
+    denominator.  `_big`, the scaled total capacity plus one, exceeds every
+    arc (summed parallel arcs included) and every cut, so a split wires its
+    terminals to the super-source and the super-sink at `_big`.
+
+    `values` prices a sequence of splits in compiled code.  It stacks one
+    copy of G's arc set per split into a block-diagonal network whose copies
+    share the super-terminals, and one call of SciPy's Dinic solves a chunk
+    of splits.  The copies share no arc, so a maximum flow of the stack is a
+    maximum flow of every copy, and a split's value is the flow that the
+    super-source sends into its copy.  SciPy's solver keeps capacities in
+    int32 and silently truncates wider ones (an arc of 2^40 comes back as a
+    flow of 0), so when `_big` reaches 2^31 no network of G goes to SciPy:
+    `values` prices the splits one by one with `min_cut` instead.  It does
+    the same for a chunk of fewer than `_FEW_SPLITS` splits: a SciPy call
+    costs about 0.3 ms before it solves anything.
+
+    `min_cut` runs the pure-Python `Net`, compiled on first use with a
+    zero-capacity source arc and sink arc per terminal, and returns the
+    minimal source side of a minimum cut with its value.  That side is the
+    same for every maximum flow, so it does not depend on which solver found
+    the value."""
 
     def __init__(self, g: CapGraph, terminals: Iterable[int]):
         terms = sorted(set(terminals))
         for v in terms:
             if not g.has_vertex(v):
                 raise InputError(f"unknown vertex id {v}")
-        net = Net()
-        for e in g.edges:
-            if e.u != e.v:
-                net.undirected(e.u, e.v, e.cap, key=e.eid)
-        self._big = net._scaled(sum((e.cap for e in g.edges), Fraction(0)) + 1)
-        self._source_arc: dict[int, int] = {}
-        for v in terms:
-            self._source_arc[v] = len(net._to)
-            net.arc(net.source, v, 0)
-        self._sink_arc: dict[int, int] = {}
-        for v in terms:
-            self._sink_arc[v] = len(net._to)
-            net.arc(v, net.sink, 0)
-        self.net = net
-        self._base = tuple(net._cap)
+        self._g = g
+        self._terms = terms
+        self._term_set = frozenset(terms)
         self._vertices = frozenset(g.vertices)
+        total = sum((e.cap for e in g.edges), Fraction(0)) + 1
+        self._den = lcm(total.denominator, *(e.cap.denominator for e in g.edges))
+        self._big = int(total * self._den)
+        self.net: Net | None = None
+        self._cols: np.ndarray | None = None  # G's CSR rows, compiled on first stacked solve
+        self._chunk = max(_FEW_SPLITS, _CHUNK_SIZE // (g.n + 2 * g.m + 2 * len(terms)))
+
+    def _compile_copy(self):
+        # one copy of G as CSR rows over vertex positions; each terminal's
+        # row ends in an arc to column n, which stands for the super-sink
+        pos = {v: i for i, v in enumerate(self._g.vertices)}
+        arcs: dict[tuple[int, int], int] = {}
+        for e in self._g.edges:
+            if e.u != e.v:
+                c = e.cap.numerator * (self._den // e.cap.denominator)
+                for a in ((pos[e.u], pos[e.v]), (pos[e.v], pos[e.u])):
+                    arcs[a] = arcs.get(a, 0) + c
+        n = len(pos)
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v), c in sorted(arcs.items()):
+            rows[u].append((v, c))
+        term_rows = [pos[t] for t in self._terms]  # ascending, as the ids are
+        for r in term_rows:
+            rows[r].append((n, 0))
+        self._indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int32)
+        self._cols = np.array([v for r in rows for v, _ in r], dtype=np.int32)
+        self._caps = np.array([c for r in rows for _, c in r], dtype=np.int32)
+        self._term_rows = np.array(term_rows, dtype=np.int32)
+        self._sink_entries = self._indptr[self._term_rows + 1] - 1
+
+    def _checked(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[set, set]:
+        ta, tb = _disjoint_sides(term_a, term_b)
+        for v in ta | tb:
+            if v not in self._term_set:
+                raise InputError(f"vertex {v} is not a compiled terminal")
+        return ta, tb
+
+    def values(
+        self, splits: Iterable[tuple[Iterable[int], Iterable[int]]]
+    ) -> Iterator[Fraction]:
+        """The minimum cut value of every split (side a, side b), in order,
+        solved a chunk of splits at a time as the iterator is consumed.  A
+        chunk goes to SciPy when `_big` fits in int32 and the chunk holds at
+        least `_FEW_SPLITS` splits; otherwise `min_cut` prices its splits."""
+        splits = iter(splits)
+        while chunk := [self._checked(ta, tb) for ta, tb in islice(splits, self._chunk)]:
+            if self._big >= _INT32_LIMIT or len(chunk) < _FEW_SPLITS:
+                yield from (self.min_cut(ta, tb)[0] for ta, tb in chunk)
+            else:
+                yield from (Fraction(v, self._den) for v in self._stack_values(chunk))
+
+    def _stack_values(self, chunk: list[tuple[set, set]]) -> list[int]:
+        """Scaled max-flow values of the splits in one stacked network: copy
+        c of G wires split c's sides to the super-source and super-sink."""
+        if self._cols is None:
+            self._compile_copy()
+        big = np.int32(self._big)
+        source_caps = np.array([[t in ta for t in self._terms] for ta, _ in chunk]) * big
+        sink_caps = np.array([[t in tb for t in self._terms] for _, tb in chunk]) * big
+        copies, k = source_caps.shape
+        n, arcs = len(self._indptr) - 1, len(self._cols)
+        source, sink = copies * n, copies * n + 1
+        copy = np.arange(copies, dtype=np.int32)[:, None]
+        cols = self._cols + n * copy
+        cols[:, self._sink_entries] = sink
+        caps = np.tile(self._caps, (copies, 1))
+        caps[:, self._sink_entries] = sink_caps
+        end = copies * (arcs + k)
+        indptr = np.concatenate(
+            ((self._indptr[:-1] + arcs * copy).ravel(), [copies * arcs, end, end])
+        ).astype(np.int32)
+        net = csr_array(
+            (
+                np.concatenate((caps.ravel(), source_caps.ravel())),
+                np.concatenate((cols.ravel(), (self._term_rows + n * copy).ravel())),
+                indptr,
+            ),
+            shape=(copies * n + 2, copies * n + 2),
+        )
+        flow = maximum_flow(net, source, sink, method="dinic").flow
+        lo, hi = flow.indptr[source], flow.indptr[source + 1]
+        out = np.zeros(copies, dtype=np.int64)
+        np.add.at(out, flow.indices[lo:hi] // n, flow.data[lo:hi])
+        return out.tolist()
+
+    def _network(self) -> Net:
+        if self.net is None:
+            net = _graph_net(self._g)
+            net._rescale(self._den)
+            self._source_arc: dict[int, int] = {}
+            for v in self._terms:
+                self._source_arc[v] = len(net._to)
+                net.arc(net.source, v, 0)
+            self._sink_arc: dict[int, int] = {}
+            for v in self._terms:
+                self._sink_arc[v] = len(net._to)
+                net.arc(v, net.sink, 0)
+            self._base = tuple(net._cap)
+            self.net = net
+        return self.net
 
     def min_cut(
         self, term_a: Iterable[int], term_b: Iterable[int]
     ) -> tuple[Fraction, CutCertificate]:
         """Capacity of the minimum cut separating term_a from term_b, with
         its minimal source side; `net` holds the flow until the next cut."""
-        ta, tb = set(term_a), set(term_b)
-        if not ta or not tb:
-            raise InputError("empty source or sink set")
-        if ta & tb:
-            raise InputError("terminal sides overlap")
+        ta, tb = self._checked(term_a, term_b)
+        net = self._network()
         cap = list(self._base)
         for side, arcs in ((ta, self._source_arc), (tb, self._sink_arc)):
             for v in side:
-                a = arcs.get(v)
-                if a is None:
-                    raise InputError(f"vertex {v} is not a compiled terminal")
-                cap[a] = self._big
-        net = self.net
+                cap[arcs[v]] = self._big
         net._cap = cap
         value = net.max_flow(net.source, net.sink)
         side_a = net.cut_side()
@@ -414,15 +535,53 @@ def bipartitions(
     return sample(), False
 
 
+def _disjoint_sides(term_a: Iterable[int], term_b: Iterable[int]) -> tuple[set, set]:
+    ta, tb = set(term_a), set(term_b)
+    if not ta or not tb:
+        raise InputError("empty source or sink set")
+    if ta & tb:
+        raise InputError("terminal sides overlap")
+    return ta, tb
+
+
+def _graph_net(g: CapGraph) -> Net:
+    """A `Net` holding G's edges, keyed by edge id; self-loops carry no flow
+    and are left out."""
+    net = Net()
+    for e in g.edges:
+        if e.u != e.v:
+            net.undirected(e.u, e.v, e.cap, key=e.eid)
+    return net
+
+
+def _one_split(
+    g: CapGraph, term_a: Iterable[int], term_b: Iterable[int]
+) -> tuple[Net, Fraction, CutCertificate]:
+    """Solve G's network for one split: term_a hangs off the super-source
+    and term_b off the super-sink, at a capacity above every cut.  Returns
+    the network holding the flow, the value and the minimal source side."""
+    ta, tb = _disjoint_sides(term_a, term_b)
+    for v in ta | tb:
+        if not g.has_vertex(v):
+            raise InputError(f"unknown vertex id {v}")
+    net = _graph_net(g)
+    big = sum((e.cap for e in g.edges), Fraction(0)) + 1
+    for v in sorted(ta):
+        net.arc(net.source, v, big)
+    for v in sorted(tb):
+        net.arc(v, net.sink, big)
+    value = net.max_flow(net.source, net.sink)
+    side_a = net.cut_side()
+    return net, value, CutCertificate(side_a, frozenset(g.vertices) - side_a, value)
+
+
 def max_flow(
     g: CapGraph, sources: Iterable[int], sinks: Iterable[int]
 ) -> tuple[Fraction, FlowSolution, CutCertificate]:
     """Exact max flow between vertex sets (merged via a super source/sink).
     Returns value, a flow attaining it, and a minimum cut of equal value."""
-    src, snk = set(sources), set(sinks)
-    cuts = TerminalCuts(g, src | snk)
-    value, cert = cuts.min_cut(src, snk)
-    flows = cuts.net.flow_by_key()
+    net, value, cert = _one_split(g, sources, sinks)
+    flows = net.flow_by_key()
     sol = FlowSolution({eid: abs(f) for eid, f in flows.items() if f != 0})
     return value, sol, cert
 
@@ -430,11 +589,11 @@ def max_flow(
 def min_cut_between(
     g: CapGraph, term_a: Iterable[int], term_b: Iterable[int]
 ) -> tuple[Fraction, CutCertificate]:
-    """Capacity of the minimum cut separating two disjoint terminal sets;
-    no flow is extracted.  For many cuts on one graph, compile a
-    TerminalCuts once instead."""
-    ta, tb = set(term_a), set(term_b)
-    return TerminalCuts(g, ta | tb).min_cut(ta, tb)
+    """Capacity of the minimum cut separating two disjoint terminal sets,
+    with its minimal source side; no flow is extracted.  For many cuts on
+    one graph, compile a TerminalCuts once instead."""
+    _net, value, cert = _one_split(g, term_a, term_b)
+    return value, cert
 
 
 def flow_conserves(

@@ -1,19 +1,25 @@
 """Sparsest cut on subdivided cluster instances, exact and heuristic, and the
 well-linkedness predicate built on them.
 
-The exact solver enumerates terminal bipartitions and solves a minimum cut
-for each.  Parallel boundary edges are bucketed into one bundle terminal per
-original edge, so the enumeration is over bundles; splitting a bundle away
-from its attachment never helps a cut of sparsity below 1, and cuts of
-sparsity exactly 1 always exist (cut one pendant), so the bundle-level
-minimum capped at 1 is the true optimum.
+The exact solver enumerates terminal bipartitions and prices them all in
+one compiled sweep (`TerminalCuts.values`).  The certificate of the chosen
+split comes from one pure-Python min cut on it (`TerminalCuts.min_cut`),
+whose value must equal the sweep's; its side is the minimal source side of
+a minimum cut, the same whichever solver found the value.  Parallel
+boundary edges are bucketed into one bundle terminal per original edge, so
+the enumeration is over bundles; splitting a bundle away from its
+attachment never helps a cut of sparsity below 1, and cuts of sparsity
+exactly 1 always exist (cut one pendant), so the bundle-level minimum
+capped at 1 is the true optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from math import lcm
+
 import numpy as np
 
 from .errors import BudgetExceeded
@@ -81,7 +87,7 @@ def sparsest_cut_exact(
             f"{nb} boundary bundles exceed the exact enumeration budget {budget}; "
             "use sparsest_cut_heuristic"
         )
-    best: tuple | None = None  # (sparsity, value, side_tuple, cert)
+    best: tuple | None = None  # (sparsity, value, sorted side a, side a, side b, wa)
     if nb >= 2:
         cuts = TerminalCuts(inst.graph, [t for t, _ in terms])
         # bundle weights as ints over one denominator
@@ -90,22 +96,28 @@ def sparsest_cut_exact(
         zint = sum(wint)
         weight = {t: w for (t, _), w in zip(terms, wint)}
         splits, _ = bipartitions([t for t, _ in terms], budget)  # exhaustive: nb <= budget
-        for side1, side2 in splits:
+        splits, priced = tee(splits)
+        for (side1, side2), value in zip(splits, cuts.values(priced)):
             wa = sum(weight[t] for t in side1)
-            value, cut = cuts.min_cut(side1, side2)
             sparsity = value / Fraction(min(wa, zint - wa), den)
             key = (sparsity, value, tuple(sorted(side1)))
             if best is None or key < best[:3]:
-                cert = CutCertificate(
-                    cut.side_a, cut.side_b, value,
-                    term_a=Fraction(wa, den), term_b=Fraction(zint - wa, den),
-                    sparsity=sparsity,
-                )
-                best = (*key, cert)
+                best = (*key, side1, side2, wa)
                 if stop_below is not None and sparsity < stop_below:
-                    return SparsestCut(sparsity, cert, True)
-    if best is not None and best[0] <= 1:
-        return SparsestCut(best[0], best[3], True)
+                    break
+    if best is not None and (best[0] <= 1 or stop_below is not None and best[0] < stop_below):
+        sparsity, value, _, side1, side2, wa = best
+        checked, cut = cuts.min_cut(side1, side2)
+        if checked != value:
+            raise RuntimeError(
+                f"min cut of {sorted(side1)}: compiled sweep {value}, Python Dinic {checked}"
+            )
+        cert = CutCertificate(
+            cut.side_a, cut.side_b, value,
+            term_a=Fraction(wa, den), term_b=Fraction(zint - wa, den),
+            sparsity=sparsity,
+        )
+        return SparsestCut(sparsity, cert, True)
     # every bundle-level split is worse than cutting a single pendant unit
     t0, _ = terms[0]
     eid = inst.pendant_of[t0]

@@ -83,11 +83,11 @@ def verify_cut_quality(
     rep.flags["exhaustive"] = exhaustive
     if not exhaustive:
         rep.flags["non_exhaustive"] = True
-    cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
+    splits = list(splits)
+    values_g = TerminalCuts(g, terms).values(splits)
+    values_h = TerminalCuts(h, terms).values(splits)
     worst = Fraction(1)
-    for i, (ta, tb) in enumerate(splits):
-        vg, _ = cuts_g.min_cut(ta, tb)
-        vh, _ = cuts_h.min_cut(ta, tb)
+    for i, ((ta, tb), vg, vh) in enumerate(zip(splits, values_g, values_h)):
         if vg == 0 and vh == 0:
             ratio = Fraction(1)
         elif vg == 0:

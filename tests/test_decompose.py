@@ -148,6 +148,22 @@ def test_strong_random_certified(subtests=None):
     assert done >= 5
 
 
+def test_certify_lists_budget_skips():
+    # five bundles exceed the budget of 2: the weak decomposition keeps the
+    # clique as one heuristic cluster, and its exact recheck is skipped and
+    # listed, not passed
+    g = _clique_with_pendants(5)
+    dec = weak_decompose(g, set(range(1, 6)), budget=2)
+    assert [c.source for c in dec.clusters] == ["heuristic"]
+    rep = certify_decomposition(g, dec)
+    assert rep["skipped"] == [0]
+    detail = {name: text for name, _ok, text in rep["checks"]}["well-linked"]
+    assert "clusters [0]: skipped (budget)" in detail
+    dec.budget = 5
+    rep = certify_decomposition(g, dec)
+    assert rep["ok"] and not rep["skipped"], rep["checks"]
+
+
 def test_certify_catches_corruption():
     g = _clique_with_pendants(4)
     dec = strong_decompose(g, set(range(1, 5)))

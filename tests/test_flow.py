@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -153,15 +154,39 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
         rng.shuffle(placed)
         splits.append(([t for t, p in zip(terms, placed) if p == 0],
                        [t for t, p in zip(terms, placed) if p == 1]))
-    splits += rng.choices(splits, k=len(splits))
+    # repeats, and enough splits that `values` solves them in one stacked network
+    splits += rng.choices(splits, k=8)
     rng.shuffle(splits)
-    for ta, tb in splits:
+    values = list(cuts.values(splits))
+    assert len(values) == len(splits)
+    for (ta, tb), stacked in zip(splits, values):
         value, cert = cuts.min_cut(ta, tb)
         fresh_value, fresh = min_cut_between(g, ta, tb)
+        assert stacked == value
         assert (value, cert.side_a) == (fresh_value, fresh.side_a)
         assert (value, cert.side_a) == brute_force_min_cut_side(g, ta, tb)
         assert cert.side_b == frozenset(g.vertices) - cert.side_a
         assert cert.recheck_value(g) == value
+
+
+def test_terminal_cuts_values_beyond_int32():
+    # scaled capacities of 2^31 and more are priced exactly: an edge of
+    # 10^12, and small capacities whose common denominator exceeds 2^31;
+    # every split of the terminals into side a, side b and neither
+    for caps in ((10**12, 1, 2), (Fraction(1, 65537), Fraction(1, 65539), Fraction(2, 3))):
+        edges = [(1, 2, caps[0]), (2, 3, caps[1]), (3, 4, caps[2]), (1, 4, caps[1]),
+                 (2, 5, caps[2]), (5, 4, caps[0])]
+        g = CapGraph([1, 2, 3, 4, 5], edges, [1, 3, 4, 5])
+        cuts = TerminalCuts(g, g.terminals)
+        assert cuts._big >= 2**31
+        splits = []
+        for placed in itertools.product(range(3), repeat=4):
+            ta = [t for t, p in zip(g.terminals, placed) if p == 0]
+            tb = [t for t, p in zip(g.terminals, placed) if p == 1]
+            if ta and tb:
+                splits.append((ta, tb))
+        for (ta, tb), value in zip(splits, cuts.values(splits), strict=True):
+            assert value == brute_force_min_cut(g, ta, tb)
 
 
 def test_terminal_cuts_isolated_terminal():
