@@ -5,18 +5,19 @@ common denominator so Dinic runs on integers and both the flow value and
 the cut certificate are exact.
 
 `Net` is the pure-Python Dinic network.  It returns flows, paths and the
-minimal source side of a minimum cut.  `max_flow` and `min_cut_between`
-serve one split each and wire a `Net` for it directly.
+minimal source side of a minimum cut.
 
 `TerminalCuts` serves the bipartition sweeps of the sparsest cut and of cut
 verification, many splits of one graph's terminals.  It scales G's arcs
 once.  `values` prices a whole sweep with SciPy's compiled Dinic, one call
 per chunk of splits on a block-diagonal stack of copies of G, and `min_cut`
 runs `Net` for the one split whose certificate a caller needs.  SciPy holds
-capacities in int32 and silently truncates wider ones, so a graph whose
-scaled total capacity reaches 2^31 never goes to SciPy: its splits are
-priced one by one in Python.  So are sweeps of fewer than `_FEW_SPLITS`
-splits, for which one SciPy call costs more than the Python solves.
+capacities, flows and residuals in int32 and silently truncates wider
+capacities.  A residual can reach twice the scaled total capacity, so a
+graph for which that doubled total reaches 2^31 never goes to SciPy: its
+splits are priced one by one in Python.  So are sweeps of fewer than
+`_FEW_SPLITS` splits, for which one SciPy call costs more than the Python
+solves.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -41,7 +42,7 @@ from scipy.sparse.csgraph import maximum_flow
 from .errors import InputError
 from .graph import CapGraph
 
-# SciPy's maximum_flow holds capacities as int32
+# SciPy's maximum_flow holds capacities, flows and residuals as int32
 _INT32_LIMIT = 1 << 31
 # nodes plus arcs of one stacked network: bounds the memory of a solve
 _CHUNK_SIZE = 1 << 16
@@ -360,12 +361,15 @@ class TerminalCuts:
     share the super-terminals, and one call of SciPy's Dinic solves a chunk
     of splits.  The copies share no arc, so a maximum flow of the stack is a
     maximum flow of every copy, and a split's value is the flow that the
-    super-source sends into its copy.  SciPy's solver keeps capacities in
-    int32 and silently truncates wider ones (an arc of 2^40 comes back as a
-    flow of 0), so when `_big` reaches 2^31 no network of G goes to SciPy:
-    `values` prices the splits one by one with `min_cut` instead.  It does
-    the same for a chunk of fewer than `_FEW_SPLITS` splits: a SciPy call
-    costs about 0.3 ms before it solves anything.
+    super-source sends into its copy.  SciPy's solver keeps capacities and
+    flows in int32 and silently truncates wider capacities (an arc of 2^40
+    comes back as a flow of 0).  An arc u->v and its reverse both carry the
+    summed capacity c < `_big`, and a residual is c minus a flow of at least
+    -c, so residuals reach 2 (`_big` - 1).  When 2 `_big` reaches 2^31 no
+    network of G goes to SciPy: `values` prices the splits one by one with
+    `min_cut` instead.  It does the same for a chunk of fewer than
+    `_FEW_SPLITS` splits: a SciPy call costs about 0.3 ms before it solves
+    anything.
 
     `min_cut` runs the pure-Python `Net`, compiled on first use with a
     zero-capacity source arc and sink arc per terminal, and returns the
@@ -413,7 +417,11 @@ class TerminalCuts:
         self._sink_entries = self._indptr[self._term_rows + 1] - 1
 
     def _checked(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[set, set]:
-        ta, tb = _disjoint_sides(term_a, term_b)
+        ta, tb = set(term_a), set(term_b)
+        if not ta or not tb:
+            raise InputError("empty source or sink set")
+        if ta & tb:
+            raise InputError("terminal sides overlap")
         for v in ta | tb:
             if v not in self._term_set:
                 raise InputError(f"vertex {v} is not a compiled terminal")
@@ -424,11 +432,12 @@ class TerminalCuts:
     ) -> Iterator[Fraction]:
         """The minimum cut value of every split (side a, side b), in order,
         solved a chunk of splits at a time as the iterator is consumed.  A
-        chunk goes to SciPy when `_big` fits in int32 and the chunk holds at
-        least `_FEW_SPLITS` splits; otherwise `min_cut` prices its splits."""
+        chunk goes to SciPy when every residual (at most 2 `_big`) fits in
+        int32 and the chunk holds at least `_FEW_SPLITS` splits; otherwise
+        `min_cut` prices its splits."""
         splits = iter(splits)
         while chunk := [self._checked(ta, tb) for ta, tb in islice(splits, self._chunk)]:
-            if self._big >= _INT32_LIMIT or len(chunk) < _FEW_SPLITS:
+            if 2 * self._big >= _INT32_LIMIT or len(chunk) < _FEW_SPLITS:
                 yield from (self.min_cut(ta, tb)[0] for ta, tb in chunk)
             else:
                 yield from (Fraction(v, self._den) for v in self._stack_values(chunk))
@@ -469,7 +478,10 @@ class TerminalCuts:
 
     def _network(self) -> Net:
         if self.net is None:
-            net = _graph_net(self._g)
+            net = Net()
+            for e in self._g.edges:
+                if e.u != e.v:
+                    net.undirected(e.u, e.v, e.cap, key=e.eid)
             net._rescale(self._den)
             self._source_arc: dict[int, int] = {}
             for v in self._terms:
@@ -535,53 +547,15 @@ def bipartitions(
     return sample(), False
 
 
-def _disjoint_sides(term_a: Iterable[int], term_b: Iterable[int]) -> tuple[set, set]:
-    ta, tb = set(term_a), set(term_b)
-    if not ta or not tb:
-        raise InputError("empty source or sink set")
-    if ta & tb:
-        raise InputError("terminal sides overlap")
-    return ta, tb
-
-
-def _graph_net(g: CapGraph) -> Net:
-    """A `Net` holding G's edges, keyed by edge id; self-loops carry no flow
-    and are left out."""
-    net = Net()
-    for e in g.edges:
-        if e.u != e.v:
-            net.undirected(e.u, e.v, e.cap, key=e.eid)
-    return net
-
-
-def _one_split(
-    g: CapGraph, term_a: Iterable[int], term_b: Iterable[int]
-) -> tuple[Net, Fraction, CutCertificate]:
-    """Solve G's network for one split: term_a hangs off the super-source
-    and term_b off the super-sink, at a capacity above every cut.  Returns
-    the network holding the flow, the value and the minimal source side."""
-    ta, tb = _disjoint_sides(term_a, term_b)
-    for v in ta | tb:
-        if not g.has_vertex(v):
-            raise InputError(f"unknown vertex id {v}")
-    net = _graph_net(g)
-    big = sum((e.cap for e in g.edges), Fraction(0)) + 1
-    for v in sorted(ta):
-        net.arc(net.source, v, big)
-    for v in sorted(tb):
-        net.arc(v, net.sink, big)
-    value = net.max_flow(net.source, net.sink)
-    side_a = net.cut_side()
-    return net, value, CutCertificate(side_a, frozenset(g.vertices) - side_a, value)
-
-
 def max_flow(
     g: CapGraph, sources: Iterable[int], sinks: Iterable[int]
 ) -> tuple[Fraction, FlowSolution, CutCertificate]:
     """Exact max flow between vertex sets (merged via a super source/sink).
     Returns value, a flow attaining it, and a minimum cut of equal value."""
-    net, value, cert = _one_split(g, sources, sinks)
-    flows = net.flow_by_key()
+    src, snk = set(sources), set(sinks)
+    cuts = TerminalCuts(g, src | snk)
+    value, cert = cuts.min_cut(src, snk)
+    flows = cuts.net.flow_by_key()
     sol = FlowSolution({eid: abs(f) for eid, f in flows.items() if f != 0})
     return value, sol, cert
 
@@ -592,8 +566,8 @@ def min_cut_between(
     """Capacity of the minimum cut separating two disjoint terminal sets,
     with its minimal source side; no flow is extracted.  For many cuts on
     one graph, compile a TerminalCuts once instead."""
-    _net, value, cert = _one_split(g, term_a, term_b)
-    return value, cert
+    ta, tb = set(term_a), set(term_b)
+    return TerminalCuts(g, ta | tb).min_cut(ta, tb)
 
 
 def flow_conserves(

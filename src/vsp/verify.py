@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import tee
 from typing import Iterable
 
 from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
@@ -83,9 +84,9 @@ def verify_cut_quality(
     rep.flags["exhaustive"] = exhaustive
     if not exhaustive:
         rep.flags["non_exhaustive"] = True
-    splits = list(splits)
-    values_g = TerminalCuts(g, terms).values(splits)
-    values_h = TerminalCuts(h, terms).values(splits)
+    splits, for_g, for_h = tee(splits, 3)
+    values_g = TerminalCuts(g, terms).values(for_g)
+    values_h = TerminalCuts(h, terms).values(for_h)
     worst = Fraction(1)
     for i, ((ta, tb), vg, vh) in enumerate(zip(splits, values_g, values_h)):
         if vg == 0 and vh == 0:

@@ -169,24 +169,41 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
         assert cert.recheck_value(g) == value
 
 
+def _every_split(terms):
+    # every split of the terminals into side a, side b and neither
+    for placed in itertools.product(range(3), repeat=len(terms)):
+        ta = [t for t, p in zip(terms, placed) if p == 0]
+        tb = [t for t, p in zip(terms, placed) if p == 1]
+        if ta and tb:
+            yield ta, tb
+
+
 def test_terminal_cuts_values_beyond_int32():
     # scaled capacities of 2^31 and more are priced exactly: an edge of
-    # 10^12, and small capacities whose common denominator exceeds 2^31;
-    # every split of the terminals into side a, side b and neither
+    # 10^12, and small capacities whose common denominator exceeds 2^31
     for caps in ((10**12, 1, 2), (Fraction(1, 65537), Fraction(1, 65539), Fraction(2, 3))):
         edges = [(1, 2, caps[0]), (2, 3, caps[1]), (3, 4, caps[2]), (1, 4, caps[1]),
                  (2, 5, caps[2]), (5, 4, caps[0])]
         g = CapGraph([1, 2, 3, 4, 5], edges, [1, 3, 4, 5])
         cuts = TerminalCuts(g, g.terminals)
         assert cuts._big >= 2**31
-        splits = []
-        for placed in itertools.product(range(3), repeat=4):
-            ta = [t for t, p in zip(g.terminals, placed) if p == 0]
-            tb = [t for t, p in zip(g.terminals, placed) if p == 1]
-            if ta and tb:
-                splits.append((ta, tb))
+        splits = list(_every_split(g.terminals))
         for (ta, tb), value in zip(splits, cuts.values(splits), strict=True):
             assert value == brute_force_min_cut(g, ta, tb)
+    # a scaled total between 2^30 and 2^31: every capacity fits in int32
+    # but residuals do not.  From 1 to 4, Dinic first fills the edge 1-4
+    # (its reverse residual then reaches 2.6e9), then the path 1-2-3-4,
+    # and the last path 1-5-6-3-2-7-8-4 must cancel the flow on 2-3
+    d, c = 1_300_000_000, 80_000_000
+    edges = [(1, 4, d), (1, 2, c), (2, 3, c), (3, 4, c), (1, 5, c), (5, 6, c), (6, 3, c),
+             (2, 7, c), (7, 8, c), (8, 4, c)]
+    g = CapGraph(list(range(1, 9)), edges, [1, 4, 6, 7])
+    cuts = TerminalCuts(g, g.terminals)
+    assert 2**30 <= cuts._big < 2**31
+    splits = list(_every_split(g.terminals))
+    assert ([1], [4]) in splits and brute_force_min_cut(g, [1], [4]) == d + 2 * c
+    for (ta, tb), value in zip(splits, cuts.values(splits), strict=True):
+        assert value == brute_force_min_cut(g, ta, tb) == cuts.min_cut(ta, tb)[0]
 
 
 def test_terminal_cuts_isolated_terminal():
