@@ -102,13 +102,6 @@ def project_cut(
     return cmap.preimage(h_side_a)
 
 
-def cut_value(g: CapGraph, side_a: Iterable[int]) -> Fraction:
-    sa = frozenset(side_a)
-    return sum(
-        (e.cap for e in g.edges if (e.u in sa) != (e.v in sa)), Fraction(0)
-    )
-
-
 @dataclass(frozen=True)
 class LiftStep:
     cluster: frozenset[int]

@@ -40,7 +40,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InputError
-from .graph import CapGraph
+from .graph import CapGraph, out_capacity
 
 # SciPy's maximum_flow holds capacities, flows and residuals as int32
 _INT32_LIMIT = 1 << 31
@@ -319,11 +319,7 @@ class CutCertificate:
     sparsity: Fraction | None = None
 
     def recheck_value(self, g: CapGraph) -> Fraction:
-        total = Fraction(0)
-        for e in g.edges:
-            if (e.u in self.side_a) != (e.v in self.side_a):
-                total += e.cap
-        return total
+        return out_capacity(g, self.side_a)
 
 
 @dataclass
@@ -337,7 +333,6 @@ class FlowSolution:
     edge_flow: dict[int, Fraction]
     paths: list[tuple[Fraction, tuple, list[int]]] = field(default_factory=list)
     eta: Fraction | None = None
-    exact: bool = True
 
     def congestion(self, g: CapGraph) -> Fraction:
         worst = Fraction(0)

@@ -2,11 +2,14 @@
 
 A sparse two-phase primal simplex with Bland's rule: exact and cycle-free.
 Intended for the small instances this package certifies (a few hundred
-variables); larger routing LPs go through the float path in `routing` and
-are re-verified exactly there.
+variables); `routing` hands larger routing LPs to HiGHS instead, on the
+same rows, and re-verifies that solver's flow exactly.
 
-Representation.  Each tableau row is a `{column: int}` map of its nonzero
-entries plus one positive int denominator: the rational row is
+Representation.  The objective `c` is a dense list, one entry per column.
+Each constraint row comes in sparse, as `(column, coefficient)` pairs with
+no column repeated (the rows `routing._lp_rows` builds); a column left out
+has coefficient 0.  Each tableau row is a `{column: int}` map of its
+nonzero entries plus one positive int denominator: the rational row is
 `ents / den`.  The right-hand side sits in the same map, under the key
 `RHS`, so a zero right-hand side is simply absent.  Rows are gcd-reduced
 after every update, and the initial rows and both objective rows are scaled
@@ -36,6 +39,8 @@ from typing import Mapping, Sequence
 
 ZERO = Fraction(0)
 RHS = -1  # the key of a row's right-hand side; columns are >= 0
+
+SparseRow = Sequence[tuple[int, Fraction]]  # (column, coefficient) pairs
 
 
 @dataclass
@@ -128,12 +133,16 @@ def _run_simplex(tab: list[_Row], basis: list[int]) -> str:
 
 def solve_lp(
     c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
+    a_ub: Sequence[SparseRow] = (),
     b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
+    a_eq: Sequence[SparseRow] = (),
     b_eq: Sequence[Fraction] = (),
 ) -> LpResult:
-    """Minimize c.x subject to a_ub x <= b_ub, a_eq x == b_eq, x >= 0."""
+    """Minimize c.x subject to a_ub x <= b_ub, a_eq x == b_eq, x >= 0.
+
+    c is dense, one entry per column; each constraint row is a sequence of
+    `(column, coefficient)` pairs naming each column at most once, and a
+    column it leaves out has coefficient 0."""
     n = len(c)
     ub = list(zip(a_ub, b_ub))
     nslack = len(ub)
@@ -145,7 +154,7 @@ def solve_lp(
     basis: list[int] = []
     nart = 0
     for i, (vals, b) in enumerate(ub + list(zip(a_eq, b_eq))):
-        row = _integer_row({**dict(enumerate(vals)), RHS: b})
+        row = _integer_row({**dict(vals), RHS: b})
         ents, den = row.ents, row.den
         if i < nslack:
             ents[n + i] = den

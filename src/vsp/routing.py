@@ -1,10 +1,15 @@
 """Minimum-congestion multicommodity routing (concurrent flow).
 
-Solver strategy: an edge-formulation LP, solved by the exact rational
-simplex when small enough and by HiGHS above that threshold.  Either way
-the returned flow is made exactly feasible (paths with rational amounts,
-demands met exactly) and the reported congestion is the exactly evaluated
-congestion of that flow, so approximation can only overstate eta, never
+Solver strategy: one edge-formulation LP, built once as sparse rows of
+`(column, coefficient)` pairs (`_lp_rows`), goes unchanged to one of two
+solvers, and the solve call is the only branch.  The exact rational simplex
+(`ratlp.solve_lp`) reads the rows as they are; HiGHS reads them as CSR
+arrays, and its x is rounded to multiples of 2^-40.  `exact` picks the
+solver, by default the simplex up to EXACT_LP_MAX_VARS columns and HiGHS
+above.  Either way x is decoded into per-commodity arc flows, and one repair
+(`_assemble`) makes that flow exactly feasible (paths with rational
+amounts, demands met exactly) and reports as eta the exactly evaluated
+congestion of that flow, so a float solve can only overstate eta, never
 understate a certificate.
 """
 
@@ -106,14 +111,15 @@ def min_congestion_routing(
     *,
     base_load: Mapping[int, Fraction] | None = None,
     split_pairs: bool = False,
-    exact_max_vars: int = EXACT_LP_MAX_VARS,
-    force_exact: bool = False,
+    exact: bool | None = None,
 ) -> RoutingResult:
     """Route `demands` in g at minimum congestion.
 
     base_load contributes fixed flow already occupying edges (used for
     bucketed hairpin traffic); it is included in the congestion being
-    minimized and in the reported eta.
+    minimized and in the reported eta.  exact picks the LP solver: True the
+    rational simplex, False HiGHS, None the simplex up to EXACT_LP_MAX_VARS
+    columns and HiGHS above.
     """
     base = {eid: Fraction(v) for eid, v in (base_load or {}).items()}
     for t in demands.terminals:
@@ -134,14 +140,32 @@ def min_congestion_routing(
             return RoutingResult(INFEASIBLE, None)
     com = _commodities(demands, split_pairs)
     arcs = _arc_list(g)
-    nC, nA = len(com), len(arcs)
-    nvars = nC * nA + 1
-    use_exact = force_exact or nvars <= exact_max_vars
-    if use_exact:
-        res = _solve_exact(g, com, arcs, base)
+    nA = len(arcs)
+    nvars = len(com) * nA + 1
+    if exact is None:
+        exact = nvars <= EXACT_LP_MAX_VARS
+    eq_rows, b_eq, ub_rows, b_ub = _lp_rows(g, com, arcs, base)
+    c = [0] * (nvars - 1) + [1]
+    if exact:
+        lp = solve_lp(c, ub_rows, b_ub, eq_rows, b_eq)
+        if lp.status != "optimal":
+            return RoutingResult(INFEASIBLE, None)
+        x, lp_eta = lp.x, float(lp.x[-1])
     else:
-        res = _solve_float(g, com, arcs, base)
-    return res
+        res = linprog(np.array(c, dtype=float),
+                      A_ub=_csr(ub_rows, nvars), b_ub=np.array([float(b) for b in b_ub]),
+                      A_eq=_csr(eq_rows, nvars), b_eq=np.array([float(b) for b in b_eq]),
+                      bounds=(0, None), method="highs")
+        if not res.success:
+            return RoutingResult(INFEASIBLE, None)
+        # dyadic quantization keeps downstream denominators small
+        x = [Fraction(round(v * (1 << 40)), 1 << 40) if v > 1e-13 else 0 for v in res.x.tolist()]
+        lp_eta = float(res.x[-1])
+    flows = {
+        ci: {arcs[ai]: x[ci * nA + ai] for ai in range(nA) if x[ci * nA + ai] != 0}
+        for ci in range(len(com))
+    }
+    return _assemble(g, com, flows, base, lp_eta, exact)
 
 
 def _lp_rows(g, com, arcs, base):
@@ -181,62 +205,12 @@ def _lp_rows(g, com, arcs, base):
     return eq_rows, eq_rhs, ub_rows, ub_rhs
 
 
-def _solve_exact(g, com, arcs, base) -> RoutingResult:
-    nC, nA = len(com), len(arcs)
-    nvars = nC * nA + 1
-    eq_rows, b_eq, ub_rows, b_ub = _lp_rows(g, com, arcs, base)
-
-    def dense(sparse_rows):
-        out = []
-        for entries in sparse_rows:
-            row = [0] * nvars
-            for j, v in entries:
-                row[j] = v
-            out.append(row)
-        return out
-
-    c = [0] * (nvars - 1) + [1]
-    lp = solve_lp(c, dense(ub_rows), b_ub, dense(eq_rows), b_eq)
-    if lp.status != "optimal":
-        return RoutingResult(INFEASIBLE, None)
-    flows = {
-        ci: {arcs[ai]: lp.x[ci * nA + ai] for ai in range(nA) if lp.x[ci * nA + ai] != 0}
-        for ci in range(nC)
-    }
-    return _assemble(g, com, flows, base, lp_eta=float(lp.x[-1]), exact_lp=True)
-
-
-def _solve_float(g, com, arcs, base) -> RoutingResult:
-    nC, nA = len(com), len(arcs)
-    nvars = nC * nA + 1
-    eq_rows, b_eq, ub_rows, b_ub = _lp_rows(g, com, arcs, base)
-
-    def csr(sparse_rows):
-        rows, cols, vals = [], [], []
-        for r, entries in enumerate(sparse_rows):
-            for j, v in entries:
-                rows.append(r)
-                cols.append(j)
-                vals.append(float(v))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(len(sparse_rows), nvars))
-
-    c = np.zeros(nvars)
-    c[-1] = 1.0
-    res = linprog(c, A_ub=csr(ub_rows), b_ub=np.array([float(b) for b in b_ub]),
-                  A_eq=csr(eq_rows), b_eq=np.array([float(b) for b in b_eq]),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        return RoutingResult(INFEASIBLE, None)
-    flows = {}
-    for ci in range(nC):
-        f = {}
-        for ai in range(nA):
-            v = res.x[ci * nA + ai]
-            if v > 1e-13:
-                # dyadic quantization keeps downstream denominators small
-                f[arcs[ai]] = Fraction(round(float(v) * (1 << 40)), 1 << 40)
-        flows[ci] = f
-    return _assemble(g, com, flows, base, lp_eta=float(res.x[-1]), exact_lp=False)
+def _csr(rows, ncols) -> sp.csr_matrix:
+    """HiGHS's copy of sparse rows [(column, coefficient), ...]."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    cols = [j for r in rows for j, _ in r]
+    vals = [float(v) for r in rows for _, v in r]
+    return sp.csr_matrix((vals, cols, indptr), shape=(len(rows), ncols))
 
 
 def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
@@ -285,7 +259,7 @@ def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
     eta = Fraction(0)
     for eid, f in edge_flow.items():
         eta = max(eta, f / g.edges[eid].cap)
-    sol = FlowSolution(dict(edge_flow), paths, eta=eta, exact=True)
+    sol = FlowSolution(dict(edge_flow), paths, eta=eta)
     return RoutingResult(eta, sol, commodity_arcs, lp_eta, exact_lp)
 
 
@@ -428,10 +402,10 @@ def uniform_router_check(
     if not ok and not res.exact_lp and res.lp_eta is not None and res.lp_eta < float(eta_bound):
         # repair overshot a feasible optimum; one retry on the exact path if
         # remotely affordable, else stay conservative
-        nvars = len(_commodities(dem, True)) * 2 * inst.graph.m + 1
+        nvars = len(_commodities(dem, True)) * len(_arc_list(inst.graph)) + 1
         if nvars <= 4 * EXACT_LP_MAX_VARS:
             res = min_congestion_routing(
-                inst.graph, dem, base_load=base, split_pairs=True, force_exact=True
+                inst.graph, dem, base_load=base, split_pairs=True, exact=True
             )
             ok = res.eta <= eta_bound
     return ok, res

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .flow import CutCertificate, TerminalCuts, bipartitions
-from .graph import SubdividedInstance
+from .graph import SubdividedInstance, out_capacity
 
 DEFAULT_ENUM_BUDGET = 22
 
@@ -119,17 +119,22 @@ def sparsest_cut_exact(
         )
         return SparsestCut(sparsity, cert, True)
     # every bundle-level split is worse than cutting a single pendant unit
-    t0, _ = terms[0]
-    eid = inst.pendant_of[t0]
+    return _pendant_split(inst, exact=True)
+
+
+def _pendant_split(inst: SubdividedInstance, exact: bool) -> SparsestCut:
+    """The sparsity-1 cut that separates one pendant unit of the first
+    bundle from the rest."""
+    t0 = inst.terminals[0]
     cert = CutCertificate(
         frozenset({t0}),
         frozenset(inst.graph.vertices) - {t0},
         Fraction(1),
         term_a=Fraction(1),
-        term_b=z - 1,
+        term_b=inst.z - 1,
         sparsity=Fraction(1),
     )
-    return SparsestCut(Fraction(1), cert, True, pendant_split_edge=eid)
+    return SparsestCut(Fraction(1), cert, exact, pendant_split_edge=inst.pendant_of[t0])
 
 
 def _sweep_candidates(inst: SubdividedInstance) -> list[list[int]]:
@@ -169,15 +174,11 @@ def _sweep_candidates(inst: SubdividedInstance) -> list[list[int]]:
 
 
 def _eval_side(inst: SubdividedInstance, side_a: set[int]) -> Fraction | None:
-    g = inst.graph
     wa = sum((inst.weight(t) for t in inst.terminals if t in side_a), Fraction(0))
     wb = inst.z - wa
     if wa == 0 or wb == 0:
         return None
-    value = sum(
-        (e.cap for e in g.edges if (e.u in side_a) != (e.v in side_a)), Fraction(0)
-    )
-    return value / min(wa, wb)
+    return out_capacity(inst.graph, side_a) / min(wa, wb)
 
 
 def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
@@ -191,16 +192,7 @@ def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
     if len(terms) == 1:
         # one bundle of z >= 2 parallel pendants: the only nontrivial splits
         # separate pendant units, all of sparsity exactly 1
-        t0, _ = terms[0]
-        cert = CutCertificate(
-            frozenset({t0}),
-            frozenset(inst.graph.vertices) - {t0},
-            Fraction(1),
-            term_a=Fraction(1),
-            term_b=z - 1,
-            sparsity=Fraction(1),
-        )
-        return SparsestCut(Fraction(1), cert, False, pendant_split_edge=inst.pendant_of[t0])
+        return _pendant_split(inst, exact=False)
     g = inst.graph
     best_side: set[int] | None = None
     best_sp: Fraction | None = None
@@ -232,11 +224,7 @@ def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
                 improved = True
         if not improved:
             break
-    value = sum(
-        (e.cap for e in g.edges if (e.u in best_side) != (e.v in best_side)),
-        Fraction(0),
-    )
-    cert = _certificate(inst, frozenset(best_side), value)
+    cert = _certificate(inst, frozenset(best_side), out_capacity(g, best_side))
     return SparsestCut(cert.sparsity, cert, False)
 
 

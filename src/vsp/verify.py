@@ -18,11 +18,11 @@ from fractions import Fraction
 from itertools import tee
 from typing import Iterable
 
-from .cutsparse import CutSparsifier, cut_value, lift_cut, project_cut
+from .cutsparse import CutSparsifier, lift_cut, project_cut
 from .errors import BudgetExceeded, InputError
 from .flow import TerminalCuts, bipartitions, flow_conserves
 from .flowsparse import RouterCertificate, RouterSparsifier
-from .graph import CapGraph, SubdividedInstance, subdivide_boundary
+from .graph import CapGraph, SubdividedInstance, out_capacity, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
 from .routing import INFEASIBLE, DemandSet, RoutingResult, min_congestion_routing
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked
@@ -128,13 +128,13 @@ def verify_cut_projection(g_unit: CapGraph, sp: CutSparsifier, seed: int = 0,
     for i, (ta, tb) in enumerate(splits):
         vg, cert = cuts_g.min_cut(ta, tb)
         lifted_side, _steps = lift_cut(g_unit, clusters, cert.side_a)
-        lifted_val = cut_value(g_unit, lifted_side)
+        lifted_val = out_capacity(g_unit, lifted_side)
         if vg > 0 and lifted_val > 3 * vg:
             rep.violations.append(f"test {i}: lift {lifted_val} > 3 x {vg}")
         # projection: H's min cut expands to a G-cut of identical value
         vh, hcert = cuts_h.min_cut(ta, tb)
         back = project_cut(g_unit, sp.cmap, hcert.side_a)
-        if cut_value(sp.graph, hcert.side_a) != cut_value(g_unit, back):
+        if out_capacity(sp.graph, hcert.side_a) != out_capacity(g_unit, back):
             rep.violations.append(f"test {i}: projection changed the cut value")
         if vg > 0:
             worst = max(worst, lifted_val / vg)

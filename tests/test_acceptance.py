@@ -281,8 +281,8 @@ def test_criterion_6_flow_quality(flow_built):
                 d[(min(a, b), max(a, b))] = F(rng.randint(1, 8), 4)
             dems.append(DemandSet.from_map(d))
         for dem in dems:
-            rg = min_congestion_routing(g, dem, exact_max_vars=0)
-            rh = min_congestion_routing(sp.graph, dem, exact_max_vars=0)
+            rg = min_congestion_routing(g, dem, exact=False)
+            rh = min_congestion_routing(sp.graph, dem, exact=False)
             # (b) both sides of the quality sandwich at (1 + 2 delta)
             assert rh.eta <= rg.eta * TOL, (float(rh.eta), float(rg.eta))
             assert rg.eta <= 68 * rh.eta * TOL
@@ -555,8 +555,8 @@ def test_criterion_11_oracles():
         nvars = 2 * 2 * g.m + 1
         if nvars > 200:
             continue
-        exact = min_congestion_routing(g, dem, force_exact=True)
-        approx = min_congestion_routing(g, dem, exact_max_vars=0)
+        exact = min_congestion_routing(g, dem, exact=True)
+        approx = min_congestion_routing(g, dem, exact=False)
         if exact.eta == float("inf"):
             assert approx.eta == float("inf")
             continue

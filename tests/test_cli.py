@@ -305,6 +305,34 @@ def test_inspect_missing_input_exits_two(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+def test_inspect_reports_the_graph(tmp_path, capsys):
+    p = tmp_path / "g.vsp"
+    run(["gen", "grid", "--rows", "3", "--cols", "5", "--k", "3", "--seed", "2", "--out", str(p)],
+        capsys)
+    code, out, err = run(["inspect", str(p)], capsys)
+    assert code == 0
+    assert err == ""
+    g = read_graph(p)
+    assert json.loads(out) == {
+        "n": g.n,
+        "m": g.m,
+        "k": g.k,
+        "unit": g.is_unit,
+        "components": len(g.components()),
+        "terminal_capacity": str(g.terminal_capacity()),
+        "total_terminal_degree": str(g.total_terminal_degree()),
+    }
+
+
+def test_inspect_malformed_input_exits_two(tmp_path, capsys):
+    p = tmp_path / "bad.vsp"
+    p.write_text("p vsp 2 1 2\ne 1 2 x\n")
+    code, out, err = run(["inspect", str(p)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
 def test_gen_into_missing_directory_exits_two(tmp_path, capsys):
     code, out, err = run(["gen", "grid", "--out", str(tmp_path / "no" / "g.vsp")], capsys)
     assert code == 2

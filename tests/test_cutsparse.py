@@ -6,13 +6,12 @@ import pytest
 
 from vsp.cutsparse import (
     build_cut_sparsifier,
-    cut_value,
     lift_cut,
     project_cut,
 )
 from vsp.errors import InputError, ParamError
 from vsp.flow import min_cut_between
-from vsp.graph import CapGraph
+from vsp.graph import CapGraph, out_capacity
 from vsp.verify import verify_cut_projection, verify_cut_quality
 
 from util import random_unit_graph
@@ -97,6 +96,7 @@ def test_lift_processes_ties_to_y():
     side, steps = lift_cut(g, [frozenset({2, 3})], {1, 2})
     assert steps[0].moved_to == "Y"
     assert side == {1}
+    assert out_capacity(g, side) == 1
 
 
 def test_capacitated_reduction_consistency():

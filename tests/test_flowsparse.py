@@ -58,7 +58,7 @@ def test_good_router_dumbbell_decided_by_lp():
     dem = DemandSet.from_map(
         {(t1, t2): F(2, 4) for i, t1 in enumerate(g.terminals) for t2 in g.terminals[i + 1:]}
     )
-    oracle = min_congestion_routing(g, dem, force_exact=True)
+    oracle = min_congestion_routing(g, dem, exact=True)
     assert cert.eta == oracle.eta
 
 

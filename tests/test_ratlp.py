@@ -15,11 +15,27 @@ from util import flow_router_graph, fraction_simplex
 F = Fraction
 
 
+def pairs(rows):
+    """Dense rows as the (column, coefficient) pairs solve_lp reads."""
+    return [list(enumerate(row)) for row in rows]
+
+
+def dense(rows, n):
+    """(column, coefficient) rows as dense rows of n entries."""
+    out = []
+    for row in rows:
+        vals = [F(0)] * n
+        for j, v in row:
+            vals[j] = v
+        out.append(vals)
+    return out
+
+
 def test_tiny_known_optimum():
     # min -x - y  s.t.  x + y <= 4, x <= 3, y <= 2
     res = solve_lp(
         c=[F(-1), F(-1)],
-        a_ub=[[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]],
+        a_ub=pairs([[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]]),
         b_ub=[F(4), F(3), F(2)],
     )
     assert res.status == "optimal"
@@ -30,9 +46,9 @@ def test_equality_constraints():
     # min x + 2y  s.t.  x + y == 3, x - y <= 1
     res = solve_lp(
         c=[F(1), F(2)],
-        a_ub=[[F(1), F(-1)]],
+        a_ub=pairs([[F(1), F(-1)]]),
         b_ub=[F(1)],
-        a_eq=[[F(1), F(1)]],
+        a_eq=pairs([[F(1), F(1)]]),
         b_eq=[F(3)],
     )
     assert res.status == "optimal"
@@ -40,19 +56,19 @@ def test_equality_constraints():
 
 
 def test_infeasible():
-    res = solve_lp(c=[F(1)], a_eq=[[F(1)]], b_eq=[F(-2)])
+    res = solve_lp(c=[F(1)], a_eq=pairs([[F(1)]]), b_eq=[F(-2)])
     assert res.status == "infeasible"
 
 
 def test_unbounded():
-    res = solve_lp(c=[F(-1)], a_ub=[[F(-1)]], b_ub=[F(0)])
+    res = solve_lp(c=[F(-1)], a_ub=pairs([[F(-1)]]), b_ub=[F(0)])
     assert res.status == "unbounded"
 
 
 def test_redundant_equalities():
     res = solve_lp(
         c=[F(1), F(1)],
-        a_eq=[[F(1), F(1)], [F(2), F(2)]],
+        a_eq=pairs([[F(1), F(1)], [F(2), F(2)]]),
         b_eq=[F(2), F(4)],
     )
     assert res.status == "optimal"
@@ -63,11 +79,11 @@ def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; Bland's rule must terminate
     res = solve_lp(
         c=[F(-3, 4), F(150), F(-1, 50), F(6)],
-        a_ub=[
+        a_ub=pairs([
             [F(1, 4), F(-60), F(-1, 25), F(9)],
             [F(1, 2), F(-90), F(-1, 50), F(3)],
             [F(0), F(0), F(1), F(0)],
-        ],
+        ]),
         b_ub=[F(0), F(0), F(1)],
     )
     assert res.status == "optimal"
@@ -86,7 +102,7 @@ def test_matches_scipy_on_random_instances():
         x0 = [F(rng.randint(0, 3)) for _ in range(n)]
         b_eq = [sum(r[j] * x0[j] for j in range(n)) for r in a_eq]
         b_ub = [max(b, sum(r[j] * x0[j] for j in range(n))) for r, b in zip(a_ub, b_ub)]
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        res = solve_lp(c, pairs(a_ub), b_ub, pairs(a_eq), b_eq)
         ref = linprog(
             np.array([float(v) for v in c]),
             A_ub=np.array([[float(v) for v in r] for r in a_ub]),
@@ -117,7 +133,7 @@ def test_matches_scipy_on_random_instances():
 
 
 def _same_as_oracle(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    res = solve_lp(c, pairs(a_ub), b_ub, pairs(a_eq), b_eq)
     assert (res.status, res.x, res.objective) == fraction_simplex(c, a_ub, b_ub, a_eq, b_eq)
     return res
 
@@ -212,9 +228,14 @@ def test_sparse_identical_to_fraction_oracle(lp):
 def _router_lps_match_oracle(monkeypatch, g):
     calls = []
 
-    def checked(*args):
-        calls.append(len(args[0]))
-        return _same_as_oracle(*args)
+    def checked(c, a_ub, b_ub, a_eq, b_eq):
+        # solve the rows routing passes as they are; the oracle reads them dense
+        calls.append(len(c))
+        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        n = len(c)
+        oracle = fraction_simplex(c, dense(a_ub, n), b_ub, dense(a_eq, n), b_eq)
+        assert (res.status, res.x, res.objective) == oracle
+        return res
 
     monkeypatch.setattr(routing, "solve_lp", checked)
     members = [v for v in g.vertices if v not in g.terminals]

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+import vsp.routing as routing
 from vsp.errors import InputError
 from vsp.flow import flow_conserves
 from vsp.graph import CapGraph, subdivide_boundary
 from vsp.routing import (
     DemandSet,
+    _arc_ends,
     _arc_list,
     _commodities,
     _lp_rows,
@@ -100,8 +102,8 @@ def test_float_path_agrees_with_exact_lp():
                 (terms[0], terms[3]): F(1, 2),
             }
         )
-        exact = min_congestion_routing(g, dem, force_exact=True)
-        approx = min_congestion_routing(g, dem, exact_max_vars=0)
+        exact = min_congestion_routing(g, dem, exact=True)
+        approx = min_congestion_routing(g, dem, exact=False)
         assert not approx.exact_lp
         # repaired float flow is feasible and within 1e-6 of the optimum
         assert approx.eta >= exact.eta
@@ -184,3 +186,31 @@ def test_lp_rows_equal_direct_scan():
             com = _commodities(dem, split)
             arcs = _arc_list(g)
             assert _lp_rows(g, com, arcs, base) == reference_lp_rows(g, com, arcs, base)
+
+
+def test_float_repair_reroutes_a_sink_left_without_flow(monkeypatch):
+    # HiGHS's answer loses the flow of the commodity from 1 on every arc into
+    # sink 3, so the repair finds no path to 3 and must route that demand itself
+    g = CapGraph([1, 2, 3, 4, 5],
+                 [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (2, 5, 1), (5, 3, 1)], [1, 2, 3])
+    dem = DemandSet.from_map({(1, 2): 1, (1, 3): 2, (2, 3): F(1, 2)})
+    arcs = _arc_list(g)
+    real, lost = routing.linprog, []
+
+    def lossy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        for ai, (eid, d) in enumerate(arcs):  # the first commodity's columns
+            if _arc_ends(g, eid, d)[1] == 3:
+                lost.append(res.x[ai])
+                res.x[ai] = 0.0
+        return res
+
+    monkeypatch.setattr(routing, "linprog", lossy)
+    res = min_congestion_routing(g, dem, exact=False)
+    assert sum(lost) > 0
+    for src, arc_flow in res.commodity_arcs.items():
+        sinks = {b: v for (a, b), v in dem.pairs if a == src}
+        sources = {src: sum(sinks.values(), F(0)), **{t: -v for t, v in sinks.items()}}
+        assert flow_conserves(g, arc_flow, sources)
+    assert res.eta == res.flow.congestion(g)
+    assert res.eta >= min_congestion_routing(g, dem, exact=True).eta
