@@ -27,7 +27,6 @@ from .flowsparse import (
     AGGRESSIVE_F_GROWTH,
     AGGRESSIVE_R,
     FlowParams,
-    RouterSparsifier,
     build_flow_sparsifier,
 )
 from .graph import read_graph, write_graph
@@ -99,7 +98,7 @@ def cmd_build(args) -> int:
         "claimed_q": str(sp.quality),
         "files": [gpath, jpath],
     }
-    if hasattr(sp, "size_bound_met"):
+    if sp.kind == "flow":
         summary["size_bound_met"] = sp.size_bound_met
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
@@ -115,7 +114,7 @@ def cmd_verify(args) -> int:
         sp = load_sparsifier(g, args.sparsifier)
     except (VspError, OSError) as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
-    kind = "flow" if isinstance(sp, RouterSparsifier) else "cut"
+    kind = sp.kind
     if args.mode is not None and args.mode != kind:
         return _fail(EXIT_INPUT, "input",
                      f"--mode {args.mode} given for a sparsifier of kind {kind!r}")

@@ -14,37 +14,48 @@ only the clusters, and H is contracted once by `assemble_cut_sparsifier`, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .decompose import Decomposition, interior_decompositions
 from .errors import InputError, ParamError
 from .graph import CapGraph, ContractionMap, UnitExpansion, contract, out_edges, unit_expand
 from .sparsecut import DEFAULT_ENUM_BUDGET
 
+if TYPE_CHECKING:
+    from .flowsparse import RouterCertificate
+
 
 @dataclass
-class CutSparsifier:
+class Sparsifier:
+    """H, a contraction of G, with its claimed quality.  A flow sparsifier is
+    a cut sparsifier plus one router certificate per cluster of `cmap`, in
+    the same order; `kind` reads the mode off `certificates`."""
+
     graph: CapGraph  # H, terminals preserved
     cmap: ContractionMap
     quality: Fraction  # claimed q
-    unit_graph: CapGraph  # the (possibly expanded) unit graph H was built from
-    decompositions: list[Decomposition]
+    unit_graph: CapGraph  # the unit graph the clusters (and certificates) live on
     eps_input: Fraction | None = None
-    expansion: UnitExpansion | None = None
+    certificates: list[RouterCertificate] | None = None  # None for a cut sparsifier
+    decompositions: list[Decomposition] = field(default_factory=list)
+    log: list[str] = field(default_factory=list)
+    size_bound_met: bool | None = None  # a flow build result; None once loaded
+    expansion: UnitExpansion | None = None  # a capacitated cut build's unit expansion
+
+    @property
+    def kind(self) -> str:
+        return "cut" if self.certificates is None else "flow"
 
     @property
     def steiner_count(self) -> int:
         return self.graph.n - self.graph.k
 
-    def cluster_sets(self) -> list[frozenset[int]]:
-        return list(self.cmap.clusters)
-
 
 def build_cut_sparsifier(
     g: CapGraph, eps_input: Fraction | int | str | None = None, budget: int = DEFAULT_ENUM_BUDGET
-) -> CutSparsifier:
+) -> Sparsifier:
     """The cut sparsifier of G.  Without eps_input G must be a unit multigraph
     (integer capacities are parallel-edge multiplicities) and the quality is
     3; with it the clusters are found on G's unit expansion at eps_input/3 and
@@ -77,29 +88,20 @@ def assemble_cut_sparsifier(
     clusters: Iterable[Iterable[int]],
     eps_input: Fraction | None,
     decompositions: Iterable[Decomposition] = (),
-) -> CutSparsifier:
+) -> Sparsifier:
     """The cut sparsifier of G that contracts `clusters`.  Without eps_input
     G is the unit graph and the claimed quality is 3.  With it, the clusters
     live on G's unit expansion at eps_input/3, H's capacities are scaled
     back by eps_input/3 and the claimed quality is 3 + eps_input."""
     if eps_input is None:
         h, cmap = contract(g, clusters)
-        return CutSparsifier(h, cmap, Fraction(3), g, list(decompositions))
+        return Sparsifier(h, cmap, Fraction(3), g, decompositions=list(decompositions))
     ug, prov = _unit_reduction(g, eps_input)
     hu, cmap = contract(ug, clusters)
     eps = eps_input / 3
     h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * eps) for e in hu.edges], hu.terminals)
-    return CutSparsifier(
-        h, cmap, 3 + eps_input, ug, list(decompositions), eps_input=eps_input, expansion=prov
-    )
-
-
-def project_cut(
-    g: CapGraph, cmap: ContractionMap, h_side_a: Iterable[int]
-) -> set[int]:
-    """Expand an H-side bipartition back to G vertices; the cut value is
-    preserved because contracted clusters sit wholly on one side."""
-    return cmap.preimage(h_side_a)
+    return Sparsifier(h, cmap, 3 + eps_input, ug, eps_input,
+                      decompositions=list(decompositions), expansion=prov)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .cutsparse import Sparsifier
 from .decompose import Decomposition, interior_decompositions, strong_decompose, weak_decompose
 from .errors import BudgetExceeded, InputError, ParamError
 from .flow import Net
@@ -118,7 +119,7 @@ class FlowParams:
 
 
 # --------------------------------------------------------------------------
-# certificates and the sparsifier object
+# certificates
 
 
 @dataclass
@@ -139,23 +140,6 @@ class RouterCertificate:
     # instance edge).  When z > 1 there is one entry for every boundary edge
     # e with w_e < z; a lone bundle (w_e = z) exchanges nothing and has none.
     commodity_arcs: dict[int, dict[tuple[int, int], Fraction]]
-
-
-@dataclass
-class RouterSparsifier:
-    graph: CapGraph  # H, a legal contracted graph
-    cmap: ContractionMap
-    certificates: list[RouterCertificate]  # one per cmap cluster, same order
-    quality: Fraction  # claimed q = 2 eta* (+eps in capacitated mode)
-    decompositions: list[Decomposition] = field(default_factory=list)
-    log: list[str] = field(default_factory=list)
-    eps_input: Fraction | None = None
-    size_bound_met: bool | None = None  # a build result; None once loaded
-    unit_graph: CapGraph | None = None  # the working graph certificates live on
-
-    @property
-    def steiner_count(self) -> int:
-        return self.graph.n - self.graph.k
 
 
 def is_good_router(
@@ -421,7 +405,7 @@ def balanced_cut_refine(
             x, y = y, x
         gamma = _edge_ids_between(gp, x, y)
         if len(gamma) <= r * k:
-            return RefineOutcome("balanced", x, y, notes=notes)
+            return _balanced(s_members, x, y, notes)
         if last_cross is not None and len(gamma) >= last_cross:
             raise BudgetExceeded(
                 f"balanced-cut refinement stalled at crossing size {len(gamma)}"
@@ -440,7 +424,7 @@ def balanced_cut_refine(
         p1 = _prune_distinct_ends(paths, quarter_k)
         if p1 is None:
             notes.append("could not prune step-1 paths to distinct ends")
-            return RefineOutcome("balanced", x, y, notes=notes)
+            return _balanced(s_members, x, y, notes)
         term_star = tuple(sorted(t for t, _p in p1))
         gamma1 = [p[-1] for _t, p in p1]
 
@@ -448,7 +432,7 @@ def balanced_cut_refine(
         rest = [eid for eid in sorted(gamma) if eid not in set(gamma1)]
         if len(rest) < (r - 1) * quarter_k:
             notes.append("crossing set too small for r groups")
-            return RefineOutcome("balanced", x, y, notes=notes)
+            return _balanced(s_members, x, y, notes)
         groups = [gamma1]
         for j in range(1, r):
             groups.append(rest[(j - 1) * quarter_k : j * quarter_k])
@@ -488,6 +472,16 @@ def balanced_cut_refine(
         x, y = b_side, y | a_side
 
     raise BudgetExceeded("balanced-cut refinement exceeded its iteration bound")
+
+
+def _balanced(s_members, x, y, notes) -> RefineOutcome:
+    """The balanced outcome, whose sides the lemma gives at least |S|/4
+    vertices each.  A partition rebuild can leave a side short, even empty;
+    no balanced partition is known then, and the search gives up."""
+    short = min(len(x), len(y))
+    if 4 * short < len(s_members):
+        raise BudgetExceeded(f"balanced-cut refinement left a side of {short} of {len(s_members)}")
+    return RefineOutcome("balanced", x, y, notes=notes)
 
 
 def _step1_cut_case(gp, x, a, half_k, f_half, notes):
@@ -923,7 +917,7 @@ def contract_procedure(
     by_super = dict(zip(cmap.supernode, cmap.clusters))
     dropped = {by_super[v] for v in s_members if v in by_super}
     kept = [c for c in certs if c.members not in dropped]
-    found, size_ok = _cluster_routers(dec, params, log, decs)
+    found, size_ok = _cluster_routers([dec], params, log, decs)
     if not size_ok:
         log.append("recursive build missed its size bound")
     kept = sorted(kept + found, key=lambda c: min(c.members))
@@ -946,18 +940,19 @@ def contract_procedure(
 
 
 def _cluster_routers(
-    dec: Decomposition, params: FlowParams, log: list[str], decs: list[Decomposition]
+    strong: Iterable[Decomposition], params: FlowParams, log: list[str], decs: list[Decomposition]
 ) -> tuple[list[RouterCertificate], bool]:
-    """Append `dec`, a strong decomposition of G, to `decs` and return the
-    router certificates of its clusters on G's edge ids, found in the
-    instance each cluster keeps, and whether every search met its size bound."""
-    decs.append(dec)
+    """Append the strong decompositions of G to `decs` and return the router
+    certificates of their clusters on G's edge ids, found in the instance
+    each cluster keeps, and whether every search met its size bound."""
     certs: list[RouterCertificate] = []
     size_ok = True
-    for zc in dec.clusters:
-        found, ok = _well_linked_routers(zc.inst, params, log, decs)
-        certs += found
-        size_ok = size_ok and ok
+    for dec in strong:
+        decs.append(dec)
+        for zc in dec.clusters:
+            found, ok = _well_linked_routers(zc.inst, params, log, decs)
+            certs += found
+            size_ok = size_ok and ok
     return certs, size_ok
 
 
@@ -1065,7 +1060,7 @@ def capacitated_unit_reduction(
 
 def build_flow_sparsifier(
     g: CapGraph, eps: Fraction | int | str | None = None, params: FlowParams | None = None
-) -> RouterSparsifier:
+) -> Sparsifier:
     """The flow sparsifier of G.  The routers are searched on G, which must
     then be a unit multigraph with degree-1 terminals, or with eps on G's
     capacitated unit reduction (cap at C, rescale by 2 eta* / eps, expand to
@@ -1085,12 +1080,9 @@ def build_flow_sparsifier(
         gunit, _bundles = capacitated_unit_reduction(g, eps)
         log.append(f"capacitated reduction: scale {2 * ETA_STAR / eps}, bundle graph n={gunit.n}")
     decs: list[Decomposition] = []
-    certs: list[RouterCertificate] = []
-    size_ok = True
-    for dec in interior_decompositions(gunit, params.enum_budget):
-        found, ok = _cluster_routers(dec, params, log, decs)
-        certs += found
-        size_ok = size_ok and ok
+    certs, size_ok = _cluster_routers(
+        interior_decompositions(gunit, params.enum_budget), params, log, decs
+    )
     certs.sort(key=lambda c: min(c.members))
     return assemble_flow_sparsifier(g, eps, certs, decs, log, size_ok)
 
@@ -1102,7 +1094,7 @@ def assemble_flow_sparsifier(
     decompositions: Iterable[Decomposition] = (),
     log: Iterable[str] = (),
     size_bound_met: bool | None = None,
-) -> RouterSparsifier:
+) -> Sparsifier:
     """The flow sparsifier of G that contracts every certificate's cluster.
     Without eps G is the unit graph and the claimed quality is 2 eta*.  With
     it, the clusters live on G's capacitated unit reduction, the terminal
@@ -1124,7 +1116,7 @@ def assemble_flow_sparsifier(
         back = eps / (2 * ETA_STAR)
         h = CapGraph(h1.vertices, [(e.u, e.v, e.cap * back) for e in h1.edges], g.terminals)
         quality = 2 * ETA_STAR + eps
-    return RouterSparsifier(
-        h, cmap, certificates, quality, list(decompositions), list(log),
-        eps_input=eps, size_bound_met=size_bound_met, unit_graph=gunit,
+    return Sparsifier(
+        h, cmap, quality, gunit, eps, certificates=certificates,
+        decompositions=list(decompositions), log=list(log), size_bound_met=size_bound_met,
     )

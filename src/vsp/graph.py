@@ -407,6 +407,9 @@ def read_graph(path, require_min_capacity: bool = True) -> CapGraph:
                     header = tuple(int(x) for x in toks[2:])
                 except ValueError as exc:
                     raise ParseError("non-integer header field", lineno) from exc
+                if min(header) < 0:
+                    raise ParseError("negative header count", lineno)
+                header_line = lineno
             elif toks[0] == "e":
                 if header is None:
                     raise ParseError("edge before header", lineno)
@@ -434,6 +437,8 @@ def read_graph(path, require_min_capacity: bool = True) -> CapGraph:
                     t = int(toks[1])
                 except ValueError as exc:
                     raise ParseError("non-integer terminal id", lineno) from exc
+                if not (1 <= t <= header[0]):
+                    raise ParseError(f"terminal {t} out of range", lineno)
                 if t in terminals:
                     raise ParseError(f"duplicate terminal {t}", lineno)
                 terminals.append(t)
@@ -443,10 +448,7 @@ def read_graph(path, require_min_capacity: bool = True) -> CapGraph:
         raise ParseError("missing header", 0)
     n, m, k = header
     if len(edges) != m:
-        raise ParseError(f"expected {m} edges, found {len(edges)}", 0)
+        raise ParseError(f"expected {m} edges, found {len(edges)}", header_line)
     if len(terminals) != k:
-        raise ParseError(f"expected {k} terminals, found {len(terminals)}", 0)
-    for t in terminals:
-        if not (1 <= t <= n):
-            raise ParseError(f"terminal {t} out of range", 0)
+        raise ParseError(f"expected {k} terminals, found {len(terminals)}", header_line)
     return CapGraph(range(1, n + 1), edges, terminals)

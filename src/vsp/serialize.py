@@ -38,14 +38,14 @@ import json
 
 from .cutsparse import assemble_cut_sparsifier
 from .errors import InputError
-from .flowsparse import RouterCertificate, RouterSparsifier, assemble_flow_sparsifier
+from .flowsparse import RouterCertificate, assemble_flow_sparsifier
 from .graph import CapGraph, _format_cap, _parse_cap, graph_lines
 
 
 def _render(sp) -> tuple[str, str]:
     """The `.vsp` text and the JSON sidecar text of a sparsifier."""
     h = sp.graph
-    flow = isinstance(sp, RouterSparsifier)
+    flow = sp.kind == "flow"
     ids = {v: i + 1 for i, v in enumerate(h.vertices)}
     lines = graph_lines(h)
     for cset, snode in zip(sp.cmap.clusters, sp.cmap.supernode):
@@ -56,7 +56,7 @@ def _render(sp) -> tuple[str, str]:
         for snode, cert in zip(sp.cmap.supernode, sp.certificates):
             lines.append(f"cert {ids.get(snode, 0)} eta {_format_cap(cert.eta)}")
     payload = {
-        "kind": "flow" if flow else "cut",
+        "kind": sp.kind,
         "quality": _format_cap(sp.quality),
         "eps_input": None if sp.eps_input is None else _format_cap(sp.eps_input),
         "clusters": [sorted(c) for c in sp.cmap.clusters],

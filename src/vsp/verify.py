@@ -18,10 +18,10 @@ from fractions import Fraction
 from itertools import tee
 from typing import Iterable
 
-from .cutsparse import CutSparsifier, lift_cut, project_cut
+from .cutsparse import Sparsifier, lift_cut
 from .errors import BudgetExceeded, InputError
 from .flow import TerminalCuts, bipartitions, flow_conserves
-from .flowsparse import RouterCertificate, RouterSparsifier
+from .flowsparse import RouterCertificate
 from .graph import CapGraph, SubdividedInstance, out_capacity, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
 from .routing import INFEASIBLE, DemandSet, RoutingResult, min_congestion_routing
@@ -110,11 +110,12 @@ def verify_cut_quality(
     return rep
 
 
-def verify_cut_projection(g_unit: CapGraph, sp: CutSparsifier, seed: int = 0,
+def verify_cut_projection(sp: Sparsifier, seed: int = 0,
                           enum_budget: int = DEFAULT_CUT_ENUM_BUDGET) -> QualityReport:
     """Exercise the rounding argument directly: for every enumerated
-    bipartition, project H's minimum cut to G (equal value) and lift G's
-    minimum cut to an H-cut of at most 3x the value."""
+    bipartition, project H's minimum cut to the unit graph G (equal value)
+    and lift G's minimum cut to an H-cut of at most 3x the value."""
+    g_unit = sp.unit_graph
     rep = QualityReport("cut", None)
     terms = list(g_unit.terminals)
     if len(terms) < 2:
@@ -122,18 +123,17 @@ def verify_cut_projection(g_unit: CapGraph, sp: CutSparsifier, seed: int = 0,
         return rep
     splits, exhaustive = bipartitions(terms, enum_budget, seed)
     rep.flags["exhaustive"] = exhaustive
-    clusters = sp.cluster_sets()
     cuts_g, cuts_h = TerminalCuts(g_unit, terms), TerminalCuts(sp.graph, terms)
     worst = Fraction(1)
     for i, (ta, tb) in enumerate(splits):
         vg, cert = cuts_g.min_cut(ta, tb)
-        lifted_side, _steps = lift_cut(g_unit, clusters, cert.side_a)
+        lifted_side, _steps = lift_cut(g_unit, sp.cmap.clusters, cert.side_a)
         lifted_val = out_capacity(g_unit, lifted_side)
         if vg > 0 and lifted_val > 3 * vg:
             rep.violations.append(f"test {i}: lift {lifted_val} > 3 x {vg}")
         # projection: H's min cut expands to a G-cut of identical value
         vh, hcert = cuts_h.min_cut(ta, tb)
-        back = project_cut(g_unit, sp.cmap, hcert.side_a)
+        back = sp.cmap.preimage(hcert.side_a)
         if out_capacity(sp.graph, hcert.side_a) != out_capacity(g_unit, back):
             rep.violations.append(f"test {i}: projection changed the cut value")
         if vg > 0:
@@ -192,7 +192,7 @@ def verify_flow_quality(
     seed: int = 0,
     delta: Fraction = DEFAULT_DELTA,
     quality_bound: Fraction | None = None,
-    sparsifier: RouterSparsifier | None = None,
+    sparsifier: Sparsifier | None = None,
 ) -> QualityReport:
     """Sampled flow-quality report.  q_observed is a lower bound on the true
     flow quality (sampling cannot prove an upper bound); the upper bound is
@@ -261,7 +261,7 @@ def verify_flow_quality(
 
 
 def project_cluster_demands(
-    sp: RouterSparsifier, h_result
+    sp: Sparsifier, h_result
 ) -> dict[frozenset, dict[tuple[int, int], Fraction]]:
     """Split every H-flow path at the supernodes it traverses, accumulating
     per-cluster boundary-pair demands (keyed by parent-graph edge ids)."""
@@ -290,12 +290,10 @@ def project_cluster_demands(
     return out
 
 
-def reroute_through_clusters(sp: RouterSparsifier, h_result) -> Fraction:
+def reroute_through_clusters(sp: Sparsifier, h_result) -> Fraction:
     """Exact congestion of the composed flow: H-loads on surviving edges plus
     each cluster's demand mass pushed through its certified fan-out flows."""
     g = sp.unit_graph
-    if g is None:
-        raise InputError("sparsifier carries no working graph")
     caps = {e.eid: e.cap for e in g.edges}
     load: dict[int, Fraction] = {}
     emap = sp.cmap.edge_map
@@ -324,7 +322,7 @@ def reroute_through_clusters(sp: RouterSparsifier, h_result) -> Fraction:
 
 
 def cluster_demand_restriction(
-    sp: RouterSparsifier, h_result
+    sp: Sparsifier, h_result
 ) -> Fraction:
     """max over clusters and boundary edges of (demand mass at the edge) /
     (edge capacity); at most eta(H) for any feasible H-flow."""
@@ -345,7 +343,7 @@ def cluster_demand_restriction(
 # router certificate re-checks
 
 
-def recheck_router_certificates(sp: RouterSparsifier, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+def recheck_router_certificates(sp: Sparsifier, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Recheck every router certificate against the working graph G.
     Failures are report entries.
 

@@ -6,20 +6,17 @@ its measured numbers.  Tolerances are pinned here and nowhere else:
   router constant       eta* = 34, exact
 """
 
-import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from vsp.cutsparse import build_cut_sparsifier
-from vsp.decompose import certify_decomposition, strong_decompose, weak_decompose
+from vsp.decompose import certify_decomposition, weak_decompose
 from vsp.flow import max_flow
 from vsp.flowsparse import (
     FlowParams,
     RouterCertificate,
-    RouterSparsifier,
     balanced_cut_refine,
     build_flow_sparsifier,
     contract_procedure,
@@ -29,7 +26,7 @@ from vsp.flowsparse import (
 from vsp.gen import (
     gen_chamber, gen_dumbbell, gen_grid, gen_random_unit, gen_regular, gen_welllinked,
 )
-from vsp.graph import CapGraph, contract, out_edges, subdivide_boundary
+from vsp.graph import CapGraph, contract, subdivide_boundary
 from vsp.params import weak_threshold
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.sparsecut import sparsest_cut_exact
@@ -38,7 +35,6 @@ from vsp.verify import (
     recheck_router_certificates,
     reroute_through_clusters,
     verify_cut_quality,
-    verify_flow_quality,
 )
 
 from fixtures import witness1_fixture, witness2_fixture
@@ -455,7 +451,7 @@ def _corruptions(tmpdir, g, sp_prefix, sp):
     yield "rewire-to-terminal", lambda: edit_graph(rewire_to_terminal)
     yield "raise-quality", lambda: edit_json(raise_quality)
     yield "edit-map-line", lambda: edit_graph(shift_map_line)
-    if isinstance(sp, RouterSparsifier):
+    if sp.kind == "flow":
         yield "readd-size-bound-met", lambda: edit_json(readd_size_bound_met)
         if sp.certificates:
             yield "readd-wl-alpha", lambda: edit_json(readd_wl_alpha)
@@ -479,7 +475,7 @@ def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):
             rep = verify_cut_quality(g, sp2.graph)
             if not rep.ok or rep.q_observed > sp2.quality:
                 detected += 1
-            elif isinstance(sp2, RouterSparsifier) and not recheck_router_certificates(sp2)["ok"]:
+            elif sp2.kind == "flow" and not recheck_router_certificates(sp2)["ok"]:
                 # what `vsp verify --mode flow` adds for a flow sparsifier
                 detected += 1
     # certificate-level corruption of flow sparsifiers

@@ -333,6 +333,16 @@ def test_inspect_malformed_input_exits_two(tmp_path, capsys):
     assert json.loads(err)["error"] == "parse"
 
 
+def test_negative_header_count_exits_two(tmp_path, capsys):
+    # read as an empty graph before, which `vsp build` then accepted
+    p = tmp_path / "neg.vsp"
+    p.write_text("p vsp -1 0 0\n")
+    for argv in (["inspect", str(p)], ["build", str(p), "--out", str(tmp_path / "neg")]):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "parse"
+
+
 def test_gen_into_missing_directory_exits_two(tmp_path, capsys):
     code, out, err = run(["gen", "grid", "--out", str(tmp_path / "no" / "g.vsp")], capsys)
     assert code == 2

@@ -1,16 +1,10 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from vsp.cutsparse import (
-    build_cut_sparsifier,
-    lift_cut,
-    project_cut,
-)
+from vsp.cutsparse import build_cut_sparsifier, lift_cut
 from vsp.errors import InputError, ParamError
-from vsp.flow import min_cut_between
 from vsp.graph import CapGraph, out_capacity
 from vsp.verify import verify_cut_projection, verify_cut_quality
 
@@ -85,7 +79,7 @@ def test_projection_and_lift_bound():
         if g.total_terminal_degree() > 9:
             continue
         sp = build_cut_sparsifier(g)
-        rep = verify_cut_projection(sp.unit_graph, sp)
+        rep = verify_cut_projection(sp)
         assert rep.ok, rep.violations
         assert rep.q_observed <= 3
 
@@ -104,7 +98,7 @@ def test_capacitated_reduction_consistency():
     g = _dumbbell_terminals()
     spu = build_cut_sparsifier(g)
     spc = build_cut_sparsifier(g, F(3, 10))
-    assert sorted(map(sorted, spu.cluster_sets())) == sorted(map(sorted, spc.cluster_sets()))
+    assert sorted(map(sorted, spu.cmap.clusters)) == sorted(map(sorted, spc.cmap.clusters))
     # expanded capacities: every bundle is multiplicity x eps
     eps = F(3, 10) / 3
     for e in spc.graph.edges:

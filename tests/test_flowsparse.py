@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsp import flowsparse, graph, sparsecut
+from vsp import cli, flowsparse, graph, sparsecut
 from vsp.errors import InputError
 from vsp.flowsparse import (
     FlowParams,
@@ -15,8 +15,9 @@ from vsp.flowsparse import (
     is_good_router,
 )
 from vsp.gen import gen_capacitated, gen_chamber, gen_grid
-from vsp.graph import CapGraph, contract, out_edges, subdivide_boundary
+from vsp.graph import CapGraph, contract, subdivide_boundary, write_graph
 from vsp.routing import DemandSet, min_congestion_routing
+from vsp.serialize import load_sparsifier
 from vsp.verify import (
     cluster_demand_restriction,
     recheck_router_certificates,
@@ -172,6 +173,25 @@ def test_balanced_cut_refinement_properties():
         assert len(crossing) <= r * gp.k
     else:
         assert out.kind in ("contractible", "witness2")
+
+
+def test_search_gives_up_when_no_balanced_split_exists(tmp_path, capsys):
+    # the first refinement splits this chamber's 64 interior vertices 60/4,
+    # and refining the 60 rebuilds X as all of them, an empty side that
+    # crashed phase 2; a side below |S|/4 is no balanced partition, so the
+    # search gives up
+    g = gen_chamber(seed=0, body_n=4, chamber_n=60, k=6)
+    sp = build_flow_sparsifier(g, params=FlowParams(profile="aggressive", precheck_router=False))
+    assert any(line.startswith("search gave up: balanced-cut") for line in sp.log), sp.log
+    assert recheck_router_certificates(sp)["ok"]
+    gpath, prefix = str(tmp_path / "chamber.vsp"), str(tmp_path / "chamber.sp")
+    write_graph(g, gpath)
+    build = ["build", gpath, "--mode", "flow", "--profile", "aggressive", "--no-precheck",
+             "--out", prefix]
+    assert cli.main(build) == cli.EXIT_OK
+    assert recheck_router_certificates(load_sparsifier(g, prefix))["ok"]
+    assert cli.main(["verify", gpath, prefix]) == cli.EXIT_OK
+    capsys.readouterr()
 
 
 def test_capacitated_flow_sparsifier():

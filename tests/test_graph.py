@@ -254,6 +254,37 @@ def test_read_rejects_duplicate_terminal(tmp_path):
     assert "line 4" in str(ei.value)
 
 
+MALFORMED = [
+    ("p vsp 2 1 0\np vsp 2 1 0\ne 1 2 1\n", 2, "duplicate header"),
+    ("p vsp 2 1\n", 1, "header must be"),
+    ("p vsp 2 x 0\n", 1, "non-integer header field"),
+    ("p vsp -1 0 0\n", 1, "negative header count"),
+    ("# c\ne 1 2 1\np vsp 2 1 0\n", 2, "edge before header"),
+    ("t 1\np vsp 2 0 1\n", 1, "terminal before header"),
+    ("p vsp 2 1 0\ne 1 2\n", 2, "edge line must be"),
+    ("p vsp 2 0 1\nt 1 2\n", 2, "terminal line must be"),
+    ("p vsp 2 1 0\ne 1 b 1\n", 2, "non-integer vertex id"),
+    ("p vsp 2 0 1\nt x\n", 2, "non-integer terminal id"),
+    ("p vsp 2 1 0\ne 1 2 0\n", 2, "capacity 0 <= 0"),
+    ("p vsp 2 1 0\ne 1 3 1\n", 2, "vertex id out of range"),
+    ("p vsp 2 1 0\nx 1\n", 2, "unknown record 'x'"),
+    ("# only a comment\n", 0, "missing header"),
+    ("# c\np vsp 2 2 0\ne 1 2 1\n", 2, "expected 2 edges, found 1"),
+    ("p vsp 2 1 2\ne 1 2 1\nt 1\n", 1, "expected 2 terminals, found 1"),
+    ("p vsp 2 1 1\ne 1 2 1\nt 3\n", 3, "terminal 3 out of range"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", MALFORMED, ids=[m for _t, _l, m in MALFORMED])
+def test_read_rejects_malformed_files_at_their_line(tmp_path, text, line, message):
+    p = tmp_path / "bad.vsp"
+    p.write_text(text)
+    with pytest.raises(ParseError) as ei:
+        read_graph(p, require_min_capacity=False)
+    assert ei.value.line == line
+    assert str(ei.value).startswith(f"line {line}: {message}")
+
+
 def test_read_rational_capacity(tmp_path):
     p = tmp_path / "rat.vsp"
     p.write_text("p vsp 2 1 0\ne 1 2 7/2\n")

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package, the tests and
+the tools is used."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 import vsp
 
 SRC = Path(vsp.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -30,12 +32,16 @@ def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
 
 
 def test_package_has_no_unused_imports():
-    files = sorted(SRC.glob("*.py"))
-    assert files
     found = []
-    for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} imports {name}" for line, name in _unused_imports(tree)]
+    for folder in (SRC, ROOT / "tests", ROOT / "tools"):
+        files = sorted(folder.glob("*.py"))
+        assert files, folder
+        for path in files:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [
+                f"{folder.name}/{path.name}:{line} imports {name}"
+                for line, name in _unused_imports(tree)
+            ]
     assert not found, found
 
 
@@ -47,7 +53,7 @@ def test_scan_flags_an_unused_import():
 def test_bench_targets_resolve():
     # the benchmark's tracer wraps these by name, so a rename in vsp must
     # show up here rather than as a failed traced run
-    bench = Path(__file__).resolve().parent.parent / "bench"
+    bench = ROOT / "bench"
     sys.path.insert(0, str(bench))
     try:
         import layers

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from vsp.flow import max_flow, min_cut_between
+from vsp.flow import max_flow
 from vsp.flowsparse import FlowParams, _path_transfer, is_good_router
 from vsp.graph import CapGraph, contract, out_edges, subdivide_boundary
 from vsp.params import beta_fcg
@@ -16,7 +16,7 @@ from vsp.routing import (
     boundary_path_system,
     min_congestion_routing,
 )
-from vsp.sparsecut import is_well_linked, sparsest_cut_exact
+from vsp.sparsecut import sparsest_cut_exact
 
 from util import random_unit_graph
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +9,9 @@ import vsp.routing as routing
 from vsp.errors import InputError
 from vsp.flow import flow_conserves
 from vsp.graph import CapGraph, subdivide_boundary
+from vsp.ratlp import LpResult
 from vsp.routing import (
+    INFEASIBLE,
     DemandSet,
     _arc_ends,
     _arc_list,
@@ -214,3 +217,21 @@ def test_float_repair_reroutes_a_sink_left_without_flow(monkeypatch):
         assert flow_conserves(g, arc_flow, sources)
     assert res.eta == res.flow.congestion(g)
     assert res.eta >= min_congestion_routing(g, dem, exact=True).eta
+
+
+def test_solver_failures_report_infeasible(monkeypatch):
+    # every demand pair shares a component, so only a failing solver can
+    # make the LP answer infeasible; both solvers' failures must read so
+    g = CapGraph([1, 2, 3, 4, 10, 11, 12],
+                 [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 10, 1), (2, 11, 1), (3, 12, 1)],
+                 [10, 11, 12])
+    dem = DemandSet.from_map({(10, 11): 1, (11, 12): 1})
+    inst = subdivide_boundary(g, {1, 2, 3, 4})
+    assert uniform_router_check(inst)[0]
+    monkeypatch.setattr(routing, "solve_lp", lambda *a: LpResult("infeasible", [], None))
+    monkeypatch.setattr(routing, "linprog", lambda *a, **kw: SimpleNamespace(success=False))
+    for exact in (True, False):
+        res = min_congestion_routing(g, dem, exact=exact)
+        assert res.eta == INFEASIBLE and res.flow is None
+    ok, res = uniform_router_check(inst)
+    assert not ok and res.eta == INFEASIBLE

@@ -6,11 +6,7 @@ import pytest
 from vsp import cli
 from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
-from vsp.flowsparse import (
-    FlowParams,
-    RouterSparsifier,
-    build_flow_sparsifier,
-)
+from vsp.flowsparse import FlowParams, build_flow_sparsifier
 from vsp.gen import gen_dumbbell, gen_grid
 from vsp.graph import CapGraph, write_graph
 from vsp.serialize import load_sparsifier, save_sparsifier
@@ -54,7 +50,7 @@ def test_roundtrip_rebuilds_the_saved_sparsifier(tmp_path, built):
         assert sp2.graph.terminals == sp.graph.terminals
         assert sp2.cmap.clusters == sp.cmap.clusters
         assert sp2.quality == sp.quality and sp2.eps_input == sp.eps_input
-        if isinstance(sp, RouterSparsifier):
+        if sp.kind == "flow":
             assert sp.size_bound_met is not None and sp2.size_bound_met is None
         save_sparsifier(sp2, prefix)
         assert [open(p, "rb").read() for p in paths] == before
@@ -144,8 +140,7 @@ def _verify_exit(tmp_path, name, g, sp, edit):
     write_graph(g, gpath)
     save_sparsifier(sp, prefix)
     edit_sidecar(prefix, edit)
-    mode = "flow" if isinstance(sp, RouterSparsifier) else "cut"
-    return cli.main(["verify", gpath, prefix, "--mode", mode, "--samples", "1"])
+    return cli.main(["verify", gpath, prefix, "--mode", sp.kind, "--samples", "1"])
 
 
 def test_verify_rejects_every_schema_path_edit(tmp_path, built, capsys):
@@ -158,7 +153,7 @@ def test_verify_rejects_every_schema_path_edit(tmp_path, built, capsys):
         for path, at, value in _schema_leaves(payload):
             first.setdefault(path, (at, value))
         assert ("quality",) in first and ("clusters", "[]", "[]") in first
-        if isinstance(sp, RouterSparsifier):
+        if sp.kind == "flow":
             assert ("certificates", "[]", "commodities", "*", "*") in first
         for path, (at, value) in sorted(first.items()):
             code = _verify_exit(tmp_path, name, g, sp, lambda p: _set(p, at, _mutated(value)))
@@ -176,7 +171,7 @@ def test_load_rejects_readded_keys(tmp_path, built, capsys):
         for key, value in REMOVED_TOP_KEYS.items():
             code = _verify_exit(tmp_path, name, g, sp, lambda p: p.update({key: value}))
             assert code == cli.EXIT_INPUT, (name, key)
-        if not isinstance(sp, RouterSparsifier):
+        if sp.kind != "flow":
             continue
         fields = derived_router_fields(sp.unit_graph, sp.certificates[0].members)
         for key, value in fields.items():
