@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .decompose import Decomposition, interior_decompositions
 from .errors import InputError, ParamError
-from .graph import CapGraph, ContractionMap, UnitExpansion, contract, out_edges, unit_expand
+from .graph import CapGraph, ContractionMap, contract, out_edges, unit_expand
 from .sparsecut import DEFAULT_ENUM_BUDGET
 
 if TYPE_CHECKING:
@@ -31,7 +31,10 @@ if TYPE_CHECKING:
 class Sparsifier:
     """H, a contraction of G, with its claimed quality.  A flow sparsifier is
     a cut sparsifier plus one router certificate per cluster of `cmap`, in
-    the same order; `kind` reads the mode off `certificates`."""
+    the same order; `kind` reads the mode off `certificates`.  With
+    `eps_input`, `unit_graph` is derived from G (the cut mode's unit
+    expansion, the flow mode's capacitated unit reduction), and its integer
+    capacities are the edge multiplicities the build used."""
 
     graph: CapGraph  # H, terminals preserved
     cmap: ContractionMap
@@ -42,7 +45,6 @@ class Sparsifier:
     decompositions: list[Decomposition] = field(default_factory=list)
     log: list[str] = field(default_factory=list)
     size_bound_met: bool | None = None  # a flow build result; None once loaded
-    expansion: UnitExpansion | None = None  # a capacitated cut build's unit expansion
 
     @property
     def kind(self) -> str:
@@ -61,14 +63,14 @@ def build_cut_sparsifier(
     3; with it the clusters are found on G's unit expansion at eps_input/3 and
     the quality is 3 + eps_input.  The terminal-free region is strongly
     decomposed per connected piece, and `assemble_cut_sparsifier` contracts
-    every cluster once."""
+    every cluster once, deriving the expansion from G again as a load does."""
     if eps_input is None:
         if not g.is_unit:
             raise InputError("unit mode (no eps) requires integer (multiplicity) capacities")
         ug = g
     else:
         eps_input = Fraction(eps_input)
-        ug, _prov = _unit_reduction(g, eps_input)
+        ug = _unit_reduction(g, eps_input)
     decs = interior_decompositions(ug, budget)
     return assemble_cut_sparsifier(g, _clusters(decs), eps_input, decs)
 
@@ -77,7 +79,7 @@ def _clusters(decs: list[Decomposition]) -> list[frozenset[int]]:
     return [c.members for dec in decs for c in dec.clusters]
 
 
-def _unit_reduction(g: CapGraph, eps_input: Fraction) -> tuple[CapGraph, UnitExpansion]:
+def _unit_reduction(g: CapGraph, eps_input: Fraction) -> CapGraph:
     if not (0 < eps_input <= 1):
         raise ParamError(f"eps must be in (0,1], got {eps_input}")
     return unit_expand(g, eps_input / 3)
@@ -96,12 +98,12 @@ def assemble_cut_sparsifier(
     if eps_input is None:
         h, cmap = contract(g, clusters)
         return Sparsifier(h, cmap, Fraction(3), g, decompositions=list(decompositions))
-    ug, prov = _unit_reduction(g, eps_input)
+    ug = _unit_reduction(g, eps_input)
     hu, cmap = contract(ug, clusters)
     eps = eps_input / 3
     h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * eps) for e in hu.edges], hu.terminals)
     return Sparsifier(h, cmap, 3 + eps_input, ug, eps_input,
-                      decompositions=list(decompositions), expansion=prov)
+                      decompositions=list(decompositions))
 
 
 @dataclass(frozen=True)

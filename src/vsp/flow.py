@@ -40,7 +40,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InputError
-from .graph import CapGraph, out_capacity
+from .graph import CapGraph
 
 # SciPy's maximum_flow holds capacities, flows and residuals as int32
 _INT32_LIMIT = 1 << 31
@@ -318,9 +318,6 @@ class CutCertificate:
     term_b: Fraction | None = None
     sparsity: Fraction | None = None
 
-    def recheck_value(self, g: CapGraph) -> Fraction:
-        return out_capacity(g, self.side_a)
-
 
 @dataclass
 class FlowSolution:
@@ -333,13 +330,6 @@ class FlowSolution:
     edge_flow: dict[int, Fraction]
     paths: list[tuple[Fraction, tuple, list[int]]] = field(default_factory=list)
     eta: Fraction | None = None
-
-    def congestion(self, g: CapGraph) -> Fraction:
-        worst = Fraction(0)
-        caps = {e.eid: e.cap for e in g.edges}
-        for eid, f in self.edge_flow.items():
-            worst = max(worst, abs(f) / caps[eid])
-        return worst
 
 
 class TerminalCuts:
@@ -553,16 +543,6 @@ def max_flow(
     flows = cuts.net.flow_by_key()
     sol = FlowSolution({eid: abs(f) for eid, f in flows.items() if f != 0})
     return value, sol, cert
-
-
-def min_cut_between(
-    g: CapGraph, term_a: Iterable[int], term_b: Iterable[int]
-) -> tuple[Fraction, CutCertificate]:
-    """Capacity of the minimum cut separating two disjoint terminal sets,
-    with its minimal source side; no flow is extracted.  For many cuts on
-    one graph, compile a TerminalCuts once instead."""
-    ta, tb = set(term_a), set(term_b)
-    return TerminalCuts(g, ta | tb).min_cut(ta, tb)
 
 
 def flow_conserves(

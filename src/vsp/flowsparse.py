@@ -41,6 +41,7 @@ from .graph import (
     CapGraph,
     ContractionMap,
     SubdividedInstance,
+    congestion,
     contract,
     merge_vertices,
     out_capacity,
@@ -166,13 +167,26 @@ def _router_certificate(inst: SubdividedInstance) -> RouterCertificate | None:
     ok, res = uniform_router_check(inst, eta_bound=ETA_STAR)
     if not ok:
         return None
-    # the map is one-to-one, and a pendant's inside->t_e direction stays 0
-    emap = inst.parent_edge
+    # on G_S's edge ids, each fan-out keyed by its source's pendant edge
     commodity = {
-        inst.pendant_of[src_t]: {(emap[e], d): v for (e, d), v in arcs.items()}
-        for src_t, arcs in (res.commodity_arcs or {}).items()
+        inst.pendant_edge(src_t).eid: arcs for src_t, arcs in (res.commodity_arcs or {}).items()
     }
-    return RouterCertificate(inst.members, res.eta, commodity)
+    return _translate_certificate(RouterCertificate(inst.members, res.eta, commodity),
+                                  inst.parent_edge)
+
+
+def _translate_certificate(cert: RouterCertificate, emap: Mapping[int, int]) -> RouterCertificate:
+    """`cert` on the parent graph's edge ids, through an instance's
+    `parent_edge` map: the map is one-to-one, and a pendant's inside->t_e
+    direction stays 0."""
+    return RouterCertificate(
+        cert.members,
+        cert.eta,
+        {
+            emap[src]: {(emap[e], d): v for (e, d), v in arcs.items()}
+            for src, arcs in cert.commodity_arcs.items()
+        },
+    )
 
 
 # --------------------------------------------------------------------------
@@ -207,11 +221,11 @@ class ContractibleSet:
     size_budget: Fraction  # 128 F(|out|) it exceeds
 
 
-def path_congestion(paths: Iterable[list[int]]) -> dict[int, int]:
-    load: dict[int, int] = {}
-    for p in paths:
-        for eid in p:
-            load[eid] = load.get(eid, 0) + 1
+def _route_loads(routes: Iterable[tuple[Fraction, list[int]]]) -> dict[int, Fraction]:
+    load: dict[int, Fraction] = {}
+    for amt, path in routes:
+        for eid in path:
+            load[eid] = load.get(eid, Fraction(0)) + amt
     return load
 
 
@@ -230,7 +244,7 @@ def verify_witness1(gp: CapGraph, w: Witness1, k: int) -> list[str]:
         paths = fam["paths"]
         if len(paths) < need:
             fails.append(f"family {j} has {len(paths)} paths < {need}")
-        load = path_congestion(p for _t, p in paths)
+        load = _route_loads((1, p) for _t, p in paths)
         if load and max(load.values()) > 1:
             fails.append(f"family {j} paths are not edge-disjoint")
         terms = [t for t, _p in paths]
@@ -259,7 +273,7 @@ def verify_witness2(gp: CapGraph, w: Witness2, k: int) -> list[str]:
     if len(set(flat)) != len(flat) or not set(flat) <= bset:
         fails.append("edge groups are not disjoint boundary subsets")
     for j, paths in enumerate(w.paths):
-        load = path_congestion(p for _t, p in paths)
+        load = _route_loads((1, p) for _t, p in paths)
         if load and max(load.values()) > 2:
             fails.append(f"path system {j} exceeds congestion 2")
         ends = [p[-1] for _t, p in paths if p]
@@ -370,13 +384,15 @@ def _prune_distinct_ends(
 
 
 @dataclass
-class RefineOutcome:
-    kind: str  # "balanced" | "witness2" | "contractible"
-    x: frozenset[int] | None = None
-    y: frozenset[int] | None = None
-    witness: Witness2 | None = None
+class SearchOutcome:
+    """How the search, or one run of the refinement lemma inside it, ends."""
+
+    kind: str  # "contractible" | "witness1" | "witness2"; the lemma also "balanced"
     contractible: ContractibleSet | None = None
+    witness: Witness1 | Witness2 | None = None
     notes: list[str] = field(default_factory=list)
+    x: frozenset[int] | None = None  # the balanced partition
+    y: frozenset[int] | None = None
 
 
 def balanced_cut_refine(
@@ -385,7 +401,7 @@ def balanced_cut_refine(
     params: FlowParams,
     r: int,
     f_half: Fraction,
-) -> RefineOutcome:
+) -> SearchOutcome:
     """One run of the refinement lemma on S: ends with a balanced partition
     with at most rk crossing edges, a verified type-2 witness, or a
     contractible set.  Crossing size strictly decreases each iteration."""
@@ -428,11 +444,9 @@ def balanced_cut_refine(
         term_star = tuple(sorted(t for t, _p in p1))
         gamma1 = [p[-1] for _t, p in p1]
 
-        # step 2: route gamma1 to r-1 further edge groups inside X
+        # step 2: route gamma1 to r-1 further edge groups inside X; rest holds
+        # |gamma| - ceil(k/4) > (r-1) ceil(k/4) edges, enough for every group
         rest = [eid for eid in sorted(gamma) if eid not in set(gamma1)]
-        if len(rest) < (r - 1) * quarter_k:
-            notes.append("crossing set too small for r groups")
-            return _balanced(s_members, x, y, notes)
         groups = [gamma1]
         for j in range(1, r):
             groups.append(rest[(j - 1) * quarter_k : j * quarter_k])
@@ -466,7 +480,7 @@ def balanced_cut_refine(
                 frozenset(x), groups, term_star, systems, alpha,
                 "exact" if res.exact else "heuristic", r,
             )
-            return RefineOutcome("witness2", witness=w2, notes=notes)
+            return SearchOutcome("witness2", witness=w2, notes=notes)
         if len(a_side) > len(b_side):
             a_side, b_side = b_side, a_side
         x, y = b_side, y | a_side
@@ -474,14 +488,14 @@ def balanced_cut_refine(
     raise BudgetExceeded("balanced-cut refinement exceeded its iteration bound")
 
 
-def _balanced(s_members, x, y, notes) -> RefineOutcome:
+def _balanced(s_members, x, y, notes) -> SearchOutcome:
     """The balanced outcome, whose sides the lemma gives at least |S|/4
     vertices each.  A partition rebuild can leave a side short, even empty;
     no balanced partition is known then, and the search gives up."""
     short = min(len(x), len(y))
     if 4 * short < len(s_members):
         raise BudgetExceeded(f"balanced-cut refinement left a side of {short} of {len(s_members)}")
-    return RefineOutcome("balanced", x, y, notes=notes)
+    return SearchOutcome("balanced", notes=notes, x=x, y=y)
 
 
 def _step1_cut_case(gp, x, a, half_k, f_half, notes):
@@ -498,7 +512,7 @@ def _step1_cut_case(gp, x, a, half_k, f_half, notes):
             cs = frozenset(comp)
             boundary = out_capacity(gp, cs)
             if len(cs) > 128 * f_half and boundary <= half_k:
-                return RefineOutcome(
+                return SearchOutcome(
                     "contractible",
                     contractible=ContractibleSet(cs, boundary, 128 * f_half),
                     notes=notes,
@@ -570,14 +584,6 @@ def _step2_new_partition(gp, x, y, a_side):
 # contractible-or-witness search (two phases)
 
 
-@dataclass
-class SearchOutcome:
-    kind: str  # "contractible" | "witness1" | "witness2"
-    contractible: ContractibleSet | None = None
-    witness: Witness1 | Witness2 | None = None
-    notes: list[str] = field(default_factory=list)
-
-
 def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutcome:
     """Phase 1 refines {V - T} through ceil(log r) rounds of balanced cuts;
     phase 2 weak-decomposes r of the resulting sets, looks for contractible
@@ -598,10 +604,9 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
         for s in families:
             out = balanced_cut_refine(gp, s, params, r, f_half)
             notes.extend(out.notes)
-            if out.kind == "contractible":
-                return SearchOutcome("contractible", contractible=out.contractible, notes=notes)
-            if out.kind == "witness2":
-                return SearchOutcome("witness2", witness=out.witness, notes=notes)
+            if out.kind != "balanced":
+                out.notes = notes
+                return out
             nxt.extend([out.x, out.y])
         families = nxt
     families.sort(key=min)
@@ -692,14 +697,6 @@ def _route_terminals_to_cluster(gp: CapGraph, members: frozenset[int], need: int
 
 # --------------------------------------------------------------------------
 # witness -> flow (Witness theorems, constructive)
-
-
-def _route_loads(routes: Iterable[tuple[Fraction, list[int]]]) -> dict[int, Fraction]:
-    load: dict[int, Fraction] = {}
-    for amt, path in routes:
-        for eid in path:
-            load[eid] = load.get(eid, Fraction(0)) + amt
-    return load
 
 
 def _concat_cancel(p1: list[int], p2: list[int]) -> list[int]:
@@ -817,10 +814,7 @@ def _witness1_flow(g, w: Witness1, cmap) -> WitnessFlow:
             load[eid] = load.get(eid, Fraction(0)) + amt
         for eid, amt in _mix_inside(g, members, masses).items():
             load[eid] = load.get(eid, Fraction(0)) + amt
-    eta = Fraction(0)
-    for eid, f in load.items():
-        eta = max(eta, f / g.edges[eid].cap)
-    return WitnessFlow(load, eta, r * rho)
+    return WitnessFlow(load, congestion(g, load), r * rho)
 
 
 def _witness2_flow(g, w: Witness2, cmap) -> WitnessFlow:
@@ -862,25 +856,11 @@ def _witness2_flow(g, w: Witness2, cmap) -> WitnessFlow:
     load = _route_loads(routes)
     for eid, amt in _mix_inside(g, members, masses).items():
         load[eid] = load.get(eid, Fraction(0)) + amt
-    eta = Fraction(0)
-    for eid, f in load.items():
-        eta = max(eta, f / g.edges[eid].cap)
-    return WitnessFlow(load, eta, rho)
+    return WitnessFlow(load, congestion(g, load), rho)
 
 
 # --------------------------------------------------------------------------
 # Contract(G', S) and the builders
-
-
-def _translate_certificate(cert: RouterCertificate, emap: Mapping[int, int]) -> RouterCertificate:
-    return RouterCertificate(
-        cert.members,
-        cert.eta,
-        {
-            emap[src]: {(emap[e], d): v for (e, d), v in arcs.items()}
-            for src, arcs in cert.commodity_arcs.items()
-        },
-    )
 
 
 @dataclass
@@ -1000,12 +980,14 @@ def _well_linked_routers(
             )
             continue
         # witness: the interior must already be a router (the up-front check
-        # makes this branch a cross-check); certify it and stop
+        # makes this branch a cross-check).  With the pre-check on, that
+        # check already failed here; otherwise certify it now.  Then stop
         wf = witness_to_flow(g, outcome.witness, cmap if cmap.clusters else None)
         log.append(f"{outcome.kind} found; witness flow congestion {wf.eta}")
-        cert = _router_certificate(inst)
-        if cert is not None:
-            return [cert], True
+        if not params.precheck_router:
+            cert = _router_certificate(inst)
+            if cert is not None:
+                return [cert], True
         log.append("witness found but the interior fails the router check; stopping")
         break
     certs = [_translate_certificate(c, inst.parent_edge) for c in certs]
@@ -1022,10 +1004,11 @@ def capacitated_unit_reduction(
     if not (0 < eps < 1):
         raise ParamError(f"eps must be in (0,1), got {eps}")
     scale = 2 * ETA_STAR / eps
-    g2, expansion = unit_expand(g, 1 / scale)
-    for e, c2 in zip(g.edges, expansion.multiplicity):
-        c = min(e.cap, expansion.cap_bound)
-        if not scale * c <= c2 <= (2 * ETA_STAR + eps) / eps * c:
+    g2 = unit_expand(g, 1 / scale)
+    cap_bound = g.terminal_capacity()
+    for e, e2 in zip(g.edges, g2.edges):
+        c = min(e.cap, cap_bound)
+        if not scale * c <= e2.cap <= (2 * ETA_STAR + eps) / eps * c:
             raise AssertionError("capacity rescaling left its bracket")
     tset = set(g2.terminals)
     next_v = max(g2.vertices) + 1

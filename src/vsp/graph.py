@@ -175,6 +175,11 @@ def out_capacity(g: CapGraph, members: Iterable[int]) -> Fraction:
     return sum((e.cap for e in out_edges(g, members)), Fraction(0))
 
 
+def congestion(g: CapGraph, load: Mapping[int, Fraction]) -> Fraction:
+    """max over the loaded edges of load / capacity; 0 when nothing is loaded."""
+    return max((f / g.edges[eid].cap for eid, f in load.items()), default=Fraction(0))
+
+
 @dataclass(frozen=True)
 class SubdividedInstance:
     """G_S, the instance of a cluster S on which its well-linkedness and its
@@ -301,19 +306,11 @@ def contract(
     return h, cmap
 
 
-@dataclass(frozen=True)
-class UnitExpansion:
-    """Provenance of a unit expansion: per-edge multiplicity and the scale."""
-
-    eps: Fraction
-    cap_bound: Fraction  # the value C applied as a capacity cap
-    multiplicity: tuple[int, ...]  # per original edge id
-
-
-def unit_expand(g: CapGraph, eps: Fraction | int | str) -> tuple[CapGraph, UnitExpansion]:
+def unit_expand(g: CapGraph, eps: Fraction | int | str) -> CapGraph:
     """Replace edge e by ceil(min(c_e, C)/eps) parallel unit edges, where C is
-    the terminal-incident capacity computed before capping.  Bucketed: the
-    result has integer capacities equal to the multiplicities."""
+    the terminal-incident capacity `g.terminal_capacity()`.  Bucketed: edge e
+    of the result keeps e's id and ends, and its integer capacity is e's
+    multiplicity."""
     eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     if not (0 < eps <= 1):
         raise ParamError(f"eps must be in (0,1], got {eps}")
@@ -321,15 +318,11 @@ def unit_expand(g: CapGraph, eps: Fraction | int | str) -> tuple[CapGraph, UnitE
         if e.cap < 1:
             raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
     cap_bound = g.terminal_capacity()
-    mult = []
     edges = []
     for e in g.edges:
         c = min(e.cap, cap_bound)
-        m = math.ceil(c / eps)
-        mult.append(m)
-        edges.append((e.u, e.v, Fraction(m)))
-    ug = CapGraph(g.vertices, edges, g.terminals)
-    return ug, UnitExpansion(eps, cap_bound, tuple(mult))
+        edges.append((e.u, e.v, Fraction(math.ceil(c / eps))))
+    return CapGraph(g.vertices, edges, g.terminals)
 
 
 def merge_vertices(g: CapGraph, groups: Sequence[Iterable[int]], names: Sequence[int]) -> CapGraph:

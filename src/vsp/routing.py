@@ -26,8 +26,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import InputError
-from .flow import FlowSolution, Net
-from .graph import CapGraph, SubdividedInstance
+from .flow import FlowSolution
+from .graph import CapGraph, SubdividedInstance, congestion
 from .params import ETA_STAR
 from .ratlp import solve_lp
 
@@ -127,10 +127,6 @@ def min_congestion_routing(
             raise InputError(f"demand on unknown vertex {t}")
         if g.terminals and t not in g.terminals:
             raise InputError(f"demand on non-terminal vertex {t}")
-    if not demands:
-        flow = FlowSolution({eid: v for eid, v in base.items()}, eta=Fraction(0))
-        flow.eta = flow.congestion(g) if base else Fraction(0)
-        return RoutingResult(flow.eta, flow, {}, None, True)
     comp_of: dict[int, int] = {}
     for ci, comp in enumerate(g.components()):
         for v in comp:
@@ -256,9 +252,7 @@ def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
     for arcs_ in commodity_arcs.values():
         for (eid, _d), v in arcs_.items():
             edge_flow[eid] += v
-    eta = Fraction(0)
-    for eid, f in edge_flow.items():
-        eta = max(eta, f / g.edges[eid].cap)
+    eta = congestion(g, edge_flow)
     sol = FlowSolution(dict(edge_flow), paths, eta=eta)
     return RoutingResult(eta, sol, commodity_arcs, lp_eta, exact_lp)
 
@@ -410,34 +404,3 @@ def uniform_router_check(
             ok = res.eta <= eta_bound
     return ok, res
 
-
-def boundary_path_system(
-    g: CapGraph,
-    members,
-    e1: list[int],
-    e2: list[int],
-    congestion: int,
-) -> list[list[int]] | None:
-    """An integral 1:1 path system between equal-size boundary edge subsets,
-    contained in the cluster, with inner-edge congestion at most the given
-    bound; found by integral max flow, None if no such system exists."""
-    if len(e1) != len(e2):
-        raise InputError("path system endpoints must have equal size")
-    ms = frozenset(members)
-    net = Net()
-    for e in g.edges:
-        if e.u in ms and e.v in ms and e.u != e.v:
-            net.undirected(e.u, e.v, congestion * e.cap, key=e.eid)
-    for eid in sorted(set(e1)):
-        e = g.edges[eid]
-        inside = e.u if e.u in ms else e.v
-        net.arc(net.source, ("in", eid), 1)
-        net.undirected(("in", eid), inside, 1, key=eid)
-    for eid in sorted(set(e2)):
-        e = g.edges[eid]
-        inside = e.u if e.u in ms else e.v
-        net.undirected(inside, ("out", eid), 1, key=eid)
-        net.arc(("out", eid), net.sink, 1)
-    if net.max_flow(net.source, net.sink) < len(e1):
-        return None
-    return [path for _first, path in net.unit_edge_paths()]

@@ -22,7 +22,7 @@ from .cutsparse import Sparsifier, lift_cut
 from .errors import BudgetExceeded, InputError
 from .flow import TerminalCuts, bipartitions, flow_conserves
 from .flowsparse import RouterCertificate
-from .graph import CapGraph, SubdividedInstance, out_capacity, subdivide_boundary
+from .graph import CapGraph, SubdividedInstance, congestion, out_capacity, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
 from .routing import INFEASIBLE, DemandSet, RoutingResult, min_congestion_routing
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked
@@ -48,8 +48,6 @@ class QualityReport:
         def enc(x):
             if isinstance(x, Fraction):
                 return str(x)
-            if isinstance(x, frozenset):
-                return sorted(x)
             return x
 
         payload = {
@@ -223,7 +221,8 @@ def verify_flow_quality(
             tid += 1
             if rg.eta == INFEASIBLE or rh.eta == INFEASIBLE:
                 both = rg.eta == INFEASIBLE and rh.eta == INFEASIBLE
-                rec.update({"g": "inf", "h": "inf" if both else rh.eta, "ratio": None})
+                rec.update(g="inf" if rg.eta == INFEASIBLE else rg.eta,
+                           h="inf" if rh.eta == INFEASIBLE else rh.eta, ratio=None)
                 if not both:
                     rep.violations.append(f"test {rec['id']}: disconnection disagreement")
                 rep.records.append(rec)
@@ -294,7 +293,6 @@ def reroute_through_clusters(sp: Sparsifier, h_result) -> Fraction:
     """Exact congestion of the composed flow: H-loads on surviving edges plus
     each cluster's demand mass pushed through its certified fan-out flows."""
     g = sp.unit_graph
-    caps = {e.eid: e.cap for e in g.edges}
     load: dict[int, Fraction] = {}
     emap = sp.cmap.edge_map
     for heid, f in h_result.flow.edge_flow.items():
@@ -309,34 +307,13 @@ def reroute_through_clusters(sp: Sparsifier, h_result) -> Fraction:
             w_at[a] = w_at.get(a, Fraction(0)) + x
             w_at[b] = w_at.get(b, Fraction(0)) + x
         for eid, w in w_at.items():
-            scale = w / caps[eid]
+            scale = w / g.edges[eid].cap
             for (ieid, _d), l in cert.commodity_arcs.get(eid, {}).items():
                 e = g.edges[ieid]
                 # skip the boundary edges: the fan-out's pendant handoffs are H's
                 if (e.u in cert.members) == (e.v in cert.members):
                     load[ieid] = load.get(ieid, Fraction(0)) + scale * l
-    worst = Fraction(0)
-    for eid, f in load.items():
-        worst = max(worst, f / caps[eid])
-    return worst
-
-
-def cluster_demand_restriction(
-    sp: Sparsifier, h_result
-) -> Fraction:
-    """max over clusters and boundary edges of (demand mass at the edge) /
-    (edge capacity); at most eta(H) for any feasible H-flow."""
-    g = sp.unit_graph
-    caps = {e.eid: e.cap for e in g.edges}
-    worst = Fraction(0)
-    for cert_members, dem in project_cluster_demands(sp, h_result).items():
-        w_at: dict[int, Fraction] = {}
-        for (a, b), x in dem.items():
-            w_at[a] = w_at.get(a, Fraction(0)) + x
-            w_at[b] = w_at.get(b, Fraction(0)) + x
-        for eid, w in w_at.items():
-            worst = max(worst, w / caps[eid])
-    return worst
+    return congestion(g, load)
 
 
 # --------------------------------------------------------------------------

@@ -362,3 +362,12 @@ def test_verify_report_into_missing_directory_exits_two(grid_builds, tmp_path, c
     code, _, err = run(["verify", g, cut, "--out", str(tmp_path / "no" / "r.json")], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "input"
+
+
+def test_verify_report_file_holds_the_printed_report(grid_builds, tmp_path, capsys):
+    g, cut, _flow = grid_builds
+    report = tmp_path / "r.json"
+    code, out, _ = run(["verify", g, cut, "--out", str(report)], capsys)
+    assert code == 0
+    assert out.endswith(report.read_text())
+    assert json.loads(report.read_text())["violations"] == []

@@ -110,17 +110,14 @@ def test_capacitated_expansion_counts():
     # C = 6 exceeds the edge capacity, so no capping applies
     g = CapGraph([1, 2, 3, 4], [(1, 2, 3), (2, 3, 5), (3, 4, 3)], [1, 4])
     sp = build_cut_sparsifier(g, F(3, 10))
-    assert sp.expansion.eps == F(1, 10)
-    assert sp.expansion.cap_bound == 6
-    assert sp.expansion.multiplicity[1] == 50  # ceil(5 / 0.1)
+    assert [e.cap for e in sp.unit_graph.edges] == [30, 50, 30]  # ceil(c / 0.1)
 
 
 def test_capacitated_capping_applies():
     # a huge inner capacity is capped at C before expansion
     g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (2, 3, 5), (3, 4, 1)], [1, 4])
     sp = build_cut_sparsifier(g, F(3, 10))
-    assert sp.expansion.cap_bound == 2
-    assert sp.expansion.multiplicity[1] == 20  # ceil(min(5, C=2) / 0.1)
+    assert [e.cap for e in sp.unit_graph.edges] == [10, 20, 10]  # ceil(min(5, C=2) / 0.1)
 
 
 def test_capacitated_quality():

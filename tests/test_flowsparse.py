@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from vsp import cli, flowsparse, graph, sparsecut
-from vsp.errors import InputError
+from vsp.decompose import weak_decompose
+from vsp.errors import BudgetExceeded, InputError
 from vsp.flowsparse import (
     FlowParams,
     balanced_cut_refine,
@@ -13,13 +14,15 @@ from vsp.flowsparse import (
     contract_procedure,
     find_contractible_or_witness,
     is_good_router,
+    verify_witness1,
+    witness_to_flow,
 )
 from vsp.gen import gen_capacitated, gen_chamber, gen_grid
 from vsp.graph import CapGraph, contract, subdivide_boundary, write_graph
-from vsp.routing import DemandSet, min_congestion_routing
+from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.serialize import load_sparsifier
 from vsp.verify import (
-    cluster_demand_restriction,
+    project_cluster_demands,
     recheck_router_certificates,
     reroute_through_clusters,
     verify_flow_quality,
@@ -194,6 +197,117 @@ def test_search_gives_up_when_no_balanced_split_exists(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _cycle(n, attach, caps=None):
+    """An n-vertex cycle, edge (i, i+1) of capacity caps[i] (default 1), with
+    a pendant terminal at every vertex of `attach`."""
+    caps = caps or {}
+    core = [(i, i % n + 1, caps.get(i, 1)) for i in range(1, n + 1)]
+    return _pendant_terminals(core, range(1, n + 1), attach)
+
+
+def test_phase_two_assembles_a_type1_witness(monkeypatch):
+    # phase 1 halves the 12-cycle twice; phase 2 weak-decomposes r = 3 of the
+    # quarters and routes two terminals onto each largest cluster
+    g = _cycle(12, [1, 4, 7, 10])
+    weak = []
+    monkeypatch.setattr(flowsparse, "weak_decompose",
+                        lambda *a, **kw: weak.append(a[1]) or weak_decompose(*a, **kw))
+    out = find_contractible_or_witness(g, AGG)
+    assert out.kind == "witness1"
+    assert len(weak) == 3
+    assert verify_witness1(g, out.witness, 4) == []
+    eta = witness_to_flow(g, out.witness).eta
+    assert eta == F(5, 2) and eta <= 10  # criterion 7's type-1 bound
+
+
+def test_phase_two_gives_up_when_the_terminals_miss_every_cluster():
+    # every terminal hangs off vertex 13, one edge away from the cycle: no
+    # two edge-disjoint paths reach a cluster inside the cycle, and each
+    # cut side is far below the contractible size
+    core = [(i, i % 12 + 1, 1) for i in range(1, 13)] + [(1, 13, 1)]
+    g = _pendant_terminals(core, range(1, 14), [13] * 4)
+    with pytest.raises(BudgetExceeded, match="phase 2 assembled only 0 of 3 witness families"):
+        find_contractible_or_witness(g, AGG)
+
+
+# the failed transfer's cut side is the larger piece of X in the first case
+# (it becomes the new X) and the smaller in the second (it joins Y)
+@pytest.mark.parametrize("x_pieces, attach, cut, small_side", [
+    ([[1, 2, 3], [4, 5, 6, 7]], [12, 13, 14, 14], {4, 5, 6, 7}, {4, 5, 6, 7}),
+    ([[1], [2, 3, 4, 5, 6, 7]], [8, 8, 9, 9], {1}, {2, 3, 4, 5, 6, 7}),
+])
+def test_step2_rebuilds_the_partition_at_a_failed_group_transfer(monkeypatch, x_pieces, attach,
+                                                                 cut, small_side):
+    # X = 1..7 is joined to the path Y = 8..14 by 14 crossing edges (i, i+7)
+    # but falls apart inside, so routing the first edge group onto the next
+    # one inside X fails, and step 2 rebuilds the partition from the cut
+    core = [(i, i + 7, 1) for i in range(1, 8) for _ in range(2)]
+    core += [(a, b, 1) for piece in x_pieces for a, b in zip(piece, piece[1:])]
+    core += [(v, v + 1, 1) for v in range(8, 14)]
+    g = _pendant_terminals(core, range(1, 15), attach)
+    s = frozenset(range(1, 15))
+    rebuilt = []
+    step2 = flowsparse._step2_new_partition
+    monkeypatch.setattr(flowsparse, "_step2_new_partition",
+                        lambda *a: rebuilt.append(a[3]) or step2(*a))
+    out = balanced_cut_refine(g, s, AGG, 3, F(1))
+    assert rebuilt == [frozenset(cut)]
+    assert (out.kind, out.y, out.x) == ("balanced", frozenset(small_side), s - small_side)
+    crossing = [e for e in g.edges if (e.u in out.x) != (e.v in out.x) and e.u in s and e.v in s]
+    assert len(crossing) <= 3 * g.k and 4 * len(out.y) >= len(s)
+
+
+def test_router_check_failures(monkeypatch):
+    # below the exchange congestion of both cycles every router check fails
+    g4, g6 = _cycle(12, [1, 4, 7, 10]), _cycle(16, [1, 4, 7, 10, 13, 15])
+    interior = frozenset(range(1, 13))
+    assert is_good_router(subdivide_boundary(g4, interior), AGG)[1].eta == F(3, 2)
+    monkeypatch.setattr(flowsparse, "ETA_STAR", F(1, 2))
+    assert is_good_router(subdivide_boundary(g4, interior), AGG) == (False, None)
+    # k <= 4: the cluster stays uncontracted
+    sp = build_flow_sparsifier(g4, params=AGG)
+    assert sp.log == ["k <= 4 interior failed the router check; returning uncontracted"]
+    assert (sp.certificates, sp.size_bound_met, sp.graph.n) == ([], False, g4.n)
+    # k = 6: the search finds a witness, and the exchange LP is solved once,
+    # up front or, without the pre-check, after the witness
+    checks = []
+    monkeypatch.setattr(flowsparse, "uniform_router_check",
+                        lambda *a, **kw: checks.append(1) or uniform_router_check(*a, **kw))
+    for precheck in (True, False):
+        checks.clear()
+        params = FlowParams(profile="aggressive", precheck_router=precheck)
+        sp = build_flow_sparsifier(g6, params=params)
+        assert sp.log[-2:] == ["witness1 found; witness flow congestion 100/27",
+                               "witness found but the interior fails the router check; stopping"]
+        assert (len(checks), sp.certificates, sp.size_bound_met) == (1, [], False)
+
+
+def test_bucketed_capacities_skip_the_contraction_loop():
+    g = _cycle(16, [1, 4, 7, 10, 13, 15], caps={5: 2})
+    sp = build_flow_sparsifier(g, params=FlowParams(profile="aggressive", precheck_router=False))
+    assert sp.log == ["bucketed capacities: contraction loop unavailable"]
+    assert (sp.certificates, sp.size_bound_met, sp.steiner_count) == ([], False, 16)
+
+
+def test_router_check_refuses_beyond_the_enumeration_budget():
+    inst = subdivide_boundary(_cycle(16, [1, 4, 7, 10, 13, 15]), range(1, 17))
+    assert is_good_router(inst, FlowParams(profile="aggressive", enum_budget=6))[0]
+    with pytest.raises(BudgetExceeded):
+        sparsecut.is_well_linked(inst, F(1, 3), budget=5)
+    assert is_good_router(inst, FlowParams(profile="aggressive", enum_budget=5)) == (False, None)
+
+
+def test_theoretical_profile_constants():
+    # the published parameter rule: r is the fixpoint of r > 24 beta(k*) /
+    # alpha_w(k*), and F grows by 2^16 r^3 log r per halving above 4
+    p = FlowParams()
+    assert (p.r(4), p.r(8)) == (2526768, 2727568)
+    assert p.k_star(4, p.r(4)) == 429931835
+    assert p.growth(p.r(8)) == 28431371550456565183253248
+    assert p.f_size(4) == 1
+    assert p.f_size(8) == p.growth(p.r(8)) > 10**9
+
+
 def test_capacitated_flow_sparsifier():
     core = [(u, v, 2) for u in range(1, 5) for v in range(u + 1, 5)]
     core += [(1, 10, 1), (2, 11, 1), (3, 12, 2)]
@@ -220,7 +334,14 @@ def test_reroute_composition_bound():
     rh = min_congestion_routing(sp.graph, dem)
     composed = reroute_through_clusters(sp, rh)
     assert composed <= 2 * F(34) * rh.eta
-    assert cluster_demand_restriction(sp, rh) <= rh.eta
+    # the demand mass each cluster takes at a boundary edge is at most eta_H
+    # times the edge's capacity
+    for dem in project_cluster_demands(sp, rh).values():
+        mass = {}
+        for pair, x in dem.items():
+            for eid in pair:
+                mass[eid] = mass.get(eid, 0) + x
+        assert all(x <= rh.eta * sp.unit_graph.edges[eid].cap for eid, x in mass.items())
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from vsp.errors import ContractError, InputError, ParamError, ParseError
 from vsp.graph import (
     CapGraph,
     contract,
+    merge_vertices,
     out_capacity,
     out_edges,
     read_graph,
@@ -189,17 +190,40 @@ def test_contract_terminal_rejected():
         contract(g, [{1, 2}])
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: CapGraph([1, 2], [(1, 2, 0)]), InputError, "non-positive capacity 0"),
+    (lambda: CapGraph([1, 2], [(1, 2, 1)], [1, 1]), InputError, "duplicate terminal"),
+    (lambda: CapGraph([1, 2], [(1, 2, 1)], [3]), InputError, "terminal 3 not a vertex"),
+    (lambda: CapGraph([1, 2], [(1, 3, 1)]), InputError, "edge 0 endpoint not a vertex"),
+    (lambda: triangle().edges[0].other(3), KeyError, "3"),
+    (lambda: subdivide_boundary(triangle(), []), InputError, "empty vertex set"),
+    (lambda: contract(triangle(), [set()]), ContractError, "empty cluster"),
+    (lambda: contract(triangle(), [{1, 9}]), InputError, "unknown vertex id 9"),
+    (lambda: unit_expand(CapGraph([1, 2], [(1, 2, Fraction(1, 2))]), 1), InputError,
+     "capacity 1/2 < 1"),
+    (lambda: merge_vertices(triangle(), [[1, 9]], [1]), InputError, "unknown vertex id 9"),
+])
+def test_graph_primitives_reject_malformed_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_graph_repr_and_empty_subset():
+    g = triangle()
+    assert repr(g) == "CapGraph(n=3, m=3, k=0)"
+    assert g.is_connected_subset([])
+
+
 def test_unit_expand_simple():
     g = CapGraph([1, 2], [(1, 2, 1)], [1, 2])
-    ug, prov = unit_expand(g, 1)
-    assert prov.multiplicity == (1,)
-    assert ug.edges[0].cap == 1
+    ug = unit_expand(g, 1)
+    assert [(e.u, e.v, e.cap) for e in ug.edges] == [(1, 2, 1)]
 
 
 def test_unit_expand_fractional():
     g = CapGraph([1, 2, 3], [(1, 2, Fraction(5, 2)), (2, 3, 1)], [1, 3])
-    ug, prov = unit_expand(g, Fraction(1, 2))
-    assert prov.multiplicity[0] == 5  # ceil(2.5/0.5)
+    ug = unit_expand(g, Fraction(1, 2))
+    assert ug.edges[0].cap == 5  # ceil(2.5/0.5)
 
 
 def test_unit_expand_caps_at_terminal_capacity():
@@ -209,9 +233,9 @@ def test_unit_expand_caps_at_terminal_capacity():
         [(1, 2, 3), (3, 4, 4), (2, 3, 10**6)],
         [1, 4],
     )
-    ug, prov = unit_expand(g, 1)
-    assert prov.cap_bound == 7
-    assert prov.multiplicity[2] == 7
+    ug = unit_expand(g, 1)
+    assert g.terminal_capacity() == 7
+    assert [e.cap for e in ug.edges] == [3, 4, 7]
 
 
 def test_unit_expand_bad_eps():

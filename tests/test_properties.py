@@ -11,11 +11,7 @@ from vsp.flow import max_flow
 from vsp.flowsparse import FlowParams, _path_transfer, is_good_router
 from vsp.graph import CapGraph, contract, out_edges, subdivide_boundary
 from vsp.params import beta_fcg
-from vsp.routing import (
-    DemandSet,
-    boundary_path_system,
-    min_congestion_routing,
-)
+from vsp.routing import DemandSet, min_congestion_routing
 from vsp.sparsecut import sparsest_cut_exact
 
 from util import random_unit_graph
@@ -84,8 +80,16 @@ def test_p2_integral_path_systems():
         if set(e1) & set(e2):
             continue
         cong = math.ceil(1 / alpha)
-        paths = boundary_path_system(g, members, e1, e2, cong)
-        assert paths is not None
+        # a 1:1 path system from e1 onto e2 inside the cluster: G_S with only
+        # e1 and e2 subdivided, sources at e1's pendants, e2's pendant edges
+        # the targets
+        inst = subdivide_boundary(g, members, e1 + e2)
+        by_edge = {geid: ieid for ieid, geid in inst.parent_edge.items()}
+        term_of = {geid: t for t, geid in inst.pendant_of.items()}
+        sources, targets = [term_of[e] for e in e1], [by_edge[e] for e in e2]
+        routed = _path_transfer(inst.graph, sources, targets, cong)
+        assert routed is not None
+        paths = [[inst.parent_edge[ieid] for ieid in p] for _t, p in routed]
         # re-count congestion on inner edges by hand
         load = {}
         for p in paths:

@@ -8,7 +8,7 @@ import pytest
 import vsp.routing as routing
 from vsp.errors import InputError
 from vsp.flow import flow_conserves
-from vsp.graph import CapGraph, subdivide_boundary
+from vsp.graph import CapGraph, congestion, subdivide_boundary
 from vsp.ratlp import LpResult
 from vsp.routing import (
     INFEASIBLE,
@@ -57,8 +57,21 @@ def test_disconnected_demand_infinity_sentinel():
 
 def test_demand_on_nonterminal_rejected():
     g = CapGraph([1, 2, 3], [(1, 2, 1), (2, 3, 1)], [1, 3])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="demand on non-terminal vertex 2"):
         min_congestion_routing(g, DemandSet.from_map({(1, 2): 1}))
+    with pytest.raises(InputError, match="demand on unknown vertex 4"):
+        min_congestion_routing(g, DemandSet.from_map({(1, 4): 1}))
+    with pytest.raises(InputError, match="demand between a terminal and itself"):
+        DemandSet.from_map({(1, 1): 1})
+
+
+def test_empty_demands_route_the_base_load_alone():
+    # the general LP prices a base load with no demands: eta = max base/cap
+    g = CapGraph([1, 2, 3], [(1, 2, 3), (2, 3, 1)], [1, 3])
+    res = min_congestion_routing(g, DemandSet.from_map({}), base_load={0: 2, 1: F(5, 6)})
+    assert (res.eta, res.flow.edge_flow, res.commodity_arcs) == (F(5, 6), {0: 2, 1: F(5, 6)}, {})
+    assert res.exact_lp and res.lp_eta == pytest.approx(5 / 6)
+    assert min_congestion_routing(g, DemandSet.from_map({})).eta == 0
 
 
 def test_conservation_exact_on_random_instances():
@@ -84,7 +97,7 @@ def test_conservation_exact_on_random_instances():
                 sources[t] = -v
             assert flow_conserves(g, arcs, sources)
         # reported eta is the exact congestion of the returned flow
-        assert res.eta == res.flow.congestion(g)
+        assert res.eta == congestion(g, res.flow.edge_flow)
 
 
 def test_float_path_agrees_with_exact_lp():
@@ -215,7 +228,7 @@ def test_float_repair_reroutes_a_sink_left_without_flow(monkeypatch):
         sinks = {b: v for (a, b), v in dem.pairs if a == src}
         sources = {src: sum(sinks.values(), F(0)), **{t: -v for t, v in sinks.items()}}
         assert flow_conserves(g, arc_flow, sources)
-    assert res.eta == res.flow.congestion(g)
+    assert res.eta == congestion(g, res.flow.edge_flow)
     assert res.eta >= min_congestion_routing(g, dem, exact=True).eta
 
 
@@ -235,3 +248,27 @@ def test_solver_failures_report_infeasible(monkeypatch):
         assert res.eta == INFEASIBLE and res.flow is None
     ok, res = uniform_router_check(inst)
     assert not ok and res.eta == INFEASIBLE
+
+
+def test_router_check_retries_exactly_when_the_float_optimum_meets_the_bound(monkeypatch):
+    # HiGHS understates the optimum by half: the float optimum meets the
+    # bound 3/2 that the repaired flow (the bridge carries 2) misses, so the
+    # check solves the LP again exactly, which settles it
+    core = [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1), (4, 6, 1), (3, 4, 1)]
+    pendants = [(1, 10, 1), (2, 11, 1), (5, 12, 1), (6, 13, 1)]
+    g = CapGraph([1, 2, 3, 4, 5, 6, 10, 11, 12, 13], core + pendants, [10, 11, 12, 13])
+    inst = subdivide_boundary(g, range(1, 7))
+    real = routing.linprog
+
+    def understated(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x[-1] /= 2
+        return res
+
+    monkeypatch.setattr(routing, "linprog", understated)
+    monkeypatch.setattr(routing, "EXACT_LP_MAX_VARS", 50)  # 89 columns go to HiGHS
+    dem, base = uniform_exchange_demands(inst)
+    float_res = min_congestion_routing(inst.graph, dem, base_load=base, split_pairs=True)
+    assert (float_res.exact_lp, float_res.lp_eta, float_res.eta) == (False, 1.0, 2)
+    ok, res = uniform_router_check(inst, eta_bound=F(3, 2))
+    assert (ok, res.exact_lp, res.eta) == (False, True, 2)

@@ -127,6 +127,98 @@ def test_flow_identity_ratios_one():
     assert rep.q_observed <= 1 + F(1, 10**5)
 
 
+def test_cut_quality_reports_a_cut_only_h_has():
+    # terminals 4 and 5 are isolated in G; H joins 4 to 3
+    g = CapGraph(range(1, 6), [(1, 2, 1), (2, 3, 1)], [1, 3, 4, 5])
+    h = CapGraph(range(1, 6), [(1, 2, 1), (2, 3, 1), (3, 4, 1)], [1, 3, 4, 5])
+    rep = verify_cut_quality(g, h)
+    assert rep.violations == ["test 1: MinCut_G = 0 but MinCut_H = 1",
+                              "test 5: MinCut_G = 0 but MinCut_H = 1"]
+    # {1, 3, 4} | {5} is cut by nothing in either graph
+    assert [r["ratio"] for r in rep.records] == [1, None, 2, 1, 1, None, 2]
+    with pytest.raises(InputError, match="disagree on the terminal set"):
+        verify_cut_quality(g, CapGraph(range(1, 6), [], [1, 3, 4]))
+    # one terminal has no bipartition to price
+    lone = CapGraph([1, 2], [(1, 2, 1)], [1])
+    assert verify_cut_quality(lone, lone).q_observed == 1
+    assert verify.verify_cut_projection(build_cut_sparsifier(lone)).q_observed == 1
+    assert demand_strategies(lone, "uniform", 3, 0) == []
+
+
+def _two_triangles(bridge=((3, 4, 1),), scale=1):
+    """Triangles 1-2-3 and 4-5-6 joined by the bridge edges, with pendant
+    terminals 10, 11 at 1, 2 and 12, 13 at 5, 6; capacities times scale."""
+    core = [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1), (4, 6, 1), *bridge]
+    pend = [(1, 10, 1), (2, 11, 1), (5, 12, 1), (6, 13, 1)]
+    terms = [10, 11, 12, 13]
+    edges = [(u, v, scale * c) for u, v, c in core + pend]
+    return CapGraph(list(range(1, 7)) + terms, edges, terms)
+
+
+@pytest.mark.parametrize("h, bound, violation, record", [
+    (_two_triangles(bridge=[(3, 4, F(1, 2))]), None,
+     "test 0: lower side violated, eta_H 2 > eta_G 1", {"g": 1, "h": 2, "ratio": F(1, 2)}),
+    (_two_triangles(bridge=[]), None,
+     "test 0: disconnection disagreement", {"g": 1, "h": "inf", "ratio": None}),
+    (_two_triangles(scale=2), 1,
+     "test 0: ratio 2.000 above quality bound", {"g": 1, "h": F(1, 2), "ratio": 2}),
+])
+def test_flow_quality_rejects_a_wrong_h(h, bound, violation, record):
+    rep = verify_flow_quality(_two_triangles(), h, strategies=("uniform",), quality_bound=bound)
+    assert rep.violations == [violation]
+    assert {key: rep.records[0][key] for key in record} == record
+
+
+def test_flow_quality_rejects_malformed_calls():
+    g = _two_triangles()
+    with pytest.raises(InputError, match="disagree on the terminal set"):
+        verify_flow_quality(g, CapGraph([10, 11], [(10, 11, 1)], [10, 11]))
+    with pytest.raises(InputError, match="unknown demand strategy 'hose'"):
+        verify_flow_quality(g, g, strategies=("hose",))
+
+
+def _inflated(cert):
+    arcs = {src: {arc: 1000 * v for arc, v in fan_out.items()}
+            for src, fan_out in cert.commodity_arcs.items()}
+    return dataclasses.replace(cert, commodity_arcs=arcs)
+
+
+def test_flow_quality_rejects_inflated_router_flows():
+    g = _two_triangles()
+    sp = build_flow_sparsifier(g, params=AGG)
+    assert verify_flow_quality(g, sp.graph, strategies=("uniform",), sparsifier=sp).ok
+    bad = dataclasses.replace(sp, certificates=[_inflated(c) for c in sp.certificates])
+    rep = verify_flow_quality(g, sp.graph, strategies=("uniform",), sparsifier=bad)
+    assert rep.violations == [
+        "test 0: composed congestion 1500.000 exceeds 2 eta* eta_H = 51.000"
+    ]
+
+
+def test_router_recheck_names_structure_and_flow_faults():
+    sp = build_flow_sparsifier(_two_triangles(), params=AGG)
+    (cert,) = sp.certificates
+
+    def failed(certs):
+        rep = recheck_router_certificates(dataclasses.replace(sp, certificates=certs))
+        return {name: detail for name, ok, detail in rep["checks"] if not ok}
+
+    # a cluster holding terminal 10, two clusters sharing their members, and
+    # a cluster {1, 6} split between the triangles
+    for certs in ([dataclasses.replace(cert, members=cert.members | {10})], [cert, cert],
+                  [dataclasses.replace(cert, members=frozenset({1, 6}))]):
+        assert "structure" in failed(certs)
+    # 100 units circulating 1 -> 2 -> 3 -> 1 conserve flow but overload
+    src = min(cert.commodity_arcs)
+    circulating = {**cert.commodity_arcs[src]}
+    for arc in ((0, 0), (1, 0), (2, 1)):
+        circulating[arc] = circulating.get(arc, 0) + 100
+    looped = dataclasses.replace(cert, commodity_arcs={**cert.commodity_arcs, src: circulating})
+    assert failed([looped]) == {"router-flows": "cluster 0: congestion 102 exceeds eta* 34"}
+    # a fan-out keyed by the inner edge 0 instead of a boundary edge
+    stray = dataclasses.replace(cert, commodity_arcs={**cert.commodity_arcs, 0: {}})
+    assert failed([stray]) == {"router-flows": "cluster 0: unknown source edge 0"}
+
+
 def test_report_json_shape():
     g = random_unit_graph(random.Random(9), n=7, m=12, k=3)
     rep = verify_cut_quality(g, g)
