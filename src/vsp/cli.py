@@ -1,8 +1,10 @@
 """Command-line front end: build, verify, gen, inspect.
 
-`vsp build` makes one choice, eps: none for a unit graph (in flow mode one
-whose terminals also have degree 1) unless `--eps` is given, else `--eps`
-or 1/2.  It then calls the one builder of its mode, which contracts G once.
+`vsp build` calls the one builder of its mode, which contracts G once.  Cut
+mode decomposes G itself for any capacities >= 1 and ignores `--eps`.  Flow
+mode makes one choice, eps: none for a unit graph whose terminals have
+degree 1 unless `--eps` is given, else `--eps` or 1/2.  A malformed `--eps`
+exits 2 in either mode.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 budget refusal, which `vsp verify` also returns when it found no violation
@@ -60,14 +62,12 @@ def cmd_build(args) -> int:
         return _fail(EXIT_INPUT, "parse", str(exc))
     except OSError as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
-    unit = g.is_unit and (args.mode == "cut" or all(len(g.incident(t)) == 1 for t in g.terminals))
-    if args.eps is None and unit:
-        eps = None
-    else:
-        try:
-            eps = Fraction(args.eps if args.eps is not None else "0.5")
-        except (ValueError, ZeroDivisionError):
-            return _fail(EXIT_INPUT, "input", f"--eps {args.eps!r} is not a rational number")
+    try:
+        eps = None if args.eps is None else Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        return _fail(EXIT_INPUT, "input", f"--eps {args.eps!r} is not a rational number")
+    if eps is None and not (g.is_unit and all(len(g.incident(t)) == 1 for t in g.terminals)):
+        eps = Fraction(1, 2)
     params = FlowParams(profile=args.profile, enum_budget=args.budget_exp,
                         precheck_router=not args.no_precheck)
     bits = [f"profile={args.profile}", f"budget_exp={args.budget_exp}", f"eta_star={ETA_STAR}"]
@@ -77,7 +77,7 @@ def cmd_build(args) -> int:
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
     try:
         if args.mode == "cut":
-            sp = build_cut_sparsifier(g, eps, budget=args.budget_exp)
+            sp = build_cut_sparsifier(g, budget=args.budget_exp)
         else:
             sp = build_flow_sparsifier(g, eps, params)
     except BudgetExceeded as exc:
@@ -200,7 +200,9 @@ def make_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a sparsifier")
     b.add_argument("input")
     b.add_argument("--mode", choices=("cut", "flow"), default="cut")
-    b.add_argument("--eps", default=None)
+    b.add_argument("--eps", default=None,
+                   help="flow mode's capacitated reduction parameter in (0,1); default none "
+                        "for a unit graph with degree-1 terminals, else 1/2 (cut mode ignores it)")
     b.add_argument("--profile", choices=("theoretical", "aggressive"), default="theoretical")
     b.add_argument("--no-precheck", action="store_true",
                    help="skip the up-front router check (forces the loop)")

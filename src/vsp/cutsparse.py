@@ -1,14 +1,16 @@
 """Cut sparsifiers with Steiner nodes.
 
-Unit mode contracts a strong well-linked decomposition of the non-terminal
-vertices: every cluster being 1/3-well-linked makes the contraction a
-quality-3 cut sparsifier.  General capacities reduce to unit mode by capping
-at the terminal-incident total C, expanding edges into ceil(c/eps) unit
-parallels with eps = eps_input/3, and scaling the result back by eps, for
-quality 3 + eps_input.
+The cut sparsifier contracts a strong well-linked decomposition of G's
+non-terminal vertices.  Every cluster is 1/3-well-linked in G, so the
+contraction has quality 3; the argument needs only capacities c_e >= 1, so
+capacitated inputs are decomposed as they are, with no unit expansion.  H
+of a connected G with terminals has at most 3C^3 Steiner vertices, C the
+terminal capacity: every cluster's boundary is at least 1, the boundary
+tally of a piece with boundary z is at most 3z^3, and the z sum to at
+most C.
 
-There is one builder, `build_cut_sparsifier(g, eps_input=None)`.  It finds
-only the clusters, and H is contracted once by `assemble_cut_sparsifier`, as
+There is one builder, `build_cut_sparsifier(g, *, budget)`.  It finds only
+the clusters, and H is contracted once by `assemble_cut_sparsifier`, as
 `load_sparsifier` does.
 """
 
@@ -19,8 +21,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .decompose import Decomposition, interior_decompositions
-from .errors import InputError, ParamError
-from .graph import CapGraph, ContractionMap, contract, out_edges, unit_expand
+from .errors import InputError
+from .graph import CapGraph, ContractionMap, contract, out_edges
 from .sparsecut import DEFAULT_ENUM_BUDGET
 
 if TYPE_CHECKING:
@@ -31,16 +33,16 @@ if TYPE_CHECKING:
 class Sparsifier:
     """H, a contraction of G, with its claimed quality.  A flow sparsifier is
     a cut sparsifier plus one router certificate per cluster of `cmap`, in
-    the same order; `kind` reads the mode off `certificates`.  With
-    `eps_input`, `unit_graph` is derived from G (the cut mode's unit
-    expansion, the flow mode's capacitated unit reduction), and its integer
-    capacities are the edge multiplicities the build used."""
+    the same order; `kind` reads the mode off `certificates`.  A cut
+    sparsifier's `unit_graph` is G itself.  A flow build's `eps_input`
+    derives `unit_graph` from G (the capacitated unit reduction), and its
+    integer capacities are the edge multiplicities the build used."""
 
     graph: CapGraph  # H, terminals preserved
     cmap: ContractionMap
     quality: Fraction  # claimed q
-    unit_graph: CapGraph  # the unit graph the clusters (and certificates) live on
-    eps_input: Fraction | None = None
+    unit_graph: CapGraph  # the graph the clusters (and certificates) live on
+    eps_input: Fraction | None = None  # flow only
     certificates: list[RouterCertificate] | None = None  # None for a cut sparsifier
     decompositions: list[Decomposition] = field(default_factory=list)
     log: list[str] = field(default_factory=list)
@@ -55,55 +57,23 @@ class Sparsifier:
         return self.graph.n - self.graph.k
 
 
-def build_cut_sparsifier(
-    g: CapGraph, eps_input: Fraction | int | str | None = None, budget: int = DEFAULT_ENUM_BUDGET
-) -> Sparsifier:
-    """The cut sparsifier of G.  Without eps_input G must be a unit multigraph
-    (integer capacities are parallel-edge multiplicities) and the quality is
-    3; with it the clusters are found on G's unit expansion at eps_input/3 and
-    the quality is 3 + eps_input.  The terminal-free region is strongly
-    decomposed per connected piece, and `assemble_cut_sparsifier` contracts
-    every cluster once, deriving the expansion from G again as a load does."""
-    if eps_input is None:
-        if not g.is_unit:
-            raise InputError("unit mode (no eps) requires integer (multiplicity) capacities")
-        ug = g
-    else:
-        eps_input = Fraction(eps_input)
-        ug = _unit_reduction(g, eps_input)
-    decs = interior_decompositions(ug, budget)
-    return assemble_cut_sparsifier(g, _clusters(decs), eps_input, decs)
-
-
-def _clusters(decs: list[Decomposition]) -> list[frozenset[int]]:
-    return [c.members for dec in decs for c in dec.clusters]
-
-
-def _unit_reduction(g: CapGraph, eps_input: Fraction) -> CapGraph:
-    if not (0 < eps_input <= 1):
-        raise ParamError(f"eps must be in (0,1], got {eps_input}")
-    return unit_expand(g, eps_input / 3)
+def build_cut_sparsifier(g: CapGraph, *, budget: int = DEFAULT_ENUM_BUDGET) -> Sparsifier:
+    """The quality-3 cut sparsifier of G, whose capacities must be at least
+    1.  The terminal-free region is strongly decomposed per connected piece,
+    and `assemble_cut_sparsifier` contracts every cluster once."""
+    for e in g.edges:
+        if e.cap < 1:
+            raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
+    decs = interior_decompositions(g, budget)
+    return assemble_cut_sparsifier(g, [c.members for dec in decs for c in dec.clusters], decs)
 
 
 def assemble_cut_sparsifier(
-    g: CapGraph,
-    clusters: Iterable[Iterable[int]],
-    eps_input: Fraction | None,
-    decompositions: Iterable[Decomposition] = (),
+    g: CapGraph, clusters: Iterable[Iterable[int]], decompositions: Iterable[Decomposition] = ()
 ) -> Sparsifier:
-    """The cut sparsifier of G that contracts `clusters`.  Without eps_input
-    G is the unit graph and the claimed quality is 3.  With it, the clusters
-    live on G's unit expansion at eps_input/3, H's capacities are scaled
-    back by eps_input/3 and the claimed quality is 3 + eps_input."""
-    if eps_input is None:
-        h, cmap = contract(g, clusters)
-        return Sparsifier(h, cmap, Fraction(3), g, decompositions=list(decompositions))
-    ug = _unit_reduction(g, eps_input)
-    hu, cmap = contract(ug, clusters)
-    eps = eps_input / 3
-    h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * eps) for e in hu.edges], hu.terminals)
-    return Sparsifier(h, cmap, 3 + eps_input, ug, eps_input,
-                      decompositions=list(decompositions))
+    """The cut sparsifier of G that contracts `clusters`, claiming quality 3."""
+    h, cmap = contract(g, clusters)
+    return Sparsifier(h, cmap, Fraction(3), g, decompositions=list(decompositions))
 
 
 @dataclass(frozen=True)

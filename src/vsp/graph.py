@@ -310,7 +310,8 @@ def unit_expand(g: CapGraph, eps: Fraction | int | str) -> CapGraph:
     """Replace edge e by ceil(min(c_e, C)/eps) parallel unit edges, where C is
     the terminal-incident capacity `g.terminal_capacity()`.  Bucketed: edge e
     of the result keeps e's id and ends, and its integer capacity is e's
-    multiplicity."""
+    multiplicity.  The flow mode's `capacitated_unit_reduction` expands
+    through it; cut mode decomposes G itself."""
     eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     if not (0 < eps <= 1):
         raise ParamError(f"eps must be in (0,1], got {eps}")

@@ -8,7 +8,8 @@ G cannot supply:
 - `kind` ("cut" or "flow") picks the assembly.
 - `quality` is the claim the assembly derives for that kind and eps; it is
   kept so the file states its claim, and a different value is rejected.
-- `eps_input` (null in unit mode) is the builder's input, not a function of G.
+- `eps_input` is a flow build's input, not a function of G: null in unit
+  mode and in every cut file, since cut mode takes no eps.
 - `clusters` are the contracted vertex sets, which the builder chose.
 - `certificates` (flow only): entry i is the router witness of clusters[i],
   its `eta` and its per-source fan-out flows, `commodities`
@@ -102,12 +103,12 @@ def _certificate(members: frozenset[int], c: dict) -> RouterCertificate:
 
 
 def _rebuild(g: CapGraph, payload: dict):
-    eps = None if payload["eps_input"] is None else _parse_cap(payload["eps_input"])
     clusters = [frozenset(map(int, c)) for c in payload["clusters"]]
     if payload["kind"] == "cut":
-        return assemble_cut_sparsifier(g, clusters, eps)
+        return assemble_cut_sparsifier(g, clusters)
     if payload["kind"] != "flow":
         raise InputError(f"unknown sparsifier kind {payload['kind']!r}")
+    eps = None if payload["eps_input"] is None else _parse_cap(payload["eps_input"])
     certs = [
         _certificate(ms, c) for ms, c in zip(clusters, payload["certificates"], strict=True)
     ]

@@ -172,6 +172,8 @@ def demand_strategies(
     elif strategy == "gravity":
         degs = {t: g.degree(t) for t in terms}
         total = sum(degs.values(), Fraction(0))
+        if total == 0:
+            return []
         d = {}
         for i, a in enumerate(terms):
             for b in terms[i + 1:]:

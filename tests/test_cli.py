@@ -3,11 +3,13 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from vsp.cli import main
-from vsp.graph import read_graph, subdivide_boundary
+from vsp.gen import gen_capacitated
+from vsp.graph import read_graph, subdivide_boundary, write_graph
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
 
@@ -77,7 +79,7 @@ def test_build_and_verify_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
-    assert summary["claimed_q"] == "7/2"
+    assert summary["claimed_q"] == "3"
     code, out, _ = run(["verify", str(g), str(tmp_path / "h"), "--mode", "cut"], capsys)
     assert code == 0
 
@@ -181,10 +183,23 @@ def test_missing_terminals_parse_error(tmp_path, capsys):
 def test_build_malformed_eps_exits_two(tmp_path, capsys, eps):
     g = tmp_path / "g.vsp"
     run(["gen", "grid", "--rows", "3", "--cols", "3", "--k", "4", "--out", str(g)], capsys)
-    code, out, err = run(["build", str(g), "--eps", eps, "--out", str(tmp_path / "h")], capsys)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "input"
+    for mode in ("cut", "flow"):
+        code, out, err = run(["build", str(g), "--mode", mode, "--eps", eps,
+                              "--out", str(tmp_path / "h")], capsys)
+        assert code == 2, mode
+        assert out == ""
+        assert json.loads(err)["error"] == "input"
+
+
+def test_build_eps_out_of_range_exits_two_in_flow_mode_only(tmp_path, capsys):
+    g = tmp_path / "g.vsp"
+    run(["gen", "grid", "--rows", "3", "--cols", "3", "--k", "4", "--out", str(g)], capsys)
+    code, _, err = run(["build", str(g), "--mode", "flow", "--eps", "2",
+                        "--out", str(tmp_path / "h")], capsys)
+    assert (code, json.loads(err)["error"]) == (2, "input")
+    code, _, _ = run(["build", str(g), "--mode", "cut", "--eps", "2",
+                      "--out", str(tmp_path / "h")], capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
@@ -226,6 +241,36 @@ def test_build_byte_identical(tmp_path, capsys):
         assert code == 0
     assert (tmp_path / "h1.vsp").read_bytes() == (tmp_path / "h2.vsp").read_bytes()
     assert (tmp_path / "h1.cert.json").read_bytes() == (tmp_path / "h2.cert.json").read_bytes()
+
+
+def _bench_build_flags():
+    """Every distinct (mode, build flags) pair of the benchmark's workloads."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    return sorted({
+        (inst.mode, inst.build_flags)
+        for make in workloads.WORKLOADS.values()
+        for inst in make(1)
+    })
+
+
+def test_bench_build_flags_build_and_verify(tmp_path, capsys):
+    # the benchmark builds with these flags; a CLI change that rejects one
+    # fails here rather than as failed benchmark instances
+    pairs = _bench_build_flags()
+    assert ("cut", ("--eps", "1/2")) in pairs
+    g = tmp_path / "g.vsp"
+    write_graph(gen_capacitated(n=8, k=3, seed=0), g)
+    for i, (mode, flags) in enumerate(pairs):
+        prefix = str(tmp_path / f"h{i}")
+        code, _, err = run(["build", str(g), "--mode", mode, *flags, "--out", prefix], capsys)
+        assert code == 0, (mode, flags, err)
+        code, _, err = run(["verify", str(g), prefix, "--mode", mode], capsys)
+        assert code == 0, (mode, flags, err)
 
 
 def test_console_entrypoint():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vsp.cutsparse import build_cut_sparsifier, lift_cut
-from vsp.errors import InputError, ParamError
+from vsp.errors import InputError
 from vsp.graph import CapGraph, out_capacity
 from vsp.verify import verify_cut_projection, verify_cut_quality
 
@@ -51,10 +51,11 @@ def test_dumbbell_quality_in_range():
     assert 1 <= rep.q_observed <= 3
 
 
-def test_unit_requires_integer_caps():
-    g = CapGraph([1, 2], [(1, 2, F(3, 2))], [1, 2])
+def test_capacities_below_one_rejected():
     with pytest.raises(InputError):
-        build_cut_sparsifier(g)
+        build_cut_sparsifier(CapGraph([1, 2], [(1, 2, F(1, 2))], [1, 2]))
+    sp = build_cut_sparsifier(CapGraph([1, 2], [(1, 2, F(3, 2))], [1, 2]))
+    assert sp.quality == 3 and [e.cap for e in sp.graph.edges] == [F(3, 2)]
 
 
 def test_random_unit_instances_quality_and_size():
@@ -93,31 +94,15 @@ def test_lift_processes_ties_to_y():
     assert out_capacity(g, side) == 1
 
 
-def test_capacitated_reduction_consistency():
-    # a unit-capacity input goes through the same supernode structure
-    g = _dumbbell_terminals()
-    spu = build_cut_sparsifier(g)
-    spc = build_cut_sparsifier(g, F(3, 10))
-    assert sorted(map(sorted, spu.cmap.clusters)) == sorted(map(sorted, spc.cmap.clusters))
-    # expanded capacities: every bundle is multiplicity x eps
-    eps = F(3, 10) / 3
-    for e in spc.graph.edges:
-        assert e.cap % eps == 0
-
-
-def test_capacitated_expansion_counts():
-    # capacity-5 edge between terminal-adjacent vertices at eps' = 0.3;
-    # C = 6 exceeds the edge capacity, so no capping applies
-    g = CapGraph([1, 2, 3, 4], [(1, 2, 3), (2, 3, 5), (3, 4, 3)], [1, 4])
-    sp = build_cut_sparsifier(g, F(3, 10))
-    assert [e.cap for e in sp.unit_graph.edges] == [30, 50, 30]  # ceil(c / 0.1)
-
-
-def test_capacitated_capping_applies():
-    # a huge inner capacity is capped at C before expansion
-    g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (2, 3, 5), (3, 4, 1)], [1, 4])
-    sp = build_cut_sparsifier(g, F(3, 10))
-    assert [e.cap for e in sp.unit_graph.edges] == [10, 20, 10]  # ceil(min(5, C=2) / 0.1)
+def test_capacitated_keeps_capacities():
+    # clusters {2, 5} and {3}: H keeps G's capacities unrounded, and the
+    # decomposition ran on G itself, whose 9 edge stays above C = 7
+    g = CapGraph([1, 2, 3, 4, 5], [(1, 2, F(25, 7)), (2, 3, 1), (3, 4, F(24, 7)), (2, 5, 9)],
+                 [1, 4])
+    sp = build_cut_sparsifier(g)
+    assert sp.unit_graph is g and sp.eps_input is None
+    assert sorted(map(sorted, sp.cmap.clusters)) == [[2, 5], [3]]
+    assert [e.cap for e in sp.graph.edges] == [F(25, 7), 1, F(24, 7)]
 
 
 def test_capacitated_quality():
@@ -134,21 +119,16 @@ def test_capacitated_quality():
             edges.append((u, v, F(rng.randint(2, 8), 2)))
         terms = rng.sample(verts, 3)
         g = CapGraph(verts, edges, terms)
-        for eps in (F(3, 10), F(6, 10), F(1)):
-            sp = build_cut_sparsifier(g, eps)
-            rep = verify_cut_quality(g, sp.graph)
-            assert rep.ok, rep.violations
-            assert rep.q_observed <= 3 + eps
-            done += 1
-    assert done >= 12
-
-
-def test_capacitated_bad_eps():
-    g = CapGraph([1, 2], [(1, 2, 1)], [1, 2])
-    with pytest.raises(ParamError):
-        build_cut_sparsifier(g, 0)
-    with pytest.raises(ParamError):
-        build_cut_sparsifier(g, 2)
+        sp = build_cut_sparsifier(g)
+        assert sp.quality == 3
+        rep = verify_cut_quality(g, sp.graph)
+        assert rep.ok, rep.violations
+        assert rep.q_observed <= 3
+        proj = verify_cut_projection(sp)
+        assert proj.ok, proj.violations
+        assert proj.q_observed <= 3
+        done += 1
+    assert done == 10
 
 
 def test_verify_detects_sabotage():

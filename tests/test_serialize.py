@@ -7,7 +7,7 @@ from vsp import cli
 from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
 from vsp.flowsparse import FlowParams, build_flow_sparsifier
-from vsp.gen import gen_dumbbell, gen_grid
+from vsp.gen import gen_capacitated, gen_dumbbell, gen_grid
 from vsp.graph import CapGraph, write_graph
 from vsp.serialize import load_sparsifier, save_sparsifier
 
@@ -15,6 +15,12 @@ from util import derived_router_fields, edit_sidecar, rewire_to_terminal, shift_
 
 F = Fraction
 AGG = FlowParams(profile="aggressive")
+
+
+def _fractional_graph():
+    g = gen_capacitated(n=10, k=4, seed=1)
+    edges = [(e.u, e.v, e.cap + F(e.eid % 2, 2)) for e in g.edges]
+    return CapGraph(g.vertices, edges, g.terminals)
 
 
 def _capacitated_router_graph():
@@ -27,10 +33,11 @@ def _capacitated_router_graph():
 def built():
     grid = gen_grid(5, 5, k=6)
     dumbbell = gen_dumbbell(k=6, seed=2)
+    fractional = _fractional_graph()
     capacitated = _capacitated_router_graph()
     return [
         ("cut-unit", grid, build_cut_sparsifier(grid)),
-        ("cut-eps", grid, build_cut_sparsifier(grid, F(1, 2))),
+        ("cut-capacitated", fractional, build_cut_sparsifier(fractional)),
         ("flow-unit", dumbbell, build_flow_sparsifier(dumbbell, params=AGG)),
         ("flow-eps", capacitated, build_flow_sparsifier(capacitated, F(1, 2), AGG)),
     ]
@@ -180,3 +187,15 @@ def test_load_rejects_readded_keys(tmp_path, built, capsys):
             )
             assert code == cli.EXIT_INPUT, (name, key)
     capsys.readouterr()
+
+
+def test_verify_rejects_a_cut_file_with_an_eps(tmp_path, built, capsys):
+    # a cut file that states an eps and a 3 + eps claim is not what its
+    # clusters assemble to, so it is an input error
+    name, g, sp = next(entry for entry in built if entry[0] == "cut-capacitated")
+    assert sp.quality == 3 and sp.eps_input is None
+    capsys.readouterr()
+    code = _verify_exit(tmp_path, name, g, sp,
+                        lambda p: p.update(eps_input="1/2", quality="7/2"))
+    assert code == cli.EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["error"] == "input"

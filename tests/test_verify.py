@@ -127,6 +127,14 @@ def test_flow_identity_ratios_one():
     assert rep.q_observed <= 1 + F(1, 10**5)
 
 
+def test_flow_quality_with_isolated_terminals():
+    # every terminal has degree 0, so gravity demands are undefined and skipped
+    g = CapGraph([1, 2, 3], [], [1, 3])
+    rep = verify_flow_quality(g, g)
+    assert rep.ok and rep.q_observed == 1
+    assert {r["strategy"] for r in rep.records} == {"uniform", "matching"}
+
+
 def test_cut_quality_reports_a_cut_only_h_has():
     # terminals 4 and 5 are isolated in G; H joins 4 to 3
     g = CapGraph(range(1, 6), [(1, 2, 1), (2, 3, 1)], [1, 3, 4, 5])
