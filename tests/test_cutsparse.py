@@ -5,7 +5,7 @@ import pytest
 
 from vsp.cutsparse import build_cut_sparsifier, lift_cut
 from vsp.errors import InputError
-from vsp.graph import CapGraph, out_capacity
+from vsp.graph import CapGraph, out_capacity, unit_expand
 from vsp.verify import verify_cut_projection, verify_cut_quality
 
 from util import random_unit_graph
@@ -103,6 +103,29 @@ def test_capacitated_keeps_capacities():
     assert sp.unit_graph is g and sp.eps_input is None
     assert sorted(map(sorted, sp.cmap.clusters)) == [[2, 5], [3]]
     assert [e.cap for e in sp.graph.edges] == [F(25, 7), 1, F(24, 7)]
+
+
+def test_capacitated_expansion_counts():
+    # capacity-5 edge between terminal-adjacent vertices; C = 6 exceeds it,
+    # so the expansion at eps' = 0.1 (flow mode) only rounds, and cut mode
+    # builds on G itself: H keeps the capacities 3 of G's terminal edges
+    g = CapGraph([1, 2, 3, 4], [(1, 2, 3), (2, 3, 5), (3, 4, 3)], [1, 4])
+    assert [e.cap for e in unit_expand(g, F(1, 10)).edges] == [30, 50, 30]  # ceil(c / 0.1)
+    sp = build_cut_sparsifier(g)
+    assert sp.unit_graph is g
+    assert [e.cap for e in sp.graph.edges] == [3, 3]
+    assert verify_cut_quality(g, sp.graph).q_observed == 1
+
+
+def test_capacitated_capping_applies():
+    # a huge inner capacity is capped at C = 2 in the expansion, while cut
+    # mode decomposes G uncapped and H still cuts the terminals at 1
+    g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (2, 3, 5), (3, 4, 1)], [1, 4])
+    assert [e.cap for e in unit_expand(g, F(1, 10)).edges] == [10, 20, 10]  # ceil(min(5, C=2) / 0.1)
+    sp = build_cut_sparsifier(g)
+    assert sp.unit_graph is g and [e.cap for e in g.edges] == [1, 5, 1]
+    assert [e.cap for e in sp.graph.edges] == [1, 1]
+    assert verify_cut_quality(g, sp.graph).q_observed == 1
 
 
 def test_capacitated_quality():
