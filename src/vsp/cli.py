@@ -2,9 +2,8 @@
 
 `vsp build` calls the one builder of its mode, which contracts G once.  Cut
 mode decomposes G itself for any capacities >= 1 and ignores `--eps`.  Flow
-mode makes one choice, eps: none for a unit graph whose terminals have
-degree 1 unless `--eps` is given, else `--eps` or 1/2.  A malformed `--eps`
-exits 2 in either mode.
+mode passes `--eps` to its builder as given, and the builder picks eps when
+it is absent.  A malformed `--eps` exits 2 in either mode.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 budget refusal, which `vsp verify` also returns when it found no violation
@@ -66,8 +65,6 @@ def cmd_build(args) -> int:
         eps = None if args.eps is None else Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
         return _fail(EXIT_INPUT, "input", f"--eps {args.eps!r} is not a rational number")
-    if eps is None and not (g.is_unit and all(len(g.incident(t)) == 1 for t in g.terminals)):
-        eps = Fraction(1, 2)
     params = FlowParams(profile=args.profile, enum_budget=args.budget_exp,
                         precheck_router=not args.no_precheck)
     bits = [f"profile={args.profile}", f"budget_exp={args.budget_exp}", f"eta_star={ETA_STAR}"]

@@ -35,8 +35,9 @@ class Sparsifier:
     a cut sparsifier plus one router certificate per cluster of `cmap`, in
     the same order; `kind` reads the mode off `certificates`.  A cut
     sparsifier's `unit_graph` is G itself.  A flow build's `eps_input`
-    derives `unit_graph` from G (the capacitated unit reduction), and its
-    integer capacities are the edge multiplicities the build used."""
+    derives `unit_graph` from G (the capacitated unit reduction): G's
+    vertices, terminals and edge ids, with the integer capacities the build
+    used.  H's capacities are then the unit graph's times eps / (2 eta*)."""
 
     graph: CapGraph  # H, terminals preserved
     cmap: ContractionMap

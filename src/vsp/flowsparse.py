@@ -15,7 +15,11 @@ recursion included, returns router certificates only, and H is contracted
 once by `assemble_flow_sparsifier`, as `load_sparsifier` does.  It searches
 each strong-decomposition cluster on the instance G_S the cluster keeps and
 relies on its exact 1/3 verdict, so a build solves only the exchange LP;
-`vsp verify` rechecks well-linkedness.
+`vsp verify` rechecks well-linkedness.  The terminals of every G_S are
+degree-1 pendants, so G's terminals may have any degree.  With eps the
+search runs on G's capacitated unit reduction, which only rounds
+capacities (2 eta* c / eps up to an integer) and keeps G's vertices and
+edge ids; H's capacities are scaled back, and the claim is 2 eta* + eps.
 
 Both parameter profiles take the flow-cut gap beta(k) = max(1, log2 k).
 "theoretical" uses the published constants (the fixpoint r and F growing by
@@ -43,7 +47,6 @@ from .graph import (
     SubdividedInstance,
     congestion,
     contract,
-    merge_vertices,
     out_capacity,
     out_edges,
     subdivide_boundary,
@@ -164,7 +167,7 @@ def is_good_router(
 def _router_certificate(inst: SubdividedInstance) -> RouterCertificate | None:
     """The exchange half of the router check: the certificate of G_S's
     uniform exchange at eta* on the parent's edge ids, or None."""
-    ok, res = uniform_router_check(inst, eta_bound=ETA_STAR)
+    ok, res = uniform_router_check(inst)
     if not ok:
         return None
     # on G_S's edge ids, each fan-out keyed by its source's pendant edge
@@ -994,13 +997,10 @@ def _well_linked_routers(
     return certs, gp.n - k <= f_k
 
 
-def capacitated_unit_reduction(
-    g: CapGraph, eps: Fraction
-) -> tuple[CapGraph, dict[int, list[int]]]:
-    """Deterministic capacitated-to-unit reduction: cap at C, rescale every
-    capacity to ceil(2 eta* c / eps), and split each terminal into degree-1
-    pendant bundle vertices.  Returns the bundle graph and, per original
-    terminal, its bundle vertex list."""
+def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
+    """G with every capacity capped at C, rescaled by 2 eta* / eps and
+    rounded up: `unit_expand(g, eps / (2 eta*))`, so G's vertices, terminals
+    and edge ids, each edge's multiplicity as its integer capacity."""
     if not (0 < eps < 1):
         raise ParamError(f"eps must be in (0,1), got {eps}")
     scale = 2 * ETA_STAR / eps
@@ -1010,58 +1010,27 @@ def capacitated_unit_reduction(
         c = min(e.cap, cap_bound)
         if not scale * c <= e2.cap <= (2 * ETA_STAR + eps) / eps * c:
             raise AssertionError("capacity rescaling left its bracket")
-    tset = set(g2.terminals)
-    next_v = max(g2.vertices) + 1
-    verts = [v for v in g2.vertices if v not in tset]
-    edges = []
-    bundles: dict[int, list[int]] = {t: [] for t in g2.terminals}
-    new_terms = []
-    for e in g2.edges:
-        tu, tv = e.u in tset, e.v in tset
-        if not tu and not tv:
-            edges.append((e.u, e.v, e.cap))
-            continue
-        if tu and tv:
-            # a terminal-terminal edge splits into two pendants back to back
-            b1, b2 = next_v, next_v + 1
-            next_v += 2
-            verts += [b1, b2]
-            edges.append((b1, b2, e.cap))
-            bundles[e.u].append(b1)
-            bundles[e.v].append(b2)
-            new_terms += [b1, b2]
-            continue
-        t, other = (e.u, e.v) if tu else (e.v, e.u)
-        b = next_v
-        next_v += 1
-        verts.append(b)
-        edges.append((other, b, e.cap))
-        bundles[t].append(b)
-        new_terms.append(b)
-    return CapGraph(verts, edges, new_terms), bundles
+    return g2
 
 
 def build_flow_sparsifier(
     g: CapGraph, eps: Fraction | int | str | None = None, params: FlowParams | None = None
 ) -> Sparsifier:
-    """The flow sparsifier of G.  The routers are searched on G, which must
-    then be a unit multigraph with degree-1 terminals, or with eps on G's
-    capacitated unit reduction (cap at C, rescale by 2 eta* / eps, expand to
-    units, split terminals into degree-1 bundles).  The interior is strongly
-    decomposed, every cluster searched, and the routers contracted once."""
+    """The flow sparsifier of G.  Without eps, a unit multigraph whose
+    terminals have degree 1 is searched as it is, and any other G takes
+    eps = 1/2.  With eps the routers are searched on G's capacitated unit
+    reduction.  The interior is strongly decomposed, every cluster searched
+    on its own instance, and the routers contracted once."""
     params = params or FlowParams()
     log: list[str] = []
+    if eps is None and not (g.is_unit and all(len(g.incident(t)) == 1 for t in g.terminals)):
+        eps = Fraction(1, 2)
     if eps is None:
-        if not g.is_unit:
-            raise InputError("unit mode (no eps) requires integer (multiplicity) capacities")
-        for t in g.terminals:
-            if len(g.incident(t)) != 1:
-                raise InputError(f"terminal {t} must have a single pendant edge")
         gunit = g
     else:
         eps = Fraction(eps)
-        gunit, _bundles = capacitated_unit_reduction(g, eps)
-        log.append(f"capacitated reduction: scale {2 * ETA_STAR / eps}, bundle graph n={gunit.n}")
+        gunit = capacitated_unit_reduction(g, eps)
+        log.append(f"capacitated reduction: scale {2 * ETA_STAR / eps}")
     decs: list[Decomposition] = []
     certs, size_ok = _cluster_routers(
         interior_decompositions(gunit, params.enum_budget), params, log, decs
@@ -1080,9 +1049,9 @@ def assemble_flow_sparsifier(
 ) -> Sparsifier:
     """The flow sparsifier of G that contracts every certificate's cluster.
     Without eps G is the unit graph and the claimed quality is 2 eta*.  With
-    it, the clusters live on G's capacitated unit reduction, the terminal
-    bundles are merged back into G's terminals, H's capacities are scaled
-    back by eps / (2 eta*) and the claimed quality is 2 eta* + eps.
+    it, the clusters are contracted in G's capacitated unit reduction, H's
+    capacities are scaled back by eps / (2 eta*) and the claimed quality is
+    2 eta* + eps.
 
     This is the one assembly of a build and of `load_sparsifier`.  Load has
     only G and the sidecar, so the reduction is derived here from G, and an
@@ -1093,11 +1062,10 @@ def assemble_flow_sparsifier(
         h, cmap = contract(g, clusters)
         gunit, quality = g, 2 * ETA_STAR
     else:
-        gunit, bundles = capacitated_unit_reduction(g, eps)
+        gunit = capacitated_unit_reduction(g, eps)
         hu, cmap = contract(gunit, clusters)
-        h1 = merge_vertices(hu, [bundles[t] for t in g.terminals], list(g.terminals))
         back = eps / (2 * ETA_STAR)
-        h = CapGraph(h1.vertices, [(e.u, e.v, e.cap * back) for e in h1.edges], g.terminals)
+        h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * back) for e in hu.edges], g.terminals)
         quality = 2 * ETA_STAR + eps
     return Sparsifier(
         h, cmap, quality, gunit, eps, certificates=certificates,

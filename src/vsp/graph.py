@@ -310,8 +310,8 @@ def unit_expand(g: CapGraph, eps: Fraction | int | str) -> CapGraph:
     """Replace edge e by ceil(min(c_e, C)/eps) parallel unit edges, where C is
     the terminal-incident capacity `g.terminal_capacity()`.  Bucketed: edge e
     of the result keeps e's id and ends, and its integer capacity is e's
-    multiplicity.  The flow mode's `capacitated_unit_reduction` expands
-    through it; cut mode decomposes G itself."""
+    multiplicity.  The flow mode's `capacitated_unit_reduction` is this
+    expansion at eps / (2 eta*); cut mode decomposes G itself."""
     eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     if not (0 < eps <= 1):
         raise ParamError(f"eps must be in (0,1], got {eps}")
@@ -324,26 +324,6 @@ def unit_expand(g: CapGraph, eps: Fraction | int | str) -> CapGraph:
         c = min(e.cap, cap_bound)
         edges.append((e.u, e.v, Fraction(math.ceil(c / eps))))
     return CapGraph(g.vertices, edges, g.terminals)
-
-
-def merge_vertices(g: CapGraph, groups: Sequence[Iterable[int]], names: Sequence[int]) -> CapGraph:
-    """Identify each vertex group into a single vertex with the given name;
-    the names are the terminals of the result.  Self-loops created by the
-    merge are dropped; edge order is preserved."""
-    vmap: dict[int, int] = {}
-    for grp, name in zip(groups, names):
-        for v in grp:
-            if not g.has_vertex(v):
-                raise InputError(f"unknown vertex id {v}")
-            vmap[v] = name
-    for v in g.vertices:
-        vmap.setdefault(v, v)
-    edges = []
-    for e in g.edges:
-        nu, nv = vmap[e.u], vmap[e.v]
-        if nu != nv:
-            edges.append((nu, nv, e.cap))
-    return CapGraph(sorted(set(vmap.values())), edges, list(dict.fromkeys(names)))
 
 
 # -- text format ------------------------------------------------------------

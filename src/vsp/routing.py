@@ -378,12 +378,10 @@ def uniform_exchange_demands(inst: SubdividedInstance) -> tuple[DemandSet, dict[
     return DemandSet.from_map(pairs), base
 
 
-def uniform_router_check(
-    inst: SubdividedInstance, eta_bound: Fraction = ETA_STAR
-) -> tuple[bool, RoutingResult]:
+def uniform_router_check(inst: SubdividedInstance) -> tuple[bool, RoutingResult]:
     """On the cluster's instance G_S: can every pair of boundary edges
     exchange 1/z flow each way inside the cluster with congestion at most
-    eta_bound?  The returned flow lives on the instance's edges and is an
+    eta*?  The returned flow lives on the instance's edges and is an
     exactly verifiable certificate when the answer is yes."""
     z = inst.z
     if z <= 1:
@@ -392,8 +390,8 @@ def uniform_router_check(
     res = min_congestion_routing(inst.graph, dem, base_load=base, split_pairs=True)
     if res.eta == INFEASIBLE:
         return False, res
-    ok = res.eta <= eta_bound
-    if not ok and not res.exact_lp and res.lp_eta is not None and res.lp_eta < float(eta_bound):
+    ok = res.eta <= ETA_STAR
+    if not ok and not res.exact_lp and res.lp_eta is not None and res.lp_eta < float(ETA_STAR):
         # repair overshot a feasible optimum; one retry on the exact path if
         # remotely affordable, else stay conservative
         nvars = len(_commodities(dem, True)) * len(_arc_list(inst.graph)) + 1
@@ -401,6 +399,6 @@ def uniform_router_check(
             res = min_congestion_routing(
                 inst.graph, dem, base_load=base, split_pairs=True, exact=True
             )
-            ok = res.eta <= eta_bound
+            ok = res.eta <= ETA_STAR
     return ok, res
 

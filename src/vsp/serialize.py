@@ -51,11 +51,10 @@ def _render(sp) -> tuple[str, str]:
     lines = graph_lines(h)
     for cset, snode in zip(sp.cmap.clusters, sp.cmap.supernode):
         verts = " ".join(str(v) for v in sorted(cset))
-        sid = ids.get(snode, 0)  # capacitated flow mode renames supernodes away
-        lines.append(f"map {sid} {verts}")
+        lines.append(f"map {ids[snode]} {verts}")
     if flow:
         for snode, cert in zip(sp.cmap.supernode, sp.certificates):
-            lines.append(f"cert {ids.get(snode, 0)} eta {_format_cap(cert.eta)}")
+            lines.append(f"cert {ids[snode]} eta {_format_cap(cert.eta)}")
     payload = {
         "kind": sp.kind,
         "quality": _format_cap(sp.quality),

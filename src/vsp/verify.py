@@ -293,12 +293,15 @@ def project_cluster_demands(
 
 def reroute_through_clusters(sp: Sparsifier, h_result) -> Fraction:
     """Exact congestion of the composed flow: H-loads on surviving edges plus
-    each cluster's demand mass pushed through its certified fan-out flows."""
+    each cluster's demand mass pushed through its certified fan-out flows.
+    Both are carried into the unit graph's units: an eps file's H has the
+    unit graph's capacities times eps / (2 eta*)."""
     g = sp.unit_graph
+    unit = 1 if sp.eps_input is None else 2 * ETA_STAR / sp.eps_input
     load: dict[int, Fraction] = {}
     emap = sp.cmap.edge_map
     for heid, f in h_result.flow.edge_flow.items():
-        load[emap[heid]] = load.get(emap[heid], Fraction(0)) + f
+        load[emap[heid]] = load.get(emap[heid], Fraction(0)) + unit * f
     demands = project_cluster_demands(sp, h_result)
     for cert in sp.certificates:
         dem = demands.get(cert.members, {})
@@ -306,8 +309,8 @@ def reroute_through_clusters(sp: Sparsifier, h_result) -> Fraction:
             continue
         w_at: dict[int, Fraction] = {}
         for (a, b), x in dem.items():
-            w_at[a] = w_at.get(a, Fraction(0)) + x
-            w_at[b] = w_at.get(b, Fraction(0)) + x
+            w_at[a] = w_at.get(a, Fraction(0)) + unit * x
+            w_at[b] = w_at.get(b, Fraction(0)) + unit * x
         for eid, w in w_at.items():
             scale = w / g.edges[eid].cap
             for (ieid, _d), l in cert.commodity_arcs.get(eid, {}).items():

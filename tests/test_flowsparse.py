@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from vsp import cli, flowsparse, graph, sparsecut
+from vsp import cli, flowsparse, graph, routing, sparsecut
 from vsp.decompose import weak_decompose
-from vsp.errors import BudgetExceeded, InputError
+from vsp.errors import BudgetExceeded
 from vsp.flowsparse import (
     FlowParams,
     balanced_cut_refine,
@@ -93,10 +93,10 @@ def test_builder_good_router_base_case():
     assert rep["ok"], rep["checks"]
 
 
-def test_builder_rejects_high_degree_terminal():
+def test_builder_picks_eps_for_high_degree_terminal():
     g = CapGraph([1, 2, 3], [(1, 2, 1), (1, 3, 1), (2, 3, 1)], [1])
-    with pytest.raises(InputError):
-        build_flow_sparsifier(g, params=AGG)
+    sp = build_flow_sparsifier(g, params=AGG)
+    assert (sp.eps_input, sp.quality) == (F(1, 2), F(137, 2))
 
 
 def test_unit_builder_all_terminals():
@@ -262,7 +262,7 @@ def test_router_check_failures(monkeypatch):
     g4, g6 = _cycle(12, [1, 4, 7, 10]), _cycle(16, [1, 4, 7, 10, 13, 15])
     interior = frozenset(range(1, 13))
     assert is_good_router(subdivide_boundary(g4, interior), AGG)[1].eta == F(3, 2)
-    monkeypatch.setattr(flowsparse, "ETA_STAR", F(1, 2))
+    monkeypatch.setattr(routing, "ETA_STAR", F(1, 2))
     assert is_good_router(subdivide_boundary(g4, interior), AGG) == (False, None)
     # k <= 4: the cluster stays uncontracted
     sp = build_flow_sparsifier(g4, params=AGG)
@@ -316,7 +316,8 @@ def test_capacitated_flow_sparsifier():
     sp = build_flow_sparsifier(g, eps, AGG)
     assert sorted(sp.graph.terminals) == [10, 11, 12]
     assert sp.quality == 68 + eps
-    # terminal-side capacities survive the round trip exactly
+    # the reduction rounds every terminal edge up by at most a factor
+    # (2 eta* + eps) / (2 eta*), and the scale-back keeps that bracket
     for t in g.terminals:
         got = sum(e.cap for e in sp.graph.incident(t))
         want_lo = sum(e.cap for e in g.incident(t))
@@ -324,6 +325,52 @@ def test_capacitated_flow_sparsifier():
     q = verify_flow_quality(g, sp.graph, strategies=("uniform", "matching"),
                             samples=3, seed=1, quality_bound=F(68) + eps)
     assert q.ok, q.violations
+
+
+def _looped_k4():
+    # test_capacitated_flow_sparsifier's graph plus a self-loop on terminal 10
+    core = [(u, v, 2) for u in range(1, 5) for v in range(u + 1, 5)]
+    core += [(1, 10, 1), (2, 11, 1), (3, 12, 2), (10, 10, 1)]
+    return CapGraph(list(range(1, 5)) + [10, 11, 12], core, [10, 11, 12])
+
+
+@pytest.mark.parametrize(
+    "make_graph", [lambda: gen_capacitated(n=8, k=3, seed=1), _looped_k4],
+    ids=["terminal-first-edges", "terminal-self-loop"],
+)
+def test_eps_edge_map_follows_h(make_graph):
+    # H contracts the capacitated unit reduction, which keeps G's vertices
+    # and edge ids: every H edge has the ends, in order, of the unit-graph
+    # edge it maps to, and a terminal's self-loop is dropped, not renumbered
+    g = make_graph()
+    assert any(g.is_terminal(e.u) for e in g.edges)
+    sp = build_flow_sparsifier(g, F(1, 2), AGG)
+    cmap = sp.cmap
+    assert len(cmap.edge_map) == sp.graph.m
+    for i, e in enumerate(sp.graph.edges):
+        ue = sp.unit_graph.edges[cmap.edge_map[i]]
+        assert (cmap.vertex_map[ue.u], cmap.vertex_map[ue.v]) == (e.u, e.v)
+
+
+def test_terminal_self_loop_builds_and_verifies(tmp_path, capsys):
+    gpath, prefix = str(tmp_path / "loop.vsp"), str(tmp_path / "loop.sp")
+    write_graph(_looped_k4(), gpath)
+    assert cli.main(["build", gpath, "--mode", "flow", "--out", prefix]) == cli.EXIT_OK
+    assert cli.main(["verify", gpath, prefix]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+def test_eps_composed_flow_is_in_h_units():
+    # a composed flow is a flow in the rounded G whose surviving edges are
+    # H's, so its congestion is at least eta_H, and the routers bound it by
+    # 2 eta* eta_H
+    g = gen_capacitated(n=8, k=3, seed=0)
+    sp = build_flow_sparsifier(g, F(1, 2), AGG)
+    rep = verify_flow_quality(g, sp.graph, samples=3, seed=1, sparsifier=sp)
+    composed = [(r["h"], r["composed"]) for r in rep.records if "composed" in r]
+    assert composed
+    for h, c in composed:
+        assert h <= c <= 2 * flowsparse.ETA_STAR * h
 
 
 def test_reroute_composition_bound():

@@ -7,7 +7,6 @@ from vsp.errors import ContractError, InputError, ParamError, ParseError
 from vsp.graph import (
     CapGraph,
     contract,
-    merge_vertices,
     out_capacity,
     out_edges,
     read_graph,
@@ -201,7 +200,6 @@ def test_contract_terminal_rejected():
     (lambda: contract(triangle(), [{1, 9}]), InputError, "unknown vertex id 9"),
     (lambda: unit_expand(CapGraph([1, 2], [(1, 2, Fraction(1, 2))]), 1), InputError,
      "capacity 1/2 < 1"),
-    (lambda: merge_vertices(triangle(), [[1, 9]], [1]), InputError, "unknown vertex id 9"),
 ])
 def test_graph_primitives_reject_malformed_input(make, error, message):
     with pytest.raises(error, match=message):

@@ -151,17 +151,18 @@ def test_router_check_two_vertex_path():
     assert res.eta == 1
 
 
-def test_router_check_long_path_fails():
+def test_router_check_long_path_fails(monkeypatch):
     # boundary edge on every vertex of a long path: middle edge overloaded
     n = 20
     edges = [(i, i + 1, 1) for i in range(1, n)]
     edges += [(i, 100 + i, 1) for i in range(1, n + 1)]
     g = CapGraph(list(range(1, n + 1)) + list(range(101, 101 + n)), edges)
     inst = subdivide_boundary(g, set(range(1, n + 1)))
-    ok, res = uniform_router_check(inst, eta_bound=F(34))
+    ok, res = uniform_router_check(inst)
     # z = 20; the middle edge must carry about z/2 units: congestion ~ 10 < 34
-    # so lengthen the bound check instead: with eta_bound=2 it must fail
-    ok2, res2 = uniform_router_check(inst, eta_bound=F(2))
+    # so lower the bound instead: with eta* = 2 it must fail
+    monkeypatch.setattr(routing, "ETA_STAR", F(2))
+    ok2, res2 = uniform_router_check(inst)
     assert not ok2
     assert res2.eta > 2
 
@@ -270,5 +271,6 @@ def test_router_check_retries_exactly_when_the_float_optimum_meets_the_bound(mon
     dem, base = uniform_exchange_demands(inst)
     float_res = min_congestion_routing(inst.graph, dem, base_load=base, split_pairs=True)
     assert (float_res.exact_lp, float_res.lp_eta, float_res.eta) == (False, 1.0, 2)
-    ok, res = uniform_router_check(inst, eta_bound=F(3, 2))
+    monkeypatch.setattr(routing, "ETA_STAR", F(3, 2))
+    ok, res = uniform_router_check(inst)
     assert (ok, res.exact_lp, res.eta) == (False, True, 2)
