@@ -7,17 +7,20 @@ the cut certificate are exact.
 `Net` is the pure-Python Dinic network.  It returns flows, paths and the
 minimal source side of a minimum cut.
 
-`TerminalCuts` serves the bipartition sweeps of the sparsest cut and of cut
-verification, many splits of one graph's terminals.  It scales G's arcs
-once.  `values` prices a whole sweep with SciPy's compiled Dinic, one call
-per chunk of splits on a block-diagonal stack of copies of G, and `min_cut`
-runs `Net` for the one split whose certificate a caller needs.  SciPy holds
-capacities, flows and residuals in int32 and silently truncates wider
-capacities.  A residual can reach twice the scaled total capacity, so a
-graph for which that doubled total reaches 2^31 never goes to SciPy: its
-splits are priced one by one in Python.  So are sweeps of fewer than
-`_FEW_SPLITS` splits, for which one SciPy call costs more than the Python
-solves.
+`bipartitions` enumerates the terminal bipartitions of a sweep as integer
+masks, and `side_matrix` decodes a run of masks into a boolean side matrix,
+one row per split and one column per terminal.  `TerminalCuts` serves the
+sweeps of the sparsest cut and of cut verification, many splits of one
+graph's terminals.  It scales G's arcs once.  `values` prices a pair of
+side matrices with SciPy's compiled Dinic, one call per chunk of rows on a
+block-diagonal stack of copies of G, and returns the scaled integer values
+as an array; `min_cut` runs `Net` for the one split whose certificate a
+caller needs.  SciPy holds capacities, flows and residuals in int32 and
+silently truncates wider capacities.  A residual can reach twice the scaled
+total capacity, so a graph for which that doubled total reaches 2^31 never
+goes to SciPy: its splits are priced one by one in Python.  So are sweeps
+of fewer than `_FEW_SPLITS` splits, for which one SciPy call costs more
+than the Python solves.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -31,7 +34,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -101,9 +103,10 @@ class Net:
         self._den = den
 
     def _scaled(self, cap: Fraction | int) -> int:
-        cap = Fraction(cap)
-        self._rescale(lcm(self._den, cap.denominator))
-        return int(cap * self._den)
+        cap = cap if isinstance(cap, Fraction) else Fraction(cap)
+        if self._den % cap.denominator:
+            self._rescale(lcm(self._den, cap.denominator))
+        return cap.numerator * (self._den // cap.denominator)
 
     def arc(self, u: Hashable, v: Hashable, cap: Fraction | int):
         """Directed arc u->v without a key; the implicit reverse residual has
@@ -337,24 +340,29 @@ class TerminalCuts:
     graph G, for any number of splits.
 
     G's capacities are scaled once to integers over their common
-    denominator.  `_big`, the scaled total capacity plus one, exceeds every
-    arc (summed parallel arcs included) and every cut, so a split wires its
-    terminals to the super-source and the super-sink at `_big`.
+    denominator `den`.  `_big`, the scaled total capacity plus one, exceeds
+    every arc (summed parallel arcs included) and every cut, so a split
+    wires its terminals to the super-source and the super-sink at `_big`.
 
-    `values` prices a sequence of splits in compiled code.  It stacks one
-    copy of G's arc set per split into a block-diagonal network whose copies
-    share the super-terminals, and one call of SciPy's Dinic solves a chunk
-    of splits.  The copies share no arc, so a maximum flow of the stack is a
-    maximum flow of every copy, and a split's value is the flow that the
-    super-source sends into its copy.  SciPy's solver keeps capacities and
-    flows in int32 and silently truncates wider capacities (an arc of 2^40
-    comes back as a flow of 0).  An arc u->v and its reverse both carry the
-    summed capacity c < `_big`, and a residual is c minus a flow of at least
-    -c, so residuals reach 2 (`_big` - 1).  When 2 `_big` reaches 2^31 no
-    network of G goes to SciPy: `values` prices the splits one by one with
-    `min_cut` instead.  It does the same for a chunk of fewer than
-    `_FEW_SPLITS` splits: a SciPy call costs about 0.3 ms before it solves
-    anything.
+    A sweep is a pair of boolean side matrices: one row per split, one
+    column per terminal in ascending id order, True where the terminal is on
+    that side.  `chunks` decodes the masks of `bipartitions` into side-a
+    matrices of as many rows as one stacked solve takes, and `values` prices
+    the rows of a side pair.  It stacks one copy of G's arc set per row into
+    a block-diagonal network whose copies share the super-terminals, and one
+    call of SciPy's Dinic solves a chunk of rows.  The copies share no arc,
+    so a maximum flow of the stack is a maximum flow of every copy, and a
+    split's value is the flow that the super-source sends into its copy.
+    SciPy's solver keeps capacities and flows in int32 and silently
+    truncates wider capacities (an arc of 2^40 comes back as a flow of 0).
+    An arc u->v and its reverse both carry the summed capacity c < `_big`,
+    and a residual is c minus a flow of at least -c, so residuals reach
+    2 (`_big` - 1).  When 2 `_big` reaches 2^31 no network of G goes to
+    SciPy: `values` prices the rows one by one with `min_cut` instead.  It
+    does the same for fewer than `_FEW_SPLITS` rows: a SciPy call costs
+    about 0.3 ms before it solves anything.  Rows priced in Python keep
+    their certificates in `certificates`, so the caller that picks one of
+    them need not solve it again.
 
     `min_cut` runs the pure-Python `Net`, compiled on first use with a
     zero-capacity source arc and sink arc per terminal, and returns the
@@ -371,34 +379,38 @@ class TerminalCuts:
         self._terms = terms
         self._term_set = frozenset(terms)
         self._vertices = frozenset(g.vertices)
-        total = sum((e.cap for e in g.edges), Fraction(0)) + 1
-        self._den = lcm(total.denominator, *(e.cap.denominator for e in g.edges))
-        self._big = int(total * self._den)
+        self.den = lcm(*(e.cap.denominator for e in g.edges))
+        self._big = self.den + sum(e.cap.numerator * (self.den // e.cap.denominator)
+                                   for e in g.edges)
         self.net: Net | None = None
+        # the cuts of the rows the last `values` call priced in Python, or
+        # None when SciPy priced them
+        self.certificates: list[CutCertificate] | None = None
         self._cols: np.ndarray | None = None  # G's CSR rows, compiled on first stacked solve
         self._chunk = max(_FEW_SPLITS, _CHUNK_SIZE // (g.n + 2 * g.m + 2 * len(terms)))
 
     def _compile_copy(self):
-        # one copy of G as CSR rows over vertex positions; each terminal's
-        # row ends in an arc to column n, which stands for the super-sink
+        # one copy of G as CSR rows over vertex positions, parallel arcs
+        # summed; each terminal's row ends in an arc to column n, which
+        # stands for the super-sink
         pos = {v: i for i, v in enumerate(self._g.vertices)}
-        arcs: dict[tuple[int, int], int] = {}
-        for e in self._g.edges:
-            if e.u != e.v:
-                c = e.cap.numerator * (self._den // e.cap.denominator)
-                for a in ((pos[e.u], pos[e.v]), (pos[e.v], pos[e.u])):
-                    arcs[a] = arcs.get(a, 0) + c
         n = len(pos)
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), c in sorted(arcs.items()):
-            rows[u].append((v, c))
-        term_rows = [pos[t] for t in self._terms]  # ascending, as the ids are
-        for r in term_rows:
-            rows[r].append((n, 0))
-        self._indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int32)
-        self._cols = np.array([v for r in rows for v, _ in r], dtype=np.int32)
-        self._caps = np.array([c for r in rows for _, c in r], dtype=np.int32)
-        self._term_rows = np.array(term_rows, dtype=np.int32)
+        edges = [e for e in self._g.edges if e.u != e.v]
+        u = np.array([pos[e.u] for e in edges], dtype=np.int64)
+        v = np.array([pos[e.v] for e in edges], dtype=np.int64)
+        cap = np.array([e.cap.numerator * (self.den // e.cap.denominator) for e in edges],
+                       dtype=np.int64)
+        # ascending, as the ids are
+        term_rows = np.array([pos[t] for t in self._terms], dtype=np.int64)
+        keys, arc = np.unique(
+            np.concatenate((u * (n + 1) + v, v * (n + 1) + u, term_rows * (n + 1) + n)),
+            return_inverse=True,
+        )
+        caps = np.bincount(arc, np.concatenate((cap, cap, 0 * term_rows)), minlength=len(keys))
+        self._indptr = np.searchsorted(keys // (n + 1), np.arange(n + 1)).astype(np.int32)
+        self._cols = (keys % (n + 1)).astype(np.int32)
+        self._caps = caps.astype(np.int32)  # exact: every sum is below 2^31
+        self._term_rows = term_rows.astype(np.int32)
         self._sink_entries = self._indptr[self._term_rows + 1] - 1
 
     def _checked(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[set, set]:
@@ -412,29 +424,44 @@ class TerminalCuts:
                 raise InputError(f"vertex {v} is not a compiled terminal")
         return ta, tb
 
-    def values(
-        self, splits: Iterable[tuple[Iterable[int], Iterable[int]]]
-    ) -> Iterator[Fraction]:
-        """The minimum cut value of every split (side a, side b), in order,
-        solved a chunk of splits at a time as the iterator is consumed.  A
-        chunk goes to SciPy when every residual (at most 2 `_big`) fits in
-        int32 and the chunk holds at least `_FEW_SPLITS` splits; otherwise
-        `min_cut` prices its splits."""
-        splits = iter(splits)
-        while chunk := [self._checked(ta, tb) for ta, tb in islice(splits, self._chunk)]:
-            if 2 * self._big >= _INT32_LIMIT or len(chunk) < _FEW_SPLITS:
-                yield from (self.min_cut(ta, tb)[0] for ta, tb in chunk)
-            else:
-                yield from (Fraction(v, self._den) for v in self._stack_values(chunk))
+    def chunks(self, terms: Sequence[int], masks: Sequence[int]) -> Iterator[np.ndarray]:
+        """The splits of `masks`, bipartition masks over `terms` (these
+        terminals in the order the masks refer to, see `bipartitions`), as
+        side-a matrices of at most as many rows as one stacked solve takes."""
+        for lo in range(0, len(masks), self._chunk):
+            yield side_matrix(terms, masks[lo:lo + self._chunk])
 
-    def _stack_values(self, chunk: list[tuple[set, set]]) -> list[int]:
-        """Scaled max-flow values of the splits in one stacked network: copy
-        c of G wires split c's sides to the super-source and super-sink."""
+    def values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
+        """The minimum cut value times `den` of every split, a row of the
+        side matrices (a terminal may be on neither side), in row order.
+        The rows go to SciPy a chunk at a time when every residual (at most
+        2 `_big`) fits in int32 and there are at least `_FEW_SPLITS` of
+        them; the values are then int64.  Otherwise `min_cut` prices every
+        row and the values are Python ints."""
+        if not (side_a.any(axis=1) & side_b.any(axis=1)).all():
+            raise InputError("empty source or sink set")
+        if (side_a & side_b).any():
+            raise InputError("terminal sides overlap")
+        if 2 * self._big >= _INT32_LIMIT or len(side_a) < _FEW_SPLITS:
+            terms = np.array(self._terms)
+            self.certificates = [
+                self.min_cut(terms[a].tolist(), terms[b].tolist())[1]
+                for a, b in zip(side_a, side_b)
+            ]
+            return np.array([int(c.value * self.den) for c in self.certificates], dtype=object)
+        self.certificates = None
+        return np.concatenate([
+            self._stack_values(side_a[lo:lo + self._chunk], side_b[lo:lo + self._chunk])
+            for lo in range(0, len(side_a), self._chunk)
+        ])
+
+    def _stack_values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
+        """Scaled max-flow values of the rows in one stacked network: copy
+        c of G wires row c's sides to the super-source and super-sink."""
         if self._cols is None:
             self._compile_copy()
         big = np.int32(self._big)
-        source_caps = np.array([[t in ta for t in self._terms] for ta, _ in chunk]) * big
-        sink_caps = np.array([[t in tb for t in self._terms] for _, tb in chunk]) * big
+        source_caps, sink_caps = side_a * big, side_b * big
         copies, k = source_caps.shape
         n, arcs = len(self._indptr) - 1, len(self._cols)
         source, sink = copies * n, copies * n + 1
@@ -457,17 +484,17 @@ class TerminalCuts:
         )
         flow = maximum_flow(net, source, sink, method="dinic").flow
         lo, hi = flow.indptr[source], flow.indptr[source + 1]
-        out = np.zeros(copies, dtype=np.int64)
-        np.add.at(out, flow.indices[lo:hi] // n, flow.data[lo:hi])
-        return out.tolist()
+        # float64 sums are exact here: every copy's flow is below 2^31
+        per_copy = np.bincount(flow.indices[lo:hi] // n, flow.data[lo:hi], minlength=copies)
+        return per_copy.astype(np.int64)
 
     def _network(self) -> Net:
         if self.net is None:
             net = Net()
+            net._rescale(self.den)  # before any arc: no arc is scaled twice
             for e in self._g.edges:
                 if e.u != e.v:
                     net.undirected(e.u, e.v, e.cap, key=e.eid)
-            net._rescale(self._den)
             self._source_arc: dict[int, int] = {}
             for v in self._terms:
                 self._source_arc[v] = len(net._to)
@@ -497,39 +524,45 @@ class TerminalCuts:
         return value, CutCertificate(side_a, self._vertices - side_a, value)
 
 
-def bipartitions(
-    terms: Sequence[int], budget: int, seed: int = 0
-) -> tuple[Iterator[tuple[tuple[int, ...], tuple[int, ...]]], bool]:
-    """Terminal bipartitions (side a, side b) with both sides nonempty, as a
-    lazy iterator, and whether they are all of them.  Mask m puts terms[0]
-    and terms[i + 1] for every set bit i on side a; the masks 0 .. total - 1
-    give every split exactly once (mask `total` would leave side b empty).
-    Beyond the budget a seeded sample of 2 budget^2 distinct masks is drawn,
-    unless that many cover every split anyway."""
+def bipartitions(terms: Sequence[int], budget: int, seed: int = 0) -> tuple[Sequence[int], bool]:
+    """The masks of the terminal bipartitions with both sides nonempty, and
+    whether they are all of them.  Mask m puts terms[0] and terms[i + 1] for
+    every set bit i on side a and the other terminals on side b; the masks
+    0 .. total - 1 give every split exactly once (mask `total` would leave
+    side b empty), and are returned as a range.  Beyond the budget a seeded
+    sample of 2 budget^2 distinct masks is drawn, in draw order, unless
+    that many cover every split anyway.  `side_matrix` decodes masks."""
     k = len(terms)
     total = (1 << (k - 1)) - 1
     want = 2 * budget * budget
-    first, rest = terms[0], terms[1:]
-
-    def split(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        a, b = [first], []
-        for i, t in enumerate(rest):
-            (a if mask >> i & 1 else b).append(t)
-        return tuple(a), tuple(b)
-
     if k <= budget or want >= total:
-        return map(split, range(total)), True
+        return range(total), True
+    rng = random.Random(seed)
+    seen: dict[int, None] = {}  # insertion-ordered
+    while len(seen) < want:
+        seen[rng.randrange(total)] = None
+    return list(seen), False
 
-    def sample():
-        rng = random.Random(seed)
-        seen: set[int] = set()
-        while len(seen) < want:
-            mask = rng.randrange(total)
-            if mask not in seen:
-                seen.add(mask)
-                yield split(mask)
 
-    return sample(), False
+def side_matrix(terms: Sequence[int], masks: Sequence[int]) -> np.ndarray:
+    """Side a of every mask of `bipartitions` over `terms`, as a boolean
+    matrix with one row per mask and one column per terminal in ascending
+    id order.  Masks of up to 64 bits are unpacked from their uint64 bytes,
+    wider ones from their Python int bytes."""
+    width = len(terms) - 1
+    if width <= 64:
+        raw = np.asarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    else:
+        size = -(-width // 8)
+        raw = np.frombuffer(
+            b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8
+        ).reshape(-1, size)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
+    column = {t: j for j, t in enumerate(sorted(terms))}
+    side_a = np.empty((len(bits), len(terms)), dtype=bool)
+    side_a[:, column[terms[0]]] = True
+    side_a[:, [column[t] for t in terms[1:]]] = bits
+    return side_a
 
 
 def max_flow(

@@ -1,23 +1,27 @@
 """Sparsest cut on subdivided cluster instances, exact and heuristic, and the
 well-linkedness predicate built on them.
 
-The exact solver enumerates terminal bipartitions and prices them all in
-one compiled sweep (`TerminalCuts.values`).  The certificate of the chosen
-split comes from one pure-Python min cut on it (`TerminalCuts.min_cut`),
-whose value must equal the sweep's; its side is the minimal source side of
-a minimum cut, the same whichever solver found the value.  Parallel
-boundary edges are bucketed into one bundle terminal per original edge, so
-the enumeration is over bundles; splitting a bundle away from its
-attachment never helps a cut of sparsity below 1, and cuts of sparsity
-exactly 1 always exist (cut one pendant), so the bundle-level minimum
-capped at 1 is the true optimum.
+The exact solver sweeps the terminal bipartitions as arrays: each chunk
+of masks becomes a boolean side matrix (`TerminalCuts.chunks`), its cut
+values come back from one compiled solve (`TerminalCuts.values`), its side
+weights from one matrix product, and the first split below `stop_below`
+or the chunk's least sparsity is found by exact integer
+cross-multiplication.  Fractions and tuples are built only for the tied
+candidates.  The certificate of the chosen split comes from a pure-Python
+min cut on it (`TerminalCuts.min_cut`), whose value must equal the sweep's,
+unless the sweep priced that split in Python already; its side is the
+minimal source side of a minimum cut, the same whichever solver found the
+value.  Parallel boundary edges are bucketed into one bundle terminal per
+original edge, so the enumeration is over bundles; splitting a bundle away
+from its attachment never helps a cut of sparsity below 1, and cuts of
+sparsity exactly 1 always exist (cut one pendant), so the bundle-level
+minimum capped at 1 is the true optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import tee
 from math import lcm
 
 import numpy as np
@@ -87,39 +91,78 @@ def sparsest_cut_exact(
             f"{nb} boundary bundles exceed the exact enumeration budget {budget}; "
             "use sparsest_cut_heuristic"
         )
-    best: tuple | None = None  # (sparsity, value, sorted side a, side a, side b, wa)
     if nb >= 2:
-        cuts = TerminalCuts(inst.graph, [t for t, _ in terms])
-        # bundle weights as ints over one denominator
-        den = lcm(*(w.denominator for _, w in terms))
-        wint = [w.numerator * (den // w.denominator) for _, w in terms]
-        zint = sum(wint)
-        weight = {t: w for (t, _), w in zip(terms, wint)}
-        splits, _ = bipartitions([t for t, _ in terms], budget)  # exhaustive: nb <= budget
-        splits, priced = tee(splits)
-        for (side1, side2), value in zip(splits, cuts.values(priced)):
-            wa = sum(weight[t] for t in side1)
-            sparsity = value / Fraction(min(wa, zint - wa), den)
-            key = (sparsity, value, tuple(sorted(side1)))
+        return _sweep(inst, terms, budget, stop_below)
+    # one bundle of z > 1 parallel pendants: only pendant units split it
+    return _pendant_split(inst, exact=True)
+
+
+def _sweep(
+    inst: SubdividedInstance,
+    terms: list[tuple[int, Fraction]],
+    budget: int,
+    stop_below: Fraction | None,
+) -> SparsestCut:
+    """The bundle sweep of `sparsest_cut_exact` on side matrices.  Cutting
+    the pendants of a side costs its weight, so no split has sparsity above
+    1 and the best one is the answer.
+
+    A split's cut value v and smaller side weight w are integers over the
+    sweep's two denominators, so its sparsity is v den_w / (den_v w) and
+    two splits compare by v1 w2 against v2 w1.  These products go through
+    Python ints whenever int64 could overflow."""
+    ids = [t for t, _ in terms]
+    order = sorted(ids)  # the side matrices' column order
+    cuts = TerminalCuts(inst.graph, ids)
+    # bundle weights as ints over one denominator
+    den = lcm(*(w.denominator for _, w in terms))
+    wint = {t: w.numerator * (den // w.denominator) for t, w in terms}
+    zint = sum(wint.values())
+    weights = np.array([wint[t] for t in order], dtype=np.int64 if zint < 1 << 63 else object)
+    # v / w < stop_below exactly when v * below[0] < w * below[1]
+    below = (0, 0) if stop_below is None else (
+        den * stop_below.denominator, cuts.den * stop_below.numerator)
+    masks, _ = bipartitions(ids, budget)  # exhaustive: nb <= budget
+    best = None  # (sparsity, value, sorted side a, side a row, wa, certificate)
+    for side_a in cuts.chunks(ids, masks):
+        v = cuts.values(side_a, ~side_a)
+        wa = side_a @ weights
+        w = np.minimum(wa, zint - wa)
+        vmax = int(v.max())
+        if v.dtype == object or max(vmax * zint, vmax * below[0], zint * below[1]) >> 63:
+            v, w = v.astype(object), w.astype(object)
+        certs = cuts.certificates
+        if stop_below is not None and (hit := v * below[0] < w * below[1]).any():
+            rows = [int(np.argmax(hit))]
+        else:
+            # the least sparsity: a float guess, then exact improvements
+            c = int(np.argmin(v / w)) if v.dtype != object else 0
+            while (better := v * w[c] < v[c] * w).any():
+                c = int(np.argmax(better))
+            rows = np.flatnonzero(v * w[c] == v[c] * w)
+            rows = rows[v[rows] == v[rows].min()].tolist()
+        for r in rows:
+            value = Fraction(int(v[r]), cuts.den)
+            key = (Fraction(int(v[r]) * den, cuts.den * int(w[r])), value,
+                   tuple(t for t, on in zip(order, side_a[r]) if on))
             if best is None or key < best[:3]:
-                best = (*key, side1, side2, wa)
-                if stop_below is not None and sparsity < stop_below:
-                    break
-    if best is not None and (best[0] <= 1 or stop_below is not None and best[0] < stop_below):
-        sparsity, value, _, side1, side2, wa = best
+                best = (*key, side_a[r], int(wa[r]), certs[r] if certs else None)
+        if stop_below is not None and best[0] < stop_below:
+            break
+    sparsity, value, side1, row, wa, cut = best
+    if cut is None:
+        side2 = tuple(t for t, on in zip(order, row) if not on)
         checked, cut = cuts.min_cut(side1, side2)
         if checked != value:
             raise RuntimeError(
-                f"min cut of {sorted(side1)}: compiled sweep {value}, Python Dinic {checked}"
+                f"min cut of {list(side1)}: compiled sweep {value}, Python Dinic {checked}"
             )
-        cert = CutCertificate(
-            cut.side_a, cut.side_b, value,
-            term_a=Fraction(wa, den), term_b=Fraction(zint - wa, den),
-            sparsity=sparsity,
-        )
-        return SparsestCut(sparsity, cert, True)
-    # every bundle-level split is worse than cutting a single pendant unit
-    return _pendant_split(inst, exact=True)
+    cert = CutCertificate(
+        cut.side_a, cut.side_b, value,
+        term_a=Fraction(wa, den), term_b=Fraction(zint - wa, den),
+        sparsity=sparsity,
+    )
+    return SparsestCut(sparsity, cert, True)
 
 
 def _pendant_split(inst: SubdividedInstance, exact: bool) -> SparsestCut:

@@ -1,12 +1,15 @@
 """Independent quality certification.
 
 Cut quality is verified exhaustively: every nontrivial terminal bipartition
-is priced in both graphs with exact arithmetic.  Flow quality cannot be
-enumerated, so the verifier combines (a) exact re-checks of every cluster's
-router certificate, which are the premises of the contraction quality
-argument, (b) sampled demand sets compared through the LP at tolerance
-delta, and (c) the constructive re-routing of each H-flow through the
-cluster routers, whose congestion is evaluated exactly.
+is priced in both graphs with exact arithmetic.  The bipartitions are one
+boolean side matrix (`flow.side_matrix` of the `flow.bipartitions` masks),
+and each graph prices all its rows in compiled sweeps
+(`TerminalCuts.values`), so only the records are built split by split.
+Flow quality cannot be enumerated, so the verifier combines (a) exact
+re-checks of every cluster's router certificate, which are the premises of
+the contraction quality argument, (b) sampled demand sets compared through
+the LP at tolerance delta, and (c) the constructive re-routing of each
+H-flow through the cluster routers, whose congestion is evaluated exactly.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import tee
 from typing import Iterable
+
+import numpy as np
 
 from .cutsparse import Sparsifier, lift_cut
 from .errors import BudgetExceeded, InputError
-from .flow import TerminalCuts, bipartitions, flow_conserves
+from .flow import TerminalCuts, bipartitions, flow_conserves, side_matrix
 from .flowsparse import RouterCertificate
 from .graph import CapGraph, SubdividedInstance, congestion, out_capacity, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
@@ -68,7 +72,8 @@ def verify_cut_quality(
     enum_budget: int = DEFAULT_CUT_ENUM_BUDGET,
     seed: int = 0,
 ) -> QualityReport:
-    """Price every nontrivial terminal bipartition in G and H exactly.
+    """Price every nontrivial terminal bipartition in G and H exactly,
+    both from the same side matrix, one record per split in mask order.
     Beyond the enumeration budget a seeded sample is used and flagged."""
     if sorted(g.terminals) != sorted(h.terminals):
         raise InputError("graphs disagree on the terminal set")
@@ -78,15 +83,21 @@ def verify_cut_quality(
         rep.q_observed = Fraction(1)
         rep.flags["exhaustive"] = True
         return rep
-    splits, exhaustive = bipartitions(terms, enum_budget, seed)
+    masks, exhaustive = bipartitions(terms, enum_budget, seed)
     rep.flags["exhaustive"] = exhaustive
     if not exhaustive:
         rep.flags["non_exhaustive"] = True
-    splits, for_g, for_h = tee(splits, 3)
-    values_g = TerminalCuts(g, terms).values(for_g)
-    values_h = TerminalCuts(h, terms).values(for_h)
+    side_a = side_matrix(terms, masks)
+    cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
+    values_g = cuts_g.values(side_a, ~side_a).tolist()
+    values_h = cuts_h.values(side_a, ~side_a).tolist()
+    # side a in the order of `terms`, as the masks list it
+    in_terms = side_a[:, [sorted(terms).index(t) for t in terms]]
+    ids = np.array(terms)
     worst = Fraction(1)
-    for i, ((ta, tb), vg, vh) in enumerate(zip(splits, values_g, values_h)):
+    for i, (row, vg, vh) in enumerate(zip(in_terms, values_g, values_h)):
+        ta = ids[row].tolist()
+        vg, vh = Fraction(vg, cuts_g.den), Fraction(vh, cuts_h.den)
         if vg == 0 and vh == 0:
             ratio = Fraction(1)
         elif vg == 0:
@@ -98,9 +109,7 @@ def verify_cut_quality(
                 rep.violations.append(
                     f"test {i}: lower side violated, H {vh} < G {vg} on {sorted(ta)}"
                 )
-        rep.records.append(
-            {"id": i, "side_a": list(ta), "g": vg, "h": vh, "ratio": ratio}
-        )
+        rep.records.append({"id": i, "side_a": ta, "g": vg, "h": vh, "ratio": ratio})
         if ratio is not None:
             worst = max(worst, ratio)
     rep.flags["tests"] = len(rep.records)
@@ -119,11 +128,13 @@ def verify_cut_projection(sp: Sparsifier, seed: int = 0,
     if len(terms) < 2:
         rep.q_observed = Fraction(1)
         return rep
-    splits, exhaustive = bipartitions(terms, enum_budget, seed)
+    masks, exhaustive = bipartitions(terms, enum_budget, seed)
     rep.flags["exhaustive"] = exhaustive
     cuts_g, cuts_h = TerminalCuts(g_unit, terms), TerminalCuts(sp.graph, terms)
+    ids = np.array(sorted(terms))
     worst = Fraction(1)
-    for i, (ta, tb) in enumerate(splits):
+    for i, row in enumerate(side_matrix(terms, masks)):
+        ta, tb = ids[row].tolist(), ids[~row].tolist()
         vg, cert = cuts_g.min_cut(ta, tb)
         lifted_side, _steps = lift_cut(g_unit, sp.cmap.clusters, cert.side_a)
         lifted_val = out_capacity(g_unit, lifted_side)

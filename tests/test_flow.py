@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,17 @@ def test_net_path_decomposition():
         assert all(k is not None for k in keys)
 
 
+def test_net_rescales_for_new_denominators():
+    # each capacity brings a new denominator, so the arcs already added are
+    # scaled up again: 3/2 + 2/3 in series with 1/4 in parallel
+    net = Net()
+    net.undirected("a", "b", Fraction(3, 2), key="ab")
+    net.undirected("b", "c", Fraction(2, 3), key="bc")
+    net.undirected("a", "c", Fraction(1, 4), key="ac")
+    assert net.max_flow("a", "c") == Fraction(11, 12)
+    assert net.flow_by_key() == {"ab": Fraction(2, 3), "bc": Fraction(2, 3), "ac": Fraction(1, 4)}
+
+
 def test_cut_side_excludes_auxiliary_nodes():
     # edge 1-2 split at a midpoint that drains one unit to the sink: the
     # residual source side is {source, 1, midpoint, 2}
@@ -157,9 +169,11 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
     # repeats, and enough splits that `values` solves them in one stacked network
     splits += rng.choices(splits, k=8)
     rng.shuffle(splits)
-    values = list(cuts.values(splits))
-    assert len(values) == len(splits)
-    for (ta, tb), stacked in zip(splits, values):
+    values = cuts.values(*_side_matrices(terms, splits))
+    assert len(values) == len(splits) and values.dtype == np.int64
+    assert cuts.certificates is None
+    for (ta, tb), scaled in zip(splits, values):
+        stacked = Fraction(int(scaled), cuts.den)
         value, cert = cuts.min_cut(ta, tb)
         fresh_value, fresh = TerminalCuts(g, ta + tb).min_cut(ta, tb)
         assert stacked == value
@@ -167,6 +181,13 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
         assert (value, cert.side_a) == brute_force_min_cut_side(g, ta, tb)
         assert cert.side_b == frozenset(g.vertices) - cert.side_a
         assert out_capacity(g, cert.side_a) == value
+
+
+def _side_matrices(terms, splits):
+    # side a and side b of every split, a column per terminal in id order
+    order = sorted(terms)
+    return (np.array([[t in ta for t in order] for ta, _ in splits], dtype=bool),
+            np.array([[t in tb for t in order] for _, tb in splits], dtype=bool))
 
 
 def _every_split(terms):
@@ -188,8 +209,11 @@ def test_terminal_cuts_values_beyond_int32():
         cuts = TerminalCuts(g, g.terminals)
         assert cuts._big >= 2**31
         splits = list(_every_split(g.terminals))
-        for (ta, tb), value in zip(splits, cuts.values(splits), strict=True):
-            assert value == brute_force_min_cut(g, ta, tb)
+        values = cuts.values(*_side_matrices(g.terminals, splits))
+        # priced in Python: exact ints, with the certificate of every split
+        assert values.dtype == object and len(cuts.certificates) == len(splits)
+        for (ta, tb), value, cert in zip(splits, values, cuts.certificates, strict=True):
+            assert Fraction(value, cuts.den) == cert.value == brute_force_min_cut(g, ta, tb)
     # a scaled total between 2^30 and 2^31: every capacity fits in int32
     # but residuals do not.  From 1 to 4, Dinic first fills the edge 1-4
     # (its reverse residual then reaches 2.6e9), then the path 1-2-3-4,
@@ -202,7 +226,9 @@ def test_terminal_cuts_values_beyond_int32():
     assert 2**30 <= cuts._big < 2**31
     splits = list(_every_split(g.terminals))
     assert ([1], [4]) in splits and brute_force_min_cut(g, [1], [4]) == d + 2 * c
-    for (ta, tb), value in zip(splits, cuts.values(splits), strict=True):
+    values = cuts.values(*_side_matrices(g.terminals, splits))
+    for (ta, tb), value in zip(splits, values, strict=True):
+        value = Fraction(value, cuts.den)
         assert value == brute_force_min_cut(g, ta, tb) == cuts.min_cut(ta, tb)[0]
 
 
@@ -226,6 +252,10 @@ def test_terminal_cuts_input_errors():
                         ([1], [1, 3], "overlap"), ([1], [2], "not a compiled terminal")):
         with pytest.raises(InputError, match=msg):
             cuts.min_cut(ta, tb)
+    for ta, tb, msg in (([[0, 0]], [[0, 1]], "empty"), ([[1, 0]], [[0, 0]], "empty"),
+                        ([[1, 0]], [[1, 1]], "overlap")):
+        with pytest.raises(InputError, match=msg):
+            cuts.values(np.array(ta, dtype=bool), np.array(tb, dtype=bool))
     # a refused split leaves the compiled network intact
     value, cert = cuts.min_cut([1], [3])
     assert value == 1 and cert.side_a == {1}

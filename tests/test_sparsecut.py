@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from vsp.errors import BudgetExceeded
+from vsp.flow import Net, TerminalCuts
 from vsp.graph import CapGraph, out_capacity, subdivide_boundary
 from vsp.sparsecut import (
     is_well_linked,
@@ -105,6 +107,101 @@ def test_exact_matches_oracles_on_fractional_bundles():
                 assert res.sparsity == 1 and res.pendant_split_edge is not None
         checked += 1
     assert checked >= 15
+
+
+# primes just below 2^31: weights over them have a common denominator near
+# 2^62, so cut values and side weights as integers overflow int64 products
+Q1, Q2 = 2147483647, 2147483629
+
+
+def _hub_instance(spokes, hub):
+    """G_S of the cluster {hub 1, spoke vertices 2, 3, ...}: spoke i + 2
+    joins the hub at capacity spokes[i][0] and carries pendant terminals of
+    the weights spokes[i][1]; the hub carries pendants of the weights
+    `hub`.  Pendant ids ascend in that order."""
+    edges, outside = [], 100
+    for i, (cap, weights) in enumerate(spokes):
+        edges.append((1, i + 2, cap))
+        for w in weights:
+            edges.append((i + 2, outside, w))
+            outside += 1
+    for w in hub:
+        edges.append((1, outside, w))
+        outside += 1
+    g = CapGraph(range(1, outside), edges)
+    return subdivide_boundary(g, set(range(1, len(spokes) + 2)))
+
+
+def _check_against_sweep(inst, stops):
+    for stop in stops:
+        res = sparsest_cut_exact(inst, stop_below=stop)
+        (sparsity, value, side), side_a = brute_force_bundle_sweep(inst, stop)
+        assert (res.sparsity, res.cut.value, res.cut.side_a) == (sparsity, value, side_a), stop
+        assert res.cut.sparsity == sparsity and res.pendant_split_edge is None
+        assert res.cut.term_a + res.cut.term_b == inst.z
+
+
+def test_exact_sweep_compares_exactly_past_int64():
+    x, y = 1 + F(1, Q1), 1 - F(1, Q2)
+    near = F(1, 2) + F(1, 4 * Q1 * Q2)  # between 1/2 and 1 / (x + y)
+    # spoke 2 costs 1 for weight x + y, a sparsity 1 / (x + y) within
+    # 2^-61 above 1/2: in floats it ties the splits of exactly 1/2 (spokes
+    # 3 and 4, and both together) and wins on value.  Exactly, the 1/2
+    # splits tie and the least value, spoke 3 alone, wins.
+    inst = _hub_instance([(1, [x, y]), (2, [4]), (3, [6])], [5, 7])
+    assert len(inst.terminals) == 6
+    res = sparsest_cut_exact(inst)
+    assert (res.sparsity, res.cut.value) == (F(1, 2), 2)
+    _check_against_sweep(inst, (None, near, F(1, 2), F(2, 3), F(1, 10)))
+    # spokes 2 and 3 tie exactly at 1 / (2x) with value 1.  Pendants a, d
+    # on spoke 2 and b, c on spoke 3 have ids 19 < 20 < 21 < 22, so the mask
+    # order meets a, d on side b first, but side a is smaller in sorted
+    # order with b, c on side b
+    g = CapGraph(range(1, 18), [(1, 10, 5), (2, 11, x), (3, 12, x), (3, 13, x), (2, 14, x),
+                                (1, 2, 1), (1, 3, 1), (1, 4, 2), (4, 15, 4), (1, 16, 7)])
+    inst = subdivide_boundary(g, {1, 2, 3, 4})
+    res = sparsest_cut_exact(inst)
+    assert (res.sparsity, res.cut.value) == (1 / (2 * x), 1)
+    assert res.cut.side_a.isdisjoint({3, 20, 21}) and {2, 18, 19, 22} <= res.cut.side_a
+    _check_against_sweep(inst, (None, 1 / (2 * x) + F(1, Q1 * Q2), F(1, 2), F(1, 3)))
+    # integer weights priced in compiled code, against thresholds whose
+    # denominators alone overflow int64 products
+    inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
+    _check_against_sweep(inst, (F(1, 2) + F(1, 2**70), F(1, 2) - F(1, 2**70), F(2**70 + 1, 2**71)))
+
+
+def test_python_priced_sweep_solves_each_split_once(monkeypatch):
+    # 3 bundles give 3 splits, priced one by one in Python; the chosen
+    # split's certificate comes from its pricing solve, not a fourth one
+    inst = subdivide_boundary(_dumbbell(), {1, 2, 3})
+    assert len(inst.terminals) == 3
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TerminalCuts, "min_cut", counted("min_cut", TerminalCuts.min_cut))
+    monkeypatch.setattr(Net, "max_flow", counted("max_flow", Net.max_flow))
+    res = sparsest_cut_exact(inst)
+    assert calls == {"min_cut": 3, "max_flow": 3}
+    (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst)
+    assert (res.sparsity, res.cut.value, res.cut.side_a) == (sparsity, value, side_a)
+    assert sparsity == value == 1 and res.pendant_split_edge is None
+
+
+def test_compiled_value_must_match_the_certificate(monkeypatch):
+    # a compiled sweep that misprices its splits is caught by the Python
+    # Dinic solve behind the certificate
+    inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
+    assert sparsest_cut_exact(inst).cut.value == 1
+    compiled = TerminalCuts._stack_values
+    monkeypatch.setattr(TerminalCuts, "_stack_values",
+                        lambda cuts, a, b: compiled(cuts, a, b) + 1)
+    with pytest.raises(RuntimeError, match="compiled sweep"):
+        sparsest_cut_exact(inst)
 
 
 def test_exact_budget_refusal():

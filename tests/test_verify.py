@@ -5,19 +5,21 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
-from vsp.flow import bipartitions
+from vsp.flow import TerminalCuts, bipartitions, side_matrix
 from vsp.flowsparse import (
     FlowParams,
     RouterCertificate,
     assemble_flow_sparsifier,
     build_flow_sparsifier,
 )
+from vsp.gen import gen_grid
 from vsp.graph import CapGraph, subdivide_boundary
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.serialize import load_sparsifier, save_sparsifier
@@ -86,28 +88,61 @@ def _deadline(seconds):
 @settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_bipartitions_property(k, budget, seed):
     terms = list(range(100, 100 + k))
+    random.Random(seed).shuffle(terms)  # side matrices order their columns by id
     with _deadline(1):
-        splits, exhaustive = bipartitions(terms, budget, seed)
-        splits = list(splits)
+        masks, exhaustive = bipartitions(terms, budget, seed)
+        side_a = side_matrix(terms, masks)
     total = 2 ** (k - 1) - 1
-    assert len(splits) == (total if exhaustive else 2 * budget * budget)
+    assert len(masks) == len(side_a) == (total if exhaustive else 2 * budget * budget)
     assert exhaustive == (k <= budget or 2 * budget * budget >= total)
-    assert len(set(splits)) == len(splits)
-    for a, b in splits:
-        assert a and b and a[0] == terms[0]
-        assert sorted(a + b) == terms
+    assert len(set(masks)) == len(masks)
+    assert len({row.tobytes() for row in side_a}) == len(side_a)
+    assert side_a.shape == (len(masks), k)
+    order = sorted(terms)
+    for mask, row in zip(masks, side_a):
+        a = [t for t, on in zip(order, row) if on]
+        b = [t for t, on in zip(order, row) if not on]
+        assert a and b and terms[0] in a
+        assert sorted(a + b) == order
+        assert set(a) == {terms[0], *(t for i, t in enumerate(terms[1:]) if mask >> i & 1)}
 
 
 def test_bipartitions_sample_has_no_empty_side_and_reaches_mask_zero():
     terms = list(range(1, 11))
     isolated_first = 0
     for seed in range(200):
-        splits, exhaustive = bipartitions(terms, 9, seed)
-        splits = list(splits)
+        masks, exhaustive = bipartitions(terms, 9, seed)
+        side_a = side_matrix(terms, masks)
         assert not exhaustive
-        assert all(a and b for a, b in splits), seed
-        isolated_first += any(a == (1,) for a, _b in splits)
+        assert (side_a.any(axis=1) & ~side_a.all(axis=1)).all(), seed
+        isolated_first += ((side_a.sum(axis=1) == 1) & side_a[:, 0]).any()
     assert isolated_first > 0
+
+
+def test_sampled_cut_quality_past_63_terminals():
+    # 70 terminals, listed out of id order: the sampled masks reach 2^69,
+    # past any int64, and the side matrices reorder their columns
+    grid = gen_grid(10, 10, k=70)
+    terms = list(grid.terminals)
+    random.Random(1).shuffle(terms)
+    g = CapGraph(grid.vertices, [(e.u, e.v, e.cap) for e in grid.edges], terms)
+    h = CapGraph(g.vertices, [(e.u, e.v, e.cap * (1 + e.eid % 2)) for e in g.edges], terms)
+    rep = verify_cut_quality(g, h)
+    assert len(rep.records) == 2 * 16**2 == 512
+    assert rep.flags == {"exhaustive": False, "non_exhaustive": True, "tests": 512}
+    masks, _ = bipartitions(terms, 16, 0)
+    assert max(masks) >= 1 << 64
+    cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
+    for rec, mask in zip(rep.records, masks, strict=True):
+        side_a = [terms[0]] + [t for i, t in enumerate(terms[1:]) if mask >> i & 1]
+        side_b = [t for t in terms if t not in side_a]
+        assert rec["side_a"] == side_a
+        assert rec["g"] == cuts_g.min_cut(side_a, side_b)[0]
+        assert rec["h"] == cuts_h.min_cut(side_a, side_b)[0]
+    # the seeded sample is pinned: the same sides in the same order
+    sides = json.dumps([rec["side_a"] for rec in rep.records]).encode()
+    assert sha256(sides).hexdigest() == (
+        "ca654a801fd9403e5786664fcb6b2b886495c1ccbfbe4f8ebe135a446e042f53")
 
 
 def test_cut_quality_with_small_enum_budget_terminates():
