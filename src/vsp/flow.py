@@ -11,16 +11,17 @@ minimal source side of a minimum cut.
 masks, and `side_matrix` decodes a run of masks into a boolean side matrix,
 one row per split and one column per terminal.  `TerminalCuts` serves the
 sweeps of the sparsest cut and of cut verification, many splits of one
-graph's terminals.  It scales G's arcs once.  `values` prices a pair of
-side matrices with SciPy's compiled Dinic, one call per chunk of rows on a
-block-diagonal stack of copies of G, and returns the scaled integer values
-as an array; `min_cut` runs `Net` for the one split whose certificate a
-caller needs.  SciPy holds capacities, flows and residuals in int32 and
-silently truncates wider capacities.  A residual can reach twice the scaled
-total capacity, so a graph for which that doubled total reaches 2^31 never
-goes to SciPy: its splits are priced one by one in Python.  So are sweeps
-of fewer than `_FEW_SPLITS` splits, for which one SciPy call costs more
-than the Python solves.
+graph's terminals.  It scales G's arcs once.  `chunks` cuts a sweep's
+masks into side matrices of one stacked solve each, and `values` prices one
+such chunk with one call of SciPy's compiled Dinic on a block-diagonal stack
+of copies of G, and returns the scaled integer values as an array;
+`min_cut` runs `Net` for the one split whose certificate a caller needs.
+SciPy holds capacities, flows and residuals in int32 and silently truncates
+wider capacities.  A residual can reach twice the scaled total capacity, so
+a graph for which that doubled total reaches 2^31 never goes to SciPy: its
+splits are priced one by one in Python.  So are chunks of fewer than
+`_FEW_SPLITS` splits, for which one SciPy call costs more than the Python
+solves.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -348,13 +349,14 @@ class TerminalCuts:
     column per terminal in ascending id order, True where the terminal is on
     that side.  `chunks` decodes the masks of `bipartitions` into side-a
     matrices of as many rows as one stacked solve takes, and `values` prices
-    the rows of a side pair.  It stacks one copy of G's arc set per row into
-    a block-diagonal network whose copies share the super-terminals, and one
-    call of SciPy's Dinic solves a chunk of rows.  The copies share no arc,
-    so a maximum flow of the stack is a maximum flow of every copy, and a
-    split's value is the flow that the super-source sends into its copy.
-    SciPy's solver keeps capacities and flows in int32 and silently
-    truncates wider capacities (an arc of 2^40 comes back as a flow of 0).
+    the rows of one chunk's side pair.  It stacks one copy of G's arc set
+    per row into a block-diagonal network whose copies share the
+    super-terminals, and one call of SciPy's Dinic solves them all.  The
+    copies share no arc, so a maximum flow of the stack is a maximum flow of
+    every copy, and a split's value is the flow that the super-source sends
+    into its copy.  SciPy's solver keeps capacities and flows in int32 and
+    silently truncates wider capacities (an arc of 2^40 comes back as a flow
+    of 0).
     An arc u->v and its reverse both carry the summed capacity c < `_big`,
     and a residual is c minus a flow of at least -c, so residuals reach
     2 (`_big` - 1).  When 2 `_big` reaches 2^31 no network of G goes to
@@ -434,10 +436,12 @@ class TerminalCuts:
     def values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
         """The minimum cut value times `den` of every split, a row of the
         side matrices (a terminal may be on neither side), in row order.
-        The rows go to SciPy a chunk at a time when every residual (at most
-        2 `_big`) fits in int32 and there are at least `_FEW_SPLITS` of
-        them; the values are then int64.  Otherwise `min_cut` prices every
-        row and the values are Python ints."""
+        The rows are one chunk, at most as many as `chunks` hands out.  They
+        go to SciPy in one stacked solve when every residual (at most 2
+        `_big`) fits in int32 and there are at least `_FEW_SPLITS` of them;
+        the values are then int64.  Otherwise `min_cut` prices every row,
+        `certificates` keeps the chunk's cuts, and the values are Python
+        ints."""
         if not (side_a.any(axis=1) & side_b.any(axis=1)).all():
             raise InputError("empty source or sink set")
         if (side_a & side_b).any():
@@ -450,10 +454,7 @@ class TerminalCuts:
             ]
             return np.array([int(c.value * self.den) for c in self.certificates], dtype=object)
         self.certificates = None
-        return np.concatenate([
-            self._stack_values(side_a[lo:lo + self._chunk], side_b[lo:lo + self._chunk])
-            for lo in range(0, len(side_a), self._chunk)
-        ])
+        return self._stack_values(side_a, side_b)
 
     def _stack_values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
         """Scaled max-flow values of the rows in one stacked network: copy
@@ -547,16 +548,13 @@ def bipartitions(terms: Sequence[int], budget: int, seed: int = 0) -> tuple[Sequ
 def side_matrix(terms: Sequence[int], masks: Sequence[int]) -> np.ndarray:
     """Side a of every mask of `bipartitions` over `terms`, as a boolean
     matrix with one row per mask and one column per terminal in ascending
-    id order.  Masks of up to 64 bits are unpacked from their uint64 bytes,
-    wider ones from their Python int bytes."""
+    id order.  Masks of any width are unpacked from their little-endian
+    bytes."""
     width = len(terms) - 1
-    if width <= 64:
-        raw = np.asarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    else:
-        size = -(-width // 8)
-        raw = np.frombuffer(
-            b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8
-        ).reshape(-1, size)
+    size = -(-width // 8)
+    raw = np.frombuffer(
+        b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8
+    ).reshape(len(masks), size)
     bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
     column = {t: j for j, t in enumerate(sorted(terms))}
     side_a = np.empty((len(bits), len(terms)), dtype=bool)

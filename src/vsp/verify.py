@@ -1,9 +1,9 @@
 """Independent quality certification.
 
 Cut quality is verified exhaustively: every nontrivial terminal bipartition
-is priced in both graphs with exact arithmetic.  The bipartitions are one
-boolean side matrix (`flow.side_matrix` of the `flow.bipartitions` masks),
-and each graph prices all its rows in compiled sweeps
+is priced in both graphs with exact arithmetic.  Each graph decodes the
+`flow.bipartitions` masks a chunk at a time into a boolean side matrix
+(`TerminalCuts.chunks`) and prices the chunk in one compiled solve
 (`TerminalCuts.values`), so only the records are built split by split.
 Flow quality cannot be enumerated, so the verifier combines (a) exact
 re-checks of every cluster's router certificate, which are the premises of
@@ -18,13 +18,14 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .cutsparse import Sparsifier, lift_cut
 from .errors import BudgetExceeded, InputError
-from .flow import TerminalCuts, bipartitions, flow_conserves, side_matrix
+from .flow import TerminalCuts, bipartitions, flow_conserves
 from .flowsparse import RouterCertificate
 from .graph import CapGraph, SubdividedInstance, congestion, out_capacity, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
@@ -66,6 +67,13 @@ class QualityReport:
         return json.dumps(payload, indent=1)
 
 
+def _priced(cuts: TerminalCuts, terms: list[int], masks: Sequence[int]) -> Iterator:
+    """(side-a row, cut value times `cuts.den`) of every mask, decoded,
+    priced and held one chunk at a time."""
+    for side_a in cuts.chunks(terms, masks):
+        yield from zip(side_a, cuts.values(side_a, ~side_a).tolist())
+
+
 def verify_cut_quality(
     g: CapGraph,
     h: CapGraph,
@@ -73,7 +81,7 @@ def verify_cut_quality(
     seed: int = 0,
 ) -> QualityReport:
     """Price every nontrivial terminal bipartition in G and H exactly,
-    both from the same side matrix, one record per split in mask order.
+    both from the same masks, one record per split in mask order.
     Beyond the enumeration budget a seeded sample is used and flagged."""
     if sorted(g.terminals) != sorted(h.terminals):
         raise InputError("graphs disagree on the terminal set")
@@ -87,16 +95,14 @@ def verify_cut_quality(
     rep.flags["exhaustive"] = exhaustive
     if not exhaustive:
         rep.flags["non_exhaustive"] = True
-    side_a = side_matrix(terms, masks)
     cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
-    values_g = cuts_g.values(side_a, ~side_a).tolist()
-    values_h = cuts_h.values(side_a, ~side_a).tolist()
+    values_h = (vh for _row, vh in _priced(cuts_h, terms, masks))
     # side a in the order of `terms`, as the masks list it
-    in_terms = side_a[:, [sorted(terms).index(t) for t in terms]]
+    in_terms = [sorted(terms).index(t) for t in terms]
     ids = np.array(terms)
     worst = Fraction(1)
-    for i, (row, vg, vh) in enumerate(zip(in_terms, values_g, values_h)):
-        ta = ids[row].tolist()
+    for i, ((row, vg), vh) in enumerate(zip(_priced(cuts_g, terms, masks), values_h)):
+        ta = ids[row[in_terms]].tolist()
         vg, vh = Fraction(vg, cuts_g.den), Fraction(vh, cuts_h.den)
         if vg == 0 and vh == 0:
             ratio = Fraction(1)
@@ -133,7 +139,7 @@ def verify_cut_projection(sp: Sparsifier, seed: int = 0,
     cuts_g, cuts_h = TerminalCuts(g_unit, terms), TerminalCuts(sp.graph, terms)
     ids = np.array(sorted(terms))
     worst = Fraction(1)
-    for i, row in enumerate(side_matrix(terms, masks)):
+    for i, row in enumerate(chain.from_iterable(cuts_g.chunks(terms, masks))):
         ta, tb = ids[row].tolist(), ids[~row].tolist()
         vg, cert = cuts_g.min_cut(ta, tb)
         lifted_side, _steps = lift_cut(g_unit, sp.cmap.clusters, cert.side_a)

@@ -145,6 +145,39 @@ def test_sampled_cut_quality_past_63_terminals():
         "ca654a801fd9403e5786664fcb6b2b886495c1ccbfbe4f8ebe135a446e042f53")
 
 
+def test_cut_quality_holds_one_chunk_at_a_time(monkeypatch):
+    # G's doubled scaled total passes 2^31, so every row is priced in
+    # Python and keeps a certificate; H goes to SciPy.  With 8-row chunks
+    # the 31 splits of 6 terminals take four calls per graph, and no call
+    # holds more than one chunk of rows or of certificates
+    edges = [(1, 2, 10**12), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 6, 3), (6, 1, 1), (2, 5, 2)]
+    terms = [4, 1, 6, 2, 5, 3]
+    g = CapGraph(range(1, 7), edges, terms)
+    h = CapGraph(range(1, 7), [(u, v, min(c, 20)) for u, v, c in edges], terms)
+    whole = verify_cut_quality(g, h)
+    monkeypatch.setattr("vsp.flow._CHUNK_SIZE", 1)
+    priced = []
+    values = TerminalCuts.values
+
+    def recorded(cuts, side_a, side_b):
+        out = values(cuts, side_a, side_b)
+        priced.append((cuts._chunk, len(side_a), cuts.certificates and len(cuts.certificates)))
+        return out
+
+    monkeypatch.setattr(TerminalCuts, "values", recorded)
+    rep = verify_cut_quality(g, h)
+    assert rep.records == whole.records and len(rep.records) == 31
+    assert sorted(rows for _, rows, _ in priced) == [7, 7, 8, 8, 8, 8, 8, 8]
+    assert all(rows <= chunk == 8 for chunk, rows, _ in priced)
+    # G's four chunks keep their certificates, H's full ones do not
+    assert sorted(certs or 0 for _, _, certs in priced) == [0, 0, 0, 7, 7, 8, 8, 8]
+    cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
+    for rec in rep.records:
+        side_b = [t for t in terms if t not in rec["side_a"]]
+        assert rec["g"] == cuts_g.min_cut(rec["side_a"], side_b)[0]
+        assert rec["h"] == cuts_h.min_cut(rec["side_a"], side_b)[0]
+
+
 def test_cut_quality_with_small_enum_budget_terminates():
     g = random_unit_graph(random.Random(7), n=8, m=14, k=4)
     with _deadline(20):
