@@ -15,6 +15,7 @@ asserts that kind, and a mismatch exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -190,7 +191,12 @@ def _add_budget_exp(p: argparse.ArgumentParser):
                    help="boundary-bundle budget for exact exponential procedures")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs about
+    a millisecond, and parsing leaves it unchanged, so every `main` call of
+    an in-process caller reuses it.  It holds no command function; `main`
+    looks the command up when it runs."""
     ap = argparse.ArgumentParser(prog="vsp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -205,7 +211,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="skip the up-front router check (forces the loop)")
     b.add_argument("--out", default=None)
     _add_budget_exp(b)
-    b.set_defaults(fn=cmd_build)
 
     v = sub.add_parser("verify", help="verify a sparsifier against its source graph")
     v.add_argument("input")
@@ -219,7 +224,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget-enum", type=int, default=DEFAULT_CUT_ENUM_BUDGET,
                    help="terminal-count budget for exhaustive cut verification")
     v.add_argument("--delta", type=float, default=1e-6)
-    v.set_defaults(fn=cmd_verify)
 
     gn = sub.add_parser("gen", help="generate a seeded instance")
     gn.add_argument("family", choices=genmod.FAMILIES)
@@ -227,17 +231,16 @@ def make_parser() -> argparse.ArgumentParser:
         gn.add_argument(f"--{field.replace('_', '-')}", type=int, default=None)
     gn.add_argument("--seed", type=int, default=0)
     gn.add_argument("--out", default=None)
-    gn.set_defaults(fn=cmd_gen)
 
     i = sub.add_parser("inspect", help="print instance statistics")
     i.add_argument("input")
-    i.set_defaults(fn=cmd_inspect)
     return ap
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    commands = {"build": cmd_build, "verify": cmd_verify, "gen": cmd_gen, "inspect": cmd_inspect}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,9 @@ class Edge:
 class CapGraph:
     """Immutable capacitated multigraph with an ordered terminal subset."""
 
-    __slots__ = ("vertices", "edges", "terminals", "_adj", "_vset", "_tset")
+    # _lp_skeleton: the routing LP's graph part, which `vsp.routing` compiles
+    # on the first routing over the graph
+    __slots__ = ("vertices", "edges", "terminals", "_adj", "_vset", "_tset", "_lp_skeleton")
 
     def __init__(
         self,
@@ -80,6 +82,7 @@ class CapGraph:
             if e.v != e.u:
                 adj[e.v].append(e)
         self._adj = {v: tuple(lst) for v, lst in adj.items()}
+        self._lp_skeleton = None
 
     # -- basic accessors ---------------------------------------------------
 

@@ -3,23 +3,23 @@
 A sparse two-phase primal simplex with Bland's rule: exact and cycle-free.
 Intended for the small instances this package certifies (a few hundred
 variables); `routing` hands larger routing LPs to HiGHS instead, on the
-same rows, and re-verifies that solver's flow exactly.
+same tiled arrays, and re-verifies that solver's flow exactly.
 
 Representation.  The objective `c` is a dense list, one entry per column.
 Each constraint row comes in sparse, as `(column, coefficient)` pairs with
-no column repeated (the rows `routing._lp_rows` builds); a column left out
-has coefficient 0.  Each tableau row is a `{column: int}` map of its
-nonzero entries plus one positive int denominator: the rational row is
-`ents / den`.  The right-hand side sits in the same map, under the key
-`RHS`, so a zero right-hand side is simply absent.  Rows are gcd-reduced
-after every update, and the initial rows and both objective rows are scaled
-to integers by the lcm of their denominators.  A pivot changes only the
-pivot row's denominator (it becomes the pivot entry), and every other row
-with a nonzero f in the pivot column becomes `row * p - f * prow` over
-`den * p`, where `prow / p` is the new pivot row; the update touches only
-the nonzeros of the two rows, and an entry that cancels is deleted.  The
-ratio test compares b_r / a_r across rows by cross-multiplying, so the row
-denominators cancel.
+no column repeated (`routing._simplex_block` decodes them from the routing
+LP's tiled CSR arrays); a column left out has coefficient 0.  Each tableau
+row is a `{column: int}` map of its nonzero entries plus one positive int
+denominator: the rational row is `ents / den`.  The right-hand side sits
+in the same map, under the key `RHS`, so a zero right-hand side is simply
+absent.  Rows are gcd-reduced after every update, and the initial rows and
+both objective rows are scaled to integers by the lcm of their
+denominators.  A pivot changes only the pivot row's denominator (it
+becomes the pivot entry), and every other row with a nonzero f in the pivot
+column becomes `row * p - f * prow` over `den * p`, where `prow / p` is the
+new pivot row; the update touches only the nonzeros of the two rows, and an
+entry that cancels is deleted.  The ratio test compares b_r / a_r across
+rows by cross-multiplying, so the row denominators cancel.
 
 Every sign test and ratio comparison is thus evaluated exactly on the same
 rational tableau a dense `Fraction` tableau would hold: the entering column

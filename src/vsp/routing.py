@@ -1,16 +1,23 @@
 """Minimum-congestion multicommodity routing (concurrent flow).
 
-Solver strategy: one edge-formulation LP, built once as sparse rows of
-`(column, coefficient)` pairs (`_lp_rows`), goes unchanged to one of two
-solvers, and the solve call is the only branch.  The exact rational simplex
-(`ratlp.solve_lp`) reads the rows as they are; HiGHS reads them as CSR
-arrays, and its x is rounded to multiples of 2^-40.  `exact` picks the
-solver, by default the simplex up to EXACT_LP_MAX_VARS columns and HiGHS
-above.  Either way x is decoded into per-commodity arc flows, and one repair
-(`_assemble`) makes that flow exactly feasible (paths with rational
-amounts, demands met exactly) and reports as eta the exactly evaluated
-congestion of that flow, so a float solve can only overstate eta, never
-understate a certificate.
+Solver strategy: one edge-formulation LP goes unchanged to one of two
+solvers, and the solve call is the only branch.  The LP's graph part (arcs,
+vertex-arc incidence, capacities) is compiled once per graph (`_Skeleton`),
+and `_Skeleton.tile` tiles it for each demand set into CSR arrays whose
+coefficients are codes into two tables, one exact and one float.  HiGHS
+reads the arrays with the float table, and its x is rounded to multiples of
+2^-40, nonzero entries only.  The exact rational simplex (`ratlp.solve_lp`)
+reads the same arrays decoded into `(column, coefficient)` rows with the
+exact table.  `exact` picks the solver, by default the simplex up to
+EXACT_LP_MAX_VARS columns and HiGHS above.  Either way x is decoded into
+per-commodity arc flows, and one repair (`_assemble`) makes that flow
+exactly feasible (paths with rational amounts, demands met exactly) and
+reports as eta the exactly evaluated congestion of that flow, so a float
+solve can only overstate eta, never understate a certificate.
+
+SciPy's `linprog` is this module's attribute `linprog`, imported on the
+first float solve (`__getattr__`): cut mode and small flow LPs never load
+`scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -23,13 +30,12 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import InputError
 from .flow import FlowSolution
 from .graph import CapGraph, SubdividedInstance, congestion
 from .params import ETA_STAR
-from .ratlp import solve_lp
+from .ratlp import ZERO, solve_lp
 
 INFEASIBLE = math.inf
 
@@ -96,13 +102,119 @@ def _commodities(dem: DemandSet, split_pairs: bool) -> dict[int, dict[int, Fract
     return dict(sorted(com.items()))
 
 
-def _arc_list(g: CapGraph) -> list[tuple[int, int]]:
-    return [(e.eid, d) for e in g.edges if e.u != e.v for d in (0, 1)]
+def __getattr__(name: str):
+    """`linprog`, SciPy's, imported and bound here on first use.  Tests and
+    the benchmark's tracer rebind the attribute, and the float solve calls
+    whatever it is bound to."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global linprog
+    from scipy.optimize import linprog
+    return linprog
 
 
 def _arc_ends(g: CapGraph, eid: int, d: int) -> tuple[int, int]:
     e = g.edges[eid]
     return (e.u, e.v) if d == 0 else (e.v, e.u)
+
+
+class _Skeleton:
+    """The part of g's routing LP that no demand set changes.
+
+    Arc 2j + d is direction d of g's j-th non-loop edge, listed in `arcs` as
+    (eid, d); d = 0 runs e.u -> e.v.  The vertex-arc incidence has one entry
+    per (arc, end), sorted by end and then arc: `inc_row` is the end's
+    position in g.vertices, `inc_arc` the arc, and `inc_code` 0 where the
+    arc enters the end (coefficient +1) and 1 where it leaves (-1); `deg`
+    counts the entries per position.  Code 2 + j stands for -cap of edge j.
+    The codes index `exact` (ints and Fractions) and `floats` (their
+    floats)."""
+
+    __slots__ = ("arcs", "pos", "edge_row", "inc_row", "inc_arc", "inc_code", "deg",
+                 "exact", "floats")
+
+    def __init__(self, g: CapGraph):
+        edges = [e for e in g.edges if e.u != e.v]
+        self.arcs = [(e.eid, d) for e in edges for d in (0, 1)]
+        self.pos = {v: p for p, v in enumerate(g.vertices)}
+        self.edge_row = {e.eid: j for j, e in enumerate(edges)}
+        ends = np.array([(self.pos[e.u], self.pos[e.v]) for e in edges], dtype=np.intp)
+        ends = ends.reshape(len(edges), 2)
+        # arc 2j leaves ends[j, 0] for ends[j, 1], and arc 2j + 1 goes back
+        tails, heads = ends.ravel(), ends[:, ::-1].ravel()
+        arc = np.arange(len(self.arcs))
+        row, arc = np.concatenate((heads, tails)), np.concatenate((arc, arc))
+        code = np.repeat(np.arange(2), len(self.arcs))
+        order = np.lexsort((arc, row))
+        self.inc_row, self.inc_arc, self.inc_code = row[order], arc[order], code[order]
+        self.deg = np.bincount(row, minlength=len(self.pos))
+        # integral capacities as ints (negating a Fraction costs a microsecond),
+        # and num / den is float(cap), one correctly rounded division
+        caps = [e.cap for e in edges]
+        self.exact = [1, -1] + [-c.numerator if c.denominator == 1 else -c for c in caps]
+        self.floats = np.array([1.0, -1.0] + [-(c.numerator / c.denominator) for c in caps])
+
+    def tile(self, com: dict[int, dict[int, Fraction]], base: Mapping[int, Fraction]):
+        """The routing LP of the commodities `com` over the fixed load
+        `base`, as (number of columns, equalities, inequalities).  A block
+        is (indptr, indices, codes, rhs): CSR arrays with coefficient codes,
+        and the nonzero right-hand sides by row.
+
+        Column ci * len(arcs) + ai is commodity ci's flow on arc ai, and the
+        last column is the congestion eta.  Equalities, one per (commodity,
+        vertex other than its source) in that order: inflow minus outflow at
+        v equals the demand absorbed at v.  Inequalities, one per non-loop
+        edge: the flow of every commodity on both arcs of e, minus
+        cap_e * eta, is at most -base_e.  Entries of a row are in increasing
+        column order."""
+        n, nA, nC = len(self.pos), len(self.arcs), len(com)
+        src = np.array([self.pos[s] for s in com], dtype=np.intp)[:, None]
+        offset = np.arange(nC)[:, None] * nA
+        # commodity ci's copy of the incidence, without its source's row
+        keep = self.inc_row != src
+        lengths = np.broadcast_to(self.deg, (nC, n))[np.arange(n) != src]
+        eq_rhs = {}
+        for ci, (s, sinks) in enumerate(com.items()):
+            for v, amt in sinks.items():
+                p = self.pos[v]
+                eq_rhs[ci * (n - 1) + p - (p > self.pos[s])] = amt
+        eq = (np.concatenate(([0], np.cumsum(lengths))), (self.inc_arc + offset)[keep],
+              np.broadcast_to(self.inc_code, keep.shape)[keep], eq_rhs)
+        # edge j's row: both arcs of j in every commodity, then eta
+        m = nA // 2
+        cols = np.hstack((2 * np.arange(m)[:, None] + (offset + np.arange(2)).ravel(),
+                          np.full((m, 1), nC * nA)))
+        codes = np.zeros(cols.shape, dtype=np.intp)
+        codes[:, -1] = 2 + np.arange(m)
+        ub_rhs = {self.edge_row[eid]: -v for eid, v in base.items() if v and eid in self.edge_row}
+        ub = (np.arange(m + 1) * (2 * nC + 1), cols.ravel(), codes.ravel(), ub_rhs)
+        return nC * nA + 1, eq, ub
+
+
+def _skeleton(g: CapGraph) -> _Skeleton:
+    """g's routing skeleton, compiled on the first call and kept on g."""
+    if g._lp_skeleton is None:
+        g._lp_skeleton = _Skeleton(g)
+    return g._lp_skeleton
+
+
+def _simplex_block(block, exact: list) -> tuple[list[list[tuple[int, Fraction]]], list[Fraction]]:
+    """A tiled block as the simplex's sparse rows and right-hand sides."""
+    ptr, indices, codes, rhs = block
+    ptr, cols = ptr.tolist(), indices.tolist()
+    vals = [exact[k] for k in codes.tolist()]
+    b = [ZERO] * (len(ptr) - 1)
+    for r, v in rhs.items():
+        b[r] = v
+    return [list(zip(cols[i:j], vals[i:j])) for i, j in zip(ptr, ptr[1:])], b
+
+
+def _highs_block(block, ncols: int, floats: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """A tiled block as HiGHS's CSR matrix and right-hand-side vector."""
+    ptr, indices, codes, rhs = block
+    b = np.zeros(len(ptr) - 1)
+    b[list(rhs)] = [float(v) for v in rhs.values()]
+    return sp.csr_matrix((floats[codes], indices, ptr), shape=(len(b), ncols)), b
 
 
 def min_congestion_routing(
@@ -135,78 +247,41 @@ def min_congestion_routing(
         if comp_of[a] != comp_of[b]:
             return RoutingResult(INFEASIBLE, None)
     com = _commodities(demands, split_pairs)
-    arcs = _arc_list(g)
-    nA = len(arcs)
-    nvars = len(com) * nA + 1
+    sk = _skeleton(g)
+    ncols, eq, ub = sk.tile(com, base)
     if exact is None:
-        exact = nvars <= EXACT_LP_MAX_VARS
-    eq_rows, b_eq, ub_rows, b_ub = _lp_rows(g, com, arcs, base)
-    c = [0] * (nvars - 1) + [1]
+        exact = ncols <= EXACT_LP_MAX_VARS
     if exact:
-        lp = solve_lp(c, ub_rows, b_ub, eq_rows, b_eq)
+        a_eq, b_eq = _simplex_block(eq, sk.exact)
+        a_ub, b_ub = _simplex_block(ub, sk.exact)
+        lp = solve_lp([0] * (ncols - 1) + [1], a_ub, b_ub, a_eq, b_eq)
         if lp.status != "optimal":
             return RoutingResult(INFEASIBLE, None)
-        x, lp_eta = lp.x, float(lp.x[-1])
+        x = {j: v for j, v in enumerate(lp.x[:-1]) if v}
+        lp_eta = float(lp.x[-1])
     else:
-        res = linprog(np.array(c, dtype=float),
-                      A_ub=_csr(ub_rows, nvars), b_ub=np.array([float(b) for b in b_ub]),
-                      A_eq=_csr(eq_rows, nvars), b_eq=np.array([float(b) for b in b_eq]),
-                      bounds=(0, None), method="highs")
+        c = np.zeros(ncols)
+        c[-1] = 1
+        a_ub, b_ub = _highs_block(ub, ncols, sk.floats)
+        a_eq, b_eq = _highs_block(eq, ncols, sk.floats)
+        highs = globals().get("linprog") or __getattr__("linprog")  # see __getattr__
+        res = highs(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                    method="highs")
         if not res.success:
             return RoutingResult(INFEASIBLE, None)
         # dyadic quantization keeps downstream denominators small
-        x = [Fraction(round(v * (1 << 40)), 1 << 40) if v > 1e-13 else 0 for v in res.x.tolist()]
+        cols = np.flatnonzero(res.x[:-1] > 1e-13)
+        x = {}
+        for j, v in zip(cols.tolist(), (res.x[cols] * 2.0**40).tolist()):
+            q = round(v)
+            if q:
+                x[j] = Fraction(q, 1 << 40)
         lp_eta = float(res.x[-1])
-    flows = {
-        ci: {arcs[ai]: x[ci * nA + ai] for ai in range(nA) if x[ci * nA + ai] != 0}
-        for ci in range(len(com))
-    }
+    flows: dict[int, dict[tuple[int, int], Fraction]] = defaultdict(dict)
+    for j, v in x.items():
+        ci, ai = divmod(j, len(sk.arcs))
+        flows[ci][sk.arcs[ai]] = v
     return _assemble(g, com, flows, base, lp_eta, exact)
-
-
-def _lp_rows(g, com, arcs, base):
-    """The routing LP as sparse rows [(column, coefficient), ...] with their
-    right-hand sides.  Column ci * len(arcs) + ai is commodity ci's flow on
-    arc ai, and the last column is the congestion eta.
-
-    Equalities, one per (commodity, vertex other than its source) in that
-    order: inflow minus outflow at v equals the demand absorbed at v.
-    Inequalities, one per non-loop edge: the flow of every commodity on both
-    arcs of e, minus cap_e * eta, is at most -base_e.  Entries of a row are
-    in increasing column order.
-    """
-    nA = len(arcs)
-    eta_col = len(com) * nA
-    incidence: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    edge_arcs: dict[int, list[int]] = defaultdict(list)
-    for ai, (eid, d) in enumerate(arcs):
-        u, w = _arc_ends(g, eid, d)
-        incidence[u].append((ai, -1))
-        incidence[w].append((ai, 1))
-        edge_arcs[eid].append(ai)
-    eq_rows, eq_rhs = [], []
-    for ci, (src, sinks) in enumerate(com.items()):
-        off = ci * nA
-        for v in g.vertices:
-            if v != src:
-                eq_rows.append([(off + ai, s) for ai, s in incidence[v]])
-                eq_rhs.append(sinks.get(v, Fraction(0)))
-    ub_rows, ub_rhs = [], []
-    for e in g.edges:
-        if e.u != e.v:
-            row = [(ci * nA + ai, 1) for ci in range(len(com)) for ai in edge_arcs[e.eid]]
-            row.append((eta_col, -e.cap))
-            ub_rows.append(row)
-            ub_rhs.append(-base.get(e.eid, Fraction(0)))
-    return eq_rows, eq_rhs, ub_rows, ub_rhs
-
-
-def _csr(rows, ncols) -> sp.csr_matrix:
-    """HiGHS's copy of sparse rows [(column, coefficient), ...]."""
-    indptr = np.cumsum([0] + [len(r) for r in rows])
-    cols = [j for r in rows for j, _ in r]
-    vals = [float(v) for r in rows for _, v in r]
-    return sp.csr_matrix((vals, cols, indptr), shape=(len(rows), ncols))
 
 
 def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
@@ -394,7 +469,7 @@ def uniform_router_check(inst: SubdividedInstance) -> tuple[bool, RoutingResult]
     if not ok and not res.exact_lp and res.lp_eta is not None and res.lp_eta < float(ETA_STAR):
         # repair overshot a feasible optimum; one retry on the exact path if
         # remotely affordable, else stay conservative
-        nvars = len(_commodities(dem, True)) * len(_arc_list(inst.graph)) + 1
+        nvars = len(_commodities(dem, True)) * len(_skeleton(inst.graph).arcs) + 1
         if nvars <= 4 * EXACT_LP_MAX_VARS:
             res = min_congestion_routing(
                 inst.graph, dem, base_load=base, split_pairs=True, exact=True

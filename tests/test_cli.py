@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import vsp.cli
 from vsp.cli import main
 from vsp.gen import gen_capacitated
 from vsp.graph import read_graph, subdivide_boundary, write_graph
@@ -271,6 +272,38 @@ def test_bench_build_flags_build_and_verify(tmp_path, capsys):
         assert code == 0, (mode, flags, err)
         code, _, err = run(["verify", str(g), prefix, "--mode", mode], capsys)
         assert code == 0, (mode, flags, err)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; a build, a malformed call and a verify through
+    # it behave as they do on a parser built fresh for each call, and a
+    # command rebound after the parser was built (as a tracer does) runs
+    g = tmp_path / "g.vsp"
+    assert run(["gen", "grid", "--rows", "3", "--cols", "3", "--k", "4", "--out", str(g)],
+               capsys)[0] == 0
+    calls = [["build", str(g), "--mode", "flow", "--out", str(tmp_path / "h")],
+             ["verify", str(g)],
+             ["verify", str(g), str(tmp_path / "h"), "--samples", "2"]]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                got.append(run(argv, capsys))
+            except SystemExit as exc:
+                out = capsys.readouterr()
+                got.append((exc.code, out.out, out.err))
+        return got
+
+    assert vsp.cli.make_parser() is vsp.cli.make_parser()
+    shared = outcomes()
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert "the following arguments are required: sparsifier" in shared[1][2]
+    monkeypatch.setattr(vsp.cli, "cmd_inspect", lambda args: 7)
+    assert main(["inspect", str(g)]) == 7
+    monkeypatch.setattr(vsp.cli, "make_parser", vsp.cli.make_parser.__wrapped__)
+    assert vsp.cli.make_parser() is not vsp.cli.make_parser()
+    assert outcomes() == shared
 
 
 def test_console_entrypoint():

@@ -1,8 +1,11 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import vsp.routing as routing
@@ -14,15 +17,14 @@ from vsp.routing import (
     INFEASIBLE,
     DemandSet,
     _arc_ends,
-    _arc_list,
     _commodities,
-    _lp_rows,
+    _skeleton,
     min_congestion_routing,
     uniform_exchange_demands,
     uniform_router_check,
 )
 
-from util import random_unit_graph, reference_lp_rows
+from util import random_unit_graph, reference_csr, reference_lp_rows
 
 F = Fraction
 
@@ -186,14 +188,21 @@ def test_uniform_exchange_demand_bookkeeping():
     assert list(base.values()) == [F(4, 3)]
 
 
-def test_lp_rows_equal_direct_scan():
-    # the incidence-based assembly emits the rows of the direct arc scans,
-    # in the same order and with the same coefficients; parallel edges, a
-    # self-loop, rational capacities and a base load included
+def test_lp_rows_equal_direct_scan(monkeypatch):
+    # both solvers read the rows of the direct arc scans, in the same order:
+    # the simplex as exact (column, coefficient) rows, HiGHS as the float CSR
+    # arrays and right-hand sides `reference_csr` assembles from them, byte
+    # for byte; parallel edges, a self-loop, rational capacities and a base
+    # load included
     rng = random.Random(7)
     graphs = [random_unit_graph(rng, n, n + 4, k=3) for n in (4, 6, 9)]
     graphs.append(CapGraph([1, 2, 3, 4], [(1, 2, F(3, 2)), (2, 2, 1), (2, 3, 2), (1, 2, 1),
                                           (3, 4, F(1, 3))], [1, 3, 4]))
+    calls = []
+    monkeypatch.setattr(routing, "solve_lp",
+                        lambda *a: calls.append(a) or LpResult("infeasible", [], None))
+    monkeypatch.setattr(routing, "linprog",
+                        lambda *a, **kw: calls.append((a, kw)) or SimpleNamespace(success=False))
     for g in graphs:
         terms = list(g.terminals)
         dem = DemandSet.from_map({(a, b): F(i + 1, 2) for i, (a, b) in
@@ -201,8 +210,71 @@ def test_lp_rows_equal_direct_scan():
         base = {g.edges[0].eid: F(2, 3)}
         for split in (False, True):
             com = _commodities(dem, split)
-            arcs = _arc_list(g)
-            assert _lp_rows(g, com, arcs, base) == reference_lp_rows(g, com, arcs, base)
+            arcs = [(e.eid, d) for e in g.edges if e.u != e.v for d in (0, 1)]
+            eq_rows, eq_rhs, ub_rows, ub_rhs = reference_lp_rows(g, com, arcs, base)
+            ncols = len(com) * len(arcs) + 1
+            calls.clear()
+            for exact in (True, False):
+                res = min_congestion_routing(g, dem, base_load=base, split_pairs=split, exact=exact)
+                assert res.eta == INFEASIBLE
+            (simplex, ((c,), highs)) = calls
+            assert simplex == ([0] * (ncols - 1) + [1], ub_rows, ub_rhs, eq_rows, eq_rhs)
+            assert c.tobytes() == np.array([0] * (ncols - 1) + [1], dtype=float).tobytes()
+            assert (highs["bounds"], highs["method"]) == ((0, None), "highs")
+            for key, rows, rhs in (("ub", ub_rows, ub_rhs), ("eq", eq_rows, eq_rhs)):
+                got, want = highs[f"A_{key}"], reference_csr(rows, ncols)
+                assert got.shape == want.shape
+                for part in ("indptr", "indices", "data"):
+                    assert getattr(got, part).dtype == getattr(want, part).dtype
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+                assert highs[f"b_{key}"].tobytes() == np.array([float(b) for b in rhs]).tobytes()
+
+
+def test_float_decode_rounds_nonzero_entries_as_the_list_decode(monkeypatch):
+    # HiGHS's x carries negative dust, an entry at the 1e-13 cut-off, one
+    # above it that rounds to 0 at 2^-40, entries off the 2^-40 grid and two
+    # halfway between grid points, flows above 2^13 (v * 2^40 > 2^53) and
+    # an eta above 2^13; the decode hands the repair exactly the arc flows
+    # that rounding every entry in a Python list gave
+    g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 1)], [1, 3])
+    big = 3 * 2**13
+    dem = DemandSet.from_map({(1, 3): big})
+    arcs = _skeleton(g).arcs
+    x = [0.0] * len(arcs) + [2.0**13 + 0.3]
+    x[arcs.index((0, 0))] = big / 2 + 2.0**-30  # 1 -> 2
+    x[arcs.index((1, 0))] = big / 2 - 2.0**-20  # 2 -> 3
+    x[arcs.index((3, 1))] = big / 2 - 0.3  # 1 -> 4
+    x[arcs.index((2, 1))] = big / 2 - 0.3  # 4 -> 3
+    x[arcs.index((4, 0))] = 0.3 + 3 * 2.0**-42  # 1 -> 3, off the grid
+    x[arcs.index((4, 1))] = 2.5 * 2.0**-40  # halfway: rounds to 2 steps
+    x[arcs.index((2, 0))] = 5.5 * 2.0**-40  # halfway: rounds to 6 steps
+    x[arcs.index((0, 1))] = -1e-9  # negative dust
+    x[arcs.index((1, 1))] = 1e-13  # at the cut-off
+    x[arcs.index((3, 0))] = 2.0**-42  # above the cut-off, rounds to 0
+    monkeypatch.setattr(routing, "linprog",
+                        lambda *a, **kw: SimpleNamespace(success=True, x=np.array(x)))
+    seen = []
+    real_assemble = routing._assemble
+    monkeypatch.setattr(routing, "_assemble",
+                        lambda *a: seen.append(a[2]) or real_assemble(*a))
+    res = min_congestion_routing(g, dem, exact=False)
+    # the list decode: every entry rounded, zeros dropped per commodity
+    listed = [F(round(v * (1 << 40)), 1 << 40) if v > 1e-13 else 0 for v in x]
+    want_flows = {0: {arcs[ai]: listed[ai] for ai in range(len(arcs)) if listed[ai] != 0}}
+    assert seen == [want_flows]
+    assert want_flows[0][(4, 1)] == F(2, 2**40) and want_flows[0][(2, 0)] == F(6, 2**40)
+    assert not {(0, 1), (1, 1), (3, 0)} & set(want_flows[0])
+    want = real_assemble(g, _commodities(dem, False), want_flows, {}, x[-1], False)
+    assert (res.commodity_arcs, res.eta, res.lp_eta) == (want.commodity_arcs, want.eta, x[-1])
+    assert res.flow.edge_flow == want.flow.edge_flow
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # SciPy's linprog is imported on the first float solve, not with vsp
+    code = ("import sys, vsp.cli, vsp.routing; assert 'scipy.optimize' not in sys.modules; "
+            "vsp.routing.linprog; assert 'scipy.optimize' in sys.modules")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_float_repair_reroutes_a_sink_left_without_flow(monkeypatch):
@@ -211,7 +283,7 @@ def test_float_repair_reroutes_a_sink_left_without_flow(monkeypatch):
     g = CapGraph([1, 2, 3, 4, 5],
                  [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (2, 5, 1), (5, 3, 1)], [1, 2, 3])
     dem = DemandSet.from_map({(1, 2): 1, (1, 3): 2, (2, 3): F(1, 2)})
-    arcs = _arc_list(g)
+    arcs = _skeleton(g).arcs
     real, lost = routing.linprog, []
 
     def lossy(*args, **kwargs):

@@ -8,6 +8,9 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
+import scipy.sparse as sp
+
 from vsp.graph import CapGraph
 
 
@@ -271,7 +274,9 @@ def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
 def reference_lp_rows(g, com, arcs, base):
     """The routing LP rows by direct scans of the arc list: for each
     (commodity, non-source vertex) every arc, and for each non-loop edge
-    every column.  Same output format as vsp.routing._lp_rows."""
+    every column.  Returns (equality rows, their right-hand sides,
+    inequality rows, theirs), each row a list of (column, coefficient)
+    pairs: the form the rational simplex reads."""
     nC, nA = len(com), len(arcs)
 
     def ends(eid, d):
@@ -305,6 +310,15 @@ def reference_lp_rows(g, com, arcs, base):
         ub_rows.append(row)
         ub_rhs.append(-base.get(e.eid, Fraction(0)))
     return eq_rows, eq_rhs, ub_rows, ub_rhs
+
+
+def reference_csr(rows, ncols: int) -> sp.csr_matrix:
+    """Sparse (column, coefficient) rows as a float CSR matrix, assembled
+    from Python lists entry by entry: the reference for what HiGHS reads."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    cols = [j for r in rows for j, _ in r]
+    vals = [float(v) for r in rows for _, v in r]
+    return sp.csr_matrix((vals, cols, indptr), shape=(len(rows), ncols))
 
 
 def rewire_to_terminal(lines: list[str]) -> None:
