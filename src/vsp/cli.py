@@ -91,7 +91,7 @@ def cmd_build(args) -> int:
         "n": sp.graph.n,
         "m": sp.graph.m,
         "k": sp.graph.k,
-        "steiner": sp.graph.n - sp.graph.k,
+        "steiner": sp.steiner_count,
         "clusters": len(sp.cmap.clusters),
         "claimed_q": str(sp.quality),
         "files": [gpath, jpath],

@@ -10,52 +10,27 @@ tally of a piece with boundary z is at most 3z^3, and the z sum to at
 most C.
 
 There is one builder, `build_cut_sparsifier(g, *, budget)`.  It finds only
-the clusters, and H is contracted once by `assemble_cut_sparsifier`, as
-`load_sparsifier` does.
+the clusters, and H is contracted once by `serialize.assemble_cut_sparsifier`,
+as `load_sparsifier` does.  `verify_cut_projection` replays the quality-3
+rounding (`lift_cut`) split by split; `vsp verify` prices each split directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from itertools import chain
+from typing import Iterable
 
-from .decompose import Decomposition, interior_decompositions
+import numpy as np
+
+from .decompose import interior_decompositions
 from .errors import InputError
-from .graph import CapGraph, ContractionMap, contract, out_edges
+from .flow import TerminalCuts, bipartitions
+from .graph import CapGraph, out_capacity, out_edges
+from .serialize import Sparsifier, assemble_cut_sparsifier
 from .sparsecut import DEFAULT_ENUM_BUDGET
-
-if TYPE_CHECKING:
-    from .flowsparse import RouterCertificate
-
-
-@dataclass
-class Sparsifier:
-    """H, a contraction of G, with its claimed quality.  A flow sparsifier is
-    a cut sparsifier plus one router certificate per cluster of `cmap`, in
-    the same order; `kind` reads the mode off `certificates`.  A cut
-    sparsifier's `unit_graph` is G itself.  A flow build's `eps_input`
-    derives `unit_graph` from G (the capacitated unit reduction): G's
-    vertices, terminals and edge ids, with the integer capacities the build
-    used.  H's capacities are then the unit graph's times eps / (2 eta*)."""
-
-    graph: CapGraph  # H, terminals preserved
-    cmap: ContractionMap
-    quality: Fraction  # claimed q
-    unit_graph: CapGraph  # the graph the clusters (and certificates) live on
-    eps_input: Fraction | None = None  # flow only
-    certificates: list[RouterCertificate] | None = None  # None for a cut sparsifier
-    decompositions: list[Decomposition] = field(default_factory=list)
-    log: list[str] = field(default_factory=list)
-    size_bound_met: bool | None = None  # a flow build result; None once loaded
-
-    @property
-    def kind(self) -> str:
-        return "cut" if self.certificates is None else "flow"
-
-    @property
-    def steiner_count(self) -> int:
-        return self.graph.n - self.graph.k
+from .verify import DEFAULT_CUT_ENUM_BUDGET, QualityReport
 
 
 def build_cut_sparsifier(g: CapGraph, *, budget: int = DEFAULT_ENUM_BUDGET) -> Sparsifier:
@@ -67,14 +42,6 @@ def build_cut_sparsifier(g: CapGraph, *, budget: int = DEFAULT_ENUM_BUDGET) -> S
             raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
     decs = interior_decompositions(g, budget)
     return assemble_cut_sparsifier(g, [c.members for dec in decs for c in dec.clusters], decs)
-
-
-def assemble_cut_sparsifier(
-    g: CapGraph, clusters: Iterable[Iterable[int]], decompositions: Iterable[Decomposition] = ()
-) -> Sparsifier:
-    """The cut sparsifier of G that contracts `clusters`, claiming quality 3."""
-    h, cmap = contract(g, clusters)
-    return Sparsifier(h, cmap, Fraction(3), g, decompositions=list(decompositions))
 
 
 @dataclass(frozen=True)
@@ -124,3 +91,38 @@ def lift_cut(
             x |= members
             steps.append(LiftStep(members, "X", e_y, inner))
     return x, steps
+
+
+def verify_cut_projection(sp: Sparsifier, seed: int = 0,
+                          enum_budget: int = DEFAULT_CUT_ENUM_BUDGET) -> QualityReport:
+    """Exercise the rounding argument directly: for every enumerated
+    bipartition, project H's minimum cut to the unit graph G (equal value)
+    and lift G's minimum cut to an H-cut of at most 3x the value."""
+    g_unit = sp.unit_graph
+    rep = QualityReport("cut", None)
+    terms = list(g_unit.terminals)
+    if len(terms) < 2:
+        rep.q_observed = Fraction(1)
+        return rep
+    masks, exhaustive = bipartitions(terms, enum_budget, seed)
+    rep.flags["exhaustive"] = exhaustive
+    cuts_g, cuts_h = TerminalCuts(g_unit, terms), TerminalCuts(sp.graph, terms)
+    ids = np.array(sorted(terms))
+    worst = Fraction(1)
+    for i, row in enumerate(chain.from_iterable(cuts_g.chunks(terms, masks))):
+        ta, tb = ids[row].tolist(), ids[~row].tolist()
+        vg, cert = cuts_g.min_cut(ta, tb)
+        lifted_side, _steps = lift_cut(g_unit, sp.cmap.clusters, cert.side_a)
+        lifted_val = out_capacity(g_unit, lifted_side)
+        if vg > 0 and lifted_val > 3 * vg:
+            rep.violations.append(f"test {i}: lift {lifted_val} > 3 x {vg}")
+        # projection: H's min cut expands to a G-cut of identical value
+        vh, hcert = cuts_h.min_cut(ta, tb)
+        back = sp.cmap.preimage(hcert.side_a)
+        if out_capacity(sp.graph, hcert.side_a) != out_capacity(g_unit, back):
+            rep.violations.append(f"test {i}: projection changed the cut value")
+        if vg > 0:
+            worst = max(worst, lifted_val / vg)
+        rep.records.append({"id": i, "g": vg, "lift": lifted_val, "h": vh})
+    rep.q_observed = worst
+    return rep

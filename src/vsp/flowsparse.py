@@ -12,7 +12,9 @@ contracted in one step.
 
 There is one builder, `build_flow_sparsifier(g, eps=None)`.  Its search,
 recursion included, returns router certificates only, and H is contracted
-once by `assemble_flow_sparsifier`, as `load_sparsifier` does.  It searches
+once by `serialize.assemble_flow_sparsifier`, as `load_sparsifier` does;
+the certificate record and the capacitated unit reduction live there too,
+so the checker reads them without this module.  It searches
 each strong-decomposition cluster on the instance G_S the cluster keeps and
 relies on its exact 1/3 verdict, so a build solves only the exchange LP;
 `vsp verify` rechecks well-linkedness.  The terminals of every G_S are
@@ -32,33 +34,21 @@ quality certified empirically per output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cutsparse import Sparsifier
 from .decompose import Decomposition, interior_decompositions, strong_decompose, weak_decompose
-from .errors import BudgetExceeded, InputError, ParamError
+from .errors import BudgetExceeded, InputError
 from .flow import Net
-from .graph import (
-    CapGraph,
-    ContractionMap,
-    SubdividedInstance,
-    congestion,
-    contract,
-    out_capacity,
-    out_edges,
-    subdivide_boundary,
-    unit_expand,
-)
+from .graph import CapGraph, ContractionMap, SubdividedInstance, congestion, contract
+from .graph import out_capacity, out_edges, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD, beta_fcg, rational_log2, weak_threshold
-from .routing import (
-    INFEASIBLE,
-    DemandSet,
-    min_congestion_routing,
-    uniform_router_check,
-)
+from .routing import INFEASIBLE, DemandSet, min_congestion_routing, uniform_router_check
+from .serialize import RouterCertificate, Sparsifier
+from .serialize import assemble_flow_sparsifier, capacitated_unit_reduction
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked, sparsest_cut
 
 AGGRESSIVE_R = 3
@@ -77,25 +67,10 @@ class FlowParams:
     # enters the contraction loop even on router interiors (witnesses then
     # surface and are cross-checked), which is the aggressive profile's job
     precheck_router: bool = True
-    _r_cache: dict[int, int] = field(default_factory=dict)
 
     def r(self, k: int) -> int:
-        """Smallest integer r with r > 24 beta(k*) / alpha_w(k*) for
-        k* = 2 k r log r (alpha_w = weak_threshold), found by fixpoint
-        iteration."""
-        if self.profile == "aggressive":
-            return AGGRESSIVE_R
-        if k in self._r_cache:
-            return self._r_cache[k]
-        r = 2
-        while True:
-            kstar = self.k_star(k, r)
-            need = 24 * beta_fcg(kstar) / weak_threshold(kstar)
-            if r > need:
-                break
-            r = max(r + 1, int(math.ceil(float(need))))
-        self._r_cache[k] = r
-        return r
+        """AGGRESSIVE_R, or the theoretical fixpoint `_fixpoint_r(k)`."""
+        return AGGRESSIVE_R if self.profile == "aggressive" else _fixpoint_r(k)
 
     @staticmethod
     def k_star(k: int, r: int) -> int:
@@ -122,28 +97,22 @@ class FlowParams:
         return val
 
 
+@functools.cache
+def _fixpoint_r(k: int) -> int:
+    """Smallest integer r with r > 24 beta(k*) / alpha_w(k*) for
+    k* = 2 k r log r (alpha_w = weak_threshold), found by fixpoint
+    iteration.  It depends on k alone, so each k is iterated once."""
+    r = 2
+    while True:
+        kstar = FlowParams.k_star(k, r)
+        need = 24 * beta_fcg(kstar) / weak_threshold(kstar)
+        if r > need:
+            return r
+        r = max(r + 1, int(math.ceil(float(need))))
+
+
 # --------------------------------------------------------------------------
 # certificates
-
-
-@dataclass
-class RouterCertificate:
-    """A good-router certificate for one cluster, holding only the witness:
-    the cluster's members, the congestion eta its exchange flow attains, and
-    the flow itself.  Everything else is a function of the cluster's
-    instance G_S = `subdivide_boundary(g, members)` and is derived from it
-    wherever it is needed: the boundary edges and their bundle weights w_e,
-    their total z, the well-linkedness claim (alpha = 1/3 when z > 1,
-    nothing to claim when z <= 1), and the fixed hairpin load
-    2 w_e (w_e - 1) / z on every bundle with w_e > 1."""
-
-    members: frozenset[int]
-    eta: Fraction
-    # per-source fan-out arc flows on G_S, keyed by the source boundary edge
-    # id; arcs are (parent edge id of the instance edge, direction on the
-    # instance edge).  When z > 1 there is one entry for every boundary edge
-    # e with w_e < z; a lone bundle (w_e = z) exchanges nothing and has none.
-    commodity_arcs: dict[int, dict[tuple[int, int], Fraction]]
 
 
 def is_good_router(
@@ -997,22 +966,6 @@ def _well_linked_routers(
     return certs, gp.n - k <= f_k
 
 
-def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
-    """G with every capacity capped at C, rescaled by 2 eta* / eps and
-    rounded up: `unit_expand(g, eps / (2 eta*))`, so G's vertices, terminals
-    and edge ids, each edge's multiplicity as its integer capacity."""
-    if not (0 < eps < 1):
-        raise ParamError(f"eps must be in (0,1), got {eps}")
-    scale = 2 * ETA_STAR / eps
-    g2 = unit_expand(g, 1 / scale)
-    cap_bound = g.terminal_capacity()
-    for e, e2 in zip(g.edges, g2.edges):
-        c = min(e.cap, cap_bound)
-        if not scale * c <= e2.cap <= (2 * ETA_STAR + eps) / eps * c:
-            raise AssertionError("capacity rescaling left its bracket")
-    return g2
-
-
 def build_flow_sparsifier(
     g: CapGraph, eps: Fraction | int | str | None = None, params: FlowParams | None = None
 ) -> Sparsifier:
@@ -1037,37 +990,3 @@ def build_flow_sparsifier(
     )
     certs.sort(key=lambda c: min(c.members))
     return assemble_flow_sparsifier(g, eps, certs, decs, log, size_ok)
-
-
-def assemble_flow_sparsifier(
-    g: CapGraph,
-    eps: Fraction | None,
-    certificates: list[RouterCertificate],
-    decompositions: Iterable[Decomposition] = (),
-    log: Iterable[str] = (),
-    size_bound_met: bool | None = None,
-) -> Sparsifier:
-    """The flow sparsifier of G that contracts every certificate's cluster.
-    Without eps G is the unit graph and the claimed quality is 2 eta*.  With
-    it, the clusters are contracted in G's capacitated unit reduction, H's
-    capacities are scaled back by eps / (2 eta*) and the claimed quality is
-    2 eta* + eps.
-
-    This is the one assembly of a build and of `load_sparsifier`.  Load has
-    only G and the sidecar, so the reduction is derived here from G, and an
-    eps build, which searched the same reduction, computes it a second time:
-    an O(n+m) cost per build, kept so that both paths share this code."""
-    clusters = [c.members for c in certificates]
-    if eps is None:
-        h, cmap = contract(g, clusters)
-        gunit, quality = g, 2 * ETA_STAR
-    else:
-        gunit = capacitated_unit_reduction(g, eps)
-        hu, cmap = contract(gunit, clusters)
-        back = eps / (2 * ETA_STAR)
-        h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * back) for e in hu.edges], g.terminals)
-        quality = 2 * ETA_STAR + eps
-    return Sparsifier(
-        h, cmap, quality, gunit, eps, certificates=certificates,
-        decompositions=list(decompositions), log=list(log), size_bound_met=size_bound_met,
-    )

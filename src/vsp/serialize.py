@@ -1,4 +1,11 @@
-"""Sparsifier serialization.
+"""What a sparsifier file is: the record, its two assemblies and the codec.
+
+A `Sparsifier` (H, a contraction of G, with its claim, plus one
+`RouterCertificate` per cluster in flow mode) is made only by
+`assemble_cut_sparsifier` or `assemble_flow_sparsifier`: a builder calls one
+once after its search, and `load_sparsifier` calls it on the sidecar.  No
+search code is imported here, so `vsp verify` trusts only the contraction
+and its certificates.
 
 The main file is the graph text format followed by `map <supernode>
 <original vertices>` lines and, for flow sparsifiers, `cert <supernode> eta
@@ -25,25 +32,128 @@ files claim, so `vsp build` reports them and a loaded sparsifier has
 
 A pair of files is accepted only if it is byte for byte what
 `save_sparsifier` writes for the sparsifier it describes.  Loading parses
-the sidecar, rebuilds H from the source graph through the builders' own
-assembly (`assemble_cut_sparsifier`, `assemble_flow_sparsifier`), renders
-the rebuilt sparsifier and compares the result with both files.  The
-claimed quality is derived, never read, so a changed claim, edge, capacity,
-terminal, map or cert line, or an extra sidecar key, is rejected before
-anything is verified.
+the sidecar, rebuilds H from the source graph through the assembly of its
+kind, renders the rebuilt sparsifier and compares the result with both
+files.  The claimed quality is derived, never read, so a changed claim,
+edge, capacity, terminal, map or cert line, or an extra sidecar key, is
+rejected before anything is verified.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterable
 
-from .cutsparse import assemble_cut_sparsifier
-from .errors import InputError
-from .flowsparse import RouterCertificate, assemble_flow_sparsifier
-from .graph import CapGraph, _format_cap, _parse_cap, graph_lines
+from .errors import InputError, ParamError
+from .graph import CapGraph, ContractionMap, _format_cap, _parse_cap, contract, graph_lines
+from .graph import unit_expand
+from .params import ETA_STAR
 
 
-def _render(sp) -> tuple[str, str]:
+@dataclass
+class RouterCertificate:
+    """A good-router certificate for one cluster, holding only the witness:
+    the cluster's members, the congestion eta its exchange flow attains, and
+    the flow itself.  What G_S = `subdivide_boundary(g, members)` determines
+    is derived wherever it is needed: the bundle weights w_e and their total
+    z, the 1/3 well-linkedness claim when z > 1, and the hairpin load
+    2 w_e (w_e - 1) / z on every bundle with w_e > 1."""
+
+    members: frozenset[int]
+    eta: Fraction
+    # per-source fan-out arc flows on G_S, keyed by the source boundary edge
+    # id; arcs are (parent edge id of the instance edge, direction on the
+    # instance edge).  When z > 1 there is one entry for every boundary edge
+    # e with w_e < z; a lone bundle (w_e = z) exchanges nothing and has none.
+    commodity_arcs: dict[int, dict[tuple[int, int], Fraction]]
+
+
+@dataclass
+class Sparsifier:
+    """H, a contraction of G, with its claimed quality.  A flow sparsifier is
+    a cut sparsifier plus one router certificate per cluster of `cmap`, in
+    the same order; `kind` reads the mode off `certificates`.  A cut
+    sparsifier's `unit_graph` is G itself.  A flow build's `eps_input`
+    derives `unit_graph` from G (the capacitated unit reduction): G's
+    vertices, terminals and edge ids, with the integer capacities the build
+    used.  H's capacities are then the unit graph's times eps / (2 eta*)."""
+
+    graph: CapGraph  # H, terminals preserved
+    cmap: ContractionMap
+    quality: Fraction  # claimed q
+    unit_graph: CapGraph  # the graph the clusters (and certificates) live on
+    eps_input: Fraction | None = None  # flow only
+    certificates: list[RouterCertificate] | None = None  # None for a cut sparsifier
+    decompositions: list = field(default_factory=list)  # a build's decompose.Decomposition
+    log: list[str] = field(default_factory=list)
+    size_bound_met: bool | None = None  # a flow build result; None once loaded
+
+    @property
+    def kind(self) -> str:
+        return "cut" if self.certificates is None else "flow"
+
+    @property
+    def steiner_count(self) -> int:
+        return self.graph.n - self.graph.k
+
+
+def assemble_cut_sparsifier(
+    g: CapGraph, clusters: Iterable[Iterable[int]], decompositions: Iterable = ()
+) -> Sparsifier:
+    """The cut sparsifier of G that contracts `clusters`, claiming quality 3."""
+    h, cmap = contract(g, clusters)
+    return Sparsifier(h, cmap, Fraction(3), g, decompositions=list(decompositions))
+
+
+def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
+    """G with every capacity capped at C, rescaled by 2 eta* / eps and
+    rounded up: `unit_expand(g, eps / (2 eta*))`, so G's vertices, terminals
+    and edge ids, each edge's multiplicity as its integer capacity."""
+    if not (0 < eps < 1):
+        raise ParamError(f"eps must be in (0,1), got {eps}")
+    scale = 2 * ETA_STAR / eps
+    g2 = unit_expand(g, 1 / scale)
+    cap_bound = g.terminal_capacity()
+    for e, e2 in zip(g.edges, g2.edges):
+        c = min(e.cap, cap_bound)
+        if not scale * c <= e2.cap <= (2 * ETA_STAR + eps) / eps * c:
+            raise AssertionError("capacity rescaling left its bracket")
+    return g2
+
+
+def assemble_flow_sparsifier(
+    g: CapGraph,
+    eps: Fraction | None,
+    certificates: list[RouterCertificate],
+    decompositions: Iterable = (),
+    log: Iterable[str] = (),
+    size_bound_met: bool | None = None,
+) -> Sparsifier:
+    """The flow sparsifier of G that contracts every certificate's cluster.
+    Without eps G is the unit graph and the claimed quality is 2 eta*.  With
+    it, the clusters are contracted in G's capacitated unit reduction, H's
+    capacities are scaled back by eps / (2 eta*) and the claimed quality is
+    2 eta* + eps.  An eps build, which searched the same reduction, thus
+    computes it twice: an O(n+m) cost kept so that load shares this code."""
+    clusters = [c.members for c in certificates]
+    if eps is None:
+        h, cmap = contract(g, clusters)
+        gunit, quality = g, 2 * ETA_STAR
+    else:
+        gunit = capacitated_unit_reduction(g, eps)
+        hu, cmap = contract(gunit, clusters)
+        back = eps / (2 * ETA_STAR)
+        h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * back) for e in hu.edges], g.terminals)
+        quality = 2 * ETA_STAR + eps
+    return Sparsifier(
+        h, cmap, quality, gunit, eps, certificates=certificates,
+        decompositions=list(decompositions), log=list(log), size_bound_met=size_bound_met,
+    )
+
+
+def _render(sp: Sparsifier) -> tuple[str, str]:
     """The `.vsp` text and the JSON sidecar text of a sparsifier."""
     h = sp.graph
     flow = sp.kind == "flow"
@@ -81,7 +191,7 @@ def _paths(path_prefix: str) -> tuple[str, str]:
     return f"{path_prefix}.vsp", f"{path_prefix}.cert.json"
 
 
-def save_sparsifier(sp, path_prefix: str) -> tuple[str, str]:
+def save_sparsifier(sp: Sparsifier, path_prefix: str) -> tuple[str, str]:
     """Write `<prefix>.vsp` (graph + map + cert lines) and
     `<prefix>.cert.json`.  Returns the two paths."""
     paths = _paths(path_prefix)
@@ -101,7 +211,7 @@ def _certificate(members: frozenset[int], c: dict) -> RouterCertificate:
     return RouterCertificate(members, _parse_cap(c["eta"]), arcs)
 
 
-def _rebuild(g: CapGraph, payload: dict):
+def _rebuild(g: CapGraph, payload: dict) -> Sparsifier:
     clusters = [frozenset(map(int, c)) for c in payload["clusters"]]
     if payload["kind"] == "cut":
         return assemble_cut_sparsifier(g, clusters)
@@ -114,7 +224,7 @@ def _rebuild(g: CapGraph, payload: dict):
     return assemble_flow_sparsifier(g, eps, certs)
 
 
-def load_sparsifier(g: CapGraph, path_prefix: str):
+def load_sparsifier(g: CapGraph, path_prefix: str) -> Sparsifier:
     """Rebuild the sparsifier saved under `path_prefix` from its source graph
     G and its sidecar.  Raises InputError unless both files are exactly what
     `save_sparsifier` writes for the rebuilt sparsifier."""

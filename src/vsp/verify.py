@@ -10,6 +10,8 @@ re-checks of every cluster's router certificate, which are the premises of
 the contraction quality argument, (b) sampled demand sets compared through
 the LP at tolerance delta, and (c) the constructive re-routing of each
 H-flow through the cluster routers, whose congestion is evaluated exactly.
+
+The checker reads the `serialize` records and imports no search code.
 """
 
 from __future__ import annotations
@@ -18,18 +20,16 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cutsparse import Sparsifier, lift_cut
 from .errors import BudgetExceeded, InputError
 from .flow import TerminalCuts, bipartitions, flow_conserves
-from .flowsparse import RouterCertificate
-from .graph import CapGraph, SubdividedInstance, congestion, out_capacity, subdivide_boundary
+from .graph import CapGraph, SubdividedInstance, congestion, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
 from .routing import INFEASIBLE, DemandSet, RoutingResult, min_congestion_routing
+from .serialize import RouterCertificate, Sparsifier
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked
 
 DEFAULT_CUT_ENUM_BUDGET = 16
@@ -119,41 +119,6 @@ def verify_cut_quality(
         if ratio is not None:
             worst = max(worst, ratio)
     rep.flags["tests"] = len(rep.records)
-    rep.q_observed = worst
-    return rep
-
-
-def verify_cut_projection(sp: Sparsifier, seed: int = 0,
-                          enum_budget: int = DEFAULT_CUT_ENUM_BUDGET) -> QualityReport:
-    """Exercise the rounding argument directly: for every enumerated
-    bipartition, project H's minimum cut to the unit graph G (equal value)
-    and lift G's minimum cut to an H-cut of at most 3x the value."""
-    g_unit = sp.unit_graph
-    rep = QualityReport("cut", None)
-    terms = list(g_unit.terminals)
-    if len(terms) < 2:
-        rep.q_observed = Fraction(1)
-        return rep
-    masks, exhaustive = bipartitions(terms, enum_budget, seed)
-    rep.flags["exhaustive"] = exhaustive
-    cuts_g, cuts_h = TerminalCuts(g_unit, terms), TerminalCuts(sp.graph, terms)
-    ids = np.array(sorted(terms))
-    worst = Fraction(1)
-    for i, row in enumerate(chain.from_iterable(cuts_g.chunks(terms, masks))):
-        ta, tb = ids[row].tolist(), ids[~row].tolist()
-        vg, cert = cuts_g.min_cut(ta, tb)
-        lifted_side, _steps = lift_cut(g_unit, sp.cmap.clusters, cert.side_a)
-        lifted_val = out_capacity(g_unit, lifted_side)
-        if vg > 0 and lifted_val > 3 * vg:
-            rep.violations.append(f"test {i}: lift {lifted_val} > 3 x {vg}")
-        # projection: H's min cut expands to a G-cut of identical value
-        vh, hcert = cuts_h.min_cut(ta, tb)
-        back = sp.cmap.preimage(hcert.side_a)
-        if out_capacity(sp.graph, hcert.side_a) != out_capacity(g_unit, back):
-            rep.violations.append(f"test {i}: projection changed the cut value")
-        if vg > 0:
-            worst = max(worst, lifted_val / vg)
-        rep.records.append({"id": i, "g": vg, "lift": lifted_val, "h": vh})
     rep.q_observed = worst
     return rep
 
@@ -357,12 +322,13 @@ def recheck_router_certificates(sp: Sparsifier, budget: int = DEFAULT_ENUM_BUDGE
     pendant edge.
 
     The checks: the clusters are disjoint, terminal-free and connected;
-    every fan-out conserves flow and delivers w_i w_j / z to every other
-    bundle, and a certificate with z > 1 carries one for every boundary
-    edge with w_e < z (a lone bundle with w_e = z exchanges nothing);
-    the fan-outs plus the hairpin loads have congestion exactly the stored
-    eta, which is at most eta* (a cluster with z <= 1 stores eta 0 and no
-    flows); and every z > 1 cluster is 1/3-well-linked.  The
+    every fan-out puts positive flow on arcs of direction 0 or 1 only, so
+    no entry lowers a load, conserves flow and delivers w_i w_j / z to
+    every other bundle, and a certificate with z > 1 carries one for every
+    boundary edge with w_e < z (a lone bundle with w_e = z exchanges
+    nothing); the fan-outs plus the hairpin loads have congestion exactly
+    the stored eta, which is at most eta* (a cluster with z <= 1 stores eta
+    0 and no flows); and every z > 1 cluster is 1/3-well-linked.  The
     well-linked test enumerates at most `budget` boundary bundles; a cluster
     beyond it is reported "skipped (budget)" and its index listed under
     "skipped": work not done, not passed."""
@@ -434,6 +400,8 @@ def _recheck_one_router(inst: SubdividedInstance, cert: RouterCertificate) -> st
         for (geid, d), v in arcs.items():
             if geid not in to_inst:
                 return f"flow on edge {geid} outside the cluster"
+            if v <= 0 or d not in (0, 1):
+                return f"arc flow {v} on edge {geid} direction {d}: not positive on arc 0 or 1"
             inst_arcs[(to_inst[geid], d)] = v
             load[geid] = load.get(geid, Fraction(0)) + v
         # expected divergence: the source pendant ships w_i w_j / z to each

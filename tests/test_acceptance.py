@@ -16,7 +16,6 @@ from vsp.decompose import certify_decomposition, weak_decompose
 from vsp.flow import max_flow
 from vsp.flowsparse import (
     FlowParams,
-    RouterCertificate,
     balanced_cut_refine,
     build_flow_sparsifier,
     contract_procedure,
@@ -30,7 +29,7 @@ from vsp.graph import CapGraph, contract, out_capacity, subdivide_boundary
 from vsp.params import weak_threshold
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.sparsecut import sparsest_cut_exact
-from vsp.serialize import load_sparsifier, save_sparsifier
+from vsp.serialize import RouterCertificate, load_sparsifier, save_sparsifier
 from vsp.verify import (
     recheck_router_certificates,
     reroute_through_clusters,
@@ -493,6 +492,16 @@ def test_criterion_10_sabotage(tmp_path, cut_built, flow_built):
             arcs2 = dict(cert.commodity_arcs)
             del arcs2[src]
             variants.append(("drop-commodity", arcs2, cert.members))
+            # conservation holds after either edit, but a negative flow or a
+            # direction other than 0/1 must not pass for a lighter load
+            minus = dict(cert.commodity_arcs[src])
+            for d in (0, 1):
+                minus[(key[0], d)] = minus.get((key[0], d), F(0)) - F(1, 8)
+            variants.append(("both-arcs-minus", {**cert.commodity_arcs, src: minus}, cert.members))
+            flip = next(k for k in cert.commodity_arcs[src] if k[1] == 1)
+            rekeyed = {(e, 2) if (e, d) == flip else (e, d): v
+                       for (e, d), v in cert.commodity_arcs[src].items()}
+            variants.append(("direction-2", {**cert.commodity_arcs, src: rekeyed}, cert.members))
         if len(cert.members) > 1:
             variants.append(
                 ("drop-member", cert.commodity_arcs, frozenset(sorted(cert.members)[1:]))

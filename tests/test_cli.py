@@ -9,8 +9,9 @@ import pytest
 
 import vsp.cli
 from vsp.cli import main
-from vsp.gen import gen_capacitated
+from vsp.gen import gen_capacitated, gen_dumbbell
 from vsp.graph import read_graph, subdivide_boundary, write_graph
+from vsp.serialize import assemble_cut_sparsifier, save_sparsifier
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
 
@@ -116,6 +117,19 @@ def test_verify_sabotaged_exits_one(tmp_path, capsys):
     hfile.write_text("\n".join(lines) + "\n")
     code, _, err = run(["verify", str(g), str(tmp_path / "h"), "--mode", "cut"], capsys)
     assert code in (1, 2)  # caught as mismatch or as a quality violation
+
+
+def test_verify_cut_over_claim_exits_one(tmp_path, capsys):
+    # one cluster over both halves of the dumbbell erases its bridge: the
+    # split the bridge separates costs 1 in G and 4 in H, above the claimed 3
+    g = gen_dumbbell(k=8, side=4, seed=0)
+    inner = [v for v in g.vertices if not g.is_terminal(v)]
+    write_graph(g, str(tmp_path / "g.vsp"))
+    save_sparsifier(assemble_cut_sparsifier(g, [inner]), str(tmp_path / "h"))
+    code, out, _ = run(["verify", str(tmp_path / "g.vsp"), str(tmp_path / "h")], capsys)
+    report = json.loads(out.split("\n", 1)[1])
+    assert (code, report["q_observed"]) == (1, "4")
+    assert report["violations"] == ["q_observed 4.0000 above claimed 3"]
 
 
 def test_verify_fan_out_on_unknown_edge_exits_one(tmp_path, capsys):

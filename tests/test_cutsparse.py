@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from vsp.cutsparse import build_cut_sparsifier, lift_cut
+from vsp.cutsparse import build_cut_sparsifier, lift_cut, verify_cut_projection
 from vsp.errors import InputError
 from vsp.graph import CapGraph, out_capacity, unit_expand
-from vsp.verify import verify_cut_projection, verify_cut_quality
+from vsp.verify import verify_cut_quality
 
 from util import random_unit_graph
 

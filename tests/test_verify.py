@@ -10,19 +10,20 @@ from hashlib import sha256
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from vsp.cutsparse import build_cut_sparsifier
+from vsp import cli
+from vsp.cutsparse import build_cut_sparsifier, verify_cut_projection
 from vsp.errors import InputError
 from vsp.flow import TerminalCuts, bipartitions, side_matrix
-from vsp.flowsparse import (
-    FlowParams,
+from vsp.flowsparse import FlowParams, build_flow_sparsifier
+from vsp.gen import gen_grid
+from vsp.graph import CapGraph, subdivide_boundary, write_graph
+from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
+from vsp.serialize import (
     RouterCertificate,
     assemble_flow_sparsifier,
-    build_flow_sparsifier,
+    load_sparsifier,
+    save_sparsifier,
 )
-from vsp.gen import gen_grid
-from vsp.graph import CapGraph, subdivide_boundary
-from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
-from vsp.serialize import load_sparsifier, save_sparsifier
 import vsp.verify as verify
 from vsp.verify import (
     demand_strategies,
@@ -217,7 +218,7 @@ def test_cut_quality_reports_a_cut_only_h_has():
     # one terminal has no bipartition to price
     lone = CapGraph([1, 2], [(1, 2, 1)], [1])
     assert verify_cut_quality(lone, lone).q_observed == 1
-    assert verify.verify_cut_projection(build_cut_sparsifier(lone)).q_observed == 1
+    assert verify_cut_projection(build_cut_sparsifier(lone)).q_observed == 1
     assert demand_strategies(lone, "uniform", 3, 0) == []
 
 
@@ -447,6 +448,28 @@ def test_router_recheck_requires_the_exact_eta():
                    RouterCertificate(frozenset({2}), F(0), {0: {(0, 0): F(1)}})):
         rep = recheck_router_certificates(assemble_flow_sparsifier(leaf, None, [stored]))
         assert rep["ok"] == (stored.eta == 0 and not stored.commodity_arcs)
+
+
+def test_verify_rejects_an_eta_forged_with_negative_arc_flows(tmp_path, capsys):
+    # 1/8 off both arcs of every fan-out edge keeps conservation and lowers
+    # the summed load from the true 3/2 to 3/4, the eta this file claims
+    g = gen_grid(4, 4, k=4, seed=0)
+    sp = build_flow_sparsifier(g)
+    (cert,) = sp.certificates
+    assert cert.eta == F(3, 2)
+    forged = {
+        src: {(e, d): arcs.get((e, d), F(0)) - F(1, 8) for e, _ in arcs for d in (0, 1)}
+        for src, arcs in cert.commodity_arcs.items()
+    }
+    sp.certificates[0] = RouterCertificate(cert.members, F(3, 4), forged)
+    write_graph(g, str(tmp_path / "g.vsp"))
+    save_sparsifier(sp, str(tmp_path / "sp"))
+    assert cli.main(["verify", str(tmp_path / "g.vsp"), str(tmp_path / "sp")]) == 1
+    report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert report["budget_flags"]["certificates"] == "failed"
+    assert report["violations"][0].startswith(
+        "certificate check router-flows: cluster 0: arc flow -1/8 on edge"
+    )
 
 
 def _capacitated_router():
