@@ -3,7 +3,9 @@
 `vsp build` calls the one builder of its mode, which contracts G once.  Cut
 mode decomposes G itself for any capacities >= 1 and ignores `--eps`.  Flow
 mode passes `--eps` to its builder as given, and the builder picks eps when
-it is absent.  A malformed `--eps` exits 2 in either mode.
+it is absent.  A malformed `--eps` exits 2 in either mode.  The summary line
+a flow build prints holds `size_bound_met`, the size verdict that
+`build_flow_sparsifier` returns next to the sparsifier; no file stores it.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 budget refusal, which `vsp verify` also returns when it found no violation
@@ -75,9 +77,10 @@ def cmd_build(args) -> int:
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
     try:
         if args.mode == "cut":
-            sp = build_cut_sparsifier(g, budget=args.budget_exp)
+            sp, build_result = build_cut_sparsifier(g, budget=args.budget_exp), {}
         else:
-            sp = build_flow_sparsifier(g, eps, params)
+            sp, size_bound_met = build_flow_sparsifier(g, eps, params)
+            build_result = {"size_bound_met": size_bound_met}
     except BudgetExceeded as exc:
         return _fail(EXIT_BUDGET, "budget", str(exc))
     except VspError as exc:
@@ -95,9 +98,8 @@ def cmd_build(args) -> int:
         "clusters": len(sp.cmap.clusters),
         "claimed_q": str(sp.quality),
         "files": [gpath, jpath],
+        **build_result,
     }
-    if sp.kind == "flow":
-        summary["size_bound_met"] = sp.size_bound_met
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

@@ -41,7 +41,7 @@ def build_cut_sparsifier(g: CapGraph, *, budget: int = DEFAULT_ENUM_BUDGET) -> S
         if e.cap < 1:
             raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
     decs = interior_decompositions(g, budget)
-    return assemble_cut_sparsifier(g, [c.members for dec in decs for c in dec.clusters], decs)
+    return assemble_cut_sparsifier(g, [c.members for dec in decs for c in dec.clusters])
 
 
 @dataclass(frozen=True)

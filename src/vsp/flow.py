@@ -333,7 +333,6 @@ class FlowSolution:
 
     edge_flow: dict[int, Fraction]
     paths: list[tuple[Fraction, tuple, list[int]]] = field(default_factory=list)
-    eta: Fraction | None = None
 
 
 class TerminalCuts:

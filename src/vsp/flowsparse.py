@@ -10,12 +10,16 @@ boundary, size above 128 F(boundary)) and re-decomposing them; when instead
 a witness turns up, the whole interior is certified a good router and
 contracted in one step.
 
-There is one builder, `build_flow_sparsifier(g, eps=None)`.  Its search,
+There is one builder, `build_flow_sparsifier(g, eps=None)`, which returns
+the pair (sparsifier, whether it met the size bound F(k)).  Its search,
 recursion included, returns router certificates only, and H is contracted
 once by `serialize.assemble_flow_sparsifier`, as `load_sparsifier` does;
 the certificate record and the capacitated unit reduction live there too,
-so the checker reads them without this module.  It searches
-each strong-decomposition cluster on the instance G_S the cluster keeps and
+so the checker reads them without this module.  What the search did
+(routers found, contractions, give-ups, premises that failed) goes to the
+`vsp.flowsparse` logger as INFO records; the package adds no handler, so
+nothing is printed unless the caller configures logging.  It searches each
+strong-decomposition cluster on the instance G_S the cluster keeps and
 relies on its exact 1/3 verdict, so a build solves only the exchange LP;
 `vsp verify` rechecks well-linkedness.  The terminals of every G_S are
 degree-1 pendants, so G's terminals may have any degree.  With eps the
@@ -35,8 +39,9 @@ quality certified empirically per output.
 from __future__ import annotations
 
 import functools
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -53,6 +58,8 @@ from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked, sparsest_cut
 
 AGGRESSIVE_R = 3
 AGGRESSIVE_F_GROWTH = 4  # per halving of k
+
+logger = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +369,6 @@ class SearchOutcome:
     kind: str  # "contractible" | "witness1" | "witness2"; the lemma also "balanced"
     contractible: ContractibleSet | None = None
     witness: Witness1 | Witness2 | None = None
-    notes: list[str] = field(default_factory=list)
     x: frozenset[int] | None = None  # the balanced partition
     y: frozenset[int] | None = None
 
@@ -378,9 +384,8 @@ def balanced_cut_refine(
     with at most rk crossing edges, a verified type-2 witness, or a
     contractible set.  Crossing size strictly decreases each iteration."""
     k = gp.k
-    notes = []
     if not (len(s_members) > 512 * f_half):
-        notes.append(f"premise |S| > 2^9 F(k/2) violated: {len(s_members)} <= {512 * f_half}")
+        logger.info("premise |S| > 2^9 F(k/2) violated: %s <= %s", len(s_members), 512 * f_half)
     order = sorted(s_members)
     x = frozenset(order[: (len(order) + 1) // 2])
     y = s_members - x
@@ -393,7 +398,7 @@ def balanced_cut_refine(
             x, y = y, x
         gamma = _edge_ids_between(gp, x, y)
         if len(gamma) <= r * k:
-            return _balanced(s_members, x, y, notes)
+            return _balanced(s_members, x, y)
         if last_cross is not None and len(gamma) >= last_cross:
             raise BudgetExceeded(
                 f"balanced-cut refinement stalled at crossing size {len(gamma)}"
@@ -404,15 +409,15 @@ def balanced_cut_refine(
         paths, cut_side = _terminals_to_edges(gp, gamma, per_edge_cap=2)
         if paths is None:
             a = cut_side & (frozenset(gp.vertices) - frozenset(gp.terminals))
-            outcome = _step1_cut_case(gp, x, a, half_k, f_half, notes)
+            outcome = _step1_cut_case(gp, x, a, half_k, f_half)
             if outcome is not None:
                 return outcome
             x, y = _step1_new_partition(gp, s_members, x, y, a)
             continue
         p1 = _prune_distinct_ends(paths, quarter_k)
         if p1 is None:
-            notes.append("could not prune step-1 paths to distinct ends")
-            return _balanced(s_members, x, y, notes)
+            logger.info("could not prune step-1 paths to distinct ends")
+            return _balanced(s_members, x, y)
         term_star = tuple(sorted(t for t, _p in p1))
         gamma1 = [p[-1] for _t, p in p1]
 
@@ -452,7 +457,7 @@ def balanced_cut_refine(
                 frozenset(x), groups, term_star, systems, alpha,
                 "exact" if res.exact else "heuristic", r,
             )
-            return SearchOutcome("witness2", witness=w2, notes=notes)
+            return SearchOutcome("witness2", witness=w2)
         if len(a_side) > len(b_side):
             a_side, b_side = b_side, a_side
         x, y = b_side, y | a_side
@@ -460,23 +465,23 @@ def balanced_cut_refine(
     raise BudgetExceeded("balanced-cut refinement exceeded its iteration bound")
 
 
-def _balanced(s_members, x, y, notes) -> SearchOutcome:
+def _balanced(s_members, x, y) -> SearchOutcome:
     """The balanced outcome, whose sides the lemma gives at least |S|/4
     vertices each.  A partition rebuild can leave a side short, even empty;
     no balanced partition is known then, and the search gives up."""
     short = min(len(x), len(y))
     if 4 * short < len(s_members):
         raise BudgetExceeded(f"balanced-cut refinement left a side of {short} of {len(s_members)}")
-    return SearchOutcome("balanced", notes=notes, x=x, y=y)
+    return SearchOutcome("balanced", x=x, y=y)
 
 
-def _step1_cut_case(gp, x, a, half_k, f_half, notes):
+def _step1_cut_case(gp, x, a, half_k, f_half):
     """After a failed terminal routing, either extract a contractible
     component of the far side or signal the partition rebuild."""
     b = (frozenset(gp.vertices) - frozenset(gp.terminals)) - a
     cross = sum((gp.edges[eid].cap for eid in _edge_ids_between(gp, a, b)), Fraction(0))
     if cross >= half_k:
-        notes.append("step-1 cut not below k/2; continuing with rebuild")
+        logger.info("step-1 cut not below k/2; continuing with rebuild")
     xa = x & a
     xb = x & b
     if len(xb) >= len(xa):
@@ -487,7 +492,6 @@ def _step1_cut_case(gp, x, a, half_k, f_half, notes):
                 return SearchOutcome(
                     "contractible",
                     contractible=ContractibleSet(cs, boundary, 128 * f_half),
-                    notes=notes,
                 )
     return None
 
@@ -568,16 +572,13 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
     interior = frozenset(v for v in gp.vertices if not gp.is_terminal(v))
     if len(interior) <= f_k:
         raise InputError("search precondition |V(G') - T| > F(k) violated")
-    notes: list[str] = []
     families = [interior]
     rounds = max(1, math.ceil(math.log2(r))) if r > 1 else 1
     for _i in range(rounds):
         nxt: list[frozenset[int]] = []
         for s in families:
             out = balanced_cut_refine(gp, s, params, r, f_half)
-            notes.extend(out.notes)
             if out.kind != "balanced":
-                out.notes = notes
                 return out
             nxt.extend([out.x, out.y])
         families = nxt
@@ -591,7 +592,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
     for j, s_j in enumerate(chosen):
         zj = out_capacity(gp, s_j)
         if zj > kstar:
-            notes.append(f"family {j}: boundary {zj} exceeds k* = {kstar}")
+            logger.info("family %s: boundary %s exceeds k* = %s", j, zj, kstar)
         dec = weak_decompose(gp, s_j, budget=params.enum_budget)
         for c in dec.clusters:
             if c.z <= half_k and len(c.members) > 128 * params.f_size(c.z, r):
@@ -600,13 +601,12 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
                     contractible=ContractibleSet(
                         c.members, c.z, 128 * params.f_size(c.z, r)
                     ),
-                    notes=notes,
                 )
         big = max(dec.clusters, key=lambda c: (len(c.members), -min(c.members)))
         if not len(big.members) > 128 * f_half:
-            notes.append(
-                f"family {j}: largest weak cluster has {len(big.members)} vertices, "
-                f"claim > 2^7 F(k/2) = {128 * f_half} does not hold here"
+            logger.info(
+                "family %s: largest weak cluster has %s vertices, "
+                "claim > 2^7 F(k/2) = %s does not hold here", j, len(big.members), 128 * f_half
             )
         routed = _route_terminals_to_cluster(gp, big.members, half_k)
         if isinstance(routed, frozenset):
@@ -621,11 +621,10 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
                         return SearchOutcome(
                             "contractible",
                             contractible=ContractibleSet(cs, bound, budget),
-                            notes=notes,
                         )
-                    notes.append(
-                        f"family {j}: cut side fails the contractible size check "
-                        f"({len(cs)} vs {budget})"
+                    logger.info(
+                        "family %s: cut side fails the contractible size check (%s vs %s)",
+                        j, len(cs), budget,
                     )
                     break
             continue
@@ -644,9 +643,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
         raise BudgetExceeded(
             f"phase 2 assembled only {len(witness_families)} of {r} witness families"
         )
-    return SearchOutcome(
-        "witness1", witness=Witness1(witness_families, r, kstar), notes=notes
-    )
+    return SearchOutcome("witness1", witness=Witness1(witness_families, r, kstar))
 
 
 def _route_terminals_to_cluster(gp: CapGraph, members: frozenset[int], need: int):
@@ -852,8 +849,6 @@ def contract_procedure(
     cmap: ContractionMap,
     s_members: frozenset[int],
     params: FlowParams,
-    log: list[str],
-    decs: list[Decomposition],
 ) -> tuple[list[RouterCertificate], CapGraph, ContractionMap, ContractionInfo]:
     """Un-contract the routers inside the contractible set, strongly
     decompose the result, find the routers of every piece recursively, and
@@ -869,9 +864,9 @@ def contract_procedure(
     by_super = dict(zip(cmap.supernode, cmap.clusters))
     dropped = {by_super[v] for v in s_members if v in by_super}
     kept = [c for c in certs if c.members not in dropped]
-    found, size_ok = _cluster_routers([dec], params, log, decs)
+    found, size_ok = _cluster_routers([dec], params)
     if not size_ok:
-        log.append("recursive build missed its size bound")
+        logger.info("recursive build missed its size bound")
     kept = sorted(kept + found, key=lambda c: min(c.members))
     pieces = [(zc.z, len(zc.members)) for zc in dec.clusters]
     lhs = sum((params.f_size(zc.z, r) for zc in dec.clusters), Fraction(0))
@@ -884,32 +879,31 @@ def contract_procedure(
         raise AssertionError(
             f"contraction did not shrink the graph ({gp.n} -> {gp2.n})"
         )
-    log.append(
-        f"contract: boundary {kp}, {len(pieces)} pieces, ledger {lhs} <= {info.f_ledger_rhs}, "
-        f"vertices {gp.n} -> {gp2.n}"
+    logger.info(
+        "contract: boundary %s, %s pieces, ledger %s <= %s, vertices %s -> %s",
+        kp, len(pieces), lhs, info.f_ledger_rhs, gp.n, gp2.n,
     )
     return kept, gp2, cmap2, info
 
 
 def _cluster_routers(
-    strong: Iterable[Decomposition], params: FlowParams, log: list[str], decs: list[Decomposition]
+    strong: Iterable[Decomposition], params: FlowParams
 ) -> tuple[list[RouterCertificate], bool]:
-    """Append the strong decompositions of G to `decs` and return the router
-    certificates of their clusters on G's edge ids, found in the instance
-    each cluster keeps, and whether every search met its size bound."""
+    """The router certificates of the clusters of G's strong decompositions
+    on G's edge ids, found in the instance each cluster keeps, and whether
+    every search met its size bound."""
     certs: list[RouterCertificate] = []
     size_ok = True
     for dec in strong:
-        decs.append(dec)
         for zc in dec.clusters:
-            found, ok = _well_linked_routers(zc.inst, params, log, decs)
+            found, ok = _well_linked_routers(zc.inst, params)
             certs += found
             size_ok = size_ok and ok
     return certs, size_ok
 
 
 def _well_linked_routers(
-    inst: SubdividedInstance, params: FlowParams, log: list[str], decs: list[Decomposition]
+    inst: SubdividedInstance, params: FlowParams
 ) -> tuple[list[RouterCertificate], bool]:
     """The routers to contract in a cluster's instance G_S, whose degree-1
     terminals leave the interior S, on the edge ids of the graph G_S was cut
@@ -918,19 +912,18 @@ def _well_linked_routers(
     solve only the exchange LP.  S is one router when it passes the check
     (always for k <= 4); otherwise a legal contracted graph of G_S is shrunk
     below F(k) via contractible sets, and a witness certifies S as a router
-    and ends the loop.  Log lines and decompositions are appended to `log`
-    and `decs`."""
+    and ends the loop."""
     g = inst.graph
     k = g.k
     k_eff = g.total_terminal_degree()  # equals k on true unit graphs
     if params.precheck_router or k_eff <= 4:
         cert = _router_certificate(inst)
         if cert is not None:
-            log.append(f"interior is a good router (eta {cert.eta}); single contraction")
+            logger.info("interior is a good router (eta %s); single contraction", cert.eta)
             return [cert], True
         if k_eff <= 4:
             # the premises promise a router here; record the violation honestly
-            log.append("k <= 4 interior failed the router check; returning uncontracted")
+            logger.info("k <= 4 interior failed the router check; returning uncontracted")
             return [], False
     certs: list[RouterCertificate] = []
     gp, cmap = contract(g, [])
@@ -938,29 +931,28 @@ def _well_linked_routers(
     unit_loop = all(e.cap == 1 for e in g.edges)
     while gp.n - k > f_k:
         if not unit_loop:
-            log.append("bucketed capacities: contraction loop unavailable")
+            logger.info("bucketed capacities: contraction loop unavailable")
             break
         try:
             outcome = find_contractible_or_witness(gp, params)
         except BudgetExceeded as exc:
-            log.append(f"search gave up: {exc}")
+            logger.info("search gave up: %s", exc)
             break
-        log.extend(outcome.notes)
         if outcome.kind == "contractible":
             certs, gp, cmap, _info = contract_procedure(
-                g, certs, gp, cmap, outcome.contractible.members, params, log, decs
+                g, certs, gp, cmap, outcome.contractible.members, params
             )
             continue
         # witness: the interior must already be a router (the up-front check
         # makes this branch a cross-check).  With the pre-check on, that
         # check already failed here; otherwise certify it now.  Then stop
         wf = witness_to_flow(g, outcome.witness, cmap if cmap.clusters else None)
-        log.append(f"{outcome.kind} found; witness flow congestion {wf.eta}")
+        logger.info("%s found; witness flow congestion %s", outcome.kind, wf.eta)
         if not params.precheck_router:
             cert = _router_certificate(inst)
             if cert is not None:
                 return [cert], True
-        log.append("witness found but the interior fails the router check; stopping")
+        logger.info("witness found but the interior fails the router check; stopping")
         break
     certs = [_translate_certificate(c, inst.parent_edge) for c in certs]
     return certs, gp.n - k <= f_k
@@ -968,14 +960,14 @@ def _well_linked_routers(
 
 def build_flow_sparsifier(
     g: CapGraph, eps: Fraction | int | str | None = None, params: FlowParams | None = None
-) -> Sparsifier:
-    """The flow sparsifier of G.  Without eps, a unit multigraph whose
-    terminals have degree 1 is searched as it is, and any other G takes
-    eps = 1/2.  With eps the routers are searched on G's capacitated unit
-    reduction.  The interior is strongly decomposed, every cluster searched
-    on its own instance, and the routers contracted once."""
+) -> tuple[Sparsifier, bool]:
+    """The flow sparsifier of G and whether it met the size bound F(k).
+    Without eps, a unit multigraph whose terminals have degree 1 is searched
+    as it is, and any other G takes eps = 1/2.  With eps the routers are
+    searched on G's capacitated unit reduction.  The interior is strongly
+    decomposed, every cluster searched on its own instance, and the routers
+    contracted once."""
     params = params or FlowParams()
-    log: list[str] = []
     if eps is None and not (g.is_unit and all(len(g.incident(t)) == 1 for t in g.terminals)):
         eps = Fraction(1, 2)
     if eps is None:
@@ -983,10 +975,7 @@ def build_flow_sparsifier(
     else:
         eps = Fraction(eps)
         gunit = capacitated_unit_reduction(g, eps)
-        log.append(f"capacitated reduction: scale {2 * ETA_STAR / eps}")
-    decs: list[Decomposition] = []
-    certs, size_ok = _cluster_routers(
-        interior_decompositions(gunit, params.enum_budget), params, log, decs
-    )
+        logger.info("capacitated reduction: scale %s", 2 * ETA_STAR / eps)
+    certs, size_ok = _cluster_routers(interior_decompositions(gunit, params.enum_budget), params)
     certs.sort(key=lambda c: min(c.members))
-    return assemble_flow_sparsifier(g, eps, certs, decs, log, size_ok)
+    return assemble_flow_sparsifier(g, eps, certs), size_ok

@@ -327,9 +327,8 @@ def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
     for arcs_ in commodity_arcs.values():
         for (eid, _d), v in arcs_.items():
             edge_flow[eid] += v
-    eta = congestion(g, edge_flow)
-    sol = FlowSolution(dict(edge_flow), paths, eta=eta)
-    return RoutingResult(eta, sol, commodity_arcs, lp_eta, exact_lp)
+    sol = FlowSolution(dict(edge_flow), paths)
+    return RoutingResult(congestion(g, edge_flow), sol, commodity_arcs, lp_eta, exact_lp)
 
 
 _ABSORB = "absorb"
@@ -460,7 +459,7 @@ def uniform_router_check(inst: SubdividedInstance) -> tuple[bool, RoutingResult]
     exactly verifiable certificate when the answer is yes."""
     z = inst.z
     if z <= 1:
-        return True, RoutingResult(Fraction(0), FlowSolution({}, eta=Fraction(0)), {}, None, True)
+        return True, RoutingResult(Fraction(0), FlowSolution({}), {}, None, True)
     dem, base = uniform_exchange_demands(inst)
     res = min_congestion_routing(inst.graph, dem, base_load=base, split_pairs=True)
     if res.eta == INFEASIBLE:

@@ -27,8 +27,7 @@ Nothing that G and the clusters determine is stored: a cluster's boundary,
 its bundle weights and z, its well-linkedness claim and its hairpin loads
 are derived by the verifier.  Nor are the build parameters and whether the
 size bound was met: they describe how the clusters were found, not what the
-files claim, so `vsp build` reports them and a loaded sparsifier has
-`size_bound_met` None.
+files claim, so the record does not hold them and `vsp build` reports them.
 
 A pair of files is accepted only if it is byte for byte what
 `save_sparsifier` writes for the sparsifier it describes.  Loading parses
@@ -42,7 +41,7 @@ rejected before anything is verified.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -86,9 +85,6 @@ class Sparsifier:
     unit_graph: CapGraph  # the graph the clusters (and certificates) live on
     eps_input: Fraction | None = None  # flow only
     certificates: list[RouterCertificate] | None = None  # None for a cut sparsifier
-    decompositions: list = field(default_factory=list)  # a build's decompose.Decomposition
-    log: list[str] = field(default_factory=list)
-    size_bound_met: bool | None = None  # a flow build result; None once loaded
 
     @property
     def kind(self) -> str:
@@ -99,12 +95,10 @@ class Sparsifier:
         return self.graph.n - self.graph.k
 
 
-def assemble_cut_sparsifier(
-    g: CapGraph, clusters: Iterable[Iterable[int]], decompositions: Iterable = ()
-) -> Sparsifier:
+def assemble_cut_sparsifier(g: CapGraph, clusters: Iterable[Iterable[int]]) -> Sparsifier:
     """The cut sparsifier of G that contracts `clusters`, claiming quality 3."""
     h, cmap = contract(g, clusters)
-    return Sparsifier(h, cmap, Fraction(3), g, decompositions=list(decompositions))
+    return Sparsifier(h, cmap, Fraction(3), g)
 
 
 def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
@@ -124,12 +118,7 @@ def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
 
 
 def assemble_flow_sparsifier(
-    g: CapGraph,
-    eps: Fraction | None,
-    certificates: list[RouterCertificate],
-    decompositions: Iterable = (),
-    log: Iterable[str] = (),
-    size_bound_met: bool | None = None,
+    g: CapGraph, eps: Fraction | None, certificates: list[RouterCertificate]
 ) -> Sparsifier:
     """The flow sparsifier of G that contracts every certificate's cluster.
     Without eps G is the unit graph and the claimed quality is 2 eta*.  With
@@ -147,10 +136,7 @@ def assemble_flow_sparsifier(
         back = eps / (2 * ETA_STAR)
         h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * back) for e in hu.edges], g.terminals)
         quality = 2 * ETA_STAR + eps
-    return Sparsifier(
-        h, cmap, quality, gunit, eps, certificates=certificates,
-        decompositions=list(decompositions), log=list(log), size_bound_met=size_bound_met,
-    )
+    return Sparsifier(h, cmap, quality, gunit, eps, certificates)
 
 
 def _render(sp: Sparsifier) -> tuple[str, str]:

@@ -269,7 +269,6 @@ def project_cluster_demands(
                     d[(a, b)] = d.get((a, b), Fraction(0)) + amt
             prev_geid = geid
             v = w
-        # a path may also end inside... terminals are never supernodes
     return out
 
 

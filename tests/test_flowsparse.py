@@ -1,4 +1,7 @@
+import json
+import logging
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -77,7 +80,7 @@ def test_not_good_router_long_pendant_path():
 
 def test_builder_k4_star():
     g = _pendant_terminals([], [1], [1, 1, 1, 1])
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert sp.steiner_count == 1
     assert sp.certificates[0].eta == F(2 * 3, 4)
     assert recheck_router_certificates(sp)["ok"]
@@ -86,7 +89,7 @@ def test_builder_k4_star():
 def test_builder_good_router_base_case():
     core = [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)]
     g = _pendant_terminals(core, range(1, 6), [1, 2, 3, 4, 5])
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert sp.steiner_count == 1
     assert sp.certificates[0].eta <= 34
     rep = recheck_router_certificates(sp)
@@ -95,13 +98,13 @@ def test_builder_good_router_base_case():
 
 def test_builder_picks_eps_for_high_degree_terminal():
     g = CapGraph([1, 2, 3], [(1, 2, 1), (1, 3, 1), (2, 3, 1)], [1])
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert (sp.eps_input, sp.quality) == (F(1, 2), F(137, 2))
 
 
 def test_unit_builder_all_terminals():
     g = CapGraph([1, 2], [(1, 2, 1)], [1, 2])
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert sp.graph.n == 2 and sp.graph.m == 1
 
 
@@ -116,7 +119,7 @@ def test_unit_builder_certificates_and_quality():
             core.append((u, v, 1))
         k = rng.randint(3, 5)
         g = _pendant_terminals(core, range(1, n + 1), rng.sample(range(1, n + 1), k))
-        sp = build_flow_sparsifier(g, params=AGG)
+        sp, _ = build_flow_sparsifier(g, params=AGG)
         rep = recheck_router_certificates(sp)
         assert rep["ok"], rep["checks"]
         for cert in sp.certificates:
@@ -131,13 +134,19 @@ def test_unit_builder_certificates_and_quality():
     assert done >= 6
 
 
-def test_contraction_loop_on_chamber():
+def _search_log(caplog):
+    """The messages the flow search logged since `caplog` was last cleared."""
+    return [r.getMessage() for r in caplog.records if r.name == "vsp.flowsparse"]
+
+
+def test_contraction_loop_on_chamber(caplog):
+    caplog.set_level(logging.INFO, logger="vsp.flowsparse")
     g = gen_chamber(seed=5)
     params = FlowParams(profile="aggressive", precheck_router=False)
-    sp = build_flow_sparsifier(g, params=params)
-    assert sp.size_bound_met
+    sp, size_ok = build_flow_sparsifier(g, params=params)
+    assert size_ok
     assert sp.steiner_count <= params.f_size(g.k)
-    assert any("contract:" in line for line in sp.log)
+    assert any("contract:" in line for line in _search_log(caplog))
     rep = recheck_router_certificates(sp)
     assert rep["ok"], rep["checks"]
 
@@ -152,7 +161,7 @@ def test_find_contractible_on_chamber():
     assert cs.boundary_cap <= (g.k + 1) // 2
     assert len(cs.members) > 128 * AGG.f_size(cs.boundary_cap)
     certs, gp2, cmap2, info = contract_procedure(
-        g, [], gp, cmap, cs.members, AGG, [], []
+        g, [], gp, cmap, cs.members, AGG
     )
     assert info.vertices_after < info.vertices_before
     assert info.f_ledger_lhs <= info.f_ledger_rhs
@@ -178,14 +187,16 @@ def test_balanced_cut_refinement_properties():
         assert out.kind in ("contractible", "witness2")
 
 
-def test_search_gives_up_when_no_balanced_split_exists(tmp_path, capsys):
+def test_search_gives_up_when_no_balanced_split_exists(tmp_path, capsys, caplog):
     # the first refinement splits this chamber's 64 interior vertices 60/4,
     # and refining the 60 rebuilds X as all of them, an empty side that
     # crashed phase 2; a side below |S|/4 is no balanced partition, so the
     # search gives up
     g = gen_chamber(seed=0, body_n=4, chamber_n=60, k=6)
-    sp = build_flow_sparsifier(g, params=FlowParams(profile="aggressive", precheck_router=False))
-    assert any(line.startswith("search gave up: balanced-cut") for line in sp.log), sp.log
+    caplog.set_level(logging.INFO, logger="vsp.flowsparse")
+    sp, _ = build_flow_sparsifier(g, params=FlowParams(profile="aggressive", precheck_router=False))
+    lines = _search_log(caplog)
+    assert any(line.startswith("search gave up: balanced-cut") for line in lines), lines
     assert recheck_router_certificates(sp)["ok"]
     gpath, prefix = str(tmp_path / "chamber.vsp"), str(tmp_path / "chamber.sp")
     write_graph(g, gpath)
@@ -257,7 +268,8 @@ def test_step2_rebuilds_the_partition_at_a_failed_group_transfer(monkeypatch, x_
     assert len(crossing) <= 3 * g.k and 4 * len(out.y) >= len(s)
 
 
-def test_router_check_failures(monkeypatch):
+def test_router_check_failures(monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="vsp.flowsparse")
     # below the exchange congestion of both cycles every router check fails
     g4, g6 = _cycle(12, [1, 4, 7, 10]), _cycle(16, [1, 4, 7, 10, 13, 15])
     interior = frozenset(range(1, 13))
@@ -265,9 +277,11 @@ def test_router_check_failures(monkeypatch):
     monkeypatch.setattr(routing, "ETA_STAR", F(1, 2))
     assert is_good_router(subdivide_boundary(g4, interior), AGG) == (False, None)
     # k <= 4: the cluster stays uncontracted
-    sp = build_flow_sparsifier(g4, params=AGG)
-    assert sp.log == ["k <= 4 interior failed the router check; returning uncontracted"]
-    assert (sp.certificates, sp.size_bound_met, sp.graph.n) == ([], False, g4.n)
+    caplog.clear()
+    sp, size_ok = build_flow_sparsifier(g4, params=AGG)
+    assert _search_log(caplog) == [
+        "k <= 4 interior failed the router check; returning uncontracted"]
+    assert (sp.certificates, size_ok, sp.graph.n) == ([], False, g4.n)
     # k = 6: the search finds a witness, and the exchange LP is solved once,
     # up front or, without the pre-check, after the witness
     checks = []
@@ -275,18 +289,41 @@ def test_router_check_failures(monkeypatch):
                         lambda *a, **kw: checks.append(1) or uniform_router_check(*a, **kw))
     for precheck in (True, False):
         checks.clear()
+        caplog.clear()
         params = FlowParams(profile="aggressive", precheck_router=precheck)
-        sp = build_flow_sparsifier(g6, params=params)
-        assert sp.log[-2:] == ["witness1 found; witness flow congestion 100/27",
-                               "witness found but the interior fails the router check; stopping"]
-        assert (len(checks), sp.certificates, sp.size_bound_met) == (1, [], False)
+        sp, size_ok = build_flow_sparsifier(g6, params=params)
+        assert _search_log(caplog)[-2:] == [
+            "witness1 found; witness flow congestion 100/27",
+            "witness found but the interior fails the router check; stopping"]
+        assert (len(checks), sp.certificates, size_ok) == (1, [], False)
 
 
-def test_bucketed_capacities_skip_the_contraction_loop():
+def test_bucketed_capacities_skip_the_contraction_loop(caplog):
+    caplog.set_level(logging.INFO, logger="vsp.flowsparse")
     g = _cycle(16, [1, 4, 7, 10, 13, 15], caps={5: 2})
-    sp = build_flow_sparsifier(g, params=FlowParams(profile="aggressive", precheck_router=False))
-    assert sp.log == ["bucketed capacities: contraction loop unavailable"]
-    assert (sp.certificates, sp.size_bound_met, sp.steiner_count) == ([], False, 16)
+    sp, size_ok = build_flow_sparsifier(
+        g, params=FlowParams(profile="aggressive", precheck_router=False))
+    assert _search_log(caplog) == ["bucketed capacities: contraction loop unavailable"]
+    assert (sp.certificates, size_ok, sp.steiner_count) == ([], False, 16)
+
+
+@pytest.mark.parametrize("g, met", [
+    (_cycle(16, [1, 4, 7, 10, 13, 15], caps={5: 2}), False),
+    (_cycle(12, [1, 4, 7, 10]), True),
+], ids=["bucketed-cycle", "router-cycle"])
+def test_build_summary_reports_the_size_verdict(tmp_path, g, met):
+    # a fresh interpreter has no log handler attached: the search's INFO
+    # records print nothing, and the summary carries the builder's verdict
+    gpath = tmp_path / "g.vsp"
+    write_graph(g, gpath)
+    out = subprocess.run(
+        [sys.executable, "-m", "vsp.cli", "build", str(gpath), "--mode", "flow",
+         "--profile", "aggressive", "--no-precheck", "--out", str(tmp_path / "h")],
+        capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (cli.EXIT_OK, "")
+    assert json.loads(out.stdout.splitlines()[-1])["size_bound_met"] is met
+    assert f'"size_bound_met": {json.dumps(met)}' in out.stdout
 
 
 def test_router_check_refuses_beyond_the_enumeration_budget():
@@ -313,7 +350,7 @@ def test_capacitated_flow_sparsifier():
     core += [(1, 10, 1), (2, 11, 1), (3, 12, 2)]
     g = CapGraph(list(range(1, 5)) + [10, 11, 12], core, [10, 11, 12])
     eps = F(1, 2)
-    sp = build_flow_sparsifier(g, eps, AGG)
+    sp, _ = build_flow_sparsifier(g, eps, AGG)
     assert sorted(sp.graph.terminals) == [10, 11, 12]
     assert sp.quality == 68 + eps
     # the reduction rounds every terminal edge up by at most a factor
@@ -344,7 +381,7 @@ def test_eps_edge_map_follows_h(make_graph):
     # edge it maps to, and a terminal's self-loop is dropped, not renumbered
     g = make_graph()
     assert any(g.is_terminal(e.u) for e in g.edges)
-    sp = build_flow_sparsifier(g, F(1, 2), AGG)
+    sp, _ = build_flow_sparsifier(g, F(1, 2), AGG)
     cmap = sp.cmap
     assert len(cmap.edge_map) == sp.graph.m
     for i, e in enumerate(sp.graph.edges):
@@ -365,7 +402,7 @@ def test_eps_composed_flow_is_in_h_units():
     # H's, so its congestion is at least eta_H, and the routers bound it by
     # 2 eta* eta_H
     g = gen_capacitated(n=8, k=3, seed=0)
-    sp = build_flow_sparsifier(g, F(1, 2), AGG)
+    sp, _ = build_flow_sparsifier(g, F(1, 2), AGG)
     rep = verify_flow_quality(g, sp.graph, samples=3, seed=1, sparsifier=sp)
     composed = [(r["h"], r["composed"]) for r in rep.records if "composed" in r]
     assert composed
@@ -376,7 +413,7 @@ def test_eps_composed_flow_is_in_h_units():
 def test_reroute_composition_bound():
     core = [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)]
     g = _pendant_terminals(core, range(1, 6), [1, 2, 3, 4])
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     dem = DemandSet.from_map({(500, 501): 1, (502, 503): F(1, 2)})
     rh = min_congestion_routing(sp.graph, dem)
     composed = reroute_through_clusters(sp, rh)
@@ -452,19 +489,22 @@ def test_router_search_reuses_the_decomposition_instance(monkeypatch, make_graph
             for name, fn in originals.items():
                 if vars(mod).get(name) is fn:
                     monkeypatch.setattr(mod, name, watch(name, fn))
-    searched = []
+    searched, decomposed = [], []
     well_linked_routers = flowsparse._well_linked_routers
+    interior_decompositions = flowsparse.interior_decompositions
 
     def recording(inst, *rest):
         searched.append(inst)
         return well_linked_routers(inst, *rest)
 
     monkeypatch.setattr(flowsparse, "_well_linked_routers", recording)
-    sp = build_flow_sparsifier(make_graph(), eps)
+    monkeypatch.setattr(flowsparse, "interior_decompositions",
+                        lambda *a: decomposed.extend(interior_decompositions(*a)) or decomposed)
+    sp, _ = build_flow_sparsifier(make_graph(), eps)
     # the watch is live: the decomposition's own calls are seen
     assert {n for n, c, _a in calls if c == "vsp.decompose"} == set(originals)
     assert [(n, c) for n, c, _a in calls if c == "vsp.flowsparse"] == []
-    kept = [c.inst for dec in sp.decompositions for c in dec.clusters]
+    kept = [c.inst for dec in decomposed for c in dec.clusters]
     assert searched and sorted(map(id, searched)) == sorted(map(id, kept))
     calls.clear()
     assert recheck_router_certificates(sp)["ok"]

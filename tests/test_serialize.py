@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from vsp.errors import InputError
 from vsp.flowsparse import FlowParams, build_flow_sparsifier
 from vsp.gen import gen_capacitated, gen_dumbbell, gen_grid
 from vsp.graph import CapGraph, write_graph
-from vsp.serialize import load_sparsifier, save_sparsifier
+from vsp.serialize import Sparsifier, load_sparsifier, save_sparsifier
 
 from util import derived_router_fields, edit_sidecar, rewire_to_terminal, shift_map_line
 
@@ -38,8 +40,8 @@ def built():
     return [
         ("cut-unit", grid, build_cut_sparsifier(grid)),
         ("cut-capacitated", fractional, build_cut_sparsifier(fractional)),
-        ("flow-unit", dumbbell, build_flow_sparsifier(dumbbell, params=AGG)),
-        ("flow-eps", capacitated, build_flow_sparsifier(capacitated, F(1, 2), AGG)),
+        ("flow-unit", dumbbell, build_flow_sparsifier(dumbbell, params=AGG)[0]),
+        ("flow-eps", capacitated, build_flow_sparsifier(capacitated, F(1, 2), AGG)[0]),
     ]
 
 
@@ -50,17 +52,32 @@ def _edges(h):
 def test_roundtrip_rebuilds_the_saved_sparsifier(tmp_path, built):
     for name, g, sp in built:
         prefix = str(tmp_path / name)
-        paths = save_sparsifier(sp, prefix)
-        before = [open(p, "rb").read() for p in paths]
+        paths = [Path(p) for p in save_sparsifier(sp, prefix)]
+        before = [p.read_bytes() for p in paths]
         sp2 = load_sparsifier(g, prefix)
         assert (sp2.graph.vertices, _edges(sp2.graph)) == (sp.graph.vertices, _edges(sp.graph))
         assert sp2.graph.terminals == sp.graph.terminals
         assert sp2.cmap.clusters == sp.cmap.clusters
         assert sp2.quality == sp.quality and sp2.eps_input == sp.eps_input
-        if sp.kind == "flow":
-            assert sp.size_bound_met is not None and sp2.size_bound_met is None
         save_sparsifier(sp2, prefix)
-        assert [open(p, "rb").read() for p in paths] == before
+        assert [p.read_bytes() for p in paths] == before
+
+
+def _comparable(value):
+    if isinstance(value, CapGraph):
+        return value.vertices, _edges(value), value.terminals
+    return value
+
+
+def test_loaded_sparsifier_equals_the_built_one(tmp_path, built):
+    # the record holds exactly what the two files state, so every field of
+    # a cut, a unit flow and an eps flow build survives save and load
+    for name, g, sp in built:
+        save_sparsifier(sp, str(tmp_path / name))
+        sp2 = load_sparsifier(g, str(tmp_path / name))
+        for f in dataclasses.fields(Sparsifier):
+            got, want = getattr(sp2, f.name), getattr(sp, f.name)
+            assert _comparable(got) == _comparable(want), (name, f.name)
 
 
 def _lines(edit):

@@ -262,7 +262,7 @@ def _inflated(cert):
 
 def test_flow_quality_rejects_inflated_router_flows():
     g = _two_triangles()
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert verify_flow_quality(g, sp.graph, strategies=("uniform",), sparsifier=sp).ok
     bad = dataclasses.replace(sp, certificates=[_inflated(c) for c in sp.certificates])
     rep = verify_flow_quality(g, sp.graph, strategies=("uniform",), sparsifier=bad)
@@ -272,7 +272,7 @@ def test_flow_quality_rejects_inflated_router_flows():
 
 
 def test_router_recheck_names_structure_and_flow_faults():
-    sp = build_flow_sparsifier(_two_triangles(), params=AGG)
+    sp, _ = build_flow_sparsifier(_two_triangles(), params=AGG)
     (cert,) = sp.certificates
 
     def failed(certs):
@@ -307,7 +307,7 @@ def test_report_json_shape():
 
 def test_flow_report_labels_sampling():
     g = _flow_instance(4)
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     rep = verify_flow_quality(g, sp.graph, samples=2, quality_bound=F(68), sparsifier=sp)
     assert rep.ok, rep.violations
     assert rep.flags["sampled"] is True
@@ -318,7 +318,7 @@ def test_flow_quality_routes_each_demand_set_once(monkeypatch):
     # four degree-1 terminals: gravity equals uniform, and the three matching
     # samples repeat one of the three possible matchings
     g = flow_router_graph(3)
-    sp = build_flow_sparsifier(g)
+    sp, _ = build_flow_sparsifier(g)
     drawn, routed = [], Counter()
 
     def recorded(*args):
@@ -345,7 +345,7 @@ def test_flow_quality_routes_each_demand_set_once(monkeypatch):
 
 def test_router_recheck_detects_flow_perturbation():
     g = _flow_instance(5)
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert recheck_router_certificates(sp)["ok"]
     cert = sp.certificates[0]
     src = next(iter(cert.commodity_arcs))
@@ -383,7 +383,7 @@ def test_router_recheck_derives_wl_alpha(tmp_path, alpha):
     # sidecar that states an alpha (or null, which used to skip the test) is
     # not a file save_sparsifier writes
     g = _flow_instance(5)
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert subdivide_boundary(g, sp.certificates[0].members).z > 1
     assert ("well-linked", True, "all clusters 1/3-well-linked") in (
         recheck_router_certificates(sp)["checks"]
@@ -418,7 +418,7 @@ def test_router_recheck_tests_well_linkedness():
 
 def test_recheck_budget_reaches_the_well_linked_test():
     g = _flow_instance(5)
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert subdivide_boundary(g, sp.certificates[0].members).z > 1
     wl = {name: detail for name, _ok, detail in recheck_router_certificates(sp, budget=1)["checks"]}
     assert "cluster 0: skipped (budget)" in wl["well-linked"]
@@ -428,7 +428,7 @@ def test_recheck_budget_reaches_the_well_linked_test():
 
 def test_router_recheck_detects_dropped_commodity():
     g = _flow_instance(5)
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     cert = sp.certificates[0]
     src = next(iter(cert.commodity_arcs))
     arcs = {s: a for s, a in cert.commodity_arcs.items() if s != src}
@@ -438,7 +438,7 @@ def test_router_recheck_detects_dropped_commodity():
 def test_router_recheck_requires_the_exact_eta():
     # eta is the congestion the stored flows attain, not just a bound on it
     g = _flow_instance(5)
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     cert = sp.certificates[0]
     assert _router_flows_failed(sp, dataclasses.replace(cert, eta=cert.eta + 1))
     # a cluster with z <= 1 exchanges nothing: eta 0 and no flows
@@ -454,7 +454,7 @@ def test_verify_rejects_an_eta_forged_with_negative_arc_flows(tmp_path, capsys):
     # 1/8 off both arcs of every fan-out edge keeps conservation and lowers
     # the summed load from the true 3/2 to 3/4, the eta this file claims
     g = gen_grid(4, 4, k=4, seed=0)
-    sp = build_flow_sparsifier(g)
+    sp, _ = build_flow_sparsifier(g)
     (cert,) = sp.certificates
     assert cert.eta == F(3, 2)
     forged = {
@@ -476,7 +476,7 @@ def _capacitated_router():
     core = [(u, v, 2) for u in range(1, 5) for v in range(u + 1, 5)]
     core += [(1, 10, 1), (2, 11, 1), (3, 12, 2)]
     g = CapGraph(list(range(1, 5)) + [10, 11, 12], core, [10, 11, 12])
-    sp = build_flow_sparsifier(g, F(1, 2), AGG)
+    sp, _ = build_flow_sparsifier(g, F(1, 2), AGG)
     assert recheck_router_certificates(sp)["ok"]
     hairpin = derived_router_fields(sp.unit_graph, sp.certificates[0].members)["hairpin"]
     assert len(hairpin) > 1
@@ -506,7 +506,7 @@ def test_router_recheck_reports_stray_hairpin(tmp_path):
 
 def test_router_recheck_detects_membership_corruption():
     g = _flow_instance(6)
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     cert = sp.certificates[0]
     moved = set(cert.members)
     moved.discard(min(moved))
@@ -524,7 +524,7 @@ def test_star_supernode_recheck_low_congestion():
         [(1, 10 + i, 1) for i in range(k)],
         [10 + i for i in range(k)],
     )
-    sp = build_flow_sparsifier(g, params=AGG)
+    sp, _ = build_flow_sparsifier(g, params=AGG)
     assert recheck_router_certificates(sp)["ok"]
     assert all(c.eta < 2 for c in sp.certificates)
 
@@ -545,7 +545,7 @@ def test_composed_flow_bound_random():
     rng = random.Random(12)
     for seed in range(3):
         g = _flow_instance(20 + seed)
-        sp = build_flow_sparsifier(g, params=AGG)
+        sp, _ = build_flow_sparsifier(g, params=AGG)
         terms = sorted(g.terminals)
         d = {}
         for _ in range(3):
