@@ -1,11 +1,13 @@
 """Command-line front end: build, verify, gen, inspect.
 
 `vsp build` calls the one builder of its mode, which contracts G once.  Cut
-mode decomposes G itself for any capacities >= 1 and ignores `--eps`.  Flow
-mode passes `--eps` to its builder as given, and the builder picks eps when
-it is absent.  A malformed `--eps` exits 2 in either mode.  The summary line
-a flow build prints holds `size_bound_met`, the size verdict that
-`build_flow_sparsifier` returns next to the sparsifier; no file stores it.
+mode decomposes G itself for any capacities >= 1 and ignores the flow
+options `--eps`, `--profile` and `--no-precheck`; its header line names
+only the mode and `--budget-exp`.  Flow mode passes `--eps` to its builder
+as given, and the builder picks eps when it is absent.  A malformed `--eps`
+exits 2 in either mode.  The summary line a flow build prints holds
+`size_bound_met`, the size verdict that `build_flow_sparsifier` returns
+next to the sparsifier; no file stores it.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 budget refusal, which `vsp verify` also returns when it found no violation
@@ -68,17 +70,21 @@ def cmd_build(args) -> int:
         eps = None if args.eps is None else Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
         return _fail(EXIT_INPUT, "input", f"--eps {args.eps!r} is not a rational number")
-    params = FlowParams(profile=args.profile, enum_budget=args.budget_exp,
-                        precheck_router=not args.no_precheck)
-    bits = [f"profile={args.profile}", f"budget_exp={args.budget_exp}", f"eta_star={ETA_STAR}"]
-    if args.profile == "aggressive":
-        bits.append(f"r={AGGRESSIVE_R} f_growth={AGGRESSIVE_F_GROWTH}")
-    print("# vsp " + " ".join(bits + ["beta_rule=max(1,log2 k)"]))
+    if args.mode == "cut":
+        print(f"# vsp mode=cut budget_exp={args.budget_exp}")
+    else:
+        bits = [f"profile={args.profile}", f"budget_exp={args.budget_exp}",
+                f"eta_star={ETA_STAR}"]
+        if args.profile == "aggressive":
+            bits.append(f"r={AGGRESSIVE_R} f_growth={AGGRESSIVE_F_GROWTH}")
+        print("# vsp " + " ".join(bits + ["beta_rule=max(1,log2 k)"]))
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
     try:
         if args.mode == "cut":
             sp, build_result = build_cut_sparsifier(g, budget=args.budget_exp), {}
         else:
+            params = FlowParams(profile=args.profile, enum_budget=args.budget_exp,
+                                precheck_router=not args.no_precheck)
             sp, size_bound_met = build_flow_sparsifier(g, eps, params)
             build_result = {"size_bound_met": size_bound_met}
     except BudgetExceeded as exc:
@@ -208,9 +214,10 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", default=None,
                    help="flow mode's capacitated reduction parameter in (0,1); default none "
                         "for a unit graph with degree-1 terminals, else 1/2 (cut mode ignores it)")
-    b.add_argument("--profile", choices=("theoretical", "aggressive"), default="theoretical")
+    b.add_argument("--profile", choices=("theoretical", "aggressive"), default="theoretical",
+                   help="flow mode's parameter profile (cut mode ignores it)")
     b.add_argument("--no-precheck", action="store_true",
-                   help="skip the up-front router check (forces the loop)")
+                   help="flow mode: skip the up-front router check (forces the loop)")
     b.add_argument("--out", default=None)
     _add_budget_exp(b)
 

@@ -7,8 +7,10 @@ most a factor 2 eta* in congestion, so such a contraction is a quality-68
 restricted flow sparsifier.  The construction shrinks the contracted graph
 below a size budget F(k) by repeatedly finding contractible sets (small
 boundary, size above 128 F(boundary)) and re-decomposing them; when instead
-a witness turns up, the whole interior is certified a good router and
-contracted in one step.
+a witness turns up, the search stops.  The witness proves the whole
+interior a good router; the build certifies that interior with the
+exchange LP alone and contracts it in one step, and never builds the
+witness flow (`witness_to_flow`).
 
 There is one builder, `build_flow_sparsifier(g, eps=None)`, which returns
 the pair (sparsifier, whether it met the size bound F(k)).  Its search,
@@ -193,13 +195,6 @@ class Witness2:
     r: int
 
 
-@dataclass
-class ContractibleSet:
-    members: frozenset[int]  # vertices of the current contracted graph
-    boundary_cap: Fraction
-    size_budget: Fraction  # 128 F(|out|) it exceeds
-
-
 def _route_loads(routes: Iterable[tuple[Fraction, list[int]]]) -> dict[int, Fraction]:
     load: dict[int, Fraction] = {}
     for amt, path in routes:
@@ -367,7 +362,7 @@ class SearchOutcome:
     """How the search, or one run of the refinement lemma inside it, ends."""
 
     kind: str  # "contractible" | "witness1" | "witness2"; the lemma also "balanced"
-    contractible: ContractibleSet | None = None
+    contractible: frozenset[int] | None = None  # vertices of the searched graph
     witness: Witness1 | Witness2 | None = None
     x: frozenset[int] | None = None  # the balanced partition
     y: frozenset[int] | None = None
@@ -489,10 +484,7 @@ def _step1_cut_case(gp, x, a, half_k, f_half):
             cs = frozenset(comp)
             boundary = out_capacity(gp, cs)
             if len(cs) > 128 * f_half and boundary <= half_k:
-                return SearchOutcome(
-                    "contractible",
-                    contractible=ContractibleSet(cs, boundary, 128 * f_half),
-                )
+                return SearchOutcome("contractible", contractible=cs)
     return None
 
 
@@ -596,12 +588,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
         dec = weak_decompose(gp, s_j, budget=params.enum_budget)
         for c in dec.clusters:
             if c.z <= half_k and len(c.members) > 128 * params.f_size(c.z, r):
-                return SearchOutcome(
-                    "contractible",
-                    contractible=ContractibleSet(
-                        c.members, c.z, 128 * params.f_size(c.z, r)
-                    ),
-                )
+                return SearchOutcome("contractible", contractible=c.members)
         big = max(dec.clusters, key=lambda c: (len(c.members), -min(c.members)))
         if not len(big.members) > 128 * f_half:
             logger.info(
@@ -618,10 +605,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
                     bound = out_capacity(gp, cs)
                     budget = 128 * params.f_size(bound, r)
                     if len(cs) > budget and bound <= half_k:
-                        return SearchOutcome(
-                            "contractible",
-                            contractible=ContractibleSet(cs, bound, budget),
-                        )
+                        return SearchOutcome("contractible", contractible=cs)
                     logger.info(
                         "family %s: cut side fails the contractible size check (%s vs %s)",
                         j, len(cs), budget,
@@ -832,16 +816,6 @@ def _witness2_flow(g, w: Witness2, cmap) -> WitnessFlow:
 # Contract(G', S) and the builders
 
 
-@dataclass
-class ContractionInfo:
-    boundary: Fraction
-    pieces: list[tuple[Fraction, int]]  # (k_Z, |Z|) per strong cluster
-    f_ledger_lhs: Fraction  # sum of F(k_Z)
-    f_ledger_rhs: Fraction  # 128 F(k'')
-    vertices_before: int
-    vertices_after: int
-
-
 def contract_procedure(
     g: CapGraph,
     certs: list[RouterCertificate],
@@ -849,11 +823,11 @@ def contract_procedure(
     cmap: ContractionMap,
     s_members: frozenset[int],
     params: FlowParams,
-) -> tuple[list[RouterCertificate], CapGraph, ContractionMap, ContractionInfo]:
+) -> tuple[list[RouterCertificate], CapGraph, ContractionMap]:
     """Un-contract the routers inside the contractible set, strongly
     decompose the result, find the routers of every piece recursively, and
-    re-contract.  The vertex count must strictly drop (Claim-level
-    bookkeeping is recorded and asserted)."""
+    re-contract.  The strict vertex drop is asserted; the ledger
+    sum F(k_Z) <= 128 F(k'') over the pieces is only logged."""
     k = gp.k
     r = params.r(k)
     kp = out_capacity(gp, s_members)
@@ -868,22 +842,18 @@ def contract_procedure(
     if not size_ok:
         logger.info("recursive build missed its size bound")
     kept = sorted(kept + found, key=lambda c: min(c.members))
-    pieces = [(zc.z, len(zc.members)) for zc in dec.clusters]
-    lhs = sum((params.f_size(zc.z, r) for zc in dec.clusters), Fraction(0))
     gp2, cmap2 = contract(g, [c.members for c in kept])
-    kpow = Fraction(1 << max(2, math.ceil(math.log2(max(1.0, float(kp))))))
-    info = ContractionInfo(
-        kp, pieces, lhs, 128 * params.f_size(kpow, r), gp.n, gp2.n
-    )
     if gp2.n >= gp.n:
         raise AssertionError(
             f"contraction did not shrink the graph ({gp.n} -> {gp2.n})"
         )
+    lhs = sum((params.f_size(zc.z, r) for zc in dec.clusters), Fraction(0))
+    kpow = Fraction(1 << max(2, math.ceil(math.log2(max(1.0, float(kp))))))
     logger.info(
         "contract: boundary %s, %s pieces, ledger %s <= %s, vertices %s -> %s",
-        kp, len(pieces), lhs, info.f_ledger_rhs, gp.n, gp2.n,
+        kp, len(dec.clusters), lhs, 128 * params.f_size(kpow, r), gp.n, gp2.n,
     )
-    return kept, gp2, cmap2, info
+    return kept, gp2, cmap2
 
 
 def _cluster_routers(
@@ -911,8 +881,9 @@ def _well_linked_routers(
     decomposition certified S 1/3-well-linked on G_S, so both router checks
     solve only the exchange LP.  S is one router when it passes the check
     (always for k <= 4); otherwise a legal contracted graph of G_S is shrunk
-    below F(k) via contractible sets, and a witness certifies S as a router
-    and ends the loop."""
+    below F(k) via contractible sets, and a witness ends the loop: S is then
+    one router if it passes the check, which is solved here only when the
+    pre-check was skipped."""
     g = inst.graph
     k = g.k
     k_eff = g.total_terminal_degree()  # equals k on true unit graphs
@@ -939,20 +910,17 @@ def _well_linked_routers(
             logger.info("search gave up: %s", exc)
             break
         if outcome.kind == "contractible":
-            certs, gp, cmap, _info = contract_procedure(
-                g, certs, gp, cmap, outcome.contractible.members, params
+            certs, gp, cmap = contract_procedure(
+                g, certs, gp, cmap, outcome.contractible, params
             )
             continue
-        # witness: the interior must already be a router (the up-front check
-        # makes this branch a cross-check).  With the pre-check on, that
-        # check already failed here; otherwise certify it now.  Then stop
-        wf = witness_to_flow(g, outcome.witness, cmap if cmap.clusters else None)
-        logger.info("%s found; witness flow congestion %s", outcome.kind, wf.eta)
-        if not params.precheck_router:
-            cert = _router_certificate(inst)
-            if cert is not None:
-                return [cert], True
-        logger.info("witness found but the interior fails the router check; stopping")
+        # a witness proves S a router; the build certifies S with the
+        # exchange LP instead, which the pre-check already failed when it ran
+        cert = None if params.precheck_router else _router_certificate(inst)
+        if cert is not None:
+            logger.info("%s found; interior is a good router (eta %s)", outcome.kind, cert.eta)
+            return [cert], True
+        logger.info("%s found but the interior fails the router check; stopping", outcome.kind)
         break
     certs = [_translate_certificate(c, inst.parent_edge) for c in certs]
     return certs, gp.n - k <= f_k

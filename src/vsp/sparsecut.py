@@ -7,15 +7,17 @@ values come back from one compiled solve (`TerminalCuts.values`), its side
 weights from one matrix product, and the first split below `stop_below`
 or the chunk's least sparsity is found by exact integer
 cross-multiplication.  Fractions and tuples are built only for the tied
-candidates.  The certificate of the chosen split comes from a pure-Python
+candidates.  The certificate of a returned split comes from a pure-Python
 min cut on it (`TerminalCuts.min_cut`), whose value must equal the sweep's,
 unless the sweep priced that split in Python already; its side is the
 minimal source side of a minimum cut, the same whichever solver found the
-value.  Parallel boundary edges are bucketed into one bundle terminal per
-original edge, so the enumeration is over bundles; splitting a bundle away
-from its attachment never helps a cut of sparsity below 1, and cuts of
-sparsity exactly 1 always exist (cut one pendant), so the bundle-level
-minimum capped at 1 is the true optimum.
+value.  With `stop_below`, a sweep that finds no split below the threshold
+returns its verdict alone, the least sparsity and no cut: callers cut only
+along a split below their threshold.  Parallel boundary edges are bucketed
+into one bundle terminal per original edge, so the enumeration is over
+bundles; splitting a bundle away from its attachment never helps a cut of
+sparsity below 1, and cuts of sparsity exactly 1 always exist (cut one
+pendant), so the bundle-level minimum capped at 1 is the true optimum.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class SparsestCut:
 
     sparsity None means no bipartition splits the boundary terminals at all
     (zero or one boundary edge): the cluster is well-linked at every alpha.
+    A sparsity with cut None is an exact verdict that no split is below the
+    `stop_below` it was asked for.
     """
 
     sparsity: Fraction | None
@@ -79,7 +83,9 @@ def sparsest_cut_exact(
 
     Ties break by (sparsity, cut value, lexicographic terminal side).  With
     stop_below set, returns early on the first cut below that threshold (the
-    certificate is then valid but not necessarily optimal).
+    certificate is then valid but not necessarily optimal); when no cut is
+    below it, the result is the verdict alone, the least sparsity with cut
+    None.
     """
     terms = _bundle_terms(inst)
     z = inst.z
@@ -150,6 +156,8 @@ def _sweep(
         if stop_below is not None and best[0] < stop_below:
             break
     sparsity, value, side1, row, wa, cut = best
+    if stop_below is not None and sparsity >= stop_below:
+        return SparsestCut(sparsity, None, True)
     if cut is None:
         side2 = tuple(t for t, on in zip(order, row) if not on)
         checked, cut = cuts.min_cut(side1, side2)

@@ -21,7 +21,6 @@ from vsp.flowsparse import (
     FlowParams,
     balanced_cut_refine,
     build_flow_sparsifier,
-    contract_procedure,
     find_contractible_or_witness,
     witness_to_flow,
 )
@@ -41,6 +40,7 @@ from vsp.verify import (
 
 from fixtures import witness1_fixture, witness2_fixture
 from util import (
+    checked_contraction,
     derived_router_fields,
     flow_router_graph as _flow_instance,
     rewire_to_terminal,
@@ -334,14 +334,7 @@ def test_criterion_8_progress_and_ledgers(caplog):
         gp, cmap = contract(g, [])
         out = find_contractible_or_witness(gp, AGG)
         assert out.kind == "contractible"
-        cs = out.contractible
-        assert cs.boundary_cap <= (gp.k + 1) // 2
-        assert len(cs.members) > 128 * AGG.f_size(cs.boundary_cap)
-        certs, gp2, cmap2, info = contract_procedure(
-            g, [], gp, cmap, cs.members, AGG
-        )
-        assert info.vertices_after < info.vertices_before
-        assert info.f_ledger_lhs <= info.f_ledger_rhs
+        checked_contraction(g, gp, cmap, out.contractible, AGG)
         contractions += 1
         # the refinement lemma on the same interior
         interior = frozenset(v for v in gp.vertices if not gp.is_terminal(v))

@@ -342,6 +342,21 @@ def grid_builds(tmp_path_factory):
     return g, str(d / "cut"), str(d / "flow")
 
 
+@pytest.mark.parametrize("mode, flags, header", [
+    ("cut", ["--profile", "aggressive", "--budget-exp", "9"], "# vsp mode=cut budget_exp=9"),
+    ("flow", [], "# vsp profile=theoretical budget_exp=22 eta_star=34 beta_rule=max(1,log2 k)"),
+    ("flow", ["--profile", "aggressive", "--no-precheck"],
+     "# vsp profile=aggressive budget_exp=22 eta_star=34 r=3 f_growth=4 beta_rule=max(1,log2 k)"),
+], ids=["cut", "flow", "flow-aggressive"])
+def test_build_header_names_what_the_mode_uses(grid_builds, tmp_path, capsys, mode, flags,
+                                               header):
+    # a cut build uses none of the flow parameters, so its header names none
+    g, _cut, _flow = grid_builds
+    code, out, _ = run(["build", g, "--mode", mode, *flags, "--out", str(tmp_path / "h")], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
 @pytest.mark.parametrize("built,mode", [("cut", "flow"), ("flow", "cut")])
 def test_verify_mode_mismatch_exits_two(grid_builds, capsys, built, mode):
     g, cut, flow = grid_builds

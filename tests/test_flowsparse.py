@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from vsp import cli, flowsparse, graph, routing, sparsecut
-from vsp.decompose import weak_decompose
-from vsp.errors import BudgetExceeded
+from vsp.decompose import interior_decompositions, weak_decompose
+from vsp.errors import BudgetExceeded, InputError
 from vsp.flowsparse import (
     FlowParams,
     balanced_cut_refine,
@@ -30,6 +30,8 @@ from vsp.verify import (
     reroute_through_clusters,
     verify_flow_quality,
 )
+
+from util import checked_contraction
 
 F = Fraction
 AGG = FlowParams(profile="aggressive")
@@ -156,16 +158,8 @@ def test_find_contractible_on_chamber():
     gp, cmap = contract(g, [])
     out = find_contractible_or_witness(gp, AGG)
     assert out.kind == "contractible"
-    cs = out.contractible
-    # the definition is re-checked directly
-    assert cs.boundary_cap <= (g.k + 1) // 2
-    assert len(cs.members) > 128 * AGG.f_size(cs.boundary_cap)
-    certs, gp2, cmap2, info = contract_procedure(
-        g, [], gp, cmap, cs.members, AGG
-    )
-    assert info.vertices_after < info.vertices_before
-    assert info.f_ledger_lhs <= info.f_ledger_rhs
-    for c in certs:
+    # the definition and the bookkeeping are re-checked directly
+    for c in checked_contraction(g, gp, cmap, out.contractible, AGG):
         assert c.eta <= 34
 
 
@@ -292,10 +286,46 @@ def test_router_check_failures(monkeypatch, caplog):
         caplog.clear()
         params = FlowParams(profile="aggressive", precheck_router=precheck)
         sp, size_ok = build_flow_sparsifier(g6, params=params)
-        assert _search_log(caplog)[-2:] == [
-            "witness1 found; witness flow congestion 100/27",
-            "witness found but the interior fails the router check; stopping"]
+        assert _search_log(caplog)[-1] == (
+            "witness1 found but the interior fails the router check; stopping")
         assert (len(checks), sp.certificates, size_ok) == (1, [], False)
+    # the paper's flow for that witness, which the build does not construct,
+    # routes at congestion 100/27 on the cluster's instance
+    (dec,) = interior_decompositions(g6)
+    (zc,) = dec.clusters
+    gp, _cmap = contract(zc.inst.graph, [])
+    out = find_contractible_or_witness(gp, AGG)
+    assert out.kind == "witness1"
+    assert witness_to_flow(zc.inst.graph, out.witness).eta == F(100, 27)
+
+
+def test_flow_build_never_builds_a_witness_flow(monkeypatch, caplog):
+    # a witness ends the search, and the build certifies the interior with
+    # the exchange LP alone: the chamber's interior passes it, and the
+    # cycle's fails it below its exchange congestion at either pre-check
+    def refuse(*_args, **_kw):
+        raise AssertionError("the build constructed a witness flow")
+
+    monkeypatch.setattr(flowsparse, "witness_to_flow", refuse)
+    caplog.set_level(logging.INFO, logger="vsp.flowsparse")
+    chamber, cycle = gen_chamber(seed=5), _cycle(16, [1, 4, 7, 10, 13, 15])
+    for g, precheck in ((chamber, False), (cycle, True), (cycle, False)):
+        if g is cycle:
+            monkeypatch.setattr(routing, "ETA_STAR", F(1, 2))
+        caplog.clear()
+        sp, _ = build_flow_sparsifier(
+            g, params=FlowParams(profile="aggressive", precheck_router=precheck))
+        lines = _search_log(caplog)
+        assert any(line.startswith("witness") and " found" in line for line in lines), lines
+        assert recheck_router_certificates(sp)["ok"]
+
+
+def test_contract_procedure_refuses_a_boundary_above_half_k():
+    g = gen_chamber(seed=5)
+    gp, cmap = contract(g, [])
+    interior = frozenset(v for v in gp.vertices if not gp.is_terminal(v))
+    with pytest.raises(InputError, match=r"boundary .* > ceil\(k/2\)"):
+        contract_procedure(g, [], gp, cmap, interior, AGG)
 
 
 def test_bucketed_capacities_skip_the_contraction_loop(caplog):

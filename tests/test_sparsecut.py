@@ -77,7 +77,7 @@ def test_exact_matches_vertex_bipartition_oracle():
 def test_exact_matches_oracles_on_fractional_bundles():
     # non-integer bundle weights exercise the integer weight sums: the
     # optimum is the weighted brute force capped at 1, and the certificate
-    # (with and without an early exit) is the brute-force sweep's
+    # (with no threshold or an early exit) is the brute-force sweep's
     rng = random.Random(53)
     caps = (F(1, 2), F(2, 3), F(3, 4), F(1), F(3, 2))
     checked = 0
@@ -96,7 +96,10 @@ def test_exact_matches_oracles_on_fractional_bundles():
         for stop in (None, F(1, 2), F(1)):
             res = sparsest_cut_exact(inst, stop_below=stop)
             (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
-            if sparsity <= 1 or (stop is not None and sparsity < stop):
+            if stop is not None and sparsity >= stop:
+                # a threshold verdict: the least sparsity and no cut
+                assert (res.sparsity, res.cut, res.pendant_split_edge) == (sparsity, None, None)
+            elif sparsity <= 1 or (stop is not None and sparsity < stop):
                 cut = res.cut
                 assert (res.sparsity, cut.value, cut.side_a) == (sparsity, value, side_a)
                 assert cut.term_a == sum(w for t, w in weights.items() if t in side_a)
@@ -133,11 +136,17 @@ def _hub_instance(spokes, hub):
 
 
 def _check_against_sweep(inst, stops):
+    """The brute-force sweep's least sparsity at each threshold, and its cut
+    unless the threshold has nothing below it: that verdict carries none."""
     for stop in stops:
         res = sparsest_cut_exact(inst, stop_below=stop)
-        (sparsity, value, side), side_a = brute_force_bundle_sweep(inst, stop)
-        assert (res.sparsity, res.cut.value, res.cut.side_a) == (sparsity, value, side_a), stop
-        assert res.cut.sparsity == sparsity and res.pendant_split_edge is None
+        (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
+        assert res.sparsity == sparsity and res.pendant_split_edge is None, stop
+        if stop is not None and sparsity >= stop:
+            assert res.cut is None, stop
+            continue
+        assert (res.cut.value, res.cut.side_a) == (value, side_a), stop
+        assert res.cut.sparsity == sparsity
         assert res.cut.term_a + res.cut.term_b == inst.z
 
 
@@ -190,6 +199,26 @@ def test_python_priced_sweep_solves_each_split_once(monkeypatch):
     (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst)
     assert (res.sparsity, res.cut.value, res.cut.side_a) == (sparsity, value, side_a)
     assert sparsity == value == 1 and res.pendant_split_edge is None
+
+
+def test_threshold_verdict_solves_no_certificate(monkeypatch):
+    # SciPy prices the 31 splits of 6 bundles; a threshold with no split
+    # below it gets its verdict without a Python solve, and a split below
+    # the threshold gets one, for its certificate
+    inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
+    assert len(inst.terminals) == 6
+    calls = []
+    min_cut = TerminalCuts.min_cut
+    monkeypatch.setattr(TerminalCuts, "min_cut",
+                        lambda *a, **kw: calls.append(1) or min_cut(*a, **kw))
+    res = sparsest_cut_exact(inst, stop_below=F(1, 10))
+    (least, _value, _side), _side_a = brute_force_bundle_sweep(inst)
+    assert (res.sparsity, res.cut, len(calls)) == (least, None, 0)
+    res = sparsest_cut_exact(inst, stop_below=F(2, 3))
+    (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, F(2, 3))
+    assert sparsity < F(2, 3)
+    assert (res.sparsity, res.cut.value, res.cut.side_a, len(calls)) == (
+        sparsity, value, side_a, 1)
 
 
 def test_compiled_value_must_match_the_certificate(monkeypatch):

@@ -11,7 +11,9 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from vsp.graph import CapGraph
+from vsp.decompose import strong_decompose
+from vsp.flowsparse import contract_procedure
+from vsp.graph import CapGraph, out_capacity
 
 
 def triangle() -> CapGraph:
@@ -370,3 +372,29 @@ def derived_router_fields(g: CapGraph, members) -> dict:
             str(e): str(2 * caps[e] * (caps[e] - 1) / z) for e in boundary if caps[e] > 1
         },
     }
+
+
+# --------------------------------------------------------------------------
+# the contraction procedure, rechecked from its inputs and outputs
+
+
+def checked_contraction(g: CapGraph, gp: CapGraph, cmap, cs, params):
+    """contract_procedure on the contractible set `cs` of gp, a contraction
+    of g by cmap, with every claim rechecked from scratch: the boundary
+    out(cs) = k'' is at most ceil(k/2), cs has more than 128 F(k'')
+    vertices, the contracted graph has fewer vertices than gp, and the
+    strong pieces Z of cs's preimage in g keep the ledger
+    sum F(k_Z) <= 128 F(k'') with k'' rounded up to a power of two, at
+    least 4.  Returns the procedure's router certificates."""
+    kp = out_capacity(gp, cs)
+    assert kp <= (gp.k + 1) // 2
+    assert len(cs) > 128 * params.f_size(kp)
+    certs, gp2, _cmap2 = contract_procedure(g, [], gp, cmap, cs, params)
+    assert gp2.n < gp.n
+    r = params.r(gp.k)
+    pieces = strong_decompose(g, cmap.preimage(cs), budget=params.enum_budget).clusters
+    kpow = 4
+    while kpow < kp:
+        kpow *= 2
+    assert sum(params.f_size(zc.z, r) for zc in pieces) <= 128 * params.f_size(kpow, r)
+    return certs
