@@ -217,7 +217,9 @@ def _check_strong_bounds(dec: Decomposition) -> None:
 
 def certify_decomposition(g: CapGraph, dec: Decomposition) -> dict:
     """Re-derive every claim of a decomposition from scratch.  Failures are
-    report entries, not exceptions.  A cluster whose well-linked check
+    report entries, not exceptions.  The well-linked check finds each
+    cluster's least sparsity with no threshold, so the least split is
+    re-solved in Python against the compiled sweep.  A cluster whose check
     exceeds the decomposition's enumeration budget is not checked: its
     index is listed under "skipped" and named in the check's text, and it
     counts as work not done, not as passed."""
@@ -265,7 +267,7 @@ def certify_decomposition(g: CapGraph, dec: Decomposition) -> dict:
             continue
         inst = subdivide_boundary(g, c.members)
         try:
-            res = sparsest_cut_exact(inst, budget=dec.budget, stop_below=c.alpha)
+            res = sparsest_cut_exact(inst, budget=dec.budget)
         except BudgetExceeded:
             skipped.append(ci)
             continue

@@ -710,17 +710,15 @@ class WitnessFlow:
     rate: Fraction  # per ordered terminal pair
 
 
-def witness_to_flow(
-    g: CapGraph,
-    witness: Witness1 | Witness2,
-    cmap: ContractionMap | None = None,
-) -> WitnessFlow:
+def witness_to_flow(g: CapGraph, witness: Witness1 | Witness2) -> WitnessFlow:
+    """The paper's all-pairs routing behind a witness found on g itself: its
+    members and edge ids are g's."""
     if isinstance(witness, Witness1):
-        return _witness1_flow(g, witness, cmap)
-    return _witness2_flow(g, witness, cmap)
+        return _witness1_flow(g, witness)
+    return _witness2_flow(g, witness)
 
 
-def _witness1_flow(g, w: Witness1, cmap) -> WitnessFlow:
+def _witness1_flow(g, w: Witness1) -> WitnessFlow:
     k = g.k
     r = w.r
     terms = list(g.terminals)
@@ -728,11 +726,8 @@ def _witness1_flow(g, w: Witness1, cmap) -> WitnessFlow:
     unit = 2 * (k - 1) * rho  # a terminal's in+out mass within one family
     load: dict[int, Fraction] = {}
     for fam in w.families:
-        members = cmap.preimage(fam["members"]) if cmap else set(fam["members"])
-        members = frozenset(members)
-        end_edges = [
-            cmap.edge_map[eid] if cmap else eid for eid in fam["end_edges"]
-        ]
+        members = frozenset(fam["members"])
+        end_edges = list(fam["end_edges"])
         t_j = sorted(t for t, _p in fam["paths"])
         # paths T_j -> E_j in g, congestion at most 3 (transfer of the
         # witness's edge-disjoint system into the un-contracted graph)
@@ -770,13 +765,13 @@ def _witness1_flow(g, w: Witness1, cmap) -> WitnessFlow:
     return WitnessFlow(load, congestion(g, load), r * rho)
 
 
-def _witness2_flow(g, w: Witness2, cmap) -> WitnessFlow:
+def _witness2_flow(g, w: Witness2) -> WitnessFlow:
     k = g.k
     r = w.r
     terms = list(g.terminals)
     rho = Fraction(1, k)  # per ordered pair, split across the r systems
-    members = frozenset(cmap.preimage(w.members) if cmap else w.members)
-    groups = [[cmap.edge_map[eid] if cmap else eid for eid in grp] for grp in w.edge_groups]
+    members = frozenset(w.members)
+    groups = [list(grp) for grp in w.edge_groups]
     tstar = sorted(w.term_star)
     # Q: everyone reaches a T* terminal (empty path for T* members), three
     # batches of size <= |T*| each routed 1:1 at congestion <= 3

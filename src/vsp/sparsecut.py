@@ -13,7 +13,11 @@ unless the sweep priced that split in Python already; its side is the
 minimal source side of a minimum cut, the same whichever solver found the
 value.  With `stop_below`, a sweep that finds no split below the threshold
 returns its verdict alone, the least sparsity and no cut: callers cut only
-along a split below their threshold.  Parallel boundary edges are bucketed
+along a split below their threshold.  Such a verdict rests on the compiled
+values alone, since no split is re-solved in Python; the checkers
+(`verify.recheck_router_certificates`, `decompose.certify_decomposition`)
+therefore sweep with no threshold, so their verdicts rest on the least
+split's Python min cut as well.  Parallel boundary edges are bucketed
 into one bundle terminal per original edge, so the enumeration is over
 bundles; splitting a bundle away from its attachment never helps a cut of
 sparsity below 1, and cuts of sparsity exactly 1 always exist (cut one
@@ -116,7 +120,12 @@ def _sweep(
     A split's cut value v and smaller side weight w are integers over the
     sweep's two denominators, so its sparsity is v den_w / (den_v w) and
     two splits compare by v1 w2 against v2 w1.  These products go through
-    Python ints whenever int64 could overflow."""
+    Python ints whenever int64 could overflow.
+
+    The returned split (the one below `stop_below`, or the least one) gets
+    its cut from a Python min cut, and a compiled value that differs from
+    it raises RuntimeError; a verdict that nothing is below `stop_below`
+    solves nothing in Python."""
     ids = [t for t, _ in terms]
     order = sorted(ids)  # the side matrices' column order
     cuts = TerminalCuts(inst.graph, ids)

@@ -233,6 +233,18 @@ def test_compiled_value_must_match_the_certificate(monkeypatch):
         sparsest_cut_exact(inst)
 
 
+def test_split_below_the_threshold_must_match_the_certificate(monkeypatch):
+    # with a threshold, a split the compiled sweep prices below it is
+    # returned, so it is re-solved in Python and a mispricing is caught
+    inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
+    assert sparsest_cut_exact(inst, stop_below=F(1, 10)).cut is None
+    compiled = TerminalCuts._stack_values
+    monkeypatch.setattr(TerminalCuts, "_stack_values",
+                        lambda cuts, a, b: compiled(cuts, a, b) - 1)
+    with pytest.raises(RuntimeError, match="compiled sweep"):
+        sparsest_cut_exact(inst, stop_below=F(1, 10))
+
+
 def test_exact_budget_refusal():
     rng = random.Random(2)
     g = random_unit_graph(rng, n=30, m=64)

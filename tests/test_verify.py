@@ -393,11 +393,9 @@ def test_router_recheck_derives_wl_alpha(tmp_path, alpha):
         load_sparsifier(g, prefix)
 
 
-def test_router_recheck_tests_well_linkedness():
-    # a path with a pendant on every vertex routes the uniform exchange at
-    # congestion 4, but its middle edge cuts 1 against 4 boundary edges: the
-    # flows recheck and the derived 1/3 well-linkedness test fails
-    n = 8
+def _pendant_path_router(n):
+    """The path 1..n with a terminal pendant on every vertex, its interior
+    certified as one router by the exchange LP."""
     g = CapGraph(
         list(range(1, n + 1)) + [100 + v for v in range(1, n + 1)],
         [(v, v + 1, 1) for v in range(1, n)] + [(v, 100 + v, 1) for v in range(1, n + 1)],
@@ -411,9 +409,29 @@ def test_router_recheck_tests_well_linkedness():
         inst.pendant_of[t]: {(inst.parent_edge[e], d): v for (e, d), v in flows.items()}
         for t, flows in res.commodity_arcs.items()
     }
-    sp = assemble_flow_sparsifier(g, None, [RouterCertificate(members, res.eta, arcs)])
-    rep = recheck_router_certificates(sp)
+    return assemble_flow_sparsifier(g, None, [RouterCertificate(members, res.eta, arcs)])
+
+
+def test_router_recheck_tests_well_linkedness():
+    # a path with a pendant on every vertex routes the uniform exchange at
+    # congestion 4, but its middle edge cuts 1 against 4 boundary edges: the
+    # flows recheck and the derived 1/3 well-linkedness test fails
+    rep = recheck_router_certificates(_pendant_path_router(8))
     assert [name for name, ok, _ in rep["checks"] if not ok] == ["well-linked"]
+
+
+def test_well_linked_recheck_catches_a_mispriced_sweep(monkeypatch):
+    # at length 6 the middle cut is exactly 1/3, so the cluster passes; its
+    # 6 bundles give 31 splits, priced in one compiled solve.  A compiled
+    # sweep that prices every split 1 too high would still pass, and the
+    # least split's Python min cut catches it
+    sp = _pendant_path_router(6)
+    assert recheck_router_certificates(sp)["ok"]
+    compiled = TerminalCuts._stack_values
+    monkeypatch.setattr(TerminalCuts, "_stack_values",
+                        lambda cuts, a, b: compiled(cuts, a, b) + 1)
+    with pytest.raises(RuntimeError, match="compiled sweep"):
+        recheck_router_certificates(sp)
 
 
 def test_recheck_budget_reaches_the_well_linked_test():
