@@ -14,6 +14,11 @@ Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 but skipped work: a sampled cut sweep or a router's well-linked recheck.  It
 checks the sparsifier as the file's `kind` says it was built; `--mode` only
 asserts that kind, and a mismatch exits 2.
+
+The builders (`cutsparse`, `flowsparse` and the decompositions under them)
+load with `vsp build`, not with this module: `vsp verify`, `gen` and
+`inspect` import only the checker.  SciPy loads on a process's first
+stacked min-cut solve or float LP, if any.
 """
 
 from __future__ import annotations
@@ -27,14 +32,7 @@ import sys
 from fractions import Fraction
 
 from . import gen as genmod
-from .cutsparse import build_cut_sparsifier
 from .errors import BudgetExceeded, VspError
-from .flowsparse import (
-    AGGRESSIVE_F_GROWTH,
-    AGGRESSIVE_R,
-    FlowParams,
-    build_flow_sparsifier,
-)
 from .graph import read_graph, write_graph
 from .params import ETA_STAR
 from .serialize import load_sparsifier, save_sparsifier
@@ -60,6 +58,9 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def cmd_build(args) -> int:
+    from .cutsparse import build_cut_sparsifier
+    from .flowsparse import AGGRESSIVE_F_GROWTH, AGGRESSIVE_R, FlowParams, build_flow_sparsifier
+
     try:
         g = read_graph(args.input)
     except VspError as exc:

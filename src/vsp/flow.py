@@ -21,7 +21,7 @@ wider capacities.  A residual can reach twice the scaled total capacity, so
 a graph for which that doubled total reaches 2^31 never goes to SciPy: its
 splits are priced one by one in Python.  So are chunks of fewer than
 `_FEW_SPLITS` splits, for which one SciPy call costs more than the Python
-solves.
+solves.  SciPy is imported on the first stacked solve, not with this module.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -39,8 +39,6 @@ from math import lcm
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InputError
 from .graph import CapGraph
@@ -363,7 +361,9 @@ class TerminalCuts:
     does the same for fewer than `_FEW_SPLITS` rows: a SciPy call costs
     about 0.3 ms before it solves anything.  Rows priced in Python keep
     their certificates in `certificates`, so the caller that picks one of
-    them need not solve it again.
+    them need not solve it again.  SciPy (`scipy.sparse` and its
+    `csgraph`) is imported on the first stacked solve, so a process whose
+    sweeps all go to Python never loads it.
 
     `min_cut` runs the pure-Python `Net`, compiled on first use with a
     zero-capacity source arc and sink arc per terminal, and returns the
@@ -458,6 +458,9 @@ class TerminalCuts:
     def _stack_values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
         """Scaled max-flow values of the rows in one stacked network: copy
         c of G wires row c's sides to the super-source and super-sink."""
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import maximum_flow
+
         if self._cols is None:
             self._compile_copy()
         big = np.int32(self._big)

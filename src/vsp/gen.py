@@ -1,19 +1,18 @@
 """Seeded instance families.
 
 Every family is a pure function of its parameters and seed, so identical
-configurations yield byte-identical files.  Sizes outside a family's domain
-raise `InputError` before any random draw.
+configurations yield byte-identical files.  Sizes outside a family's domain,
+and sizes a family does not take, raise `InputError` before any random draw.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 
 from .errors import InputError
 from .graph import CapGraph
-
-FAMILIES = ("dumbbell", "grid", "regular", "welllinked", "chamber", "capacitated", "random")
 
 
 def _need(ok: bool, rule: str) -> None:
@@ -174,19 +173,26 @@ def gen_random_unit(n: int = 12, m: int = 20, k: int = 4, seed: int = 0) -> CapG
     return CapGraph(verts, edges, terms)
 
 
+_GENERATORS = {
+    "dumbbell": gen_dumbbell,
+    "grid": gen_grid,
+    "regular": gen_regular,
+    "welllinked": gen_welllinked,
+    "chamber": gen_chamber,
+    "capacitated": gen_capacitated,
+    "random": gen_random_unit,
+}
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate(family: str, seed: int = 0, **kw) -> CapGraph:
-    if family == "dumbbell":
-        return gen_dumbbell(seed=seed, **kw)
-    if family == "grid":
-        return gen_grid(seed=seed, **kw)
-    if family == "regular":
-        return gen_regular(seed=seed, **kw)
-    if family == "welllinked":
-        return gen_welllinked(seed=seed, **kw)
-    if family == "chamber":
-        return gen_chamber(seed=seed, **kw)
-    if family == "capacitated":
-        return gen_capacitated(seed=seed, **kw)
-    if family == "random":
-        return gen_random_unit(seed=seed, **kw)
-    raise InputError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    """The instance of `family` at `seed`; `kw` holds sizes the family takes,
+    and any other size raises `InputError` naming the ones it takes."""
+    if family not in _GENERATORS:
+        raise InputError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    fn = _GENERATORS[family]
+    sizes = [p for p in inspect.signature(fn).parameters if p != "seed"]
+    extra = sorted(set(kw) - set(sizes))
+    if extra:
+        raise InputError(f"{family} takes sizes {', '.join(sizes)}, not {', '.join(extra)}")
+    return fn(seed=seed, **kw)

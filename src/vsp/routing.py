@@ -15,9 +15,10 @@ exactly feasible (paths with rational amounts, demands met exactly) and
 reports as eta the exactly evaluated congestion of that flow, so a float
 solve can only overstate eta, never understate a certificate.
 
-SciPy's `linprog` is this module's attribute `linprog`, imported on the
-first float solve (`__getattr__`): cut mode and small flow LPs never load
-`scipy.optimize`.
+SciPy is imported on the first float solve, never with this module:
+`_highs_block` imports `scipy.sparse`, and SciPy's `linprog` is this
+module's attribute `linprog`, bound on first use (`__getattr__`).  Cut mode
+and small flow LPs load neither `scipy.sparse` nor `scipy.optimize` here.
 """
 
 from __future__ import annotations
@@ -26,16 +27,18 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError
 from .flow import FlowSolution
 from .graph import CapGraph, SubdividedInstance, congestion
 from .params import ETA_STAR
 from .ratlp import ZERO, solve_lp
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 INFEASIBLE = math.inf
 
@@ -209,12 +212,14 @@ def _simplex_block(block, exact: list) -> tuple[list[list[tuple[int, Fraction]]]
     return [list(zip(cols[i:j], vals[i:j])) for i, j in zip(ptr, ptr[1:])], b
 
 
-def _highs_block(block, ncols: int, floats: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+def _highs_block(block, ncols: int, floats: np.ndarray) -> tuple[csr_matrix, np.ndarray]:
     """A tiled block as HiGHS's CSR matrix and right-hand-side vector."""
+    from scipy.sparse import csr_matrix
+
     ptr, indices, codes, rhs = block
     b = np.zeros(len(ptr) - 1)
     b[list(rhs)] = [float(v) for v in rhs.values()]
-    return sp.csr_matrix((floats[codes], indices, ptr), shape=(len(b), ncols)), b
+    return csr_matrix((floats[codes], indices, ptr), shape=(len(b), ncols)), b
 
 
 def min_congestion_routing(

@@ -72,6 +72,19 @@ def test_gen_out_of_range_size_exits_two(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, sizes", [
+    (["grid", "--n", "5"], "grid takes sizes rows, cols, k, not n"),
+    (["dumbbell", "--rows", "2"], "dumbbell takes sizes k, side, not rows"),
+    (["regular", "--side", "3"], "regular takes sizes n, d, k, not side"),
+], ids=["grid --n 5", "dumbbell --rows 2", "regular --side 3"])
+def test_gen_size_the_family_does_not_take_exits_two(tmp_path, capsys, argv, sizes):
+    out_path = tmp_path / "g.vsp"
+    code, out, err = run(["gen", *argv, "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": sizes}
+    assert not out_path.exists()
+
+
 def test_build_and_verify_roundtrip(tmp_path, capsys):
     g = tmp_path / "g.vsp"
     run(["gen", "regular", "--n", "8", "--k", "4", "--seed", "1", "--out", str(g)], capsys)

@@ -3,12 +3,19 @@ the tools is used, and every module-level function and class of the package
 serves the package or the benchmark."""
 
 import ast
+import contextlib
 import importlib
+import io
+import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import vsp
+from vsp import cli
 
 SRC = Path(vsp.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,3 +136,103 @@ def test_checker_imports_no_search_code():
     loaded = set(out.stdout.split())
     assert not loaded & {"decompose", "flowsparse", "cutsparse"}
     assert loaded == CHECKER
+
+
+def _fresh(code: str, *args: str) -> list[str]:
+    """The stdout lines of `code` run in a fresh interpreter with `args`."""
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+# runs the CLI commands of the JSON list argv[1], quietly, then prints their
+# exit codes, the vsp modules the process has loaded and its scipy modules
+_RUN_CLI = """
+    import contextlib, io, json, sys
+    import vsp.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [vsp.cli.main(argv) for argv in json.loads(sys.argv[1])]
+    print(codes)
+    print(" ".join(sorted(m[4:] for m in sys.modules if m.startswith("vsp."))))
+    print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.fixture(scope="module")
+def saved_grid(tmp_path_factory):
+    """A 3x3 grid with 3 terminals and its cut and flow sparsifiers, saved."""
+    d = tmp_path_factory.mktemp("saved")
+    g = str(d / "g.vsp")
+    argvs = [
+        ["gen", "grid", "--rows", "3", "--cols", "3", "--k", "3", "--out", g],
+        ["build", g, "--mode", "cut", "--out", str(d / "cut")],
+        ["build", g, "--mode", "flow", "--out", str(d / "flow")],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main(a) for a in argvs] == [0, 0, 0]
+    return g, str(d / "cut"), str(d / "flow")
+
+
+def test_importing_the_cli_loads_the_checker_and_no_scipy():
+    _codes, vsp_modules, scipy_modules = _fresh(_RUN_CLI, "[]")
+    assert set(vsp_modules.split()) == CHECKER | {"cli", "gen"}
+    assert scipy_modules == ""
+
+
+def test_vsp_verify_loads_only_the_checker(saved_grid):
+    g, cut, flow = saved_grid
+    argvs = [["verify", g, cut], ["verify", g, flow]]
+    codes, vsp_modules, _scipy = _fresh(_RUN_CLI, json.dumps(argvs))
+    assert codes == "[0, 0]"
+    assert set(vsp_modules.split()) == CHECKER | {"cli", "gen"}
+
+
+def test_small_exact_commands_load_no_scipy(tmp_path):
+    # every sweep of this grid has at most 3 splits and every LP is exact,
+    # so nothing reaches SciPy
+    g, cut, flow = (str(tmp_path / name) for name in ("g.vsp", "cut", "flow"))
+    argvs = [
+        ["gen", "grid", "--rows", "3", "--cols", "3", "--k", "3", "--out", g],
+        ["inspect", g],
+        ["build", g, "--mode", "cut", "--out", cut],
+        ["verify", g, cut],
+        ["build", g, "--mode", "flow", "--out", flow],
+        ["verify", g, flow],
+    ]
+    codes, _vsp, scipy_modules = _fresh(_RUN_CLI, json.dumps(argvs))
+    assert codes == "[0, 0, 0, 0, 0, 0]"
+    assert scipy_modules == ""
+
+
+def test_the_first_stacked_min_cut_solve_loads_csgraph():
+    # of the 31 splits of gen_grid(4, 5, k=6), a chunk of 7 goes to Python and
+    # a chunk of 8 (`flow._FEW_SPLITS`) to SciPy
+    code = """
+        import sys
+        from vsp.flow import TerminalCuts, side_matrix
+        from vsp.gen import gen_grid
+        g = gen_grid(4, 5, k=6)
+        terms = sorted(g.terminals)
+        cuts = TerminalCuts(g, terms)
+        for rows in (7, 8):
+            side_a = side_matrix(terms, range(rows))
+            values = cuts.values(side_a, ~side_a)
+            print(rows, values.dtype, "scipy.sparse.csgraph" in sys.modules)
+    """
+    assert _fresh(code) == ["7 object False", "8 int64 True"]
+
+
+def test_the_first_float_lp_loads_scipy_sparse_and_optimize():
+    code = """
+        import sys
+        from vsp.gen import gen_grid
+        from vsp.routing import DemandSet, min_congestion_routing
+        g = gen_grid(3, 3, k=3)
+        a, b, c = sorted(g.terminals)
+        demands = DemandSet.from_map({(a, b): 1, (b, c): 1})
+        for exact in (True, False):
+            res = min_congestion_routing(g, demands, exact=exact)
+            print(res.exact_lp, "scipy.sparse" in sys.modules, "scipy.optimize" in sys.modules)
+    """
+    assert _fresh(code) == ["True False False", "False True True"]
