@@ -1,6 +1,6 @@
 """Exact linear programming over the rationals.
 
-A sparse two-phase primal simplex with Bland's rule: exact and cycle-free.
+A two-phase primal simplex with Bland's rule: exact and cycle-free.
 Intended for the small instances this package certifies (a few hundred
 variables); `routing` hands larger routing LPs to HiGHS instead, on the
 same tiled arrays, and re-verifies that solver's flow exactly.
@@ -8,18 +8,23 @@ same tiled arrays, and re-verifies that solver's flow exactly.
 Representation.  The objective `c` is a dense list, one entry per column.
 Each constraint row comes in sparse, as `(column, coefficient)` pairs with
 no column repeated (`routing._simplex_block` decodes them from the routing
-LP's tiled CSR arrays); a column left out has coefficient 0.  Each tableau
-row is a `{column: int}` map of its nonzero entries plus one positive int
-denominator: the rational row is `ents / den`.  The right-hand side sits
-in the same map, under the key `RHS`, so a zero right-hand side is simply
-absent.  Rows are gcd-reduced after every update, and the initial rows and
-both objective rows are scaled to integers by the lcm of their
-denominators.  A pivot changes only the pivot row's denominator (it
-becomes the pivot entry), and every other row with a nonzero f in the pivot
-column becomes `row * p - f * prow` over `den * p`, where `prow / p` is the
-new pivot row; the update touches only the nonzeros of the two rows, and an
-entry that cancels is deleted.  The ratio test compares b_r / a_r across
-rows by cross-multiplying, so the row denominators cancel.
+LP's tiled CSR arrays); a column left out has coefficient 0.  The tableau
+is one 2-D numpy integer array: one row per constraint and the objective
+row last, one column per variable and the right-hand side last.  Each row
+holds its rational row times an implicit positive scale (a constraint
+row's scale is its basic entry): the input rows are scaled to integers by
+the lcm of their denominators and written in one array construction, and
+every row is divided by the gcd of its entries after each update.  A
+pivot makes the pivot entry p positive, and every other row with a nonzero
+f in the pivot column becomes `row * p - f * prow` in one vectorised
+update; a new objective row is priced out against all basic rows in one
+such update.  The ratio test compares b_r / a_r across rows by
+cross-multiplying, so the scales cancel.
+
+The array is int64 while the entries' maxima prove that no product of an
+update reaches 2^62 (|a| * p + |f| * |prow| < 2^62).  Otherwise it is widened,
+once, to dtype=object, whose entries are Python ints; the arithmetic is
+exact either way.
 
 Every sign test and ratio comparison is thus evaluated exactly on the same
 rational tableau a dense `Fraction` tableau would hold: the entering column
@@ -27,7 +32,7 @@ is the smallest with a negative reduced cost, ratio ties go to the smallest
 basic index, and an artificial left basic after phase 1 is driven out at
 its row's smallest nonzero column.  So the pivot sequence, the returned
 point and the objective are those of the textbook rational Bland simplex;
-only the cost per pivot (the nonzeros, one gcd per row) differs.
+only the cost per pivot differs.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 ZERO = Fraction(0)
-RHS = -1  # the key of a row's right-hand side; columns are >= 0
+_LIMIT = 1 << 62  # int64 holds every entry and every update term below this
 
 SparseRow = Sequence[tuple[int, Fraction]]  # (column, coefficient) pairs
 
@@ -50,85 +57,81 @@ class LpResult:
     objective: Fraction | None
 
 
-class _Row:
-    """One tableau row: the rational values `ents[j] / den` of its nonzero
-    entries, with den > 0."""
-
-    __slots__ = ("ents", "den")
-
-    def __init__(self, ents: dict[int, int], den: int):
-        g = math.gcd(*ents.values(), den)
-        if g > 1:
-            ents = {j: v // g for j, v in ents.items()}
-            den //= g
-        self.ents = ents
-        self.den = den
+def _integers(values: Sequence[object]) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, and that lcm."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def _integer_row(values: Mapping[int, object]) -> _Row:
-    """Scale a row of rationals, keyed by column, to integers by the lcm of
-    its denominators; zero entries are left out."""
-    fracs = {
-        j: v if isinstance(v, (int, Fraction)) else Fraction(v)
-        for j, v in values.items() if v
-    }
-    den = math.lcm(*(f.denominator for f in fracs.values()))
-    return _Row({j: f.numerator * (den // f.denominator) for j, f in fracs.items()}, den)
+def _fit(t: np.ndarray, bound: int) -> np.ndarray:
+    """t, widened to Python ints if it is int64 and `bound` may not fit."""
+    return t if bound < _LIMIT or t.dtype == object else t.astype(object)
 
 
-def _eliminate(row: _Row, col: int, prow: _Row) -> _Row:
-    """row - row[col] * prow, for a pivot row whose entry in col is 1."""
-    f = row.ents[col]
-    p = prow.den
-    ents = {j: a * p for j, a in row.ents.items()} if p != 1 else dict(row.ents)
-    for j, b in prow.ents.items():
-        v = ents.get(j, 0) - f * b
-        if v:
-            ents[j] = v
-        else:
-            del ents[j]
-    return _Row(ents, row.den * p)
-
-
-def _pivot(tab: list[_Row], basis: list[int], row: int, col: int) -> None:
-    prow = tab[row]
-    piv = prow.ents[col]
-    if piv < 0:
-        prow = _Row({j: -v for j, v in prow.ents.items()}, -piv)
-    else:
-        prow = _Row(prow.ents, piv)
-    tab[row] = prow
-    for r, trow in enumerate(tab):
-        if r != row and col in trow.ents:
-            tab[r] = _eliminate(trow, col, prow)
+def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> np.ndarray:
+    """Pivot on (row, col); returns the tableau, widened if the update needs it."""
+    if t[row, col] < 0:
+        t[row] *= -1
+    rows = t[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    sub = t[rows]
+    if len(rows) and t.dtype != object:
+        a, prow = np.abs(sub), np.abs(t[row])
+        t = _fit(t, int(a.max()) * int(prow[col]) + int(a[:, col].max()) * int(prow.max()))
+        sub = sub.astype(t.dtype, copy=False)
+    prow = t[row]
+    t[rows] = _reduced(sub * prow[col] - sub[:, col, None] * prow)
     basis[row] = col
+    return t
 
 
-def _run_simplex(tab: list[_Row], basis: list[int]) -> str:
-    """Drive the objective row (last row) to optimality with Bland's rule."""
-    obj = len(tab) - 1
+def _reduced(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by the gcd of its entries (an all-zero row stays)."""
+    rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
+    return rows
+
+
+def _price_out(t: np.ndarray, basis: list[int]) -> np.ndarray:
+    """Eliminate the basic columns from the objective row (the last row) in
+    one update; returns the tableau, widened if the update needs it.  With
+    p_r the basic entry of row r, f_r the objective's entry in its column
+    and L the lcm of the p_r, the objective becomes
+    `L * obj - sum_r f_r * (L / p_r) * row_r`."""
+    rows = t[-1, basis].nonzero()[0]
+    if not len(rows):
+        return t
+    cols = [basis[r] for r in rows]
+    p = t[rows, cols].tolist()
+    lcm = math.lcm(*p)
+    w = [f * (lcm // q) for f, q in zip(t[-1, cols].tolist(), p)]
+    row_max = np.abs(t[rows]).max(axis=1).tolist()
+    t = _fit(t, lcm * int(np.abs(t[-1]).max()) + sum(abs(a) * b for a, b in zip(w, row_max)))
+    t[-1:] = _reduced(lcm * t[-1:] - np.array(w, t.dtype) @ t[rows])
+    return t
+
+
+def _run_simplex(t: np.ndarray, basis: list[int]) -> tuple[str, np.ndarray]:
+    """Price the basic columns out of the objective row (the last row), then
+    drive it to optimality with Bland's rule.  Returns the status and the
+    tableau, which a pivot may have widened."""
+    t = _price_out(t, basis)
     while True:
-        col = min((j for j, v in tab[obj].ents.items() if v < 0 and j != RHS), default=-1)
-        if col == -1:
-            return "optimal"
+        neg = t[-1, :-1] < 0
+        col = int(neg.argmax())
+        if not neg[col]:
+            return "optimal", t
+        rows = (t[:-1, col] > 0).nonzero()[0].tolist()
+        if not rows:
+            return "unbounded", t
         # minimum ratio b_r / a_r over a_r > 0, smallest basic index on ties
-        row = -1
-        best_b = best_a = 0
-        for r in range(obj):
-            ents = tab[r].ents
-            a = ents.get(col, 0)
-            if a > 0:
-                b = ents.get(RHS, 0)
-                if row == -1:
-                    better = True
-                else:
-                    lhs, rhs = b * best_a, best_b * a
-                    better = lhs < rhs or (lhs == rhs and basis[r] < basis[row])
-                if better:
-                    best_b, best_a, row = b, a, r
-        if row == -1:
-            return "unbounded"
-        _pivot(tab, basis, row, col)
+        a, b = t[rows, col].tolist(), t[rows, -1].tolist()
+        best = 0
+        for i in range(1, len(rows)):
+            lhs, rhs = b[i] * a[best], b[best] * a[i]
+            if lhs < rhs or (lhs == rhs and basis[rows[i]] < basis[rows[best]]):
+                best = i
+        t = _pivot(t, basis, rows[best], col)
 
 
 def solve_lp(
@@ -144,70 +147,66 @@ def solve_lp(
     `(column, coefficient)` pairs naming each column at most once, and a
     column it leaves out has coefficient 0."""
     n = len(c)
-    ub = list(zip(a_ub, b_ub))
-    nslack = len(ub)
-    keep = n + nslack
+    rows = list(zip(a_ub, b_ub))
+    nslack = len(rows)
+    rows += zip(a_eq, b_eq)
+    m, keep = len(rows), n + nslack
 
     # columns: n structural, nslack slacks, then one artificial per row whose
-    # slack does not survive the sign flip that makes its right-hand side >= 0
-    tab: list[_Row] = []
+    # slack does not survive the sign flip that makes its right-hand side >= 0,
+    # then the right-hand side
+    width = keep + sum(1 for i, (_, b) in enumerate(rows) if i >= nslack or b < 0)
     basis: list[int] = []
     nart = 0
-    for i, (vals, b) in enumerate(ub + list(zip(a_eq, b_eq))):
-        row = _integer_row({**dict(vals), RHS: b})
-        ents, den = row.ents, row.den
+    at, cols, vals = [], [], []  # the nonzero entries, row by row
+    for i, (pairs, b) in enumerate(rows):
+        ints, den = _integers([b, *(v for _, v in pairs)])
+        row_cols = [width, *(j for j, _ in pairs)]
         if i < nslack:
-            ents[n + i] = den
-        if ents.get(RHS, 0) < 0:
-            ents = {j: -v for j, v in ents.items()}
-        if i < nslack and ents[n + i] > 0:
+            row_cols.append(n + i)
+            ints.append(den)
+        if i < nslack and b >= 0:
             basis.append(n + i)
         else:
             basis.append(keep + nart)
-            ents[keep + nart] = den
             nart += 1
-        tab.append(_Row(ents, den))
-    m = len(tab)
+            row_cols.append(basis[-1])
+            ints.append(-den if b < 0 else den)
+        at += [i] * len(row_cols)
+        cols += row_cols
+        vals += [-v for v in ints] if b < 0 else ints
+    t = _fit(np.zeros((m + 1, width + 1), np.int64), max(map(abs, vals), default=0))
+    t[at, cols] = vals
 
-    if nart:
+    if width > keep:
         # phase 1: minimize the sum of the artificials
-        obj = _Row({j: 1 for j in range(keep, keep + nart)}, 1)
-        for r in range(m):
-            if basis[r] >= keep:
-                obj = _eliminate(obj, basis[r], tab[r])
-        tab.append(obj)
-        status = _run_simplex(tab, basis)
-        if status != "optimal" or RHS in tab[-1].ents:
+        t[-1, keep:width] = 1
+        status, t = _run_simplex(t, basis)
+        if status != "optimal" or t[-1, -1]:
             return LpResult("infeasible", [], None)
-        tab.pop()
+        t[-1] = 0  # spent; the drive-out leaves it be, phase 2 refills it
         # drive any artificial still basic out; an all-zero row is redundant
         redundant = []
         for r in range(m):
             if basis[r] >= keep:
-                cols = [j for j in tab[r].ents if 0 <= j < keep]
-                if cols:
-                    _pivot(tab, basis, r, min(cols))
+                nonzero = t[r, :keep].nonzero()[0]
+                if len(nonzero):
+                    t = _pivot(t, basis, r, int(nonzero[0]))
                 else:
                     redundant.append(r)
-        for r in reversed(redundant):
-            del tab[r]
-            del basis[r]
-        m = len(tab)
-        # drop the artificial columns
-        for r, row in enumerate(tab):
-            tab[r] = _Row({j: v for j, v in row.ents.items() if j < keep}, row.den)
+        # delete the redundant rows and the artificial columns
+        t = np.delete(np.delete(t, redundant, axis=0), np.s_[keep:width], axis=1)
+        basis = [j for r, j in enumerate(basis) if r not in redundant]
 
-    obj = _integer_row(dict(enumerate(c)))
-    for r in range(m):
-        if basis[r] < n and basis[r] in obj.ents:
-            obj = _eliminate(obj, basis[r], tab[r])
-    tab.append(obj)
-    status = _run_simplex(tab, basis)
+    ints, _ = _integers(c)
+    t = _fit(t, max(map(abs, ints), default=0))
+    t[-1, :n] = ints
+    status, t = _run_simplex(t, basis)
     if status == "unbounded":
         return LpResult("unbounded", [], None)
     x = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = Fraction(tab[r].ents.get(RHS, 0), tab[r].den)
-    objective = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(int(t[r, -1]), int(t[r, j]))
+    objective = sum((c[j] * x[j] for j in basis if j < n), ZERO)
     return LpResult("optimal", x, objective)

@@ -8,7 +8,9 @@ coefficients are codes into two tables, one exact and one float.  HiGHS
 reads the arrays with the float table, and its x is rounded to multiples of
 2^-40, nonzero entries only.  The exact rational simplex (`ratlp.solve_lp`)
 reads the same arrays decoded into `(column, coefficient)` rows with the
-exact table.  `exact` picks the solver, by default the simplex up to
+exact table, scales each row to integers and holds the LP as one numpy
+integer tableau (int64, widened to Python ints only when an update could
+overflow).  `exact` picks the solver, by default the simplex up to
 EXACT_LP_MAX_VARS columns and HiGHS above.  Either way x is decoded into
 per-commodity arc flows, and one repair (`_assemble`) makes that flow
 exactly feasible (paths with rational amounts, demands met exactly) and
@@ -202,7 +204,9 @@ def _skeleton(g: CapGraph) -> _Skeleton:
 
 
 def _simplex_block(block, exact: list) -> tuple[list[list[tuple[int, Fraction]]], list[Fraction]]:
-    """A tiled block as the simplex's sparse rows and right-hand sides."""
+    """A tiled block as `solve_lp`'s sparse `(column, coefficient)` rows and
+    exact right-hand sides; the simplex scales each row to integers and
+    writes all of them into its integer tableau at once."""
     ptr, indices, codes, rhs = block
     ptr, cols = ptr.tolist(), indices.tolist()
     vals = [exact[k] for k in codes.tolist()]

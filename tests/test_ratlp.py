@@ -128,8 +128,9 @@ def test_matches_scipy_on_random_instances():
 
 # --------------------------------------------------------------------------
 # differential tests against the Fraction-tableau oracle in tests/util.py:
-# the integer-row tableau must take the same pivots, so status, point and
-# objective are identical, not merely equally optimal
+# the integer numpy tableau (int64, or Python ints once an update might
+# overflow) must take the same pivots, so status, point and objective are
+# identical, not merely equally optimal
 
 
 def _same_as_oracle(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
@@ -142,19 +143,19 @@ _coef = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 
 
 
 @st.composite
-def _lps(draw):
+def _lps(draw, coef=_coef):
     n = draw(st.integers(1, 6))
     mu = draw(st.integers(0, 4))
     me = draw(st.integers(0, 3))
-    row = st.lists(_coef, min_size=n, max_size=n)
+    row = st.lists(coef, min_size=n, max_size=n)
     c = draw(row)
     a_ub = draw(st.lists(row, min_size=mu, max_size=mu))
-    b_ub = draw(st.lists(_coef, min_size=mu, max_size=mu))
+    b_ub = draw(st.lists(coef, min_size=mu, max_size=mu))
     a_eq = draw(st.lists(row, min_size=me, max_size=me))
-    b_eq = draw(st.lists(_coef, min_size=me, max_size=me))
+    b_eq = draw(st.lists(coef, min_size=me, max_size=me))
     if me and draw(st.booleans()):
         # a redundant equality: a rational multiple of the first one
-        k = draw(_coef.filter(bool))
+        k = draw(coef.filter(bool))
         a_eq.append([k * v for v in a_eq[0]])
         b_eq.append(k * b_eq[0])
     return c, a_ub, b_ub, a_eq, b_eq
@@ -188,6 +189,31 @@ def _lps(draw):
     [F(0), F(0)],
 ))
 def test_identical_to_fraction_oracle(lp):
+    _same_as_oracle(*lp)
+
+
+# numerators and denominators up to 2^70: the tableau starts as int64 when
+# its entries are small and as Python ints when one reaches 2^62, and it is
+# widened in the middle of a solve once an update might overflow int64
+_huge = st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**70))
+_K = 2**30
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lps(st.one_of(_coef, _huge)))
+@example((  # int64 for the first pivot, widened for the second
+    [F(-1), F(-1), F(-1)],
+    [[F(_K + 1), F(3), F(_K - 5)], [F(7), F(_K + 3), F(11)], [F(_K - 9), F(13), F(_K + 7)]],
+    [F(_K), F(_K), F(_K)], [], [],
+))
+@example((  # Python ints from the start, three pivots from phase 1 on
+    [F(2**70 - 1, 3), F(-5)],
+    [[F(-1), F(-(2**69), 7**20)], [F(0), F(1)]],
+    [F(-(2**70), 2**70 - 1), F(2**64)],
+    [[F(3, 2**70), F(1)]],
+    [F(2**63)],
+))
+def test_huge_entries_identical_to_fraction_oracle(lp):
     _same_as_oracle(*lp)
 
 
