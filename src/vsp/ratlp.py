@@ -5,21 +5,21 @@ Intended for the small instances this package certifies (a few hundred
 variables); `routing` hands larger routing LPs to HiGHS instead, on the
 same tiled arrays, and re-verifies that solver's flow exactly.
 
-Representation.  The objective `c` is a dense list, one entry per column.
-Each constraint row comes in sparse, as `(column, coefficient)` pairs with
-no column repeated (`routing._simplex_block` decodes them from the routing
-LP's tiled CSR arrays); a column left out has coefficient 0.  The tableau
-is one 2-D numpy integer array: one row per constraint and the objective
-row last, one column per variable and the right-hand side last.  Each row
-holds its rational row times an implicit positive scale (a constraint
-row's scale is its basic entry): the input rows are scaled to integers by
-the lcm of their denominators and written in one array construction, and
-every row is divided by the gcd of its entries after each update.  A
-pivot makes the pivot entry p positive, and every other row with a nonzero
-f in the pivot column becomes `row * p - f * prow` in one vectorised
-update; a new objective row is priced out against all basic rows in one
-such update.  The ratio test compares b_r / a_r across rows by
-cross-multiplying, so the scales cancel.
+Representation.  The objective `c` is a dense list, one entry per column,
+and each constraint block a CSR triple (indptr, indices, data) of exact
+values, no column twice in a row: `routing` passes the indptr and indices
+that HiGHS reads.  The tableau is one 2-D numpy integer array: one row per
+constraint and the objective row last, one column per variable and the
+right-hand side last.  Each row holds its rational row times an implicit
+positive scale (a constraint row's scale is its basic entry): one
+segmented lcm over the rows' entries and right-hand sides scales each row
+to integers, and one fancy assignment writes them all.  Every row is
+divided by the gcd of its entries after each update.  A pivot makes the
+pivot entry p positive, and every other row with a nonzero f in the pivot
+column becomes `row * p - f * prow` in one vectorised update; a new
+objective row is priced out against all basic rows in one such update.
+The ratio test compares b_r / a_r across rows by cross-multiplying, so the
+scales cancel.
 
 The array is int64 while the entries' maxima prove that no product of an
 update reaches 2^62 (|a| * p + |f| * |prow| < 2^62).  Otherwise it is widened,
@@ -44,10 +44,10 @@ from typing import Sequence
 
 import numpy as np
 
-ZERO = Fraction(0)
 _LIMIT = 1 << 62  # int64 holds every entry and every update term below this
 
-SparseRow = Sequence[tuple[int, Fraction]]  # (column, coefficient) pairs
+Csr = tuple[Sequence[int], Sequence[int], Sequence[Fraction]]  # indptr, indices, data
+_NO_ROWS: Csr = ((0,), (), ())
 
 
 @dataclass
@@ -55,13 +55,6 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: list[Fraction]
     objective: Fraction | None
-
-
-def _integers(values: Sequence[object]) -> tuple[list[int], int]:
-    """Rationals times the lcm of their denominators, and that lcm."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def _fit(t: np.ndarray, bound: int) -> np.ndarray:
@@ -136,47 +129,56 @@ def _run_simplex(t: np.ndarray, basis: list[int]) -> tuple[str, np.ndarray]:
 
 def solve_lp(
     c: Sequence[Fraction],
-    a_ub: Sequence[SparseRow] = (),
+    a_ub: Csr = _NO_ROWS,
     b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[SparseRow] = (),
+    a_eq: Csr = _NO_ROWS,
     b_eq: Sequence[Fraction] = (),
 ) -> LpResult:
     """Minimize c.x subject to a_ub x <= b_ub, a_eq x == b_eq, x >= 0.
 
-    c is dense, one entry per column; each constraint row is a sequence of
-    `(column, coefficient)` pairs naming each column at most once, and a
-    column it leaves out has coefficient 0."""
-    n = len(c)
-    rows = list(zip(a_ub, b_ub))
-    nslack = len(rows)
-    rows += zip(a_eq, b_eq)
-    m, keep = len(rows), n + nslack
+    c is dense, one entry per column.  Each constraint block is a CSR triple
+    (indptr, indices, data): row i has the exact coefficients
+    data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:indptr[i + 1]],
+    no column twice, and a column it leaves out has coefficient 0."""
+    n, nslack, m = len(c), len(b_ub), len(b_ub) + len(b_eq)
+    keep = n + nslack
+    # one CSR array over the tableau's rows: the inequalities, the equalities
+    # and the objective c, each row led by its right-hand side (the
+    # objective's is 0) in the last column, index -1
+    blocks = (a_ub, a_eq, ((0, n), range(n), c))
+    lengths = np.concatenate([np.diff(ptr) for ptr, _, _ in blocks])
+    at = np.cumsum(lengths) - lengths
+    cols = np.insert(np.concatenate([np.asarray(j, np.intp) for _, j, _ in blocks]), at, -1)
+    vals = np.insert(np.array([v for _, _, data in blocks for v in data], object), at,
+                     np.array([*b_ub, *b_eq, 0], object))
+    start = at + np.arange(m + 1)  # each row's right-hand side, then its entries
+    row = np.repeat(np.arange(m + 1), lengths + 1)
+    # each row times the lcm of its denominators, in int64 unless a product
+    # may reach 2^62 (a row's lcm divides the lcm of all the denominators)
+    num, den = [v.numerator for v in vals], [v.denominator for v in vals]
+    dtype = np.int64 if max(map(abs, num)) * math.lcm(*set(den)) < _LIMIT else object
+    num, den = np.array(num, dtype), np.array(den, dtype)
+    scale = np.lcm.reduceat(den, start)
+    ints = num * (scale[row] // den)
+    last = start[m]  # the objective row, after the constraints
+    obj, scale = ints[last + 1:], scale[:m]
+    row, cols, ints = row[:last], cols[:last], ints[:last]
 
     # columns: n structural, nslack slacks, then one artificial per row whose
     # slack does not survive the sign flip that makes its right-hand side >= 0,
-    # then the right-hand side
-    width = keep + sum(1 for i, (_, b) in enumerate(rows) if i >= nslack or b < 0)
-    basis: list[int] = []
-    nart = 0
-    at, cols, vals = [], [], []  # the nonzero entries, row by row
-    for i, (pairs, b) in enumerate(rows):
-        ints, den = _integers([b, *(v for _, v in pairs)])
-        row_cols = [width, *(j for j, _ in pairs)]
-        if i < nslack:
-            row_cols.append(n + i)
-            ints.append(den)
-        if i < nslack and b >= 0:
-            basis.append(n + i)
-        else:
-            basis.append(keep + nart)
-            nart += 1
-            row_cols.append(basis[-1])
-            ints.append(-den if b < 0 else den)
-        at += [i] * len(row_cols)
-        cols += row_cols
-        vals += [-v for v in ints] if b < 0 else ints
-    t = _fit(np.zeros((m + 1, width + 1), np.int64), max(map(abs, vals), default=0))
-    t[at, cols] = vals
+    # then the right-hand side; a slack or an artificial is its row's scale
+    neg = ints[start[:m]] < 0
+    art = np.flatnonzero(neg | (np.arange(m) >= nslack))
+    basis = np.arange(n, n + m)
+    basis[art] = keep + np.arange(len(art))
+    width = keep + len(art)
+    t = _fit(np.zeros((m + 1, width + 1), np.int64),
+             int(max(np.abs(ints).max(initial=0), scale.max(initial=0))))
+    t[row, cols] = ints
+    t[np.arange(nslack), n + np.arange(nslack)] = scale[:nslack]
+    t[:m][neg] *= -1
+    t[art, basis[art]] = scale[art]
+    basis = basis.tolist()
 
     if width > keep:
         # phase 1: minimize the sum of the artificials
@@ -198,15 +200,14 @@ def solve_lp(
         t = np.delete(np.delete(t, redundant, axis=0), np.s_[keep:width], axis=1)
         basis = [j for r, j in enumerate(basis) if r not in redundant]
 
-    ints, _ = _integers(c)
-    t = _fit(t, max(map(abs, ints), default=0))
-    t[-1, :n] = ints
+    t = _fit(t, int(np.abs(obj).max(initial=0)))
+    t[-1, :n] = obj
     status, t = _run_simplex(t, basis)
     if status == "unbounded":
         return LpResult("unbounded", [], None)
-    x = [ZERO] * n
+    x = [Fraction(0)] * n
     for r, j in enumerate(basis):
         if j < n:
             x[j] = Fraction(int(t[r, -1]), int(t[r, j]))
-    objective = sum((c[j] * x[j] for j in basis if j < n), ZERO)
+    objective = sum((c[j] * x[j] for j in basis if j < n), Fraction(0))
     return LpResult("optimal", x, objective)

@@ -7,15 +7,16 @@ and `_Skeleton.tile` tiles it for each demand set into CSR arrays whose
 coefficients are codes into two tables, one exact and one float.  HiGHS
 reads the arrays with the float table, and its x is rounded to multiples of
 2^-40, nonzero entries only.  The exact rational simplex (`ratlp.solve_lp`)
-reads the same arrays decoded into `(column, coefficient)` rows with the
-exact table, scales each row to integers and holds the LP as one numpy
-integer tableau (int64, widened to Python ints only when an update could
-overflow).  `exact` picks the solver, by default the simplex up to
-EXACT_LP_MAX_VARS columns and HiGHS above.  Either way x is decoded into
-per-commodity arc flows, and one repair (`_assemble`) makes that flow
-exactly feasible (paths with rational amounts, demands met exactly) and
-reports as eta the exactly evaluated congestion of that flow, so a float
-solve can only overstate eta, never understate a certificate.
+reads the same indptr and indices arrays, with data from the exact table:
+one CSR representation (`_block`) serves both solvers, which differ only in
+the table and the solve call.  The simplex scales each row to integers and
+holds the LP as one numpy integer tableau (int64, widened to Python ints
+only when an update could overflow).  `exact` picks the solver, by default
+the simplex up to EXACT_LP_MAX_VARS columns and HiGHS above.  Either way x
+is decoded into per-commodity arc flows, and one repair (`_assemble`) makes
+that flow exactly feasible (paths with rational amounts, demands met
+exactly) and reports as eta the exactly evaluated congestion of that flow,
+so a float solve can only overstate eta, never understate a certificate.
 
 SciPy is imported on the first float solve, never with this module:
 `_highs_block` imports `scipy.sparse`, and SciPy's `linprog` is this
@@ -37,7 +38,7 @@ from .errors import InputError
 from .flow import FlowSolution
 from .graph import CapGraph, SubdividedInstance, congestion
 from .params import ETA_STAR
-from .ratlp import ZERO, solve_lp
+from .ratlp import solve_lp
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -132,8 +133,8 @@ class _Skeleton:
     position in g.vertices, `inc_arc` the arc, and `inc_code` 0 where the
     arc enters the end (coefficient +1) and 1 where it leaves (-1); `deg`
     counts the entries per position.  Code 2 + j stands for -cap of edge j.
-    The codes index `exact` (ints and Fractions) and `floats` (their
-    floats)."""
+    The codes index `exact` (an object array of ints and Fractions) and
+    `floats` (their floats)."""
 
     __slots__ = ("arcs", "pos", "edge_row", "inc_row", "inc_arc", "inc_code", "deg",
                  "exact", "floats")
@@ -156,7 +157,8 @@ class _Skeleton:
         # integral capacities as ints (negating a Fraction costs a microsecond),
         # and num / den is float(cap), one correctly rounded division
         caps = [e.cap for e in edges]
-        self.exact = [1, -1] + [-c.numerator if c.denominator == 1 else -c for c in caps]
+        self.exact = np.array([1, -1] + [-c.numerator if c.denominator == 1 else -c for c in caps],
+                              dtype=object)
         self.floats = np.array([1.0, -1.0] + [-(c.numerator / c.denominator) for c in caps])
 
     def tile(self, com: dict[int, dict[int, Fraction]], base: Mapping[int, Fraction]):
@@ -203,27 +205,22 @@ def _skeleton(g: CapGraph) -> _Skeleton:
     return g._lp_skeleton
 
 
-def _simplex_block(block, exact: list) -> tuple[list[list[tuple[int, Fraction]]], list[Fraction]]:
-    """A tiled block as `solve_lp`'s sparse `(column, coefficient)` rows and
-    exact right-hand sides; the simplex scales each row to integers and
-    writes all of them into its integer tableau at once."""
+def _block(block, table: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """A tiled block read through `table` (the skeleton's `exact` or
+    `floats`): the CSR triple (indptr, indices, data) and the dense
+    right-hand-side vector, both of table's dtype."""
     ptr, indices, codes, rhs = block
-    ptr, cols = ptr.tolist(), indices.tolist()
-    vals = [exact[k] for k in codes.tolist()]
-    b = [ZERO] * (len(ptr) - 1)
-    for r, v in rhs.items():
-        b[r] = v
-    return [list(zip(cols[i:j], vals[i:j])) for i, j in zip(ptr, ptr[1:])], b
+    b = np.zeros(len(ptr) - 1, table.dtype)
+    b[list(rhs)] = list(rhs.values())
+    return (ptr, indices, table[codes]), b
 
 
 def _highs_block(block, ncols: int, floats: np.ndarray) -> tuple[csr_matrix, np.ndarray]:
     """A tiled block as HiGHS's CSR matrix and right-hand-side vector."""
     from scipy.sparse import csr_matrix
 
-    ptr, indices, codes, rhs = block
-    b = np.zeros(len(ptr) - 1)
-    b[list(rhs)] = [float(v) for v in rhs.values()]
-    return csr_matrix((floats[codes], indices, ptr), shape=(len(b), ncols)), b
+    (ptr, indices, data), b = _block(block, floats)
+    return csr_matrix((data, indices, ptr), shape=(len(b), ncols)), b
 
 
 def min_congestion_routing(
@@ -261,8 +258,7 @@ def min_congestion_routing(
     if exact is None:
         exact = ncols <= EXACT_LP_MAX_VARS
     if exact:
-        a_eq, b_eq = _simplex_block(eq, sk.exact)
-        a_ub, b_ub = _simplex_block(ub, sk.exact)
+        (a_ub, b_ub), (a_eq, b_eq) = _block(ub, sk.exact), _block(eq, sk.exact)
         lp = solve_lp([0] * (ncols - 1) + [1], a_ub, b_ub, a_eq, b_eq)
         if lp.status != "optimal":
             return RoutingResult(INFEASIBLE, None)

@@ -15,17 +15,21 @@ from util import flow_router_graph, fraction_simplex
 F = Fraction
 
 
-def pairs(rows):
-    """Dense rows as the (column, coefficient) pairs solve_lp reads."""
-    return [list(enumerate(row)) for row in rows]
+def csr(rows):
+    """Dense rows as the CSR triple (indptr, indices, data) solve_lp reads,
+    zero coefficients dropped: a row of zeros has no entries."""
+    entries = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    indptr = np.cumsum([0] + [len(r) for r in entries])
+    return indptr, [j for r in entries for j, _ in r], [v for r in entries for _, v in r]
 
 
-def dense(rows, n):
-    """(column, coefficient) rows as dense rows of n entries."""
+def dense(block, n):
+    """A CSR triple as dense rows of n entries."""
+    indptr, indices, data = block
     out = []
-    for row in rows:
+    for i, k in zip(indptr, indptr[1:]):
         vals = [F(0)] * n
-        for j, v in row:
+        for j, v in zip(indices[i:k], data[i:k]):
             vals[j] = v
         out.append(vals)
     return out
@@ -35,7 +39,7 @@ def test_tiny_known_optimum():
     # min -x - y  s.t.  x + y <= 4, x <= 3, y <= 2
     res = solve_lp(
         c=[F(-1), F(-1)],
-        a_ub=pairs([[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]]),
+        a_ub=csr([[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]]),
         b_ub=[F(4), F(3), F(2)],
     )
     assert res.status == "optimal"
@@ -46,9 +50,9 @@ def test_equality_constraints():
     # min x + 2y  s.t.  x + y == 3, x - y <= 1
     res = solve_lp(
         c=[F(1), F(2)],
-        a_ub=pairs([[F(1), F(-1)]]),
+        a_ub=csr([[F(1), F(-1)]]),
         b_ub=[F(1)],
-        a_eq=pairs([[F(1), F(1)]]),
+        a_eq=csr([[F(1), F(1)]]),
         b_eq=[F(3)],
     )
     assert res.status == "optimal"
@@ -56,19 +60,19 @@ def test_equality_constraints():
 
 
 def test_infeasible():
-    res = solve_lp(c=[F(1)], a_eq=pairs([[F(1)]]), b_eq=[F(-2)])
+    res = solve_lp(c=[F(1)], a_eq=csr([[F(1)]]), b_eq=[F(-2)])
     assert res.status == "infeasible"
 
 
 def test_unbounded():
-    res = solve_lp(c=[F(-1)], a_ub=pairs([[F(-1)]]), b_ub=[F(0)])
+    res = solve_lp(c=[F(-1)], a_ub=csr([[F(-1)]]), b_ub=[F(0)])
     assert res.status == "unbounded"
 
 
 def test_redundant_equalities():
     res = solve_lp(
         c=[F(1), F(1)],
-        a_eq=pairs([[F(1), F(1)], [F(2), F(2)]]),
+        a_eq=csr([[F(1), F(1)], [F(2), F(2)]]),
         b_eq=[F(2), F(4)],
     )
     assert res.status == "optimal"
@@ -79,7 +83,7 @@ def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; Bland's rule must terminate
     res = solve_lp(
         c=[F(-3, 4), F(150), F(-1, 50), F(6)],
-        a_ub=pairs([
+        a_ub=csr([
             [F(1, 4), F(-60), F(-1, 25), F(9)],
             [F(1, 2), F(-90), F(-1, 50), F(3)],
             [F(0), F(0), F(1), F(0)],
@@ -102,7 +106,7 @@ def test_matches_scipy_on_random_instances():
         x0 = [F(rng.randint(0, 3)) for _ in range(n)]
         b_eq = [sum(r[j] * x0[j] for j in range(n)) for r in a_eq]
         b_ub = [max(b, sum(r[j] * x0[j] for j in range(n))) for r, b in zip(a_ub, b_ub)]
-        res = solve_lp(c, pairs(a_ub), b_ub, pairs(a_eq), b_eq)
+        res = solve_lp(c, csr(a_ub), b_ub, csr(a_eq), b_eq)
         ref = linprog(
             np.array([float(v) for v in c]),
             A_ub=np.array([[float(v) for v in r] for r in a_ub]),
@@ -134,7 +138,7 @@ def test_matches_scipy_on_random_instances():
 
 
 def _same_as_oracle(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    res = solve_lp(c, pairs(a_ub), b_ub, pairs(a_eq), b_eq)
+    res = solve_lp(c, csr(a_ub), b_ub, csr(a_eq), b_eq)
     assert (res.status, res.x, res.objective) == fraction_simplex(c, a_ub, b_ub, a_eq, b_eq)
     return res
 
@@ -213,13 +217,19 @@ _K = 2**30
     [[F(3, 2**70), F(1)]],
     [F(2**63)],
 ))
+@example((  # one row's lcm, 2^40 * 3^25, passes 2^62: Python ints from the start
+    [F(-1), F(-1)],
+    [[F(1, 2**40), F(1, 3**25)], [F(1), F(1)]],
+    [F(1), F(2**40)], [], [],
+))
 def test_huge_entries_identical_to_fraction_oracle(lp):
     _same_as_oracle(*lp)
 
 
 # wider, mostly-zero LPs: about 70% of the coefficients are zero, and some
-# rows are empty or repeat an earlier row up to a factor, so entries cancel
-# to zero and phase 1 leaves redundant rows to delete
+# rows are empty (zero-length CSR rows, as `csr` drops zeros) or repeat an
+# earlier row up to a factor, so entries cancel to zero and phase 1 leaves
+# redundant rows to delete
 _sparse_coef = st.tuples(st.integers(0, 9), _coef).map(lambda p: p[1] if p[0] < 3 else F(0))
 
 
@@ -247,6 +257,10 @@ def _sparse_lps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_sparse_lps())
+@example(([F(1), F(0)], [[F(1), F(-1)]], [F(2)], [[F(0), F(0)]], [F(-1)]))  # 0 == -1: infeasible
+@example((  # 0 == 0: redundant, deleted after phase 1
+    [F(-1), F(1)], [[F(1), F(1)]], [F(3)], [[F(0), F(0)], [F(1), F(-1)]], [F(0), F(1)],
+))
 def test_sparse_identical_to_fraction_oracle(lp):
     _same_as_oracle(*lp)
 

@@ -189,11 +189,11 @@ def test_uniform_exchange_demand_bookkeeping():
 
 
 def test_lp_rows_equal_direct_scan(monkeypatch):
-    # both solvers read the rows of the direct arc scans, in the same order:
-    # the simplex as exact (column, coefficient) rows, HiGHS as the float CSR
-    # arrays and right-hand sides `reference_csr` assembles from them, byte
-    # for byte; parallel edges, a self-loop, rational capacities and a base
-    # load included
+    # both solvers read one representation, the rows of the direct arc scans
+    # in the same order: HiGHS the float CSR arrays and right-hand sides
+    # `reference_csr` assembles from them, byte for byte, and the simplex the
+    # same indptr and indices with exact data and exact right-hand sides;
+    # parallel edges, a self-loop, rational capacities and a base load included
     rng = random.Random(7)
     graphs = [random_unit_graph(rng, n, n + 4, k=3) for n in (4, 6, 9)]
     graphs.append(CapGraph([1, 2, 3, 4], [(1, 2, F(3, 2)), (2, 2, 1), (2, 3, 2), (1, 2, 1),
@@ -217,12 +217,18 @@ def test_lp_rows_equal_direct_scan(monkeypatch):
             for exact in (True, False):
                 res = min_congestion_routing(g, dem, base_load=base, split_pairs=split, exact=exact)
                 assert res.eta == INFEASIBLE
-            (simplex, ((c,), highs)) = calls
-            assert simplex == ([0] * (ncols - 1) + [1], ub_rows, ub_rhs, eq_rows, eq_rhs)
+            ((c_exact, a_ub, b_ub, a_eq, b_eq), ((c,), highs)) = calls
+            assert c_exact == [0] * (ncols - 1) + [1]
             assert c.tobytes() == np.array([0] * (ncols - 1) + [1], dtype=float).tobytes()
             assert (highs["bounds"], highs["method"]) == ((0, None), "highs")
-            for key, rows, rhs in (("ub", ub_rows, ub_rhs), ("eq", eq_rows, eq_rhs)):
+            for key, rows, rhs, (indptr, indices, data), b_exact in (
+                    ("ub", ub_rows, ub_rhs, a_ub, b_ub), ("eq", eq_rows, eq_rhs, a_eq, b_eq)):
                 got, want = highs[f"A_{key}"], reference_csr(rows, ncols)
+                assert list(indptr) == got.indptr.tolist()
+                assert list(indices) == got.indices.tolist()
+                assert [list(zip(indices[i:j], data[i:j])) for i, j in zip(indptr, indptr[1:])] == rows
+                assert list(b_exact) == rhs
+                assert {type(v) for v in [*data, *b_exact]} <= {int, F}  # exact, no floats
                 assert got.shape == want.shape
                 for part in ("indptr", "indices", "data"):
                     assert getattr(got, part).dtype == getattr(want, part).dtype

@@ -278,7 +278,7 @@ def reference_lp_rows(g, com, arcs, base):
     (commodity, non-source vertex) every arc, and for each non-loop edge
     every column.  Returns (equality rows, their right-hand sides,
     inequality rows, theirs), each row a list of (column, coefficient)
-    pairs: the form the rational simplex reads."""
+    pairs with exact coefficients."""
     nC, nA = len(com), len(arcs)
 
     def ends(eid, d):
