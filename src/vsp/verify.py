@@ -1,10 +1,15 @@
 """Independent quality certification.
 
 Cut quality is verified exhaustively: every nontrivial terminal bipartition
-is priced in both graphs with exact arithmetic.  Each graph decodes the
-`flow.bipartitions` masks a chunk at a time into a boolean side matrix
-(`TerminalCuts.chunks`) and prices the chunk in one compiled solve
-(`TerminalCuts.values`), so only the records are built split by split.
+is priced in both graphs with exact arithmetic.  The `flow.bipartitions`
+masks are decoded a chunk at a time into a boolean side matrix
+(`TerminalCuts.chunks`).  G prices the chunk in one compiled max-flow solve
+(`TerminalCuts.values`).  H prices it from the definition of its min cut:
+H holds the terminals plus a few Steiner vertices, one per contracted
+cluster, so the least cut over the sides of its Steiner vertices is the
+min cut, and one integer matrix product prices all of them
+(`_steiner_cuts`).  Only an H with too many Steiner vertices for that goes
+to max-flow.  The records are built from the two chunks' integer values.
 Flow quality cannot be enumerated, so the verifier combines (a) exact
 re-checks of every cluster's router certificate, which are the premises of
 the contraction quality argument, (b) sampled demand sets compared through
@@ -20,7 +25,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress, islice
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +41,11 @@ from .sparsecut import DEFAULT_ENUM_BUDGET, sparsest_cut_exact
 
 DEFAULT_CUT_ENUM_BUDGET = 16
 DEFAULT_DELTA = Fraction(1, 10**6)
+# 2^s Steiner sides times a chunk's rows times H's vertices plus edges:
+# bounds the side and cut matrices (at most 8 bytes an entry, for the int64
+# products) of one chunk of H's splits priced by enumeration; a larger H
+# goes to max-flow
+_STEINER_SIZE = 1 << 20
 
 
 @dataclass
@@ -50,28 +62,57 @@ class QualityReport:
         return not self.violations
 
     def to_json(self) -> str:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return str(x)
-            return x
-
+        """The report as JSON; every `Fraction` is written as its string."""
         payload = {
             "mode": self.mode,
-            "q_observed": enc(self.q_observed),
+            "q_observed": self.q_observed,
             "q_observed_float": None if self.q_observed is None else float(self.q_observed),
             "delta": float(self.delta),
-            "tests": [{k: enc(v) for k, v in r.items()} for r in self.records],
-            "violations": list(self.violations),
-            "budget_flags": {k: enc(v) for k, v in self.flags.items()},
+            "tests": self.records,
+            "violations": self.violations,
+            "budget_flags": self.flags,
         }
-        return json.dumps(payload, indent=1)
+        return json.dumps(payload, indent=1, default=str)
 
 
-def _priced(cuts: TerminalCuts, terms: list[int], masks: Sequence[int]) -> Iterator:
-    """(side-a row, cut value times `cuts.den`) of every mask, decoded,
-    priced and held one chunk at a time."""
-    for side_a in cuts.chunks(terms, masks):
-        yield from zip(side_a, cuts.values(side_a, ~side_a).tolist())
+def _steiner_cuts(
+    h: CapGraph, terms: list[int], masks: Sequence[int], rows: int
+) -> tuple[int, Callable[[np.ndarray], list]]:
+    """H's capacity denominator, and a function from each chunk's side-a
+    matrix, in the order `TerminalCuts.chunks` hands them out for `masks`,
+    to the list of H's minimum cut values times that denominator, one per
+    row.  `rows` is the length of the longest chunk.
+
+    H's vertices are the terminals and s Steiner vertices, so a split's
+    minimum cut is, by definition, the least cut over the 2^s sides of the
+    Steiner vertices.  A chunk is laid out once per side as a boolean matrix
+    X with one column per vertex, and `(X[:, :, u] != X[:, :, v]) @ cap`
+    prices every edge of every side at once: in int64 while H's scaled total
+    capacity fits, in Python ints past it.  When 2^s times `rows` times H's
+    vertices plus edges passes `_STEINER_SIZE`, H goes to
+    `TerminalCuts(h)` instead, in that class's own chunks of `masks`."""
+    steiner = [v for v in h.vertices if not h.is_terminal(v)]
+    den = lcm(*(e.cap.denominator for e in h.edges))
+    if 2 ** len(steiner) * rows * (h.n + h.m) > _STEINER_SIZE:
+        cuts = TerminalCuts(h, terms)
+        flat = chain.from_iterable(cuts.values(a, ~a).tolist() for a in cuts.chunks(terms, masks))
+        return den, lambda side_a: list(islice(flat, len(side_a)))
+    col = {v: j for j, v in enumerate(sorted(terms) + steiner)}
+    u = np.array([col[e.u] for e in h.edges], dtype=np.intp)
+    v = np.array([col[e.v] for e in h.edges], dtype=np.intp)
+    caps = [e.cap.numerator * (den // e.cap.denominator) for e in h.edges]
+    caps = np.array(caps, dtype=np.int64 if sum(caps) < 1 << 63 else object)
+    # side j puts Steiner vertex i on side a when bit i of j is set
+    sides = (np.arange(2 ** len(steiner))[:, None] >> np.arange(len(steiner)) & 1).astype(bool)
+    k = len(terms)
+
+    def price(side_a: np.ndarray) -> list:
+        x = np.empty((len(sides), len(side_a), h.n), dtype=bool)
+        x[:, :, :k] = side_a
+        x[:, :, k:] = sides[:, None, :]
+        return ((x[:, :, u] != x[:, :, v]) @ caps).min(axis=0).tolist()
+
+    return den, price
 
 
 def verify_cut_quality(
@@ -82,7 +123,12 @@ def verify_cut_quality(
 ) -> QualityReport:
     """Price every nontrivial terminal bipartition in G and H exactly,
     both from the same masks, one record per split in mask order.
-    Beyond the enumeration budget a seeded sample is used and flagged."""
+    Beyond the enumeration budget a seeded sample is used and flagged.
+
+    G's splits go one chunk at a time to `TerminalCuts(g)`, one stacked
+    max-flow per chunk; H's are priced from the same chunk by enumerating
+    the sides of its Steiner vertices (`_steiner_cuts`).  Each chunk's
+    records are built from the two lists of scaled integer values."""
     if sorted(g.terminals) != sorted(h.terminals):
         raise InputError("graphs disagree on the terminal set")
     terms = list(g.terminals)
@@ -95,29 +141,33 @@ def verify_cut_quality(
     rep.flags["exhaustive"] = exhaustive
     if not exhaustive:
         rep.flags["non_exhaustive"] = True
-    cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
-    values_h = (vh for _row, vh in _priced(cuts_h, terms, masks))
+    cuts_g = TerminalCuts(g, terms)
+    price_h = None
     # side a in the order of `terms`, as the masks list it
     in_terms = [sorted(terms).index(t) for t in terms]
-    ids = np.array(terms)
     worst = Fraction(1)
-    for i, ((row, vg), vh) in enumerate(zip(_priced(cuts_g, terms, masks), values_h)):
-        ta = ids[row[in_terms]].tolist()
-        vg, vh = Fraction(vg, cuts_g.den), Fraction(vh, cuts_h.den)
-        if vg == 0 and vh == 0:
-            ratio = Fraction(1)
-        elif vg == 0:
-            ratio = None
-            rep.violations.append(f"test {i}: MinCut_G = 0 but MinCut_H = {vh}")
-        else:
-            ratio = vh / vg
-            if vh < vg:
+    for side_a in cuts_g.chunks(terms, masks):
+        if price_h is None:  # the first chunk is the longest
+            den_h, price_h = _steiner_cuts(h, terms, masks, len(side_a))
+        values_g = cuts_g.values(side_a, ~side_a).tolist()
+        for row, vg, vh in zip(side_a[:, in_terms].tolist(), values_g, price_h(side_a)):
+            i = len(rep.records)
+            ta = list(compress(terms, row))
+            # both values over the product of the denominators
+            over_h, over_g = vh * cuts_g.den, vg * den_h
+            if vg == 0:
+                ratio = Fraction(1) if vh == 0 else None
+            else:
+                ratio = Fraction(over_h, over_g)
+                worst = max(worst, ratio)
+            vg, vh = Fraction(vg, cuts_g.den), Fraction(vh, den_h)
+            if ratio is None:
+                rep.violations.append(f"test {i}: MinCut_G = 0 but MinCut_H = {vh}")
+            elif over_h < over_g:
                 rep.violations.append(
                     f"test {i}: lower side violated, H {vh} < G {vg} on {sorted(ta)}"
                 )
-        rep.records.append({"id": i, "side_a": ta, "g": vg, "h": vh, "ratio": ratio})
-        if ratio is not None:
-            worst = max(worst, ratio)
+            rep.records.append({"id": i, "side_a": ta, "g": vg, "h": vh, "ratio": ratio})
     rep.flags["tests"] = len(rep.records)
     rep.q_observed = worst
     return rep

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import subprocess
+from hashlib import sha256
 import sys
 from pathlib import Path
 
@@ -491,3 +492,22 @@ def test_verify_report_file_holds_the_printed_report(grid_builds, tmp_path, caps
     assert code == 0
     assert out.endswith(report.read_text())
     assert json.loads(report.read_text())["violations"] == []
+
+
+@pytest.mark.parametrize("family, digest", [
+    # one Steiner vertex
+    (["grid", "--rows", "4", "--cols", "4", "--k", "6"],
+     "dea8005fd20cbad18273dc12bbccca4a1c8a7a6eb1ddd220934fa563b2a4590c"),
+    # two Steiner vertices
+    (["dumbbell", "--k", "8", "--side", "4", "--seed", "1"],
+     "43086365fe70c475fa900b967d4f39360f8750c1b0ce4db320bd2c75a241c8be"),
+    # five Steiner vertices and capacities in half-units, so H's are too
+    (["capacitated", "--n", "12", "--k", "6", "--seed", "1"],
+     "a0fbc78591afc889e8c786f02d2f479bf0b5626f8752bc94c17226d0ef81de1c"),
+], ids=["grid", "dumbbell", "capacitated"])
+def test_cut_verify_report_bytes_are_pinned(tmp_path, capsys, family, digest):
+    g, report = tmp_path / "g.vsp", tmp_path / "r.json"
+    assert run(["gen", *family, "--out", str(g)], capsys)[0] == 0
+    assert run(["build", str(g), "--mode", "cut", "--out", str(tmp_path / "h")], capsys)[0] == 0
+    assert run(["verify", str(g), str(tmp_path / "h"), "--out", str(report)], capsys)[0] == 0
+    assert sha256(report.read_bytes()).hexdigest() == digest

@@ -6,6 +6,7 @@ import pytest
 from vsp.errors import ContractError, InputError, ParamError, ParseError
 from vsp.graph import (
     CapGraph,
+    _parse_cap,
     contract,
     out_capacity,
     out_edges,
@@ -311,6 +312,30 @@ def test_read_rational_capacity(tmp_path):
     p = tmp_path / "rat.vsp"
     p.write_text("p vsp 2 1 0\ne 1 2 7/2\n")
     assert read_graph(p).edges[0].cap == Fraction(7, 2)
+
+
+def _parse_cap_reference(tok, lineno=None):
+    """`_parse_cap` before plain integers skipped the `Fraction` parser."""
+    try:
+        if "/" in tok:
+            num, den = tok.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad capacity {tok!r}", lineno) from exc
+
+
+@pytest.mark.parametrize("tok", ["3", "3/2", "1.5", "0", "-1", "1/0", "abc", "007", "1_0", ""])
+def test_parse_cap_matches_the_fraction_parser(tok):
+    try:
+        want = _parse_cap_reference(tok, 4)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as ei:
+            _parse_cap(tok, 4)
+        assert (str(ei.value), ei.value.line) == (str(exc), exc.line)
+    else:
+        got = _parse_cap(tok, 4)
+        assert type(got) is Fraction and got == want
 
 
 def test_cluster_boundary():

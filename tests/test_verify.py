@@ -15,8 +15,8 @@ from vsp.cutsparse import build_cut_sparsifier, verify_cut_projection
 from vsp.errors import InputError
 from vsp.flow import TerminalCuts, bipartitions, side_matrix
 from vsp.flowsparse import FlowParams, build_flow_sparsifier
-from vsp.gen import gen_grid
-from vsp.graph import CapGraph, subdivide_boundary, write_graph
+from vsp.gen import gen_capacitated, gen_dumbbell, gen_grid
+from vsp.graph import CapGraph, contract, subdivide_boundary, write_graph
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.serialize import (
     RouterCertificate,
@@ -148,16 +148,17 @@ def test_sampled_cut_quality_past_63_terminals():
 
 def test_cut_quality_holds_one_chunk_at_a_time(monkeypatch):
     # G's doubled scaled total passes 2^31, so every row is priced in
-    # Python and keeps a certificate; H goes to SciPy.  With 8-row chunks
-    # the 31 splits of 6 terminals take four calls per graph, and no call
-    # holds more than one chunk of rows or of certificates
+    # Python and keeps a certificate; H has no Steiner vertex, so its rows
+    # are priced from the one side of its (empty) Steiner set.  With 8-row
+    # chunks the 31 splits of 6 terminals take four calls per graph, and no
+    # call holds more than one chunk of rows or of certificates
     edges = [(1, 2, 10**12), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 6, 3), (6, 1, 1), (2, 5, 2)]
     terms = [4, 1, 6, 2, 5, 3]
     g = CapGraph(range(1, 7), edges, terms)
     h = CapGraph(range(1, 7), [(u, v, min(c, 20)) for u, v, c in edges], terms)
     whole = verify_cut_quality(g, h)
     monkeypatch.setattr("vsp.flow._CHUNK_SIZE", 1)
-    priced = []
+    priced, enumerated = [], []
     values = TerminalCuts.values
 
     def recorded(cuts, side_a, side_b):
@@ -165,18 +166,131 @@ def test_cut_quality_holds_one_chunk_at_a_time(monkeypatch):
         priced.append((cuts._chunk, len(side_a), cuts.certificates and len(cuts.certificates)))
         return out
 
+    steiner_cuts = verify._steiner_cuts
+
+    def recorded_steiner(h, terms, masks, rows):
+        den, price = steiner_cuts(h, terms, masks, rows)
+
+        def counted(side_a):
+            enumerated.append(len(side_a))
+            return price(side_a)
+
+        return den, counted
+
     monkeypatch.setattr(TerminalCuts, "values", recorded)
+    monkeypatch.setattr(verify, "_steiner_cuts", recorded_steiner)
     rep = verify_cut_quality(g, h)
     assert rep.records == whole.records and len(rep.records) == 31
-    assert sorted(rows for _, rows, _ in priced) == [7, 7, 8, 8, 8, 8, 8, 8]
-    assert all(rows <= chunk == 8 for chunk, rows, _ in priced)
-    # G's four chunks keep their certificates, H's full ones do not
-    assert sorted(certs or 0 for _, _, certs in priced) == [0, 0, 0, 7, 7, 8, 8, 8]
+    # G's four chunks, each with its certificates
+    assert priced == [(8, 8, 8), (8, 8, 8), (8, 8, 8), (8, 7, 7)]
+    # H's enumeration takes the same chunks, one at a time
+    assert enumerated == [8, 8, 8, 7]
+    _assert_min_cuts(g, h, rep)
+
+
+def _contraction(seed):
+    """A random G over core vertices 1..n and terminals 100.., with
+    capacities in thirds and halves, parallel edges and sometimes an
+    isolated core vertex, and H: G with its core vertices contracted into
+    random clusters, so H has Steiner-Steiner edges.  Sometimes every vertex
+    is a terminal, and then H is G with other capacities and s = 0."""
+    rng = random.Random(seed)
+    caps = [F(1), F(3, 2), F(2, 3), F(5, 2), F(7, 3)]
+    n, k = rng.randint(2, 7), rng.randint(2, 6)
+    core = list(range(1, n + 1))
+    terms = [100 + i for i in range(k)]
+    edges = [(v, rng.randint(1, v - 1), rng.choice(caps)) for v in core[1:]]
+    edges += [(t, rng.choice(core), rng.choice(caps)) for t in terms]
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(core + terms, 2)
+        edges.append((u, v, rng.choice(caps)))
+    edges += rng.sample(edges, rng.randint(0, 3))  # parallel copies
+    if rng.random() < 0.15:
+        g = CapGraph(core + terms, edges, core + terms)
+        return g, CapGraph(core + terms, [(u, v, c + 1) for u, v, c in edges], core + terms)
+    isolated = [n + 1] if rng.random() < 0.5 else []
+    g = CapGraph(core + isolated + terms, edges, terms)
+    rng.shuffle(core)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+    clusters = [core[a:b] for a, b in zip([0, *cuts], [*cuts, n])] + [[v] for v in isolated]
+    return g, contract(g, clusters)[0]
+
+
+def _assert_min_cuts(g, h, rep):
+    terms = list(g.terminals)
     cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
     for rec in rep.records:
         side_b = [t for t in terms if t not in rec["side_a"]]
         assert rec["g"] == cuts_g.min_cut(rec["side_a"], side_b)[0]
         assert rec["h"] == cuts_h.min_cut(rec["side_a"], side_b)[0]
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_steiner_sides_price_h_as_max_flow_does(seed):
+    g, h = _contraction(seed)
+    for other in (h, g):
+        rep = verify_cut_quality(g, other)
+        assert len(rep.records) == 2 ** (g.k - 1) - 1
+        _assert_min_cuts(g, other, rep)
+
+
+def test_steiner_sides_up_to_the_bound_then_max_flow(monkeypatch):
+    # 3 Steiner vertices and 31 splits in one chunk: 2^3 * 31 * (n + m)
+    # entries is the largest chunk priced by enumeration
+    g, h = _contraction(72)
+    steiner = [v for v in h.vertices if not h.is_terminal(v)]
+    assert (len(steiner), g.k, any(h.degree(v) == 0 for v in steiner)) == (3, 6, True)
+    size = 2 ** 3 * 31 * (h.n + h.m)
+    calls = []  # rows of every `TerminalCuts.values` call on H
+    values = TerminalCuts.values
+
+    def recorded(cuts, side_a, side_b):
+        if cuts._g is h:
+            calls.append(len(side_a))
+        return values(cuts, side_a, side_b)
+
+    monkeypatch.setattr(TerminalCuts, "values", recorded)
+    monkeypatch.setattr(verify, "_STEINER_SIZE", size)
+    at_bound = verify_cut_quality(g, h)
+    assert calls == []
+    monkeypatch.setattr(verify, "_STEINER_SIZE", size - 1)
+    past_bound = verify_cut_quality(g, h)
+    assert calls == [31]
+    assert at_bound.records == past_bound.records
+    _assert_min_cuts(g, h, past_bound)
+
+
+def test_steiner_sides_sum_past_int64():
+    # H's scaled total passes 2^63, so its cuts are summed in Python ints
+    g, h = _contraction(72)
+    big = CapGraph(h.vertices, [(e.u, e.v, e.cap * 2**62) for e in h.edges], h.terminals)
+    rep = verify_cut_quality(g, big)
+    assert max(rec["h"] for rec in rep.records) > 2**63
+    _assert_min_cuts(g, big, rep)
+
+
+def test_cut_quality_stacks_one_solve_per_chunk_of_g(monkeypatch):
+    # H with up to 4 Steiner vertices goes to no flow solver; G's 127
+    # splits of 8 terminals take four chunks of a 20x20 grid, one stacked
+    # solve each, and one chunk of the smaller graphs
+    solves = Counter()
+    compiled = TerminalCuts._stack_values
+
+    def counted(cuts, side_a, side_b):
+        solves[cuts._g] += 1
+        return compiled(cuts, side_a, side_b)
+
+    monkeypatch.setattr(TerminalCuts, "_stack_values", counted)
+    for g, steiner, chunks in [(gen_grid(20, 20, k=8), 1, 4), (gen_dumbbell(8, 4, seed=1), 2, 1),
+                               (gen_capacitated(10, 5, seed=3), 3, 1),
+                               (gen_capacitated(12, 6, seed=2), 4, 1)]:
+        sp = build_cut_sparsifier(g)
+        assert sp.steiner_count == steiner
+        solves.clear()
+        rep = verify_cut_quality(g, sp.graph)
+        assert rep.ok
+        assert solves == {g: chunks}
 
 
 def test_cut_quality_with_small_enum_budget_terminates():
