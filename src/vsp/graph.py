@@ -337,8 +337,6 @@ def _format_cap(c: Fraction) -> str:
 
 
 def _parse_cap(tok: str, lineno: int | None = None) -> Fraction:
-    if tok.isdecimal():  # a plain integer, the common case: no regex
-        return Fraction(int(tok))
     try:
         if "/" in tok:
             num, den = tok.split("/")

@@ -72,7 +72,15 @@ class QualityReport:
             "violations": self.violations,
             "budget_flags": self.flags,
         }
-        return json.dumps(payload, indent=1, default=str)
+        return json.dumps(payload, indent=1, default=_encode)
+
+
+def _encode(x):
+    """json's hook for what it cannot write: a `Fraction` as its string;
+    anything else is a type error, as without the hook."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _steiner_cuts(

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from hashlib import sha256
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
@@ -417,6 +418,18 @@ def test_report_json_shape():
     assert payload["mode"] == "cut"
     assert payload["violations"] == []
     assert "q_observed" in payload and "tests" in payload and "budget_flags" in payload
+
+
+def test_report_json_writes_fractions_and_refuses_other_types():
+    rep = verify.QualityReport("cut", F(3, 2), records=[{"g": F(1, 3), "h": 2}])
+    payload = json.loads(rep.to_json())
+    assert (payload["q_observed"], payload["tests"]) == ("3/2", [{"g": "1/3", "h": 2}])
+    rep.records.append({"g": np.int64(1)})
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        rep.to_json()
+    rep.records[-1] = {"g": {1, 2}}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        rep.to_json()
 
 
 def test_flow_report_labels_sampling():
