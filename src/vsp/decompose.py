@@ -219,7 +219,7 @@ def certify_decomposition(g: CapGraph, dec: Decomposition) -> dict:
     """Re-derive every claim of a decomposition from scratch.  Failures are
     report entries, not exceptions.  The well-linked check finds each
     cluster's least sparsity with no threshold, so the least split is
-    re-solved in Python against the compiled sweep.  A cluster whose check
+    re-solved in Python against the sweep's value.  A cluster whose check
     exceeds the decomposition's enumeration budget is not checked: its
     index is listed under "skipped" and named in the check's text, and it
     counts as work not done, not as passed."""

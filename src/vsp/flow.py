@@ -13,15 +13,17 @@ one row per split and one column per terminal.  `TerminalCuts` serves the
 sweeps of the sparsest cut and of cut verification, many splits of one
 graph's terminals.  It scales G's arcs once.  `chunks` cuts a sweep's
 masks into side matrices of one stacked solve each, and `values` prices one
-such chunk with one call of SciPy's compiled Dinic on a block-diagonal stack
-of copies of G, and returns the scaled integer values as an array;
-`min_cut` runs `Net` for the one split whose certificate a caller needs.
-SciPy holds capacities, flows and residuals in int32 and silently truncates
-wider capacities.  A residual can reach twice the scaled total capacity, so
-a graph for which that doubled total reaches 2^31 never goes to SciPy: its
-splits are priced one by one in Python.  So are chunks of fewer than
-`_FEW_SPLITS` splits, for which one SciPy call costs more than the Python
-solves.  SciPy is imported on the first stacked solve, not with this module.
+such chunk and returns the scaled integer values as an array; it alone
+picks how.  A chunk small enough for it is priced from the definition of a
+min cut, the least cut over the sides of the non-terminal vertices.
+Otherwise one call of SciPy's compiled Dinic prices it on a block-diagonal
+stack of copies of G.  SciPy holds capacities, flows and residuals in int32
+and silently truncates wider capacities.  A residual can reach twice the
+scaled total capacity, so a graph for which that doubled total reaches
+2^31 never goes to SciPy: its splits are priced one by one in Python by
+`min_cut`, which runs `Net` and also gives the certificate of the one split
+a caller needs.  SciPy is imported on the first stacked solve, not with
+this module.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -47,10 +49,11 @@ from .graph import CapGraph
 _INT32_LIMIT = 1 << 31
 # nodes plus arcs of one stacked network: bounds the memory of a solve
 _CHUNK_SIZE = 1 << 16
-# sweeps have 2^(k-1) - 1 splits; measured on the cluster graphs of the
-# benchmark workloads, sweeps of 1, 3 and 7 splits run faster in pure
-# Python and sweeps of 15 or more in one SciPy call
-_FEW_SPLITS = 8
+# 2^s sides of the s non-terminals times a chunk's rows times G's vertices
+# plus edges: bounds the side and cut matrices of a chunk priced by
+# enumeration, which the product copies into int64.  2^20 raised the peak
+# memory of the benchmark's cut corpus by 13%; 2^16 leaves it flat
+_ENUM_SIZE = 1 << 16
 
 
 class Net:
@@ -346,24 +349,30 @@ class TerminalCuts:
     column per terminal in ascending id order, True where the terminal is on
     that side.  `chunks` decodes the masks of `bipartitions` into side-a
     matrices of as many rows as one stacked solve takes, and `values` prices
-    the rows of one chunk's side pair.  It stacks one copy of G's arc set
-    per row into a block-diagonal network whose copies share the
-    super-terminals, and one call of SciPy's Dinic solves them all.  The
-    copies share no arc, so a maximum flow of the stack is a maximum flow of
-    every copy, and a split's value is the flow that the super-source sends
-    into its copy.  SciPy's solver keeps capacities and flows in int32 and
-    silently truncates wider capacities (an arc of 2^40 comes back as a flow
-    of 0).
-    An arc u->v and its reverse both carry the summed capacity c < `_big`,
-    and a residual is c minus a flow of at least -c, so residuals reach
-    2 (`_big` - 1).  When 2 `_big` reaches 2^31 no network of G goes to
-    SciPy: `values` prices the rows one by one with `min_cut` instead.  It
-    does the same for fewer than `_FEW_SPLITS` rows: a SciPy call costs
-    about 0.3 ms before it solves anything.  Rows priced in Python keep
-    their certificates in `certificates`, so the caller that picks one of
-    them need not solve it again.  SciPy (`scipy.sparse` and its
-    `csgraph`) is imported on the first stacked solve, so a process whose
-    sweeps all go to Python never loads it.
+    the rows of one chunk's side pair, by the first of three ways that
+    applies:
+    - Enumeration, when every row puts every terminal on a side and 2^s
+      times the rows times G's vertices plus edges is at most `_ENUM_SIZE`,
+      s being the number of G's other vertices.  A split's min cut is then,
+      by definition, the least cut over the 2^s sides of those vertices.
+      The chunk is laid out once per side as a boolean matrix X with one
+      column per vertex, and `(X[:, :, u] != X[:, :, v]) @ cap` prices
+      every edge of every side at once: in int64 while the scaled total
+      capacity fits, in Python ints from 2^63 on.
+    - A stacked solve, when G fits int32.  One copy of G's arc set per row
+      goes into a block-diagonal network whose copies share the
+      super-terminals, and one call of SciPy's Dinic solves them all.  The
+      copies share no arc, so a maximum flow of the stack is a maximum flow
+      of every copy, and a split's value is the flow that the super-source
+      sends into its copy.  SciPy's solver keeps capacities and flows in
+      int32 and silently truncates wider capacities (an arc of 2^40 comes
+      back as a flow of 0).  An arc u->v and its reverse both carry the
+      summed capacity c < `_big`, and a residual is c minus a flow of at
+      least -c, so residuals reach 2 (`_big` - 1): G fits when 2 `_big` is
+      below 2^31.  SciPy (`scipy.sparse` and its `csgraph`) is imported on
+      the first stacked solve, so a process whose sweeps all go elsewhere
+      never loads it.
+    - Otherwise `min_cut` prices the rows one by one, in Python ints.
 
     `min_cut` runs the pure-Python `Net`, compiled on first use with a
     zero-capacity source arc and sink arc per terminal, and returns the
@@ -384,11 +393,10 @@ class TerminalCuts:
         self._big = self.den + sum(e.cap.numerator * (self.den // e.cap.denominator)
                                    for e in g.edges)
         self.net: Net | None = None
-        # the cuts of the rows the last `values` call priced in Python, or
-        # None when SciPy priced them
-        self.certificates: list[CutCertificate] | None = None
+        self._others = [v for v in g.vertices if v not in self._term_set]
+        self._sides: np.ndarray | None = None  # compiled on first enumeration
         self._cols: np.ndarray | None = None  # G's CSR rows, compiled on first stacked solve
-        self._chunk = max(_FEW_SPLITS, _CHUNK_SIZE // (g.n + 2 * g.m + 2 * len(terms)))
+        self._chunk = max(1, _CHUNK_SIZE // (g.n + 2 * g.m + 2 * len(terms)))
 
     def _compile_copy(self):
         # one copy of G as CSR rows over vertex positions, parallel arcs
@@ -435,25 +443,40 @@ class TerminalCuts:
     def values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
         """The minimum cut value times `den` of every split, a row of the
         side matrices (a terminal may be on neither side), in row order.
-        The rows are one chunk, at most as many as `chunks` hands out.  They
-        go to SciPy in one stacked solve when every residual (at most 2
-        `_big`) fits in int32 and there are at least `_FEW_SPLITS` of them;
-        the values are then int64.  Otherwise `min_cut` prices every row,
-        `certificates` keeps the chunk's cuts, and the values are Python
-        ints."""
+        The rows are one chunk, at most as many as `chunks` hands out, and
+        are priced by the first of the three ways above that applies.  The
+        values are int64, or Python ints where int64 could overflow."""
         if not (side_a.any(axis=1) & side_b.any(axis=1)).all():
             raise InputError("empty source or sink set")
         if (side_a & side_b).any():
             raise InputError("terminal sides overlap")
-        if 2 * self._big >= _INT32_LIMIT or len(side_a) < _FEW_SPLITS:
-            terms = np.array(self._terms)
-            self.certificates = [
-                self.min_cut(terms[a].tolist(), terms[b].tolist())[1]
-                for a, b in zip(side_a, side_b)
-            ]
-            return np.array([int(c.value * self.den) for c in self.certificates], dtype=object)
-        self.certificates = None
-        return self._stack_values(side_a, side_b)
+        size = len(side_a) * (self._g.n + self._g.m) << len(self._others)
+        if size <= _ENUM_SIZE and (side_a | side_b).all():
+            return self._enum_values(side_a)
+        if 2 * self._big < _INT32_LIMIT:
+            return self._stack_values(side_a, side_b)
+        terms = np.array(self._terms)
+        return np.array([int(self.min_cut(terms[a].tolist(), terms[b].tolist())[0] * self.den)
+                         for a, b in zip(side_a, side_b)], dtype=object)
+
+    def _enum_values(self, side_a: np.ndarray) -> np.ndarray:
+        """The least cut over the sides of G's other vertices, per row."""
+        if self._sides is None:
+            col = {v: j for j, v in enumerate(self._terms + self._others)}
+            self._ends = (np.array([col[e.u] for e in self._g.edges], dtype=np.intp),
+                          np.array([col[e.v] for e in self._g.edges], dtype=np.intp))
+            self._edge_caps = np.array(
+                [e.cap.numerator * (self.den // e.cap.denominator) for e in self._g.edges],
+                dtype=np.int64 if self._big - self.den < 1 << 63 else object)
+            # side j puts other vertex i on side a when bit i of j is set
+            s = len(self._others)
+            self._sides = (np.arange(1 << s)[:, None] >> np.arange(s) & 1).astype(bool)
+        u, v = self._ends
+        k = len(self._terms)
+        x = np.empty((len(self._sides), len(side_a), self._g.n), dtype=bool)
+        x[:, :, :k] = side_a
+        x[:, :, k:] = self._sides[:, None, :]
+        return ((x[:, :, u] != x[:, :, v]) @ self._edge_caps).min(axis=0)
 
     def _stack_values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
         """Scaled max-flow values of the rows in one stacked network: copy

@@ -3,25 +3,25 @@ well-linkedness predicate built on them.
 
 The exact solver sweeps the terminal bipartitions as arrays: each chunk
 of masks becomes a boolean side matrix (`TerminalCuts.chunks`), its cut
-values come back from one compiled solve (`TerminalCuts.values`), its side
-weights from one matrix product, and the first split below `stop_below`
-or the chunk's least sparsity is found by exact integer
+values come back from `TerminalCuts.values`, which picks how to price
+them, its side weights from one matrix product, and the first split below
+`stop_below` or the chunk's least sparsity is found by exact integer
 cross-multiplication.  Fractions and tuples are built only for the tied
 candidates.  The certificate of a returned split comes from a pure-Python
-min cut on it (`TerminalCuts.min_cut`), whose value must equal the sweep's,
-unless the sweep priced that split in Python already; its side is the
-minimal source side of a minimum cut, the same whichever solver found the
-value.  With `stop_below`, a sweep that finds no split below the threshold
-returns its verdict alone, the least sparsity and no cut: callers cut only
-along a split below their threshold.  Such a verdict rests on the compiled
-values alone, since no split is re-solved in Python; the checkers
-(`verify.recheck_router_certificates`, `decompose.certify_decomposition`)
-therefore sweep with no threshold, so their verdicts rest on the least
-split's Python min cut as well.  Parallel boundary edges are bucketed
-into one bundle terminal per original edge, so the enumeration is over
-bundles; splitting a bundle away from its attachment never helps a cut of
-sparsity below 1, and cuts of sparsity exactly 1 always exist (cut one
-pendant), so the bundle-level minimum capped at 1 is the true optimum.
+min cut on it (`TerminalCuts.min_cut`), whose value must equal the sweep's;
+its side is the minimal source side of a minimum cut, the same whichever
+way the value was found.  With `stop_below`, a sweep that finds no split
+below the threshold returns its verdict alone, the least sparsity and no
+cut: callers cut only along a split below their threshold.  Such a verdict
+rests on the swept values alone, since no split is re-solved in Python;
+the checkers (`verify.recheck_router_certificates`,
+`decompose.certify_decomposition`) therefore sweep with no threshold, so
+their verdicts rest on the least split's Python min cut as well.  Parallel
+boundary edges are bucketed into one bundle terminal per original edge, so
+the enumeration is over bundles; splitting a bundle away from its
+attachment never helps a cut of sparsity below 1, and cuts of sparsity
+exactly 1 always exist (cut one pendant), so the bundle-level minimum
+capped at 1 is the true optimum.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def _sweep(
     Python ints whenever int64 could overflow.
 
     The returned split (the one below `stop_below`, or the least one) gets
-    its cut from a Python min cut, and a compiled value that differs from
-    it raises RuntimeError; a verdict that nothing is below `stop_below`
+    its cut from a Python min cut, and a swept value that differs from it
+    raises RuntimeError; a verdict that nothing is below `stop_below`
     solves nothing in Python."""
     ids = [t for t, _ in terms]
     order = sorted(ids)  # the side matrices' column order
@@ -138,7 +138,7 @@ def _sweep(
     below = (0, 0) if stop_below is None else (
         den * stop_below.denominator, cuts.den * stop_below.numerator)
     masks, _ = bipartitions(ids, budget)  # exhaustive: nb <= budget
-    best = None  # (sparsity, value, sorted side a, side a row, wa, certificate)
+    best = None  # (sparsity, value, sorted side a, side a row, wa)
     for side_a in cuts.chunks(ids, masks):
         v = cuts.values(side_a, ~side_a)
         wa = side_a @ weights
@@ -146,7 +146,6 @@ def _sweep(
         vmax = int(v.max())
         if v.dtype == object or max(vmax * zint, vmax * below[0], zint * below[1]) >> 63:
             v, w = v.astype(object), w.astype(object)
-        certs = cuts.certificates
         if stop_below is not None and (hit := v * below[0] < w * below[1]).any():
             rows = [int(np.argmax(hit))]
         else:
@@ -161,19 +160,16 @@ def _sweep(
             key = (Fraction(int(v[r]) * den, cuts.den * int(w[r])), value,
                    tuple(t for t, on in zip(order, side_a[r]) if on))
             if best is None or key < best[:3]:
-                best = (*key, side_a[r], int(wa[r]), certs[r] if certs else None)
+                best = (*key, side_a[r], int(wa[r]))
         if stop_below is not None and best[0] < stop_below:
             break
-    sparsity, value, side1, row, wa, cut = best
+    sparsity, value, side1, row, wa = best
     if stop_below is not None and sparsity >= stop_below:
         return SparsestCut(sparsity, None, True)
-    if cut is None:
-        side2 = tuple(t for t, on in zip(order, row) if not on)
-        checked, cut = cuts.min_cut(side1, side2)
-        if checked != value:
-            raise RuntimeError(
-                f"min cut of {list(side1)}: compiled sweep {value}, Python Dinic {checked}"
-            )
+    side2 = tuple(t for t, on in zip(order, row) if not on)
+    checked, cut = cuts.min_cut(side1, side2)
+    if checked != value:
+        raise RuntimeError(f"min cut of {list(side1)}: sweep {value}, Python Dinic {checked}")
     cert = CutCertificate(
         cut.side_a, cut.side_b, value,
         term_a=Fraction(wa, den), term_b=Fraction(zint - wa, den),

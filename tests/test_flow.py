@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vsp.errors import InputError
 from vsp.flow import Net, TerminalCuts, max_flow
@@ -166,12 +166,11 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
         rng.shuffle(placed)
         splits.append(([t for t, p in zip(terms, placed) if p == 0],
                        [t for t, p in zip(terms, placed) if p == 1]))
-    # repeats, and enough splits that `values` solves them in one stacked network
+    # repeats, all priced in one `values` call
     splits += rng.choices(splits, k=8)
     rng.shuffle(splits)
     values = cuts.values(*_side_matrices(terms, splits))
     assert len(values) == len(splits) and values.dtype == np.int64
-    assert cuts.certificates is None
     for (ta, tb), scaled in zip(splits, values):
         stacked = Fraction(int(scaled), cuts.den)
         value, cert = cuts.min_cut(ta, tb)
@@ -181,6 +180,61 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
         assert (value, cert.side_a) == brute_force_min_cut_side(g, ta, tb)
         assert cert.side_b == frozenset(g.vertices) - cert.side_a
         assert out_capacity(g, cert.side_a) == value
+
+
+@given(seed=st.integers(0, 10**6), scale=st.sampled_from([1, 2**30, 2**62]))
+@settings(max_examples=80, deadline=None)
+@example(seed=0, scale=2**62)
+def test_every_pricing_path_matches_min_cut_and_brute_force(seed, scale):
+    # `values` enumerates the sides of the non-terminals, stacks one SciPy
+    # solve or runs `min_cut` per row.  Each path is forced in turn: a
+    # bound of 0 turns enumeration off, a row with a terminal on neither
+    # side is never enumerated, and a scale of 2^30 or more takes G past
+    # int32.  At 2^62 the scaled total passes 2^63, and the enumeration
+    # sums in Python ints.  Every path prices every row as `min_cut` and
+    # the brute force do
+    rng = random.Random(seed)
+    caps = (Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2)
+    n = rng.randint(2, 7)
+    verts = list(range(1, n + 2))  # vertex n + 1 stays isolated
+    edges = [(*rng.sample(verts[:-1], 2), scale * rng.choice(caps))
+             for _ in range(rng.randint(1, 2 * n))]
+    if rng.random() < 0.3:
+        edges.append((1, 1, scale * rng.choice(caps)))  # a self-loop carries no flow
+    g = CapGraph(verts, edges)
+    terms = rng.sample(verts, rng.randint(2, min(5, len(verts))))
+    partial = rng.random() < 0.3  # rows may leave a terminal on neither side
+    splits = []
+    for _ in range(rng.randint(1, 8)):
+        placed = [0, 1] + [rng.randrange(3 if partial else 2) for _ in terms[2:]]
+        rng.shuffle(placed)
+        splits.append(([t for t, p in zip(terms, placed) if p == 0],
+                       [t for t, p in zip(terms, placed) if p == 1]))
+    side_a, side_b = _side_matrices(terms, splits)
+    cuts = TerminalCuts(g, terms)
+    fits_int32, fits_int64 = 2 * cuts._big < 2**31, cuts._big - cuts.den < 2**63
+    expected = []
+    for enum in ((side_a | side_b).all(), False):
+        if enum:
+            expected.append(("_enum_values", np.int64 if fits_int64 else object))
+        else:
+            expected.append(("_stack_values", np.int64) if fits_int32 else ("min_cut", object))
+    with pytest.MonkeyPatch.context() as mp:
+        taken = []
+        for name in ("_enum_values", "_stack_values", "min_cut"):
+            def spied(*args, name=name, method=getattr(TerminalCuts, name)):
+                taken.append(name)
+                return method(*args)
+
+            mp.setattr(TerminalCuts, name, spied)
+        for bound, (path, dtype) in zip((1 << 62, 0), expected):
+            mp.setattr("vsp.flow._ENUM_SIZE", bound)
+            taken.clear()
+            values = cuts.values(side_a, side_b)
+            assert (set(taken), values.dtype) == ({path}, dtype)
+            for (ta, tb), scaled in zip(splits, values, strict=True):
+                value = Fraction(int(scaled), cuts.den)
+                assert value == cuts.min_cut(ta, tb)[0] == brute_force_min_cut(g, ta, tb)
 
 
 def _side_matrices(terms, splits):
@@ -210,10 +264,12 @@ def test_terminal_cuts_values_beyond_int32():
         assert cuts._big >= 2**31
         splits = list(_every_split(g.terminals))
         values = cuts.values(*_side_matrices(g.terminals, splits))
-        # priced in Python: exact ints, with the certificate of every split
-        assert values.dtype == object and len(cuts.certificates) == len(splits)
-        for (ta, tb), value, cert in zip(splits, values, cuts.certificates, strict=True):
-            assert Fraction(value, cuts.den) == cert.value == brute_force_min_cut(g, ta, tb)
+        # some rows leave a terminal on neither side, so none is enumerated:
+        # every row is priced in Python, in exact ints
+        assert values.dtype == object
+        for (ta, tb), value in zip(splits, values, strict=True):
+            value = Fraction(value, cuts.den)
+            assert value == cuts.min_cut(ta, tb)[0] == brute_force_min_cut(g, ta, tb)
     # a scaled total between 2^30 and 2^31: every capacity fits in int32
     # but residuals do not.  From 1 to 4, Dinic first fills the edge 1-4
     # (its reverse residual then reaches 2.6e9), then the path 1-2-3-4,

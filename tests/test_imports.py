@@ -206,21 +206,21 @@ def test_small_exact_commands_load_no_scipy(tmp_path):
 
 
 def test_the_first_stacked_min_cut_solve_loads_csgraph():
-    # of the 31 splits of gen_grid(4, 5, k=6), a chunk of 7 goes to Python and
-    # a chunk of 8 (`flow._FEW_SPLITS`) to SciPy
+    # the 3 splits of gen_grid(3, 3, k=3) are enumerated; gen_grid(4, 5,
+    # k=6) has 20 non-terminals, too many for that, so its 31 splits go to
+    # SciPy in one stacked solve
     code = """
         import sys
         from vsp.flow import TerminalCuts, side_matrix
         from vsp.gen import gen_grid
-        g = gen_grid(4, 5, k=6)
-        terms = sorted(g.terminals)
-        cuts = TerminalCuts(g, terms)
-        for rows in (7, 8):
-            side_a = side_matrix(terms, range(rows))
+        for g in (gen_grid(3, 3, k=3), gen_grid(4, 5, k=6)):
+            terms = sorted(g.terminals)
+            cuts = TerminalCuts(g, terms)
+            side_a = side_matrix(terms, range(2 ** (len(terms) - 1) - 1))
             values = cuts.values(side_a, ~side_a)
-            print(rows, values.dtype, "scipy.sparse.csgraph" in sys.modules)
+            print(len(values), values.dtype, "scipy.sparse.csgraph" in sys.modules)
     """
-    assert _fresh(code) == ["7 object False", "8 int64 True"]
+    assert _fresh(code) == ["3 int64 False", "31 int64 True"]
 
 
 def test_the_first_float_lp_loads_scipy_sparse_and_optimize():

@@ -179,9 +179,10 @@ def test_exact_sweep_compares_exactly_past_int64():
     _check_against_sweep(inst, (F(1, 2) + F(1, 2**70), F(1, 2) - F(1, 2**70), F(2**70 + 1, 2**71)))
 
 
-def test_python_priced_sweep_solves_each_split_once(monkeypatch):
-    # 3 bundles give 3 splits, priced one by one in Python; the chosen
-    # split's certificate comes from its pricing solve, not a fourth one
+def test_enumerated_sweep_solves_one_split_in_python(monkeypatch):
+    # 3 bundles give 3 splits, priced by enumerating the sides of the 3
+    # cluster vertices; only the chosen split is solved in Python, for its
+    # certificate
     inst = subdivide_boundary(_dumbbell(), {1, 2, 3})
     assert len(inst.terminals) == 3
     calls = Counter()
@@ -192,17 +193,19 @@ def test_python_priced_sweep_solves_each_split_once(monkeypatch):
             return method(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(TerminalCuts, "_enum_values",
+                        counted("enumerated", TerminalCuts._enum_values))
     monkeypatch.setattr(TerminalCuts, "min_cut", counted("min_cut", TerminalCuts.min_cut))
     monkeypatch.setattr(Net, "max_flow", counted("max_flow", Net.max_flow))
     res = sparsest_cut_exact(inst)
-    assert calls == {"min_cut": 3, "max_flow": 3}
+    assert calls == {"enumerated": 1, "min_cut": 1, "max_flow": 1}
     (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst)
     assert (res.sparsity, res.cut.value, res.cut.side_a) == (sparsity, value, side_a)
     assert sparsity == value == 1 and res.pendant_split_edge is None
 
 
 def test_threshold_verdict_solves_no_certificate(monkeypatch):
-    # SciPy prices the 31 splits of 6 bundles; a threshold with no split
+    # the 31 splits of 6 bundles are enumerated; a threshold with no split
     # below it gets its verdict without a Python solve, and a split below
     # the threshold gets one, for its certificate
     inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
@@ -222,26 +225,24 @@ def test_threshold_verdict_solves_no_certificate(monkeypatch):
 
 
 def test_compiled_value_must_match_the_certificate(monkeypatch):
-    # a compiled sweep that misprices its splits is caught by the Python
-    # Dinic solve behind the certificate
+    # a sweep that misprices its splits, whichever way `values` priced
+    # them, is caught by the Python Dinic solve behind the certificate
     inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
     assert sparsest_cut_exact(inst).cut.value == 1
-    compiled = TerminalCuts._stack_values
-    monkeypatch.setattr(TerminalCuts, "_stack_values",
-                        lambda cuts, a, b: compiled(cuts, a, b) + 1)
-    with pytest.raises(RuntimeError, match="compiled sweep"):
+    values = TerminalCuts.values
+    monkeypatch.setattr(TerminalCuts, "values", lambda cuts, a, b: values(cuts, a, b) + 1)
+    with pytest.raises(RuntimeError, match="sweep 7, Python Dinic 6"):
         sparsest_cut_exact(inst)
 
 
 def test_split_below_the_threshold_must_match_the_certificate(monkeypatch):
-    # with a threshold, a split the compiled sweep prices below it is
-    # returned, so it is re-solved in Python and a mispricing is caught
+    # with a threshold, a split the sweep misprices below it is returned,
+    # so it is re-solved in Python and the mispricing is caught
     inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
     assert sparsest_cut_exact(inst, stop_below=F(1, 10)).cut is None
-    compiled = TerminalCuts._stack_values
-    monkeypatch.setattr(TerminalCuts, "_stack_values",
-                        lambda cuts, a, b: compiled(cuts, a, b) - 1)
-    with pytest.raises(RuntimeError, match="compiled sweep"):
+    values = TerminalCuts.values
+    monkeypatch.setattr(TerminalCuts, "values", lambda cuts, a, b: values(cuts, a, b) - 1)
+    with pytest.raises(RuntimeError, match="sweep"):
         sparsest_cut_exact(inst, stop_below=F(1, 10))
 
 

@@ -148,44 +148,34 @@ def test_sampled_cut_quality_past_63_terminals():
 
 
 def test_cut_quality_holds_one_chunk_at_a_time(monkeypatch):
-    # G's doubled scaled total passes 2^31, so every row is priced in
-    # Python and keeps a certificate; H has no Steiner vertex, so its rows
-    # are priced from the one side of its (empty) Steiner set.  With 8-row
-    # chunks the 31 splits of 6 terminals take four calls per graph, and no
-    # call holds more than one chunk of rows or of certificates
+    # with 8-row chunks the 31 splits of 6 terminals take four `values`
+    # calls per graph, G's and H's in turn, each with one chunk of rows.
+    # Every vertex is a terminal, so both graphs are enumerated; with no
+    # enumeration G, whose doubled scaled total passes 2^31, is priced in
+    # Python and H in stacked solves, and the records stay the same
     edges = [(1, 2, 10**12), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 6, 3), (6, 1, 1), (2, 5, 2)]
     terms = [4, 1, 6, 2, 5, 3]
     g = CapGraph(range(1, 7), edges, terms)
     h = CapGraph(range(1, 7), [(u, v, min(c, 20)) for u, v, c in edges], terms)
     whole = verify_cut_quality(g, h)
-    monkeypatch.setattr("vsp.flow._CHUNK_SIZE", 1)
-    priced, enumerated = [], []
+    # a stacked copy of either graph has 6 + 2 * 7 + 2 * 6 = 32 nodes and arcs
+    monkeypatch.setattr("vsp.flow._CHUNK_SIZE", 8 * 32)
+    calls = []
     values = TerminalCuts.values
 
     def recorded(cuts, side_a, side_b):
         out = values(cuts, side_a, side_b)
-        priced.append((cuts._chunk, len(side_a), cuts.certificates and len(cuts.certificates)))
+        calls.append(("g" if cuts._g is g else "h", len(side_a), out.dtype))
         return out
 
-    steiner_cuts = verify._steiner_cuts
-
-    def recorded_steiner(h, terms, masks, rows):
-        den, price = steiner_cuts(h, terms, masks, rows)
-
-        def counted(side_a):
-            enumerated.append(len(side_a))
-            return price(side_a)
-
-        return den, counted
-
     monkeypatch.setattr(TerminalCuts, "values", recorded)
-    monkeypatch.setattr(verify, "_steiner_cuts", recorded_steiner)
-    rep = verify_cut_quality(g, h)
-    assert rep.records == whole.records and len(rep.records) == 31
-    # G's four chunks, each with its certificates
-    assert priced == [(8, 8, 8), (8, 8, 8), (8, 8, 8), (8, 7, 7)]
-    # H's enumeration takes the same chunks, one at a time
-    assert enumerated == [8, 8, 8, 7]
+    rows = [8, 8, 8, 7]
+    for enum_size, dtypes in ((1 << 16, (np.int64, np.int64)), (0, (object, np.int64))):
+        monkeypatch.setattr("vsp.flow._ENUM_SIZE", enum_size)
+        calls.clear()
+        rep = verify_cut_quality(g, h)
+        assert rep.records == whole.records and len(rep.records) == 31
+        assert calls == [(side, n, dtype) for n in rows for side, dtype in zip("gh", dtypes)]
     _assert_min_cuts(g, h, rep)
 
 
@@ -243,21 +233,21 @@ def test_steiner_sides_up_to_the_bound_then_max_flow(monkeypatch):
     steiner = [v for v in h.vertices if not h.is_terminal(v)]
     assert (len(steiner), g.k, any(h.degree(v) == 0 for v in steiner)) == (3, 6, True)
     size = 2 ** 3 * 31 * (h.n + h.m)
-    calls = []  # rows of every `TerminalCuts.values` call on H
-    values = TerminalCuts.values
+    solves = []  # rows of every stacked solve of H
+    compiled = TerminalCuts._stack_values
 
     def recorded(cuts, side_a, side_b):
         if cuts._g is h:
-            calls.append(len(side_a))
-        return values(cuts, side_a, side_b)
+            solves.append(len(side_a))
+        return compiled(cuts, side_a, side_b)
 
-    monkeypatch.setattr(TerminalCuts, "values", recorded)
-    monkeypatch.setattr(verify, "_STEINER_SIZE", size)
+    monkeypatch.setattr(TerminalCuts, "_stack_values", recorded)
+    monkeypatch.setattr("vsp.flow._ENUM_SIZE", size)
     at_bound = verify_cut_quality(g, h)
-    assert calls == []
-    monkeypatch.setattr(verify, "_STEINER_SIZE", size - 1)
+    assert solves == []
+    monkeypatch.setattr("vsp.flow._ENUM_SIZE", size - 1)
     past_bound = verify_cut_quality(g, h)
-    assert calls == [31]
+    assert solves == [31]
     assert at_bound.records == past_bound.records
     _assert_min_cuts(g, h, past_bound)
 
@@ -272,26 +262,32 @@ def test_steiner_sides_sum_past_int64():
 
 
 def test_cut_quality_stacks_one_solve_per_chunk_of_g(monkeypatch):
-    # H with up to 4 Steiner vertices goes to no flow solver; G's 127
-    # splits of 8 terminals take four chunks of a 20x20 grid, one stacked
-    # solve each, and one chunk of the smaller graphs
-    solves = Counter()
-    compiled = TerminalCuts._stack_values
+    # G's 127 splits of 8 terminals take four chunks of a 20x20 grid and
+    # one chunk of the smaller graphs.  H, with up to 4 Steiner vertices,
+    # is enumerated, and so is a G with up to 6 non-terminals; the larger
+    # G take one stacked solve per chunk.  With no enumeration, every chunk
+    # of either graph is one stacked solve
+    paths = Counter()
+    for name in ("_enum_values", "_stack_values"):
+        def counted(cuts, *sides, name=name, method=getattr(TerminalCuts, name)):
+            paths[name, cuts._g] += 1
+            return method(cuts, *sides)
 
-    def counted(cuts, side_a, side_b):
-        solves[cuts._g] += 1
-        return compiled(cuts, side_a, side_b)
-
-    monkeypatch.setattr(TerminalCuts, "_stack_values", counted)
-    for g, steiner, chunks in [(gen_grid(20, 20, k=8), 1, 4), (gen_dumbbell(8, 4, seed=1), 2, 1),
-                               (gen_capacitated(10, 5, seed=3), 3, 1),
-                               (gen_capacitated(12, 6, seed=2), 4, 1)]:
-        sp = build_cut_sparsifier(g)
-        assert sp.steiner_count == steiner
-        solves.clear()
-        rep = verify_cut_quality(g, sp.graph)
-        assert rep.ok
-        assert solves == {g: chunks}
+        monkeypatch.setattr(TerminalCuts, name, counted)
+    for g, steiner, chunks, g_path in [
+            (gen_grid(20, 20, k=8), 1, 4, "_stack_values"),
+            (gen_dumbbell(8, 4, seed=1), 2, 1, "_stack_values"),
+            (gen_capacitated(10, 5, seed=3), 3, 1, "_enum_values"),
+            (gen_capacitated(12, 6, seed=2), 4, 1, "_enum_values")]:
+        h = build_cut_sparsifier(g).graph
+        assert h.n - h.k == steiner
+        for enum_size, expected in (
+                (1 << 16, {(g_path, g): chunks, ("_enum_values", h): chunks}),
+                (0, {("_stack_values", g): chunks, ("_stack_values", h): chunks})):
+            monkeypatch.setattr("vsp.flow._ENUM_SIZE", enum_size)
+            paths.clear()
+            assert verify_cut_quality(g, h).ok
+            assert paths == expected
 
 
 def test_cut_quality_with_small_enum_budget_terminates():
@@ -549,15 +545,14 @@ def test_router_recheck_tests_well_linkedness():
 
 def test_well_linked_recheck_catches_a_mispriced_sweep(monkeypatch):
     # at length 6 the middle cut is exactly 1/3, so the cluster passes; its
-    # 6 bundles give 31 splits, priced in one compiled solve.  A compiled
-    # sweep that prices every split 1 too high would still pass, and the
-    # least split's Python min cut catches it
+    # 6 bundles give 31 splits, priced in one `values` call.  A sweep that
+    # prices every split 1 too high would still pass, and the least split's
+    # Python min cut catches it
     sp = _pendant_path_router(6)
     assert recheck_router_certificates(sp)["ok"]
-    compiled = TerminalCuts._stack_values
-    monkeypatch.setattr(TerminalCuts, "_stack_values",
-                        lambda cuts, a, b: compiled(cuts, a, b) + 1)
-    with pytest.raises(RuntimeError, match="compiled sweep"):
+    values = TerminalCuts.values
+    monkeypatch.setattr(TerminalCuts, "values", lambda cuts, a, b: values(cuts, a, b) + 1)
+    with pytest.raises(RuntimeError, match="sweep"):
         recheck_router_certificates(sp)
 
 
