@@ -338,6 +338,8 @@ def _format_cap(c: Fraction) -> str:
 
 def _parse_cap(tok: str, lineno: int | None = None) -> Fraction:
     try:
+        if tok.isdecimal():  # the common case, parsed without Fraction's regex
+            return Fraction(int(tok))
         if "/" in tok:
             num, den = tok.split("/")
             return Fraction(int(num), int(den))

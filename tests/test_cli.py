@@ -11,7 +11,7 @@ import pytest
 import vsp.cli
 from vsp.cli import main
 from vsp.gen import gen_capacitated, gen_dumbbell
-from vsp.graph import read_graph, subdivide_boundary, write_graph
+from vsp.graph import CapGraph, read_graph, subdivide_boundary, write_graph
 from vsp.serialize import assemble_cut_sparsifier, save_sparsifier
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
@@ -510,4 +510,37 @@ def test_cut_verify_report_bytes_are_pinned(tmp_path, capsys, family, digest):
     assert run(["gen", *family, "--out", str(g)], capsys)[0] == 0
     assert run(["build", str(g), "--mode", "cut", "--out", str(tmp_path / "h")], capsys)[0] == 0
     assert run(["verify", str(g), str(tmp_path / "h"), "--out", str(report)], capsys)[0] == 0
+    assert sha256(report.read_bytes()).hexdigest() == digest
+
+
+def _grid_and_a_path(path):
+    # the 4x4 grid with 4 terminals, and a path between 2 more terminals in
+    # a second component: demands across the two are unroutable, "inf"
+    g = read_graph(path)
+    n = g.n
+    edges = [(e.u, e.v, e.cap) for e in g.edges] + [(n + 1, n + 2, 1), (n + 2, n + 3, 1)]
+    write_graph(CapGraph([*g.vertices, n + 1, n + 2, n + 3], edges,
+                         [*g.terminals, n + 1, n + 3]), path)
+
+
+@pytest.mark.parametrize("family, build, verify, code, digest", [
+    # "inf" and null ratios, composed congestions, and a list of the
+    # clusters whose well-linked recheck the budget skipped
+    (["grid", "--rows", "4", "--cols", "4", "--k", "4", "--seed", "1"], [],
+     ["--budget-exp", "1", "--seed", "2"], 3,
+     "7c18eb478ef249efc199e6552312f4298c5c1be6864dc46dec97eb0c5fda007b"),
+    # capacities, and an eps flow build
+    (["capacitated", "--n", "8", "--k", "3", "--seed", "0"], ["--eps", "1/2"], [], 0,
+     "3248984e4c8538e649557204ee0640dfed5db4c15d4de85a1bcbc4cee6b87de9"),
+], ids=["unit", "eps"])
+def test_flow_verify_report_bytes_are_pinned(tmp_path, capsys, family, build, verify, code,
+                                             digest):
+    g, report = tmp_path / "g.vsp", tmp_path / "r.json"
+    assert run(["gen", *family, "--out", str(g)], capsys)[0] == 0
+    if family[0] == "grid":
+        _grid_and_a_path(g)
+    assert run(["build", str(g), "--mode", "flow", *build, "--out", str(tmp_path / "h")],
+               capsys)[0] == 0
+    assert run(["verify", str(g), str(tmp_path / "h"), *verify, "--out", str(report)],
+               capsys)[0] == code
     assert sha256(report.read_bytes()).hexdigest() == digest

@@ -323,11 +323,13 @@ def test_read_rational_capacity(tmp_path):
         ("0", Fraction(0)),
         ("-1", Fraction(-1)),
         ("007", Fraction(7)),
+        ("\u0663", Fraction(3)),  # ARABIC-INDIC DIGIT THREE, as Fraction reads it
         ("1_0", Fraction(10)),
         ("1/0", None),
         ("abc", None),
         ("", None),
         ("1/2/3", None),
+        ("\u00b2", None),  # SUPERSCRIPT TWO: a digit, but not a decimal one
         ("1" * 4301, None),  # past int()'s default digit limit
     ],
 )

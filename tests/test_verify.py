@@ -428,6 +428,68 @@ def test_report_json_writes_fractions_and_refuses_other_types():
         rep.to_json()
 
 
+def _json_default(x):
+    # the hook the report was written with through json.dumps
+    if isinstance(x, F):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(),  # non-ASCII, quotes, backslashes and control characters
+    st.text().map(_Str),
+    st.booleans(),
+    st.none(),
+    st.integers(-2**200, 2**200),
+    st.integers().map(_Int),
+    st.floats(),  # NaN, both infinities, -0.0 and subnormals
+    st.floats().map(_Float),
+    st.fractions(),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_JSON_PAYLOADS)
+@example({"g": F(-7, 3), "h": F(2), "ratio": None, "side_a": [1, 2], "e": [], "d": {}})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, _Float("nan"), True])
+@example(['"\\\x00\x1f\u00e9\u2603\U0001f600', _Str("\n"), _Int(-3), -2**200, ((),)])
+@settings(max_examples=200, deadline=None)
+def test_report_writer_matches_json_dumps(payload):
+    assert verify._write_json(payload) == json.dumps(payload, indent=1, default=_json_default)
+
+
+def test_report_writer_refuses_what_json_cannot_write():
+    for bad, message in ((np.int64(1), "int64 is not JSON serializable"),
+                         ({1, 2}, "set is not JSON serializable")):
+        for write in (verify._write_json,
+                      lambda x: json.dumps(x, indent=1, default=_json_default)):
+            with pytest.raises(TypeError, match=message):
+                write({"tests": [{"g": bad}]})
+    # json would write the key 1 as "1"; no report has such a key
+    with pytest.raises(TypeError, match="must be a string, not int"):
+        verify._write_json({"tests": [{1: "one"}]})
+
+
 def test_flow_report_labels_sampling():
     g = _flow_instance(4)
     sp, _ = build_flow_sparsifier(g, params=AGG)
