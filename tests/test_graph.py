@@ -323,8 +323,8 @@ def test_read_rational_capacity(tmp_path):
         ("0", Fraction(0)),
         ("-1", Fraction(-1)),
         ("007", Fraction(7)),
-        ("\u0663", Fraction(3)),  # ARABIC-INDIC DIGIT THREE, as Fraction reads it
         ("1_0", Fraction(10)),
+        ("\u0663", Fraction(3)),  # ARABIC-INDIC DIGIT THREE, as Fraction reads it
         ("1/0", None),
         ("abc", None),
         ("", None),
