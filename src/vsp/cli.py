@@ -9,7 +9,8 @@ exits 2 in either mode.  The summary line a flow build prints holds
 `size_bound_met`, the size verdict that `build_flow_sparsifier` returns
 next to the sparsifier; no file stores it.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 input error,
+Exit codes: 0 success/verified, 1 verification failure, 2 input error
+(a negative `--samples`, `--budget-exp` or `--budget-enum` among them),
 3 budget refusal, which `vsp verify` also returns when it found no violation
 but skipped work: a sampled cut sweep or a router's well-linked recheck.  It
 checks the sparsifier as the file's `kind` says it was built; `--mode` only
@@ -57,10 +58,22 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
+def _negative_count(args, *names: str) -> int | None:
+    """Exit 2 for the first of the named count options below 0, if any."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            flag = "--" + name.replace("_", "-")
+            return _fail(EXIT_INPUT, "input", f"{flag} must be >= 0, got {value}")
+    return None
+
+
 def cmd_build(args) -> int:
     from .cutsparse import build_cut_sparsifier
     from .flowsparse import AGGRESSIVE_F_GROWTH, AGGRESSIVE_R, FlowParams, build_flow_sparsifier
 
+    if (code := _negative_count(args, "budget_exp")) is not None:
+        return code
     try:
         g = read_graph(args.input)
     except VspError as exc:
@@ -114,8 +127,8 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.delta) and args.delta >= 0):
         return _fail(EXIT_INPUT, "input", f"--delta must be finite and >= 0, got {args.delta}")
-    if args.samples < 0:
-        return _fail(EXIT_INPUT, "input", f"--samples must be >= 0, got {args.samples}")
+    if (code := _negative_count(args, "samples", "budget_exp", "budget_enum")) is not None:
+        return code
     try:
         g = read_graph(args.input)
         sp = load_sparsifier(g, args.sparsifier)

@@ -4,8 +4,10 @@ All capacities are rationals; internally every instance is scaled by the
 common denominator so Dinic runs on integers and both the flow value and
 the cut certificate are exact.
 
-`Net` is the pure-Python Dinic network.  It returns flows, paths and the
-minimal source side of a minimum cut.
+`Net` is the pure-Python Dinic network.  It runs one flow, from its
+source to its sink, over capacities that are integers over a denominator
+fixed when it is built, and returns the flow per edge key, the unit paths
+of the flow and the minimal source side of a minimum cut.
 
 `bipartitions` enumerates the terminal bipartitions of a sweep as integer
 masks, and `side_matrix` decodes a run of masks into a boolean side matrix,
@@ -57,18 +59,21 @@ _ENUM_SIZE = 1 << 16
 
 
 class Net:
-    """A directed flow network over arbitrary hashable node names.
+    """A directed flow network over arbitrary hashable node names, whose
+    one flow runs from `source` to `sink`.
 
     Graph vertices are ints; auxiliary nodes, namely the super-terminals
     `source` and `sink` that every network has and the midpoints of split
     edges, are tuples.  Undirected edges become arc pairs sharing residual
     capacity and carry a caller key, so flows and paths map back to edges.
+    Every capacity is an integer over the denominator `den` fixed when the
+    network is built; the arcs hold it times `den`, so Dinic runs on ints.
     """
 
     source = ("S",)
     sink = ("T",)
 
-    def __init__(self):
+    def __init__(self, den: int = 1):
         self._nodes: dict[Hashable, int] = {}
         self._names: list[Hashable] = []
         self._head: list[int] = []
@@ -76,7 +81,7 @@ class Net:
         self._cap: list[int] = []
         self._next: list[int] = []
         self._key: list[Hashable] = []
-        self._den = 1  # common capacity denominator
+        self._den = den
         self._flowed = False
         self._node(self.source)
         self._node(self.sink)
@@ -97,18 +102,12 @@ class Net:
         self._next.append(self._head[u])
         self._head[u] = len(self._to) - 1
 
-    def _rescale(self, den: int):
-        if den == self._den:
-            return
-        g = den // self._den
-        self._cap = [c * g for c in self._cap]
-        self._den = den
-
     def _scaled(self, cap: Fraction | int) -> int:
-        cap = cap if isinstance(cap, Fraction) else Fraction(cap)
-        if self._den % cap.denominator:
-            self._rescale(lcm(self._den, cap.denominator))
-        return cap.numerator * (self._den // cap.denominator)
+        if isinstance(cap, int):
+            return cap * self._den
+        if isinstance(cap, Fraction) and self._den % cap.denominator == 0:
+            return cap.numerator * (self._den // cap.denominator)
+        raise InputError(f"capacity {cap!r} is not an integer over {self._den}")
 
     def arc(self, u: Hashable, v: Hashable, cap: Fraction | int):
         """Directed arc u->v without a key; the implicit reverse residual has
@@ -136,12 +135,10 @@ class Net:
         self.undirected(mid, v, cap, key)
         self.arc(mid, self.sink, sink_cap)
 
-    def max_flow(self, s: Hashable, t: Hashable) -> Fraction:
-        if s not in self._nodes or t not in self._nodes:
-            return Fraction(0)
-        si, ti = self._nodes[s], self._nodes[t]
-        if si == ti:
-            raise InputError("source equals sink")
+    def max_flow(self) -> Fraction:
+        """The value of a maximum flow from `source` to `sink`, which the
+        network then holds."""
+        si, ti = self._nodes[self.source], self._nodes[self.sink]
         self._orig_cap = list(self._cap)
         n = len(self._names)
         total = 0
@@ -171,7 +168,6 @@ class Net:
                     break
                 total += f
         self._flowed = True
-        self._last = (si, ti)
         return Fraction(total, self._den)
 
     def _dfs(self, s: int, t: int, level, it) -> int:
@@ -208,7 +204,7 @@ class Net:
         this side form a minimum cut, and every maximum flow gives the same
         side."""
         assert self._flowed
-        si, _ = self._last
+        si = self._nodes[self.source]
         seen = {si}
         dq = deque([si])
         while dq:
@@ -237,13 +233,15 @@ class Net:
             out[key] = out.get(key, Fraction(0)) + pushed
         return out
 
-    def decompose_paths(
-        self, s: Hashable, t: Hashable
-    ) -> list[tuple[Fraction, list[Hashable], list[Hashable]]]:
-        """Peel the current flow into (amount, [node names], [arc keys]) paths
-        from s to t.  On unit-capacity instances the paths are edge-disjoint."""
+    def unit_edge_paths(self) -> list[tuple[Hashable, list[Hashable]]]:
+        """The flow as unit paths from the source to the sink, each (first
+        node after the source, [keys of the edges traversed]); call after
+        max_flow on a network whose flow decomposes into unit paths, which
+        are then edge-disjoint.  Unkeyed arcs are skipped, and consecutive
+        arcs with one key (the halves of a split edge) count as one
+        traversal."""
         assert self._flowed
-        si, ti = self._nodes[s], self._nodes[t]
+        si, ti = self._nodes[self.source], self._nodes[self.sink]
         # net flow through an arc pair is orig - cap on the even arc (the
         # shared-residual trick already nets opposite pushes)
         flow = [0] * len(self._to)
@@ -253,9 +251,9 @@ class Net:
                 flow[a], flow[a + 1] = net, 0
             else:
                 flow[a], flow[a + 1] = 0, -net
-        paths = []
+        out = []
         while True:
-            # walk greedily from s along positive-flow arcs
+            # walk greedily from the source along positive-flow arcs
             path_arcs = []
             u = si
             seen_nodes = {si}
@@ -283,31 +281,14 @@ class Net:
             if u != ti or not path_arcs:
                 break
             amt = min(flow[a] for a in path_arcs)
+            assert amt == self._den
+            path: list[Hashable] = []
             for a in path_arcs:
                 flow[a] -= amt
-            paths.append(
-                (
-                    Fraction(amt, self._den),
-                    [self._names[self._to[a]] for a in path_arcs],
-                    [self._key[a] for a in path_arcs],
-                )
-            )
-        return paths
-
-    def unit_edge_paths(self) -> list[tuple[Hashable, list[Hashable]]]:
-        """The source-to-sink flow as unit paths, each (first node after the
-        source, [keys of the edges traversed]); call after max_flow(source,
-        sink) on a network whose flow decomposes into unit paths.  Unkeyed
-        arcs are skipped, and consecutive arcs with one key (the halves of a
-        split edge) count as one traversal."""
-        out = []
-        for amt, nodes, keys in self.decompose_paths(self.source, self.sink):
-            assert amt == 1
-            path: list[Hashable] = []
-            for key in keys:
+                key = self._key[a]
                 if key is not None and (not path or path[-1] != key):
                     path.append(key)
-            out.append((nodes[0], path))
+            out.append((self._names[self._to[path_arcs[0]]], path))
         return out
 
 
@@ -390,8 +371,9 @@ class TerminalCuts:
         self._term_set = frozenset(terms)
         self._vertices = frozenset(g.vertices)
         self.den = lcm(*(e.cap.denominator for e in g.edges))
-        self._big = self.den + sum(e.cap.numerator * (self.den // e.cap.denominator)
-                                   for e in g.edges)
+        # G's capacities times den, in edge order
+        self._scaled_caps = [e.cap.numerator * (self.den // e.cap.denominator) for e in g.edges]
+        self._big = self.den + sum(self._scaled_caps)
         self.net: Net | None = None
         self._others = [v for v in g.vertices if v not in self._term_set]
         self._sides: np.ndarray | None = None  # compiled on first enumeration
@@ -404,11 +386,9 @@ class TerminalCuts:
         # stands for the super-sink
         pos = {v: i for i, v in enumerate(self._g.vertices)}
         n = len(pos)
-        edges = [e for e in self._g.edges if e.u != e.v]
-        u = np.array([pos[e.u] for e in edges], dtype=np.int64)
-        v = np.array([pos[e.v] for e in edges], dtype=np.int64)
-        cap = np.array([e.cap.numerator * (self.den // e.cap.denominator) for e in edges],
-                       dtype=np.int64)
+        u, v, cap = np.array([(pos[e.u], pos[e.v], c)
+                              for e, c in zip(self._g.edges, self._scaled_caps) if e.u != e.v],
+                             dtype=np.int64).reshape(-1, 3).T
         # ascending, as the ids are
         term_rows = np.array([pos[t] for t in self._terms], dtype=np.int64)
         keys, arc = np.unique(
@@ -466,8 +446,7 @@ class TerminalCuts:
             self._ends = (np.array([col[e.u] for e in self._g.edges], dtype=np.intp),
                           np.array([col[e.v] for e in self._g.edges], dtype=np.intp))
             self._edge_caps = np.array(
-                [e.cap.numerator * (self.den // e.cap.denominator) for e in self._g.edges],
-                dtype=np.int64 if self._big - self.den < 1 << 63 else object)
+                self._scaled_caps, dtype=np.int64 if self._big - self.den < 1 << 63 else object)
             # side j puts other vertex i on side a when bit i of j is set
             s = len(self._others)
             self._sides = (np.arange(1 << s)[:, None] >> np.arange(s) & 1).astype(bool)
@@ -516,8 +495,7 @@ class TerminalCuts:
 
     def _network(self) -> Net:
         if self.net is None:
-            net = Net()
-            net._rescale(self.den)  # before any arc: no arc is scaled twice
+            net = Net(self.den)
             for e in self._g.edges:
                 if e.u != e.v:
                     net.undirected(e.u, e.v, e.cap, key=e.eid)
@@ -545,7 +523,7 @@ class TerminalCuts:
             for v in side:
                 cap[arcs[v]] = self._big
         net._cap = cap
-        value = net.max_flow(net.source, net.sink)
+        value = net.max_flow()
         side_a = net.cut_side()
         return value, CutCertificate(side_a, self._vertices - side_a, value)
 

@@ -283,7 +283,7 @@ def _path_transfer(
             net.undirected(e.u, e.v, eta_cap * e.cap, key=e.eid)
     for s in sources:
         net.arc(net.source, s, 1)
-    if net.max_flow(net.source, net.sink) < len(sources):
+    if net.max_flow() < len(sources):
         return None
     return net.unit_edge_paths()
 
@@ -322,7 +322,7 @@ def _terminals_to_edges(
         else:
             net.undirected(u, v, e.cap, key=e.eid)
     need = (gp.k + 1) // 2
-    if net.max_flow(net.source, net.sink) < need:
+    if net.max_flow() < need:
         return None, net.cut_side()
     return _terminal_paths(gp, net, tset), frozenset()
 
@@ -521,7 +521,7 @@ def _group_transfer(gp, x, gamma1, gamma_j):
         e = gp.edges[eid]
         inside = e.u if e.u in xset else e.v
         net.undirected(inside, net.sink, 1, key=eid)
-    if net.max_flow(net.source, net.sink) < len(gamma1):
+    if net.max_flow() < len(gamma1):
         return net.cut_side() & xset
     return [path for _first, path in net.unit_edge_paths()]
 
@@ -643,7 +643,7 @@ def _route_terminals_to_cluster(gp: CapGraph, members: frozenset[int], need: int
         if u == v:
             continue
         net.undirected(u, v, e.cap, key=e.eid)
-    if net.max_flow(net.source, net.sink) < need:
+    if net.max_flow() < need:
         return net.cut_side()
     return _terminal_paths(gp, net, tset)[:need]
 

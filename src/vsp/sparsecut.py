@@ -138,7 +138,7 @@ def _sweep(
     below = (0, 0) if stop_below is None else (
         den * stop_below.denominator, cuts.den * stop_below.numerator)
     masks, _ = bipartitions(ids, budget)  # exhaustive: nb <= budget
-    best = None  # (sparsity, value, sorted side a, side a row, wa)
+    best = None  # (sparsity, value, sorted side a, side a row)
     for side_a in cuts.chunks(ids, masks):
         v = cuts.values(side_a, ~side_a)
         wa = side_a @ weights
@@ -160,22 +160,18 @@ def _sweep(
             key = (Fraction(int(v[r]) * den, cuts.den * int(w[r])), value,
                    tuple(t for t, on in zip(order, side_a[r]) if on))
             if best is None or key < best[:3]:
-                best = (*key, side_a[r], int(wa[r]))
+                best = (*key, side_a[r])
         if stop_below is not None and best[0] < stop_below:
             break
-    sparsity, value, side1, row, wa = best
+    sparsity, value, side1, row = best
     if stop_below is not None and sparsity >= stop_below:
         return SparsestCut(sparsity, None, True)
     side2 = tuple(t for t, on in zip(order, row) if not on)
     checked, cut = cuts.min_cut(side1, side2)
     if checked != value:
         raise RuntimeError(f"min cut of {list(side1)}: sweep {value}, Python Dinic {checked}")
-    cert = CutCertificate(
-        cut.side_a, cut.side_b, value,
-        term_a=Fraction(wa, den), term_b=Fraction(zint - wa, den),
-        sparsity=sparsity,
-    )
-    return SparsestCut(sparsity, cert, True)
+    # the minimal source side holds exactly the source terminals side1
+    return SparsestCut(sparsity, _certificate(inst, cut.side_a, value), True)
 
 
 def _pendant_split(inst: SubdividedInstance, exact: bool) -> SparsestCut:

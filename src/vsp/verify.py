@@ -478,10 +478,7 @@ def _recheck_one_router(inst: SubdividedInstance, cert: RouterCertificate) -> st
                 sources[pend_term[o]] = -(wi * wo / z)
         if not flow_conserves(inst.graph, inst_arcs, sources):
             return f"conservation or delivery fails for source {src_eid}"
-    caps = {geid: inst.graph.edges[ieid].cap for geid, ieid in to_inst.items()}
-    worst = Fraction(0)
-    for eid, v in load.items():
-        worst = max(worst, v / caps[eid])
+    worst = congestion(inst.graph, {to_inst[e]: v for e, v in load.items()})
     if worst > ETA_STAR:
         return f"congestion {worst} exceeds eta* {ETA_STAR}"
     if worst != cert.eta:

@@ -249,6 +249,25 @@ def test_verify_negative_samples_exits_two(grid_builds, capsys, samples):
     assert json.loads(err)["error"] == "input"
 
 
+def test_build_negative_budget_exp_exits_two(grid_builds, tmp_path, capsys):
+    g, _cut, _flow = grid_builds
+    for mode in ("cut", "flow"):
+        code, out, err = run(["build", g, "--mode", mode, "--budget-exp", "-1",
+                              "--out", str(tmp_path / mode)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": "--budget-exp must be >= 0, got -1"}
+    assert list(tmp_path.iterdir()) == []
+
+
+# the sample size squares --budget-enum, so -3 would otherwise act as 3
+@pytest.mark.parametrize("flag", ["--budget-exp", "--budget-enum"])
+def test_verify_negative_budget_exits_two(grid_builds, capsys, flag):
+    g, cut, _flow = grid_builds
+    code, out, err = run(["verify", g, cut, flag, "-3"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": f"{flag} must be >= 0, got -3"}
+
+
 def test_budget_refusal_exit_three(tmp_path, capsys):
     g = tmp_path / "g.vsp"
     run(["gen", "random", "--n", "24", "--m", "60", "--k", "8", "--seed", "9",

@@ -85,28 +85,37 @@ def test_min_cut_between_oracle_groups():
 
 
 def test_net_path_decomposition():
+    # two unit paths through "b" and the direct edge: the walk takes the
+    # arcs added last first, and each path is edge-disjoint from the others
     net = Net()
-    net.undirected("a", "b", 2, key="ab")
-    net.undirected("b", "c", 2, key="bc")
-    net.undirected("a", "c", 1, key="ac")
-    val = net.max_flow("a", "c")
-    assert val == 3
-    paths = net.decompose_paths("a", "c")
-    assert sum(amt for amt, _, _ in paths) == 3
-    for _, nodes, keys in paths:
-        assert nodes[-1] == "c"
-        assert all(k is not None for k in keys)
+    net.undirected(net.source, "b", 1, key="sb1")
+    net.undirected(net.source, "b", 1, key="sb2")
+    net.undirected("b", net.sink, 1, key="bt1")
+    net.undirected("b", net.sink, 1, key="bt2")
+    net.undirected(net.source, net.sink, 1, key="st")
+    assert net.max_flow() == 3
+    assert net.unit_edge_paths() == [(net.sink, ["st"]), ("b", ["sb2", "bt2"]),
+                                     ("b", ["sb1", "bt1"])]
 
 
-def test_net_rescales_for_new_denominators():
-    # each capacity brings a new denominator, so the arcs already added are
-    # scaled up again: 3/2 + 2/3 in series with 1/4 in parallel
-    net = Net()
-    net.undirected("a", "b", Fraction(3, 2), key="ab")
-    net.undirected("b", "c", Fraction(2, 3), key="bc")
-    net.undirected("a", "c", Fraction(1, 4), key="ac")
-    assert net.max_flow("a", "c") == Fraction(11, 12)
+def test_net_takes_capacities_over_its_denominator():
+    # 3/2 + 2/3 in series with 1/4 in parallel, all integers over 12
+    net = Net(12)
+    net.undirected(net.source, "b", Fraction(3, 2), key="ab")
+    net.undirected("b", net.sink, Fraction(2, 3), key="bc")
+    net.undirected(net.source, net.sink, Fraction(1, 4), key="ac")
+    assert net.max_flow() == Fraction(11, 12)
     assert net.flow_by_key() == {"ab": Fraction(2, 3), "bc": Fraction(2, 3), "ac": Fraction(1, 4)}
+
+
+def test_net_refuses_capacities_off_its_denominator():
+    for den, add in ((1, lambda net: net.arc(net.source, 1, Fraction(1, 2))),
+                     (12, lambda net: net.undirected(1, 2, Fraction(1, 5), key="e")),
+                     (12, lambda net: net.split_edge(1, 2, 1, "e", Fraction(1, 8))),
+                     (1, lambda net: net.undirected(1, 2, 1.0, key="e"))):
+        net = Net(den)
+        with pytest.raises(InputError, match=f"not an integer over {den}"):
+            add(net)
 
 
 def test_cut_side_excludes_auxiliary_nodes():
@@ -115,7 +124,7 @@ def test_cut_side_excludes_auxiliary_nodes():
     net = Net()
     net.arc(net.source, 1, 5)
     net.split_edge(1, 2, 5, "e12", 1)
-    assert net.max_flow(net.source, net.sink) == 1
+    assert net.max_flow() == 1
     assert net.cut_side() == frozenset({1, 2})
 
 
@@ -127,7 +136,7 @@ def test_split_target_edge_decodes_to_one_traversal():
     net.split_edge(2, 3, 2, "b", 1)
     net.undirected(3, 4, 1, key="c")
     net.arc(4, net.sink, 1)
-    assert net.max_flow(net.source, net.sink) == 2
+    assert net.max_flow() == 2
     paths = sorted(net.unit_edge_paths(), key=lambda p: len(p[1]))
     assert paths == [(1, ["a", "b"]), (1, ["a", "b", "c"])]
 
@@ -270,10 +279,10 @@ def test_terminal_cuts_values_beyond_int32():
         for (ta, tb), value in zip(splits, values, strict=True):
             value = Fraction(value, cuts.den)
             assert value == cuts.min_cut(ta, tb)[0] == brute_force_min_cut(g, ta, tb)
-    # a scaled total between 2^30 and 2^31: every capacity fits in int32
-    # but residuals do not.  From 1 to 4, Dinic first fills the edge 1-4
-    # (its reverse residual then reaches 2.6e9), then the path 1-2-3-4,
-    # and the last path 1-5-6-3-2-7-8-4 must cancel the flow on 2-3
+    # a scaled total between 2^30 and 2^31: twice it reaches 2^31, so no
+    # row goes to SciPy, and as above none is enumerated.  Every row is
+    # priced in Python: a looser bound, such as 2 * _big < 2^32, sends the
+    # rows to SciPy and fails the dtype check
     d, c = 1_300_000_000, 80_000_000
     edges = [(1, 4, d), (1, 2, c), (2, 3, c), (3, 4, c), (1, 5, c), (5, 6, c), (6, 3, c),
              (2, 7, c), (7, 8, c), (8, 4, c)]
@@ -283,6 +292,7 @@ def test_terminal_cuts_values_beyond_int32():
     splits = list(_every_split(g.terminals))
     assert ([1], [4]) in splits and brute_force_min_cut(g, [1], [4]) == d + 2 * c
     values = cuts.values(*_side_matrices(g.terminals, splits))
+    assert values.dtype == object
     for (ta, tb), value in zip(splits, values, strict=True):
         value = Fraction(value, cuts.den)
         assert value == brute_force_min_cut(g, ta, tb) == cuts.min_cut(ta, tb)[0]

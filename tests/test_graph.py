@@ -147,6 +147,7 @@ def test_contract_two_vertex_cluster():
     assert cmap.dropped == (0,)
     s = cmap.supernode[0]
     assert sorted(abs(e.cap) for e in h.incident(s)) == [1, 1]
+    assert cmap.preimage([s, 3]) == {1, 2, 3}
 
 
 def test_contract_empty_family_identity():

@@ -23,8 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # module-level names that no package code references and no benchmark target
 # names, each kept for the reason given
 TEST_ONLY = {
-    "certify_decomposition": "ROADMAP item 5 decides whether `vsp verify` rechecks decompositions",
-    "verify_cut_projection": "ROADMAP item 5 decides whether `vsp verify` rechecks projections",
+    "certify_decomposition": "acceptance criterion 4 rechecks weak decompositions with it",
     "verify_witness1": "acceptance criterion 7 rechecks type-1 witnesses with it",
     "verify_witness2": "acceptance criterion 7 rechecks type-2 witnesses with it",
 }
