@@ -139,8 +139,8 @@ def _split_until_linked(
         if res.trivially_well_linked:
             final.append(ClusterCert(inst, None, "trivial", level(z)))
             continue
-        if res.sparsity < threshold and res.pendant_split_edge is None:
-            a = res.cut.side_a & cur
+        if res.sparsity < threshold:
+            a = res.cut & cur
             if not a or a == cur:
                 raise AssertionError("sparse cut did not split the cluster members")
             work += _record_split(g, events, cur, z, res.sparsity, a, cur - a)

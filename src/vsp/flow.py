@@ -23,9 +23,9 @@ stack of copies of G.  SciPy holds capacities, flows and residuals in int32
 and silently truncates wider capacities.  A residual can reach twice the
 scaled total capacity, so a graph for which that doubled total reaches
 2^31 never goes to SciPy: its splits are priced one by one in Python by
-`min_cut`, which runs `Net` and also gives the certificate of the one split
-a caller needs.  SciPy is imported on the first stacked solve, not with
-this module.
+`min_cut`, which runs a `Net` built for its one split and also gives the
+minimal source side of the one split a caller needs.  SciPy is imported on
+the first stacked solve, not with this module.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -292,19 +292,6 @@ class Net:
         return out
 
 
-@dataclass(frozen=True)
-class CutCertificate:
-    """A vertex bipartition with its exactly re-checkable cut value.  For
-    sparsest cuts the terminal weights per side and the sparsity are set."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-    value: Fraction
-    term_a: Fraction | None = None
-    term_b: Fraction | None = None
-    sparsity: Fraction | None = None
-
-
 @dataclass
 class FlowSolution:
     """Edge flows of one routing plus enough structure to re-verify it.
@@ -355,11 +342,11 @@ class TerminalCuts:
       never loads it.
     - Otherwise `min_cut` prices the rows one by one, in Python ints.
 
-    `min_cut` runs the pure-Python `Net`, compiled on first use with a
-    zero-capacity source arc and sink arc per terminal, and returns the
-    minimal source side of a minimum cut with its value.  That side is the
-    same for every maximum flow, so it does not depend on which solver found
-    the value."""
+    `min_cut` builds a pure-Python `Net` for its one split, with arcs at
+    `_big` for the terminals on its two sides only, and returns the value
+    with the minimal source side of a minimum cut.  That side is the same
+    for every maximum flow, so it does not depend on which solver found the
+    value."""
 
     def __init__(self, g: CapGraph, terminals: Iterable[int]):
         terms = sorted(set(terminals))
@@ -369,12 +356,10 @@ class TerminalCuts:
         self._g = g
         self._terms = terms
         self._term_set = frozenset(terms)
-        self._vertices = frozenset(g.vertices)
         self.den = lcm(*(e.cap.denominator for e in g.edges))
         # G's capacities times den, in edge order
         self._scaled_caps = [e.cap.numerator * (self.den // e.cap.denominator) for e in g.edges]
         self._big = self.den + sum(self._scaled_caps)
-        self.net: Net | None = None
         self._others = [v for v in g.vertices if v not in self._term_set]
         self._sides: np.ndarray | None = None  # compiled on first enumeration
         self._cols: np.ndarray | None = None  # G's CSR rows, compiled on first stacked solve
@@ -493,39 +478,28 @@ class TerminalCuts:
         per_copy = np.bincount(flow.indices[lo:hi] // n, flow.data[lo:hi], minlength=copies)
         return per_copy.astype(np.int64)
 
-    def _network(self) -> Net:
-        if self.net is None:
-            net = Net(self.den)
-            for e in self._g.edges:
-                if e.u != e.v:
-                    net.undirected(e.u, e.v, e.cap, key=e.eid)
-            self._source_arc: dict[int, int] = {}
-            for v in self._terms:
-                self._source_arc[v] = len(net._to)
-                net.arc(net.source, v, 0)
-            self._sink_arc: dict[int, int] = {}
-            for v in self._terms:
-                self._sink_arc[v] = len(net._to)
-                net.arc(v, net.sink, 0)
-            self._base = tuple(net._cap)
-            self.net = net
-        return self.net
-
-    def min_cut(
-        self, term_a: Iterable[int], term_b: Iterable[int]
-    ) -> tuple[Fraction, CutCertificate]:
-        """Capacity of the minimum cut separating term_a from term_b, with
-        its minimal source side; `net` holds the flow until the next cut."""
+    def _flow(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[Fraction, Net]:
+        """The value of a maximum flow from the terminals `term_a` to the
+        terminals `term_b`, and the `Net` that holds it: G's edges, and an
+        arc at `_big` from the super-source to each terminal of side a and
+        from each terminal of side b to the super-sink."""
         ta, tb = self._checked(term_a, term_b)
-        net = self._network()
-        cap = list(self._base)
-        for side, arcs in ((ta, self._source_arc), (tb, self._sink_arc)):
-            for v in side:
-                cap[arcs[v]] = self._big
-        net._cap = cap
-        value = net.max_flow()
-        side_a = net.cut_side()
-        return value, CutCertificate(side_a, self._vertices - side_a, value)
+        net = Net(self.den)
+        for e in self._g.edges:
+            if e.u != e.v:
+                net.undirected(e.u, e.v, e.cap, key=e.eid)
+        big = Fraction(self._big, self.den)
+        for v in sorted(ta):
+            net.arc(net.source, v, big)
+        for v in sorted(tb):
+            net.arc(v, net.sink, big)
+        return net.max_flow(), net
+
+    def min_cut(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[Fraction, frozenset]:
+        """Capacity of the minimum cut separating term_a from term_b, with
+        its minimal source side."""
+        value, net = self._flow(term_a, term_b)
+        return value, net.cut_side()
 
 
 def bipartitions(terms: Sequence[int], budget: int, seed: int = 0) -> tuple[Sequence[int], bool]:
@@ -568,15 +542,15 @@ def side_matrix(terms: Sequence[int], masks: Sequence[int]) -> np.ndarray:
 
 def max_flow(
     g: CapGraph, sources: Iterable[int], sinks: Iterable[int]
-) -> tuple[Fraction, FlowSolution, CutCertificate]:
+) -> tuple[Fraction, FlowSolution, frozenset]:
     """Exact max flow between vertex sets (merged via a super source/sink).
-    Returns value, a flow attaining it, and a minimum cut of equal value."""
+    Returns value, a flow attaining it, and the minimal source side of a
+    minimum cut of equal value."""
     src, snk = set(sources), set(sinks)
-    cuts = TerminalCuts(g, src | snk)
-    value, cert = cuts.min_cut(src, snk)
-    flows = cuts.net.flow_by_key()
+    value, net = TerminalCuts(g, src | snk)._flow(src, snk)
+    flows = net.flow_by_key()
     sol = FlowSolution({eid: abs(f) for eid, f in flows.items() if f != 0})
-    return value, sol, cert
+    return value, sol, net.cut_side()
 
 
 def flow_conserves(

@@ -438,15 +438,9 @@ def balanced_cut_refine(
         flat = [eid for grp in groups for eid in grp]
         inst = subdivide_boundary(gp, x, flat)
         res = sparsest_cut(inst, budget=params.enum_budget, stop_below=Fraction(1))
-        a_side = frozenset() if res.cut is None else frozenset(res.cut.side_a) & x
+        a_side = frozenset() if res.cut is None else res.cut & x
         b_side = x - a_side
-        if (
-            res.trivially_well_linked
-            or res.sparsity >= 1
-            or res.pendant_split_edge is not None
-            or not a_side
-            or not b_side
-        ):
+        if res.trivially_well_linked or res.sparsity >= 1 or not a_side or not b_side:
             alpha = weak_threshold(r * quarter_k)
             w2 = Witness2(
                 frozenset(x), groups, term_star, systems, alpha,

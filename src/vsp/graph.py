@@ -311,17 +311,19 @@ def contract(
 
 def unit_expand(g: CapGraph, eps: Fraction | int | str) -> CapGraph:
     """Replace edge e by ceil(min(c_e, C)/eps) parallel unit edges, where C is
-    the terminal-incident capacity `g.terminal_capacity()`.  Bucketed: edge e
-    of the result keeps e's id and ends, and its integer capacity is e's
-    multiplicity.  The flow mode's `capacitated_unit_reduction` is this
-    expansion at eps / (2 eta*); cut mode decomposes G itself."""
+    the terminal-incident capacity `g.terminal_capacity()`, or 1 when no edge
+    touches a terminal: G then routes no terminal demand, and C = 1 keeps
+    every multiplicity positive.  Bucketed: edge e of the result keeps e's
+    id and ends, and its integer capacity is e's multiplicity.  The flow
+    mode's `capacitated_unit_reduction` is this expansion at eps / (2 eta*);
+    cut mode decomposes G itself."""
     eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     if not (0 < eps <= 1):
         raise ParamError(f"eps must be in (0,1], got {eps}")
     for e in g.edges:
         if e.cap < 1:
             raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
-    cap_bound = g.terminal_capacity()
+    cap_bound = max(g.terminal_capacity(), 1)
     edges = []
     for e in g.edges:
         c = min(e.cap, cap_bound)

@@ -102,14 +102,15 @@ def assemble_cut_sparsifier(g: CapGraph, clusters: Iterable[Iterable[int]]) -> S
 
 
 def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
-    """G with every capacity capped at C, rescaled by 2 eta* / eps and
-    rounded up: `unit_expand(g, eps / (2 eta*))`, so G's vertices, terminals
-    and edge ids, each edge's multiplicity as its integer capacity."""
+    """G with every capacity capped at C (at 1 when no edge touches a
+    terminal), rescaled by 2 eta* / eps and rounded up:
+    `unit_expand(g, eps / (2 eta*))`, so G's vertices, terminals and edge
+    ids, each edge's multiplicity as its integer capacity."""
     if not (0 < eps < 1):
         raise ParamError(f"eps must be in (0,1), got {eps}")
     scale = 2 * ETA_STAR / eps
     g2 = unit_expand(g, 1 / scale)
-    cap_bound = g.terminal_capacity()
+    cap_bound = max(g.terminal_capacity(), 1)
     for e, e2 in zip(g.edges, g2.edges):
         c = min(e.cap, cap_bound)
         if not scale * c <= e2.cap <= (2 * ETA_STAR + eps) / eps * c:

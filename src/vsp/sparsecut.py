@@ -7,21 +7,23 @@ values come back from `TerminalCuts.values`, which picks how to price
 them, its side weights from one matrix product, and the first split below
 `stop_below` or the chunk's least sparsity is found by exact integer
 cross-multiplication.  Fractions and tuples are built only for the tied
-candidates.  The certificate of a returned split comes from a pure-Python
-min cut on it (`TerminalCuts.min_cut`), whose value must equal the sweep's;
-its side is the minimal source side of a minimum cut, the same whichever
-way the value was found.  With `stop_below`, a sweep that finds no split
-below the threshold returns its verdict alone, the least sparsity and no
-cut: callers cut only along a split below their threshold.  Such a verdict
-rests on the swept values alone, since no split is re-solved in Python;
-the checkers (`verify.recheck_router_certificates`,
-`decompose.certify_decomposition`) therefore sweep with no threshold, so
-their verdicts rest on the least split's Python min cut as well.  Parallel
-boundary edges are bucketed into one bundle terminal per original edge, so
-the enumeration is over bundles; splitting a bundle away from its
-attachment never helps a cut of sparsity below 1, and cuts of sparsity
-exactly 1 always exist (cut one pendant), so the bundle-level minimum
-capped at 1 is the true optimum.
+candidates.  A returned split is a sparsity and a vertex side of G_S.  The
+side comes from a pure-Python min cut on the split
+(`TerminalCuts.min_cut`), whose value must equal the sweep's; it is the
+minimal source side of a minimum cut, the same whichever way the value was
+found.  With `stop_below`, a sweep that finds no split below the threshold
+returns its verdict alone, the least sparsity and no side: callers cut only
+along a split below their threshold.  Such a verdict rests on the swept
+values alone, since no split is re-solved in Python; the checkers
+(`verify.recheck_router_certificates`, `decompose.certify_decomposition`)
+therefore sweep with no threshold, so their verdicts rest on the least
+split's Python min cut as well.  Parallel boundary edges are bucketed into
+one bundle terminal per original edge, so the enumeration is over bundles;
+splitting a bundle away from its attachment never helps a cut of sparsity
+below 1, and cuts of sparsity exactly 1 always exist (cut one pendant), so
+the bundle-level minimum capped at 1 is the true optimum.  A single bundle
+is split only between its own pendant units, each at sparsity exactly 1;
+no vertex side of G_S does that, so the answer is sparsity 1 with no side.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from math import lcm
 import numpy as np
 
 from .errors import BudgetExceeded
-from .flow import CutCertificate, TerminalCuts, bipartitions
+from .flow import TerminalCuts, bipartitions
 from .graph import SubdividedInstance, out_capacity
 
 DEFAULT_ENUM_BUDGET = 22
@@ -45,14 +47,15 @@ class SparsestCut:
 
     sparsity None means no bipartition splits the boundary terminals at all
     (zero or one boundary edge): the cluster is well-linked at every alpha.
-    A sparsity with cut None is an exact verdict that no split is below the
-    `stop_below` it was asked for.
+    `cut` is the vertex side of G_S of a split of that sparsity.  It is None
+    when G_S has no terminal split, for an exact verdict that no split is
+    below the `stop_below` it was asked for, and for a single bundle, which
+    only its own pendant units split, at sparsity 1.
     """
 
     sparsity: Fraction | None
-    cut: CutCertificate | None
+    cut: frozenset[int] | None
     exact: bool
-    pendant_split_edge: int | None = None  # set when the optimum splits a bundle
 
     @property
     def trivially_well_linked(self) -> bool:
@@ -61,21 +64,6 @@ class SparsestCut:
 
 def _bundle_terms(inst: SubdividedInstance) -> list[tuple[int, Fraction]]:
     return [(t, inst.weight(t)) for t in inst.terminals]
-
-
-def _certificate(inst, side_a: frozenset[int], value: Fraction) -> CutCertificate:
-    g = inst.graph
-    wa = sum((inst.weight(t) for t in inst.terminals if t in side_a), Fraction(0))
-    wb = inst.z - wa
-    sp = value / min(wa, wb) if wa > 0 and wb > 0 else None
-    return CutCertificate(
-        side_a,
-        frozenset(g.vertices) - side_a,
-        value,
-        term_a=wa,
-        term_b=wb,
-        sparsity=sp,
-    )
 
 
 def sparsest_cut_exact(
@@ -104,7 +92,7 @@ def sparsest_cut_exact(
     if nb >= 2:
         return _sweep(inst, terms, budget, stop_below)
     # one bundle of z > 1 parallel pendants: only pendant units split it
-    return _pendant_split(inst, exact=True)
+    return SparsestCut(Fraction(1), None, True)
 
 
 def _sweep(
@@ -123,7 +111,7 @@ def _sweep(
     Python ints whenever int64 could overflow.
 
     The returned split (the one below `stop_below`, or the least one) gets
-    its cut from a Python min cut, and a swept value that differs from it
+    its side from a Python min cut, and a swept value that differs from it
     raises RuntimeError; a verdict that nothing is below `stop_below`
     solves nothing in Python."""
     ids = [t for t, _ in terms]
@@ -167,26 +155,11 @@ def _sweep(
     if stop_below is not None and sparsity >= stop_below:
         return SparsestCut(sparsity, None, True)
     side2 = tuple(t for t, on in zip(order, row) if not on)
-    checked, cut = cuts.min_cut(side1, side2)
+    checked, side = cuts.min_cut(side1, side2)
     if checked != value:
         raise RuntimeError(f"min cut of {list(side1)}: sweep {value}, Python Dinic {checked}")
     # the minimal source side holds exactly the source terminals side1
-    return SparsestCut(sparsity, _certificate(inst, cut.side_a, value), True)
-
-
-def _pendant_split(inst: SubdividedInstance, exact: bool) -> SparsestCut:
-    """The sparsity-1 cut that separates one pendant unit of the first
-    bundle from the rest."""
-    t0 = inst.terminals[0]
-    cert = CutCertificate(
-        frozenset({t0}),
-        frozenset(inst.graph.vertices) - {t0},
-        Fraction(1),
-        term_a=Fraction(1),
-        term_b=inst.z - 1,
-        sparsity=Fraction(1),
-    )
-    return SparsestCut(Fraction(1), cert, exact, pendant_split_edge=inst.pendant_of[t0])
+    return SparsestCut(sparsity, side, True)
 
 
 def _sweep_candidates(inst: SubdividedInstance) -> list[list[int]]:
@@ -244,7 +217,7 @@ def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
     if len(terms) == 1:
         # one bundle of z >= 2 parallel pendants: the only nontrivial splits
         # separate pendant units, all of sparsity exactly 1
-        return _pendant_split(inst, exact=False)
+        return SparsestCut(Fraction(1), None, False)
     g = inst.graph
     best_side: set[int] | None = None
     best_sp: Fraction | None = None
@@ -276,8 +249,7 @@ def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
                 improved = True
         if not improved:
             break
-    cert = _certificate(inst, frozenset(best_side), out_capacity(g, best_side))
-    return SparsestCut(cert.sparsity, cert, False)
+    return SparsestCut(best_sp, frozenset(best_side), False)
 
 
 def sparsest_cut(
@@ -294,10 +266,10 @@ def is_well_linked(
     inst: SubdividedInstance,
     alpha: Fraction,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> tuple[bool, CutCertificate | None]:
+) -> tuple[bool, frozenset[int] | None]:
     """Exact test on the cluster's instance G_S: does every bipartition of S
-    cut at least alpha times the smaller boundary side?  Returns a violating
-    cut (on the instance's vertices) on failure.  Raises BudgetExceeded when
+    cut at least alpha times the smaller boundary side?  Returns the vertex
+    side of a violating split of G_S on failure.  Raises BudgetExceeded when
     the exact enumeration is out of reach."""
     res = sparsest_cut_exact(inst, budget=budget, stop_below=alpha)
     if res.trivially_well_linked or res.sparsity >= alpha:

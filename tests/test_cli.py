@@ -2,17 +2,19 @@ import contextlib
 import io
 import json
 import subprocess
+import tempfile
 from hashlib import sha256
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, note, settings, strategies as st
 
 import vsp.cli
 from vsp.cli import main
 from vsp.gen import gen_capacitated, gen_dumbbell
 from vsp.graph import CapGraph, read_graph, subdivide_boundary, write_graph
-from vsp.serialize import assemble_cut_sparsifier, save_sparsifier
+from vsp.serialize import assemble_cut_sparsifier, load_sparsifier, save_sparsifier
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
 
@@ -289,6 +291,61 @@ def test_build_byte_identical(tmp_path, capsys):
         assert code == 0
     assert (tmp_path / "h1.vsp").read_bytes() == (tmp_path / "h2.vsp").read_bytes()
     assert (tmp_path / "h1.cert.json").read_bytes() == (tmp_path / "h2.cert.json").read_bytes()
+
+
+def _quiet(args):
+    # cli.main's exit code, stdout and stderr, without a pytest fixture
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _valid_graphs(draw):
+    """Graphs of up to 9 vertices, 6 terminals and 14 edges, capacities
+    integer and fractional: isolated vertices and terminals, a disconnected
+    G, terminals of any degree, adjacent terminals, parallel edges and
+    self-loops all occur."""
+    vertices = list(range(1, draw(st.integers(1, 9)) + 1))
+    ends = st.sampled_from(vertices)
+    caps = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(3)])
+    edges = draw(st.lists(st.tuples(ends, ends, caps), max_size=14))
+    terminals = draw(st.lists(ends, unique=True, max_size=min(6, len(vertices))))
+    return CapGraph(vertices, edges, terminals)
+
+
+@given(g=_valid_graphs(),
+       flags=st.sampled_from([("--mode", "cut"), ("--mode", "flow"),
+                              ("--mode", "flow", "--eps", "1/3"),
+                              ("--mode", "flow", "--profile", "aggressive")]))
+@settings(max_examples=300, deadline=None)
+@example(g=CapGraph(range(1, 10), [(3, 2, 1)], [7]), flags=("--mode", "flow"))
+def test_every_valid_graph_builds_and_verifies(g, flags):
+    # a build exits 0 or refuses its budget; verify passes, or exits 3 for
+    # work it skipped; the observed quality is within the claim; and the
+    # saved files load and save again byte for byte.  The example has no
+    # edge at a terminal (terminal capacity 0)
+    note(f"vertices {g.vertices}, edges {[(e.u, e.v, e.cap) for e in g.edges]}, "
+         f"terminals {g.terminals}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, prefix = f"{tmp}/g.vsp", f"{tmp}/h"
+        write_graph(g, path)
+        code, out, err = _quiet(["build", path, *flags, "--out", prefix])
+        if code == 3:
+            assert json.loads(err)["error"] == "budget"
+            return
+        assert code == 0, err
+        claim = Fraction(json.loads(out.splitlines()[-1])["claimed_q"])
+        code, out, err = _quiet(["verify", path, prefix])
+        assert code in (0, 3), (code, out, err)
+        report = json.loads(out.split("\n", 1)[1])
+        skipped = report["budget_flags"]
+        assert code == 0 or skipped.get("non_exhaustive") or skipped.get("well_linked_skipped")
+        assert Fraction(report["q_observed"]) <= claim
+        saved = save_sparsifier(load_sparsifier(g, prefix), f"{tmp}/again")
+        for a, b in zip((f"{prefix}.vsp", f"{prefix}.cert.json"), saved, strict=True):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def _bench_build_flags():

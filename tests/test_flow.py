@@ -16,9 +16,9 @@ from util import brute_force_min_cut, brute_force_min_cut_side, path_graph, rand
 
 def test_unit_path():
     g = path_graph(3)
-    val, sol, cert = max_flow(g, [1], [3])
+    val, sol, side = max_flow(g, [1], [3])
     assert val == 1
-    assert out_capacity(g, cert.side_a) == 1
+    assert out_capacity(g, side) == 1
 
 
 def test_three_parallel_edges():
@@ -35,9 +35,9 @@ def test_bucketed_equals_explicit_parallel():
 
 def test_rational_capacities():
     g = CapGraph([1, 2, 3], [(1, 2, Fraction(3, 2)), (2, 3, Fraction(2, 3))])
-    val, sol, cert = max_flow(g, [1], [3])
+    val, sol, side = max_flow(g, [1], [3])
     assert val == Fraction(2, 3)
-    assert out_capacity(g, cert.side_a) == Fraction(2, 3)
+    assert out_capacity(g, side) == Fraction(2, 3)
 
 
 def test_duality_and_oracle_random():
@@ -45,10 +45,10 @@ def test_duality_and_oracle_random():
     for _ in range(30):
         g = random_unit_graph(rng, n=9, m=16)
         s, t = rng.sample(list(g.vertices), 2)
-        val, sol, cert = max_flow(g, [s], [t])
+        val, sol, side = max_flow(g, [s], [t])
         assert val == brute_force_min_cut(g, {s}, {t})
-        assert out_capacity(g, cert.side_a) == val
-        assert s in cert.side_a and t in cert.side_b
+        assert out_capacity(g, side) == val
+        assert s in side and t in frozenset(g.vertices) - side
         # flow never exceeds capacity
         for eid, f in sol.edge_flow.items():
             assert abs(f) <= g.edges[eid].cap
@@ -56,7 +56,7 @@ def test_duality_and_oracle_random():
 
 def test_min_cut_between_single_edge():
     g = CapGraph([1, 2], [(1, 2, 1)], [1, 2])
-    val, cert = TerminalCuts(g, [1, 2]).min_cut([1], [2])
+    val, _side = TerminalCuts(g, [1, 2]).min_cut([1], [2])
     assert val == 1
 
 
@@ -79,9 +79,9 @@ def test_min_cut_between_oracle_groups():
         verts = list(g.vertices)
         rng.shuffle(verts)
         ta, tb = verts[:2], verts[2:4]
-        val, cert = TerminalCuts(g, ta + tb).min_cut(ta, tb)
+        val, side = TerminalCuts(g, ta + tb).min_cut(ta, tb)
         assert val == brute_force_min_cut(g, ta, tb)
-        assert out_capacity(g, cert.side_a) == val
+        assert out_capacity(g, side) == val
 
 
 def test_net_path_decomposition():
@@ -140,6 +140,29 @@ def test_split_target_edge_decodes_to_one_traversal():
     paths = sorted(net.unit_edge_paths(), key=lambda p: len(p[1]))
     assert paths == [(1, ["a", "b"]), (1, ["a", "b", "c"])]
 
+
+def test_unit_paths_walk_through_a_flow_cycle():
+    # Dinic's first phase sends S-a->b-T through arc a->b, the arc that a
+    # lists first; the second phase's one augmenting path S-x-y-z-b->a-c-T
+    # leaves b through arc b->a, not through a->b's residual.  The final
+    # flow holds the cycle a->b->a, and the walk of its second path, S-a->b
+    # after the first path took b-T, dead-ends at b unless it may return to
+    # a.  Unkeyed arcs leave no key in the path
+    net = Net()
+    net.undirected("a", "c", 1, key="ac")
+    net.undirected(net.source, "a", 1, key="sa")
+    net.arc("a", "b", 1)
+    net.undirected(net.source, "x", 1, key="sx")
+    net.arc("b", "a", 1)
+    net.undirected("b", net.sink, 1, key="bt")
+    net.undirected("x", "y", 1, key="xy")
+    net.undirected("z", "b", 1, key="zb")
+    net.undirected("y", "z", 1, key="yz")
+    net.undirected("c", net.sink, 1, key="ct")
+    assert net.max_flow() == 2
+    assert net.unit_edge_paths() == [("x", ["sx", "xy", "yz", "zb", "bt"]),
+                                     ("a", ["sa", "ac", "ct"])]
+
 def test_min_cut_between_matches_max_flow():
     rng = random.Random(41)
     for _ in range(20):
@@ -147,17 +170,18 @@ def test_min_cut_between_matches_max_flow():
         verts = list(g.vertices)
         rng.shuffle(verts)
         ta, tb = verts[:3], verts[3:5]
-        val, cert = TerminalCuts(g, ta + tb).min_cut(ta, tb)
-        fval, _sol, fcert = max_flow(g, ta, tb)
+        val, side = TerminalCuts(g, ta + tb).min_cut(ta, tb)
+        fval, _sol, fside = max_flow(g, ta, tb)
         assert val == fval
-        assert cert.side_a == fcert.side_a and cert.side_b == fcert.side_b
+        rest = frozenset(g.vertices)
+        assert side == fside and rest - side == rest - fside
 
 
 @given(seed=st.integers(0, 10**6), fractional=st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
-    # one compiled network answers a shuffled sequence of splits, repeats
-    # included, exactly as a fresh network and the brute force do
+    # one `TerminalCuts` answers a shuffled sequence of splits, repeats
+    # included, exactly as a fresh one and the brute force do
     rng = random.Random(seed)
     caps = (Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2) if fractional else (1,)
     n = rng.randint(2, 8)
@@ -182,13 +206,13 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
     assert len(values) == len(splits) and values.dtype == np.int64
     for (ta, tb), scaled in zip(splits, values):
         stacked = Fraction(int(scaled), cuts.den)
-        value, cert = cuts.min_cut(ta, tb)
+        value, side = cuts.min_cut(ta, tb)
         fresh_value, fresh = TerminalCuts(g, ta + tb).min_cut(ta, tb)
         assert stacked == value
-        assert (value, cert.side_a) == (fresh_value, fresh.side_a)
-        assert (value, cert.side_a) == brute_force_min_cut_side(g, ta, tb)
-        assert cert.side_b == frozenset(g.vertices) - cert.side_a
-        assert out_capacity(g, cert.side_a) == value
+        assert (value, side) == (fresh_value, fresh)
+        assert (value, side) == brute_force_min_cut_side(g, ta, tb)
+        assert set(ta) <= side and set(tb) <= frozenset(g.vertices) - side
+        assert out_capacity(g, side) == value
 
 
 @given(seed=st.integers(0, 10**6), scale=st.sampled_from([1, 2**30, 2**62]))
@@ -301,12 +325,12 @@ def test_terminal_cuts_values_beyond_int32():
 def test_terminal_cuts_isolated_terminal():
     g = CapGraph([1, 2, 3, 4], [(1, 2, Fraction(1, 2)), (2, 3, Fraction(2, 3))], [1, 3, 4])
     cuts = TerminalCuts(g, g.terminals)
-    value, cert = cuts.min_cut([4], [1, 3])
-    assert value == 0 and cert.side_a == {4}
-    value, cert = cuts.min_cut([1], [3, 4])
-    assert value == Fraction(1, 2) and cert.side_a == {1}
-    value, cert = cuts.min_cut([3, 4], [1])
-    assert value == Fraction(1, 2) and cert.side_a == {2, 3, 4}
+    value, side = cuts.min_cut([4], [1, 3])
+    assert value == 0 and side == {4}
+    value, side = cuts.min_cut([1], [3, 4])
+    assert value == Fraction(1, 2) and side == {1}
+    value, side = cuts.min_cut([3, 4], [1])
+    assert value == Fraction(1, 2) and side == {2, 3, 4}
 
 
 def test_terminal_cuts_input_errors():
@@ -322,9 +346,9 @@ def test_terminal_cuts_input_errors():
                         ([[1, 0]], [[1, 1]], "overlap")):
         with pytest.raises(InputError, match=msg):
             cuts.values(np.array(ta, dtype=bool), np.array(tb, dtype=bool))
-    # a refused split leaves the compiled network intact
-    value, cert = cuts.min_cut([1], [3])
-    assert value == 1 and cert.side_a == {1}
+    # a refused split leaves the terminal cuts usable
+    value, side = cuts.min_cut([1], [3])
+    assert value == 1 and side == {1}
 
 
 def test_terminal_cuts_match_networkx_on_grid():
@@ -344,6 +368,6 @@ def test_terminal_cuts_match_networkx_on_grid():
         net = base.copy()
         net.add_edges_from(("S", t) for t in ta)  # no capacity: unbounded
         net.add_edges_from((t, "T") for t in tb)
-        value, cert = cuts.min_cut(ta, tb)
+        value, side = cuts.min_cut(ta, tb)
         assert value == nx.minimum_cut_value(net, "S", "T")
-        assert out_capacity(g, cert.side_a) == value
+        assert out_capacity(g, side) == value

@@ -106,6 +106,32 @@ def test_scan_flags_an_unreferenced_definition():
     assert _unreferenced([tree], {"Kept"}) == ["unused"]
 
 
+# the arc arrays of `flow.Net`, which only its own methods read or write
+NET_ARRAYS = {"_cap", "_to", "_head", "_next", "_key", "_nodes", "_names", "_orig_cap"}
+
+
+def _net_array_uses(tree: ast.Module) -> list[int]:
+    """The lines outside `class Net` that read or write an attribute named
+    in `NET_ARRAYS`."""
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.ClassDef) and top.name == "Net" for node in ast.walk(top)}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in NET_ARRAYS
+                   and id(node) not in inside})
+
+
+def test_only_net_touches_its_arc_arrays():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _net_array_uses(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, found
+
+
+def test_scan_flags_a_net_array_outside_net():
+    tree = ast.parse("class Net:\n    def f(self):\n        return self._cap\n"
+                     "def g(net):\n    net._to = []\n    return net._cap[0]\n")
+    assert _net_array_uses(tree) == [5, 6]
+
+
 def test_bench_targets_resolve():
     # the benchmark's tracer wraps these by name, so a rename in vsp must
     # show up here rather than as a failed traced run

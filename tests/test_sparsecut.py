@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vsp.decompose import certify_decomposition, strong_decompose
 from vsp.errors import BudgetExceeded
 from vsp.flow import Net, TerminalCuts
 from vsp.graph import CapGraph, out_capacity, subdivide_boundary
@@ -16,6 +17,15 @@ from vsp.sparsecut import (
 from util import brute_force_bundle_sweep, brute_force_sparsest, random_unit_graph
 
 F = Fraction
+
+
+def _split(inst, side):
+    """The split of G_S along the vertex side `side`, recomputed: its cut
+    value, the bundle weights on the side and off it, and its sparsity."""
+    w_a = sum((inst.weight(t) for t in inst.terminals if t in side), F(0))
+    w_b = sum((inst.weight(t) for t in inst.terminals if t not in side), F(0))
+    value = out_capacity(inst.graph, side)
+    return value, w_a, w_b, value / min(w_a, w_b)
 
 
 def _dumbbell():
@@ -41,7 +51,7 @@ def test_dumbbell_bridge_is_sparsest():
     inst = subdivide_boundary(g, set(range(1, 7)))
     res = sparsest_cut_exact(inst)
     assert res.sparsity == F(1, 2)
-    assert res.cut.value == 1
+    assert out_capacity(inst.graph, res.cut) == 1
 
 
 def test_single_vertex_cluster_sentinel():
@@ -98,16 +108,16 @@ def test_exact_matches_oracles_on_fractional_bundles():
             (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
             if stop is not None and sparsity >= stop:
                 # a threshold verdict: the least sparsity and no cut
-                assert (res.sparsity, res.cut, res.pendant_split_edge) == (sparsity, None, None)
+                assert (res.sparsity, res.cut) == (sparsity, None)
             elif sparsity <= 1 or (stop is not None and sparsity < stop):
-                cut = res.cut
-                assert (res.sparsity, cut.value, cut.side_a) == (sparsity, value, side_a)
-                assert cut.term_a == sum(w for t, w in weights.items() if t in side_a)
-                assert cut.term_a + cut.term_b == inst.z
-                assert cut.sparsity == value / min(cut.term_a, cut.term_b)
-                assert res.pendant_split_edge is None
+                assert res.cut is not None
+                cut_value, w_a, w_b, cut_sparsity = _split(inst, res.cut)
+                assert (res.sparsity, cut_value, res.cut) == (sparsity, value, side_a)
+                assert w_a == sum(w for t, w in weights.items() if t in side_a)
+                assert w_a + w_b == inst.z
+                assert cut_sparsity == value / min(w_a, w_b) == res.sparsity
             else:
-                assert res.sparsity == 1 and res.pendant_split_edge is not None
+                assert (res.sparsity, res.cut) == (1, None)
         checked += 1
     assert checked >= 15
 
@@ -141,13 +151,15 @@ def _check_against_sweep(inst, stops):
     for stop in stops:
         res = sparsest_cut_exact(inst, stop_below=stop)
         (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
-        assert res.sparsity == sparsity and res.pendant_split_edge is None, stop
+        assert res.sparsity == sparsity, stop
         if stop is not None and sparsity >= stop:
             assert res.cut is None, stop
             continue
-        assert (res.cut.value, res.cut.side_a) == (value, side_a), stop
-        assert res.cut.sparsity == sparsity
-        assert res.cut.term_a + res.cut.term_b == inst.z
+        assert res.cut is not None, stop
+        cut_value, w_a, w_b, cut_sparsity = _split(inst, res.cut)
+        assert (cut_value, res.cut) == (value, side_a), stop
+        assert cut_sparsity == sparsity
+        assert w_a + w_b == inst.z
 
 
 def test_exact_sweep_compares_exactly_past_int64():
@@ -160,7 +172,7 @@ def test_exact_sweep_compares_exactly_past_int64():
     inst = _hub_instance([(1, [x, y]), (2, [4]), (3, [6])], [5, 7])
     assert len(inst.terminals) == 6
     res = sparsest_cut_exact(inst)
-    assert (res.sparsity, res.cut.value) == (F(1, 2), 2)
+    assert (res.sparsity, out_capacity(inst.graph, res.cut)) == (F(1, 2), 2)
     _check_against_sweep(inst, (None, near, F(1, 2), F(2, 3), F(1, 10)))
     # spokes 2 and 3 tie exactly at 1 / (2x) with value 1.  Pendants a, d
     # on spoke 2 and b, c on spoke 3 have ids 19 < 20 < 21 < 22, so the mask
@@ -170,8 +182,8 @@ def test_exact_sweep_compares_exactly_past_int64():
                                 (1, 2, 1), (1, 3, 1), (1, 4, 2), (4, 15, 4), (1, 16, 7)])
     inst = subdivide_boundary(g, {1, 2, 3, 4})
     res = sparsest_cut_exact(inst)
-    assert (res.sparsity, res.cut.value) == (1 / (2 * x), 1)
-    assert res.cut.side_a.isdisjoint({3, 20, 21}) and {2, 18, 19, 22} <= res.cut.side_a
+    assert (res.sparsity, out_capacity(inst.graph, res.cut)) == (1 / (2 * x), 1)
+    assert res.cut.isdisjoint({3, 20, 21}) and {2, 18, 19, 22} <= res.cut
     _check_against_sweep(inst, (None, 1 / (2 * x) + F(1, Q1 * Q2), F(1, 2), F(1, 3)))
     # integer weights priced in compiled code, against thresholds whose
     # denominators alone overflow int64 products
@@ -182,7 +194,7 @@ def test_exact_sweep_compares_exactly_past_int64():
 def test_enumerated_sweep_solves_one_split_in_python(monkeypatch):
     # 3 bundles give 3 splits, priced by enumerating the sides of the 3
     # cluster vertices; only the chosen split is solved in Python, for its
-    # certificate
+    # side
     inst = subdivide_boundary(_dumbbell(), {1, 2, 3})
     assert len(inst.terminals) == 3
     calls = Counter()
@@ -200,14 +212,14 @@ def test_enumerated_sweep_solves_one_split_in_python(monkeypatch):
     res = sparsest_cut_exact(inst)
     assert calls == {"enumerated": 1, "min_cut": 1, "max_flow": 1}
     (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst)
-    assert (res.sparsity, res.cut.value, res.cut.side_a) == (sparsity, value, side_a)
-    assert sparsity == value == 1 and res.pendant_split_edge is None
+    assert (res.sparsity, out_capacity(inst.graph, res.cut), res.cut) == (sparsity, value, side_a)
+    assert sparsity == value == 1 and res.cut is not None
 
 
 def test_threshold_verdict_solves_no_certificate(monkeypatch):
     # the 31 splits of 6 bundles are enumerated; a threshold with no split
     # below it gets its verdict without a Python solve, and a split below
-    # the threshold gets one, for its certificate
+    # the threshold gets one, for its side
     inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
     assert len(inst.terminals) == 6
     calls = []
@@ -220,15 +232,15 @@ def test_threshold_verdict_solves_no_certificate(monkeypatch):
     res = sparsest_cut_exact(inst, stop_below=F(2, 3))
     (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, F(2, 3))
     assert sparsity < F(2, 3)
-    assert (res.sparsity, res.cut.value, res.cut.side_a, len(calls)) == (
+    assert (res.sparsity, out_capacity(inst.graph, res.cut), res.cut, len(calls)) == (
         sparsity, value, side_a, 1)
 
 
 def test_compiled_value_must_match_the_certificate(monkeypatch):
     # a sweep that misprices its splits, whichever way `values` priced
-    # them, is caught by the Python Dinic solve behind the certificate
+    # them, is caught by the Python Dinic solve behind the returned side
     inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
-    assert sparsest_cut_exact(inst).cut.value == 1
+    assert out_capacity(inst.graph, sparsest_cut_exact(inst).cut) == 1
     values = TerminalCuts.values
     monkeypatch.setattr(TerminalCuts, "values", lambda cuts, a, b: values(cuts, a, b) + 1)
     with pytest.raises(RuntimeError, match="sweep 7, Python Dinic 6"):
@@ -270,9 +282,12 @@ def test_heuristic_validity_vs_exact():
             assert heur.trivially_well_linked
         else:
             assert heur.sparsity >= exact.sparsity
-            # the heuristic certificate re-evaluates to its claimed sparsity
-            if heur.cut is not None and heur.pendant_split_edge is None:
-                assert out_capacity(inst.graph, heur.cut.side_a) == heur.cut.value
+            # the heuristic's side re-evaluates to its claimed sparsity; a
+            # single bundle answers sparsity 1 with no side
+            if heur.cut is not None:
+                assert _split(inst, heur.cut)[3] == heur.sparsity
+            else:
+                assert heur.sparsity == 1
 
 
 def test_heuristic_finds_dumbbell_bridge():
@@ -304,9 +319,26 @@ def test_well_linked_path_cases():
     assert ok
     edges = [(i, i + 1, 1) for i in range(1, 8)] + [(i, i + 10, 1) for i in range(1, 9)]
     g = CapGraph(list(range(1, 9)) + list(range(11, 19)), edges)
-    ok, cert = is_well_linked(subdivide_boundary(g, set(range(1, 9))), F(1, 3))
+    inst = subdivide_boundary(g, set(range(1, 9)))
+    ok, side = is_well_linked(inst, F(1, 3))
     assert not ok
-    assert cert is not None and cert.sparsity < F(1, 3)
+    assert side is not None and _split(inst, side)[3] < F(1, 3)
+
+
+def test_single_bundle_answers_sparsity_one_with_no_side():
+    # cluster {1, 2} leaves through one edge of capacity 3: G_S has one
+    # bundle of weight 3, which only its own pendant units split, each at
+    # sparsity 1.  Both solvers answer so, and the strong decomposition
+    # keeps the cluster whole
+    g = CapGraph([1, 2, 3], [(1, 2, 1), (2, 3, 3)])
+    inst = subdivide_boundary(g, {1, 2})
+    assert (len(inst.terminals), inst.z) == (1, 3)
+    for res in (sparsest_cut_exact(inst), sparsest_cut_heuristic(inst)):
+        assert (res.sparsity, res.cut) == (1, None)
+    assert is_well_linked(inst, F(1, 3)) == (True, None)
+    dec = strong_decompose(g, {1, 2})
+    assert [c.members for c in dec.clusters] == [frozenset({1, 2})] and dec.events == []
+    assert certify_decomposition(g, dec)["ok"]
 
 
 def test_well_linked_single_vertex_cluster():
