@@ -12,9 +12,9 @@ the bounds they guarantee:
   final cluster is 1/3-well-linked, the boundary tally is at most 3 z^3 and
   level i holds at most 2^(3i+3) clusters.
 
-Every split is recorded so certification can re-derive the claims.  A final
-cluster keeps the instance G_S its solver cleared (`ClusterCert`), which the
-flow builder's router search reuses together with the verdict.
+`strong_decompose` asserts its tally and level bounds on every build.  A
+final cluster keeps the instance G_S its solver cleared (`ClusterCert`),
+which the flow builder's router search reuses together with the verdict.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import BudgetExceeded, InputError
-from .graph import CapGraph, SubdividedInstance, out_capacity, out_edges, subdivide_boundary
+from .errors import InputError
+from .graph import CapGraph, SubdividedInstance, out_capacity, subdivide_boundary
 from .params import ONE_THIRD, weak_threshold
 from .sparsecut import DEFAULT_ENUM_BUDGET, SparsestCut, sparsest_cut, sparsest_cut_exact
 
@@ -53,24 +53,17 @@ class ClusterCert:
 
 @dataclass(frozen=True)
 class SplitEvent:
-    members: frozenset[int]
     z_cluster: Fraction
     sparsity: Fraction
-    side_a: frozenset[int]  # smaller-boundary-terminal side
-    out_a: Fraction
-    out_b: Fraction
-    crossing: Fraction
+    out_a: Fraction  # boundary of the side with fewer parent-boundary terminals
 
 
 @dataclass
 class Decomposition:
-    kind: str  # "weak" | "strong"
-    parent_members: frozenset[int]
     z: Fraction
     threshold: Fraction
     clusters: list[ClusterCert]
     events: list[SplitEvent] = field(default_factory=list)
-    budget: int = DEFAULT_ENUM_BUDGET
 
     @property
     def boundary_tally(self) -> Fraction:
@@ -93,7 +86,6 @@ def _level_of(z: Fraction, out_r: Fraction) -> int | None:
 def _record_split(
     g: CapGraph,
     events: list[SplitEvent],
-    members: frozenset[int],
     z_cluster: Fraction,
     sparsity: Fraction,
     a: frozenset[int],
@@ -106,8 +98,7 @@ def _record_split(
     # parent boundary, out(side) - crossing, orders the sides as out(side)
     if out_b < out_a:
         a, b, out_a, out_b = b, a, out_b, out_a
-    crossing = (out_a + out_b - z_cluster) / 2
-    events.append(SplitEvent(members, z_cluster, sparsity, a, out_a, out_b, crossing))
+    events.append(SplitEvent(z_cluster, sparsity, out_a))
     return [(out_a, a), (out_b, b)]
 
 
@@ -132,7 +123,7 @@ def _split_until_linked(
         comps = g.components(within=cur)
         if len(comps) > 1:
             first = frozenset(comps[0])
-            work += _record_split(g, events, cur, z, Fraction(0), first, cur - first)
+            work += _record_split(g, events, z, Fraction(0), first, cur - first)
             continue
         inst = subdivide_boundary(g, cur)
         res = solver(inst, budget=budget, stop_below=threshold)
@@ -143,7 +134,7 @@ def _split_until_linked(
             a = res.cut & cur
             if not a or a == cur:
                 raise AssertionError("sparse cut did not split the cluster members")
-            work += _record_split(g, events, cur, z, res.sparsity, a, cur - a)
+            work += _record_split(g, events, z, res.sparsity, a, cur - a)
             continue
         source = "exact" if res.exact else "heuristic"
         final.append(ClusterCert(inst, threshold, source, level(z)))
@@ -165,7 +156,7 @@ def weak_decompose(
     final, events = _split_until_linked(
         g, ms, threshold, sparsest_cut, lambda _zc: None, budget
     )
-    return Decomposition("weak", ms, z, threshold, final, events, budget)
+    return Decomposition(z, threshold, final, events)
 
 
 def strong_decompose(
@@ -186,7 +177,7 @@ def strong_decompose(
     final, events = _split_until_linked(
         g, ms, ONE_THIRD, sparsest_cut_exact, lambda zc: _level_of(z, zc), budget
     )
-    dec = Decomposition("strong", ms, z, ONE_THIRD, final, events, budget)
+    dec = Decomposition(z, ONE_THIRD, final, events)
     _check_strong_bounds(dec)
     return dec
 
@@ -213,77 +204,3 @@ def _check_strong_bounds(dec: Decomposition) -> None:
     for i, count in dec.level_counts().items():
         if count > 1 << (3 * i + 3):
             raise AssertionError(f"level {i} holds {count} clusters > 2^(3i+3)")
-
-
-def certify_decomposition(g: CapGraph, dec: Decomposition) -> dict:
-    """Re-derive every claim of a decomposition from scratch.  Failures are
-    report entries, not exceptions.  The well-linked check finds each
-    cluster's least sparsity with no threshold, so the least split is
-    re-solved in Python against the sweep's value.  A cluster whose check
-    exceeds the decomposition's enumeration budget is not checked: its
-    index is listed under "skipped" and named in the check's text, and it
-    counts as work not done, not as passed."""
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, ok: bool, detail: str = ""):
-        checks.append((name, ok, detail))
-
-    union = frozenset().union(*(c.members for c in dec.clusters)) if dec.clusters else frozenset()
-    sizes = sum(len(c.members) for c in dec.clusters)
-    add("partition", union == dec.parent_members and sizes == len(dec.parent_members),
-        f"{sizes} members over {len(dec.clusters)} clusters")
-
-    z = dec.z
-    ok_b = True
-    for c in dec.clusters:
-        real = [e.eid for e in out_edges(g, c.members)]
-        real_z = out_capacity(g, c.members)
-        if real != [c.inst.pendant_of[t] for t in c.inst.terminals] or real_z != c.z:
-            ok_b = False
-        if real_z > z:
-            ok_b = False
-    add("boundaries", ok_b, "per-cluster out(R) recomputed, out(R) <= out(S)")
-
-    tally = dec.boundary_tally
-    if dec.kind == "weak":
-        bound = Fraction(12, 10) * z
-        add("tally", tally <= bound, f"sum out(R) = {tally} <= 1.2 z = {bound}")
-    else:
-        bound = 3 * z**3
-        add("tally", z == 0 or tally <= bound, f"sum out(R) = {tally} <= 3z^3 = {bound}")
-        lc = dec.level_counts()
-        add(
-            "levels",
-            all(n <= 1 << (3 * i + 3) for i, n in lc.items()),
-            f"level counts {lc}",
-        )
-
-    ok_conn = all(g.is_connected_subset(c.members) for c in dec.clusters)
-    add("connected", ok_conn, "every cluster induces a connected subgraph")
-
-    ok_wl, detail, skipped = True, [], []
-    for ci, c in enumerate(dec.clusters):
-        if c.alpha is None:
-            continue
-        inst = subdivide_boundary(g, c.members)
-        try:
-            res = sparsest_cut_exact(inst, budget=dec.budget)
-        except BudgetExceeded:
-            skipped.append(ci)
-            continue
-        if not res.trivially_well_linked and res.sparsity < c.alpha:
-            ok_wl = False
-            detail.append(f"cluster at {min(c.members)}: sparsity {res.sparsity} < {c.alpha}")
-    if skipped:
-        detail.append(f"clusters {skipped}: skipped (budget)")
-    add("well-linked", ok_wl, "; ".join(detail) or "all clusters at claimed alpha")
-
-    ok_ev = True
-    for ev in dec.events:
-        if ev.sparsity >= dec.threshold:
-            ok_ev = False
-        if dec.kind == "weak" and ev.out_a > Fraction(51, 100) * ev.z_cluster:
-            ok_ev = False
-    add("events", ok_ev, f"{len(dec.events)} splits below threshold {dec.threshold}")
-
-    return {"ok": all(ok for _n, ok, _d in checks), "checks": checks, "skipped": skipped}

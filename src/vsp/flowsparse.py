@@ -179,9 +179,8 @@ class Witness1:
     """r disjoint well-linked sets, each reachable from ceil(k/2) distinct
     terminals by edge-disjoint paths ending on distinct boundary edges."""
 
-    families: list[dict]  # per j: members, alpha, alpha_source, paths, end_edges
+    families: list[dict]  # per j: members, alpha, paths, end_edges
     r: int
-    kstar: int
 
 
 @dataclass
@@ -191,7 +190,6 @@ class Witness2:
     term_star: tuple[int, ...]  # ceil(k/4) terminals
     paths: list[list[tuple[int, list[int]]]]  # per j: (terminal, edge id path)
     alpha: Fraction
-    alpha_source: str
     r: int
 
 
@@ -442,10 +440,7 @@ def balanced_cut_refine(
         b_side = x - a_side
         if res.trivially_well_linked or res.sparsity >= 1 or not a_side or not b_side:
             alpha = weak_threshold(r * quarter_k)
-            w2 = Witness2(
-                frozenset(x), groups, term_star, systems, alpha,
-                "exact" if res.exact else "heuristic", r,
-            )
+            w2 = Witness2(frozenset(x), groups, term_star, systems, alpha, r)
             return SearchOutcome("witness2", witness=w2)
         if len(a_side) > len(b_side):
             a_side, b_side = b_side, a_side
@@ -610,9 +605,6 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
             {
                 "members": big.members,
                 "alpha": weak_threshold(kstar),
-                "alpha_source": "exact" if all(
-                    c.source in ("exact", "trivial") for c in dec.clusters
-                ) else "heuristic",
                 "paths": routed,
                 "end_edges": [p[-1] for _t, p in routed],
             }
@@ -621,7 +613,7 @@ def find_contractible_or_witness(gp: CapGraph, params: FlowParams) -> SearchOutc
         raise BudgetExceeded(
             f"phase 2 assembled only {len(witness_families)} of {r} witness families"
         )
-    return SearchOutcome("witness1", witness=Witness1(witness_families, r, kstar))
+    return SearchOutcome("witness1", witness=Witness1(witness_families, r))
 
 
 def _route_terminals_to_cluster(gp: CapGraph, members: frozenset[int], need: int):

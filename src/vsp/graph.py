@@ -37,9 +37,6 @@ class Edge:
             return self.u
         raise KeyError(w)
 
-    def ends(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 class CapGraph:
     """Immutable capacitated multigraph with an ordered terminal subset."""

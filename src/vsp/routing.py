@@ -66,17 +66,6 @@ class DemandSet:
         items = tuple(sorted((k, v) for k, v in norm.items() if v > 0))
         return DemandSet(items)
 
-    def total_at(self, t: int) -> Fraction:
-        return sum((v for (a, b), v in self.pairs if t in (a, b)), Fraction(0))
-
-    @property
-    def gamma(self) -> Fraction:
-        """Smallest gamma such that the set is gamma-restricted."""
-        best = Fraction(0)
-        for t in {x for (a, b), _ in self.pairs for x in (a, b)}:
-            best = max(best, self.total_at(t))
-        return best
-
     @property
     def terminals(self) -> tuple[int, ...]:
         return tuple(sorted({x for (a, b), _ in self.pairs for x in (a, b)}))

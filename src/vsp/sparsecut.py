@@ -14,16 +14,16 @@ minimal source side of a minimum cut, the same whichever way the value was
 found.  With `stop_below`, a sweep that finds no split below the threshold
 returns its verdict alone, the least sparsity and no side: callers cut only
 along a split below their threshold.  Such a verdict rests on the swept
-values alone, since no split is re-solved in Python; the checkers
-(`verify.recheck_router_certificates`, `decompose.certify_decomposition`)
-therefore sweep with no threshold, so their verdicts rest on the least
-split's Python min cut as well.  Parallel boundary edges are bucketed into
-one bundle terminal per original edge, so the enumeration is over bundles;
-splitting a bundle away from its attachment never helps a cut of sparsity
-below 1, and cuts of sparsity exactly 1 always exist (cut one pendant), so
-the bundle-level minimum capped at 1 is the true optimum.  A single bundle
-is split only between its own pendant units, each at sparsity exactly 1;
-no vertex side of G_S does that, so the answer is sparsity 1 with no side.
+values alone, since no split is re-solved in Python; the checker
+(`verify.recheck_router_certificates`) therefore sweeps with no threshold,
+so its verdicts rest on the least split's Python min cut as well.
+Parallel boundary edges are bucketed into one bundle terminal per original
+edge, so the enumeration is over bundles; splitting a bundle away from its
+attachment never helps a cut of sparsity below 1, and cuts of sparsity
+exactly 1 always exist (cut one pendant), so the bundle-level minimum
+capped at 1 is the true optimum.  A single bundle is split only between
+its own pendant units, each at sparsity exactly 1; no vertex side of G_S
+does that, so the answer is sparsity 1 with no side.
 """
 
 from __future__ import annotations

@@ -46,12 +46,11 @@ def witness1_fixture():
             {
                 "members": frozenset(blob),
                 "alpha": Fraction(1, 3),
-                "alpha_source": "exact",
                 "paths": paths,
                 "end_edges": [p[-1] for _t, p in paths],
             }
         )
-    return g, Witness1(fam, r=2, kstar=16)
+    return g, Witness1(fam, r=2)
 
 
 def witness2_fixture():
@@ -92,7 +91,6 @@ def witness2_fixture():
         term_star=(31,),
         paths=paths,
         alpha=Fraction(1, 3),
-        alpha_source="exact",
         r=2,
     )
     return g, w

@@ -135,6 +135,6 @@ def test_verify_detects_sabotage():
     sp = build_cut_sparsifier(g)
     h = sp.graph
     # delete one edge of H: some cut gets cheaper in H than in G
-    broken = CapGraph(h.vertices, [e.ends() + (e.cap,) for e in h.edges[1:]], h.terminals)
+    broken = CapGraph(h.vertices, [(e.u, e.v, e.cap) for e in h.edges[1:]], h.terminals)
     rep = verify_cut_quality(g, broken)
     assert not rep.ok

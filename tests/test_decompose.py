@@ -1,20 +1,15 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from vsp.errors import BudgetExceeded, InputError
-from vsp.decompose import (
-    ClusterCert,
-    certify_decomposition,
-    strong_decompose,
-    weak_decompose,
-)
+from vsp.decompose import ClusterCert, strong_decompose, weak_decompose
 from vsp.graph import CapGraph, out_edges, subdivide_boundary
 from vsp.params import weak_threshold
-from vsp.sparsecut import sparsest_cut_exact
 
-from util import random_unit_graph
+from util import random_unit_graph, recheck_decomposition
 
 F = Fraction
 
@@ -67,8 +62,7 @@ def test_weak_tally_bound_random():
         members = set(rng.sample(list(g.vertices), rng.randint(4, 10)))
         dec = weak_decompose(g, members, budget=12)
         assert dec.boundary_tally <= F(12, 10) * dec.z
-        rep = certify_decomposition(g, dec)
-        assert rep["ok"], rep["checks"]
+        recheck_decomposition(g, dec, members, budget=12)
         for ev in dec.events:
             assert ev.sparsity < dec.threshold
             assert ev.out_a <= F(51, 100) * ev.z_cluster
@@ -95,24 +89,23 @@ def test_strong_path_two_end_pendants():
     assert dec.clusters[0].alpha == F(1, 3)
 
 
-def test_strong_pendant_path_splits_with_bounds():
-    n = 8
+def _pendant_path(n):
     edges = [(i, i + 1, 1) for i in range(1, n)]
     edges += [(i, 100 + i, 1) for i in range(1, n + 1)]
-    g = CapGraph(list(range(1, n + 1)) + list(range(101, 101 + n)), edges)
+    return CapGraph(list(range(1, n + 1)) + list(range(101, 101 + n)), edges)
+
+
+def test_strong_pendant_path_splits_with_bounds():
+    n = 8
+    g = _pendant_path(n)
     dec = strong_decompose(g, set(range(1, n + 1)))
     assert len(dec.clusters) > 1
     z = dec.z
     assert dec.boundary_tally <= 3 * z**3
-    for c in dec.clusters:
-        if c.alpha is not None:
-            inst = subdivide_boundary(g, c.members)
-            res = sparsest_cut_exact(inst)
-            assert res.trivially_well_linked or res.sparsity >= F(1, 3)
     for i, count in dec.level_counts().items():
         assert count <= 1 << (3 * i + 3)
-    rep = certify_decomposition(g, dec)
-    assert rep["ok"], rep["checks"]
+    assert {c.alpha for c in dec.clusters} <= {None, F(1, 3)}
+    assert recheck_decomposition(g, dec, range(1, n + 1)) == []
 
 
 def test_strong_rejects_disconnected():
@@ -142,8 +135,7 @@ def test_strong_random_certified(subtests=None):
         if len(out_edges(g, members)) > 12:
             continue
         dec = strong_decompose(g, members)
-        rep = certify_decomposition(g, dec)
-        assert rep["ok"], rep["checks"]
+        assert recheck_decomposition(g, dec, members) == []
         done += 1
     assert done >= 5
 
@@ -155,13 +147,11 @@ def test_certify_lists_budget_skips():
     g = _clique_with_pendants(5)
     dec = weak_decompose(g, set(range(1, 6)), budget=2)
     assert [c.source for c in dec.clusters] == ["heuristic"]
-    rep = certify_decomposition(g, dec)
-    assert rep["skipped"] == [0]
-    detail = {name: text for name, _ok, text in rep["checks"]}["well-linked"]
-    assert "clusters [0]: skipped (budget)" in detail
-    dec.budget = 5
-    rep = certify_decomposition(g, dec)
-    assert rep["ok"] and not rep["skipped"], rep["checks"]
+    assert recheck_decomposition(g, dec, range(1, 6), budget=2) == [0]
+    assert recheck_decomposition(g, dec, range(1, 6), budget=5) == []
+
+
+# each corrupted decomposition below fails exactly the recheck it names
 
 
 def test_certify_catches_corruption():
@@ -169,11 +159,54 @@ def test_certify_catches_corruption():
     dec = strong_decompose(g, set(range(1, 5)))
     # move a vertex out of its cluster
     c0 = dec.clusters[0]
-    bad = ClusterCert(
-        subdivide_boundary(g, c0.members - {min(c0.members)}), c0.alpha, c0.source, c0.level
-    )
-    dec.clusters[0] = bad
-    rep = certify_decomposition(g, dec)
-    assert not rep["ok"]
-    names = [n for n, ok, _ in rep["checks"] if not ok]
-    assert "partition" in names
+    dec.clusters[0] = replace(c0, inst=subdivide_boundary(g, c0.members - {min(c0.members)}))
+    with pytest.raises(AssertionError, match="partition"):
+        recheck_decomposition(g, dec, range(1, 5))
+
+
+def test_recheck_catches_a_foreign_boundary():
+    # the instance subdivides only some of the cluster's boundary edges
+    g = _clique_with_pendants(4)
+    dec = strong_decompose(g, set(range(1, 5)))
+    c0 = dec.clusters[0]
+    some = [e.eid for e in out_edges(g, c0.members)][1:]
+    dec.clusters[0] = replace(c0, inst=subdivide_boundary(g, c0.members, some))
+    with pytest.raises(AssertionError, match="boundary"):
+        recheck_decomposition(g, dec, range(1, 5))
+    # a K4 with one pendant edge split into singletons: each singleton's
+    # instance is its own, but its boundary 3 or 4 exceeds out(S) = 1
+    g = CapGraph(range(1, 6), [(u, v, 1) for u in range(1, 5) for v in range(u + 1, 5)]
+                 + [(1, 5, 1)])
+    dec = strong_decompose(g, set(range(1, 5)))
+    dec.clusters[:] = [ClusterCert(subdivide_boundary(g, {v}), None, "trivial") for v in range(1, 5)]
+    with pytest.raises(AssertionError, match="boundary"):
+        recheck_decomposition(g, dec, range(1, 5))
+
+
+def test_recheck_catches_a_disconnected_cluster():
+    # the path of 12 splits into 1..4, 5..7 and 8..12; the outer two merge
+    g = _pendant_path(12)
+    dec = strong_decompose(g, set(range(1, 13)))
+    first, middle, last = dec.clusters
+    merged = subdivide_boundary(g, first.members | last.members)
+    dec.clusters[:] = [replace(first, inst=merged), middle]
+    with pytest.raises(AssertionError, match="connected"):
+        recheck_decomposition(g, dec, range(1, 13))
+
+
+def test_recheck_catches_a_cluster_below_alpha():
+    # the path of 8 splits into 1..4 and 5..8 at sparsity 1/4; merged back,
+    # the one cluster claims 1/3
+    g = _pendant_path(8)
+    dec = strong_decompose(g, set(range(1, 9)))
+    dec.clusters[:] = [replace(dec.clusters[0], inst=subdivide_boundary(g, range(1, 9)))]
+    with pytest.raises(AssertionError, match="well-linked"):
+        recheck_decomposition(g, dec, range(1, 9))
+
+
+def test_recheck_catches_an_event_at_threshold():
+    g = _pendant_path(8)
+    dec = strong_decompose(g, set(range(1, 9)))
+    dec.events[0] = replace(dec.events[0], sparsity=dec.threshold)
+    with pytest.raises(AssertionError, match="events"):
+        recheck_decomposition(g, dec, range(1, 9))

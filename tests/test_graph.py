@@ -251,7 +251,7 @@ def test_graph_roundtrip(tmp_path):
         write_graph(g, p)
         h = read_graph(p)
         assert h.n == g.n and h.m == g.m
-        assert [e.ends() for e in h.edges] == [e.ends() for e in g.edges]
+        assert [(e.u, e.v) for e in h.edges] == [(e.u, e.v) for e in g.edges]
         assert [e.cap for e in h.edges] == [e.cap for e in g.edges]
         assert list(h.terminals) == list(g.terminals)
 

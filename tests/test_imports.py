@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package, the tests and
-the tools is used, and every module-level function and class of the package
-serves the package or the benchmark."""
+the tools is used, and every module-level function and class of the package,
+and every member of its classes, serves the package or the benchmark."""
 
 import ast
 import contextlib
@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # module-level names that no package code references and no benchmark target
 # names, each kept for the reason given
 TEST_ONLY = {
-    "certify_decomposition": "acceptance criterion 4 rechecks weak decompositions with it",
     "verify_witness1": "acceptance criterion 7 rechecks type-1 witnesses with it",
     "verify_witness2": "acceptance criterion 7 rechecks type-2 witnesses with it",
 }
@@ -104,6 +103,74 @@ def test_package_has_no_test_only_code():
 def test_scan_flags_an_unreferenced_definition():
     tree = ast.parse("def used(): pass\ndef unused(): pass\nclass Kept: pass\nused()\n")
     assert _unreferenced([tree], {"Kept"}) == ["unused"]
+
+
+# class members that no package code reads and no benchmark target names,
+# each kept for the reason given
+TEST_ONLY_MEMBERS = {
+    "ClusterCert.alpha": "criteria 3 and 4 and recheck_decomposition read a cluster's claim",
+    "SplitEvent.z_cluster": "criterion 4 asserts the 0.51 rule of every weak split with it",
+    "SplitEvent.out_a": "criterion 4 asserts the 0.51 rule of every weak split with it",
+    "Decomposition.threshold": "recheck_decomposition checks every split event against it",
+    "Decomposition.events": "criterion 4 and recheck_decomposition check the split events",
+    "Witness2.alpha": "test_witness rechecks the witness's well-linkedness claim",
+    "SearchOutcome.witness": "test_flowsparse rechecks the witness that the search returns",
+    "WitnessFlow.rate": "criterion 7 checks the witness flow's rate 1/k",
+    "ContractionMap.vertex_map": "vsp exports ContractionMap; its vertex map is the record",
+    "ContractionMap.dropped": "vsp exports ContractionMap; its dropped edges are the record",
+    "LpResult.objective": "test_ratlp compares the objective with its Fraction oracle",
+}
+
+
+def _unread_members(trees: list[ast.Module], exempt: set[str]) -> list[str]:
+    """`Class.member` for every annotated field, property and method of a
+    module-level class in the trees, dunders aside, whose name no attribute
+    read in any of the trees uses, outside `exempt`.  The match is by name
+    alone, so an unread member goes unseen when a read member of another
+    class shares its name, as a `members` field would beside
+    `ClusterCert.members`."""
+    read = set(exempt)
+    for tree in trees:
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                elif isinstance(node, ast.FunctionDef):
+                    name = node.name
+                else:
+                    continue
+                if name not in read and not (name.startswith("__") and name.endswith("__")):
+                    found.append(f"{cls.name}.{name}")
+    return sorted(found)
+
+
+def test_package_classes_have_no_test_only_members():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    bench_names = {part for target in _bench_targets() for part in target.attr.split(".")}
+    assert _unread_members(trees, bench_names) == sorted(TEST_ONLY_MEMBERS)
+
+
+def test_scan_flags_an_unread_member():
+    tree = ast.parse(textwrap.dedent("""
+        class Rec:
+            read: int
+            written: int
+            returned: int
+            def __len__(self): return 0
+            @property
+            def unused(self): return self.read
+        def f(rec):
+            rec.written = rec.read
+            return rec.returned
+    """))
+    assert _unread_members([tree], set()) == ["Rec.unused", "Rec.written"]
+    assert _unread_members([tree], {"written"}) == ["Rec.unused"]
 
 
 # the arc arrays of `flow.Net`, which only its own methods read or write

@@ -56,7 +56,9 @@ def test_p1_restricted_demands_route_within_bound():
         for i in range(0, len(order) - 1, 2):
             pairs[(order[i], order[i + 1])] = F(1)
         dem = DemandSet.from_map(pairs)
-        assert dem.gamma <= 1
+        # a matching of unit demands, so every terminal sends at most 1
+        ends = [t for pair, _v in dem.pairs for t in pair]
+        assert len(set(ends)) == len(ends) and all(v == 1 for _p, v in dem.pairs)
         res = min_congestion_routing(inst.graph, dem)
         bound = 2 * beta_fcg(z) / alpha
         assert res.eta <= bound, (res.eta, bound)

@@ -128,12 +128,6 @@ def test_float_path_agrees_with_exact_lp():
         assert float(approx.eta) <= float(exact.eta) * (1 + 1e-6)
 
 
-def test_gamma_restriction_metadata():
-    dem = DemandSet.from_map({(1, 2): 1, (1, 3): F(1, 2), (2, 3): F(1, 4)})
-    assert dem.gamma == F(3, 2)
-    assert dem.total_at(3) == F(3, 4)
-
-
 def test_router_check_star():
     # single vertex with z pendant boundary edges: congestion 2(z-1)/z < 2
     z = 5

@@ -737,7 +737,7 @@ def test_lower_side_violation_detected():
     h = sp.graph
     if h.m < 2:
         pytest.skip("degenerate")
-    broken = CapGraph(h.vertices, [e.ends() + (e.cap,) for e in h.edges[1:]], h.terminals)
+    broken = CapGraph(h.vertices, [(e.u, e.v, e.cap) for e in h.edges[1:]], h.terminals)
     rep = verify_cut_quality(g, broken)
     assert not rep.ok
 

@@ -12,8 +12,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from vsp.decompose import strong_decompose
+from vsp.errors import BudgetExceeded
 from vsp.flowsparse import contract_procedure
-from vsp.graph import CapGraph, out_capacity
+from vsp.graph import CapGraph, out_capacity, subdivide_boundary
+from vsp.sparsecut import DEFAULT_ENUM_BUDGET, sparsest_cut_exact
 
 
 def triangle() -> CapGraph:
@@ -398,3 +400,36 @@ def checked_contraction(g: CapGraph, gp: CapGraph, cmap, cs, params):
         kpow *= 2
     assert sum(params.f_size(zc.z, r) for zc in pieces) <= 128 * params.f_size(kpow, r)
     return certs
+
+
+# --------------------------------------------------------------------------
+# a decomposition, rechecked from the graph
+
+
+def recheck_decomposition(g: CapGraph, dec, members, budget: int = DEFAULT_ENUM_BUDGET):
+    """Re-derive a decomposition of `members` from g: its clusters partition
+    the set; each cluster is connected and keeps the instance of its own
+    boundary in g, of capacity at most out(members); an exact sweep with no
+    threshold finds no split of a cluster below its alpha; every split event
+    is below the threshold.  Raises AssertionError naming the failed check.
+    Returns the indices of the clusters whose sweep exceeds `budget`, which
+    are not checked."""
+    ms = frozenset(members)
+    assert sorted(v for c in dec.clusters for v in c.members) == sorted(ms), "partition"
+    z = out_capacity(g, ms)
+    skipped = []
+    for i, c in enumerate(dec.clusters):
+        assert g.is_connected_subset(c.members), f"connected: cluster {i}"
+        real = [(e.eid, e.cap) for e in g.edges if (e.u in c.members) != (e.v in c.members)]
+        stored = [(c.inst.pendant_of[t], c.inst.weight(t)) for t in c.inst.terminals]
+        assert stored == real and c.z <= z, f"boundary: cluster {i}"
+        if c.alpha is None:
+            continue
+        try:
+            res = sparsest_cut_exact(subdivide_boundary(g, c.members), budget=budget)
+        except BudgetExceeded:
+            skipped.append(i)
+            continue
+        assert res.trivially_well_linked or res.sparsity >= c.alpha, f"well-linked: cluster {i}"
+    assert all(ev.sparsity < dec.threshold for ev in dec.events), "events"
+    return skipped
