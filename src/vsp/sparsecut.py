@@ -24,6 +24,17 @@ exactly 1 always exist (cut one pendant), so the bundle-level minimum
 capped at 1 is the true optimum.  A single bundle is split only between
 its own pendant units, each at sparsity exactly 1; no vertex side of G_S
 does that, so the answer is sparsity 1 with no side.
+
+With `stop_below` = alpha, integer capacities and a connected G_S, one
+bridge search may give the verdict with no sweep (`_bridge_bound`).  Every
+split then cuts at least 1.  A split of value 1 crosses a capacity-1
+bridge and splits the terminals as that bridge does, and a split of value
+at least 2 has sparsity at least 2 / floor(z/2).  When 2 / floor(z/2) >= alpha (z <= 13 at
+alpha = 1/3) and no capacity-1 bridge leaves weights W, z - W with
+alpha min(W, z - W) > 1, no split is below alpha.  So a verdict's sparsity
+is a certified lower bound of at least `stop_below` on every split's
+sparsity, and only a sweep's verdict is the exact least.  Every returned
+split, and every answer without a threshold, comes from the sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +61,9 @@ class SparsestCut:
     `cut` is the vertex side of G_S of a split of that sparsity.  It is None
     when G_S has no terminal split, for an exact verdict that no split is
     below the `stop_below` it was asked for, and for a single bundle, which
-    only its own pendant units split, at sparsity 1.
+    only its own pendant units split, at sparsity 1.  A verdict's sparsity
+    is a lower bound of at least `stop_below` on every split's sparsity: the
+    least sparsity when a sweep gave it, a bridge bound otherwise.
     """
 
     sparsity: Fraction | None
@@ -76,8 +89,8 @@ def sparsest_cut_exact(
     Ties break by (sparsity, cut value, lexicographic terminal side).  With
     stop_below set, returns early on the first cut below that threshold (the
     certificate is then valid but not necessarily optimal); when no cut is
-    below it, the result is the verdict alone, the least sparsity with cut
-    None.
+    below it, the result is the verdict alone, a lower bound of at least
+    stop_below on every split's sparsity with cut None.
     """
     terms = _bundle_terms(inst)
     z = inst.z
@@ -90,9 +103,68 @@ def sparsest_cut_exact(
             "use sparsest_cut_heuristic"
         )
     if nb >= 2:
+        bound = None if stop_below is None else _bridge_bound(inst, terms, z, stop_below)
+        if bound is not None:
+            return SparsestCut(bound, None, True)
         return _sweep(inst, terms, budget, stop_below)
     # one bundle of z > 1 parallel pendants: only pendant units split it
     return SparsestCut(Fraction(1), None, True)
+
+
+def _bridge_bound(
+    inst: SubdividedInstance,
+    terms: list[tuple[int, Fraction]],
+    z: Fraction,
+    alpha: Fraction,
+) -> Fraction | None:
+    """A lower bound of at least `alpha` on every split's sparsity, read off
+    the bridges of G_S in one depth-first search, or None when this test
+    cannot give one.
+
+    It needs integer capacities and a connected G_S, so that every split
+    cuts at least 1.  A split of value at least 2 has sparsity at least
+    2 / floor(z/2).  A split of value 1 cuts one capacity-1 bridge, so its
+    sides are the terminals on the two sides of that bridge, of weights W
+    and z - W, and its sparsity is 1 / min(W, z - W).  The bound is the
+    least of these and 1 (Tarjan, "A note on finding the bridges of a
+    graph", IPL 1974)."""
+    g = inst.graph
+    zint = int(z)
+    half = zint // 2
+    if z.denominator != 1 or alpha * half > 2 or not g.is_unit:
+        return None
+    weight = {t: int(w) for t, w in terms}
+    root = g.vertices[0]
+    disc = {root: 0}  # discovery index
+    low = {root: 0}  # least discovery index the subtree reaches by a back edge
+    below = {root: weight.get(root, 0)}  # terminal weight of the subtree
+    widest = 0  # the largest min(W, z - W) over capacity-1 bridges
+    stack = [(root, None, iter(g.incident(root)))]
+    while stack:
+        v, parent_edge, edges = stack[-1]
+        for e in edges:
+            if e is parent_edge:
+                continue
+            w = e.v if e.u == v else e.u
+            if w in disc:
+                low[v] = min(low[v], disc[w])
+                continue
+            disc[w] = low[w] = len(disc)
+            below[w] = weight.get(w, 0)
+            stack.append((w, e, iter(g.incident(w))))
+            break
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                below[p] += below[v]
+                if low[v] > disc[p] and parent_edge.cap == 1:
+                    widest = max(widest, min(below[v], zint - below[v]))
+    if len(disc) < g.n:
+        return None  # a disconnected G_S splits at value 0
+    bound = min(Fraction(1), Fraction(2, half), Fraction(1, max(widest, 1)))
+    return bound if bound >= alpha else None
 
 
 def _sweep(

@@ -5,6 +5,8 @@ import pytest
 
 from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
+from vsp.flow import TerminalCuts
+from vsp.gen import gen_grid
 from vsp.graph import CapGraph, unit_expand
 from vsp.verify import verify_cut_quality
 
@@ -21,6 +23,17 @@ def _dumbbell_terminals():
         (1, 7, 1), (2, 8, 1), (5, 9, 1), (6, 10, 1),
     ]
     return CapGraph(range(1, 11), edges, [7, 8, 9, 10])
+
+
+def test_grid_build_prices_no_split(monkeypatch):
+    # the 4x5 grid's interior has 6 pendants, z = 6, and its only
+    # capacity-1 bridges are the pendants: the bridge search certifies it
+    # 1/3-well-linked, so the build contracts it whole and prices no split
+    calls = []
+    values = TerminalCuts.values
+    monkeypatch.setattr(TerminalCuts, "values", lambda *a: calls.append(1) or values(*a))
+    sp = build_cut_sparsifier(gen_grid(4, 5, k=6, seed=1))
+    assert (sp.graph.n, len(calls)) == (7, 0)
 
 
 def test_all_vertices_terminals():

@@ -117,10 +117,9 @@ def test_strong_rejects_disconnected():
 def test_strong_budget_refusal():
     rng = random.Random(67)
     g = random_unit_graph(rng, n=20, m=40)
+    members = set(list(g.vertices)[:10])
+    assert len(subdivide_boundary(g, members).terminals) > 2
     with pytest.raises(BudgetExceeded):
-        strong_decompose(g, set(g.vertices), budget=2) if out_edges(g, set(g.vertices)) else None
-        # a cluster with many boundary bundles
-        members = set(list(g.vertices)[:10])
         strong_decompose(g, members, budget=2)
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vsp.decompose import strong_decompose
 from vsp.errors import BudgetExceeded
@@ -152,7 +153,9 @@ def _hub_instance(spokes, hub):
 
 def _check_against_sweep(inst, stops):
     """The brute-force sweep's least sparsity at each threshold, and its cut
-    unless the threshold has nothing below it: that verdict carries none."""
+    unless the threshold has nothing below it: that verdict carries none.
+    The instances here leave every threshold to the sweep: their capacities
+    are fractional or their thresholds exceed 2 / floor(z/2)."""
     for stop in stops:
         res = sparsest_cut_exact(inst, stop_below=stop)
         (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
@@ -196,6 +199,14 @@ def test_exact_sweep_compares_exactly_past_int64():
     _check_against_sweep(inst, (F(1, 2) + F(1, 2**70), F(1, 2) - F(1, 2**70), F(2**70 + 1, 2**71)))
 
 
+def _counted(calls, name, method):
+    """`method`, counting its calls under `name` in the Counter `calls`."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+    return wrapper
+
+
 def test_enumerated_sweep_solves_one_split_in_python(monkeypatch):
     # 3 bundles give 3 splits, priced by enumerating the sides of the 3
     # cluster vertices; only the chosen split is solved in Python, for its
@@ -203,17 +214,10 @@ def test_enumerated_sweep_solves_one_split_in_python(monkeypatch):
     inst = subdivide_boundary(_dumbbell(), {1, 2, 3})
     assert len(inst.terminals) == 3
     calls = Counter()
-
-    def counted(name, method):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return method(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(TerminalCuts, "_enum_values",
-                        counted("enumerated", TerminalCuts._enum_values))
-    monkeypatch.setattr(TerminalCuts, "min_cut", counted("min_cut", TerminalCuts.min_cut))
-    monkeypatch.setattr(Net, "max_flow", counted("max_flow", Net.max_flow))
+                        _counted(calls, "enumerated", TerminalCuts._enum_values))
+    monkeypatch.setattr(TerminalCuts, "min_cut", _counted(calls, "min_cut", TerminalCuts.min_cut))
+    monkeypatch.setattr(Net, "max_flow", _counted(calls, "max_flow", Net.max_flow))
     res = sparsest_cut_exact(inst)
     assert calls == {"enumerated": 1, "min_cut": 1, "max_flow": 1}
     (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst)
@@ -221,12 +225,18 @@ def test_enumerated_sweep_solves_one_split_in_python(monkeypatch):
     assert sparsity == value == 1 and res.cut is not None
 
 
+# the hub instance with a boundary of z = 64: a split of value 2 may have
+# sparsity 2/32, below every threshold here, so the bridge test leaves
+# every threshold to the sweep
+WIDE_HUB = ([(1, [1, 1]), (2, [4]), (3, [6])], [25, 27])
+
+
 def test_threshold_verdict_solves_no_certificate(monkeypatch):
     # the 31 splits of 6 bundles are enumerated; a threshold with no split
     # below it gets its verdict without a Python solve, and a split below
     # the threshold gets one, for its side
-    inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
-    assert len(inst.terminals) == 6
+    inst = _hub_instance(*WIDE_HUB)
+    assert (len(inst.terminals), inst.z) == (6, 64)
     calls = []
     min_cut = TerminalCuts.min_cut
     monkeypatch.setattr(TerminalCuts, "min_cut",
@@ -239,6 +249,22 @@ def test_threshold_verdict_solves_no_certificate(monkeypatch):
     assert sparsity < F(2, 3)
     assert (res.sparsity, out_capacity(inst.graph, res.cut), res.cut, len(calls)) == (
         sparsity, value, side_a, 1)
+
+
+def test_bridge_verdict_prices_no_split(monkeypatch):
+    # the same hub with z = 24: a split of value at least 2 has sparsity at
+    # least 2/12, and the capacity-1 bridges are the pendants of weight 1
+    # and spoke 2 above weight 2, so 1/6 bounds every split from below and
+    # the threshold 1/10 gets its verdict from one bridge search
+    inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
+    assert (len(inst.terminals), inst.z) == (6, 24)
+    calls = Counter()
+    monkeypatch.setattr(TerminalCuts, "values", _counted(calls, "values", TerminalCuts.values))
+    monkeypatch.setattr(TerminalCuts, "min_cut", _counted(calls, "min_cut", TerminalCuts.min_cut))
+    res = sparsest_cut_exact(inst, stop_below=F(1, 10))
+    assert (res.sparsity, res.cut, calls) == (F(1, 6), None, Counter())
+    (least, _value, _side), _side_a = brute_force_bundle_sweep(inst)
+    assert F(1, 10) <= res.sparsity <= least == F(1, 2)
 
 
 def test_compiled_value_must_match_the_certificate(monkeypatch):
@@ -255,7 +281,7 @@ def test_compiled_value_must_match_the_certificate(monkeypatch):
 def test_split_below_the_threshold_must_match_the_certificate(monkeypatch):
     # with a threshold, a split the sweep misprices below it is returned,
     # so it is re-solved in Python and the mispricing is caught
-    inst = _hub_instance([(1, [1, 1]), (2, [4]), (3, [6])], [5, 7])
+    inst = _hub_instance(*WIDE_HUB)
     assert sparsest_cut_exact(inst, stop_below=F(1, 10)).cut is None
     values = TerminalCuts.values
     monkeypatch.setattr(TerminalCuts, "values", lambda cuts, a, b: values(cuts, a, b) - 1)
@@ -364,3 +390,43 @@ def test_bucketed_matches_explicit_parallels():
     rb = sparsest_cut_exact(ib)
     re = sparsest_cut_exact(ie)
     assert rb.sparsity == re.sparsity
+
+
+@st.composite
+def _integer_specs(draw):
+    """A member set 1..n with integer capacities: inner edges, self-loops and
+    parallels included, and at least two boundary edges of weight 1 to 3,
+    each to its own outside vertex."""
+    n = draw(st.integers(1, 4))
+    cap = st.integers(1, 3)
+    inner = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), cap), max_size=6))
+    boundary = draw(st.lists(st.tuples(st.integers(1, n), cap), min_size=2, max_size=5))
+    return n, inner, boundary
+
+
+def _integer_instance(n, inner, boundary):
+    edges = inner + [(v, n + 1 + i, c) for i, (v, c) in enumerate(boundary)]
+    return subdivide_boundary(CapGraph(range(1, n + len(boundary) + 1), edges), range(1, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+# two members and no inner edge: the search from member 1 sees one
+# capacity-1 bridge and nothing to refute, but G_S splits at value 0
+@example((2, [], [(1, 1), (2, 1)]))
+# a capacity-1 bridge with weight 2 on each side: sparsity 1/2, a
+# verdict at 1/3 and 1/2 and a split at 1
+@example((2, [(1, 2, 1)], [(1, 1), (1, 1), (2, 1), (2, 1)]))
+@given(_integer_specs())
+def test_bridge_verdicts_agree_with_the_sweep(spec):
+    # a threshold verdict is a lower bound between the threshold and the
+    # least sparsity, and a returned split is the sweep's
+    inst = _integer_instance(*spec)
+    (least, _value, _side), _side_a = brute_force_bundle_sweep(inst)
+    for alpha in (F(1, 3), F(1, 2), F(1)):
+        res = sparsest_cut_exact(inst, stop_below=alpha)
+        if res.cut is None:
+            assert alpha <= res.sparsity <= least, alpha
+            continue
+        (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, alpha)
+        assert (res.sparsity, out_capacity(inst.graph, res.cut), res.cut) == (
+            sparsity, value, side_a), alpha
