@@ -1,8 +1,7 @@
 """Vertex cut and flow sparsifiers with Steiner nodes."""
 
 from .graph import CapGraph, ContractionMap, SubdividedInstance
-from .graph import contract, out_edges, read_graph, subdivide_boundary
-from .graph import unit_expand, write_graph
+from .graph import contract, out_edges, read_graph, subdivide_boundary, write_graph
 
 __all__ = [
     "CapGraph",
@@ -12,6 +11,5 @@ __all__ = [
     "out_edges",
     "read_graph",
     "subdivide_boundary",
-    "unit_expand",
     "write_graph",
 ]

@@ -5,16 +5,19 @@ mode decomposes G itself for any capacities >= 1 and ignores the flow
 options `--eps`, `--profile` and `--no-precheck`; its header line names
 only the mode and `--budget-exp`.  Flow mode passes `--eps` to its builder
 as given, and the builder picks eps when it is absent.  A malformed `--eps`
-exits 2 in either mode.  The summary line a flow build prints holds
-`size_bound_met`, the size verdict that `build_flow_sparsifier` returns
-next to the sparsifier; no file stores it.
+exits 2 in either mode, as does flow mode's `--no-precheck` without
+`--profile aggressive`: the theoretical F(k) never lets the contraction loop
+run, so that build would certify no router.  The summary line a flow build
+prints holds `size_bound_met`, the size verdict that
+`build_flow_sparsifier` returns next to the sparsifier; no file stores it.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error
 (a negative `--samples`, `--budget-exp` or `--budget-enum` among them),
 3 budget refusal, which `vsp verify` also returns when it found no violation
 but skipped work: a sampled cut sweep or a router's well-linked recheck.  It
 checks the sparsifier as the file's `kind` says it was built; `--mode` only
-asserts that kind, and a mismatch exits 2.
+asserts that kind, and a mismatch exits 2.  `vsp inspect` reads input
+graph files (capacities >= 1), not sparsifier files.
 
 The builders (`cutsparse`, `flowsparse` and the decompositions under them)
 load with `vsp build`, not with this module: `vsp verify`, `gen` and
@@ -49,8 +52,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-GEN_SIZES = ("n", "m", "k", "rows", "cols", "side", "d", "cap_max", "body_n", "chamber_n",
-             "attach", "extra")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -177,7 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    kw = {f: getattr(args, f) for f in GEN_SIZES if getattr(args, f) is not None}
+    kw = {f: getattr(args, f) for f in genmod.SIZES if getattr(args, f) is not None}
     out = args.out or f"{args.family}-{args.seed}.vsp"
     try:
         g = genmod.generate(args.family, seed=args.seed, **kw)
@@ -190,7 +191,7 @@ def cmd_gen(args) -> int:
 
 def cmd_inspect(args) -> int:
     try:
-        g = read_graph(args.input, require_min_capacity=False)
+        g = read_graph(args.input)
     except VspError as exc:
         return _fail(EXIT_INPUT, "parse", str(exc))
     except OSError as exc:
@@ -231,7 +232,8 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--profile", choices=("theoretical", "aggressive"), default="theoretical",
                    help="flow mode's parameter profile (cut mode ignores it)")
     b.add_argument("--no-precheck", action="store_true",
-                   help="flow mode: skip the up-front router check (forces the loop)")
+                   help="flow mode with --profile aggressive: skip the up-front router check "
+                        "(forces the loop); the theoretical profile refuses it")
     b.add_argument("--out", default=None)
     _add_budget_exp(b)
 
@@ -250,12 +252,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     gn = sub.add_parser("gen", help="generate a seeded instance")
     gn.add_argument("family", choices=genmod.FAMILIES)
-    for field in GEN_SIZES:
+    for field in genmod.SIZES:
         gn.add_argument(f"--{field.replace('_', '-')}", type=int, default=None)
     gn.add_argument("--seed", type=int, default=0)
     gn.add_argument("--out", default=None)
 
-    i = sub.add_parser("inspect", help="print instance statistics")
+    i = sub.add_parser("inspect", help="print instance statistics of an input graph file")
     i.add_argument("input")
     return ap
 

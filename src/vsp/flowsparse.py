@@ -26,8 +26,8 @@ relies on its exact 1/3 verdict, so a build solves only the exchange LP;
 `vsp verify` rechecks well-linkedness.  The terminals of every G_S are
 degree-1 pendants, so G's terminals may have any degree.  With eps the
 search runs on G's capacitated unit reduction, which only rounds
-capacities (2 eta* c / eps up to an integer) and keeps G's vertices and
-edge ids; H's capacities are scaled back, and the claim is 2 eta* + eps.
+capacities (`unit_scale(eps)` times the capped c, rounded up) and keeps
+G's vertices and edge ids; H is scaled back, and the claim is 2 eta* + eps.
 
 Both parameter profiles take the flow-cut gap beta(k) = max(1, log2 k).
 "theoretical" uses the published constants (the fixpoint r and F growing by
@@ -48,14 +48,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .decompose import Decomposition, interior_decompositions, strong_decompose, weak_decompose
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, InputError, ParamError
 from .flow import Net
 from .graph import CapGraph, ContractionMap, SubdividedInstance, congestion, contract
 from .graph import out_capacity, out_edges, subdivide_boundary
-from .params import ETA_STAR, ONE_THIRD, beta_fcg, rational_log2, weak_threshold
+from .params import ONE_THIRD, beta_fcg, rational_log2, weak_threshold
 from .routing import INFEASIBLE, DemandSet, min_congestion_routing, uniform_router_check
 from .serialize import RouterCertificate, Sparsifier
-from .serialize import assemble_flow_sparsifier, capacitated_unit_reduction
+from .serialize import assemble_flow_sparsifier, capacitated_unit_reduction, unit_scale
 from .sparsecut import DEFAULT_ENUM_BUDGET, is_well_linked, sparsest_cut
 
 AGGRESSIVE_R = 3
@@ -74,8 +74,15 @@ class FlowParams:
     enum_budget: int = DEFAULT_ENUM_BUDGET
     # with False the router search skips the up-front router check and
     # enters the contraction loop even on router interiors (witnesses then
-    # surface and are cross-checked), which is the aggressive profile's job
+    # surface and are cross-checked); the theoretical F(k) never lets that
+    # loop run, so only the aggressive profile may skip the check
     precheck_router: bool = True
+
+    def __post_init__(self):
+        if self.profile not in ("theoretical", "aggressive"):
+            raise ParamError(f"unknown profile {self.profile!r}; known: theoretical, aggressive")
+        if not self.precheck_router and self.profile != "aggressive":
+            raise ParamError("skipping the router pre-check needs the aggressive profile")
 
     def r(self, k: int) -> int:
         """AGGRESSIVE_R, or the theoretical fixpoint `_fixpoint_r(k)`."""
@@ -924,7 +931,7 @@ def build_flow_sparsifier(
     else:
         eps = Fraction(eps)
         gunit = capacitated_unit_reduction(g, eps)
-        logger.info("capacitated reduction: scale %s", 2 * ETA_STAR / eps)
+        logger.info("capacitated reduction: scale %s", unit_scale(eps))
     certs, size_ok = _cluster_routers(interior_decompositions(gunit, params.enum_budget), params)
     certs.sort(key=lambda c: min(c.members))
     return assemble_flow_sparsifier(g, eps, certs), size_ok

@@ -183,6 +183,9 @@ _GENERATORS = {
     "random": gen_random_unit,
 }
 FAMILIES = tuple(_GENERATORS)
+_SIZES = {f: [p for p in inspect.signature(fn).parameters if p != "seed"]
+          for f, fn in _GENERATORS.items()}
+SIZES = tuple(dict.fromkeys(s for sizes in _SIZES.values() for s in sizes))  # `vsp gen` flags
 
 
 def generate(family: str, seed: int = 0, **kw) -> CapGraph:
@@ -190,9 +193,8 @@ def generate(family: str, seed: int = 0, **kw) -> CapGraph:
     and any other size raises `InputError` naming the ones it takes."""
     if family not in _GENERATORS:
         raise InputError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    fn = _GENERATORS[family]
-    sizes = [p for p in inspect.signature(fn).parameters if p != "seed"]
+    sizes = _SIZES[family]
     extra = sorted(set(kw) - set(sizes))
     if extra:
         raise InputError(f"{family} takes sizes {', '.join(sizes)}, not {', '.join(extra)}")
-    return fn(seed=seed, **kw)
+    return _GENERATORS[family](seed=seed, **kw)

@@ -1,6 +1,6 @@
 """Capacitated undirected multigraph with terminals, and the structural
 primitives everything else is built on: boundaries, boundary subdivision,
-cluster contraction, unit expansion, and text-file IO.
+cluster contraction, and text-file IO.
 
 Conventions
 -----------
@@ -15,12 +15,11 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import ContractError, InputError, ParamError, ParseError
+from .errors import ContractError, InputError, ParseError
 
 
 @dataclass(frozen=True)
@@ -306,28 +305,6 @@ def contract(
     return h, cmap
 
 
-def unit_expand(g: CapGraph, eps: Fraction | int | str) -> CapGraph:
-    """Replace edge e by ceil(min(c_e, C)/eps) parallel unit edges, where C is
-    the terminal-incident capacity `g.terminal_capacity()`, or 1 when no edge
-    touches a terminal: G then routes no terminal demand, and C = 1 keeps
-    every multiplicity positive.  Bucketed: edge e of the result keeps e's
-    id and ends, and its integer capacity is e's multiplicity.  The flow
-    mode's `capacitated_unit_reduction` is this expansion at eps / (2 eta*);
-    cut mode decomposes G itself."""
-    eps = eps if isinstance(eps, Fraction) else Fraction(eps)
-    if not (0 < eps <= 1):
-        raise ParamError(f"eps must be in (0,1], got {eps}")
-    for e in g.edges:
-        if e.cap < 1:
-            raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
-    cap_bound = max(g.terminal_capacity(), 1)
-    edges = []
-    for e in g.edges:
-        c = min(e.cap, cap_bound)
-        edges.append((e.u, e.v, Fraction(math.ceil(c / eps))))
-    return CapGraph(g.vertices, edges, g.terminals)
-
-
 # -- text format ------------------------------------------------------------
 
 
@@ -364,9 +341,10 @@ def write_graph(g: CapGraph, path) -> None:
         fh.write("\n".join(graph_lines(g)) + "\n")
 
 
-def read_graph(path, require_min_capacity: bool = True) -> CapGraph:
-    """Parse the documented text format.  Input graphs must have c_e >= 1;
-    pass require_min_capacity=False for serialized sparsifiers."""
+def read_graph(path) -> CapGraph:
+    """Parse the documented text format of an input graph, whose capacities
+    must be c_e >= 1.  A sparsifier file, whose H may have smaller
+    capacities and holds `map` and `cert` lines, is read by `load_sparsifier`."""
     header = None
     edges = []
     terminals = []
@@ -398,10 +376,8 @@ def read_graph(path, require_min_capacity: bool = True) -> CapGraph:
                 except ValueError as exc:
                     raise ParseError("non-integer vertex id", lineno) from exc
                 cap = _parse_cap(toks[3], lineno)
-                if require_min_capacity and cap < 1:
+                if cap < 1:
                     raise ParseError(f"capacity {cap} < 1", lineno)
-                if cap <= 0:
-                    raise ParseError(f"capacity {cap} <= 0", lineno)
                 n = header[0]
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise ParseError("vertex id out of range", lineno)

@@ -1,4 +1,5 @@
-"""What a sparsifier file is: the record, its two assemblies and the codec.
+"""What a sparsifier file is: the record, its assemblies, the unit reduction
+and the codec.
 
 A `Sparsifier` (H, a contraction of G, with its claim, plus one
 `RouterCertificate` per cluster in flow mode) is made only by
@@ -36,18 +37,21 @@ kind, renders the rebuilt sparsifier and compares the result with both
 files.  The claimed quality is derived, never read, so a changed claim,
 edge, capacity, terminal, map or cert line, or an extra sidecar key, is
 rejected before anything is verified.
+
+A flow build with eps searches G's `capacitated_unit_reduction`, and its
+scale has one home, `unit_scale(eps)`, which H's capacities are divided by.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, ParamError
 from .graph import CapGraph, ContractionMap, _format_cap, _parse_cap, contract, graph_lines
-from .graph import unit_expand
 from .params import ETA_STAR
 
 
@@ -77,7 +81,7 @@ class Sparsifier:
     sparsifier's `unit_graph` is G itself.  A flow build's `eps_input`
     derives `unit_graph` from G (the capacitated unit reduction): G's
     vertices, terminals and edge ids, with the integer capacities the build
-    used.  H's capacities are then the unit graph's times eps / (2 eta*)."""
+    used.  H's capacities are the unit graph's over `unit_scale(eps)`."""
 
     graph: CapGraph  # H, terminals preserved
     cmap: ContractionMap
@@ -101,43 +105,47 @@ def assemble_cut_sparsifier(g: CapGraph, clusters: Iterable[Iterable[int]]) -> S
     return Sparsifier(h, cmap, Fraction(3), g)
 
 
+def unit_scale(eps: Fraction | None) -> Fraction:
+    """The factor s = 2 eta* / eps by which the capacitated unit reduction
+    scales G's capacities, or 1 without eps, when G is its own unit graph."""
+    return Fraction(1) if eps is None else 2 * ETA_STAR / eps
+
+
 def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
-    """G with every capacity capped at C (at 1 when no edge touches a
-    terminal), rescaled by 2 eta* / eps and rounded up:
-    `unit_expand(g, eps / (2 eta*))`, so G's vertices, terminals and edge
-    ids, each edge's multiplicity as its integer capacity."""
+    """G's vertices, terminals and edge ids, edge e with the integer capacity
+    (its multiplicity) ceil(s min(c_e, C)) for s = `unit_scale(eps)`.  C is
+    the terminal-incident capacity `g.terminal_capacity()`, or 1 when no edge
+    touches a terminal: G then routes no terminal demand, and C = 1 keeps
+    every multiplicity positive."""
     if not (0 < eps < 1):
         raise ParamError(f"eps must be in (0,1), got {eps}")
-    scale = 2 * ETA_STAR / eps
-    g2 = unit_expand(g, 1 / scale)
+    scale = unit_scale(eps)
     cap_bound = max(g.terminal_capacity(), 1)
-    for e, e2 in zip(g.edges, g2.edges):
+    edges = []
+    for e in g.edges:
+        if e.cap < 1:
+            raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
         c = min(e.cap, cap_bound)
-        if not scale * c <= e2.cap <= (2 * ETA_STAR + eps) / eps * c:
+        mult = math.ceil(scale * c)
+        if not scale * c <= mult <= (scale + 1) * c:
             raise AssertionError("capacity rescaling left its bracket")
-    return g2
+        edges.append((e.u, e.v, mult))
+    return CapGraph(g.vertices, edges, g.terminals)
 
 
 def assemble_flow_sparsifier(
     g: CapGraph, eps: Fraction | None, certificates: list[RouterCertificate]
 ) -> Sparsifier:
-    """The flow sparsifier of G that contracts every certificate's cluster.
-    Without eps G is the unit graph and the claimed quality is 2 eta*.  With
-    it, the clusters are contracted in G's capacitated unit reduction, H's
-    capacities are scaled back by eps / (2 eta*) and the claimed quality is
-    2 eta* + eps.  An eps build, which searched the same reduction, thus
-    computes it twice: an O(n+m) cost kept so that load shares this code."""
-    clusters = [c.members for c in certificates]
-    if eps is None:
-        h, cmap = contract(g, clusters)
-        gunit, quality = g, 2 * ETA_STAR
-    else:
-        gunit = capacitated_unit_reduction(g, eps)
-        hu, cmap = contract(gunit, clusters)
-        back = eps / (2 * ETA_STAR)
-        h = CapGraph(hu.vertices, [(e.u, e.v, e.cap * back) for e in hu.edges], g.terminals)
-        quality = 2 * ETA_STAR + eps
-    return Sparsifier(h, cmap, quality, gunit, eps, certificates)
+    """The flow sparsifier of G that contracts every certificate's cluster in
+    the unit graph (G's capacitated unit reduction with eps, G without) and
+    divides H's capacities by `unit_scale(eps)`, claiming 2 eta* (+ eps).
+    An eps build, which searched the same reduction, thus computes it twice:
+    an O(n+m) cost kept so that load shares this code."""
+    gunit = g if eps is None else capacitated_unit_reduction(g, eps)
+    hu, cmap = contract(gunit, [c.members for c in certificates])
+    scale = unit_scale(eps)
+    h = CapGraph(hu.vertices, [(e.u, e.v, e.cap / scale) for e in hu.edges], g.terminals)
+    return Sparsifier(h, cmap, 2 * ETA_STAR + (eps or 0), gunit, eps, certificates)
 
 
 def _render(sp: Sparsifier) -> tuple[str, str]:

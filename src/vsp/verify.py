@@ -35,7 +35,7 @@ from .flow import TerminalCuts, bipartitions, flow_conserves
 from .graph import CapGraph, SubdividedInstance, congestion, subdivide_boundary
 from .params import ETA_STAR, ONE_THIRD
 from .routing import INFEASIBLE, DemandSet, RoutingResult, min_congestion_routing
-from .serialize import RouterCertificate, Sparsifier
+from .serialize import RouterCertificate, Sparsifier, unit_scale
 from .sparsecut import DEFAULT_ENUM_BUDGET, sparsest_cut_exact
 
 DEFAULT_CUT_ENUM_BUDGET = 16
@@ -337,9 +337,9 @@ def reroute_through_clusters(sp: Sparsifier, h_result) -> Fraction:
     """Exact congestion of the composed flow: H-loads on surviving edges plus
     each cluster's demand mass pushed through its certified fan-out flows.
     Both are carried into the unit graph's units: an eps file's H has the
-    unit graph's capacities times eps / (2 eta*)."""
+    unit graph's capacities divided by `unit_scale(eps)`."""
     g = sp.unit_graph
-    unit = 1 if sp.eps_input is None else 2 * ETA_STAR / sp.eps_input
+    unit = unit_scale(sp.eps_input)
     load: dict[int, Fraction] = {}
     emap = sp.cmap.edge_map
     for heid, f in h_result.flow.edge_flow.items():

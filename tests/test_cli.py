@@ -222,6 +222,17 @@ def test_build_malformed_eps_exits_two(tmp_path, capsys, eps):
         assert json.loads(err)["error"] == "input"
 
 
+def test_build_no_precheck_needs_the_aggressive_profile(grid_builds, tmp_path, capsys):
+    # under the theoretical profile the contraction loop never runs, so a
+    # build without the router pre-check would contract nothing
+    g, _cut, _flow = grid_builds
+    out = str(tmp_path / "h")
+    code, _, err = run(["build", g, "--mode", "flow", "--no-precheck", "--out", out], capsys)
+    assert (code, json.loads(err)["error"]) == (2, "input")
+    assert "aggressive" in json.loads(err)["message"]
+    assert run(["build", g, "--mode", "cut", "--no-precheck", "--out", out], capsys)[0] == 0
+
+
 def test_build_eps_out_of_range_exits_two_in_flow_mode_only(tmp_path, capsys):
     g = tmp_path / "g.vsp"
     run(["gen", "grid", "--rows", "3", "--cols", "3", "--k", "4", "--out", str(g)], capsys)
@@ -410,6 +421,18 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert outcomes() == shared
 
 
+def test_gen_takes_the_twelve_size_flags():
+    sizes = ("n", "m", "k", "rows", "cols", "side", "d", "cap_max", "body_n", "chamber_n",
+             "attach", "extra")
+    argv = ["gen", "grid"]
+    for i, size in enumerate(sizes):
+        argv += ["--" + size.replace("_", "-"), str(i)]
+    assert vars(vsp.cli.make_parser().parse_args(argv)) == {
+        "command": "gen", "family": "grid", "seed": 0, "out": None,
+        **{size: i for i, size in enumerate(sizes)},
+    }
+
+
 def test_console_entrypoint():
     out = subprocess.run(
         [sys.executable, "-m", "vsp.cli", "gen", "--help"], capture_output=True, text=True
@@ -519,6 +542,15 @@ def test_inspect_reports_the_graph(tmp_path, capsys):
         "terminal_capacity": str(g.terminal_capacity()),
         "total_terminal_degree": str(g.total_terminal_degree()),
     }
+
+
+def test_inspect_capacity_below_one_exits_two(tmp_path, capsys):
+    # inspect reads input graphs, whose capacities are at least 1
+    p = tmp_path / "half.vsp"
+    p.write_text("p vsp 2 1 0\ne 1 2 1/2\n")
+    code, out, err = run(["inspect", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": "line 2: capacity 1/2 < 1"}
 
 
 def test_inspect_malformed_input_exits_two(tmp_path, capsys):

@@ -7,7 +7,8 @@ from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
 from vsp.flow import TerminalCuts
 from vsp.gen import gen_grid
-from vsp.graph import CapGraph, unit_expand
+from vsp.graph import CapGraph
+from vsp.serialize import capacitated_unit_reduction
 from vsp.verify import verify_cut_quality
 
 from util import random_unit_graph
@@ -99,10 +100,11 @@ def test_capacitated_keeps_capacities():
 
 def test_capacitated_expansion_counts():
     # capacity-5 edge between terminal-adjacent vertices; C = 6 exceeds it,
-    # so the expansion at eps' = 0.1 (flow mode) only rounds, and cut mode
-    # builds on G itself: H keeps the capacities 3 of G's terminal edges
+    # so flow mode's unit reduction at eps = 1/2 only scales by 2 eta* / eps
+    # = 136, and cut mode builds on G itself: H keeps the capacities 3 of G's
+    # terminal edges
     g = CapGraph([1, 2, 3, 4], [(1, 2, 3), (2, 3, 5), (3, 4, 3)], [1, 4])
-    assert [e.cap for e in unit_expand(g, F(1, 10)).edges] == [30, 50, 30]  # ceil(c / 0.1)
+    assert [e.cap for e in capacitated_unit_reduction(g, F(1, 2)).edges] == [408, 680, 408]
     sp = build_cut_sparsifier(g)
     assert sp.unit_graph is g
     assert [e.cap for e in sp.graph.edges] == [3, 3]
@@ -110,10 +112,11 @@ def test_capacitated_expansion_counts():
 
 
 def test_capacitated_capping_applies():
-    # a huge inner capacity is capped at C = 2 in the expansion, while cut
-    # mode decomposes G uncapped and H still cuts the terminals at 1
+    # a huge inner capacity is capped at C = 2 in flow mode's unit reduction
+    # (136 min(c, 2) at eps = 1/2), while cut mode decomposes G uncapped and
+    # H still cuts the terminals at 1
     g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (2, 3, 5), (3, 4, 1)], [1, 4])
-    assert [e.cap for e in unit_expand(g, F(1, 10)).edges] == [10, 20, 10]  # ceil(min(5, C=2) / 0.1)
+    assert [e.cap for e in capacitated_unit_reduction(g, F(1, 2)).edges] == [136, 272, 136]
     sp = build_cut_sparsifier(g)
     assert sp.unit_graph is g and [e.cap for e in g.edges] == [1, 5, 1]
     assert [e.cap for e in sp.graph.edges] == [1, 1]

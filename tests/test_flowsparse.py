@@ -9,7 +9,7 @@ import pytest
 
 from vsp import cli, flowsparse, graph, routing, sparsecut
 from vsp.decompose import interior_decompositions, weak_decompose
-from vsp.errors import BudgetExceeded, InputError
+from vsp.errors import BudgetExceeded, InputError, ParamError
 from vsp.flowsparse import (
     FlowParams,
     balanced_cut_refine,
@@ -22,6 +22,7 @@ from vsp.flowsparse import (
 )
 from vsp.gen import gen_capacitated, gen_chamber, gen_grid
 from vsp.graph import CapGraph, contract, subdivide_boundary, write_graph
+from vsp.params import ETA_STAR
 from vsp.routing import DemandSet, min_congestion_routing, uniform_router_check
 from vsp.serialize import load_sparsifier
 from vsp.verify import (
@@ -375,6 +376,16 @@ def test_theoretical_profile_constants():
     assert p.f_size(8) == p.growth(p.r(8)) > 10**9
 
 
+def test_flow_params_refuse_what_no_profile_runs():
+    # an unknown profile would act as the theoretical one, and the
+    # theoretical F(k) never runs the contraction loop, so skipping the
+    # router pre-check there would certify no router at all
+    with pytest.raises(ParamError, match="unknown profile 'aggresive'"):
+        FlowParams(profile="aggresive")
+    with pytest.raises(ParamError, match="needs the aggressive profile"):
+        FlowParams(precheck_router=False)
+
+
 def test_capacitated_flow_sparsifier():
     core = [(u, v, 2) for u in range(1, 5) for v in range(u + 1, 5)]
     core += [(1, 10, 1), (2, 11, 1), (3, 12, 2)]
@@ -437,7 +448,7 @@ def test_eps_composed_flow_is_in_h_units():
     composed = [(r["h"], r["composed"]) for r in rep.records if "composed" in r]
     assert composed
     for h, c in composed:
-        assert h <= c <= 2 * flowsparse.ETA_STAR * h
+        assert h <= c <= 2 * ETA_STAR * h
 
 
 def test_reroute_composition_bound():

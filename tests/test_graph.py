@@ -12,9 +12,9 @@ from vsp.graph import (
     out_edges,
     read_graph,
     subdivide_boundary,
-    unit_expand,
     write_graph,
 )
+from vsp.serialize import capacitated_unit_reduction
 
 from util import brute_force_out, random_unit_graph, triangle
 
@@ -200,8 +200,8 @@ def test_contract_terminal_rejected():
     (lambda: subdivide_boundary(triangle(), []), InputError, "empty vertex set"),
     (lambda: contract(triangle(), [set()]), ContractError, "empty cluster"),
     (lambda: contract(triangle(), [{1, 9}]), InputError, "unknown vertex id 9"),
-    (lambda: unit_expand(CapGraph([1, 2], [(1, 2, Fraction(1, 2))]), 1), InputError,
-     "capacity 1/2 < 1"),
+    (lambda: capacitated_unit_reduction(CapGraph([1, 2], [(1, 2, Fraction(1, 2))]),
+                                        Fraction(1, 2)), InputError, "capacity 1/2 < 1"),
 ])
 def test_graph_primitives_reject_malformed_input(make, error, message):
     with pytest.raises(error, match=message):
@@ -214,33 +214,38 @@ def test_graph_repr_and_empty_subset():
     assert g.is_connected_subset([])
 
 
-def test_unit_expand_simple():
+# the capacitated unit reduction scales by s = 2 eta* / eps = 68 / eps
+
+
+def test_unit_reduction_simple():
     g = CapGraph([1, 2], [(1, 2, 1)], [1, 2])
-    ug = unit_expand(g, 1)
-    assert [(e.u, e.v, e.cap) for e in ug.edges] == [(1, 2, 1)]
+    ug = capacitated_unit_reduction(g, Fraction(1, 2))
+    assert [(e.u, e.v, e.cap) for e in ug.edges] == [(1, 2, 136)]  # s = 136
 
 
-def test_unit_expand_fractional():
+def test_unit_reduction_fractional():
+    # s = 272/3: ceil(s 5/2) = ceil(226.67) and ceil(s) = ceil(90.67)
     g = CapGraph([1, 2, 3], [(1, 2, Fraction(5, 2)), (2, 3, 1)], [1, 3])
-    ug = unit_expand(g, Fraction(1, 2))
-    assert ug.edges[0].cap == 5  # ceil(2.5/0.5)
+    ug = capacitated_unit_reduction(g, Fraction(3, 4))
+    assert [e.cap for e in ug.edges] == [227, 91]
 
 
-def test_unit_expand_caps_at_terminal_capacity():
-    # huge capacity on an inner edge is capped at C before expansion
+def test_unit_reduction_caps_at_terminal_capacity():
+    # huge capacity on an inner edge is capped at C = 7 before scaling
     g = CapGraph(
         [1, 2, 3, 4],
         [(1, 2, 3), (3, 4, 4), (2, 3, 10**6)],
         [1, 4],
     )
-    ug = unit_expand(g, 1)
+    ug = capacitated_unit_reduction(g, Fraction(1, 2))
     assert g.terminal_capacity() == 7
-    assert [e.cap for e in ug.edges] == [3, 4, 7]
+    assert [e.cap for e in ug.edges] == [408, 544, 952]  # 136 * (3, 4, 7)
 
 
-def test_unit_expand_bad_eps():
-    with pytest.raises(ParamError):
-        unit_expand(triangle(), 0)
+def test_unit_reduction_bad_eps():
+    for eps in (0, 1, Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ParamError):
+            capacitated_unit_reduction(triangle(), eps)
 
 
 def test_graph_roundtrip(tmp_path):
@@ -289,7 +294,7 @@ MALFORMED = [
     ("p vsp 2 0 1\nt 1 2\n", 2, "terminal line must be"),
     ("p vsp 2 1 0\ne 1 b 1\n", 2, "non-integer vertex id"),
     ("p vsp 2 0 1\nt x\n", 2, "non-integer terminal id"),
-    ("p vsp 2 1 0\ne 1 2 0\n", 2, "capacity 0 <= 0"),
+    ("p vsp 2 1 0\ne 1 2 0\n", 2, "capacity 0 < 1"),
     ("p vsp 2 1 0\ne 1 3 1\n", 2, "vertex id out of range"),
     ("p vsp 2 1 0\nx 1\n", 2, "unknown record 'x'"),
     ("# only a comment\n", 0, "missing header"),
@@ -304,7 +309,7 @@ def test_read_rejects_malformed_files_at_their_line(tmp_path, text, line, messag
     p = tmp_path / "bad.vsp"
     p.write_text(text)
     with pytest.raises(ParseError) as ei:
-        read_graph(p, require_min_capacity=False)
+        read_graph(p)
     assert ei.value.line == line
     assert str(ei.value).startswith(f"line {line}: {message}")
 

@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsp import cli
 from vsp.cutsparse import build_cut_sparsifier
 from vsp.errors import InputError
 from vsp.flowsparse import FlowParams, build_flow_sparsifier
 from vsp.gen import gen_capacitated, gen_dumbbell, gen_grid
-from vsp.graph import CapGraph, write_graph
-from vsp.serialize import Sparsifier, load_sparsifier, save_sparsifier
+from vsp.graph import CapGraph, contract, write_graph
+from vsp.serialize import RouterCertificate, Sparsifier, assemble_flow_sparsifier
+from vsp.serialize import capacitated_unit_reduction, load_sparsifier, save_sparsifier
 
 from util import derived_router_fields, edit_sidecar, rewire_to_terminal, shift_map_line
 
@@ -216,3 +219,42 @@ def test_verify_rejects_a_cut_file_with_an_eps(tmp_path, built, capsys):
                         lambda p: p.update(eps_input="1/2", quality="7/2"))
     assert code == cli.EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+@st.composite
+def _reduction_cases(draw):
+    """A graph on 1..n plus vertex n + 1, which no edge touches, with
+    capacities in half-units >= 1; its terminals, n + 1 alone (so C = 0)
+    or any vertices; at most one terminal-free cluster; and eps."""
+    n = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    caps = st.integers(2, 12).map(lambda h: F(h, 2))
+    edges = draw(st.lists(st.tuples(pairs, caps), min_size=1, max_size=10))
+    edges = [(u, v, c) for (u, v), c in edges]
+    if draw(st.booleans()):
+        terminals = [n + 1]
+    else:
+        terminals = draw(st.lists(st.integers(1, n + 1), unique=True, max_size=3))
+    free = [v for v in range(1, n + 2) if v not in terminals]
+    cluster = draw(st.lists(st.sampled_from(free), unique=True, min_size=1)) if free else []
+    # s = 68 / eps times a half-unit is an integer for eps = 1/2, 1/3 and
+    # 2/3; eps = 3/4 makes the rounding up show
+    eps = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(3, 4)]))
+    return CapGraph(range(1, n + 2), edges, terminals), [cluster] if cluster else [], eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reduction_cases())
+def test_unit_reduction_and_scale_back(case):
+    # the reduction is ceil(2 eta* / eps min(c, max(C, 1))) with C the
+    # terminal-incident capacity, and H is the contracted reduction over s
+    g, clusters, eps = case
+    s = 2 * 34 / eps
+    cap_bound = max(sum(c for u, v, c in _edges(g) if {u, v} & set(g.terminals)), 1)
+    gunit = capacitated_unit_reduction(g, eps)
+    assert [e.cap for e in gunit.edges] == [math.ceil(s * min(e.cap, cap_bound)) for e in g.edges]
+    sp = assemble_flow_sparsifier(g, eps, [RouterCertificate(frozenset(c), F(1), {})
+                                           for c in clusters])
+    hu, _ = contract(gunit, clusters)
+    assert [(u, v, c * s) for u, v, c in _edges(sp.graph)] == _edges(hu)
+    assert (_edges(sp.unit_graph), sp.quality) == (_edges(gunit), 68 + eps)
