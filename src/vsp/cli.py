@@ -10,6 +10,9 @@ exits 2 in either mode, as does flow mode's `--no-precheck` without
 run, so that build would certify no router.  The summary line a flow build
 prints holds `size_bound_met`, the size verdict that
 `build_flow_sparsifier` returns next to the sparsifier; no file stores it.
+`vsp build` and `vsp verify` print their `# vsp ...` header line with their
+result, once the work and the files are done, so every input error leaves
+stdout empty, as does a budget refusal of `vsp build`.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 input error
 (a negative `--samples`, `--budget-exp` or `--budget-enum` among them),
@@ -86,13 +89,13 @@ def cmd_build(args) -> int:
     except (ValueError, ZeroDivisionError):
         return _fail(EXIT_INPUT, "input", f"--eps {args.eps!r} is not a rational number")
     if args.mode == "cut":
-        print(f"# vsp mode=cut budget_exp={args.budget_exp}")
+        header = f"# vsp mode=cut budget_exp={args.budget_exp}"
     else:
         bits = [f"profile={args.profile}", f"budget_exp={args.budget_exp}",
                 f"eta_star={ETA_STAR}"]
         if args.profile == "aggressive":
             bits.append(f"r={AGGRESSIVE_R} f_growth={AGGRESSIVE_F_GROWTH}")
-        print("# vsp " + " ".join(bits + ["beta_rule=max(1,log2 k)"]))
+        header = "# vsp " + " ".join(bits + ["beta_rule=max(1,log2 k)"])
     out = args.out or (os.path.splitext(args.input)[0] + ".sp")
     try:
         if args.mode == "cut":
@@ -121,6 +124,7 @@ def cmd_build(args) -> int:
         "files": [gpath, jpath],
         **build_result,
     }
+    print(header)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -139,8 +143,6 @@ def cmd_verify(args) -> int:
     if args.mode is not None and args.mode != kind:
         return _fail(EXIT_INPUT, "input",
                      f"--mode {args.mode} given for a sparsifier of kind {kind!r}")
-    print(f"# vsp mode={kind} seed={args.seed} budget_exp={args.budget_exp} "
-          f"budget_enum={args.budget_enum} delta={args.delta}")
     delta = Fraction(str(args.delta))
     if kind == "cut":
         rep = verify_cut_quality(g, sp.graph, enum_budget=args.budget_enum, seed=args.seed)
@@ -172,6 +174,8 @@ def cmd_verify(args) -> int:
                 fh.write(text + "\n")
         except OSError as exc:
             return _fail(EXIT_INPUT, "input", str(exc))
+    print(f"# vsp mode={kind} seed={args.seed} budget_exp={args.budget_exp} "
+          f"budget_enum={args.budget_enum} delta={args.delta}")
     print(text)
     skipped = rep.flags.get("non_exhaustive") or rep.flags.get("well_linked_skipped")
     return EXIT_VERIFY_FAIL if not ok else EXIT_BUDGET if skipped else EXIT_OK

@@ -13,18 +13,25 @@ constraint and the objective row last, one column per variable and the
 right-hand side last.  Each row holds its rational row times an implicit
 positive scale (a constraint row's scale is its basic entry): one
 segmented lcm over the rows' entries and right-hand sides scales each row
-to integers, and one fancy assignment writes them all.  Every row is
-divided by the gcd of its entries after each update.  A pivot makes the
+to integers, and one fancy assignment writes them all.  A pivot makes the
 pivot entry p positive, and every other row with a nonzero f in the pivot
 column becomes `row * p - f * prow` in one vectorised update; a new
 objective row is priced out against all basic rows in one such update.
-The ratio test compares b_r / a_r across rows by cross-multiplying, so the
-scales cancel.
+No decision reads a row's scale: the signs of the objective row and the
+nonzero tests do not change with it, and the ratio test compares b_r / a_r
+across rows by cross-multiplying, so the scales cancel.  So a row is
+divided by the gcd of its entries only once an update leaves an entry of
+it at or above 2^30, and the rows a price-out reads are divided before it.
 
-The array is int64 while the entries' maxima prove that no product of an
-update reaches 2^62 (|a| * p + |f| * |prow| < 2^62).  Otherwise it is widened,
-once, to dtype=object, whose entries are Python ints; the arithmetic is
-exact either way.
+The array is int64 while no product of an update can reach 2^62.  Entries
+below 2^30 prove it (|a| * p + |f| * |prow| < 2^61), so a pivot takes one
+maximum over the rows it updates.  Only when a row is at or above 2^30 do
+the rows get divided by their gcd and the update's bound computed from
+their maxima; if that may reach 2^62, the array is widened, once, to
+dtype=object, whose entries are Python ints.  The arithmetic is exact
+either way.  A divided row is primitive, so it is never larger than the
+row that dividing after every update would hold, and the array widens only
+where that would have widened too.
 
 Every sign test and ratio comparison is thus evaluated exactly on the same
 rational tableau a dense `Fraction` tableau would hold: the entering column
@@ -45,6 +52,7 @@ from typing import Sequence
 import numpy as np
 
 _LIMIT = 1 << 62  # int64 holds every entry and every update term below this
+_BIG = math.isqrt(_LIMIT // 4)  # 2^30: entries below it keep |a| * p + |f| * |prow| < 2^61
 
 Csr = tuple[Sequence[int], Sequence[int], Sequence[Fraction]]  # indptr, indices, data
 _NO_ROWS: Csr = ((0,), (), ())
@@ -66,15 +74,20 @@ def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> np.ndarray:
     """Pivot on (row, col); returns the tableau, widened if the update needs it."""
     if t[row, col] < 0:
         t[row] *= -1
-    rows = t[:, col].nonzero()[0]
-    rows = rows[rows != row]
-    sub = t[rows]
-    if len(rows) and t.dtype != object:
-        a, prow = np.abs(sub), np.abs(t[row])
-        t = _fit(t, int(a.max()) * int(prow[col]) + int(a[:, col].max()) * int(prow.max()))
-        sub = sub.astype(t.dtype, copy=False)
-    prow = t[row]
-    t[rows] = _reduced(sub * prow[col] - sub[:, col, None] * prow)
+    nonzero = t[:, col].nonzero()[0]
+    rows = nonzero[nonzero != row]
+    if t.dtype != object and np.abs(t[nonzero]).max() >= _BIG:
+        # a large entry: bound the update exactly, on rows divided by their gcd
+        t[nonzero] = _reduced(t[nonzero])
+        a, prow = np.abs(t[rows]), np.abs(t[row])
+        t = _fit(t, int(a.max(initial=0)) * int(prow[col])
+                 + int(a[:, col].max(initial=0)) * int(prow.max()))
+    sub, prow = t[rows], t[row]
+    sub = sub * prow[col] - sub[:, col, None] * prow
+    big = np.abs(sub).max(axis=1) >= _BIG
+    if big.any():
+        sub[big] = _reduced(sub[big])
+    t[rows] = sub
     basis[row] = col
     return t
 
@@ -87,7 +100,8 @@ def _reduced(rows: np.ndarray) -> np.ndarray:
 
 def _price_out(t: np.ndarray, basis: list[int]) -> np.ndarray:
     """Eliminate the basic columns from the objective row (the last row) in
-    one update; returns the tableau, widened if the update needs it.  With
+    one update, on basic rows divided by their gcd first; returns the
+    tableau, widened if the update needs it.  With
     p_r the basic entry of row r, f_r the objective's entry in its column
     and L the lcm of the p_r, the objective becomes
     `L * obj - sum_r f_r * (L / p_r) * row_r`."""
@@ -95,6 +109,7 @@ def _price_out(t: np.ndarray, basis: list[int]) -> np.ndarray:
     if not len(rows):
         return t
     cols = [basis[r] for r in rows]
+    t[rows] = _reduced(t[rows])
     p = t[rows, cols].tolist()
     lcm = math.lcm(*p)
     w = [f * (lcm // q) for f, q in zip(t[-1, cols].tolist(), p)]

@@ -1,5 +1,11 @@
 """Minimum-congestion multicommodity routing (concurrent flow).
 
+A forest (loops aside) has exactly one routing: each demand on its tree
+path, which the repair an LP's flow goes through (`_assemble`) finds by
+itself when it is given no flow.  So a forest takes no LP, whatever
+`exact` says; a sparsifier H whose terminals all hang off one Steiner
+vertex is such a forest.  Any other graph takes the LP below.
+
 Solver strategy: one edge-formulation LP goes unchanged to one of two
 solvers, and the solve call is the only branch.  The LP's graph part (arcs,
 vertex-arc incidence, capacities) is compiled once per graph (`_Skeleton`),
@@ -79,8 +85,8 @@ class RoutingResult:
     eta: Fraction | float  # exact congestion of `flow`; math.inf if unroutable
     flow: FlowSolution | None
     commodity_arcs: dict[int, dict[tuple[int, int], Fraction]] = field(default_factory=dict)
-    lp_eta: float | None = None  # raw LP optimum (diagnostic)
-    exact_lp: bool = False
+    lp_eta: float | None = None  # raw LP optimum (diagnostic); float(eta) on a forest
+    exact_lp: bool = False  # the flow is exact: the rational simplex's, or a forest's
 
 
 def _commodities(dem: DemandSet, split_pairs: bool) -> dict[int, dict[int, Fraction]]:
@@ -224,9 +230,10 @@ def min_congestion_routing(
 
     base_load contributes fixed flow already occupying edges (used for
     bucketed hairpin traffic); it is included in the congestion being
-    minimized and in the reported eta.  exact picks the LP solver: True the
-    rational simplex, False HiGHS, None the simplex up to EXACT_LP_MAX_VARS
-    columns and HiGHS above.
+    minimized and in the reported eta.  exact picks the LP solver when an
+    LP is needed; a forest needs none.  True picks the rational simplex,
+    False HiGHS, None the simplex up to EXACT_LP_MAX_VARS columns and HiGHS
+    above.
     """
     base = {eid: Fraction(v) for eid, v in (base_load or {}).items()}
     for t in demands.terminals:
@@ -234,14 +241,14 @@ def min_congestion_routing(
             raise InputError(f"demand on unknown vertex {t}")
         if g.terminals and t not in g.terminals:
             raise InputError(f"demand on non-terminal vertex {t}")
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = ci
+    comps = g.components()
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     for (a, b), v in demands.pairs:
         if comp_of[a] != comp_of[b]:
             return RoutingResult(INFEASIBLE, None)
     com = _commodities(demands, split_pairs)
+    if _is_forest(g, len(comps)):
+        return _route_forest(g, com, base)
     sk = _skeleton(g)
     ncols, eq, ub = sk.tile(com, base)
     if exact is None:
@@ -278,9 +285,25 @@ def min_congestion_routing(
     return _assemble(g, com, flows, base, lp_eta, exact)
 
 
+def _is_forest(g: CapGraph, ncomps: int) -> bool:
+    """Whether g, with `ncomps` components, is a forest once its loops are
+    dropped: a cycle or a parallel edge adds a non-loop edge beyond n - ncomps."""
+    return sum(e.u != e.v for e in g.edges) == len(g.vertices) - ncomps
+
+
+def _route_forest(g, com, base) -> RoutingResult:
+    """The one routing of the commodities `com` on the forest g, the LP's
+    optimum: given no flow, `_assemble` puts each demand on its BFS path,
+    which in a forest is its tree path."""
+    res = _assemble(g, com, {}, base, None, True)
+    res.lp_eta = float(res.eta)
+    return res
+
+
 def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
     """Decompose per-commodity arc flows into paths, rescale so every demand
-    is met exactly, and evaluate the resulting congestion exactly."""
+    is met exactly, and evaluate the resulting congestion exactly.  A demand
+    its commodity's flow does not reach goes on its BFS path."""
     sources = list(com)
     paths: list[tuple[Fraction, tuple, list[int]]] = []
     commodity_arcs: dict[int, dict[tuple[int, int], Fraction]] = {}

@@ -10,9 +10,12 @@ enumerating the sides of its Steiner vertices, and G by one stacked
 max-flow.  The records are built from the two chunks' integer values.
 Flow quality cannot be enumerated, so the verifier combines (a) exact
 re-checks of every cluster's router certificate, which are the premises of
-the contraction quality argument, (b) sampled demand sets compared through
-the LP at tolerance delta, and (c) the constructive re-routing of each
-H-flow through the cluster routers, whose congestion is evaluated exactly.
+the contraction quality argument, (b) sampled demand sets routed at
+minimum congestion in both graphs and compared at tolerance delta, through
+the LP unless the graph is a forest (as an H whose terminals all hang off
+one Steiner vertex is), whose one routing needs none, and (c) the
+constructive re-routing of each H-flow through the cluster routers, whose
+congestion is evaluated exactly.
 
 `QualityReport.to_json` writes either report with `_write_json`, which
 returns what `json.dumps(..., indent=1)` would, `Fraction`s as strings.

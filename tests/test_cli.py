@@ -18,7 +18,7 @@ from vsp.serialize import assemble_cut_sparsifier, load_sparsifier, save_sparsif
 from vsp.sparsecut import is_well_linked
 from fractions import Fraction
 
-from util import edit_sidecar, rewire_to_terminal
+from util import bench_workloads, edit_sidecar, rewire_to_terminal
 
 
 def run(args, capsys):
@@ -244,6 +244,35 @@ def test_build_eps_out_of_range_exits_two_in_flow_mode_only(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--no-precheck"], "skipping the router pre-check needs the aggressive profile"),
+    (["--eps", "2"], "eps must be in (0,1), got 2"),
+], ids=["no-precheck", "eps-2"])
+def test_build_parameter_errors_leave_stdout_empty(grid_builds, tmp_path, capsys, flags,
+                                                   message):
+    # the flow build refuses its parameters before it writes anything, the
+    # '# vsp ...' header line included
+    g, _cut, _flow = grid_builds
+    code, out, err = run(["build", g, "--mode", "flow", *flags, "--out", str(tmp_path / "h")],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "input", "message": message}) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "{g}", "--mode", "cut", "--out", "{missing}/h"],
+    ["build", "{g}", "--mode", "flow", "--out", "{missing}/h"],
+    ["verify", "{g}", "{cut}", "--out", "{missing}/report.json"],
+], ids=["build-cut", "build-flow", "verify"])
+def test_unwritable_output_leaves_stdout_empty(grid_builds, tmp_path, capsys, argv):
+    g, cut, _flow = grid_builds
+    paths = {"g": g, "cut": cut, "missing": str(tmp_path / "missing")}
+    code, out, err = run([a.format(**paths) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "input"
+    assert "No such file or directory" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
 def test_verify_bad_delta_exits_two(grid_builds, capsys, delta):
     g, cut, _flow = grid_builds
@@ -361,15 +390,9 @@ def test_every_valid_graph_builds_and_verifies(g, flags):
 
 def _bench_build_flags():
     """Every distinct (mode, build flags) pair of the benchmark's workloads."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(bench))
     return sorted({
         (inst.mode, inst.build_flags)
-        for make in workloads.WORKLOADS.values()
+        for make in bench_workloads().WORKLOADS.values()
         for inst in make(1)
     })
 

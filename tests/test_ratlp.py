@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -5,12 +7,14 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+import vsp.ratlp as ratlp
 import vsp.routing as routing
-from vsp.graph import subdivide_boundary
+from vsp.cli import main
+from vsp.graph import subdivide_boundary, write_graph
 from vsp.gen import gen_capacitated
 from vsp.ratlp import solve_lp
 
-from util import flow_router_graph, fraction_simplex
+from util import bench_workloads, flow_router_graph, fraction_simplex
 
 F = Fraction
 
@@ -203,8 +207,20 @@ _huge = st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**70))
 _K = 2**30
 
 
+# rows are divided by their gcd only once an entry reaches 2^30; a row that
+# stays at or above it after the division makes the pivot bound its update
+# exactly before it decides to widen
+_CROSSES = ([F(-3), F(0)], [[F(475), F(-1298, 3)], [F(-11), F(1248, 7)]], [F(1999), F(1168)],
+            [], [])
+_STAYS_LARGE = ([F(-2), F(1)],
+                [[F(-35317), F(16448, 7)], [F(8908), F(31326, 7)], [F(8602), F(-35292)]],
+                [F(23856), F(30467), F(20870)], [], [])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_lps(st.one_of(_coef, _huge)))
+@example(_CROSSES)  # an update takes a row to 2^37: divided, and int64 throughout
+@example(_STAYS_LARGE)  # a row stays at 2^60 after its division: the exact bound keeps int64
 @example((  # int64 for the first pivot, widened for the second
     [F(-1), F(-1), F(-1)],
     [[F(_K + 1), F(3), F(_K - 5)], [F(7), F(_K + 3), F(11)], [F(_K - 9), F(13), F(_K + 7)]],
@@ -224,6 +240,53 @@ _K = 2**30
 ))
 def test_huge_entries_identical_to_fraction_oracle(lp):
     _same_as_oracle(*lp)
+
+
+def _bounds_and_divided_rows(monkeypatch, lp):
+    """Every bound `_fit` decided on and the largest entry of every block of
+    rows divided by its gcd, while `lp` is solved."""
+    fits, divided = [], []
+    fit, reduced = ratlp._fit, ratlp._reduced
+    monkeypatch.setattr(ratlp, "_fit", lambda t, bound: fits.append(bound) or fit(t, bound))
+    monkeypatch.setattr(ratlp, "_reduced",
+                        lambda rows: divided.append(int(np.abs(rows).max(initial=0)))
+                        or reduced(rows))
+    _same_as_oracle(*lp)
+    return fits, divided
+
+
+def test_rows_are_divided_once_they_reach_2_30(monkeypatch):
+    fits, divided = _bounds_and_divided_rows(monkeypatch, _CROSSES)
+    # one update reached 2^36..2^37 and was divided; every bound stayed small
+    assert max(divided).bit_length() == 37
+    assert max(fits) < ratlp._BIG
+    fits, divided = _bounds_and_divided_rows(monkeypatch, _STAYS_LARGE)
+    # a primitive row at 2^60 forced the exact bound, which fits int64
+    assert max(divided).bit_length() == 60
+    assert 2**60 <= max(fits) < ratlp._LIMIT
+
+
+def test_flow_router_pass_never_widens(tmp_path, monkeypatch):
+    # every LP of a build-and-verify pass over the benchmark's flow_router
+    # workload (seed 1) stays int64 from the first pivot to the last
+    dtypes = []
+    run = ratlp._run_simplex
+
+    def recorded(t, basis):
+        dtypes.append(t.dtype)
+        status, t = run(t, basis)
+        dtypes.append(t.dtype)
+        return status, t
+
+    monkeypatch.setattr(ratlp, "_run_simplex", recorded)
+    for inst in bench_workloads().flow_router(1):
+        g, prefix = tmp_path / f"{inst.name}.vsp", str(tmp_path / f"{inst.name}-h")
+        write_graph(inst.graph, g)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["build", str(g), "--mode", "flow", *inst.build_flags,
+                         "--out", prefix]) == 0
+            assert main(["verify", str(g), prefix]) == 0
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
 
 
 # wider, mostly-zero LPs: about 70% of the coefficients are zero, and some

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vsp.routing as routing
 from vsp.errors import InputError
@@ -68,7 +69,8 @@ def test_demand_on_nonterminal_rejected():
 
 
 def test_empty_demands_route_the_base_load_alone():
-    # the general LP prices a base load with no demands: eta = max base/cap
+    # with no demands the base load alone sets eta = max base/cap (on this
+    # path, a forest, with no LP; the forest property below covers the LP)
     g = CapGraph([1, 2, 3], [(1, 2, 3), (2, 3, 1)], [1, 3])
     res = min_congestion_routing(g, DemandSet.from_map({}), base_load={0: 2, 1: F(5, 6)})
     assert (res.eta, res.flow.edge_flow, res.commodity_arcs) == (F(5, 6), {0: 2, 1: F(5, 6)}, {})
@@ -346,3 +348,97 @@ def test_router_check_retries_exactly_when_the_float_optimum_meets_the_bound(mon
     monkeypatch.setattr(routing, "ETA_STAR", F(3, 2))
     ok, res = uniform_router_check(inst)
     assert (ok, res.exact_lp, res.eta) == (False, True, 2)
+
+
+# --------------------------------------------------------------------------
+# forests: the one routing, assembled without an LP
+
+
+def _fields(res):
+    """A RoutingResult's fields, every dict as its items in order."""
+    flow = None if res.flow is None else (list(res.flow.edge_flow.items()), res.flow.paths)
+    arcs = [(src, list(a.items())) for src, a in res.commodity_arcs.items()]
+    return res.eta, flow, arcs, res.lp_eta, res.exact_lp
+
+
+_caps = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3)])
+
+
+@st.composite
+def _forests(draw):
+    """A forest on 2..9 vertices, often of several components, with
+    fractional capacities and maybe a self-loop; demands between terminals
+    of one component (maybe none), a base load on some non-loop edges, and
+    the routing flags."""
+    n = draw(st.integers(2, 9))
+    edges = []
+    for v in range(2, n + 1):
+        if draw(st.integers(0, 3)):  # else v starts a new component
+            u = draw(st.integers(1, v - 1))
+            edges.append((u, v, draw(_caps)) if draw(st.booleans()) else (v, u, draw(_caps)))
+    tree_edges = len(edges)
+    if draw(st.booleans()):
+        v = draw(st.integers(1, n))
+        edges.append((v, v, draw(_caps)))
+    terms = draw(st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True))
+    g = CapGraph(range(1, n + 1), edges, terms)
+    comp = {v: ci for ci, c in enumerate(g.components()) for v in c}
+    pairs = [(a, b) for i, a in enumerate(terms) for b in terms[i + 1:] if comp[a] == comp[b]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    dem = DemandSet.from_map({ab: draw(st.sampled_from([F(1), F(1, 3), F(5, 2)]))
+                              for ab in chosen})
+    loaded = draw(st.lists(st.integers(0, tree_edges - 1), unique=True)) if tree_edges else []
+    base = {eid: draw(st.sampled_from([F(1, 2), F(4, 3)])) for eid in loaded}
+    return g, dem, base, draw(st.booleans()), draw(st.sampled_from([True, False, None]))
+
+
+def _counting_solvers(monkeypatch):
+    calls = []
+    real_lp, real_highs = routing.solve_lp, routing.linprog
+    monkeypatch.setattr(routing, "solve_lp", lambda *a: calls.append("simplex") or real_lp(*a))
+    monkeypatch.setattr(routing, "linprog",
+                        lambda *a, **kw: calls.append("highs") or real_highs(*a, **kw))
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forests())
+def test_forest_routing_equals_the_lp_routing(forest):
+    g, dem, base, split, exact = forest
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solvers(mp)
+        res = min_congestion_routing(g, dem, base_load=base, split_pairs=split, exact=exact)
+        assert calls == []
+        mp.setattr(routing, "_is_forest", lambda *a: False)
+        lp = min_congestion_routing(g, dem, base_load=base, split_pairs=split, exact=True)
+        assert calls == ["simplex"]
+        float_lp = min_congestion_routing(g, dem, base_load=base, split_pairs=split, exact=False)
+        assert calls == ["simplex", "highs"]
+    # whatever `exact` says, the forest's routing is the exact LP's, field for field
+    assert _fields(res) == _fields(lp)
+    assert res.exact_lp and res.lp_eta == float(res.eta)
+    # HiGHS's repaired flow is the same flow (its paths may be split in pieces)
+    assert (float_lp.eta, float_lp.flow.edge_flow, float_lp.commodity_arcs) == \
+        (res.eta, res.flow.edge_flow, res.commodity_arcs)
+    assert float_lp.lp_eta == pytest.approx(res.lp_eta, rel=1e-6, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forests(), st.data())
+def test_a_cycle_or_a_parallel_edge_reaches_the_solver(forest, data):
+    g, dem, base, split, exact = forest
+    tree = [e for e in g.edges if e.u != e.v]
+    if not tree:
+        return
+    e = data.draw(st.sampled_from(tree))
+    comp = next(c for c in g.components() if e.u in c)
+    # a second edge inside one component: parallel to e, or closing a cycle
+    u, v = data.draw(st.sampled_from([(e.u, e.v)] + [(a, b) for a in comp for b in comp
+                                                      if a < b]))
+    edges = [(f.u, f.v, f.cap) for f in g.edges] + [(u, v, 1)]
+    g2 = CapGraph(g.vertices, edges, g.terminals)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solvers(mp)
+        res = min_congestion_routing(g2, dem, base_load=base, split_pairs=split, exact=exact)
+    assert calls == ["highs" if exact is False else "simplex"]
+    assert res.exact_lp is (exact is not False)

@@ -6,7 +6,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +39,17 @@ def random_unit_graph(rng: random.Random, n: int, m: int, k: int = 0) -> CapGrap
         edges.append((u, v, 1))
     terms = rng.sample(verts, k) if k else []
     return CapGraph(verts, edges, terms)
+
+
+def bench_workloads():
+    """The benchmark's `workloads` module, imported from bench/."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
 
 
 def flow_router_graph(seed: int) -> CapGraph:
