@@ -1,8 +1,8 @@
 """Exact maximum flow / minimum cut.
 
-All capacities are rationals; internally every instance is scaled by the
-common denominator so Dinic runs on integers and both the flow value and
-the cut certificate are exact.
+All capacities are rationals; every instance runs on the integer scale its
+graph holds (`CapGraph.den` and `CapGraph.scaled`), so Dinic runs on
+integers and both the flow value and the cut certificate are exact.
 
 `Net` is the pure-Python Dinic network.  It runs one flow, from its
 source to its sink, over capacities that are integers over a denominator
@@ -13,7 +13,7 @@ of the flow and the minimal source side of a minimum cut.
 masks, and `side_matrix` decodes a run of masks into a boolean side matrix,
 one row per split and one column per terminal.  `TerminalCuts` serves the
 sweeps of the sparsest cut and of cut verification, many splits of one
-graph's terminals.  It scales G's arcs once.  `chunks` cuts a sweep's
+graph's terminals, on the integer scale G holds.  `chunks` cuts a sweep's
 masks into side matrices of one stacked solve each, and `values` prices one
 such chunk and returns the scaled integer values as an array; it alone
 picks how.  A chunk small enough for it is priced from the definition of a
@@ -39,7 +39,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -308,10 +307,11 @@ class TerminalCuts:
     """Minimum cuts between disjoint groups of the given terminals of one
     graph G, for any number of splits.
 
-    G's capacities are scaled once to integers over their common
-    denominator `den`.  `_big`, the scaled total capacity plus one, exceeds
-    every arc (summed parallel arcs included) and every cut, so a split
-    wires its terminals to the super-source and the super-sink at `_big`.
+    G holds its capacities as integers over their common denominator
+    `G.den` (`G.scaled`), and every value here is over that denominator.
+    `_big`, the scaled total capacity plus one, exceeds every arc (summed
+    parallel arcs included) and every cut, so a split wires its terminals
+    to the super-source and the super-sink at `_big`.
 
     A sweep is a pair of boolean side matrices: one row per split, one
     column per terminal in ascending id order, True where the terminal is on
@@ -356,10 +356,7 @@ class TerminalCuts:
         self._g = g
         self._terms = terms
         self._term_set = frozenset(terms)
-        self.den = lcm(*(e.cap.denominator for e in g.edges))
-        # G's capacities times den, in edge order
-        self._scaled_caps = [e.cap.numerator * (self.den // e.cap.denominator) for e in g.edges]
-        self._big = self.den + sum(self._scaled_caps)
+        self._big = g.den + sum(g.scaled)
         self._others = [v for v in g.vertices if v not in self._term_set]
         self._sides: np.ndarray | None = None  # compiled on first enumeration
         self._cols: np.ndarray | None = None  # G's CSR rows, compiled on first stacked solve
@@ -372,7 +369,7 @@ class TerminalCuts:
         pos = {v: i for i, v in enumerate(self._g.vertices)}
         n = len(pos)
         u, v, cap = np.array([(pos[e.u], pos[e.v], c)
-                              for e, c in zip(self._g.edges, self._scaled_caps) if e.u != e.v],
+                              for e, c in zip(self._g.edges, self._g.scaled) if e.u != e.v],
                              dtype=np.int64).reshape(-1, 3).T
         # ascending, as the ids are
         term_rows = np.array([pos[t] for t in self._terms], dtype=np.int64)
@@ -406,7 +403,7 @@ class TerminalCuts:
             yield side_matrix(terms, masks[lo:lo + self._chunk])
 
     def values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
-        """The minimum cut value times `den` of every split, a row of the
+        """The minimum cut value times `G.den` of every split, a row of the
         side matrices (a terminal may be on neither side), in row order.
         The rows are one chunk, at most as many as `chunks` hands out, and
         are priced by the first of the three ways above that applies.  The
@@ -421,7 +418,7 @@ class TerminalCuts:
         if 2 * self._big < _INT32_LIMIT:
             return self._stack_values(side_a, side_b)
         terms = np.array(self._terms)
-        return np.array([int(self.min_cut(terms[a].tolist(), terms[b].tolist())[0] * self.den)
+        return np.array([int(self.min_cut(terms[a].tolist(), terms[b].tolist())[0] * self._g.den)
                          for a, b in zip(side_a, side_b)], dtype=object)
 
     def _enum_values(self, side_a: np.ndarray) -> np.ndarray:
@@ -431,7 +428,7 @@ class TerminalCuts:
             self._ends = (np.array([col[e.u] for e in self._g.edges], dtype=np.intp),
                           np.array([col[e.v] for e in self._g.edges], dtype=np.intp))
             self._edge_caps = np.array(
-                self._scaled_caps, dtype=np.int64 if self._big - self.den < 1 << 63 else object)
+                self._g.scaled, dtype=np.int64 if self._big - self._g.den < 1 << 63 else object)
             # side j puts other vertex i on side a when bit i of j is set
             s = len(self._others)
             self._sides = (np.arange(1 << s)[:, None] >> np.arange(s) & 1).astype(bool)
@@ -484,11 +481,11 @@ class TerminalCuts:
         arc at `_big` from the super-source to each terminal of side a and
         from each terminal of side b to the super-sink."""
         ta, tb = self._checked(term_a, term_b)
-        net = Net(self.den)
+        net = Net(self._g.den)
         for e in self._g.edges:
             if e.u != e.v:
                 net.undirected(e.u, e.v, e.cap, key=e.eid)
-        big = Fraction(self._big, self.den)
+        big = Fraction(self._big, self._g.den)
         for v in sorted(ta):
             net.arc(net.source, v, big)
         for v in sorted(tb):

@@ -11,12 +11,17 @@ Conventions
   positive integers is treated as a *unit multigraph*: capacity m stands for
   m parallel unit edges (an explicit bucketed representation; counts such as
   |out(S)| are capacity sums).
+* Every graph holds one integer scale for its capacities, worked out when it
+  is built: `den`, the lcm of the capacity denominators (1 with no edges),
+  and `scaled`, cap * den per edge id.  Code that prices cuts in integers
+  reads these and derives no scale of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ContractError, InputError, ParseError
@@ -42,7 +47,8 @@ class CapGraph:
 
     # _lp_skeleton: the routing LP's graph part, which `vsp.routing` compiles
     # on the first routing over the graph
-    __slots__ = ("vertices", "edges", "terminals", "_adj", "_vset", "_tset", "_lp_skeleton")
+    __slots__ = ("vertices", "edges", "terminals", "den", "scaled", "_adj", "_vset", "_tset",
+                 "_lp_skeleton")
 
     def __init__(
         self,
@@ -52,11 +58,14 @@ class CapGraph:
     ):
         vs = tuple(sorted(set(vertices)))
         es = []
+        nums, dens = [], []
         for i, (u, v, c) in enumerate(edges):
             cap = c if isinstance(c, Fraction) else Fraction(c)
             if cap <= 0:
                 raise InputError(f"edge ({u},{v}) has non-positive capacity {cap}")
             es.append(Edge(i, u, v, cap))
+            nums.append(cap.numerator)
+            dens.append(cap.denominator)
         ts = tuple(terminals)
         if len(set(ts)) != len(ts):
             raise InputError("duplicate terminal")
@@ -70,6 +79,8 @@ class CapGraph:
         self.vertices = vs
         self.edges = tuple(es)
         self.terminals = ts
+        self.den = den = lcm(*dens)
+        self.scaled = tuple(nums) if den == 1 else tuple(n * (den // d) for n, d in zip(nums, dens))
         self._vset = vset
         self._tset = frozenset(ts)
         adj: dict[int, list[Edge]] = {v: [] for v in vs}
@@ -113,7 +124,7 @@ class CapGraph:
     @property
     def is_unit(self) -> bool:
         """True iff every capacity is a positive integer (bucketed unit edges)."""
-        return all(e.cap.denominator == 1 for e in self.edges)
+        return self.den == 1
 
     def terminal_capacity(self) -> Fraction:
         """Total capacity of edges incident on terminals (each edge once)."""

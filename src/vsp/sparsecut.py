@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -75,10 +74,6 @@ class SparsestCut:
         return self.sparsity is None
 
 
-def _bundle_terms(inst: SubdividedInstance) -> list[tuple[int, Fraction]]:
-    return [(t, inst.weight(t)) for t in inst.terminals]
-
-
 def sparsest_cut_exact(
     inst: SubdividedInstance,
     budget: int = DEFAULT_ENUM_BUDGET,
@@ -92,31 +87,24 @@ def sparsest_cut_exact(
     below it, the result is the verdict alone, a lower bound of at least
     stop_below on every split's sparsity with cut None.
     """
-    terms = _bundle_terms(inst)
-    z = inst.z
-    if len(terms) == 0 or z <= 1:
+    nb, z = len(inst.terminals), inst.z
+    if nb == 0 or z <= 1:
         return SparsestCut(None, None, True)
-    nb = len(terms)
     if nb > budget:
         raise BudgetExceeded(
             f"{nb} boundary bundles exceed the exact enumeration budget {budget}; "
             "use sparsest_cut_heuristic"
         )
     if nb >= 2:
-        bound = None if stop_below is None else _bridge_bound(inst, terms, z, stop_below)
+        bound = None if stop_below is None else _bridge_bound(inst, stop_below)
         if bound is not None:
             return SparsestCut(bound, None, True)
-        return _sweep(inst, terms, budget, stop_below)
+        return _sweep(inst, budget, stop_below)
     # one bundle of z > 1 parallel pendants: only pendant units split it
     return SparsestCut(Fraction(1), None, True)
 
 
-def _bridge_bound(
-    inst: SubdividedInstance,
-    terms: list[tuple[int, Fraction]],
-    z: Fraction,
-    alpha: Fraction,
-) -> Fraction | None:
+def _bridge_bound(inst: SubdividedInstance, alpha: Fraction) -> Fraction | None:
     """A lower bound of at least `alpha` on every split's sparsity, read off
     the bridges of G_S in one depth-first search, or None when this test
     cannot give one.
@@ -129,11 +117,13 @@ def _bridge_bound(
     least of these and 1 (Tarjan, "A note on finding the bridges of a
     graph", IPL 1974)."""
     g = inst.graph
-    zint = int(z)
-    half = zint // 2
-    if z.denominator != 1 or alpha * half > 2 or not g.is_unit:
+    if g.den != 1:
         return None
-    weight = {t: int(w) for t, w in terms}
+    weight = {t: g.scaled[inst.pendant_edge(t).eid] for t in inst.terminals}
+    zint = sum(weight.values())
+    half = zint // 2
+    if alpha * half > 2:
+        return None
     root = g.vertices[0]
     disc = {root: 0}  # discovery index
     low = {root: 0}  # least discovery index the subtree reaches by a back edge
@@ -159,7 +149,7 @@ def _bridge_bound(
                 p = stack[-1][0]
                 low[p] = min(low[p], low[v])
                 below[p] += below[v]
-                if low[v] > disc[p] and parent_edge.cap == 1:
+                if low[v] > disc[p] and g.scaled[parent_edge.eid] == 1:
                     widest = max(widest, min(below[v], zint - below[v]))
     if len(disc) < g.n:
         return None  # a disconnected G_S splits at value 0
@@ -167,36 +157,28 @@ def _bridge_bound(
     return bound if bound >= alpha else None
 
 
-def _sweep(
-    inst: SubdividedInstance,
-    terms: list[tuple[int, Fraction]],
-    budget: int,
-    stop_below: Fraction | None,
-) -> SparsestCut:
+def _sweep(inst: SubdividedInstance, budget: int, stop_below: Fraction | None) -> SparsestCut:
     """The bundle sweep of `sparsest_cut_exact` on side matrices.  Cutting
     the pendants of a side costs its weight, so no split has sparsity above
     1 and the best one is the answer.
 
-    A split's cut value v and smaller side weight w are integers over the
-    sweep's two denominators, so its sparsity is v den_w / (den_v w) and
-    two splits compare by v1 w2 against v2 w1.  These products go through
-    Python ints whenever int64 could overflow.
+    A split's cut value v and smaller side weight w are integers over G_S's
+    denominator, the weights read off its pendant edges, so its sparsity
+    is v / w and two splits compare by v1 w2 against v2 w1.  These products
+    go through Python ints whenever int64 could overflow.
 
     The returned split (the one below `stop_below`, or the least one) gets
     its side from a Python min cut, and a swept value that differs from it
     raises RuntimeError; a verdict that nothing is below `stop_below`
     solves nothing in Python."""
-    ids = [t for t, _ in terms]
+    g, ids = inst.graph, inst.terminals
     order = sorted(ids)  # the side matrices' column order
-    cuts = TerminalCuts(inst.graph, ids)
-    # bundle weights as ints over one denominator
-    den = lcm(*(w.denominator for _, w in terms))
-    wint = {t: w.numerator * (den // w.denominator) for t, w in terms}
-    zint = sum(wint.values())
-    weights = np.array([wint[t] for t in order], dtype=np.int64 if zint < 1 << 63 else object)
+    cuts = TerminalCuts(g, ids)
+    wint = [g.scaled[inst.pendant_edge(t).eid] for t in order]
+    zint = sum(wint)
+    weights = np.array(wint, dtype=np.int64 if zint < 1 << 63 else object)
     # v / w < stop_below exactly when v * below[0] < w * below[1]
-    below = (0, 0) if stop_below is None else (
-        den * stop_below.denominator, cuts.den * stop_below.numerator)
+    below = (0, 0) if stop_below is None else (stop_below.denominator, stop_below.numerator)
     masks, _ = bipartitions(ids, budget)  # exhaustive: nb <= budget
     best = None  # (sparsity, value, sorted side a, side a row)
     for side_a in cuts.chunks(ids, masks):
@@ -216,8 +198,8 @@ def _sweep(
             rows = np.flatnonzero(v * w[c] == v[c] * w)
             rows = rows[v[rows] == v[rows].min()].tolist()
         for r in rows:
-            value = Fraction(int(v[r]), cuts.den)
-            key = (Fraction(int(v[r]) * den, cuts.den * int(w[r])), value,
+            value = Fraction(int(v[r]), g.den)
+            key = (Fraction(int(v[r]), int(w[r])), value,
                    tuple(t for t, on in zip(order, side_a[r]) if on))
             if best is None or key < best[:3]:
                 best = (*key, side_a[r])
@@ -241,8 +223,6 @@ def _sweep_candidates(inst: SubdividedInstance) -> list[list[int]]:
     verts = list(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    if n <= 2:
-        return [verts]
     a = np.zeros((n, n))
     for e in g.edges:
         if e.u == e.v:
@@ -282,17 +262,18 @@ def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
     """Spectral sweep plus up to four rounds of greedy single-vertex moves.
     The returned cut's sparsity is evaluated exactly; optimality is not
     guaranteed."""
-    terms = _bundle_terms(inst)
-    z = inst.z
-    if len(terms) == 0 or z <= 1:
+    nb, z = len(inst.terminals), inst.z
+    if nb == 0 or z <= 1:
         return SparsestCut(None, None, False)
-    if len(terms) == 1:
+    if nb == 1:
         # one bundle of z >= 2 parallel pendants: the only nontrivial splits
         # separate pendant units, all of sparsity exactly 1
         return SparsestCut(Fraction(1), None, False)
     g = inst.graph
     best_side: set[int] | None = None
     best_sp: Fraction | None = None
+    # every order has a prefix, the one ending at its first terminal, that
+    # leaves out its last terminal, so the sweep sets best_side
     for order in _sweep_candidates(inst):
         side: set[int] = set()
         for v in order[:-1]:
@@ -300,10 +281,6 @@ def sparsest_cut_heuristic(inst: SubdividedInstance) -> SparsestCut:
             sp = _eval_side(inst, side)
             if sp is not None and (best_sp is None or sp < best_sp):
                 best_sp, best_side = sp, set(side)
-    if best_side is None:
-        # fall back to isolating the first boundary terminal
-        best_side = {terms[0][0]}
-        best_sp = _eval_side(inst, best_side)
     # greedy local moves
     for _ in range(4):
         improved = False

@@ -168,13 +168,13 @@ def verify_cut_quality(
             i = len(rep.records)
             ta = list(compress(terms, row))
             # both values over the product of the denominators
-            over_h, over_g = vh * cuts_g.den, vg * cuts_h.den
+            over_h, over_g = vh * g.den, vg * h.den
             if vg == 0:
                 ratio = Fraction(1) if vh == 0 else None
             else:
                 ratio = Fraction(over_h, over_g)
                 worst = max(worst, ratio)
-            vg, vh = Fraction(vg, cuts_g.den), Fraction(vh, cuts_h.den)
+            vg, vh = Fraction(vg, g.den), Fraction(vh, h.den)
             if ratio is None:
                 rep.violations.append(f"test {i}: MinCut_G = 0 but MinCut_H = {vh}")
             elif over_h < over_g:

@@ -9,7 +9,7 @@ from vsp.decompose import ClusterCert, strong_decompose, weak_decompose
 from vsp.graph import CapGraph, out_edges, subdivide_boundary
 from vsp.params import weak_threshold
 
-from util import random_unit_graph, recheck_decomposition
+from util import random_unit_graph, recheck_decomposition, triangle
 
 F = Fraction
 
@@ -112,6 +112,11 @@ def test_strong_rejects_disconnected():
     g = CapGraph([1, 2, 3, 4], [(1, 2, 1), (3, 4, 1)])
     with pytest.raises(InputError):
         strong_decompose(g, {1, 2, 3, 4})
+
+
+def test_strong_rejects_an_empty_member_set():
+    with pytest.raises(InputError, match="empty vertex set"):
+        strong_decompose(triangle(), set())
 
 
 def test_strong_budget_refusal():

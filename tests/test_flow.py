@@ -205,7 +205,7 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
     values = cuts.values(*_side_matrices(terms, splits))
     assert len(values) == len(splits) and values.dtype == np.int64
     for (ta, tb), scaled in zip(splits, values):
-        stacked = Fraction(int(scaled), cuts.den)
+        stacked = Fraction(int(scaled), g.den)
         value, side = cuts.min_cut(ta, tb)
         fresh_value, fresh = TerminalCuts(g, ta + tb).min_cut(ta, tb)
         assert stacked == value
@@ -245,7 +245,7 @@ def test_every_pricing_path_matches_min_cut_and_brute_force(seed, scale):
                        [t for t, p in zip(terms, placed) if p == 1]))
     side_a, side_b = _side_matrices(terms, splits)
     cuts = TerminalCuts(g, terms)
-    fits_int32, fits_int64 = 2 * cuts._big < 2**31, cuts._big - cuts.den < 2**63
+    fits_int32, fits_int64 = 2 * cuts._big < 2**31, cuts._big - g.den < 2**63
     expected = []
     for enum in ((side_a | side_b).all(), False):
         if enum:
@@ -266,7 +266,7 @@ def test_every_pricing_path_matches_min_cut_and_brute_force(seed, scale):
             values = cuts.values(side_a, side_b)
             assert (set(taken), values.dtype) == ({path}, dtype)
             for (ta, tb), scaled in zip(splits, values, strict=True):
-                value = Fraction(int(scaled), cuts.den)
+                value = Fraction(int(scaled), g.den)
                 assert value == cuts.min_cut(ta, tb)[0] == brute_force_min_cut(g, ta, tb)
 
 
@@ -301,7 +301,7 @@ def test_terminal_cuts_values_beyond_int32():
         # every row is priced in Python, in exact ints
         assert values.dtype == object
         for (ta, tb), value in zip(splits, values, strict=True):
-            value = Fraction(value, cuts.den)
+            value = Fraction(value, g.den)
             assert value == cuts.min_cut(ta, tb)[0] == brute_force_min_cut(g, ta, tb)
     # a scaled total between 2^30 and 2^31: twice it reaches 2^31, so no
     # row goes to SciPy, and as above none is enumerated.  Every row is
@@ -318,7 +318,7 @@ def test_terminal_cuts_values_beyond_int32():
     values = cuts.values(*_side_matrices(g.terminals, splits))
     assert values.dtype == object
     for (ta, tb), value in zip(splits, values, strict=True):
-        value = Fraction(value, cuts.den)
+        value = Fraction(value, g.den)
         assert value == brute_force_min_cut(g, ta, tb) == cuts.min_cut(ta, tb)[0]
 
 

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsp.errors import ContractError, InputError, ParamError, ParseError
+from vsp.gen import generate
 from vsp.graph import (
     CapGraph,
     _parse_cap,
@@ -202,6 +205,7 @@ def test_contract_terminal_rejected():
     (lambda: contract(triangle(), [{1, 9}]), InputError, "unknown vertex id 9"),
     (lambda: capacitated_unit_reduction(CapGraph([1, 2], [(1, 2, Fraction(1, 2))]),
                                         Fraction(1, 2)), InputError, "capacity 1/2 < 1"),
+    (lambda: generate("torus"), InputError, "unknown family 'torus'"),
 ])
 def test_graph_primitives_reject_malformed_input(make, error, message):
     with pytest.raises(error, match=message):
@@ -212,6 +216,29 @@ def test_graph_repr_and_empty_subset():
     g = triangle()
     assert repr(g) == "CapGraph(n=3, m=3, k=0)"
     assert g.is_connected_subset([])
+
+
+_CAPS = st.builds(Fraction, st.integers(1, 60), st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10, 35]))
+
+
+@given(ends=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=12),
+       caps=st.lists(_CAPS, min_size=12, max_size=12),
+       members=st.sets(st.integers(1, 6), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_graph_holds_the_least_integer_scale(ends, caps, members):
+    g = CapGraph(range(1, 7), [(u, v, c) for (u, v), c in zip(ends, caps)])
+    assert len(g.scaled) == g.m
+    for e, s in zip(g.edges, g.scaled):
+        assert type(s) is int and Fraction(s, g.den) == e.cap
+    # den is the least such scale: k times it, k > 1, would make k divide
+    # den and every scaled capacity
+    assert math.gcd(g.den, *g.scaled) == 1
+    assert g.is_unit == (g.den == 1) == all(e.cap.denominator == 1 for e in g.edges)
+    # a graph built from some of g's edges needs no larger scale
+    for part in (subdivide_boundary(g, members).graph, contract(g, [members])[0]):
+        assert g.den % part.den == 0
+    empty = CapGraph([1, 2], [])
+    assert (empty.den, empty.scaled, empty.is_unit) == (1, (), True)
 
 
 # the capacitated unit reduction scales by s = 2 eta* / eps = 68 / eps

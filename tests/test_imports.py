@@ -199,6 +199,32 @@ def test_scan_flags_a_net_array_outside_net():
     assert _net_array_uses(tree) == [5, 6]
 
 
+# the modules that may take an lcm: a graph's capacity scale, and the
+# simplex's scaling of its LP rows.  Every other module reads the graph's scale
+LCM_OWNERS = {"graph.py", "ratlp.py"}
+
+
+def _lcm_uses(tree: ast.Module) -> list[int]:
+    """The lines that name `lcm`, bare (`lcm(...)`) or as an attribute
+    (`math.lcm`, `np.lcm.reduceat`)."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Name) and node.id == "lcm")
+                   or (isinstance(node, ast.Attribute) and node.attr == "lcm")})
+
+
+def test_only_the_graph_and_the_simplex_take_an_lcm():
+    found = {path.name: _lcm_uses(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == LCM_OWNERS, found
+
+
+def test_scan_flags_an_lcm_outside_its_owners():
+    tree = ast.parse("from math import lcm\nimport math\nimport numpy as np\n"
+                     "a = lcm(2, 3)\nb = math.lcm(4, 6)\nc = np.lcm.reduce([2, 3])\n"
+                     "d = math.gcd(2, 4)\n")
+    assert _lcm_uses(tree) == [4, 5, 6]
+
+
 def test_bench_targets_resolve():
     # the benchmark's tracer wraps these by name, so a rename in vsp must
     # show up here rather than as a failed traced run

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -91,41 +92,52 @@ def test_exact_matches_vertex_bipartition_oracle():
 
 
 def test_exact_matches_oracles_on_fractional_bundles():
-    # non-integer bundle weights exercise the integer weight sums: the
-    # optimum is the weighted brute force capped at 1, and the certificate
-    # (with no threshold or an early exit) is the brute-force sweep's
+    # fractional capacities exercise the integer weight sums, also where
+    # every bundle weight is an integer and only interior capacities are
+    # fractional, so G_S's denominator exceeds the weights': the optimum
+    # is the weighted brute force capped at 1, and the certificate (with no
+    # threshold or an early exit) is the brute-force sweep's
     rng = random.Random(53)
     caps = (F(1, 2), F(2, 3), F(3, 4), F(1), F(3, 2))
-    checked = 0
+    checked = integral = 0
     for _ in range(80):
         n = rng.randint(4, 7)
         edges = [(rng.randint(1, i - 1), i, rng.choice(caps)) for i in range(2, n + 1)]
         edges += [(*rng.sample(range(1, n + 1), 2), rng.choice(caps)) for _ in range(n)]
-        g = CapGraph(range(1, n + 1), edges)
-        inst = subdivide_boundary(g, set(rng.sample(range(1, n + 1), rng.randint(2, n - 2))))
-        weights = {t: inst.weight(t) for t in inst.terminals}
-        if (inst.graph.n > 11 or len(weights) < 2 or inst.z <= 1
-                or all(w.denominator == 1 for w in weights.values())):
-            continue
-        res = sparsest_cut_exact(inst)
-        assert res.sparsity == min(brute_force_sparsest(inst.graph, weights), 1)
-        for stop in (None, F(1, 2), F(1)):
-            res = sparsest_cut_exact(inst, stop_below=stop)
-            (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
-            if stop is not None and sparsity >= stop:
-                # a threshold verdict: the least sparsity and no cut
-                assert (res.sparsity, res.cut) == (sparsity, None)
-            elif sparsity <= 1 or (stop is not None and sparsity < stop):
-                assert res.cut is not None
-                cut_value, w_a, w_b, cut_sparsity = _split(inst, res.cut)
-                assert (res.sparsity, cut_value, res.cut) == (sparsity, value, side_a)
-                assert w_a == sum(w for t, w in weights.items() if t in side_a)
-                assert w_a + w_b == inst.z
-                assert cut_sparsity == value / min(w_a, w_b) == res.sparsity
-            else:
-                assert (res.sparsity, res.cut) == (1, None)
-        checked += 1
-    assert checked >= 15
+        members = set(rng.sample(range(1, n + 1), rng.randint(2, n - 2)))
+        # the same graph with its boundary capacities rounded up: integer
+        # bundle weights, fractional interior capacities
+        rounded = [(u, v, c if (u in members) == (v in members) else F(math.ceil(c)))
+                   for u, v, c in edges]
+        for es in (edges, rounded):
+            inst = subdivide_boundary(CapGraph(range(1, n + 1), es), members)
+            weights = {t: inst.weight(t) for t in inst.terminals}
+            if inst.graph.n > 11 or len(weights) < 2 or inst.z <= 1 or inst.graph.is_unit:
+                continue
+            _check_against_oracles(inst, weights)
+            checked += 1
+            integral += all(w.denominator == 1 for w in weights.values())
+    assert checked >= 15 and integral >= 15
+
+
+def _check_against_oracles(inst, weights):
+    res = sparsest_cut_exact(inst)
+    assert res.sparsity == min(brute_force_sparsest(inst.graph, weights), 1)
+    for stop in (None, F(1, 2), F(1)):
+        res = sparsest_cut_exact(inst, stop_below=stop)
+        (sparsity, value, _side), side_a = brute_force_bundle_sweep(inst, stop)
+        if stop is not None and sparsity >= stop:
+            # a threshold verdict: the least sparsity and no cut
+            assert (res.sparsity, res.cut) == (sparsity, None)
+        elif sparsity <= 1 or (stop is not None and sparsity < stop):
+            assert res.cut is not None
+            cut_value, w_a, w_b, cut_sparsity = _split(inst, res.cut)
+            assert (res.sparsity, cut_value, res.cut) == (sparsity, value, side_a)
+            assert w_a == sum(w for t, w in weights.items() if t in side_a)
+            assert w_a + w_b == inst.z
+            assert cut_sparsity == value / min(w_a, w_b) == res.sparsity
+        else:
+            assert (res.sparsity, res.cut) == (1, None)
 
 
 # primes just below 2^31: weights over them have a common denominator near
