@@ -2,12 +2,15 @@
 
 All capacities are rationals; every instance runs on the integer scale its
 graph holds (`CapGraph.den` and `CapGraph.scaled`), so Dinic runs on
-integers and both the flow value and the cut certificate are exact.
+integers and both the flow value and the cut certificate are exact.  Below
+`max_flow`, `SparsestCut` and the verify records, every cut value is an
+int on G's scale, a value in capacity units times `G.den`; only those
+read it back in capacity units.
 
 `Net` is the pure-Python Dinic network.  It runs one flow, from its
-source to its sink, over capacities that are integers over a denominator
-fixed when it is built, and returns the flow per edge key, the unit paths
-of the flow and the minimal source side of a minimum cut.
+source to its sink, over integer capacities, and returns the flow value
+and the flow per edge key as ints, the unit paths of the flow and the
+minimal source side of a minimum cut.
 
 `bipartitions` enumerates the terminal bipartitions of a sweep as integer
 masks, and `side_matrix` decodes a run of masks into a boolean side matrix,
@@ -23,9 +26,10 @@ stack of copies of G.  SciPy holds capacities, flows and residuals in int32
 and silently truncates wider capacities.  A residual can reach twice the
 scaled total capacity, so a graph for which that doubled total reaches
 2^31 never goes to SciPy: its splits are priced one by one in Python by
-`min_cut`, which runs a `Net` built for its one split and also gives the
-minimal source side of the one split a caller needs.  SciPy is imported on
-the first stacked solve, not with this module.
+`_flow`, which runs a `Net` built for its one split.  `min_cut` runs the
+same `Net` and also gives the minimal source side of the one split a
+caller needs.  SciPy is imported on the first stacked solve, not with this
+module.
 
 This module alone wires flow networks: it names the super-source and the
 super-sink, encodes arc keys (including the halves of a split edge), filters
@@ -65,14 +69,14 @@ class Net:
     `source` and `sink` that every network has and the midpoints of split
     edges, are tuples.  Undirected edges become arc pairs sharing residual
     capacity and carry a caller key, so flows and paths map back to edges.
-    Every capacity is an integer over the denominator `den` fixed when the
-    network is built; the arcs hold it times `den`, so Dinic runs on ints.
+    Every capacity is an int, or a `Fraction` with denominator 1; a caller
+    with rational capacities passes them on its graph's integer scale.
     """
 
     source = ("S",)
     sink = ("T",)
 
-    def __init__(self, den: int = 1):
+    def __init__(self):
         self._nodes: dict[Hashable, int] = {}
         self._names: list[Hashable] = []
         self._head: list[int] = []
@@ -80,7 +84,6 @@ class Net:
         self._cap: list[int] = []
         self._next: list[int] = []
         self._key: list[Hashable] = []
-        self._den = den
         self._flowed = False
         self._node(self.source)
         self._node(self.sink)
@@ -101,17 +104,18 @@ class Net:
         self._next.append(self._head[u])
         self._head[u] = len(self._to) - 1
 
-    def _scaled(self, cap: Fraction | int) -> int:
+    @staticmethod
+    def _int(cap: Fraction | int) -> int:
         if isinstance(cap, int):
-            return cap * self._den
-        if isinstance(cap, Fraction) and self._den % cap.denominator == 0:
-            return cap.numerator * (self._den // cap.denominator)
-        raise InputError(f"capacity {cap!r} is not an integer over {self._den}")
+            return cap
+        if isinstance(cap, Fraction) and cap.denominator == 1:
+            return cap.numerator
+        raise InputError(f"capacity {cap!r} is not an integer")
 
     def arc(self, u: Hashable, v: Hashable, cap: Fraction | int):
         """Directed arc u->v without a key; the implicit reverse residual has
         capacity 0."""
-        c = self._scaled(cap)
+        c = self._int(cap)
         ui, vi = self._node(u), self._node(v)
         self._push_arc(ui, vi, c, None)
         self._push_arc(vi, ui, 0, None)
@@ -119,7 +123,7 @@ class Net:
     def undirected(self, u: Hashable, v: Hashable, cap: Fraction | int, key: Hashable = None):
         """Undirected edge: arc pair, each side with the full capacity, both
         carrying `key`."""
-        c = self._scaled(cap)
+        c = self._int(cap)
         ui, vi = self._node(u), self._node(v)
         self._push_arc(ui, vi, c, key)
         self._push_arc(vi, ui, c, key)
@@ -134,7 +138,7 @@ class Net:
         self.undirected(mid, v, cap, key)
         self.arc(mid, self.sink, sink_cap)
 
-    def max_flow(self) -> Fraction:
+    def max_flow(self) -> int:
         """The value of a maximum flow from `source` to `sink`, which the
         network then holds."""
         si, ti = self._nodes[self.source], self._nodes[self.sink]
@@ -167,7 +171,7 @@ class Net:
                     break
                 total += f
         self._flowed = True
-        return Fraction(total, self._den)
+        return total
 
     def _dfs(self, s: int, t: int, level, it) -> int:
         # one augmenting path in the level graph, iteratively
@@ -219,17 +223,16 @@ class Net:
             name for name in (self._names[i] for i in seen) if not isinstance(name, tuple)
         )
 
-    def flow_by_key(self) -> dict[Hashable, Fraction]:
+    def flow_by_key(self) -> dict[Hashable, int]:
         """Signed net flow per caller key, positive in the u->v direction of
         the `undirected(u, v, ...)` call that added the edge."""
         assert self._flowed
-        out: dict[Hashable, Fraction] = {}
+        out: dict[Hashable, int] = {}
         for a in range(0, len(self._to), 2):
             key = self._key[a]
             if key is None:
                 continue
-            pushed = Fraction(self._orig_cap[a] - self._cap[a], self._den)
-            out[key] = out.get(key, Fraction(0)) + pushed
+            out[key] = out.get(key, 0) + self._orig_cap[a] - self._cap[a]
         return out
 
     def unit_edge_paths(self) -> list[tuple[Hashable, list[Hashable]]]:
@@ -280,7 +283,7 @@ class Net:
             if u != ti or not path_arcs:
                 break
             amt = min(flow[a] for a in path_arcs)
-            assert amt == self._den
+            assert amt == 1
             path: list[Hashable] = []
             for a in path_arcs:
                 flow[a] -= amt
@@ -308,7 +311,8 @@ class TerminalCuts:
     graph G, for any number of splits.
 
     G holds its capacities as integers over their common denominator
-    `G.den` (`G.scaled`), and every value here is over that denominator.
+    `G.den` (`G.scaled`), and every value here is an int on that scale:
+    the cut value in capacity units times `G.den`.
     `_big`, the scaled total capacity plus one, exceeds every arc (summed
     parallel arcs included) and every cut, so a split wires its terminals
     to the super-source and the super-sink at `_big`.
@@ -340,13 +344,13 @@ class TerminalCuts:
       below 2^31.  SciPy (`scipy.sparse` and its `csgraph`) is imported on
       the first stacked solve, so a process whose sweeps all go elsewhere
       never loads it.
-    - Otherwise `min_cut` prices the rows one by one, in Python ints.
+    - Otherwise `_flow` prices the rows one by one, in Python ints.
 
-    `min_cut` builds a pure-Python `Net` for its one split, with arcs at
-    `_big` for the terminals on its two sides only, and returns the value
-    with the minimal source side of a minimum cut.  That side is the same
-    for every maximum flow, so it does not depend on which solver found the
-    value."""
+    `_flow` builds a pure-Python `Net` for its one split from `G.scaled`,
+    with arcs at `_big` for the terminals on its two sides only.  `min_cut`
+    returns its value with the minimal source side of a minimum cut.  That
+    side is the same for every maximum flow, so it does not depend on which
+    solver found the value."""
 
     def __init__(self, g: CapGraph, terminals: Iterable[int]):
         terms = sorted(set(terminals))
@@ -403,7 +407,7 @@ class TerminalCuts:
             yield side_matrix(terms, masks[lo:lo + self._chunk])
 
     def values(self, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
-        """The minimum cut value times `G.den` of every split, a row of the
+        """The minimum cut value on G's scale of every split, a row of the
         side matrices (a terminal may be on neither side), in row order.
         The rows are one chunk, at most as many as `chunks` hands out, and
         are priced by the first of the three ways above that applies.  The
@@ -418,7 +422,7 @@ class TerminalCuts:
         if 2 * self._big < _INT32_LIMIT:
             return self._stack_values(side_a, side_b)
         terms = np.array(self._terms)
-        return np.array([int(self.min_cut(terms[a].tolist(), terms[b].tolist())[0] * self._g.den)
+        return np.array([self._flow(terms[a].tolist(), terms[b].tolist())[0]
                          for a, b in zip(side_a, side_b)], dtype=object)
 
     def _enum_values(self, side_a: np.ndarray) -> np.ndarray:
@@ -475,26 +479,26 @@ class TerminalCuts:
         per_copy = np.bincount(flow.indices[lo:hi] // n, flow.data[lo:hi], minlength=copies)
         return per_copy.astype(np.int64)
 
-    def _flow(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[Fraction, Net]:
-        """The value of a maximum flow from the terminals `term_a` to the
-        terminals `term_b`, and the `Net` that holds it: G's edges, and an
-        arc at `_big` from the super-source to each terminal of side a and
-        from each terminal of side b to the super-sink."""
+    def _flow(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[int, Net]:
+        """The value on G's scale of a maximum flow from the terminals
+        `term_a` to the terminals `term_b`, and the `Net` that holds it:
+        G's edges at `G.scaled`, and an arc at `_big` from the super-source
+        to each terminal of side a and from each terminal of side b to the
+        super-sink."""
         ta, tb = self._checked(term_a, term_b)
-        net = Net(self._g.den)
-        for e in self._g.edges:
+        net = Net()
+        for e, c in zip(self._g.edges, self._g.scaled):
             if e.u != e.v:
-                net.undirected(e.u, e.v, e.cap, key=e.eid)
-        big = Fraction(self._big, self._g.den)
+                net.undirected(e.u, e.v, c, key=e.eid)
         for v in sorted(ta):
-            net.arc(net.source, v, big)
+            net.arc(net.source, v, self._big)
         for v in sorted(tb):
-            net.arc(v, net.sink, big)
+            net.arc(v, net.sink, self._big)
         return net.max_flow(), net
 
-    def min_cut(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[Fraction, frozenset]:
-        """Capacity of the minimum cut separating term_a from term_b, with
-        its minimal source side."""
+    def min_cut(self, term_a: Iterable[int], term_b: Iterable[int]) -> tuple[int, frozenset]:
+        """Capacity on G's scale of the minimum cut separating term_a from
+        term_b, with its minimal source side."""
         value, net = self._flow(term_a, term_b)
         return value, net.cut_side()
 
@@ -542,12 +546,13 @@ def max_flow(
 ) -> tuple[Fraction, FlowSolution, frozenset]:
     """Exact max flow between vertex sets (merged via a super source/sink).
     Returns value, a flow attaining it, and the minimal source side of a
-    minimum cut of equal value."""
+    minimum cut of equal value, in capacity units: the flow runs on G's
+    integer scale and is divided by `G.den` here."""
     src, snk = set(sources), set(sinks)
     value, net = TerminalCuts(g, src | snk)._flow(src, snk)
     flows = net.flow_by_key()
-    sol = FlowSolution({eid: abs(f) for eid, f in flows.items() if f != 0})
-    return value, sol, net.cut_side()
+    sol = FlowSolution({eid: Fraction(abs(f), g.den) for eid, f in flows.items() if f != 0})
+    return Fraction(value, g.den), sol, net.cut_side()
 
 
 def flow_conserves(

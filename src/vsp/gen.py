@@ -71,7 +71,7 @@ def gen_grid(rows: int = 4, cols: int = 4, k: int = 4, seed: int = 0) -> CapGrap
 
 def gen_regular(n: int = 12, d: int = 3, k: int = 4, seed: int = 0) -> CapGraph:
     """Random d-regular-ish connected core with k degree-1 terminals."""
-    _need(n >= 2 and k >= 0, "regular needs n >= 2 and k >= 0")
+    _need(n >= 2 and d >= 0 and k >= 0, "regular needs n >= 2 and d, k >= 0")
     rng = random.Random(seed)
     core = list(range(1, n + 1))
     edges = [(core[i - 1], core[i], 1) for i in range(1, n)]
@@ -94,7 +94,7 @@ def gen_regular(n: int = 12, d: int = 3, k: int = 4, seed: int = 0) -> CapGraph:
 def gen_welllinked(n: int = 10, k: int = 5, seed: int = 0, extra: int = 3) -> CapGraph:
     """Dense core (cycle plus chords plus a hub) built to pass the exact
     1/3-well-linkedness check for desk sizes."""
-    _need(n >= 2 and k >= 0, "welllinked needs n >= 2 and k >= 0")
+    _need(n >= 2 and k >= 0 and extra >= 0, "welllinked needs n >= 2 and k, extra >= 0")
     rng = random.Random(seed)
     core = list(range(1, n + 1))
     edges = [(core[i], core[(i + 1) % n], 1) for i in range(n)]

@@ -303,7 +303,8 @@ def _route_forest(g, com, base) -> RoutingResult:
 def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
     """Decompose per-commodity arc flows into paths, rescale so every demand
     is met exactly, and evaluate the resulting congestion exactly.  A demand
-    its commodity's flow does not reach goes on its BFS path."""
+    its commodity's flow does not reach goes on its BFS path, which exists:
+    `min_congestion_routing` answers a demand across components before."""
     sources = list(com)
     paths: list[tuple[Fraction, tuple, list[int]]] = []
     commodity_arcs: dict[int, dict[tuple[int, int], Fraction]] = {}
@@ -328,8 +329,6 @@ def _assemble(g, com, flows, base, lp_eta, exact_lp) -> RoutingResult:
                 fixed.append((amt * scale, dst, p))
         arcflow: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
         for amt, dst, p in fixed:
-            if amt == 0:
-                continue
             u = src
             for eid in p:
                 e = g.edges[eid]
@@ -415,8 +414,6 @@ def _peel_paths(g, src, sinks, arcflow, dust) -> list[tuple[Fraction, int, list[
                 flow[a] -= amt
             continue
         amt = min(flow[a] for a in path)
-        if amt <= 0:
-            break
         for a in path:
             flow[a] -= amt
         dst = path[-1][1]  # absorber arc names its sink
@@ -438,8 +435,6 @@ def _bfs_edge_path(g, src, dst) -> list[int]:
                 seen.add(v)
                 prev[v] = (u, e.eid)
                 dq.append(v)
-    if dst not in prev and dst != src:
-        raise InputError(f"no path {src} -> {dst}")
     path = []
     u = dst
     while u != src:

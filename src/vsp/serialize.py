@@ -125,11 +125,7 @@ def capacitated_unit_reduction(g: CapGraph, eps: Fraction) -> CapGraph:
     for e in g.edges:
         if e.cap < 1:
             raise InputError(f"edge {e.eid} has capacity {e.cap} < 1")
-        c = min(e.cap, cap_bound)
-        mult = math.ceil(scale * c)
-        if not scale * c <= mult <= (scale + 1) * c:
-            raise AssertionError("capacity rescaling left its bracket")
-        edges.append((e.u, e.v, mult))
+        edges.append((e.u, e.v, math.ceil(scale * min(e.cap, cap_bound))))
     return CapGraph(g.vertices, edges, g.terminals)
 
 

@@ -180,7 +180,7 @@ def _sweep(inst: SubdividedInstance, budget: int, stop_below: Fraction | None) -
     # v / w < stop_below exactly when v * below[0] < w * below[1]
     below = (0, 0) if stop_below is None else (stop_below.denominator, stop_below.numerator)
     masks, _ = bipartitions(ids, budget)  # exhaustive: nb <= budget
-    best = None  # (sparsity, value, sorted side a, side a row)
+    best = None  # (sparsity, value on G_S's scale, sorted side a, side a row)
     for side_a in cuts.chunks(ids, masks):
         v = cuts.values(side_a, ~side_a)
         wa = side_a @ weights
@@ -198,8 +198,7 @@ def _sweep(inst: SubdividedInstance, budget: int, stop_below: Fraction | None) -
             rows = np.flatnonzero(v * w[c] == v[c] * w)
             rows = rows[v[rows] == v[rows].min()].tolist()
         for r in rows:
-            value = Fraction(int(v[r]), g.den)
-            key = (Fraction(int(v[r]), int(w[r])), value,
+            key = (Fraction(int(v[r]), int(w[r])), int(v[r]),
                    tuple(t for t, on in zip(order, side_a[r]) if on))
             if best is None or key < best[:3]:
                 best = (*key, side_a[r])
@@ -211,7 +210,8 @@ def _sweep(inst: SubdividedInstance, budget: int, stop_below: Fraction | None) -
     side2 = tuple(t for t, on in zip(order, row) if not on)
     checked, side = cuts.min_cut(side1, side2)
     if checked != value:
-        raise RuntimeError(f"min cut of {list(side1)}: sweep {value}, Python Dinic {checked}")
+        raise RuntimeError(f"min cut of {list(side1)}: sweep {Fraction(value, g.den)}, "
+                           f"Python Dinic {Fraction(checked, g.den)}")
     # the minimal source side holds exactly the source terminals side1
     return SparsestCut(sparsity, side, True)
 

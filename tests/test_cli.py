@@ -63,6 +63,8 @@ def test_gen_welllinked_certified(tmp_path, capsys):
         ["welllinked", "--n", "1"],
         ["chamber", "--body-n", "1"],
         ["regular", "--n", "1"],
+        ["regular", "--d", "-1"],
+        ["welllinked", "--extra", "-2"],
     ],
     ids=lambda argv: " ".join(argv),
 )

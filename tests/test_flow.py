@@ -98,24 +98,31 @@ def test_net_path_decomposition():
                                      ("b", ["sb1", "bt1"])]
 
 
-def test_net_takes_capacities_over_its_denominator():
-    # 3/2 + 2/3 in series with 1/4 in parallel, all integers over 12
-    net = Net(12)
-    net.undirected(net.source, "b", Fraction(3, 2), key="ab")
-    net.undirected("b", net.sink, Fraction(2, 3), key="bc")
-    net.undirected(net.source, net.sink, Fraction(1, 4), key="ac")
-    assert net.max_flow() == Fraction(11, 12)
-    assert net.flow_by_key() == {"ab": Fraction(2, 3), "bc": Fraction(2, 3), "ac": Fraction(1, 4)}
+def test_net_takes_integer_capacities():
+    # 3/2 + 2/3 in series with 1/4 in parallel, times 12: 18, 8 and 3
+    net = Net()
+    net.undirected(net.source, "b", 18, key="ab")
+    net.undirected("b", net.sink, 8, key="bc")
+    net.undirected(net.source, net.sink, 3, key="ac")
+    value = net.max_flow()
+    assert value == 11 and type(value) is int
+    flows = net.flow_by_key()
+    assert flows == {"ab": 8, "bc": 8, "ac": 3}
+    assert all(type(f) is int for f in flows.values())
 
 
-def test_net_refuses_capacities_off_its_denominator():
-    for den, add in ((1, lambda net: net.arc(net.source, 1, Fraction(1, 2))),
-                     (12, lambda net: net.undirected(1, 2, Fraction(1, 5), key="e")),
-                     (12, lambda net: net.split_edge(1, 2, 1, "e", Fraction(1, 8))),
-                     (1, lambda net: net.undirected(1, 2, 1.0, key="e"))):
-        net = Net(den)
-        with pytest.raises(InputError, match=f"not an integer over {den}"):
+def test_net_refuses_capacities_off_the_integers():
+    for add in (lambda net: net.arc(net.source, 1, Fraction(1, 2)),
+                lambda net: net.undirected(1, 2, Fraction(1, 5), key="e"),
+                lambda net: net.split_edge(1, 2, 1, "e", Fraction(1, 8)),
+                lambda net: net.undirected(1, 2, 1.0, key="e")):
+        net = Net()
+        with pytest.raises(InputError, match="is not an integer"):
             add(net)
+    # a Fraction on the integers is taken as its int
+    net = Net()
+    net.arc(net.source, net.sink, Fraction(3))
+    assert net.max_flow() == 3
 
 
 def test_cut_side_excludes_auxiliary_nodes():
@@ -204,12 +211,12 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
     rng.shuffle(splits)
     values = cuts.values(*_side_matrices(terms, splits))
     assert len(values) == len(splits) and values.dtype == np.int64
-    for (ta, tb), scaled in zip(splits, values):
-        stacked = Fraction(int(scaled), g.den)
-        value, side = cuts.min_cut(ta, tb)
-        fresh_value, fresh = TerminalCuts(g, ta + tb).min_cut(ta, tb)
-        assert stacked == value
-        assert (value, side) == (fresh_value, fresh)
+    for (ta, tb), stacked in zip(splits, values):
+        scaled, side = cuts.min_cut(ta, tb)
+        fresh_scaled, fresh = TerminalCuts(g, ta + tb).min_cut(ta, tb)
+        assert type(scaled) is int and stacked == scaled
+        assert (scaled, side) == (fresh_scaled, fresh)
+        value = Fraction(scaled, g.den)
         assert (value, side) == brute_force_min_cut_side(g, ta, tb)
         assert set(ta) <= side and set(tb) <= frozenset(g.vertices) - side
         assert out_capacity(g, side) == value
@@ -220,12 +227,12 @@ def test_terminal_cuts_reuse_matches_fresh_and_brute_force(seed, fractional):
 @example(seed=0, scale=2**62)
 def test_every_pricing_path_matches_min_cut_and_brute_force(seed, scale):
     # `values` enumerates the sides of the non-terminals, stacks one SciPy
-    # solve or runs `min_cut` per row.  Each path is forced in turn: a
+    # solve or runs `_flow` per row.  Each path is forced in turn: a
     # bound of 0 turns enumeration off, a row with a terminal on neither
     # side is never enumerated, and a scale of 2^30 or more takes G past
     # int32.  At 2^62 the scaled total passes 2^63, and the enumeration
     # sums in Python ints.  Every path prices every row as `min_cut` and
-    # the brute force do
+    # the brute force do, on G's scale
     rng = random.Random(seed)
     caps = (Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2)
     n = rng.randint(2, 7)
@@ -251,10 +258,10 @@ def test_every_pricing_path_matches_min_cut_and_brute_force(seed, scale):
         if enum:
             expected.append(("_enum_values", np.int64 if fits_int64 else object))
         else:
-            expected.append(("_stack_values", np.int64) if fits_int32 else ("min_cut", object))
+            expected.append(("_stack_values", np.int64) if fits_int32 else ("_flow", object))
     with pytest.MonkeyPatch.context() as mp:
         taken = []
-        for name in ("_enum_values", "_stack_values", "min_cut"):
+        for name in ("_enum_values", "_stack_values", "_flow"):
             def spied(*args, name=name, method=getattr(TerminalCuts, name)):
                 taken.append(name)
                 return method(*args)
@@ -266,8 +273,8 @@ def test_every_pricing_path_matches_min_cut_and_brute_force(seed, scale):
             values = cuts.values(side_a, side_b)
             assert (set(taken), values.dtype) == ({path}, dtype)
             for (ta, tb), scaled in zip(splits, values, strict=True):
-                value = Fraction(int(scaled), g.den)
-                assert value == cuts.min_cut(ta, tb)[0] == brute_force_min_cut(g, ta, tb)
+                assert scaled == cuts.min_cut(ta, tb)[0]
+                assert Fraction(int(scaled), g.den) == brute_force_min_cut(g, ta, tb)
 
 
 def _side_matrices(terms, splits):
@@ -301,8 +308,8 @@ def test_terminal_cuts_values_beyond_int32():
         # every row is priced in Python, in exact ints
         assert values.dtype == object
         for (ta, tb), value in zip(splits, values, strict=True):
-            value = Fraction(value, g.den)
-            assert value == cuts.min_cut(ta, tb)[0] == brute_force_min_cut(g, ta, tb)
+            assert value == cuts.min_cut(ta, tb)[0]
+            assert Fraction(value, g.den) == brute_force_min_cut(g, ta, tb)
     # a scaled total between 2^30 and 2^31: twice it reaches 2^31, so no
     # row goes to SciPy, and as above none is enumerated.  Every row is
     # priced in Python: a looser bound, such as 2 * _big < 2^32, sends the
@@ -318,8 +325,28 @@ def test_terminal_cuts_values_beyond_int32():
     values = cuts.values(*_side_matrices(g.terminals, splits))
     assert values.dtype == object
     for (ta, tb), value in zip(splits, values, strict=True):
-        value = Fraction(value, g.den)
-        assert value == brute_force_min_cut(g, ta, tb) == cuts.min_cut(ta, tb)[0]
+        assert Fraction(value, g.den) == brute_force_min_cut(g, ta, tb)
+        assert value == cuts.min_cut(ta, tb)[0]
+
+
+def test_python_priced_rows_build_no_cut_side(monkeypatch):
+    # a graph past int32 whose rows leave a terminal on neither side is
+    # priced in Python, one `_flow` per row: the values come straight off
+    # the flows, with no `min_cut` and no residual search for a side
+    g = CapGraph([1, 2, 3, 4], [(1, 2, 10**12), (2, 3, 1), (3, 4, 2), (1, 4, 3)], [1, 2, 3, 4])
+    cuts = TerminalCuts(g, g.terminals)
+    assert 2 * cuts._big >= 2**31
+    splits = [([1], [3]), ([2], [4]), ([1, 2], [3])]
+    calls = []
+    for cls, name in ((Net, "cut_side"), (TerminalCuts, "min_cut"), (TerminalCuts, "_flow")):
+        def spied(*args, name=name, method=getattr(cls, name)):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, spied)
+    values = cuts.values(*_side_matrices(g.terminals, splits))
+    assert calls == ["_flow"] * 3
+    assert values.tolist() == [3, 4, 3]
 
 
 def test_terminal_cuts_isolated_terminal():
@@ -328,9 +355,9 @@ def test_terminal_cuts_isolated_terminal():
     value, side = cuts.min_cut([4], [1, 3])
     assert value == 0 and side == {4}
     value, side = cuts.min_cut([1], [3, 4])
-    assert value == Fraction(1, 2) and side == {1}
+    assert Fraction(value, g.den) == Fraction(1, 2) and side == {1}
     value, side = cuts.min_cut([3, 4], [1])
-    assert value == Fraction(1, 2) and side == {2, 3, 4}
+    assert Fraction(value, g.den) == Fraction(1, 2) and side == {2, 3, 4}
 
 
 def test_terminal_cuts_input_errors():

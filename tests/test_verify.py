@@ -212,8 +212,8 @@ def _assert_min_cuts(g, h, rep):
     cuts_g, cuts_h = TerminalCuts(g, terms), TerminalCuts(h, terms)
     for rec in rep.records:
         side_b = [t for t in terms if t not in rec["side_a"]]
-        assert rec["g"] == cuts_g.min_cut(rec["side_a"], side_b)[0]
-        assert rec["h"] == cuts_h.min_cut(rec["side_a"], side_b)[0]
+        assert rec["g"] == Fraction(cuts_g.min_cut(rec["side_a"], side_b)[0], g.den)
+        assert rec["h"] == Fraction(cuts_h.min_cut(rec["side_a"], side_b)[0], h.den)
 
 
 @given(seed=st.integers(0, 10**6))

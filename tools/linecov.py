@@ -29,18 +29,21 @@ def function_lines(path: Path) -> dict[str, set[int]]:
     """Qualified function name -> its body lines, from the module's code."""
     out: dict[str, set[int]] = defaultdict(set)
 
-    def walk(code: types.CodeType, owner: str | None) -> None:
-        if code.co_flags & 0x2 and not code.co_name.startswith(NAMED):  # CO_NEWLOCALS
-            owner = code.co_qualname
+    def walk(code: types.CodeType, qualname: str, owner: str | None) -> None:
+        # `qualname` as `co_qualname` spells it; Python 3.10 lacks that field
+        function = code.co_flags & 0x2  # CO_NEWLOCALS: not a module or class body
+        if function and not code.co_name.startswith(NAMED):
+            owner = qualname
             lines = {ln for _s, _e, ln in code.co_lines() if ln is not None}
             out[owner] |= lines - {code.co_firstlineno}
         elif owner is not None:
             out[owner] |= {ln for _s, _e, ln in code.co_lines() if ln is not None}
+        prefix = f"{qualname}.<locals>." if function else f"{qualname}." if qualname else ""
         for const in code.co_consts:
             if isinstance(const, types.CodeType):
-                walk(const, owner)
+                walk(const, prefix + const.co_name, owner)
 
-    walk(compile(path.read_text(), str(path), "exec"), None)
+    walk(compile(path.read_text(), str(path), "exec"), "", None)
     return {name: lines for name, lines in out.items() if lines}
 
 
